@@ -14,6 +14,7 @@ or boundary-critical, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -186,13 +187,13 @@ def write_grid_csv(p: MultiPoly, box: oracle.Box, n: int, path: str | Path) -> N
         raise ValueError("grid export supports polynomials in at most 2 variables matching the box")
     if n < 2:
         raise ValueError("need at least 2 nodes per axis")
-    pts = oracle.lattice_points(box, n)
-    values = kernels.eval_poly_many(p, pts)
+    axes = oracle.lattice_axes(box, n)
+    values = kernels.eval_lattice(*p.as_arrays(), axes)
     with open(path, "w") as handle:
         handle.write("x,y,f\n")
-        for row, value in zip(pts, values):
-            x = row[0]
-            y = row[1] if p.arity == 2 else 0.0
+        for node, value in zip(itertools.product(*axes), values):
+            x = node[0]
+            y = node[1] if p.arity == 2 else 0.0
             handle.write(f"{x:.17g},{y:.17g},{value:.17g}\n")
 
 

@@ -1,140 +1,111 @@
-"""Batched polynomial evaluation kernels.
+"""Float polynomial evaluation at many points.
 
-Grid scans, CSV surface export, and the sampling-based verification checks
-all reduce to "evaluate a sparse polynomial at many points".  That inner
-loop is the only hot numeric path in the package, so it ships in two
-interchangeable implementations:
+Three entry points, all built from the float coefficients and integer
+exponents of ``MultiPoly.as_arrays`` / ``MultiPoly.float_evaluator``:
 
-  * a numba ``@njit`` kernel (default when numba imports), and
-  * a pure-numpy vectorized fallback.
+  * ``eval_lattice`` evaluates on a tensor-product lattice (grid scans, CSV
+    surface export, the node scans of univariate root isolation).  Each
+    axis gets one power table ``[1, x, x^2, ..., x^d]`` built by repeated
+    multiplication; the terms are scattered into a dense coefficient array
+    indexed by exponents, which is contracted with the tables one axis at a
+    time.  In two variables that is ``(X @ C) @ Y^T``, one small matrix
+    product, so a 1001 x 1001 Goldstein-Price lattice costs milliseconds;
+    in one variable it is a weighted sum of the powers, taken row by row.
+  * ``eval_many`` evaluates at scattered points, on the same per-axis power
+    tables.
+  * ``poly_evaluator`` returns the straight-line single-point function
+    generated by ``MultiPoly.float_evaluator`` (Newton refinement).
 
-Selection is by the ``CANONDUAL_KERNEL`` environment variable, read at
-import time: ``auto`` (default), ``numba``, or ``numpy``.  ``auto`` picks
-numba when available.  ``bench/bench_kernels.py`` times both backends on
-the benchmark objectives.
-
-Single-point evaluation (Newton refinement in the oracle) does not go
-through the batch kernels on any backend: ``poly_evaluator`` returns the
-straight-line function generated by ``MultiPoly.float_evaluator``.
-
-Exact-rational arithmetic (module ``polynomial``) never goes through these
-kernels; only float evaluation does.
+No path raises a float to a power with ``**``: numpy's float power is slow,
+and slower still for negative bases.  Exact-rational arithmetic (module
+``polynomial``) never goes through this module; only float evaluation does.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Sequence
 
 import numpy as np
 
-_ENV_VAR = "CANONDUAL_KERNEL"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-
-def _numpy_eval_many(coeffs: np.ndarray, exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros(pts.shape[0], dtype=np.float64)
-    n_vars = pts.shape[1]
-    for t in range(coeffs.shape[0]):
-        term = np.full(pts.shape[0], coeffs[t])
-        for v in range(n_vars):
-            e = exps[t, v]
-            if e:
-                term *= pts[:, v] ** e
-        out += term
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _numba_eval_many(coeffs, exps, pts):  # pragma: no cover - compiled
-        n_pts = pts.shape[0]
-        n_terms = coeffs.shape[0]
-        n_vars = pts.shape[1]
-        out = np.zeros(n_pts, dtype=np.float64)
-        for i in range(n_pts):
-            acc = 0.0
-            for t in range(n_terms):
-                term = coeffs[t]
-                for v in range(n_vars):
-                    x = pts[i, v]
-                    for _ in range(exps[t, v]):
-                        term *= x
-                acc += term
-            out[i] = acc
-        return out
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be auto, numba, or numpy, got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
-
-
-_BACKEND = _resolve_backend()
-
 
 def active_backend() -> str:
-    """Name of the backend selected at import time."""
-    return _BACKEND
+    """Name of the evaluation backend; numpy is the only one."""
+    return "numpy"
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
+def _power_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """Rows ``x^0, x^1, ..., x^degree`` of the 1-D array x, shape (degree + 1, len(x))."""
+    table = np.empty((degree + 1, x.shape[0]), dtype=np.float64)
+    table[0] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(table[e - 1], x, out=table[e])
+    return table
 
 
-def eval_many_with(backend: str, coeffs: np.ndarray, exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate with an explicit backend (used by the benchmark and tests)."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != exps.shape[1]:
-        raise ValueError(f"points shape {pts.shape} does not match exponent width {exps.shape}")
-    if backend == "numpy":
-        return _numpy_eval_many(coeffs, exps, pts)
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _numba_eval_many(coeffs, exps, pts)
-    raise ValueError(f"unknown backend {backend!r}")
+def _degrees(exps: np.ndarray) -> list[int]:
+    return [int(d) for d in exps.max(axis=0)] if exps.shape[0] else [0] * exps.shape[1]
+
+
+def eval_lattice(coeffs: np.ndarray, exps: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate the polynomial given by (coeffs, exps) at every node of the
+    lattice ``axes[0] x axes[1] x ...``.
+
+    Returns a flat array in row-major lattice order, first axis slowest:
+    entry ``i * len(axes[1]) + j`` is the value at ``(axes[0][i], axes[1][j])``.
+    """
+    axes = [np.ascontiguousarray(a, dtype=np.float64) for a in axes]
+    if len(axes) != exps.shape[1] or any(a.ndim != 1 for a in axes):
+        raise ValueError(f"expected {exps.shape[1]} one-dimensional axes for exponents {exps.shape}")
+    degrees = _degrees(exps)
+    dense = np.zeros([d + 1 for d in degrees], dtype=np.float64)
+    dense[tuple(exps.T)] = coeffs
+    if len(axes) == 1:
+        # The same contraction row by row, without BLAS or the whole table:
+        # a 1-D lattice gains nothing from BLAS, whose first use in a process
+        # adds about 0.4 MB to its resident set.
+        x = axes[0]
+        power = np.ones_like(x)
+        values = np.full_like(x, dense[0])
+        for coeff in dense[1:]:
+            power *= x
+            values += coeff * power
+        return values
+    # Contract coefficient axis 0 with its power table; the lattice axis lands
+    # last, so after every variable the remaining axes are the lattice's, in order.
+    values = dense
+    for axis, degree in zip(axes, degrees):
+        values = np.tensordot(values, _power_table(axis, degree), axes=([0], [0]))
+    return values.ravel()
 
 
 def eval_many(coeffs: np.ndarray, exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate the polynomial given by (coeffs, exps) at all rows of pts."""
-    return eval_many_with(_BACKEND, coeffs, exps, pts)
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != exps.shape[1]:
+        raise ValueError(f"points shape {pts.shape} does not match exponent width {exps.shape}")
+    tables = [_power_table(pts[:, v], d) for v, d in enumerate(_degrees(exps))]
+    out = np.zeros(pts.shape[0], dtype=np.float64)
+    for coeff, row in zip(coeffs, exps):
+        term = np.full(pts.shape[0], coeff)
+        for table, e in zip(tables, row):
+            if e:
+                term *= table[e]
+        out += term
+    return out
 
 
 def eval_poly_many(poly, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a MultiPoly at all rows of pts via the active backend."""
+    """Evaluate a MultiPoly at all rows of pts."""
     coeffs, exps = poly.as_arrays()
     return eval_many(coeffs, exps, pts)
 
 
 def poly_evaluator(poly):
-    """Fast single-point evaluator, the same on every backend.
+    """Fast single-point evaluator.
 
     Newton refinement calls this hundreds of times per start.  A batch
-    kernel called with a 1-row array pays its per-call overhead every time
-    (on the numpy backend, one numpy call per term: about 0.8 ms for
-    Goldstein-Price, slower than ``MultiPoly.eval``), so single points go
-    through the straight-line function generated and cached by
-    ``MultiPoly.float_evaluator`` instead (a few microseconds).
+    kernel called with a 1-row array pays its numpy per-call overhead every
+    time, so single points go through the straight-line function generated
+    and cached by ``MultiPoly.float_evaluator`` instead (a few microseconds).
     """
     return poly.float_evaluator()
-
-
-def warmup() -> None:
-    """Trigger JIT compilation (a no-op on the numpy backend)."""
-    coeffs = np.array([1.0, -0.5], dtype=np.float64)
-    exps = np.array([[2, 0], [0, 1]], dtype=np.int64)
-    pts = np.array([[0.5, 2.0]], dtype=np.float64)
-    eval_many(coeffs, exps, pts)

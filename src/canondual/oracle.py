@@ -3,8 +3,13 @@
 Nothing here shares code with the dual pipeline it checks: grid scans and
 multistart Newton refinement attack bivariate objectives directly, and
 univariate global minimization isolates every real root of the derivative
-by sign-change bracketing.  Results are bit-reproducible: the pseudo-random
-stream is a fixed 64-bit linear congruential generator
+by sign-change bracketing.  Lattices (grid scans and the univariate node
+scans) are evaluated in one pass by ``kernels.eval_lattice``; Newton
+refinement uses the generated single-point evaluators of the polynomial
+and its derivatives, built once per polynomial and cached on it.
+
+Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
+linear congruential generator
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
@@ -84,12 +89,11 @@ class OracleResult:
     failed_starts: int = 0
 
 
-def lattice_points(box: Box, n_per_axis: int) -> np.ndarray:
-    """Row-major lattice including both endpoints; first axis varies slowest,
-    so flat order is lexicographic in the point coordinates."""
-    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in zip(box.lower, box.upper)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def lattice_axes(box: Box, n_per_axis: int) -> list[np.ndarray]:
+    """Node coordinates of the lattice on box, endpoints included, one
+    array per axis.  ``kernels.eval_lattice`` orders the nodes row-major,
+    first axis slowest, which is lexicographic in the node coordinates."""
+    return [np.linspace(lo, hi, n_per_axis) for lo, hi in zip(box.lower, box.upper)]
 
 
 def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
@@ -101,13 +105,14 @@ def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
         raise DimensionMismatch("grid scan supports at most 2 variables")
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
-    pts = lattice_points(box, n_per_axis)
-    values = kernels.eval_poly_many(p, pts)
+    axes = lattice_axes(box, n_per_axis)
+    values = kernels.eval_lattice(*p.as_arrays(), axes)
     best = int(np.argmin(values))
+    node = np.unravel_index(best, [n_per_axis] * p.arity)
     return OracleResult(
-        x_best=tuple(float(c) for c in pts[best]),
+        x_best=tuple(float(axis[i]) for axis, i in zip(axes, node)),
         value=float(values[best]),
-        n_evaluations=len(pts),
+        n_evaluations=len(values),
         refined=False,
     )
 
@@ -115,18 +120,23 @@ def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
 def _newton_evaluators(p: MultiPoly):
     """Single-point evaluators of p, of its rounding-bound polynomial
     sum_t |c_t| x^e_t (called at |x|), of its gradient, and of the upper
-    triangle of its Hessian."""
-    grads = p.gradient()
-    value_at = kernels.poly_evaluator(p)
-    bound_at = kernels.poly_evaluator(
-        MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
-    )
-    grad_at = [kernels.poly_evaluator(gp) for gp in grads]
-    hess_at = [
-        [kernels.poly_evaluator(grads[i].partial_derivative(j)) for j in range(i, p.arity)]
-        for i in range(p.arity)
-    ]
-    return value_at, bound_at, grad_at, hess_at
+    triangle of its Hessian.  Generated once per polynomial and cached on
+    it, like ``MultiPoly.float_evaluator``."""
+    cached = getattr(p, "_newton_cache", None)
+    if cached is None:
+        grads = p.gradient()
+        value_at = kernels.poly_evaluator(p)
+        bound_at = kernels.poly_evaluator(
+            MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
+        )
+        grad_at = [kernels.poly_evaluator(gp) for gp in grads]
+        hess_at = [
+            [kernels.poly_evaluator(grads[i].partial_derivative(j)) for j in range(i, p.arity)]
+            for i in range(p.arity)
+        ]
+        cached = (value_at, bound_at, grad_at, hess_at)
+        object.__setattr__(p, "_newton_cache", cached)
+    return cached
 
 
 def _refine_counted(
@@ -295,17 +305,15 @@ def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = 
     d2p = dp.partial_derivative(0)
 
     xs = np.linspace(lo, hi, n_scan + 1)
-    dvals = kernels.eval_poly_many(dp, xs.reshape(-1, 1))
+    dvals = kernels.eval_lattice(*dp.as_arrays(), [xs])
 
-    roots: list[float] = []
-    for i, (x, val) in enumerate(zip(xs, dvals)):
-        if val == 0.0:
-            roots.append(float(x))
-    for i in range(len(xs) - 1):
+    zero = dvals == 0.0
+    negative = np.signbit(dvals)
+    roots: list[float] = [float(x) for x in xs[zero]]
+    brackets = np.flatnonzero(~zero[:-1] & ~zero[1:] & (negative[:-1] != negative[1:]))
+    for i in brackets:
         a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(dvals[i]), float(dvals[i + 1])
-        if fa == 0.0 or fb == 0.0 or (fa < 0) == (fb < 0):
-            continue
+        fa = float(dvals[i])
         while b - a > 1e-13:
             mid = 0.5 * (a + b)
             fm = dp.eval([mid])
@@ -356,8 +364,8 @@ def univariate_global(
         candidates = [lo, hi] + roots
         values = [p.eval([x]) for x in candidates]
         best_value, best_x = min(zip(values, candidates))
-        xs = np.linspace(lo, hi, resolution + 1).reshape(-1, 1)
-        node_min = float(np.min(kernels.eval_poly_many(p, xs)))
+        xs = np.linspace(lo, hi, resolution + 1)
+        node_min = float(np.min(kernels.eval_lattice(*p.as_arrays(), [xs])))
         result = OracleResult(
             x_best=(best_x,),
             value=best_value,

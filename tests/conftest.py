@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from canondual import kernels
 
 settings.register_profile(
     "ci",
@@ -12,9 +9,3 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the batch-evaluation kernel once so timing-sensitive tests
-    never measure JIT compilation."""
-    kernels.warmup()

@@ -1,29 +1,21 @@
-"""Backend parity and env-flag selection for the batch evaluation kernels."""
+"""The lattice, scattered-point and single-point evaluation kernels."""
 
-import os
-import subprocess
-import sys
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canondual import kernels
-from canondual.benchmarks import gp_objective, thc_objective
-from canondual.oracle import Lcg
+from canondual.benchmarks import GP_BOX, gp_objective, thc_objective
+from canondual.oracle import lattice_axes
 from canondual.polynomial import MultiPoly
 
 
 class TestBackendParity:
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_numba_matches_numpy_on_benchmarks(self):
-        rng = Lcg(31)
-        pts = np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(500)])
-        for poly in (gp_objective(), thc_objective()):
-            coeffs, exps = poly.as_arrays()
-            a = kernels.eval_many_with("numba", coeffs, exps, pts)
-            b = kernels.eval_many_with("numpy", coeffs, exps, pts)
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-9)
-
     def test_matches_scalar_eval(self):
         poly = thc_objective()
         pts = np.array([[0.5, -1.5], [2.0, 0.25], [-3.0, 3.0]])
@@ -52,48 +44,80 @@ class TestBackendParity:
         with pytest.raises(ValueError):
             kernels.eval_many(coeffs, exps, np.zeros((4, 3)))
 
+    def test_active_backend_is_numpy(self):
+        assert kernels.active_backend() == "numpy"
 
-class TestEnvFlag:
-    def _backend_in_subprocess(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("CANONDUAL_KERNEL", None)
-        else:
-            env["CANONDUAL_KERNEL"] = env_value
-        code = "from canondual import kernels; print(kernels.active_backend())"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+coordinates = st.lists(coefficients.map(float), min_size=1, max_size=5)
+
+
+def polys_of(arity):
+    exponents = st.tuples(*[st.integers(0, 4)] * arity)
+    return st.dictionaries(exponents, coefficients, max_size=6).map(
+        lambda terms: MultiPoly.from_terms(arity, terms)
+    )
+
+
+def assert_within_rounding(p, axes):
+    """eval_lattice against exact evaluation at every node.  Per term the
+    float path rounds the coefficient once, builds each power x_v^e with
+    e - 1 products, and on each axis v takes one product and a sum of
+    d_v + 1 entries: at most 1 + 2 * sum(d_v) roundings of half a machine
+    epsilon each.  That many whole epsilons times sum_t |c_t x^e_t| bounds
+    the error with a factor 2 to spare."""
+    coeffs, exps = p.as_arrays()
+    values = kernels.eval_lattice(coeffs, exps, [np.array(a) for a in axes])
+    degree_sum = sum(p.degree_in(v) for v in range(p.arity))
+    assert values.shape == (np.prod([len(a) for a in axes]),)
+    for node, value in zip(itertools.product(*axes), values):
+        exact = p.eval_exact(node)
+        magnitude = sum(
+            abs(coeff * math.prod(Fraction(x) ** e for x, e in zip(node, term)))
+            for term, coeff in p.terms.items()
         )
-        return out
+        bound = (1 + 2 * degree_sum) * Fraction(2.0**-52) * magnitude
+        assert abs(Fraction(float(value)) - exact) <= bound
 
-    def test_numpy_forced(self):
-        out = self._backend_in_subprocess("numpy")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
 
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_auto_prefers_numba(self):
-        out = self._backend_in_subprocess("auto")
-        assert out.stdout.strip() == "numba"
+class TestEvalLattice:
+    @given(polys_of(1), coordinates)
+    def test_univariate_within_rounding_bound(self, p, xs):
+        assert_within_rounding(p, [xs])
 
-    def test_invalid_value_rejected(self):
-        out = self._backend_in_subprocess("cuda")
-        assert out.returncode != 0
-        assert "CANONDUAL_KERNEL" in out.stderr
+    @given(polys_of(2), coordinates, coordinates)
+    def test_bivariate_within_rounding_bound(self, p, xs, ys):
+        assert_within_rounding(p, [xs, ys])
 
-    def test_results_identical_across_backends_for_pipeline(self):
-        # The certified headline numbers cannot depend on the kernel backend.
-        code = (
-            "from canondual import benchmarks;"
-            "r = benchmarks.thc_solve(with_oracle=False);"
-            "print(repr((r.x_star, r.value, r.dual_report.sigma_star)))"
-        )
-        results = set()
-        for backend in kernels.available_backends():
-            env = dict(os.environ, CANONDUAL_KERNEL=backend)
-            out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert out.returncode == 0, out.stderr
-            results.add(out.stdout)
-        assert len(results) == 1
+    def test_zero_and_constant_polynomials(self):
+        axes = [np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4)]
+        zero = kernels.eval_lattice(*MultiPoly.zero(2).as_arrays(), axes)
+        assert zero.tolist() == [0.0] * 12
+        seven = kernels.eval_lattice(*MultiPoly.constant(2, Fraction(7, 2)).as_arrays(), axes)
+        assert seven.tolist() == [3.5] * 12
+
+    def test_row_major_order_first_axis_slowest(self):
+        # The order of the former lattice_points: meshgrid "ij", raveled.
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        p = x + 10 * y + x * y**2
+        axes = [np.array([-1.0, 0.0, 2.0]), np.array([-3.0, 1.0, 4.0, 5.0])]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        values = kernels.eval_lattice(*p.as_arrays(), axes)
+        assert values.tolist() == [p.eval(tuple(row)) for row in pts]
+
+    def test_agrees_with_eval_many_on_goldstein_price(self):
+        p = gp_objective()
+        axes = lattice_axes(GP_BOX, 41)
+        pts = np.array(list(itertools.product(*axes)))
+        lattice = kernels.eval_lattice(*p.as_arrays(), axes)
+        scattered = kernels.eval_poly_many(p, pts)
+        assert np.allclose(lattice, scattered, rtol=1e-13, atol=1e-9)
+
+    def test_axis_validation(self):
+        coeffs, exps = thc_objective().as_arrays()
+        with pytest.raises(ValueError):
+            kernels.eval_lattice(coeffs, exps, [np.zeros(3)])
+        with pytest.raises(ValueError):
+            kernels.eval_lattice(coeffs, exps, [np.zeros((2, 2)), np.zeros(3)])

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from canondual import oracle
+from canondual import kernels, oracle
 from canondual.benchmarks import GP_BOX, THC_BOX, gp_g, gp_h, gp_objective, thc_objective
 from canondual.errors import DimensionMismatch, NotConverged, RootIsolationFailure
 from canondual.oracle import (
@@ -82,6 +84,16 @@ class TestGridScan:
         # Constant polynomial: every node ties; the first lattice node wins.
         result = grid_scan(MultiPoly.constant(2, 7), Box((-1.0, -1.0), (1.0, 1.0)), 3)
         assert result.x_best == (-1.0, -1.0)
+
+    def test_tie_between_symmetric_minima_breaks_to_first_node(self):
+        # (x^2 - 1)^2 + (y^2 - 1)^2 takes its minimum 0 exactly at the four
+        # nodes (+-1, +-1) of the 5 x 5 lattice on [-2, 2]^2.
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        p = (x**2 - 1) ** 2 + (y**2 - 1) ** 2
+        result = grid_scan(p, Box((-2.0, -2.0), (2.0, 2.0)), 5)
+        assert result.x_best == (-1.0, -1.0)
+        assert result.value == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,6 +229,15 @@ class TestMultistart:
             multistart(thc_objective(), THC_BOX, 5, seed=1)
         assert failure.value.evaluations == 15
 
+    def test_newton_evaluators_are_built_once_per_polynomial(self):
+        p = MultiPoly.from_terms(2, gp_objective().terms)  # fresh, nothing cached
+        first = multistart(p, GP_BOX, 16, seed=42)
+        evaluators = oracle._newton_evaluators(p)
+        second = multistart(p, GP_BOX, 16, seed=42)
+        assert oracle._newton_evaluators(p) is evaluators
+        assert second == first
+        assert multistart(MultiPoly.from_terms(2, p.terms), GP_BOX, 16, seed=42) == first
+
     def test_grid_never_beats_multistart(self):
         for poly, box in ((gp_objective(), GP_BOX), (thc_objective(), THC_BOX)):
             coarse = grid_scan(poly, box, 51)
@@ -258,8 +279,6 @@ class TestUnivariateGlobal:
         for p in (gp_g(), gp_h()):
             dp = p.partial_derivative(0)
             grid = np.linspace(-10, 10, 2001).reshape(-1, 1)
-            from canondual import kernels
-
             max_abs = float(np.max(np.abs(kernels.eval_poly_many(dp, grid))))
             for root in derivative_roots(p, (-10.0, 10.0)):
                 assert abs(dp.eval((root,))) <= 1e-9 * (1.0 + max_abs)
@@ -291,3 +310,70 @@ class TestCauchyBound:
         for dp, roots in ((dh, (-1, 1, 2)), (dg, (0, 1, 3))):
             bound = cauchy_root_bound(dp)
             assert all(abs(r) <= bound for r in roots)
+
+
+def derivative_roots_with_loops(p, interval, n_scan):
+    """derivative_roots with its node scan written as two Python loops over
+    the nodes, the reference for the vectorised scan."""
+    lo, hi = float(interval[0]), float(interval[1])
+    dp = p.partial_derivative(0)
+    if dp.is_zero():
+        return []
+    d2p = dp.partial_derivative(0)
+    xs = np.linspace(lo, hi, n_scan + 1)
+    dvals = kernels.eval_lattice(*dp.as_arrays(), [xs])
+    roots = []
+    for x, val in zip(xs, dvals):
+        if val == 0.0:
+            roots.append(float(x))
+    for i in range(len(xs) - 1):
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa, fb = float(dvals[i]), float(dvals[i + 1])
+        if fa == 0.0 or fb == 0.0 or (fa < 0) == (fb < 0):
+            continue
+        while b - a > 1e-13:
+            mid = 0.5 * (a + b)
+            fm = dp.eval([mid])
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm < 0) == (fa < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        root = 0.5 * (a + b)
+        for _ in range(4):
+            slope = d2p.eval([root])
+            if slope == 0.0:
+                break
+            candidate = root - dp.eval([root]) / slope
+            if not (a - 1e-10 <= candidate <= b + 1e-10):
+                break
+            root = candidate
+        roots.append(root)
+    roots.sort()
+    merged = []
+    gap = 1e-10 * max(1.0, hi - lo)
+    for r in roots:
+        if not merged or r - merged[-1] > gap:
+            merged.append(r)
+    return merged
+
+
+# On [-4, 4] with 64 cells the nodes are the multiples of 1/8, exact floats.
+node_roots = st.integers(-32, 32).map(lambda k: Fraction(k, 8))
+cell_roots = st.fractions(min_value=-4, max_value=4, max_denominator=50)
+root_lists = st.lists(st.one_of(node_roots, cell_roots), min_size=1, max_size=5)
+scales = st.sampled_from([Fraction(1), Fraction(-3), Fraction(5, 7), Fraction(-1, 16)])
+
+
+@given(root_lists, scales)
+def test_vectorised_scan_matches_the_loops(roots, scale):
+    s = MultiPoly.variable(1, 0)
+    dp = MultiPoly.constant(1, scale)
+    for r in roots:
+        dp = dp * (s - r)
+    p = MultiPoly.from_terms(1, {(e + 1,): c / (e + 1) for (e,), c in dp.terms.items()})
+    assert p.partial_derivative(0) == dp
+    expected = derivative_roots_with_loops(p, (-4.0, 4.0), 64)
+    assert derivative_roots(p, (-4.0, 4.0), 64) == expected
