@@ -318,14 +318,18 @@ def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
     return lhs, v2 - u2
 
 
+@lru_cache(maxsize=None)
 def thc_level1_identity() -> bool:
-    """6 * f(x, y) == (x^3 - 16x/5)^2 - U1(x, y), exactly."""
+    """6 * f(x, y) == (x^3 - 16x/5)^2 - U1(x, y), exactly (checked once per
+    process: the sides are fixed polynomials)."""
     lhs, rhs = _thc_level1_sides()
     return lhs == rhs
 
 
+@lru_cache(maxsize=None)
 def thc_level2_identity() -> bool:
-    """60 * staged complementary == (x^2 + 5wx)^2 - U2(x, y, w), exactly."""
+    """60 * staged complementary == (x^2 + 5wx)^2 - U2(x, y, w), exactly
+    (checked once per process)."""
     lhs, rhs = _thc_level2_sides()
     return lhs == rhs
 
@@ -404,10 +408,10 @@ def thc_solve(
 ) -> SolveReport:
     """Full Three Hump pipeline over the closed-form dual.
 
-    Both staging identities are revalidated, the dual is maximized with
-    finite-difference gradients, (x*, y*) comes from the equilibrium
-    system, and the zero-gap equality is checked through the staged
-    complementary function.
+    Both staging identities are validated (once per process), the dual is
+    maximized with finite-difference gradients and Hessian, (x*, y*) comes
+    from the equilibrium system, and the zero-gap equality is checked
+    through the staged complementary function.
     """
     cfg = cfg or SolverConfig()
     if not thc_level1_identity():

@@ -216,17 +216,41 @@ def recover_primal(pr: CanonicalProblem, sigma: Sequence[float], residual_tol: f
     return x
 
 
+def _interior_primal(pr: CanonicalProblem, sig: tuple[float, ...]) -> tuple[SymMatrix, Vector]:
+    """(G(sigma), x_bar(sigma)) where P^d is differentiable: G nonsingular."""
+    G = g_matrix(pr, sig)
+    if not is_nonsingular(G):
+        raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
+    return G, solve_sym(G, f_vector(pr, sig), residual_tol=1e-6)
+
+
 def dual_gradient(pr: CanonicalProblem, sigma: Sequence[float]) -> tuple[float, ...]:
     """Gradient of P^d by the envelope identity: component k is
     Lambda_k(x_bar(sigma)) - dV*/dsigma_k.  Requires G(sigma) nonsingular."""
     sig = _check_sigma(pr, sigma)
-    G = g_matrix(pr, sig)
-    if not is_nonsingular(G):
-        raise SingularMatrixError("G(sigma) is singular; gradient undefined on the boundary")
-    x = solve_sym(G, f_vector(pr, sig), residual_tol=1e-6)
+    _, x = _interior_primal(pr, sig)
     xi = lambda_eval(pr, x)
     grad_conj = conjugate_gradient(pr.V, sig)
     return tuple(l - g for l, g in zip(xi, grad_conj))
+
+
+def dual_hessian(pr: CanonicalProblem, sigma: Sequence[float]) -> SymMatrix:
+    """Hessian of P^d, exact for the affine G(sigma):
+
+        H_kl = -(C_k x_bar + b_k)^T G^{-1} (C_l x_bar + b_l) - delta_kl / (2 a_k)
+
+    from d x_bar / d sigma_l = -G^{-1} (C_l x_bar + b_l), the derivative of
+    G x_bar = F.  Requires G(sigma) nonsingular, as the gradient does.
+    """
+    sig = _check_sigma(pr, sigma)
+    G, x = _interior_primal(pr, sig)
+    u = [op.C.matvec(x) + op.b for op in pr.ops]
+    w = [solve_sym(G, u_l, residual_tol=1e-6) for u_l in u]
+    upper = []
+    for k, (a, _) in enumerate(pr.V.pairs):
+        upper.append(-u[k].dot(w[k]) - 1.0 / (2.0 * a))
+        upper.extend(-u[k].dot(w[l]) for l in range(k + 1, pr.m))
+    return SymMatrix(pr.m, tuple(upper))
 
 
 def complementary_value(pr: CanonicalProblem, x: Sequence[float], sigma: Sequence[float]) -> float:

@@ -14,6 +14,7 @@ or boundary-critical, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -511,8 +512,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> _Parser:
+    """build_parser(), once per process: parsing fills a fresh namespace on
+    every call and leaves the parser unchanged, so one parser serves all."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(list(argv))
     except _UsageError as exc:

@@ -1,13 +1,16 @@
 """Concave maximization over the interior of the PSD-feasible dual domain.
 
-The engine is a damped Newton ascent: analytic gradient when available
-(central differences otherwise), Hessian always by central differences of
-the gradient, step direction from solving -H d = grad with a steepest-ascent
-fallback when H is not negative definite, and a backtracking line search
-that accepts a step only when the iterate keeps a strict feasibility margin
-and satisfies the Armijo ascent condition.  Accepted dual values are
-therefore strictly increasing, and every accepted iterate is strictly
-interior.
+The engine is a damped Newton ascent: analytic gradient and Hessian when
+the caller has them (central differences otherwise: of the value for the
+gradient, of the gradient for the Hessian), step direction from solving
+-H d = grad with a steepest-ascent fallback when H is not negative
+definite, and a backtracking line search that accepts a step only when the
+iterate keeps a strict feasibility margin and satisfies the Armijo ascent
+condition.  Accepted dual values are therefore strictly increasing, and
+every accepted iterate is strictly interior.  The canonical pipeline
+(solve_canonical) passes the exact dual Hessian; the Three Hump Camel
+pipeline, whose closed-form dual has no analytic derivatives here, uses
+the differences.
 
 There is no randomness anywhere in the solver: identical inputs and
 configuration produce bit-identical results.
@@ -32,6 +35,7 @@ from .smallmat import SymMatrix, Vector, min_eigenvalue, solve_sym
 
 ValueFn = Callable[[Sequence[float]], float]
 GradFn = Callable[[Sequence[float]], Sequence[float]]
+HessFn = Callable[[Sequence[float]], SymMatrix]
 FeasFn = Callable[[Sequence[float]], tuple[bool, float]]
 
 _MIN_STEP = 1e-16
@@ -202,8 +206,13 @@ def maximize_concave(
     feasibility_fn: FeasFn,
     start: Sequence[float],
     cfg: SolverConfig | None = None,
+    hessian_fn: HessFn | None = None,
 ) -> AscentResult:
     """Damped Newton ascent from a strictly feasible start.
+
+    Without hessian_fn the Hessian is differenced from the gradient, which
+    costs 2m gradient evaluations per iteration and leaves an error that
+    can keep |grad| just above grad_tol.
 
     Terminates with converged=True when the gradient norm drops below
     grad_tol, converged=False at the iteration cap, and raises
@@ -231,7 +240,10 @@ def maximize_concave(
         if grad_norm <= cfg.grad_tol:
             return AscentResult(sigma, value, grad_norm, iteration, True)
 
-        hess = _fd_hessian(grad_of, sigma, cfg.fd_step)
+        if hessian_fn is not None:
+            hess = hessian_fn(sigma)
+        else:
+            hess = _fd_hessian(grad_of, sigma, cfg.fd_step)
         direction = None
         neg_hess = hess.scale(-1.0)
         if min_eigenvalue(neg_hess) >= _NEGDEF_TOL:
@@ -297,7 +309,7 @@ def classify_certificate(
 
 def solve_canonical(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = None) -> CriticalReport:
     """Full dual pipeline: interior start, concave ascent with the analytic
-    dual gradient, primal recovery, and certificate triage."""
+    dual gradient and Hessian, primal recovery, and certificate triage."""
     cfg = cfg or SolverConfig()
 
     def value_fn(sigma: Sequence[float]) -> float:
@@ -306,13 +318,16 @@ def solve_canonical(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = N
     def gradient_fn(sigma: Sequence[float]) -> tuple[float, ...]:
         return canonical.dual_gradient(pr, sigma)
 
+    def hessian_fn(sigma: Sequence[float]) -> SymMatrix:
+        return canonical.dual_hessian(pr, sigma)
+
     def feasibility_fn(sigma: Sequence[float]) -> tuple[bool, float]:
         return canonical.in_positive_domain(pr, sigma)
 
     start = find_interior_start(value_fn, feasibility_fn, pr.m, cfg.interior_margin)
     stalled = False
     try:
-        result = maximize_concave(value_fn, gradient_fn, feasibility_fn, start, cfg)
+        result = maximize_concave(value_fn, gradient_fn, feasibility_fn, start, cfg, hessian_fn)
     except LineSearchStalled as stall:
         result = AscentResult(stall.sigma, stall.value, stall.grad_norm, stall.iterations, False)
         stalled = True

@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra for matrices of size n <= 4.
 
-Symmetry is structural: a SymMatrix stores only the upper triangle, so
-there is exactly one storage slot per (i, j) pair.  Eigenvalues come from
+Symmetry is structural: a SymMatrix is given by its upper triangle, so
+there is exactly one stored value per (i, j) pair; the full rows are
+expanded from it once, at construction, for reads.  Eigenvalues come from
 closed forms for n in {1, 2} and cyclic Jacobi sweeps for n in {3, 4};
 solves use pivoted elimination with an eigendecomposition fallback for
 singular matrices, followed by a column-space residual check.
@@ -14,7 +15,7 @@ numpy.linalg independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import ColumnSpaceViolation, DimensionMismatch
@@ -85,10 +86,18 @@ def _triu_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
+# The upper-triangle slot of every (i, j), by matrix size.
+_ROW_SLOTS = {
+    n: tuple(tuple(_triu_index(n, i, j) for j in range(n)) for i in range(n))
+    for n in range(1, MAX_DIM + 1)
+}
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     n: int
     upper: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_DIM:
@@ -98,7 +107,10 @@ class SymMatrix:
                 f"upper triangle of a {self.n}x{self.n} matrix has {_triu_len(self.n)} "
                 f"entries, got {len(self.upper)}"
             )
-        object.__setattr__(self, "upper", tuple(float(x) for x in self.upper))
+        upper = tuple(map(float, self.upper))
+        object.__setattr__(self, "upper", upper)
+        rows = tuple(tuple(map(upper.__getitem__, slots)) for slots in _ROW_SLOTS[self.n])
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "SymMatrix":
@@ -123,10 +135,10 @@ class SymMatrix:
         return cls(n, (0.0,) * _triu_len(n))
 
     def entry(self, i: int, j: int) -> float:
-        return self.upper[_triu_index(self.n, i, j)]
+        return self.rows[i][j]
 
     def to_rows(self) -> list[list[float]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        return [list(row) for row in self.rows]
 
     def scale(self, factor: float) -> "SymMatrix":
         return SymMatrix(self.n, tuple(factor * x for x in self.upper))
@@ -140,12 +152,7 @@ class SymMatrix:
         entries = v.entries if isinstance(v, Vector) else tuple(v)
         if len(entries) != self.n:
             raise DimensionMismatch(f"matrix size {self.n}, vector length {len(entries)}")
-        return Vector(
-            tuple(
-                sum(self.entry(i, j) * entries[j] for j in range(self.n))
-                for i in range(self.n)
-            )
-        )
+        return Vector(tuple(sum(a * b for a, b in zip(row, entries)) for row in self.rows))
 
     def quadratic_form(self, v: Vector | Sequence[float]) -> float:
         """v^T S v."""
@@ -259,7 +266,7 @@ def _solve_pivoted(S: SymMatrix, v: Vector) -> Vector | None:
     """Gaussian elimination with partial pivoting; None when singular."""
     n = S.n
     scale = max(1.0, max(abs(x) for x in S.upper))
-    aug = [S.to_rows()[i] + [v[i]] for i in range(n)]
+    aug = [list(row) + [v[i]] for i, row in enumerate(S.rows)]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
         if abs(aug[pivot_row][col]) <= _SINGULAR_PIVOT * scale:

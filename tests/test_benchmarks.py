@@ -176,6 +176,18 @@ class TestThcIdentities:
         assert benchmarks.thc_level2_identity()
         assert benchmarks.thc_identity_mismatch(2) is None
 
+    def test_checked_once_per_process(self, monkeypatch):
+        built = []
+        for name in ("_thc_level1_sides", "_thc_level2_sides"):
+            real = getattr(benchmarks, name)
+            monkeypatch.setattr(benchmarks, name, lambda real=real: built.append(1) or real())
+        benchmarks.thc_level1_identity.cache_clear()
+        benchmarks.thc_level2_identity.cache_clear()
+        for _ in range(3):
+            benchmarks.thc_solve(with_oracle=False)
+        assert benchmarks.thc_level1_identity() and benchmarks.thc_level2_identity()
+        assert len(built) == 2
+
     def test_small_perturbation_breaks_equality(self):
         lhs, rhs = benchmarks._thc_level1_sides()
         assert lhs == rhs

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from canondual import canonical
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g
+from canondual.dual_solver import _fd_hessian
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, SingularMatrixError
 from canondual.oracle import Lcg
-from canondual.smallmat import SymMatrix, Vector
+from canondual.smallmat import SymMatrix, Vector, add_scaled, min_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,104 @@ class TestDualGradient:
     def test_singular_g_raises(self, gp):
         with pytest.raises(SingularMatrixError):
             canonical.dual_gradient(gp, (-53.0 / 3.0,))
+
+
+def fd_dual_hessian(pr, sigma):
+    """Central differences of the analytic gradient, the reference for the
+    exact Hessian."""
+    return _fd_hessian(lambda s: canonical.dual_gradient(pr, s), tuple(sigma), 1e-5)
+
+
+def assert_hessians_close(exact, reference, rel):
+    scale = 1.0 + max(abs(x) for x in reference.upper)
+    for got, want in zip(exact.upper, reference.upper):
+        assert abs(got - want) <= rel * scale
+
+
+class TestDualHessian:
+    def test_matches_central_differences_of_gradient(self, gp):
+        rng = Lcg(13)
+        for _ in range(20):
+            sigma = (rng.uniform(-53.0 / 3.0 + 0.5, 40.0),)
+            assert canonical.in_positive_domain(gp, sigma)[1] >= 0.1
+            assert_hessians_close(canonical.dual_hessian(gp, sigma), fd_dual_hessian(gp, sigma), 1e-6)
+
+    def test_equals_second_derivative_of_closed_form(self, gp):
+        # gp_dual_closed_form is -(s^2 + 18 s + 81)/12 - N^2/(4 D) - 2 s with
+        # N = 8 s/3 + 56 and D = s + 53/3.  N = (8/3) D + 80/9, so
+        # N^2/D = (8/3)^2 D + const + (80/9)^2 / D and the second derivative
+        # of the closed form is -1/6 - (80/9)^2 / (2 D^3).
+        rng = Lcg(14)
+        for _ in range(100):
+            sigma = rng.uniform(-53.0 / 3.0 + 0.1, 40.0)
+            d = sigma + 53.0 / 3.0
+            expected = -1.0 / 6.0 - (80.0 / 9.0) ** 2 / (2.0 * d**3)
+            got = canonical.dual_hessian(gp, (sigma,)).entry(0, 0)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        # The formula itself reproduces central differences of the closed form.
+        sigma, h = 2.0, 1e-3
+        fd = (gp_dual_closed_form(sigma + h) - 2.0 * gp_dual_closed_form(sigma)
+              + gp_dual_closed_form(sigma - h)) / h**2
+        expected = -1.0 / 6.0 - (80.0 / 9.0) ** 2 / (2.0 * (sigma + 53.0 / 3.0) ** 3)
+        assert fd == pytest.approx(expected, rel=1e-6)
+
+    def test_negative_definite_in_the_interior(self, gp):
+        rng = Lcg(15)
+        for _ in range(100):
+            sigma = (rng.uniform(-53.0 / 3.0 + 1e-3, 1e3),)
+            assert min_eigenvalue(canonical.dual_hessian(gp, sigma).scale(-1.0)) > 0.0
+
+    def test_uncoupled_measure_leaves_only_the_conjugate(self):
+        # C = 0 and b = 0: x_bar does not move with sigma, H = -1/(2a).
+        pr = make_problem(A=2.0, f=1.0, C=0.0, b=0.0, c=0.5, a=4.0, beta=1.0)
+        assert canonical.dual_hessian(pr, (0.7,)).upper == (-1.0 / 8.0,)
+
+    def test_singular_g_raises(self, gp):
+        with pytest.raises(SingularMatrixError):
+            canonical.dual_hessian(gp, (-53.0 / 3.0,))
+
+    def test_dimension_mismatch(self, gp):
+        with pytest.raises(DimensionMismatch):
+            canonical.dual_hessian(gp, (1.0, 2.0))
+
+
+coefficient = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+@st.composite
+def interior_canonical_points(draw):
+    """A random canonical problem (n <= 4, m <= 3) and a dual point where
+    G has minimum eigenvalue at least 0.1; A is shifted to make it so."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    tri = n * (n + 1) // 2
+
+    def sym():
+        return SymMatrix(n, tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri))))
+
+    def vec():
+        return Vector(tuple(draw(st.lists(coefficient, min_size=n, max_size=n))))
+
+    A = sym()
+    ops = tuple(canonical.QuadOperator(C=sym(), b=vec(), c=draw(coefficient)) for _ in range(m))
+    V = canonical.ConvexQuadV(tuple(
+        (draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])), draw(coefficient)) for _ in range(m)
+    ))
+    sigma = tuple(draw(st.lists(coefficient, min_size=m, max_size=m)))
+    margin = min_eigenvalue(add_scaled(A, [(s, op.C) for s, op in zip(sigma, ops)]))
+    if margin < 0.1:
+        A = add_scaled(A, [(0.2 - margin + draw(coefficient) ** 2, SymMatrix.identity(n))])
+    pr = canonical.CanonicalProblem(n=n, A=A, f=vec(), ops=ops, V=V)
+    return pr, sigma
+
+
+@given(interior_canonical_points())
+def test_dual_hessian_matches_central_differences_on_random_problems(case):
+    pr, sigma = case
+    assert canonical.in_positive_domain(pr, sigma)[1] >= 0.1
+    exact = canonical.dual_hessian(pr, sigma)
+    assert_hessians_close(exact, fd_dual_hessian(pr, sigma), 1e-5)
+    assert min_eigenvalue(exact.scale(-1.0)) > 0.0
 
 
 class TestComplementary:

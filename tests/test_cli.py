@@ -260,6 +260,33 @@ class TestUsageErrors:
         code, _, _ = run_cli("--help")
         assert code == 0
 
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        cli._shared_parser.cache_clear()
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        run_cli("frobnicate")
+        run_cli("oracle", "thc", "--grid", "21", "--starts", "2", "--format", "json")
+        run_cli("--help")
+        assert built == [1]
+
+    def test_calls_after_usage_errors_behave_as_first_calls(self):
+        argv = ("oracle", "thc", "--grid", "21", "--starts", "2", "--format", "json")
+        cli._shared_parser.cache_clear()
+        first_error = run_cli("solve", "gp", "--format", "xml")
+        first_ok = run_cli(*argv)
+        first_help = run_cli("solve", "--help")
+        # The same sequence again, and each call right after a usage error.
+        assert run_cli("solve", "gp", "--format", "xml") == first_error
+        assert run_cli(*argv) == first_ok
+        assert run_cli("solve", "--help") == first_help
+        assert run_cli("frobnicate")[0] == 1
+        assert run_cli(*argv) == first_ok
+        assert run_cli("solve", "file")[0] == 1
+        assert run_cli("solve", "--help") == first_help
+        assert first_error[0] == 1 and "invalid choice" in first_error[2]
+        assert first_ok[0] == 0 and first_help[0] == 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("problem", ["gp", "thc"])

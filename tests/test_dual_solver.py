@@ -1,8 +1,12 @@
 """The concave-maximization engine and its certificate triage."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from canondual import canonical
+from canondual.cli import parse_problem_dict
 from canondual.benchmarks import gp_canonical_g
 from canondual.dual_solver import (
     Certificate,
@@ -13,6 +17,70 @@ from canondual.dual_solver import (
 )
 from canondual.errors import LineSearchStalled, NoInteriorPoint
 from canondual.smallmat import SymMatrix, Vector
+
+# Canonical problems with planted exact minimisers on which the ascent with a
+# finite-difference Hessian stalled at |grad| 2e-10 to 8e-10, just above
+# grad_tol, and ended NotConverged after 141 to 200 iterations.  Each entry
+# is (problem file, x*, P(x*)).
+STALLED_UNDER_FD_HESSIAN = [
+    (
+        """{"n": 3, "m": 3,
+            "A": [[2, -1, 1], [-1, 4, 3], [1, 3, 10]],
+            "f": ["-13/16", "-43/16", "275/32"],
+            "operators": [
+                {"C": [["-1/2", "-1/2", "1/2"], ["-1/2", 0, "1/2"], ["1/2", "1/2", 1]],
+                 "b": [2, 0, 2], "c": 1},
+                {"C": [[0, 0, "1/2"], [0, "1/2", 1], ["1/2", 1, "-1/2"]],
+                 "b": [0, 1, 0], "c": 2},
+                {"C": [["-1/2", 0, 0], [0, "1/2", "-1/2"], [0, "-1/2", 1]],
+                 "b": [-2, 0, 2], "c": 0}],
+            "V": [{"a": 1, "beta": "-141/32"}, {"a": 2, "beta": "35/16"},
+                  {"a": 2, "beta": -15}]}""",
+        ("-1/4", "-5/4", "1"),
+        "-170843/4096",
+    ),
+    (
+        """{"n": 2, "m": 3,
+            "A": [[6, -2], [-2, 5]],
+            "f": ["59/8", "5/4"],
+            "operators": [
+                {"C": [[0, 0], [0, -1]], "b": [1, 1], "c": 1},
+                {"C": [["-1/2", 1], [1, -1]], "b": [2, -1], "c": 1},
+                {"C": [[-1, "-1/2"], ["-1/2", "-1/2"]], "b": [0, 0], "c": 0}],
+            "V": [{"a": "1/4", "beta": "-5/4"}, {"a": 1, "beta": -3},
+                  {"a": 2, "beta": "21/4"}]}""",
+        ("1", "1"),
+        "-189/16",
+    ),
+    (
+        """{"n": 2, "m": 1,
+            "A": [[1, 0], [0, 5]],
+            "f": ["-1/16", "163/16"],
+            "operators": [{"C": [[1, 1], [1, "1/2"]], "b": [2, 1], "c": 1}],
+            "V": [{"a": "1/2", "beta": "71/32"}]}""",
+        ("-7/4", "2"),
+        "-22801/2048",
+    ),
+    (
+        """{"n": 4, "m": 3,
+            "A": [[8, -3, 2, 6], [-3, 11, 4, -9], [2, 4, 8, -2], [6, -9, -2, 11]],
+            "f": ["-315/32", "317/16", "-361/32", "-397/32"],
+            "operators": [
+                {"C": [["1/2", 0, "1/2", -1], [0, "-1/2", 0, 1],
+                       ["1/2", 0, -1, "-1/2"], [-1, 1, "-1/2", -1]],
+                 "b": [2, -2, -1, -1], "c": -1},
+                {"C": [["-1/2", "-1/2", "1/2", 0], ["-1/2", 0, "-1/2", "1/2"],
+                       ["1/2", "-1/2", "1/2", -1], [0, "1/2", -1, "-1/2"]],
+                 "b": [0, 2, 0, 0], "c": 1},
+                {"C": [[-1, "-1/2", -1, -1], ["-1/2", "-1/2", "-1/2", "-1/2"],
+                       [-1, "-1/2", -1, 1], [-1, "-1/2", 1, "1/2"]],
+                 "b": [-1, 1, -2, -1], "c": 0}],
+            "V": [{"a": 1, "beta": "65/16"}, {"a": "1/2", "beta": "27/16"},
+                  {"a": 1, "beta": "-383/32"}]}""",
+        ("3/2", "3/2", "-7/4", "-3/4"),
+        "-268493/4096",
+    ),
+]
 
 
 def always_feasible(sigma):
@@ -136,6 +204,29 @@ class TestMaximizeConcave:
                 (-1.0,),
             )
 
+    def test_exact_hessian_needs_one_gradient_per_iteration(self):
+        pr = gp_canonical_g()
+        counts = {"gradient": 0, "hessian": 0}
+
+        def gradient_fn(sigma):
+            counts["gradient"] += 1
+            return canonical.dual_gradient(pr, sigma)
+
+        def hessian_fn(sigma):
+            counts["hessian"] += 1
+            return canonical.dual_hessian(pr, sigma)
+
+        result = maximize_concave(
+            lambda s: canonical.dual_value(pr, s),
+            gradient_fn,
+            lambda s: canonical.in_positive_domain(pr, s),
+            (0.0,),
+            hessian_fn=hessian_fn,
+        )
+        assert result.converged
+        assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
+        assert counts == {"gradient": result.iterations + 1, "hessian": result.iterations}
+
     def test_determinism(self):
         pr = gp_canonical_g()
 
@@ -194,6 +285,22 @@ class TestSolveCanonical:
 
     def test_reports_are_deterministic(self):
         assert solve_canonical(gp_canonical_g()) == solve_canonical(gp_canonical_g())
+
+
+    @pytest.mark.parametrize(
+        "text, x_star, value", STALLED_UNDER_FD_HESSIAN, ids=["n3m3", "n2m3", "n2m1", "n4m3"]
+    )
+    def test_certifies_at_the_planted_minimiser(self, text, x_star, value):
+        pr = parse_problem_dict(json.loads(text)).to_problem()
+        report = solve_canonical(pr)
+        assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
+        for got, want in zip(report.x_bar, x_star):
+            assert got == pytest.approx(float(Fraction(want)), abs=1e-9)
+        planted = float(Fraction(value))
+        assert report.primal == pytest.approx(planted, abs=1e-9 * (1.0 + abs(planted)))
+        assert report.grad_norm <= SolverConfig().grad_tol
+        # Newton with the exact Hessian converges quadratically near sigma*.
+        assert report.iterations <= 20
 
 
 class TestSolverConfig:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch
 from canondual.smallmat import (
     SymMatrix,
+    _triu_index,
     Vector,
     add_scaled,
     eigen_sym,
@@ -178,3 +179,19 @@ def test_is_nonsingular_agrees_with_numpy_rank(S):
     # Stay away from the threshold where the two classifications may differ.
     if evals.min() > 1e-6 * max(1.0, evals.max()):
         assert is_nonsingular(S)
+
+
+@given(sym_matrices(), st.lists(entry, min_size=4, max_size=4))
+def test_row_reads_equal_the_upper_triangle(S, v):
+    # Reference: every read through the upper-triangle index, the products
+    # summed in column order.  The stored rows must give identical bits.
+    n = S.n
+    ref = [[S.upper[_triu_index(n, i, j)] for j in range(n)] for i in range(n)]
+    assert S.to_rows() == ref
+    assert all(S.entry(i, j) == ref[i][j] for i in range(n) for j in range(n))
+    x = v[:n]
+    expected = tuple(sum(ref[i][j] * x[j] for j in range(n)) for i in range(n))
+    assert S.matvec(x).entries == expected
+    rows = S.to_rows()
+    rows[0][0] += 1.0  # callers get copies
+    assert S.to_rows() == ref
