@@ -16,17 +16,16 @@ verified as exact rational identities at construction time.
 Three Hump Camel (2x^2 - 1.05x^4 + x^6/6 + xy + y^2) needs two staged
 measures, xi1 = x^3 - (16/5) x then xi2 = x^2 + 5 sigma1 x, because the
 sextic cannot be reached by a single quadratic measure.  The staging makes
-the effective G depend on sigma1^2, outside the affine-G assumption of the
-generic dual, so this pipeline evaluates the resulting closed-form dual
+G depend on sigma1^2, so THC is a canonical.TableProblem: its dual table,
 
-    (-1250 s1^4 - 50 s1^2 (31 s2 - 105) + s2^2 (5 s2 + 13))
-    / (240 (125 s1^2 - 5 s2 - 13))
+    G = [[44/75 - (5/6) s1^2 + s2/30, 1], [1, 2]],
+    F = ((8/15) s1 - s1 s2 / 12, 0),  c = -s1^2/24 - s2^2/240,
 
-directly over its PSD feasibility region {s2 >= 25 s1^2 - 13/5}, recovers
-(x, y) from the 2x2 stationarity system, and checks the zero-gap equality
-through the staged complementary function.  Both staging identities are
-verified exactly in three-variable rational arithmetic (treating sigma1
-as a polynomial variable).
+goes through solve_canonical like every other problem.  Both staging
+identities, and the table against the level-2 complementary function, are
+verified exactly in rational arithmetic (sigma1 a polynomial variable).
+The closed forms thc_dual, thc_equilibrium and thc_complementary remain
+as references for verify.
 """
 
 from __future__ import annotations
@@ -34,18 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from . import canonical, dual_solver, oracle
 from .dual_solver import CriticalReport, SolverConfig
-from .errors import (
-    DomainViolation,
-    IdentityViolation,
-    LineSearchStalled,
-    SingularMatrixError,
-)
+from .errors import DomainViolation, IdentityViolation, SingularMatrixError
 from .polynomial import MultiPoly, first_diff_term
-from .smallmat import SymMatrix, Vector, is_psd
+from .smallmat import SymMatrix, Vector
 
 GP_BOX = oracle.Box((-2.0, -2.0), (2.0, 2.0))
 THC_BOX = oracle.Box((-5.0, -5.0), (5.0, 5.0))
@@ -61,20 +54,6 @@ class GpDecomposition:
     T_inv: tuple[tuple[Fraction, ...], ...]
     h: MultiPoly
     g: MultiPoly
-
-
-@dataclass(frozen=True)
-class ThcDual:
-    """Closed-form dual evaluator plus its PSD feasibility matrix."""
-
-    def value(self, s1: float, s2: float) -> float:
-        return thc_dual(s1, s2)
-
-    def matrix(self, s1: float, s2: float) -> SymMatrix:
-        return thc_feasibility_matrix(s1, s2)
-
-    def feasibility(self, s1: float, s2: float) -> tuple[bool, float]:
-        return is_psd(self.matrix(s1, s2))
 
 
 @dataclass(frozen=True)
@@ -245,7 +224,6 @@ def gp_solve(
     oracle_starts: int = ORACLE_STARTS,
     oracle_seed: int = ORACLE_SEED,
     oracle_box: oracle.Box = GP_BOX,
-    threads: int = 1,
 ) -> SolveReport:
     """Full Goldstein-Price pipeline.
 
@@ -264,7 +242,7 @@ def gp_solve(
 
     oracle_value = oracle_x = agreement = None
     if with_oracle:
-        best = oracle.multistart(gp_objective(), oracle_box, oracle_starts, oracle_seed, threads=threads)
+        best = oracle.multistart(gp_objective(), oracle_box, oracle_starts, oracle_seed)
         oracle_value, oracle_x = best.value, best.x_best
         agreement = _oracle_agrees(value, oracle_value)
     return SolveReport(
@@ -292,11 +270,9 @@ def _thc_level1_sides() -> tuple[MultiPoly, MultiPoly]:
     return lhs, v1 + minus_u1
 
 
-def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
-    # Variables (x, y, w) with w standing for the first dual component.
-    x = MultiPoly.variable(3, 0)
-    y = MultiPoly.variable(3, 1)
-    w = MultiPoly.variable(3, 2)
+def _thc_level2_parts(x: MultiPoly, y: MultiPoly, w: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Six times the level-1 complementary function, the level-2 measure and
+    U2, with w standing for the first dual component."""
     staged = (
         (x**3 - Fraction(16, 5) * x) * w
         - Fraction(1, 4) * w**2
@@ -304,9 +280,7 @@ def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
         + Fraction(44, 25) * x**2
         + 6 * x * y
         + 6 * y**2
-    )  # six times the level-1 complementary function
-    lhs = 10 * staged
-    v2 = (x**2 + 5 * w * x) ** 2
+    )
     u2 = (
         25 * w**2 * x**2
         - Fraction(88, 5) * x**2
@@ -315,7 +289,12 @@ def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
         - 60 * y**2
         + Fraction(5, 2) * w**2
     )
-    return lhs, v2 - u2
+    return staged, x**2 + 5 * w * x, u2
+
+
+def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
+    staged, measure, u2 = _thc_level2_parts(*(MultiPoly.variable(3, i) for i in range(3)))
+    return 10 * staged, measure**2 - u2
 
 
 @lru_cache(maxsize=None)
@@ -340,19 +319,42 @@ def thc_identity_mismatch(level: int):
     return first_diff_term(lhs, rhs)
 
 
-def thc_feasibility_matrix(s1: float, s2: float) -> SymMatrix:
-    return SymMatrix.from_rows(
-        [
-            [22.0 / 75.0 - (5.0 / 12.0) * s1 * s1 + s2 / 60.0, 0.5],
-            [0.5, 1.0],
-        ]
+# The THC dual table, exact: s1^a1 s2^a2 -> (upper triangle of G, F, c).
+_THC_TABLE = {
+    (0, 0): ((Fraction(44, 75), 1, 2), (0, 0), 0),
+    (2, 0): ((Fraction(-5, 6), 0, 0), (0, 0), Fraction(-1, 24)),
+    (0, 1): ((Fraction(1, 30), 0, 0), (0, 0), 0),
+    (1, 0): ((0, 0, 0), (Fraction(8, 15), 0), 0),
+    (1, 1): ((0, 0, 0), (Fraction(-1, 12), 0), 0),
+    (0, 2): ((0, 0, 0), (0, 0), Fraction(-1, 240)),
+}
+
+
+def _thc_table_sides() -> tuple[MultiPoly, MultiPoly]:
+    """60 * sum_a sigma^a xi_a(x, y) from the table, and the complementary
+    function of the level-2 staging, xi2 s2 - V2*(s2) - U2 with
+    V2*(s2) = s2^2 / 4, both in (x, y, s1, s2)."""
+    x, y, s1, s2 = (MultiPoly.variable(4, i) for i in range(4))
+    table_xi = MultiPoly.zero(4)
+    for (a1, a2), ((g11, g12, g22), (f1, f2), c) in _THC_TABLE.items():
+        xi = Fraction(g11, 2) * x**2 + g12 * x * y + Fraction(g22, 2) * y**2 - f1 * x - f2 * y + c
+        table_xi = table_xi + s1**a1 * s2**a2 * xi
+    _, measure, u2 = _thc_level2_parts(x, y, s1)
+    return 60 * table_xi, measure * s2 - Fraction(1, 4) * s2**2 - u2
+
+
+@lru_cache(maxsize=None)
+def thc_problem() -> canonical.TableProblem:
+    """Three Hump Camel as its dual table and objective.  The table is
+    checked exactly against the level-2 staging (once per process)."""
+    lhs, rhs = _thc_table_sides()
+    if lhs != rhs:
+        raise IdentityViolation(f"THC dual table differs from the staging at {first_diff_term(lhs, rhs)}")
+    terms = tuple(
+        canonical.DualTerm(exps, SymMatrix(2, tuple(map(float, G))), Vector(tuple(map(float, F))), float(c))
+        for exps, (G, F, c) in _THC_TABLE.items()
     )
-
-
-def thc_feasibility(s1: float, s2: float) -> tuple[bool, float]:
-    """PSD test of the dual feasibility matrix; since its (2,2) entry is 1,
-    the region is exactly {s2 >= 25 s1^2 - 13/5}."""
-    return is_psd(thc_feasibility_matrix(s1, s2))
+    return canonical.TableProblem(canonical.DualTable(2, 2, terms), thc_objective())
 
 
 def thc_dual(s1: float, s2: float) -> float:
@@ -404,69 +406,39 @@ def thc_solve(
     oracle_starts: int = ORACLE_STARTS,
     oracle_seed: int = ORACLE_SEED,
     oracle_box: oracle.Box = THC_BOX,
-    threads: int = 1,
 ) -> SolveReport:
-    """Full Three Hump pipeline over the closed-form dual.
-
-    Both staging identities are validated (once per process), the dual is
-    maximized with finite-difference gradients and Hessian, (x*, y*) comes
-    from the equilibrium system, and the zero-gap equality is checked
-    through the staged complementary function.
-    """
-    cfg = cfg or SolverConfig()
+    """Full Three Hump pipeline: both staging identities are validated (once
+    per process) and the dual table goes through solve_canonical."""
     if not thc_level1_identity():
         raise IdentityViolation(f"level-1 staging failed at {thc_identity_mismatch(1)}")
     if not thc_level2_identity():
         raise IdentityViolation(f"level-2 staging failed at {thc_identity_mismatch(2)}")
-    dual = ThcDual()
+    objective = thc_objective() if with_oracle else None
+    return solve_problem("thc", thc_problem(), cfg, objective, oracle_box, oracle_starts, oracle_seed)
 
-    def value_fn(sigma: Sequence[float]) -> float:
-        return dual.value(sigma[0], sigma[1])
 
-    def feasibility_fn(sigma: Sequence[float]) -> tuple[bool, float]:
-        return dual.feasibility(sigma[0], sigma[1])
-
-    start = dual_solver.find_interior_start(value_fn, feasibility_fn, 2, cfg.interior_margin)
-    stalled = False
-    try:
-        result = dual_solver.maximize_concave(value_fn, None, feasibility_fn, start, cfg)
-    except LineSearchStalled as stall:
-        result = dual_solver.AscentResult(
-            stall.sigma, stall.value, stall.grad_norm, stall.iterations, False
-        )
-        stalled = True
-
-    s1, s2 = result.sigma
-    x_star, y_star = thc_equilibrium(s1, s2)
-    value = thc_objective().eval([x_star, y_star])
-    xi_value = thc_complementary(s1, s2, x_star, y_star)
-    gap = max(abs(value - xi_value), abs(xi_value - result.value))
-    _, psd_margin = thc_feasibility(s1, s2)
-    certificate = dual_solver.classify_certificate(
-        result.converged, stalled, psd_margin, gap, value, cfg
-    )
-    report = CriticalReport(
-        sigma_star=result.sigma,
-        x_bar=Vector((x_star, y_star)),
-        primal=value,
-        dual=result.value,
-        gap=gap,
-        grad_norm=result.grad_norm,
-        psd_margin=psd_margin,
-        certificate=certificate,
-        iterations=result.iterations,
-    )
-
+def solve_problem(
+    name: str,
+    pr: canonical.Problem,
+    cfg: SolverConfig | None,
+    objective: MultiPoly | None,
+    box: oracle.Box,
+    oracle_starts: int,
+    oracle_seed: int,
+) -> SolveReport:
+    """solve_canonical on pr, cross-checked by the oracle on objective over
+    box unless objective is None."""
+    report = dual_solver.solve_canonical(pr, cfg)
     oracle_value = oracle_x = agreement = None
-    if with_oracle:
-        best = oracle.multistart(thc_objective(), oracle_box, oracle_starts, oracle_seed, threads=threads)
+    if objective is not None:
+        best = oracle.multistart(objective, box, oracle_starts, oracle_seed)
         oracle_value, oracle_x = best.value, best.x_best
-        agreement = _oracle_agrees(value, oracle_value)
+        agreement = _oracle_agrees(report.primal, oracle_value)
     return SolveReport(
-        problem_name="thc",
-        transformed_solution=result.sigma,
-        x_star=(x_star, y_star),
-        value=value,
+        problem_name=name,
+        transformed_solution=report.sigma_star,
+        x_star=tuple(report.x_bar),
+        value=report.primal,
         dual_report=report,
         oracle_value=oracle_value,
         oracle_x=oracle_x,

@@ -1,47 +1,39 @@
-"""Canonical duality framework for quadratic geometric operators.
+"""Canonical duality framework with one dual representation.
 
-A problem min P(x) = 1/2 x^T A x - x^T f + W(x) is rewritten through a
-vector of quadratic measures
+Every dual is a DualTable: G(sigma), F(sigma) and c(sigma) as polynomials
+in sigma with matrix coefficients, one DualTerm (G_a, F_a, c_a) per
+monomial sigma^a.  The complementary function Xi(x, sigma) =
+1/2 x^T G x - x^T F + c is quadratic in x; eliminating x through
+x_bar = G^{-1} F gives the dual P^d(sigma) = -1/2 F^T x_bar + c, and with
+G_k, F_k, c_k the sigma_k-derivatives of G, F, c and u_k = G_k x_bar - F_k,
 
-    xi_k = Lambda_k(x) = 1/2 x^T C_k x + x^T b_k + c_k
+    dP^d/dsigma_k = 1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k,
+    d2P^d/dsigma_k dsigma_l = 1/2 x_bar^T G_kl x_bar - x_bar^T F_kl + c_kl - u_k^T G^{-1} u_l.
 
-and a strictly convex diagonal quadratic V(xi) = sum_k a_k xi_k^2 + beta_k xi_k
-so that W(x) = V(Lambda(x)).  With U(x) = -1/2 x^T A x + x^T f, the
-complementary function
+A CanonicalProblem, min P(x) = V(Lambda(x)) - U(x) with U(x) = -1/2 x^T A x
++ x^T f, measures Lambda_k(x) = 1/2 x^T C_k x + x^T b_k + c_k and a convex
+V(xi) = sum_k a_k xi_k^2 + beta_k xi_k, has its table on 1, sigma_k and
+sigma_k^2: G = A + sum_k sigma_k C_k, F = f - sum_k sigma_k b_k and
+c = sum_k sigma_k c_k - V*(sigma), V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k).
+A staging whose G is not affine in sigma (Three Hump Camel) is a
+TableProblem: its table and exact objective, given directly.
 
-    Xi(x, sigma) = Lambda(x)^T sigma - V*(sigma) - U(x)
-
-is quadratic in x for fixed sigma; eliminating x yields the dual
-
-    P^d(sigma) = -1/2 F(sigma)^T G(sigma)^{-1} F(sigma) - V*(sigma) + sum_k sigma_k c_k
-
-with G(sigma) = A + sum_k sigma_k C_k and F(sigma) = f - sum_k sigma_k b_k.
-The constant offsets c_k are carried through both Xi and P^d so that
-operators like t^2 - (8/3) t - 2 fit the same machinery.
-
-P^d is concave wherever G(sigma) is positive semidefinite; a dual critical
-point in that region recovers the primal global minimizer via
-x_bar = G^{-1} F, with a zero duality gap P(x_bar) = Xi(x_bar, sigma) = P^d(sigma).
+With G affine, P^d is concave wherever G(sigma) is positive semidefinite
+(THC's staged dual is too; verify thc samples it); a dual critical point
+there recovers the primal global minimizer x_bar with a zero duality gap
+P(x_bar) = Xi(x_bar, sigma) = P^d(sigma).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .polynomial import MultiPoly
-from .smallmat import (
-    PSD_TOL,
-    SymMatrix,
-    Vector,
-    add_scaled,
-    eigen_sym,
-    is_nonsingular,
-    is_psd,
-    solve_sym,
-)
+from .smallmat import PSD_TOL, SymMatrix, Vector, is_nonsingular, is_psd, solve_sym
 
 
 @dataclass(frozen=True)
@@ -92,6 +84,61 @@ class ConvexQuadV:
 
 
 @dataclass(frozen=True)
+class DualTerm:
+    """The coefficients of the monomial sigma^exps in G(sigma), F(sigma) and
+    c(sigma)."""
+
+    exps: tuple[int, ...]
+    G: SymMatrix
+    F: Vector
+    c: float
+
+
+Rows = tuple[tuple[int, float, tuple[int, ...]], ...]  # (term, coefficient, factors)
+
+
+@dataclass(frozen=True)
+class DualTable:
+    """G, F and c as polynomials in sigma, one DualTerm per monomial.
+
+    Construction keeps each term's nonzero coefficients as (slot, value)
+    pairs over [upper triangle of G, F, c] and writes the monomials as rows
+    of (term, coefficient, factors), the factors being variable indices
+    repeated by exponent: value for the polynomials themselves, grad[k]
+    for their sigma_k-derivatives and hess, as ((k, l), rows) over the upper
+    triangle in row-major order, for the second derivatives.
+    """
+
+    n: int
+    m: int
+    terms: tuple[DualTerm, ...]
+    entries: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False, compare=False)
+    value: Rows = field(init=False, repr=False, compare=False)
+    grad: tuple[Rows, ...] = field(init=False, repr=False, compare=False)
+    hess: tuple[tuple[tuple[int, int], Rows], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        entries = []
+        for t in self.terms:
+            if len(t.exps) != self.m or t.G.n != self.n or t.F.n != self.n:
+                raise DimensionMismatch(f"term {t.exps} does not fit n={self.n}, m={self.m}")
+            entries.append(tuple((slot, v) for slot, v in enumerate(t.G.upper + t.F.entries + (t.c,)) if v))
+
+        def differentiate(rows: Rows, k: int) -> Rows:
+            return tuple(
+                (i, coeff * f.count(k), f[:f.index(k)] + f[f.index(k) + 1:]) for i, coeff, f in rows if k in f
+            )
+
+        value = tuple(
+            (i, 1.0, tuple(k for k, e in enumerate(t.exps) for _ in range(e))) for i, t in enumerate(self.terms)
+        )
+        grad = tuple(differentiate(value, k) for k in range(self.m))
+        hess = tuple(((k, l), differentiate(grad[k], l)) for k in range(self.m) for l in range(k, self.m))
+        for name, rows in (("entries", tuple(entries)), ("value", value), ("grad", grad), ("hess", hess)):
+            object.__setattr__(self, name, rows)
+
+
+@dataclass(frozen=True)
 class CanonicalProblem:
     n: int
     A: SymMatrix
@@ -116,6 +163,45 @@ class CanonicalProblem:
     def m(self) -> int:
         return len(self.ops)
 
+    @cached_property
+    def table(self) -> DualTable:
+        """G = A + sum_k sigma_k C_k, F = f - sum_k sigma_k b_k and
+        c = sum_k sigma_k c_k - V*(sigma) on the monomials 1, sigma_k, sigma_k^2."""
+        m = self.m
+
+        def unit(k: int, e: int) -> tuple[int, ...]:
+            return tuple(e if j == k else 0 for j in range(m))
+
+        pairs = self.V.pairs
+        terms = [DualTerm((0,) * m, self.A, self.f, -sum(beta * beta / (4.0 * a) for a, beta in pairs))]
+        terms += [
+            DualTerm(unit(k, 1), op.C, op.b.scale(-1.0), op.c + beta / (2.0 * a))
+            for k, ((a, beta), op) in enumerate(zip(pairs, self.ops))
+        ]
+        zero = (SymMatrix.zero(self.n), Vector((0.0,) * self.n))
+        terms += [DualTerm(unit(k, 2), *zero, -1.0 / (4.0 * a)) for k, (a, _) in enumerate(pairs)]
+        return DualTable(self.n, m, tuple(terms))
+
+
+@dataclass(frozen=True)
+class TableProblem:
+    """A problem given by its dual table and its exact objective P(x): the
+    form of stagings whose G(sigma) is not affine in sigma."""
+
+    table: DualTable
+    objective: MultiPoly
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def m(self) -> int:
+        return self.table.m
+
+
+Problem = CanonicalProblem | TableProblem
+
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -125,18 +211,18 @@ class DualPoint:
     g_margin: float
 
 
-def dual_point(pr: CanonicalProblem, sigma: Sequence[float]) -> DualPoint:
+def dual_point(pr: Problem, sigma: Sequence[float]) -> DualPoint:
     _, margin = in_positive_domain(pr, sigma)
     return DualPoint(tuple(float(s) for s in sigma), margin)
 
 
-def _check_sigma(pr: CanonicalProblem, sigma: Sequence[float]) -> tuple[float, ...]:
+def _check_sigma(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
     if len(sigma) != pr.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {pr.m}")
-    return tuple(float(s) for s in sigma)
+    return tuple(map(float, sigma))
 
 
-def _as_vector(pr: CanonicalProblem, x: Sequence[float]) -> Vector:
+def _as_vector(pr: Problem, x: Sequence[float]) -> Vector:
     v = x if isinstance(x, Vector) else Vector(tuple(x))
     if v.n != pr.n:
         raise DimensionMismatch(f"x has length {v.n}, expected {pr.n}")
@@ -155,9 +241,11 @@ def u_value(pr: CanonicalProblem, x: Sequence[float]) -> float:
     return -0.5 * pr.A.quadratic_form(v) + pr.f.dot(v)
 
 
-def primal_value(pr: CanonicalProblem, x: Sequence[float]) -> float:
-    """P(x) = V(Lambda(x)) - U(x)."""
+def primal_value(pr: Problem, x: Sequence[float]) -> float:
+    """P(x): V(Lambda(x)) - U(x) in canonical form, the objective otherwise."""
     v = _as_vector(pr, x)
+    if isinstance(pr, TableProblem):
+        return pr.objective.eval(v)
     return pr.V.value(lambda_eval(pr, v)) - u_value(pr, v)
 
 
@@ -175,106 +263,118 @@ def conjugate_gradient(V: ConvexQuadV, sigma: Sequence[float]) -> tuple[float, .
     return tuple((s - beta) / (2.0 * a) for (a, beta), s in zip(V.pairs, sigma))
 
 
-def g_matrix(pr: CanonicalProblem, sigma: Sequence[float]) -> SymMatrix:
-    """G(sigma) = A + sum_k sigma_k C_k."""
+def _accumulate(table: DualTable, rows: Rows, sig: tuple[float, ...]) -> list[float]:
+    """[upper triangle of G, F, c] summed over rows: each term's
+    coefficients times its row's coefficient and monomial at sigma."""
+    acc = [0.0] * (table.n * (table.n + 3) // 2 + 1)
+    for i, w, factors in rows:
+        for k in factors:
+            w *= sig[k]
+        for slot, value in table.entries[i]:
+            acc[slot] += w * value
+    return acc
+
+
+def _g(table: DualTable, acc: list[float]) -> SymMatrix:
+    return SymMatrix(table.n, acc[:-table.n - 1])
+
+
+def _f(table: DualTable, acc: list[float]) -> Vector:
+    return Vector(acc[-table.n - 1:-1])
+
+
+def _xi(table: DualTable, acc: list[float], x: Vector) -> float:
+    """1/2 x^T G x - x^T F + c for accumulated coefficients."""
+    return 0.5 * _g(table, acc).quadratic_form(x) - _f(table, acc).dot(x) + acc[-1]
+
+
+def _at(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, list[float]]:
+    """(sigma, table, [G, F, c] at sigma)."""
     sig = _check_sigma(pr, sigma)
-    return add_scaled(pr.A, [(s, op.C) for s, op in zip(sig, pr.ops)])
+    table = pr.table
+    return sig, table, _accumulate(table, table.value, sig)
 
 
-def f_vector(pr: CanonicalProblem, sigma: Sequence[float]) -> Vector:
-    """F(sigma) = f - sum_k sigma_k b_k."""
-    sig = _check_sigma(pr, sigma)
-    entries = list(pr.f.entries)
-    for s, op in zip(sig, pr.ops):
-        for i in range(pr.n):
-            entries[i] -= s * op.b[i]
-    return Vector(tuple(entries))
+def g_matrix(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
+    """G(sigma) = sum_a sigma^a G_a."""
+    return _g(*_at(pr, sigma)[1:])
 
 
-def dual_value(pr: CanonicalProblem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
-    """P^d(sigma) = -1/2 F^T G^{-1} F - V*(sigma) + sum_k sigma_k c_k.
+def f_vector(pr: Problem, sigma: Sequence[float]) -> Vector:
+    """F(sigma) = sum_a sigma^a F_a."""
+    return _f(*_at(pr, sigma)[1:])
+
+
+def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
+    """P^d(sigma) = -1/2 F^T G^{-1} F + c(sigma).
 
     Well defined only where F(sigma) lies in the column space of G(sigma);
     otherwise ColumnSpaceViolation propagates from the solve.
     """
-    sig = _check_sigma(pr, sigma)
-    G = g_matrix(pr, sig)
-    F = f_vector(pr, sig)
-    x = solve_sym(G, F, residual_tol)
-    offset = sum(s * op.c for s, op in zip(sig, pr.ops))
-    return -0.5 * F.dot(x) - conjugate_value(pr.V, sig) + offset
+    _, table, acc = _at(pr, sigma)
+    F = _f(table, acc)
+    return -0.5 * F.dot(solve_sym(_g(table, acc), F, residual_tol)) + acc[-1]
 
 
-def recover_primal(pr: CanonicalProblem, sigma: Sequence[float], residual_tol: float = 1e-9) -> Vector:
+def recover_primal(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> Vector:
     """x_bar solving G(sigma) x = F(sigma): the stationary point of Xi(., sigma)."""
-    sig = _check_sigma(pr, sigma)
-    G = g_matrix(pr, sig)
-    F = f_vector(pr, sig)
-    x = solve_sym(G, F, residual_tol)
-    # Stationarity of Xi in x is exactly the solve residual; solve_sym already
-    # enforced it at residual_tol <= 1e-9 relative, well inside 1e-8.
-    return x
+    _, table, acc = _at(pr, sigma)
+    # Stationarity of Xi in x is exactly the solve residual; solve_sym
+    # enforces it at residual_tol <= 1e-9 relative, well inside 1e-8.
+    return solve_sym(_g(table, acc), _f(table, acc), residual_tol)
 
 
-def _interior_primal(pr: CanonicalProblem, sig: tuple[float, ...]) -> tuple[SymMatrix, Vector]:
-    """(G(sigma), x_bar(sigma)) where P^d is differentiable: G nonsingular."""
-    G = g_matrix(pr, sig)
+def _interior_primal(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, SymMatrix, Vector]:
+    """(sigma, table, G(sigma), x_bar) where P^d is differentiable: G nonsingular."""
+    sig, table, acc = _at(pr, sigma)
+    G = _g(table, acc)
     if not is_nonsingular(G):
         raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
-    return G, solve_sym(G, f_vector(pr, sig), residual_tol=1e-6)
+    return sig, table, G, solve_sym(G, _f(table, acc), residual_tol=1e-6)
 
 
-def dual_gradient(pr: CanonicalProblem, sigma: Sequence[float]) -> tuple[float, ...]:
+def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
     """Gradient of P^d by the envelope identity: component k is
-    Lambda_k(x_bar(sigma)) - dV*/dsigma_k.  Requires G(sigma) nonsingular."""
-    sig = _check_sigma(pr, sigma)
-    _, x = _interior_primal(pr, sig)
-    xi = lambda_eval(pr, x)
-    grad_conj = conjugate_gradient(pr.V, sig)
-    return tuple(l - g for l, g in zip(xi, grad_conj))
+    1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k, which in canonical form is
+    Lambda_k(x_bar) - dV*/dsigma_k.  Requires G(sigma) nonsingular."""
+    sig, table, _, x = _interior_primal(pr, sigma)
+    return tuple(_xi(table, _accumulate(table, rows, sig), x) for rows in table.grad)
 
 
-def dual_hessian(pr: CanonicalProblem, sigma: Sequence[float]) -> SymMatrix:
-    """Hessian of P^d, exact for the affine G(sigma):
+def dual_hessian(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
+    """Hessian of P^d, exact:
 
-        H_kl = -(C_k x_bar + b_k)^T G^{-1} (C_l x_bar + b_l) - delta_kl / (2 a_k)
+        H_kl = 1/2 x_bar^T G_kl x_bar - x_bar^T F_kl + c_kl - u_k^T G^{-1} u_l,
+        u_k = G_k x_bar - F_k,
 
-    from d x_bar / d sigma_l = -G^{-1} (C_l x_bar + b_l), the derivative of
-    G x_bar = F.  Requires G(sigma) nonsingular, as the gradient does.
+    from d x_bar / d sigma_l = -G^{-1} u_l, the derivative of G x_bar = F.
+    In canonical form u_k = C_k x_bar + b_k and the first terms are
+    -delta_kl / (2 a_k).  Requires G(sigma) nonsingular, as the gradient does.
     """
-    sig = _check_sigma(pr, sigma)
-    G, x = _interior_primal(pr, sig)
-    u = [op.C.matvec(x) + op.b for op in pr.ops]
+    sig, table, G, x = _interior_primal(pr, sigma)
+    first = [_accumulate(table, rows, sig) for rows in table.grad]
+    u = [_g(table, acc).matvec(x) - _f(table, acc) for acc in first]
     w = [solve_sym(G, u_l, residual_tol=1e-6) for u_l in u]
-    upper = []
-    for k, (a, _) in enumerate(pr.V.pairs):
-        upper.append(-u[k].dot(w[k]) - 1.0 / (2.0 * a))
-        upper.extend(-u[k].dot(w[l]) for l in range(k + 1, pr.m))
-    return SymMatrix(pr.m, tuple(upper))
+    return SymMatrix(pr.m, tuple(
+        _xi(table, _accumulate(table, rows, sig), x) - u[k].dot(w[l]) for (k, l), rows in table.hess
+    ))
 
 
-def complementary_value(pr: CanonicalProblem, x: Sequence[float], sigma: Sequence[float]) -> float:
-    """Xi(x, sigma) = Lambda(x)^T sigma - V*(sigma) - U(x)."""
-    sig = _check_sigma(pr, sigma)
-    v = _as_vector(pr, x)
-    xi = lambda_eval(pr, v)
-    return (
-        sum(l * s for l, s in zip(xi, sig))
-        - conjugate_value(pr.V, sig)
-        - u_value(pr, v)
-    )
+def complementary_value(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> float:
+    """Xi(x, sigma) = 1/2 x^T G(sigma) x - x^T F(sigma) + c(sigma), which in
+    canonical form is Lambda(x)^T sigma - V*(sigma) - U(x)."""
+    _, table, acc = _at(pr, sigma)
+    return _xi(table, acc, _as_vector(pr, x))
 
 
 def in_positive_domain(
-    pr: CanonicalProblem, sigma: Sequence[float], tol: float = PSD_TOL
+    pr: Problem, sigma: Sequence[float], tol: float = PSD_TOL
 ) -> tuple[bool, float]:
     """Membership in the concavity region {sigma : G(sigma) PSD}, with margin."""
     return is_psd(g_matrix(pr, sigma), tol)
 
 
-def duality_gap(
-    pr: CanonicalProblem, x: Sequence[float], sigma: Sequence[float]
-) -> tuple[float, float]:
+def duality_gap(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> tuple[float, float]:
     """(|P(x) - Xi(x, sigma)|, |Xi(x, sigma) - P^d(sigma)|).
 
     Both vanish (to rounding) exactly at a critical pair.
@@ -317,7 +417,3 @@ def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
         if fi:
             total = total - xs[i].scale(fi)
     return total
-
-
-def g_min_eigenvalue(pr: CanonicalProblem, sigma: Sequence[float]) -> float:
-    return eigen_sym(g_matrix(pr, sigma))[0][0]

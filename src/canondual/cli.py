@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from . import benchmarks, canonical, dual_solver, kernels, oracle, verify
+from . import benchmarks, canonical, kernels, oracle, verify
 from .benchmarks import SolveReport
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError, ProblemFileError
@@ -207,7 +207,6 @@ def _config_dict(cfg: SolverConfig, oracle_starts: int, oracle_seed: int, with_o
         "grad_tol": cfg.grad_tol,
         "max_iter": cfg.max_iter,
         "interior_margin": cfg.interior_margin,
-        "fd_step": cfg.fd_step,
         "armijo_c": cfg.armijo_c,
         "backtrack_ratio": cfg.backtrack_ratio,
         "oracle": {"enabled": with_oracle, "starts": oracle_starts, "seed": oracle_seed},
@@ -220,17 +219,8 @@ def report_dict(
     oracle_starts: int,
     oracle_seed: int,
     with_oracle: bool,
-    pr: canonical.CanonicalProblem | None = None,
 ) -> dict:
     dual = report.dual_report
-    if report.problem_name == "thc":
-        xi = benchmarks.thc_complementary(
-            dual.sigma_star[0], dual.sigma_star[1], report.x_star[0], report.x_star[1]
-        )
-    else:
-        if pr is None:
-            pr = benchmarks.gp_canonical_g()
-        xi = canonical.complementary_value(pr, dual.x_bar, dual.sigma_star)
     return {
         "problem": report.problem_name,
         "certificate": dual.certificate.value,
@@ -241,7 +231,7 @@ def report_dict(
         "dual_value": dual.dual,
         "zero_gap_triple": {
             "primal": dual.primal,
-            "complementary": xi,
+            "complementary": dual.complementary,
             "dual": dual.dual,
         },
         "gap": dual.gap,
@@ -255,28 +245,6 @@ def report_dict(
         },
         "config": _config_dict(cfg, oracle_starts, oracle_seed, with_oracle),
     }
-
-
-def _solve_report_for_file(pr: canonical.CanonicalProblem, cfg: SolverConfig,
-                           with_oracle: bool, starts: int, seed: int, threads: int) -> SolveReport:
-    critical = dual_solver.solve_canonical(pr, cfg)
-    oracle_value = oracle_x = agreement = None
-    if with_oracle and pr.n <= 2:
-        poly = canonical.primal_polynomial(pr)
-        box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
-        best = oracle.multistart(poly, box, starts, seed, threads=threads)
-        oracle_value, oracle_x = best.value, best.x_best
-        agreement = abs(critical.primal - oracle_value) <= 1e-4 * (1.0 + abs(critical.primal))
-    return SolveReport(
-        problem_name="file",
-        transformed_solution=critical.sigma_star,
-        x_star=tuple(critical.x_bar),
-        value=critical.primal,
-        dual_report=critical,
-        oracle_value=oracle_value,
-        oracle_x=oracle_x,
-        oracle_agreement=agreement,
-    )
 
 
 def _format_text_report(data: dict) -> str:
@@ -308,7 +276,7 @@ def _format_text_report(data: dict) -> str:
     lines.append(
         "config:         "
         f"grad_tol={cfg['grad_tol']:g} max_iter={cfg['max_iter']} "
-        f"interior_margin={cfg['interior_margin']:g} fd_step={cfg['fd_step']:g} "
+        f"interior_margin={cfg['interior_margin']:g} "
         f"oracle_starts={cfg['oracle']['starts']} oracle_seed={cfg['oracle']['seed']}"
     )
     return "\n".join(lines)
@@ -329,23 +297,16 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
-    threads = args.threads
-    pr = None
-    if args.problem == "gp":
-        report = benchmarks.gp_solve(
-            cfg, with_oracle=args.oracle, oracle_starts=args.starts,
-            oracle_seed=args.seed, threads=threads,
-        )
-    elif args.problem == "thc":
-        report = benchmarks.thc_solve(
-            cfg, with_oracle=args.oracle, oracle_starts=args.starts,
-            oracle_seed=args.seed, threads=threads,
-        )
+    if args.problem in ("gp", "thc"):
+        pipeline = benchmarks.gp_solve if args.problem == "gp" else benchmarks.thc_solve
+        report = pipeline(cfg, with_oracle=args.oracle, oracle_starts=args.starts, oracle_seed=args.seed)
     else:
         pr = load_problem_file(args.path)
-        report = _solve_report_for_file(pr, cfg, args.oracle, args.starts, args.seed, threads)
+        poly = canonical.primal_polynomial(pr) if args.oracle and pr.n <= 2 else None
+        box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
+        report = benchmarks.solve_problem("file", pr, cfg, poly, box, args.starts, args.seed)
 
-    data = report_dict(report, cfg, args.starts, args.seed, args.oracle, pr=pr)
+    data = report_dict(report, cfg, args.starts, args.seed, args.oracle)
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
@@ -410,7 +371,7 @@ def _objective_and_box(args) -> tuple[MultiPoly, oracle.Box]:
 def _cmd_oracle(args) -> int:
     poly, box = _objective_and_box(args)
     grid = oracle.grid_scan(poly, box, args.grid)
-    best = oracle.multistart(poly, box, args.starts, args.seed, threads=args.threads)
+    best = oracle.multistart(poly, box, args.starts, args.seed)
     data = {
         "problem": args.problem,
         "box": {"lower": list(box.lower), "upper": list(box.upper)},
@@ -478,7 +439,6 @@ def _add_solver_flags(parser):
 def _add_oracle_flags(parser):
     parser.add_argument("--starts", type=int, default=benchmarks.ORACLE_STARTS)
     parser.add_argument("--seed", type=int, default=benchmarks.ORACLE_SEED)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:

@@ -1,16 +1,16 @@
 """Concave maximization over the interior of the PSD-feasible dual domain.
 
-The engine is a damped Newton ascent: analytic gradient and Hessian when
-the caller has them (central differences otherwise: of the value for the
-gradient, of the gradient for the Hessian), step direction from solving
--H d = grad with a steepest-ascent fallback when H is not negative
-definite, and a backtracking line search that accepts a step only when the
-iterate keeps a strict feasibility margin and satisfies the Armijo ascent
-condition.  Accepted dual values are therefore strictly increasing, and
-every accepted iterate is strictly interior.  The canonical pipeline
-(solve_canonical) passes the exact dual Hessian; the Three Hump Camel
-pipeline, whose closed-form dual has no analytic derivatives here, uses
-the differences.
+The engine is a damped Newton ascent on the caller's analytic gradient
+and Hessian: step direction from solving -H d = grad with a
+steepest-ascent fallback when H is not negative definite, and a
+backtracking line search that accepts a step only when the iterate keeps
+a strict feasibility margin and satisfies the Armijo ascent condition.
+Accepted dual values are therefore strictly increasing, and every
+accepted iterate is strictly interior.  The canonical pipeline
+(solve_canonical) climbs any dual of canonical.DualTable form, affine in
+sigma or staged like Three Hump Camel, with its exact gradient and Hessian.
+The central differences _fd_gradient and _fd_hessian are references for
+verify and the tests; the ascent does not use them.
 
 There is no randomness anywhere in the solver: identical inputs and
 configuration produce bit-identical results.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import canonical
@@ -41,8 +42,8 @@ FeasFn = Callable[[Sequence[float]], tuple[bool, float]]
 _MIN_STEP = 1e-16
 _NEGDEF_TOL = 1e-12
 
-# Exceptions treated as "point outside the evaluable domain" by the
-# finite-difference probes; they trigger a one-sided fallback.
+# Exceptions treated as "point outside the evaluable domain" by the start
+# search, the line search and the finite-difference references.
 _DOMAIN_ERRORS = (ColumnSpaceViolation, DomainViolation, SingularMatrixError)
 
 
@@ -51,12 +52,11 @@ class SolverConfig:
     grad_tol: float = 1e-10
     max_iter: int = 200
     interior_margin: float = 1e-9
-    fd_step: float = 1e-5
     armijo_c: float = 1e-4
     backtrack_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("grad_tol", "max_iter", "interior_margin", "fd_step", "armijo_c"):
+        for name in ("grad_tol", "max_iter", "interior_margin", "armijo_c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.backtrack_ratio < 1.0:
@@ -74,6 +74,7 @@ class CriticalReport:
     sigma_star: tuple[float, ...]
     x_bar: Vector
     primal: float
+    complementary: float
     dual: float
     gap: float
     grad_norm: float
@@ -202,17 +203,13 @@ def _fd_hessian(grad_of: GradFn, sigma: tuple[float, ...], fd_step: float) -> Sy
 
 def maximize_concave(
     value_fn: ValueFn,
-    gradient_fn: GradFn | None,
+    gradient_fn: GradFn,
+    hessian_fn: HessFn,
     feasibility_fn: FeasFn,
     start: Sequence[float],
     cfg: SolverConfig | None = None,
-    hessian_fn: HessFn | None = None,
 ) -> AscentResult:
     """Damped Newton ascent from a strictly feasible start.
-
-    Without hessian_fn the Hessian is differenced from the gradient, which
-    costs 2m gradient evaluations per iteration and leaves an error that
-    can keep |grad| just above grad_tol.
 
     Terminates with converged=True when the gradient norm drops below
     grad_tol, converged=False at the iteration cap, and raises
@@ -222,28 +219,19 @@ def maximize_concave(
     """
     cfg = cfg or SolverConfig()
     sigma = tuple(float(s) for s in start)
-    m = len(sigma)
     _, margin = feasibility_fn(sigma)
     if margin < cfg.interior_margin:
         raise ValueError(f"start margin {margin:.3e} below interior margin {cfg.interior_margin:.3e}")
 
-    def grad_of(point: tuple[float, ...]) -> tuple[float, ...]:
-        if gradient_fn is not None:
-            return tuple(float(g) for g in gradient_fn(point))
-        return _fd_gradient(value_fn, point, cfg.fd_step)
-
     value = value_fn(sigma)
-    grad = grad_of(sigma)
+    grad = tuple(float(g) for g in gradient_fn(sigma))
     grad_norm = math.sqrt(sum(g * g for g in grad))
 
     for iteration in range(cfg.max_iter):
         if grad_norm <= cfg.grad_tol:
             return AscentResult(sigma, value, grad_norm, iteration, True)
 
-        if hessian_fn is not None:
-            hess = hessian_fn(sigma)
-        else:
-            hess = _fd_hessian(grad_of, sigma, cfg.fd_step)
+        hess = hessian_fn(sigma)
         direction = None
         neg_hess = hess.scale(-1.0)
         if min_eigenvalue(neg_hess) >= _NEGDEF_TOL:
@@ -277,7 +265,7 @@ def maximize_concave(
         new_sigma, new_value = accepted
         assert new_value >= value, "ascent must be monotone across accepted steps"
         sigma, value = new_sigma, new_value
-        grad = grad_of(sigma)
+        grad = tuple(float(g) for g in gradient_fn(sigma))
         grad_norm = math.sqrt(sum(g * g for g in grad))
 
     converged = grad_norm <= cfg.grad_tol
@@ -292,7 +280,7 @@ def classify_certificate(
     primal: float,
     cfg: SolverConfig,
 ) -> Certificate:
-    """Certificate triage shared by the generic and bespoke pipelines.
+    """Certificate triage of a dual ascent's end point.
 
     Certified requires gradient convergence, a strictly interior PSD margin,
     and a closed duality gap.  Terminations pressed against the feasibility
@@ -307,27 +295,23 @@ def classify_certificate(
     return Certificate.NOT_CONVERGED
 
 
-def solve_canonical(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = None) -> CriticalReport:
-    """Full dual pipeline: interior start, concave ascent with the analytic
+def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> CriticalReport:
+    """Full dual pipeline: interior start, concave ascent with the exact
     dual gradient and Hessian, primal recovery, and certificate triage."""
     cfg = cfg or SolverConfig()
-
-    def value_fn(sigma: Sequence[float]) -> float:
-        return canonical.dual_value(pr, sigma)
-
-    def gradient_fn(sigma: Sequence[float]) -> tuple[float, ...]:
-        return canonical.dual_gradient(pr, sigma)
-
-    def hessian_fn(sigma: Sequence[float]) -> SymMatrix:
-        return canonical.dual_hessian(pr, sigma)
-
-    def feasibility_fn(sigma: Sequence[float]) -> tuple[bool, float]:
-        return canonical.in_positive_domain(pr, sigma)
-
+    value_fn = partial(canonical.dual_value, pr)
+    feasibility_fn = partial(canonical.in_positive_domain, pr)
     start = find_interior_start(value_fn, feasibility_fn, pr.m, cfg.interior_margin)
     stalled = False
     try:
-        result = maximize_concave(value_fn, gradient_fn, feasibility_fn, start, cfg, hessian_fn)
+        result = maximize_concave(
+            value_fn,
+            partial(canonical.dual_gradient, pr),
+            partial(canonical.dual_hessian, pr),
+            feasibility_fn,
+            start,
+            cfg,
+        )
     except LineSearchStalled as stall:
         result = AscentResult(stall.sigma, stall.value, stall.grad_norm, stall.iterations, False)
         stalled = True
@@ -336,13 +320,14 @@ def solve_canonical(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = N
     _, psd_margin = canonical.in_positive_domain(pr, sigma_star)
     x_bar = canonical.recover_primal(pr, sigma_star)
     primal = canonical.primal_value(pr, x_bar)
-    gap_px, gap_xd = canonical.duality_gap(pr, x_bar, sigma_star)
-    gap = max(gap_px, gap_xd)
+    xi = canonical.complementary_value(pr, x_bar, sigma_star)
+    gap = max(abs(primal - xi), abs(xi - result.value))
     certificate = classify_certificate(result.converged, stalled, psd_margin, gap, primal, cfg)
     return CriticalReport(
         sigma_star=sigma_star,
         x_bar=x_bar,
         primal=primal,
+        complementary=xi,
         dual=result.value,
         gap=gap,
         grad_norm=result.grad_norm,

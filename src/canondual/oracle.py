@@ -14,15 +14,13 @@ linear congruential generator
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
 with the top 33 bits of each state mapped to [0, 1), and all reductions are
-ordered by start index, so thread count and scheduling cannot change the
-answer.
+ordered by start index.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -233,15 +231,12 @@ def multistart(
     k_starts: int,
     seed: int,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> OracleResult:
     """Refine k seeded starts and keep the best by start index.
 
-    The reduction is ordered by start index, so running with more threads
-    cannot change the result.  A start whose refinement raises
-    NotConverged is left out of the minimum but not out of the account:
-    it is counted in ``failed_starts`` and its evaluations in
-    ``n_evaluations``.
+    A start whose refinement raises NotConverged is left out of the minimum
+    but not out of the account: it is counted in ``failed_starts`` and its
+    evaluations in ``n_evaluations``.
     """
     if p.arity != box.dim or p.arity > 2:
         raise DimensionMismatch("multistart supports at most 2 variables matching the box")
@@ -252,29 +247,17 @@ def multistart(
     ]
 
     evaluators = _newton_evaluators(p)  # generated once, shared by every start
-
-    def attempt(start: tuple[float, ...]):
-        try:
-            return _refine_counted(p, start, tol, 500, evaluators)
-        except NotConverged as failure:
-            return failure
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, starts))
-    else:
-        outcomes = [attempt(s) for s in starts]
-
     best_x: tuple[float, ...] | None = None
     best_value = math.inf
     total_evals = 0
     failed = 0
-    for outcome in outcomes:  # index order: deterministic reduction
-        if isinstance(outcome, NotConverged):
+    for start in starts:  # index order: deterministic reduction
+        try:
+            point, evals = _refine_counted(p, start, tol, 500, evaluators)
+        except NotConverged as failure:
             failed += 1
-            total_evals += outcome.evaluations
+            total_evals += failure.evaluations
             continue
-        point, evals = outcome
         total_evals += evals
         value = p.eval(point)
         total_evals += 1

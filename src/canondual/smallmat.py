@@ -15,6 +15,7 @@ numpy.linalg independently.
 from __future__ import annotations
 
 import math
+from operator import add, itemgetter, mul, sub
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -37,7 +38,7 @@ class Vector:
     entries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(float(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(float, self.entries)))
 
     @property
     def n(self) -> int:
@@ -56,20 +57,20 @@ class Vector:
         other_entries = other.entries if isinstance(other, Vector) else tuple(other)
         if len(other_entries) != self.n:
             raise DimensionMismatch(f"vector lengths {self.n} and {len(other_entries)} differ")
-        return sum(a * b for a, b in zip(self.entries, other_entries))
+        return sum(map(mul, self.entries, other_entries))
 
     def norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.entries))
+        return math.sqrt(sum(map(mul, self.entries, self.entries)))
 
     def __add__(self, other: "Vector") -> "Vector":
         if other.n != self.n:
             raise DimensionMismatch(f"vector lengths {self.n} and {other.n} differ")
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Vector(tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if other.n != self.n:
             raise DimensionMismatch(f"vector lengths {self.n} and {other.n} differ")
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Vector(tuple(map(sub, self.entries, other.entries)))
 
     def scale(self, factor: float) -> "Vector":
         return Vector(tuple(factor * x for x in self.entries))
@@ -86,10 +87,11 @@ def _triu_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
-# The upper-triangle slot of every (i, j), by matrix size.
-_ROW_SLOTS = {
-    n: tuple(tuple(_triu_index(n, i, j) for j in range(n)) for i in range(n))
-    for n in range(1, MAX_DIM + 1)
+# Getters of the full rows from the upper triangle, by matrix size n >= 2
+# (the one row of a 1x1 matrix is its upper triangle).
+_ROW_GETTERS = {
+    n: tuple(itemgetter(*(_triu_index(n, i, j) for j in range(n))) for i in range(n))
+    for n in range(2, MAX_DIM + 1)
 }
 
 
@@ -109,7 +111,7 @@ class SymMatrix:
             )
         upper = tuple(map(float, self.upper))
         object.__setattr__(self, "upper", upper)
-        rows = tuple(tuple(map(upper.__getitem__, slots)) for slots in _ROW_SLOTS[self.n])
+        rows = (upper,) if self.n == 1 else tuple([row(upper) for row in _ROW_GETTERS[self.n]])
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -152,7 +154,7 @@ class SymMatrix:
         entries = v.entries if isinstance(v, Vector) else tuple(v)
         if len(entries) != self.n:
             raise DimensionMismatch(f"matrix size {self.n}, vector length {len(entries)}")
-        return Vector(tuple(sum(a * b for a, b in zip(row, entries)) for row in self.rows))
+        return Vector(tuple(sum(map(mul, row, entries)) for row in self.rows))
 
     def quadratic_form(self, v: Vector | Sequence[float]) -> float:
         """v^T S v."""
@@ -247,9 +249,9 @@ def eigen_sym(S: SymMatrix) -> tuple[tuple[float, ...], tuple[tuple[float, ...],
 def min_eigenvalue(S: SymMatrix) -> float:
     """Smallest eigenvalue: closed form for n <= 2, Jacobi otherwise."""
     if S.n == 1:
-        return S.entry(0, 0)
+        return S.upper[0]
     if S.n == 2:
-        a, b, d = S.entry(0, 0), S.entry(0, 1), S.entry(1, 1)
+        a, b, d = S.upper
         return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
     return eigen_sym(S)[0][0]
 
@@ -298,15 +300,15 @@ def _solve_pseudo(S: SymMatrix, v: Vector) -> Vector:
 
 
 def _solve_once(S: SymMatrix, v: Vector) -> Vector:
-    scale = max(1.0, max(abs(x) for x in S.upper))
+    scale = max(1.0, max(map(abs, S.upper)))
     if S.n == 1:
-        s = S.entry(0, 0)
-        return Vector((v[0] / s,)) if abs(s) > _SINGULAR_PIVOT * scale else Vector((0.0,))
+        (s,), (v0,) = S.upper, v.entries
+        return Vector((v0 / s,)) if abs(s) > _SINGULAR_PIVOT * scale else Vector((0.0,))
     if S.n == 2:
-        a, b, d = S.entry(0, 0), S.entry(0, 1), S.entry(1, 1)
+        (a, b, d), (v0, v1) = S.upper, v.entries
         det = a * d - b * b
         if abs(det) > (_SINGULAR_PIVOT * scale) ** 2:
-            return Vector(((d * v[0] - b * v[1]) / det, (a * v[1] - b * v[0]) / det))
+            return Vector(((d * v0 - b * v1) / det, (a * v1 - b * v0) / det))
         return _solve_pseudo(S, v)
     solved = _solve_pivoted(S, v)
     return solved if solved is not None else _solve_pseudo(S, v)
@@ -320,19 +322,20 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     the residual exceeds residual_tol * (1 + ||v||), i.e. v is not in the
     column space of S.
     """
-    if isinstance(v, Sequence):
+    if not isinstance(v, Vector):
         v = Vector(tuple(v))
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
     x = _solve_once(S, v)
     residual_vec = v - S.matvec(x)
     residual = residual_vec.norm()
-    if residual > 1e-14 * (1.0 + v.norm()):
+    v_norm = v.norm()
+    if residual > 1e-14 * (1.0 + v_norm):
         corrected = x + _solve_once(S, residual_vec)
         corrected_residual = (v - S.matvec(corrected)).norm()
         if corrected_residual < residual:
             x, residual = corrected, corrected_residual
-    limit = residual_tol * (1.0 + v.norm())
+    limit = residual_tol * (1.0 + v_norm)
     if residual > limit:
         raise ColumnSpaceViolation(residual, limit)
     return x

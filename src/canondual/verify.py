@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import benchmarks, canonical, dual_solver, oracle
@@ -38,23 +39,16 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
 
 
 def _fd_gradient_matches(
-    pr: canonical.CanonicalProblem,
+    pr: canonical.Problem,
     points: Sequence[tuple[float, ...]],
     step: float = 1e-5,
     tol: float = 1e-6,
 ) -> tuple[bool, str]:
     worst = 0.0
     for sigma in points:
-        analytic = canonical.dual_gradient(pr, sigma)
-        for k in range(pr.m):
-            h = step * (1.0 + abs(sigma[k]))
-            up = list(sigma)
-            up[k] += h
-            down = list(sigma)
-            down[k] -= h
-            fd = (canonical.dual_value(pr, up) - canonical.dual_value(pr, down)) / (2.0 * h)
-            err = abs(analytic[k] - fd) / (1.0 + abs(fd))
-            worst = max(worst, err)
+        fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), step)
+        for analytic, reference in zip(canonical.dual_gradient(pr, sigma), fd):
+            worst = max(worst, abs(analytic - reference) / (1.0 + abs(reference)))
     return worst <= tol, f"worst relative error {worst:.3e}"
 
 
@@ -193,6 +187,8 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
         )
     )
 
+    thc = benchmarks.thc_problem()  # the dual the solver climbs
+
     # Feasibility region is exactly {s2 >= 25 s1^2 - 13/5}: compare the PSD
     # margin sign with the algebraic inequality on a sample sweep.
     rng = oracle.Lcg(201)
@@ -200,23 +196,22 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
     for _ in range(400):
         s1 = rng.uniform(-1.5, 1.5)
         s2 = rng.uniform(-5.0, 10.0)
-        inside, _ = benchmarks.thc_feasibility(s1, s2)
+        inside, _ = canonical.in_positive_domain(thc, (s1, s2))
         algebraic = s2 >= 25.0 * s1 * s1 - 13.0 / 5.0 - 1e-7
         if inside != algebraic and abs(s2 - (25.0 * s1 * s1 - 13.0 / 5.0)) > 1e-6:
             region_ok = False
             break
     checks.append(_check("feasibility-region-algebra", region_ok))
 
-    # Closed-form dual equals the eliminated complementary function at 200
-    # strictly feasible samples, 1e-9 relative.
+    # The table's dual equals the closed form at 200 strictly feasible
+    # samples, 1e-9 relative.
     rng = oracle.Lcg(202)
     worst = 0.0
     for _ in range(200):
         s1 = rng.uniform(-0.9, 0.9)
         floor = 25.0 * s1 * s1 - 13.0 / 5.0
         s2 = rng.uniform(floor + 0.05, floor + 12.0)
-        x, y = benchmarks.thc_equilibrium(s1, s2)
-        eliminated = benchmarks.thc_complementary(s1, s2, x, y)
+        eliminated = canonical.dual_value(thc, (s1, s2))
         closed = benchmarks.thc_dual(s1, s2)
         worst = max(worst, abs(closed - eliminated) / (1.0 + abs(closed)))
     checks.append(_check("dual-vs-elimination", worst <= 1e-9, f"worst {worst:.3e}"))
@@ -239,14 +234,14 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
             break
     checks.append(_check("dual-midpoint-concavity", concave_ok))
 
-    # Equilibrium always enforces y = -x/2 (second stationarity row).
+    # x_bar = G^{-1} F always has y = -x/2 (second stationarity row).
     rng = oracle.Lcg(204)
     half_ok = True
     for _ in range(100):
         s1 = rng.uniform(-0.9, 0.9)
         floor = 25.0 * s1 * s1 - 13.0 / 5.0
         s2 = rng.uniform(floor + 0.05, floor + 12.0)
-        x, y = benchmarks.thc_equilibrium(s1, s2)
+        x, y = canonical.recover_primal(thc, (s1, s2))
         if abs(2.0 * y + x) > 1e-12 * (1.0 + abs(x)):
             half_ok = False
             break

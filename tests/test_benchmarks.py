@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from canondual import benchmarks
-from canondual.dual_solver import Certificate
-from canondual.errors import DomainViolation, SingularMatrixError
+from canondual import benchmarks, canonical
+from canondual.dual_solver import Certificate, _fd_gradient
+from canondual.errors import DomainViolation, IdentityViolation, SingularMatrixError
 from canondual.oracle import Lcg
 from canondual.polynomial import MultiPoly
 
@@ -197,6 +197,31 @@ class TestThcIdentities:
         nudged3 = rhs3 + MultiPoly.from_terms(3, {(2, 0, 1): Fraction(1, 1000)})
         assert lhs3 != nudged3
 
+    def test_dual_table_matches_level2_staging(self):
+        lhs, rhs = benchmarks._thc_table_sides()
+        assert lhs == rhs
+
+    def test_perturbed_dual_table_is_rejected(self, monkeypatch):
+        table = dict(benchmarks._THC_TABLE)
+        table[(1, 1)] = ((0, 0, 0), (Fraction(-1, 13), 0), 0)
+        monkeypatch.setattr(benchmarks, "_THC_TABLE", table)
+        benchmarks.thc_problem.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation):
+                benchmarks.thc_problem()
+        finally:
+            monkeypatch.undo()
+            benchmarks.thc_problem.cache_clear()
+
+    def test_dual_table_checked_once_per_process(self, monkeypatch):
+        built = []
+        real = benchmarks._thc_table_sides
+        monkeypatch.setattr(benchmarks, "_thc_table_sides", lambda: built.append(1) or real())
+        benchmarks.thc_problem.cache_clear()
+        for _ in range(3):
+            benchmarks.thc_solve(with_oracle=False)
+        assert len(built) == 1
+
 
 class TestThcDual:
     def test_known_values(self):
@@ -204,10 +229,27 @@ class TestThcDual:
         assert benchmarks.thc_dual(0.0, 1.0) == pytest.approx(-1.0 / 240.0, abs=1e-15)
 
     def test_bundled_evaluator_matches_functions(self):
-        dual = benchmarks.ThcDual()
-        assert dual.value(0.0, 1.0) == benchmarks.thc_dual(0.0, 1.0)
-        assert dual.feasibility(0.0, 0.0) == benchmarks.thc_feasibility(0.0, 0.0)
-        assert dual.matrix(0.0, 0.0).entry(0, 1) == 0.5
+        # The dual table bundles the value and the feasibility matrix; its G
+        # is twice the matrix [[a, 1/2], [1/2, 1]] of the closed form.
+        thc = benchmarks.thc_problem()
+        assert canonical.dual_value(thc, (0.0, 1.0)) == benchmarks.thc_dual(0.0, 1.0)
+        inside, margin = canonical.in_positive_domain(thc, (0.0, 0.0))
+        assert inside and margin == pytest.approx((97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12)
+        assert canonical.g_matrix(thc, (0.0, 0.0)).entry(0, 1) == 1.0
+
+    def test_dual_table_matches_closed_form(self):
+        thc = benchmarks.thc_problem()
+        rng = Lcg(26)
+        for _ in range(200):
+            s1 = rng.uniform(-0.9, 0.9)
+            floor = 25.0 * s1 * s1 - 13.0 / 5.0
+            sigma = (s1, rng.uniform(floor + 0.05, floor + 12.0))
+            closed = benchmarks.thc_dual(*sigma)
+            assert abs(canonical.dual_value(thc, sigma) - closed) <= 1e-12 * (1.0 + abs(closed))
+            reference = _fd_gradient(lambda s: benchmarks.thc_dual(*s), sigma, 1e-6)
+            scale = 1.0 + max(abs(g) for g in reference)
+            for got, want in zip(canonical.dual_gradient(thc, sigma), reference):
+                assert abs(got - want) <= 1e-6 * scale
 
     def test_infeasible_point_rejected(self):
         with pytest.raises(DomainViolation):
@@ -218,7 +260,7 @@ class TestThcDual:
         for _ in range(300):
             s1 = rng.uniform(-1.5, 1.5)
             s2 = rng.uniform(-5.0, 10.0)
-            inside, _ = benchmarks.thc_feasibility(s1, s2)
+            inside, _ = canonical.in_positive_domain(benchmarks.thc_problem(), (s1, s2))
             algebraic = s2 - (25.0 * s1 * s1 - 13.0 / 5.0)
             if abs(algebraic) > 1e-6:
                 assert inside == (algebraic > 0)
@@ -282,7 +324,7 @@ class TestThcSolve:
 
     def test_psd_margin_is_interior(self, report):
         assert report.dual_report.psd_margin == pytest.approx(
-            (97.0 - np.sqrt(8434.0)) / 150.0, abs=1e-12
+            (97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12
         )
 
 

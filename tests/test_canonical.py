@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from canondual import canonical
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g
-from canondual.dual_solver import _fd_hessian
+from canondual.dual_solver import _fd_gradient, _fd_hessian
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, SingularMatrixError
 from canondual.oracle import Lcg
+from canondual.polynomial import MultiPoly
 from canondual.smallmat import SymMatrix, Vector, add_scaled, min_eigenvalue
 
 
@@ -243,6 +244,52 @@ def test_dual_hessian_matches_central_differences_on_random_problems(case):
     exact = canonical.dual_hessian(pr, sigma)
     assert_hessians_close(exact, fd_dual_hessian(pr, sigma), 1e-5)
     assert min_eigenvalue(exact.scale(-1.0)) > 0.0
+
+
+@st.composite
+def interior_table_points(draw):
+    """A random dual table (n <= 3, m <= 2) on every monomial of degree <= 2
+    in sigma, so G is not affine, and a dual point where G has minimum
+    eigenvalue at least 0.1; the constant G is shifted to make it so."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    tri = n * (n + 1) // 2
+    monomials = [e for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)) if sum(e[m:]) == 0]
+    terms = [
+        canonical.DualTerm(
+            exps[:m],
+            SymMatrix(n, tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri)))),
+            Vector(tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))),
+            draw(coefficient),
+        )
+        for exps in monomials
+    ]
+    sigma = tuple(draw(st.lists(coefficient, min_size=m, max_size=m)))
+    pr = canonical.TableProblem(canonical.DualTable(n, m, tuple(terms)), MultiPoly.zero(n))
+    margin = min_eigenvalue(canonical.g_matrix(pr, sigma))
+    if margin < 0.1:
+        shift = 0.2 - margin + draw(coefficient) ** 2
+        constant = terms[0]
+        terms[0] = canonical.DualTerm(
+            constant.exps, add_scaled(constant.G, [(shift, SymMatrix.identity(n))]), constant.F, constant.c
+        )
+        pr = canonical.TableProblem(canonical.DualTable(n, m, tuple(terms)), MultiPoly.zero(n))
+    return pr, sigma
+
+
+@given(interior_table_points())
+def test_table_derivatives_match_central_differences(case):
+    # A sigma^2 term in G moves the singular set of G(sigma) closer than an
+    # affine G with the same margin would, which raises the third
+    # derivatives of P^d: the differences take a step of 1e-6, not 1e-5.
+    pr, sigma = case
+    assert canonical.in_positive_domain(pr, sigma)[1] >= 0.1
+    reference = _fd_gradient(lambda s: canonical.dual_value(pr, s), sigma, 1e-6)
+    scale = 1.0 + max(abs(g) for g in reference)
+    for got, want in zip(canonical.dual_gradient(pr, sigma), reference):
+        assert abs(got - want) <= 1e-6 * scale
+    reference = _fd_hessian(lambda s: canonical.dual_gradient(pr, s), sigma, 1e-6)
+    assert_hessians_close(canonical.dual_hessian(pr, sigma), reference, 1e-5)
 
 
 class TestComplementary:

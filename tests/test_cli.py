@@ -260,6 +260,12 @@ class TestUsageErrors:
         code, _, _ = run_cli("--help")
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_threads_flag_is_a_usage_error(self, command):
+        code, _, err = run_cli(command, "gp", "--threads", "2")
+        assert code == 1
+        assert "--threads" in err
+
     def test_parser_is_built_once_per_process(self, monkeypatch):
         cli._shared_parser.cache_clear()
         built = []

@@ -7,7 +7,7 @@ import pytest
 
 from canondual import canonical
 from canondual.cli import parse_problem_dict
-from canondual.benchmarks import gp_canonical_g
+from canondual.benchmarks import gp_canonical_g, thc_problem
 from canondual.dual_solver import (
     Certificate,
     SolverConfig,
@@ -87,6 +87,17 @@ def always_feasible(sigma):
     return True, 1.0
 
 
+def dual_fns(pr):
+    """(value, gradient, Hessian, feasibility) of a problem's dual, in the
+    argument order of maximize_concave."""
+    return (
+        lambda s: canonical.dual_value(pr, s),
+        lambda s: canonical.dual_gradient(pr, s),
+        lambda s: canonical.dual_hessian(pr, s),
+        lambda s: canonical.in_positive_domain(pr, s),
+    )
+
+
 def boundary_problem():
     """Dual critical point on the PSD boundary: ascent is blocked at the
     feasibility wall, so the run must end BoundaryCritical, not certified."""
@@ -110,10 +121,9 @@ class TestFindInteriorStart:
         assert start == (0.0,)
 
     def test_three_hump_accepts_origin(self):
-        from canondual.benchmarks import thc_dual, thc_feasibility
-
+        pr = thc_problem()
         start = find_interior_start(
-            lambda s: thc_dual(s[0], s[1]), lambda s: thc_feasibility(s[0], s[1]), 2
+            lambda s: canonical.dual_value(pr, s), lambda s: canonical.in_positive_domain(pr, s), 2
         )
         assert start == (0.0, 0.0)
 
@@ -133,32 +143,25 @@ class TestFindInteriorStart:
 
 class TestMaximizeConcave:
     def test_exact_newton_on_quadratic(self):
-        result = maximize_concave(lambda s: -s[0] ** 2, None, always_feasible, (1.0,))
+        result = maximize_concave(
+            lambda s: -s[0] ** 2,
+            lambda s: (-2.0 * s[0],),
+            lambda s: SymMatrix(1, (-2.0,)),
+            always_feasible,
+            (1.0,),
+        )
         assert abs(result.sigma[0]) <= 1e-12
         assert result.converged
         assert result.iterations <= 2
 
     def test_decoupled_quartic_dual(self):
-        pr = gp_canonical_g()
-        result = maximize_concave(
-            lambda s: canonical.dual_value(pr, s),
-            lambda s: canonical.dual_gradient(pr, s),
-            lambda s: canonical.in_positive_domain(pr, s),
-            (0.0,),
-        )
+        result = maximize_concave(*dual_fns(gp_canonical_g()), (0.0,))
         assert result.converged
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
         assert result.value == pytest.approx(3.0, abs=1e-8)
 
     def test_three_hump_dual_converges_at_start(self):
-        from canondual.benchmarks import thc_dual, thc_feasibility
-
-        result = maximize_concave(
-            lambda s: thc_dual(s[0], s[1]),
-            None,
-            lambda s: thc_feasibility(s[0], s[1]),
-            (0.0, 0.0),
-        )
+        result = maximize_concave(*dual_fns(thc_problem()), (0.0, 0.0))
         assert result.converged
         assert result.iterations == 0
         assert result.sigma == (0.0, 0.0)
@@ -176,33 +179,20 @@ class TestMaximizeConcave:
             calls.append(v)
             return v
 
-        result = maximize_concave(
-            value_fn, None, lambda s: canonical.in_positive_domain(pr, s), (0.0,)
-        )
+        _, gradient_fn, hessian_fn, feasibility_fn = dual_fns(pr)
+        result = maximize_concave(value_fn, gradient_fn, hessian_fn, feasibility_fn, (0.0,))
         assert result.value >= calls[0]
 
     def test_stall_raises_with_payload(self):
-        pr = boundary_problem()
         with pytest.raises(LineSearchStalled) as info:
-            maximize_concave(
-                lambda s: canonical.dual_value(pr, s),
-                lambda s: canonical.dual_gradient(pr, s),
-                lambda s: canonical.in_positive_domain(pr, s),
-                (1.0,),
-            )
+            maximize_concave(*dual_fns(boundary_problem()), (1.0,))
         stall = info.value
         assert stall.sigma[0] == pytest.approx(0.0, abs=1e-6)
         assert stall.grad_norm > 1e-10  # still pushing toward the boundary
 
     def test_rejects_infeasible_start(self):
-        pr = boundary_problem()
         with pytest.raises(ValueError):
-            maximize_concave(
-                lambda s: canonical.dual_value(pr, s),
-                None,
-                lambda s: canonical.in_positive_domain(pr, s),
-                (-1.0,),
-            )
+            maximize_concave(*dual_fns(boundary_problem()), (-1.0,))
 
     def test_exact_hessian_needs_one_gradient_per_iteration(self):
         pr = gp_canonical_g()
@@ -219,9 +209,9 @@ class TestMaximizeConcave:
         result = maximize_concave(
             lambda s: canonical.dual_value(pr, s),
             gradient_fn,
+            hessian_fn,
             lambda s: canonical.in_positive_domain(pr, s),
             (0.0,),
-            hessian_fn=hessian_fn,
         )
         assert result.converged
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
@@ -231,12 +221,7 @@ class TestMaximizeConcave:
         pr = gp_canonical_g()
 
         def run():
-            return maximize_concave(
-                lambda s: canonical.dual_value(pr, s),
-                lambda s: canonical.dual_gradient(pr, s),
-                lambda s: canonical.in_positive_domain(pr, s),
-                (0.0,),
-            )
+            return maximize_concave(*dual_fns(pr), (0.0,))
 
         assert run() == run()
 
@@ -309,7 +294,7 @@ class TestSolverConfig:
         assert cfg.grad_tol == 1e-10
         assert cfg.max_iter == 200
         assert cfg.interior_margin == 1e-9
-        assert cfg.fd_step == 1e-5
+        assert not hasattr(cfg, "fd_step")
         assert cfg.armijo_c == 1e-4
         assert cfg.backtrack_ratio == 0.5
 
