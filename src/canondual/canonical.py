@@ -26,14 +26,31 @@ P(x_bar) = Xi(x_bar, sigma) = P^d(sigma).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from operator import mul, sub
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .polynomial import MultiPoly
-from .smallmat import PSD_TOL, SymMatrix, Vector, is_nonsingular, is_psd, solve_sym
+from .smallmat import (
+    PSD_TOL,
+    SymMatrix,
+    Vector,
+    cholesky,
+    exceeds,
+    full_rows,
+    is_nonsingular,
+    is_psd,
+    solve_1x1,
+    solve_2x2,
+    solve_sym,
+)
+
+# dual_rounding's multiple of the unit roundoff.
+_ROUNDING_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -279,13 +296,43 @@ def _g(table: DualTable, acc: list[float]) -> SymMatrix:
     return SymMatrix(table.n, acc[:-table.n - 1])
 
 
-def _f(table: DualTable, acc: list[float]) -> Vector:
-    return Vector(acc[-table.n - 1:-1])
+def _f(table: DualTable, acc: list[float]) -> list[float]:
+    return acc[-table.n - 1:-1]
 
 
-def _xi(table: DualTable, acc: list[float], x: Vector) -> float:
+def _gx(table: DualTable, acc: list[float], x: Sequence[float]) -> list[float]:
+    """G x for accumulated coefficients."""
+    return [sum(map(mul, row, x)) for row in full_rows(table.n, acc)]
+
+
+def _xi(table: DualTable, acc: list[float], x: Sequence[float]) -> float:
     """1/2 x^T G x - x^T F + c for accumulated coefficients."""
-    return 0.5 * _g(table, acc).quadratic_form(x) - _f(table, acc).dot(x) + acc[-1]
+    return 0.5 * sum(map(mul, _gx(table, acc, x), x)) - sum(map(mul, _f(table, acc), x)) + acc[-1]
+
+
+Solve = Callable[[Sequence[float], float], tuple[float, ...]]
+
+
+def _solver(table: DualTable, acc: list[float]) -> tuple[bool, Solve]:
+    """(G positive definite, (v, residual_tol) -> G^{-1} v), one
+    factorisation of G for all the solves at one dual point.
+
+    For n <= 2 the solves are solve_1x1 and solve_2x2 on the accumulated
+    entries.  For n >= 3 the Cholesky factor of G is both the positive
+    definiteness test and the solver; solve_sym eliminates when G is not
+    positive definite.  Every solve keeps solve_sym's refinement step and
+    residual check.
+    """
+    n = table.n
+    if n == 1:
+        g = acc[0]
+        return exceeds(1, acc, 0.0), lambda v, tol: (solve_1x1(g, v[0], tol),)
+    if n == 2:
+        a, b, d = acc[0], acc[1], acc[2]
+        return exceeds(2, acc, 0.0), lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
+    G = _g(table, acc)
+    factor = cholesky(G)
+    return factor is not None, lambda v, tol: solve_sym(G, Vector(v), tol, factor).entries
 
 
 def _at(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, list[float]]:
@@ -302,7 +349,7 @@ def g_matrix(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
 
 def f_vector(pr: Problem, sigma: Sequence[float]) -> Vector:
     """F(sigma) = sum_a sigma^a F_a."""
-    return _f(*_at(pr, sigma)[1:])
+    return Vector(_f(*_at(pr, sigma)[1:]))
 
 
 def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
@@ -313,24 +360,35 @@ def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) 
     """
     _, table, acc = _at(pr, sigma)
     F = _f(table, acc)
-    return -0.5 * F.dot(solve_sym(_g(table, acc), F, residual_tol)) + acc[-1]
+    return -0.5 * sum(map(mul, F, _solver(table, acc)[1](F, residual_tol))) + acc[-1]
+
+
+def dual_rounding(pr: Problem, sigma: Sequence[float]) -> float:
+    """A bound on the rounding error of dual_value(pr, sigma): a few units
+    of roundoff times |c| + |1/2 F^T x_bar|, the two terms its last sum adds."""
+    _, table, acc = _at(pr, sigma)
+    F = _f(table, acc)
+    half = 0.5 * sum(map(mul, F, _solver(table, acc)[1](F, 1e-9)))
+    return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(acc[-1]) + abs(half))
 
 
 def recover_primal(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> Vector:
     """x_bar solving G(sigma) x = F(sigma): the stationary point of Xi(., sigma)."""
     _, table, acc = _at(pr, sigma)
-    # Stationarity of Xi in x is exactly the solve residual; solve_sym
+    # Stationarity of Xi in x is exactly the solve residual; the solve
     # enforces it at residual_tol <= 1e-9 relative, well inside 1e-8.
-    return solve_sym(_g(table, acc), _f(table, acc), residual_tol)
+    return Vector(_solver(table, acc)[1](_f(table, acc), residual_tol))
 
 
-def _interior_primal(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, SymMatrix, Vector]:
-    """(sigma, table, G(sigma), x_bar) where P^d is differentiable: G nonsingular."""
+def _interior_primal(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, Solve, tuple[float, ...]]:
+    """(sigma, table, solve with G(sigma), x_bar) where P^d is
+    differentiable: G nonsingular, which its Cholesky factorisation proves
+    when G is positive definite."""
     sig, table, acc = _at(pr, sigma)
-    G = _g(table, acc)
-    if not is_nonsingular(G):
+    positive, solve = _solver(table, acc)
+    if not positive and not is_nonsingular(_g(table, acc)):
         raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
-    return sig, table, G, solve_sym(G, _f(table, acc), residual_tol=1e-6)
+    return sig, table, solve, solve(_f(table, acc), 1e-6)
 
 
 def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
@@ -349,14 +407,15 @@ def dual_hessian(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
 
     from d x_bar / d sigma_l = -G^{-1} u_l, the derivative of G x_bar = F.
     In canonical form u_k = C_k x_bar + b_k and the first terms are
-    -delta_kl / (2 a_k).  Requires G(sigma) nonsingular, as the gradient does.
+    -delta_kl / (2 a_k).  Requires G(sigma) nonsingular, as the gradient
+    does; the m solves reuse the factorisation of G that x_bar came from.
     """
-    sig, table, G, x = _interior_primal(pr, sigma)
+    sig, table, solve, x = _interior_primal(pr, sigma)
     first = [_accumulate(table, rows, sig) for rows in table.grad]
-    u = [_g(table, acc).matvec(x) - _f(table, acc) for acc in first]
-    w = [solve_sym(G, u_l, residual_tol=1e-6) for u_l in u]
+    u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
+    w = [solve(u_l, 1e-6) for u_l in u]
     return SymMatrix(pr.m, tuple(
-        _xi(table, _accumulate(table, rows, sig), x) - u[k].dot(w[l]) for (k, l), rows in table.hess
+        _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
     ))
 
 
@@ -370,8 +429,17 @@ def complementary_value(pr: Problem, x: Sequence[float], sigma: Sequence[float])
 def in_positive_domain(
     pr: Problem, sigma: Sequence[float], tol: float = PSD_TOL
 ) -> tuple[bool, float]:
-    """Membership in the concavity region {sigma : G(sigma) PSD}, with margin."""
+    """Membership in the concavity region {sigma : G(sigma) PSD}, with
+    margin: the minimum eigenvalue of G, computed for reports."""
     return is_psd(g_matrix(pr, sigma), tol)
+
+
+def in_interior(pr: Problem, sigma: Sequence[float], margin: float) -> bool:
+    """lambda_min(G(sigma)) > margin: the Cholesky factorisation of
+    G - margin I has all pivots > 0.  The threshold test of the ascent, its
+    interior start and verify's sampling; it computes no eigenvalue."""
+    _, table, acc = _at(pr, sigma)
+    return exceeds(table.n, acc, margin)
 
 
 def duality_gap(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> tuple[float, float]:

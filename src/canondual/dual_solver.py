@@ -1,16 +1,30 @@
 """Concave maximization over the interior of the PSD-feasible dual domain.
 
 The engine is a damped Newton ascent on the caller's analytic gradient
-and Hessian: step direction from solving -H d = grad with a
-steepest-ascent fallback when H is not negative definite, and a
-backtracking line search that accepts a step only when the iterate keeps
-a strict feasibility margin and satisfies the Armijo ascent condition.
-Accepted dual values are therefore strictly increasing, and every
-accepted iterate is strictly interior.  The canonical pipeline
-(solve_canonical) climbs any dual of canonical.DualTable form, affine in
-sigma or staged like Three Hump Camel, with its exact gradient and Hessian.
-The central differences _fd_gradient and _fd_hessian are references for
-verify and the tests; the ascent does not use them.
+and Hessian: step direction from solving -H d = grad through the Cholesky
+factor of -H, with a steepest-ascent fallback when that factorisation
+fails (H not negative definite), and a backtracking line search that
+accepts a step only when the iterate keeps a strict feasibility margin
+and satisfies the Armijo ascent condition.  Feasibility is a threshold
+test: feasibility_fn(sigma, t) is True when sigma is feasible with margin
+greater than t, for the canonical dual lambda_min(G(sigma)) > t decided by
+a Cholesky factorisation of G - tI.
+
+Accepted dual values increase, with one exception at the rounding level:
+when a trial step's predicted gain step * slope is below the bound on the
+dual value's rounding error (rounding_fn), the value can no longer tell
+the trial from the iterate, and an interior trial is accepted when its
+gradient norm is smaller than the iterate's and its value at most that
+bound below the iterate's.  The bound is the dual's own (for the canonical
+dual a few units of roundoff times |c| + |1/2 F^T x_bar|), because the value
+alone cannot show the cancellation between those terms.  Every accepted
+iterate is strictly interior.
+
+The canonical pipeline (solve_canonical) climbs any dual of
+canonical.DualTable form, affine in sigma or staged like Three Hump Camel,
+with its exact gradient and Hessian.  The central differences _fd_gradient
+and _fd_hessian are references for verify and the tests; the ascent does
+not use them.
 
 There is no randomness anywhere in the solver: identical inputs and
 configuration produce bit-identical results.
@@ -32,15 +46,15 @@ from .errors import (
     NoInteriorPoint,
     SingularMatrixError,
 )
-from .smallmat import SymMatrix, Vector, min_eigenvalue, solve_sym
+from .smallmat import SymMatrix, Vector, cholesky, solve_sym
 
 ValueFn = Callable[[Sequence[float]], float]
 GradFn = Callable[[Sequence[float]], Sequence[float]]
 HessFn = Callable[[Sequence[float]], SymMatrix]
-FeasFn = Callable[[Sequence[float]], tuple[bool, float]]
+FeasFn = Callable[[Sequence[float], float], bool]
+RoundingFn = Callable[[Sequence[float]], float]
 
 _MIN_STEP = 1e-16
-_NEGDEF_TOL = 1e-12
 
 # Exceptions treated as "point outside the evaluable domain" by the start
 # search, the line search and the finite-difference references.
@@ -99,7 +113,8 @@ def find_interior_start(
     delta: float = 1e-9,
     tau_max: float = 1e6,
 ) -> tuple[float, ...]:
-    """First strictly feasible point on a deterministic ray grid.
+    """First point on a deterministic ray grid with feasibility_fn(sigma,
+    delta) True and a finite value.
 
     Candidates are the origin, then tau * u for geometrically growing tau
     over both signs of each coordinate direction and the all-ones direction.
@@ -122,15 +137,14 @@ def find_interior_start(
             tau *= 2.0
 
     for sigma in candidates():
-        _, margin = feasibility_fn(sigma)
-        if margin >= delta:
+        if feasibility_fn(sigma, delta):
             try:
                 value = value_fn(sigma)
             except _DOMAIN_ERRORS:
                 continue
             if math.isfinite(value):
                 return sigma
-    raise NoInteriorPoint(f"no strictly feasible point with margin >= {delta} up to tau {tau_max}")
+    raise NoInteriorPoint(f"no strictly feasible point with margin > {delta} up to tau {tau_max}")
 
 
 def _try_value(value_fn: ValueFn, sigma: Sequence[float]) -> float | None:
@@ -201,6 +215,11 @@ def _fd_hessian(grad_of: GradFn, sigma: tuple[float, ...], fd_step: float) -> Sy
     return SymMatrix(m, tuple(rows[i][j] for i in range(m) for j in range(i, m)))
 
 
+def _grad(gradient_fn: GradFn, sigma: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+    grad = tuple(float(g) for g in gradient_fn(sigma))
+    return grad, math.sqrt(sum(g * g for g in grad))
+
+
 def maximize_concave(
     value_fn: ValueFn,
     gradient_fn: GradFn,
@@ -208,8 +227,16 @@ def maximize_concave(
     feasibility_fn: FeasFn,
     start: Sequence[float],
     cfg: SolverConfig | None = None,
+    rounding_fn: RoundingFn | None = None,
 ) -> AscentResult:
     """Damped Newton ascent from a strictly feasible start.
+
+    feasibility_fn(sigma, t) is True when sigma is feasible with margin
+    greater than t; every iterate has margin greater than
+    cfg.interior_margin.  rounding_fn(sigma), when given, bounds the
+    rounding error of value_fn(sigma): a trial step whose predicted gain is
+    below it is accepted on a smaller gradient norm and a value at most
+    that bound below the iterate's (module docstring).
 
     Terminates with converged=True when the gradient norm drops below
     grad_tol, converged=False at the iteration cap, and raises
@@ -219,24 +246,22 @@ def maximize_concave(
     """
     cfg = cfg or SolverConfig()
     sigma = tuple(float(s) for s in start)
-    _, margin = feasibility_fn(sigma)
-    if margin < cfg.interior_margin:
-        raise ValueError(f"start margin {margin:.3e} below interior margin {cfg.interior_margin:.3e}")
+    if not feasibility_fn(sigma, cfg.interior_margin):
+        raise ValueError(f"start {sigma} does not have margin > interior margin {cfg.interior_margin:.3e}")
 
     value = value_fn(sigma)
-    grad = tuple(float(g) for g in gradient_fn(sigma))
-    grad_norm = math.sqrt(sum(g * g for g in grad))
+    grad, grad_norm = _grad(gradient_fn, sigma)
 
     for iteration in range(cfg.max_iter):
         if grad_norm <= cfg.grad_tol:
             return AscentResult(sigma, value, grad_norm, iteration, True)
 
-        hess = hessian_fn(sigma)
+        neg_hess = hessian_fn(sigma).scale(-1.0)
         direction = None
-        neg_hess = hess.scale(-1.0)
-        if min_eigenvalue(neg_hess) >= _NEGDEF_TOL:
+        factor = cholesky(neg_hess)
+        if factor is not None:
             try:
-                d = solve_sym(neg_hess, Vector(grad), residual_tol=1e-6)
+                d = solve_sym(neg_hess, Vector(grad), residual_tol=1e-6, factor=factor)
                 if sum(g * di for g, di in zip(grad, d)) > 0.0:
                     direction = tuple(d)
             except ColumnSpaceViolation:
@@ -246,27 +271,33 @@ def maximize_concave(
         slope = sum(g * d for g, d in zip(grad, direction))
 
         step = 1.0
+        rounding = None  # value_fn's rounding bound at sigma, computed when first needed
         accepted = None
         while step >= _MIN_STEP:
             trial = tuple(s + step * d for s, d in zip(sigma, direction))
-            _, trial_margin = feasibility_fn(trial)
-            if trial_margin >= cfg.interior_margin:
-                trial_value = _try_value(value_fn, trial)
-                if (
-                    trial_value is not None
-                    and trial_value >= value + cfg.armijo_c * step * slope
-                ):
-                    accepted = (trial, trial_value)
+            trial_value = _try_value(value_fn, trial) if feasibility_fn(trial, cfg.interior_margin) else None
+            if trial_value is not None:
+                if trial_value >= value + cfg.armijo_c * step * slope:
+                    accepted = (trial, trial_value, 0.0, None)
                     break
+                if rounding_fn is not None:
+                    if rounding is None:
+                        rounding = rounding_fn(sigma)
+                    if step * slope < rounding and trial_value >= value - rounding:
+                        trial_grad = _grad(gradient_fn, trial)
+                        if trial_grad[1] < grad_norm:
+                            accepted = (trial, trial_value, rounding, trial_grad)
+                            break
             step *= cfg.backtrack_ratio
         if accepted is None:
             raise LineSearchStalled(sigma, value, grad_norm, iteration)
 
-        new_sigma, new_value = accepted
-        assert new_value >= value, "ascent must be monotone across accepted steps"
+        new_sigma, new_value, slack, new_grad = accepted
+        assert new_value >= value - slack, (
+            "accepted values increase, or fall by at most the value's rounding bound on a smaller gradient"
+        )
         sigma, value = new_sigma, new_value
-        grad = tuple(float(g) for g in gradient_fn(sigma))
-        grad_norm = math.sqrt(sum(g * g for g in grad))
+        grad, grad_norm = new_grad or _grad(gradient_fn, sigma)
 
     converged = grad_norm <= cfg.grad_tol
     return AscentResult(sigma, value, grad_norm, cfg.max_iter, converged)
@@ -300,7 +331,7 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
     dual gradient and Hessian, primal recovery, and certificate triage."""
     cfg = cfg or SolverConfig()
     value_fn = partial(canonical.dual_value, pr)
-    feasibility_fn = partial(canonical.in_positive_domain, pr)
+    feasibility_fn = partial(canonical.in_interior, pr)
     start = find_interior_start(value_fn, feasibility_fn, pr.m, cfg.interior_margin)
     stalled = False
     try:
@@ -311,13 +342,14 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
             feasibility_fn,
             start,
             cfg,
+            rounding_fn=partial(canonical.dual_rounding, pr),
         )
     except LineSearchStalled as stall:
         result = AscentResult(stall.sigma, stall.value, stall.grad_norm, stall.iterations, False)
         stalled = True
 
     sigma_star = result.sigma
-    _, psd_margin = canonical.in_positive_domain(pr, sigma_star)
+    _, psd_margin = canonical.in_positive_domain(pr, sigma_star)  # the one eigenvalue, for the report
     x_bar = canonical.recover_primal(pr, sigma_star)
     primal = canonical.primal_value(pr, x_bar)
     xi = canonical.complementary_value(pr, x_bar, sigma_star)

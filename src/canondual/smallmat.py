@@ -2,10 +2,18 @@
 
 Symmetry is structural: a SymMatrix is given by its upper triangle, so
 there is exactly one stored value per (i, j) pair; the full rows are
-expanded from it once, at construction, for reads.  Eigenvalues come from
-closed forms for n in {1, 2} and cyclic Jacobi sweeps for n in {3, 4};
-solves use pivoted elimination with an eigendecomposition fallback for
-singular matrices, followed by a column-space residual check.
+expanded from it once, at construction, for reads.
+
+Threshold tests lambda_min(S) > t ask whether S - tI has a Cholesky
+factorisation with all pivots > 0 (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 10), by closed forms for n <= 2 and by the
+factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues
+themselves come from closed forms for n in {1, 2} and cyclic Jacobi sweeps
+for n in {3, 4}.  Solves are closed forms for n <= 2 (a division; the 2x2
+inverse by its determinant), for n >= 3 substitution through a Cholesky
+factor when the caller has one, and otherwise pivoted elimination with an
+eigendecomposition fallback for singular matrices; each is followed by one
+step of iterative refinement and a column-space residual check.
 
 Everything here is pure-Python float arithmetic: the sizes are tiny, the
 kernels deterministic, and the test suite cross-checks them against
@@ -17,16 +25,15 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter, mul, sub
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import ColumnSpaceViolation, DimensionMismatch
 
 MAX_DIM = 4
 
-# PSD membership accepts margin >= -PSD_TOL; certified-interior tests
-# require margin >= +INTERIOR_MARGIN, separating the two regimes.
+# PSD membership accepts margin >= -PSD_TOL.
 PSD_TOL = 1e-9
-INTERIOR_MARGIN = 1e-9
 
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
@@ -95,6 +102,17 @@ _ROW_GETTERS = {
 }
 
 
+def full_rows(n: int, upper: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """The rows of the symmetric matrix whose upper triangle is the first
+    n(n+1)/2 entries of upper."""
+    return (tuple(upper[:1]),) if n == 1 else tuple([row(upper) for row in _ROW_GETTERS[n]])
+
+
+# Upper-triangle index of (i, j), j <= i, by matrix size: the lower
+# triangle a Cholesky factorisation reads.
+_LOWER_INDEX = {n: [[_triu_index(n, i, j) for j in range(i + 1)] for i in range(n)] for n in range(1, MAX_DIM + 1)}
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     n: int
@@ -111,8 +129,7 @@ class SymMatrix:
             )
         upper = tuple(map(float, self.upper))
         object.__setattr__(self, "upper", upper)
-        rows = (upper,) if self.n == 1 else tuple([row(upper) for row in _ROW_GETTERS[self.n]])
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", full_rows(self.n, upper))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "SymMatrix":
@@ -159,13 +176,6 @@ class SymMatrix:
     def quadratic_form(self, v: Vector | Sequence[float]) -> float:
         """v^T S v."""
         return self.matvec(v).dot(v)
-
-    def frobenius(self) -> float:
-        total = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                total += self.entry(i, j) ** 2
-        return math.sqrt(total)
 
 
 def add_scaled(base: SymMatrix, parts: Sequence[tuple[float, SymMatrix]]) -> SymMatrix:
@@ -264,6 +274,54 @@ def is_psd(S: SymMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     return margin >= -tol, margin
 
 
+def _cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]] | None:
+    """Rows of the lower factor L, L L^T = S - shift I for the S whose upper
+    triangle is the first n(n+1)/2 entries of upper; None when a pivot is
+    not > 0, that is when lambda_min(S) <= shift up to rounding."""
+    factor: list[list[float]] = []
+    for i, index in enumerate(_LOWER_INDEX[n]):
+        row: list[float] = []
+        for j in range(i):
+            lower = factor[j]
+            row.append((upper[index[j]] - sum(map(mul, row, lower))) / lower[j])
+        pivot = upper[index[i]] - shift - sum(map(mul, row, row))
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return factor
+
+
+def cholesky(S: SymMatrix, shift: float = 0.0) -> list[list[float]] | None:
+    """Rows of the lower Cholesky factor of S - shift I, or None when that
+    matrix is not positive definite: the threshold test lambda_min(S) > shift."""
+    return _cholesky(S.n, S.upper, shift)
+
+
+def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
+    """lambda_min(S) > t for the symmetric S whose upper triangle is the
+    first n(n+1)/2 entries of upper: S - tI has a Cholesky factorisation
+    with all pivots > 0.  For n <= 2 the pivots are closed forms."""
+    if n == 1:
+        return upper[0] - t > 0.0
+    if n == 2:
+        a = upper[0] - t
+        return a > 0.0 and a * (upper[2] - t) - upper[1] * upper[1] > 0.0
+    return _cholesky(n, upper, t) is not None
+
+
+def _substitute(factor: list[list[float]], v: Sequence[float]) -> Vector:
+    """x with L L^T x = v, by forward then back substitution."""
+    n = len(factor)
+    y: list[float] = []
+    for row, vi in zip(factor, v):
+        y.append((vi - sum(map(mul, row, y))) / row[-1])
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - sum(factor[k][i] * x[k] for k in range(i + 1, n))) / factor[i][i]
+    return Vector(tuple(x))
+
+
 def _solve_pivoted(S: SymMatrix, v: Vector) -> Vector | None:
     """Gaussian elimination with partial pivoting; None when singular."""
     n = S.n
@@ -299,39 +357,21 @@ def _solve_pseudo(S: SymMatrix, v: Vector) -> Vector:
     return Vector(tuple(x))
 
 
-def _solve_once(S: SymMatrix, v: Vector) -> Vector:
-    scale = max(1.0, max(map(abs, S.upper)))
-    if S.n == 1:
-        (s,), (v0,) = S.upper, v.entries
-        return Vector((v0 / s,)) if abs(s) > _SINGULAR_PIVOT * scale else Vector((0.0,))
-    if S.n == 2:
-        (a, b, d), (v0, v1) = S.upper, v.entries
-        det = a * d - b * b
-        if abs(det) > (_SINGULAR_PIVOT * scale) ** 2:
-            return Vector(((d * v0 - b * v1) / det, (a * v1 - b * v0) / det))
-        return _solve_pseudo(S, v)
+def _solve_eliminated(S: SymMatrix, v: Vector) -> Vector:
+    """Elimination, or the least-squares solve when S is singular."""
     solved = _solve_pivoted(S, v)
     return solved if solved is not None else _solve_pseudo(S, v)
 
 
-def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
-    """Solve S x = v, least-squares when S is singular.
-
-    One step of iterative refinement keeps residuals near rounding level
-    for moderately conditioned systems.  Raises ColumnSpaceViolation when
-    the residual exceeds residual_tol * (1 + ||v||), i.e. v is not in the
-    column space of S.
-    """
-    if not isinstance(v, Vector):
-        v = Vector(tuple(v))
-    if v.n != S.n:
-        raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
-    x = _solve_once(S, v)
+def _refined(S: SymMatrix, v: Vector, residual_tol: float, solve_once) -> Vector:
+    """solve_once(v), one step of iterative refinement with solve_once and
+    the column-space residual check of solve_sym."""
+    x = solve_once(v)
     residual_vec = v - S.matvec(x)
     residual = residual_vec.norm()
     v_norm = v.norm()
     if residual > 1e-14 * (1.0 + v_norm):
-        corrected = x + _solve_once(S, residual_vec)
+        corrected = x + solve_once(residual_vec)
         corrected_residual = (v - S.matvec(corrected)).norm()
         if corrected_residual < residual:
             x, residual = corrected, corrected_residual
@@ -339,6 +379,69 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     if residual > limit:
         raise ColumnSpaceViolation(residual, limit)
     return x
+
+
+def solve_1x1(s: float, v: float, residual_tol: float = 1e-9) -> float:
+    """solve_sym for a 1x1 system, on floats: v / s, or 0 when s is zero to
+    working precision and v is too (ColumnSpaceViolation otherwise).  The
+    quotient is correctly rounded, so refinement would never change it."""
+    if abs(s) > _SINGULAR_PIVOT * max(1.0, abs(s)):
+        return v / s
+    limit = residual_tol * (1.0 + abs(v))
+    if abs(v) > limit:
+        raise ColumnSpaceViolation(abs(v), limit)
+    return 0.0
+
+
+def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: float = 1e-9) -> tuple[float, float]:
+    """solve_sym for the system [[a, b], [b, d]] x = (v0, v1), on floats:
+    the inverse by its determinant, one refinement step, the residual check."""
+    det = a * d - b * b
+    if not abs(det) > (_SINGULAR_PIVOT * max(1.0, abs(a), abs(b), abs(d))) ** 2:
+        S = SymMatrix(2, (a, b, d))
+        return _refined(S, Vector((v0, v1)), residual_tol, partial(_solve_pseudo, S)).entries
+    x0 = (d * v0 - b * v1) / det
+    x1 = (a * v1 - b * v0) / det
+    r0 = v0 - (a * x0 + b * x1)
+    r1 = v1 - (b * x0 + d * x1)
+    residual = math.sqrt(r0 * r0 + r1 * r1)
+    v_norm = math.sqrt(v0 * v0 + v1 * v1)
+    if residual > 1e-14 * (1.0 + v_norm):
+        y0 = x0 + (d * r0 - b * r1) / det
+        y1 = x1 + (a * r1 - b * r0) / det
+        r0 = v0 - (a * y0 + b * y1)
+        r1 = v1 - (b * y0 + d * y1)
+        corrected = math.sqrt(r0 * r0 + r1 * r1)
+        if corrected < residual:
+            x0, x1, residual = y0, y1, corrected
+    limit = residual_tol * (1.0 + v_norm)
+    if residual > limit:
+        raise ColumnSpaceViolation(residual, limit)
+    return x0, x1
+
+
+def solve_sym(
+    S: SymMatrix, v: Vector, residual_tol: float = 1e-9, factor: list[list[float]] | None = None
+) -> Vector:
+    """Solve S x = v, least-squares when S is singular.
+
+    n <= 2 goes through solve_1x1 and solve_2x2.  For n >= 3, factor, the
+    Cholesky factor of a positive definite S (cholesky(S)), replaces
+    elimination.  One step of iterative refinement keeps residuals near
+    rounding level for moderately conditioned systems.  Raises
+    ColumnSpaceViolation when the residual exceeds residual_tol * (1 + ||v||),
+    i.e. v is not in the column space of S.
+    """
+    if not isinstance(v, Vector):
+        v = Vector(tuple(v))
+    if v.n != S.n:
+        raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
+    if S.n == 1:
+        return Vector((solve_1x1(S.upper[0], v[0], residual_tol),))
+    if S.n == 2:
+        return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
+    solve_once = partial(_solve_eliminated, S) if factor is None else partial(_substitute, factor)
+    return _refined(S, v, residual_tol, solve_once)
 
 
 def is_nonsingular(S: SymMatrix, rel_tol: float = 1e-12) -> bool:

@@ -272,14 +272,9 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 def _problem_interior_samples(
     pr: canonical.CanonicalProblem, count: int, seed: int, delta: float
 ) -> list[tuple[float, ...]]:
-    """Feasible interior dual points near the interior-start ray."""
-
-    def feasibility(sigma: Sequence[float]) -> tuple[bool, float]:
-        return canonical.in_positive_domain(pr, sigma)
-
-    anchor = dual_solver.find_interior_start(
-        lambda s: canonical.dual_value(pr, s), feasibility, pr.m, delta
-    )
+    """Dual points with margin > 10 delta near the interior-start ray."""
+    feasible = partial(canonical.in_interior, pr)
+    anchor = dual_solver.find_interior_start(partial(canonical.dual_value, pr), feasible, pr.m, delta)
     rng = oracle.Lcg(seed)
     points: list[tuple[float, ...]] = []
     radius = 1.0
@@ -287,8 +282,7 @@ def _problem_interior_samples(
     while len(points) < count and attempts < 200 * count:
         attempts += 1
         trial = tuple(a + rng.uniform(-radius, radius) for a in anchor)
-        _, margin = feasibility(trial)
-        if margin >= 10 * delta:
+        if feasible(trial, 10 * delta):
             points.append(trial)
     if len(points) < count:
         points.extend([anchor] * (count - len(points)))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -290,6 +291,44 @@ def test_table_derivatives_match_central_differences(case):
         assert abs(got - want) <= 1e-6 * scale
     reference = _fd_hessian(lambda s: canonical.dual_gradient(pr, s), sigma, 1e-6)
     assert_hessians_close(canonical.dual_hessian(pr, sigma), reference, 1e-5)
+
+
+@given(interior_canonical_points(), st.floats(-2.0, 2.0))
+def test_dual_point_against_numpy(case, t):
+    # One factorisation per dual point: the value and x_bar come from the
+    # factor of G, the threshold test from one of G - tI.
+    pr, sigma = case
+    G = np.array(canonical.g_matrix(pr, sigma).to_rows())
+    F = np.array(canonical.f_vector(pr, sigma).entries)
+    x = np.linalg.solve(G, F)
+    scale = 1e-12 * np.linalg.cond(G) * (1.0 + np.abs(x).max())
+    assert np.allclose(canonical.recover_primal(pr, sigma).entries, x, rtol=0.0, atol=scale)
+    c = canonical.complementary_value(pr, (0.0,) * pr.n, sigma)  # Xi(0, sigma) = c(sigma)
+    assert canonical.dual_value(pr, sigma) == pytest.approx(-0.5 * float(F @ x) + c, abs=scale * (1.0 + np.abs(F).sum()))
+    lam = float(np.linalg.eigvalsh(G)[0])
+    if abs(lam - t) > 1e-9 * (1.0 + abs(t) + np.abs(G).max()):
+        assert canonical.in_interior(pr, sigma, t) is (lam > t)
+
+
+class TestScalarDualPoint:
+    def test_primal_is_one_correctly_rounded_division(self, gp):
+        rng = Lcg(16)
+        for _ in range(200):
+            sigma = (rng.uniform(-53.0 / 3.0 + 1e-3, 40.0),)
+            (g,) = canonical.g_matrix(gp, sigma).upper
+            (f,) = canonical.f_vector(gp, sigma).entries
+            expected = float(Fraction(f) / Fraction(g))
+            assert canonical.recover_primal(gp, sigma).entries == (expected,)
+            assert canonical.dual_value(gp, sigma) == -0.5 * (f * expected) + (
+                canonical.complementary_value(gp, (0.0,), sigma)
+            )
+
+    def test_in_interior_is_a_strict_threshold(self, gp):
+        # G(sigma) = 2 sigma + 106/3 is exact at sigma = -16 (G = 10/3 in floats).
+        g = canonical.g_matrix(gp, (-16.0,)).upper[0]
+        assert canonical.in_interior(gp, (-16.0,), g - 1e-12)
+        assert not canonical.in_interior(gp, (-16.0,), g)
+        assert not canonical.in_interior(gp, (-53.0 / 3.0,), 0.0)
 
 
 class TestComplementary:

@@ -1,6 +1,7 @@
 """The concave-maximization engine and its certificate triage."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,9 +83,29 @@ STALLED_UNDER_FD_HESSIAN = [
     ),
 ]
 
+# A planted problem (n = 3, m = 3) whose ascent crawls along the PSD
+# boundary before Newton takes over, and whose last steps gain less than the
+# dual value's rounding error: (problem file, x*, P(x*)).
+CRAWLS_ALONG_THE_BOUNDARY = (
+    """{"n": 3, "m": 3,
+        "A": [[3, 1, 0], [1, 7, 0], [0, 0, 1]],
+        "f": ["-55/16", "83/16", "-67/32"],
+        "operators": [
+            {"C": [["-1/2", "1/2", "1/2"], ["1/2", 1, 0], ["1/2", 0, "1/2"]],
+             "b": [-2, 1, -2], "c": 2},
+            {"C": [[-1, -1, -1], [-1, "1/2", -1], [-1, -1, -1]],
+             "b": [-1, 2, -2], "c": 0},
+            {"C": [["-1/2", "1/2", 1], ["1/2", 1, 0], [1, 0, "1/2"]],
+             "b": [2, 2, -1], "c": -2}],
+        "V": [{"a": 1, "beta": "157/32"}, {"a": "1/4", "beta": "205/128"},
+              {"a": 1, "beta": "-95/32"}]}""",
+    ("5/4", "1/4", "1/2"),
+    "-25169/16384",
+)
 
-def always_feasible(sigma):
-    return True, 1.0
+
+def always_feasible(sigma, margin):
+    return True
 
 
 def dual_fns(pr):
@@ -94,7 +115,7 @@ def dual_fns(pr):
         lambda s: canonical.dual_value(pr, s),
         lambda s: canonical.dual_gradient(pr, s),
         lambda s: canonical.dual_hessian(pr, s),
-        lambda s: canonical.in_positive_domain(pr, s),
+        lambda s, t: canonical.in_interior(pr, s, t),
     )
 
 
@@ -115,7 +136,7 @@ class TestFindInteriorStart:
         pr = gp_canonical_g()
         start = find_interior_start(
             lambda s: canonical.dual_value(pr, s),
-            lambda s: canonical.in_positive_domain(pr, s),
+            lambda s, t: canonical.in_interior(pr, s, t),
             1,
         )
         assert start == (0.0,)
@@ -123,19 +144,18 @@ class TestFindInteriorStart:
     def test_three_hump_accepts_origin(self):
         pr = thc_problem()
         start = find_interior_start(
-            lambda s: canonical.dual_value(pr, s), lambda s: canonical.in_positive_domain(pr, s), 2
+            lambda s: canonical.dual_value(pr, s), lambda s, t: canonical.in_interior(pr, s, t), 2
         )
         assert start == (0.0, 0.0)
 
     def test_infeasible_everywhere(self):
         with pytest.raises(NoInteriorPoint):
-            find_interior_start(lambda s: 0.0, lambda s: (False, -1.0), 2, tau_max=10.0)
+            find_interior_start(lambda s: 0.0, lambda s, t: False, 2, tau_max=10.0)
 
     def test_origin_excluded_finds_ray_point(self):
         # Feasible iff sigma_0 >= 1: the ray grid must find it.
-        def feas(sigma):
-            margin = sigma[0] - 1.0
-            return margin >= 0, margin
+        def feas(sigma, t):
+            return sigma[0] - 1.0 > t
 
         start = find_interior_start(lambda s: 0.0, feas, 1)
         assert start[0] >= 1.0
@@ -210,7 +230,7 @@ class TestMaximizeConcave:
             lambda s: canonical.dual_value(pr, s),
             gradient_fn,
             hessian_fn,
-            lambda s: canonical.in_positive_domain(pr, s),
+            lambda s, t: canonical.in_interior(pr, s, t),
             (0.0,),
         )
         assert result.converged
@@ -224,6 +244,69 @@ class TestMaximizeConcave:
             return maximize_concave(*dual_fns(pr), (0.0,))
 
         assert run() == run()
+
+
+class TestRoundingLevelSteps:
+    """Steps whose predicted gain is below the value's rounding error."""
+
+    # -(s - 1)^2 through a cancellation against 1e3: near s = 1 every
+    # computed value is 0.0, so no step can show an Armijo gain.
+    @staticmethod
+    def value_fn(sigma):
+        return (1e3 - (sigma[0] - 1.0) ** 2) - 1e3
+
+    @staticmethod
+    def rounding_fn(sigma):
+        return 4 * sys.float_info.epsilon * 1e3
+
+    gradient_fn = staticmethod(lambda s: (-2.0 * (s[0] - 1.0),))
+    hessian_fn = staticmethod(lambda s: SymMatrix(1, (-2.0,)))
+
+    def test_stalls_without_a_rounding_bound(self):
+        with pytest.raises(LineSearchStalled):
+            maximize_concave(self.value_fn, self.gradient_fn, self.hessian_fn, always_feasible, (1.0 + 1e-8,))
+
+    def test_accepts_a_smaller_gradient_at_an_unresolved_value(self):
+        counts = {"gradient": 0}
+
+        def gradient_fn(sigma):
+            counts["gradient"] += 1
+            return self.gradient_fn(sigma)
+
+        result = maximize_concave(
+            self.value_fn, gradient_fn, self.hessian_fn, always_feasible, (1.0 + 1e-8,),
+            rounding_fn=self.rounding_fn,
+        )
+        assert result.converged
+        assert result.sigma == (1.0,)
+        assert result.iterations == 1
+        # The trial's gradient is kept for the accepted iterate.
+        assert counts["gradient"] == result.iterations + 1
+
+    def test_value_may_fall_by_at_most_the_bound(self):
+        # The value at the optimum reads 1e-15 low, as rounding might have it.
+        def value_fn(sigma):
+            return -((sigma[0] - 1.0) ** 2) - (1e-15 if sigma[0] == 1.0 else 0.0)
+
+        start = (1.0 + 1e-9,)
+        args = (value_fn, self.gradient_fn, self.hessian_fn, always_feasible, start)
+        result = maximize_concave(*args, rounding_fn=lambda s: 1e-13)
+        assert result.converged and result.sigma == (1.0,)
+        assert value_fn(start) - 1e-13 <= result.value < value_fn(start)
+        # A bound below the fall rejects the optimum: Armijo steps take over.
+        result = maximize_concave(*args, rounding_fn=lambda s: 1e-16)
+        assert result.converged and result.sigma != (1.0,)
+        assert result.value >= value_fn(start)
+
+    def test_crawl_along_the_boundary_certifies(self):
+        text, x_star, value = CRAWLS_ALONG_THE_BOUNDARY
+        report = solve_canonical(parse_problem_dict(json.loads(text)).to_problem())
+        assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
+        for got, want in zip(report.x_bar, x_star):
+            assert got == pytest.approx(float(Fraction(want)), abs=1e-9)
+        planted = float(Fraction(value))
+        assert report.primal == pytest.approx(planted, abs=1e-9 * (1.0 + abs(planted)))
+        assert report.grad_norm <= SolverConfig().grad_tol
 
 
 class TestSolveCanonical:
