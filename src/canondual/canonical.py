@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -39,13 +39,14 @@ from .smallmat import (
     PSD_TOL,
     SymMatrix,
     Vector,
-    cholesky,
+    _cholesky,
     exceeds,
     full_rows,
     is_nonsingular,
     is_psd,
     solve_1x1,
     solve_2x2,
+    solve_factored,
     solve_sym,
 )
 
@@ -66,8 +67,11 @@ class QuadOperator:
             raise DimensionMismatch(f"C is {self.C.n}x{self.C.n} but b has length {self.b.n}")
         object.__setattr__(self, "c", float(self.c))
 
-    def value(self, x: Vector) -> float:
-        return 0.5 * self.C.quadratic_form(x) + self.b.dot(x) + self.c
+    def value(self, x: Sequence[float]) -> float:
+        """Lambda(x) on the stored rows of C, in the order of
+        0.5 * C.quadratic_form(x) + b.dot(x) + c."""
+        cx = [sum(map(mul, row, x)) for row in self.C.rows]
+        return 0.5 * sum(map(mul, cx, x)) + sum(map(mul, self.b.entries, x)) + self.c
 
 
 @dataclass(frozen=True)
@@ -239,31 +243,39 @@ def _check_sigma(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(float, sigma))
 
 
-def _as_vector(pr: Problem, x: Sequence[float]) -> Vector:
-    v = x if isinstance(x, Vector) else Vector(tuple(x))
-    if v.n != pr.n:
-        raise DimensionMismatch(f"x has length {v.n}, expected {pr.n}")
+def _point(pr: Problem, x: Sequence[float]) -> tuple[float, ...]:
+    v = x.entries if isinstance(x, Vector) else tuple(map(float, x))
+    if len(v) != pr.n:
+        raise DimensionMismatch(f"x has length {len(v)}, expected {pr.n}")
     return v
+
+
+def _measures(pr: CanonicalProblem, v: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple([op.value(v) for op in pr.ops])
+
+
+def _u(pr: CanonicalProblem, v: tuple[float, ...]) -> float:
+    ax = [sum(map(mul, row, v)) for row in pr.A.rows]
+    return -0.5 * sum(map(mul, ax, v)) + sum(map(mul, pr.f.entries, v))
 
 
 def lambda_eval(pr: CanonicalProblem, x: Sequence[float]) -> tuple[float, ...]:
     """The measure vector xi = Lambda(x)."""
-    v = _as_vector(pr, x)
-    return tuple(op.value(v) for op in pr.ops)
+    return _measures(pr, _point(pr, x))
 
 
 def u_value(pr: CanonicalProblem, x: Sequence[float]) -> float:
-    """U(x) = -1/2 x^T A x + x^T f."""
-    v = _as_vector(pr, x)
-    return -0.5 * pr.A.quadratic_form(v) + pr.f.dot(v)
+    """U(x) = -1/2 x^T A x + x^T f, in the order of
+    -0.5 * A.quadratic_form(x) + f.dot(x)."""
+    return _u(pr, _point(pr, x))
 
 
 def primal_value(pr: Problem, x: Sequence[float]) -> float:
     """P(x): V(Lambda(x)) - U(x) in canonical form, the objective otherwise."""
-    v = _as_vector(pr, x)
+    v = _point(pr, x)
     if isinstance(pr, TableProblem):
         return pr.objective.eval(v)
-    return pr.V.value(lambda_eval(pr, v)) - u_value(pr, v)
+    return pr.V.value(_measures(pr, v)) - _u(pr, v)
 
 
 def conjugate_value(V: ConvexQuadV, sigma: Sequence[float]) -> float:
@@ -318,10 +330,11 @@ def _solver(table: DualTable, acc: list[float]) -> tuple[bool, Solve]:
     factorisation of G for all the solves at one dual point.
 
     For n <= 2 the solves are solve_1x1 and solve_2x2 on the accumulated
-    entries.  For n >= 3 the Cholesky factor of G is both the positive
-    definiteness test and the solver; solve_sym eliminates when G is not
-    positive definite.  Every solve keeps solve_sym's refinement step and
-    residual check.
+    entries.  For n >= 3 the Cholesky factor of the accumulated upper
+    triangle is both the positive definiteness test and, through
+    solve_factored, the solver; only a G that is not positive definite
+    becomes a SymMatrix for solve_sym's elimination.  Every solve keeps
+    solve_sym's refinement step and residual check.
     """
     n = table.n
     if n == 1:
@@ -330,9 +343,12 @@ def _solver(table: DualTable, acc: list[float]) -> tuple[bool, Solve]:
     if n == 2:
         a, b, d = acc[0], acc[1], acc[2]
         return exceeds(2, acc, 0.0), lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
+    factor = _cholesky(n, acc, 0.0)
+    if factor is not None:
+        rows = full_rows(n, acc)
+        return True, lambda v, tol: solve_factored(factor, rows, v, tol)
     G = _g(table, acc)
-    factor = cholesky(G)
-    return factor is not None, lambda v, tol: solve_sym(G, Vector(v), tol, factor).entries
+    return False, lambda v, tol: solve_sym(G, v, tol).entries
 
 
 def _at(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, list[float]]:
@@ -423,7 +439,7 @@ def complementary_value(pr: Problem, x: Sequence[float], sigma: Sequence[float])
     """Xi(x, sigma) = 1/2 x^T G(sigma) x - x^T F(sigma) + c(sigma), which in
     canonical form is Lambda(x)^T sigma - V*(sigma) - U(x)."""
     _, table, acc = _at(pr, sigma)
-    return _xi(table, acc, _as_vector(pr, x))
+    return _xi(table, acc, _point(pr, x))
 
 
 def in_positive_domain(
@@ -456,32 +472,41 @@ def duality_gap(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> tupl
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
     """P(x) as an exact polynomial (float data converts exactly to rationals).
 
-    Used by the oracle to cross-check solutions of file-defined problems.
+    Expanded on one {exponents: Fraction} map: each Lambda_k as its terms,
+    then a_k Lambda_k^2 + beta_k Lambda_k over the upper triangle of term
+    pairs, then 1/2 x^T A x - x^T f.  Used by the oracle to cross-check
+    solutions of file-defined problems, and printed by verify.
     """
     n = pr.n
-    xs = [MultiPoly.variable(n, i) for i in range(n)]
+    zero = (0,) * n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    def quad_poly(S: SymMatrix) -> MultiPoly:
-        acc = MultiPoly.zero(n)
+    def quadratic(S: SymMatrix, b: Sequence[float], c: float) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The terms of 1/2 x^T S x + x^T b + c."""
+        terms = {zero: Fraction(c)}
         for i in range(n):
-            for j in range(n):
-                coeff = Fraction(S.entry(i, j))
-                if coeff:
-                    acc = acc + (xs[i] * xs[j]).scale(coeff)
-        return acc
+            terms[units[i]] = Fraction(b[i])
+            for j in range(i, n):
+                s = Fraction(S.rows[i][j])
+                terms[tuple(map(add, units[i], units[j]))] = s / 2 if i == j else s
+        return [(e, t) for e, t in terms.items() if t]
 
-    total = MultiPoly.zero(n)
+    total: dict[tuple[int, ...], Fraction] = {}
+
+    def accumulate(exps: tuple[int, ...], value: Fraction) -> None:
+        total[exps] = total[exps] + value if exps in total else value
+
     for (a, beta), op in zip(pr.V.pairs, pr.ops):
-        lam = quad_poly(op.C).scale(Fraction(1, 2)) + MultiPoly.constant(n, Fraction(op.c))
-        for i in range(n):
-            bi = Fraction(op.b[i])
-            if bi:
-                lam = lam + xs[i].scale(bi)
-        total = total + (lam * lam).scale(Fraction(a)) + lam.scale(Fraction(beta))
+        lam = quadratic(op.C, op.b.entries, op.c)
+        a, beta = Fraction(a), Fraction(beta)
+        for p, (e1, t1) in enumerate(lam):
+            scaled = a * t1
+            accumulate(tuple(map(add, e1, e1)), scaled * t1)
+            twice = 2 * scaled
+            for e2, t2 in lam[p + 1:]:
+                accumulate(tuple(map(add, e1, e2)), twice * t2)
+            accumulate(e1, beta * t1)
     # minus U(x) = +1/2 x^T A x - x^T f
-    total = total + quad_poly(pr.A).scale(Fraction(1, 2))
-    for i in range(n):
-        fi = Fraction(pr.f[i])
-        if fi:
-            total = total - xs[i].scale(fi)
-    return total
+    for exps, value in quadratic(pr.A, [-f for f in pr.f.entries], 0.0):
+        accumulate(exps, value)
+    return MultiPoly(n, total)

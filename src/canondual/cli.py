@@ -315,18 +315,20 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK if certified else _EXIT_UNCERTIFIED
 
 
-def _serialized_poly_lines(args) -> list[tuple[str, MultiPoly]]:
-    """The exact polynomials whose identities the suite certifies."""
-    if args.problem == "gp":
+def _serialized_poly_lines(problem: str, pr: canonical.CanonicalProblem | None) -> list[tuple[str, MultiPoly]]:
+    """The exact polynomials whose identities the suite certifies; pr is
+    the loaded file problem."""
+    if problem == "gp":
         dec = benchmarks.gp_decompose()
         return [("f1", benchmarks.gp_objective()), ("h", dec.h), ("g", dec.g)]
-    if args.problem == "thc":
+    if problem == "thc":
         return [("f2", benchmarks.thc_objective())]
-    return [("P", canonical.primal_polynomial(load_problem_file(args.path)))]
+    return [("P", canonical.primal_polynomial(pr))]
 
 
 def _cmd_verify(args) -> int:
     cfg = _solver_config(args)
+    pr = None
     if args.problem == "gp":
         checks = verify.verify_gp(cfg)
     elif args.problem == "thc":
@@ -341,7 +343,7 @@ def _cmd_verify(args) -> int:
         print(f"{status}  {check.name}{suffix}")
         all_ok &= check.passed
     print('exact terms ("num/den e1 ... ek", graded-lex):')
-    for name, poly in _serialized_poly_lines(args):
+    for name, poly in _serialized_poly_lines(args.problem, pr):
         print(f"  {name}: " + " | ".join(poly.to_text().splitlines()))
     print(f"{'all checks passed' if all_ok else 'some checks FAILED'} ({len(checks)} checks)")
     return _EXIT_OK if all_ok else _EXIT_VERIFY_FAILED

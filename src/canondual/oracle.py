@@ -33,6 +33,7 @@ from .polynomial import MultiPoly
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+_UNIT_SCALE = float(1 << 33)  # top 33 bits of the state -> [0, 1)
 
 _EPS = sys.float_info.epsilon
 _SHIFT_FLOOR = 1e-8  # relative floor on the shifted Hessian's eigenvalues
@@ -52,10 +53,12 @@ class Lcg:
 
     def next_unit(self) -> float:
         """Uniform float in [0, 1) from the top 33 bits of the state."""
-        return (self.next_u64() >> 31) / float(1 << 33)
+        return (self.next_u64() >> 31) / _UNIT_SCALE
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_unit()
+        """lo + (hi - lo) * next_unit(), advancing the state in place."""
+        self.state = state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & _MASK64
+        return lo + (hi - lo) * ((state >> 31) / _UNIT_SCALE)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues
 themselves come from closed forms for n in {1, 2} and cyclic Jacobi sweeps
 for n in {3, 4}.  Solves are closed forms for n <= 2 (a division; the 2x2
 inverse by its determinant), for n >= 3 substitution through a Cholesky
-factor when the caller has one, and otherwise pivoted elimination with an
+factor when the caller has one (solve_factored, which needs only the factor
+and the matrix's rows), and otherwise pivoted elimination with an
 eigendecomposition fallback for singular matrices; each is followed by one
-step of iterative refinement and a column-space residual check.
+step of iterative refinement and a column-space residual check, computed
+on plain lists.
 
 Everything here is pure-Python float arithmetic: the sizes are tiny, the
 kernels deterministic, and the test suite cross-checks them against
@@ -38,6 +40,10 @@ PSD_TOL = 1e-9
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
 _SINGULAR_PIVOT = 1e-13
+
+
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(sum(map(mul, v, v)))
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class Vector:
         return sum(map(mul, self.entries, other_entries))
 
     def norm(self) -> float:
-        return math.sqrt(sum(map(mul, self.entries, self.entries)))
+        return _norm(self.entries)
 
     def __add__(self, other: "Vector") -> "Vector":
         if other.n != self.n:
@@ -310,7 +316,7 @@ def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
     return _cholesky(n, upper, t) is not None
 
 
-def _substitute(factor: list[list[float]], v: Sequence[float]) -> Vector:
+def _substitute(factor: list[list[float]], v: Sequence[float]) -> list[float]:
     """x with L L^T x = v, by forward then back substitution."""
     n = len(factor)
     y: list[float] = []
@@ -319,10 +325,10 @@ def _substitute(factor: list[list[float]], v: Sequence[float]) -> Vector:
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - sum(factor[k][i] * x[k] for k in range(i + 1, n))) / factor[i][i]
-    return Vector(tuple(x))
+    return x
 
 
-def _solve_pivoted(S: SymMatrix, v: Vector) -> Vector | None:
+def _solve_pivoted(S: SymMatrix, v: Sequence[float]) -> list[float] | None:
     """Gaussian elimination with partial pivoting; None when singular."""
     n = S.n
     scale = max(1.0, max(abs(x) for x in S.upper))
@@ -340,10 +346,10 @@ def _solve_pivoted(S: SymMatrix, v: Vector) -> Vector | None:
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
-    return Vector(tuple(x))
+    return x
 
 
-def _solve_pseudo(S: SymMatrix, v: Vector) -> Vector:
+def _solve_pseudo(S: SymMatrix, v: Sequence[float]) -> list[float]:
     """Least-squares solve through the eigendecomposition, dropping tiny modes."""
     evals, vecs = eigen_sym(S)
     cutoff = _SINGULAR_PIVOT * max(1.0, max(abs(e) for e in evals))
@@ -354,31 +360,41 @@ def _solve_pseudo(S: SymMatrix, v: Vector) -> Vector:
         proj = sum(col[i] * v[i] for i in range(S.n)) / lam
         for i in range(S.n):
             x[i] += proj * col[i]
-    return Vector(tuple(x))
+    return x
 
 
-def _solve_eliminated(S: SymMatrix, v: Vector) -> Vector:
+def _solve_eliminated(S: SymMatrix, v: Sequence[float]) -> list[float]:
     """Elimination, or the least-squares solve when S is singular."""
     solved = _solve_pivoted(S, v)
     return solved if solved is not None else _solve_pseudo(S, v)
 
 
-def _refined(S: SymMatrix, v: Vector, residual_tol: float, solve_once) -> Vector:
-    """solve_once(v), one step of iterative refinement with solve_once and
-    the column-space residual check of solve_sym."""
+def _refined(rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float, solve_once) -> list[float]:
+    """solve_once(v) for the matrix with the given full rows, one step of
+    iterative refinement with solve_once and the column-space residual
+    check of solve_sym, on plain lists."""
     x = solve_once(v)
-    residual_vec = v - S.matvec(x)
-    residual = residual_vec.norm()
-    v_norm = v.norm()
+    residual_vec = [vi - sum(map(mul, row, x)) for row, vi in zip(rows, v)]
+    residual = _norm(residual_vec)
+    v_norm = _norm(v)
     if residual > 1e-14 * (1.0 + v_norm):
-        corrected = x + solve_once(residual_vec)
-        corrected_residual = (v - S.matvec(corrected)).norm()
+        corrected = list(map(add, x, solve_once(residual_vec)))
+        corrected_residual = _norm([vi - sum(map(mul, row, corrected)) for row, vi in zip(rows, v)])
         if corrected_residual < residual:
             x, residual = corrected, corrected_residual
     limit = residual_tol * (1.0 + v_norm)
     if residual > limit:
         raise ColumnSpaceViolation(residual, limit)
     return x
+
+
+def solve_factored(
+    factor: list[list[float]], rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float = 1e-9
+) -> list[float]:
+    """Solve S x = v through factor, the Cholesky factor of the positive
+    definite S with the given full rows: substitution, one refinement step
+    and the residual check (ColumnSpaceViolation) of solve_sym."""
+    return _refined(rows, v, residual_tol, partial(_substitute, factor))
 
 
 def solve_1x1(s: float, v: float, residual_tol: float = 1e-9) -> float:
@@ -399,7 +415,8 @@ def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: 
     det = a * d - b * b
     if not abs(det) > (_SINGULAR_PIVOT * max(1.0, abs(a), abs(b), abs(d))) ** 2:
         S = SymMatrix(2, (a, b, d))
-        return _refined(S, Vector((v0, v1)), residual_tol, partial(_solve_pseudo, S)).entries
+        x0, x1 = _refined(S.rows, (v0, v1), residual_tol, partial(_solve_pseudo, S))
+        return x0, x1
     x0 = (d * v0 - b * v1) / det
     x1 = (a * v1 - b * v0) / det
     r0 = v0 - (a * x0 + b * x1)
@@ -440,8 +457,9 @@ def solve_sym(
         return Vector((solve_1x1(S.upper[0], v[0], residual_tol),))
     if S.n == 2:
         return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
-    solve_once = partial(_solve_eliminated, S) if factor is None else partial(_substitute, factor)
-    return _refined(S, v, residual_tol, solve_once)
+    if factor is not None:
+        return Vector(tuple(solve_factored(factor, S.rows, v.entries, residual_tol)))
+    return Vector(tuple(_refined(S.rows, v.entries, residual_tol, partial(_solve_eliminated, S))))
 
 
 def is_nonsingular(S: SymMatrix, rel_tol: float = 1e-12) -> bool:

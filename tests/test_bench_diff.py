@@ -70,3 +70,37 @@ def test_records_sort_numerically(tmp_path):
     assert [n for n, _ in bench_diff.records(tmp_path)] == [2, 7, 10]
     assert bench_diff.previous_record(tmp_path / "BENCH_10.json").name == "BENCH_7.json"
     assert bench_diff.previous_record(tmp_path / "BENCH_2.json") is None
+
+
+# The record format of the bench_diff docstring.
+RECORD_KEYS = ("machine", "command", "workloads")
+WORKLOAD_KEYS = ("pairs", "seeds", "metrics")
+METRIC_KEYS = ("unit", "better", "parent", "change", "change_wins")
+SUMMARY_KEYS = ("median", "q1", "q3")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_record_keys_are_the_documented_ones():
+    for key in RECORD_KEYS + WORKLOAD_KEYS + METRIC_KEYS + SUMMARY_KEYS:
+        assert f'"{key}"' in bench_diff.__doc__, key
+
+
+def test_committed_records_have_every_documented_key():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    found = bench_diff.records(ROOT)
+    assert found, "no BENCH_<n>.json at the repository root"
+    for _, path in found:
+        record = json.loads(path.read_text())
+        assert set(RECORD_KEYS) <= record.keys(), path.name
+        for workload in workloads:
+            entry = record["workloads"][workload]
+            assert set(WORKLOAD_KEYS) <= entry.keys(), (path.name, workload)
+            assert len(entry["seeds"]) == entry["pairs"], (path.name, workload)
+            for metric in metrics:
+                m = entry["metrics"][metric]
+                assert set(METRIC_KEYS) <= m.keys(), (path.name, workload, metric)
+                for side in ("parent", "change"):
+                    assert set(SUMMARY_KEYS) <= m[side].keys(), (path.name, workload, metric, side)
+                    assert all(isinstance(m[side][k], (int, float)) for k in SUMMARY_KEYS)

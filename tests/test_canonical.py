@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual import canonical
+from canondual import canonical, cli
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g
 from canondual.dual_solver import _fd_gradient, _fd_hessian
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, SingularMatrixError
@@ -423,6 +424,68 @@ class TestWeakDualityAndConcavity:
             mid = canonical.dual_value(gp, (0.5 * (a + b),))
             avg = 0.5 * (canonical.dual_value(gp, (a,)) + canonical.dual_value(gp, (b,)))
             assert mid >= avg - 1e-9
+
+
+def _primal_polynomial_reference(pr):
+    """P(x) by MultiPoly ring operations: the expansion primal_polynomial
+    replaced by one accumulated term map."""
+    n = pr.n
+    xs = [MultiPoly.variable(n, i) for i in range(n)]
+
+    def quad_poly(S):
+        acc = MultiPoly.zero(n)
+        for i in range(n):
+            for j in range(n):
+                coeff = Fraction(S.entry(i, j))
+                if coeff:
+                    acc = acc + (xs[i] * xs[j]).scale(coeff)
+        return acc
+
+    total = MultiPoly.zero(n)
+    for (a, beta), op in zip(pr.V.pairs, pr.ops):
+        lam = quad_poly(op.C).scale(Fraction(1, 2)) + MultiPoly.constant(n, Fraction(op.c))
+        for i in range(n):
+            bi = Fraction(op.b[i])
+            if bi:
+                lam = lam + xs[i].scale(bi)
+        total = total + (lam * lam).scale(Fraction(a)) + lam.scale(Fraction(beta))
+    total = total + quad_poly(pr.A).scale(Fraction(1, 2))
+    for i in range(n):
+        fi = Fraction(pr.f[i])
+        if fi:
+            total = total - xs[i].scale(fi)
+    return total
+
+
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+
+
+@given(interior_canonical_points())
+def test_primal_polynomial_is_the_ring_expansion(case):
+    pr, _ = case
+    assert canonical.primal_polynomial(pr) == _primal_polynomial_reference(pr)
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
+def test_primal_polynomial_of_problem_files(path):
+    pr = cli.load_problem_file(path)
+    poly = canonical.primal_polynomial(pr)
+    assert poly == _primal_polynomial_reference(pr)
+    assert poly.to_text() == _primal_polynomial_reference(pr).to_text()
+
+
+@given(interior_canonical_points(), st.data())
+def test_primal_value_is_bit_identical_to_the_object_form(case, data):
+    # Reference: V(Lambda(x)) - U(x) through SymMatrix.quadratic_form and
+    # Vector.dot; the plain-tuple evaluation must give the same bits.
+    pr, _ = case
+    x = Vector(tuple(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=pr.n, max_size=pr.n))))
+    xi = tuple(0.5 * op.C.quadratic_form(x) + op.b.dot(x) + op.c for op in pr.ops)
+    u = -0.5 * pr.A.quadratic_form(x) + pr.f.dot(x)
+    assert canonical.lambda_eval(pr, x) == xi
+    assert canonical.lambda_eval(pr, x.entries) == xi
+    assert canonical.u_value(pr, list(x)) == u
+    assert canonical.primal_value(pr, x.entries) == pr.V.value(xi) - u
 
 
 class TestPrimalPolynomial:

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +16,8 @@ from canondual.benchmarks import thc_objective
 from canondual.errors import ProblemFileError
 from canondual.oracle import Box
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def run_cli(*argv):
@@ -301,3 +305,12 @@ class TestDeterminism:
         second = run_cli("solve", problem, "--format", "json")
         assert first[1].encode() == second[1].encode()
         assert first[0] == second[0] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ["solve", "gp", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "canondual", *argv], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120)
+    code, out, _ = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -49,6 +49,15 @@ class TestLcg:
         assert all(-2.0 <= v < 3.0 for v in values)
         assert min(values) < -1.5 and max(values) > 2.5
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 301, (1 << 64) - 1])
+    def test_uniform_is_the_scaled_unit_stream(self, seed):
+        rng, reference = Lcg(seed), Lcg(seed)
+        bounds = [(-2.0, 3.0), (-53.0 / 3.0 + 1e-3, 40.0), (0.0, 1.0), (-10.0, 10.0)]
+        for i in range(10_000):
+            lo, hi = bounds[i % len(bounds)]
+            assert rng.uniform(lo, hi) == lo + (hi - lo) * reference.next_unit()
+        assert rng.state == reference.state
+
 
 class TestBox:
     def test_validation(self):

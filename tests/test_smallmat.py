@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch
 from canondual.smallmat import (
     SymMatrix,
-    _refined,
     _triu_index,
     Vector,
     add_scaled,
@@ -23,8 +24,40 @@ from canondual.smallmat import (
     min_eigenvalue,
     solve_1x1,
     solve_2x2,
+    solve_factored,
     solve_sym,
 )
+
+
+def _refined_reference(S, v, residual_tol, solve_once):
+    """The refinement step and residual check on SymMatrix and Vector
+    objects: the form solve_sym had before its solves ran on plain lists."""
+    x = solve_once(v)
+    residual_vec = v - S.matvec(x)
+    residual = residual_vec.norm()
+    v_norm = v.norm()
+    if residual > 1e-14 * (1.0 + v_norm):
+        corrected = x + solve_once(residual_vec)
+        corrected_residual = (v - S.matvec(corrected)).norm()
+        if corrected_residual < residual:
+            x, residual = corrected, corrected_residual
+    limit = residual_tol * (1.0 + v_norm)
+    if residual > limit:
+        raise ColumnSpaceViolation(residual, limit)
+    return x
+
+
+def _substitute_reference(factor, v):
+    """Forward then back substitution returning a Vector."""
+    n = len(factor)
+    y = []
+    for row, vi in zip(factor, v):
+        y.append((vi - sum(map(mul, row, y))) / row[-1])
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - sum(factor[k][i] * x[k] for k in range(i + 1, n))) / factor[i][i]
+    return Vector(tuple(x))
+
 
 THC_FEAS_AT_ORIGIN = SymMatrix.from_rows([[22.0 / 75.0, 0.5], [0.5, 1.0]])
 
@@ -228,8 +261,8 @@ def test_cholesky_factor_reproduces_the_matrix(S):
 
 
 @st.composite
-def positive_definite_systems(draw):
-    S = draw(sym_matrices())
+def positive_definite_systems(draw, min_n=1):
+    S = draw(sym_matrices(min_n=min_n))
     lam = float(np.linalg.eigvalsh(np.array(S.to_rows()))[0])
     S = add_scaled(S, [(draw(st.floats(1e-2, 5.0)) - lam, SymMatrix.identity(S.n))])
     return S, Vector(tuple(draw(st.lists(entry, min_size=S.n, max_size=S.n))))
@@ -247,6 +280,26 @@ def test_factored_solve_matches_numpy(system):
     assert np.allclose(x.entries, expected, rtol=0.0, atol=1e-13 * cond * (1.0 + float(np.abs(expected).max())))
     residual = (S.matvec(x) - v).norm()
     assert residual <= 1e-12 * (1.0 + v.norm())
+
+
+@given(positive_definite_systems(min_n=3), st.sampled_from([1e-9, 1e-14, 1e-16, 0.0]))
+def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
+    # The list solve must give the bits of substitution inside the Vector
+    # refinement, and raise the same ColumnSpaceViolation when the residual
+    # exceeds the (here possibly zero) tolerance.
+    S, v = system
+    factor = cholesky(S)
+    try:
+        expected = _refined_reference(S, v, residual_tol, partial(_substitute_reference, factor)).entries
+    except ColumnSpaceViolation as reference:
+        with pytest.raises(ColumnSpaceViolation) as raised:
+            solve_factored(factor, S.rows, v.entries, residual_tol)
+        assert (raised.value.residual, raised.value.tol) == (reference.residual, reference.tol)
+        with pytest.raises(ColumnSpaceViolation):
+            solve_sym(S, v, residual_tol, factor)
+        return
+    assert tuple(solve_factored(factor, S.rows, v.entries, residual_tol)) == expected
+    assert solve_sym(S, v, residual_tol, factor).entries == expected
 
 
 @given(entry, entry)
@@ -277,7 +330,7 @@ def test_2x2_solve_is_the_refined_closed_form(S, v0, v1):
         return Vector(((d * r[0] - b * r[1]) / det, (a * r[1] - b * r[0]) / det))
 
     try:
-        expected = _refined(S, Vector((v0, v1)), 1e-9, cramer).entries
+        expected = _refined_reference(S, Vector((v0, v1)), 1e-9, cramer).entries
     except ColumnSpaceViolation:
         with pytest.raises(ColumnSpaceViolation):
             solve_2x2(a, b, d, v0, v1)
