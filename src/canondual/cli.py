@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from . import benchmarks, canonical, kernels, oracle, verify
+from . import benchmarks, canonical, dual_solver, kernels, oracle, verify
 from .benchmarks import SolveReport
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError, ProblemFileError
@@ -206,9 +206,9 @@ def _config_dict(cfg: SolverConfig, oracle_starts: int, oracle_seed: int, with_o
     return {
         "grad_tol": cfg.grad_tol,
         "max_iter": cfg.max_iter,
-        "interior_margin": cfg.interior_margin,
-        "armijo_c": cfg.armijo_c,
-        "backtrack_ratio": cfg.backtrack_ratio,
+        "interior_margin": dual_solver.INTERIOR_MARGIN,
+        "armijo_c": dual_solver.ARMIJO_C,
+        "backtrack_ratio": dual_solver.BACKTRACK_RATIO,
         "oracle": {"enabled": with_oracle, "starts": oracle_starts, "seed": oracle_seed},
     }
 

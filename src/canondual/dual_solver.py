@@ -55,6 +55,9 @@ FeasFn = Callable[[Sequence[float], float], bool]
 RoundingFn = Callable[[Sequence[float]], float]
 
 _MIN_STEP = 1e-16
+INTERIOR_MARGIN = 1e-9  # feasibility margin every accepted iterate keeps
+ARMIJO_C = 1e-4  # Armijo sufficient-ascent constant
+BACKTRACK_RATIO = 0.5  # step shrink factor of the line search
 
 # Exceptions treated as "point outside the evaluable domain" by the start
 # search, the line search and the finite-difference references.
@@ -65,16 +68,11 @@ _DOMAIN_ERRORS = (ColumnSpaceViolation, DomainViolation, SingularMatrixError)
 class SolverConfig:
     grad_tol: float = 1e-10
     max_iter: int = 200
-    interior_margin: float = 1e-9
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("grad_tol", "max_iter", "interior_margin", "armijo_c"):
+        for name in ("grad_tol", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError("backtrack_ratio must lie in (0, 1)")
 
 
 class Certificate(str, enum.Enum):
@@ -110,7 +108,7 @@ def find_interior_start(
     value_fn: ValueFn,
     feasibility_fn: FeasFn,
     m: int,
-    delta: float = 1e-9,
+    delta: float = INTERIOR_MARGIN,
     tau_max: float = 1e6,
 ) -> tuple[float, ...]:
     """First point on a deterministic ray grid with feasibility_fn(sigma,
@@ -232,11 +230,11 @@ def maximize_concave(
     """Damped Newton ascent from a strictly feasible start.
 
     feasibility_fn(sigma, t) is True when sigma is feasible with margin
-    greater than t; every iterate has margin greater than
-    cfg.interior_margin.  rounding_fn(sigma), when given, bounds the
-    rounding error of value_fn(sigma): a trial step whose predicted gain is
-    below it is accepted on a smaller gradient norm and a value at most
-    that bound below the iterate's (module docstring).
+    greater than t; every iterate has margin greater than INTERIOR_MARGIN.
+    rounding_fn(sigma), when given, bounds the rounding error of
+    value_fn(sigma): a trial step whose predicted gain is below it is
+    accepted on a smaller gradient norm and a value at most that bound
+    below the iterate's (module docstring).
 
     Terminates with converged=True when the gradient norm drops below
     grad_tol, converged=False at the iteration cap, and raises
@@ -246,8 +244,8 @@ def maximize_concave(
     """
     cfg = cfg or SolverConfig()
     sigma = tuple(float(s) for s in start)
-    if not feasibility_fn(sigma, cfg.interior_margin):
-        raise ValueError(f"start {sigma} does not have margin > interior margin {cfg.interior_margin:.3e}")
+    if not feasibility_fn(sigma, INTERIOR_MARGIN):
+        raise ValueError(f"start {sigma} does not have margin > interior margin {INTERIOR_MARGIN:.3e}")
 
     value = value_fn(sigma)
     grad, grad_norm = _grad(gradient_fn, sigma)
@@ -275,9 +273,9 @@ def maximize_concave(
         accepted = None
         while step >= _MIN_STEP:
             trial = tuple(s + step * d for s, d in zip(sigma, direction))
-            trial_value = _try_value(value_fn, trial) if feasibility_fn(trial, cfg.interior_margin) else None
+            trial_value = _try_value(value_fn, trial) if feasibility_fn(trial, INTERIOR_MARGIN) else None
             if trial_value is not None:
-                if trial_value >= value + cfg.armijo_c * step * slope:
+                if trial_value >= value + ARMIJO_C * step * slope:
                     accepted = (trial, trial_value, 0.0, None)
                     break
                 if rounding_fn is not None:
@@ -288,7 +286,7 @@ def maximize_concave(
                         if trial_grad[1] < grad_norm:
                             accepted = (trial, trial_value, rounding, trial_grad)
                             break
-            step *= cfg.backtrack_ratio
+            step *= BACKTRACK_RATIO
         if accepted is None:
             raise LineSearchStalled(sigma, value, grad_norm, iteration)
 
@@ -309,7 +307,6 @@ def classify_certificate(
     psd_margin: float,
     gap: float,
     primal: float,
-    cfg: SolverConfig,
 ) -> Certificate:
     """Certificate triage of a dual ascent's end point.
 
@@ -319,9 +316,9 @@ def classify_certificate(
     interior threshold) are boundary-critical and never certified.
     """
     gap_ok = gap <= 1e-8 * (1.0 + abs(primal))
-    if converged and psd_margin >= cfg.interior_margin and gap_ok:
+    if converged and psd_margin >= INTERIOR_MARGIN and gap_ok:
         return Certificate.GLOBAL_MINIMUM_CERTIFIED
-    if (stalled or converged) and psd_margin < 2.0 * cfg.interior_margin:
+    if (stalled or converged) and psd_margin < 2.0 * INTERIOR_MARGIN:
         return Certificate.BOUNDARY_CRITICAL
     return Certificate.NOT_CONVERGED
 
@@ -332,7 +329,7 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
     cfg = cfg or SolverConfig()
     value_fn = partial(canonical.dual_value, pr)
     feasibility_fn = partial(canonical.in_interior, pr)
-    start = find_interior_start(value_fn, feasibility_fn, pr.m, cfg.interior_margin)
+    start = find_interior_start(value_fn, feasibility_fn, pr.m)
     stalled = False
     try:
         result = maximize_concave(
@@ -354,7 +351,7 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
     primal = canonical.primal_value(pr, x_bar)
     xi = canonical.complementary_value(pr, x_bar, sigma_star)
     gap = max(abs(primal - xi), abs(xi - result.value))
-    certificate = classify_certificate(result.converged, stalled, psd_margin, gap, primal, cfg)
+    certificate = classify_certificate(result.converged, stalled, psd_margin, gap, primal)
     return CriticalReport(
         sigma_star=sigma_star,
         x_bar=x_bar,

@@ -1,7 +1,7 @@
 """Float polynomial evaluation at many points.
 
-Three entry points, all built from the float coefficients and integer
-exponents of ``MultiPoly.as_arrays`` / ``MultiPoly.float_evaluator``:
+Two entry points, both built from the float coefficients and integer
+exponents of ``MultiPoly.as_arrays``:
 
   * ``eval_lattice`` evaluates on a tensor-product lattice (grid scans, CSV
     surface export, the node scans of univariate root isolation).  Each
@@ -12,9 +12,12 @@ exponents of ``MultiPoly.as_arrays`` / ``MultiPoly.float_evaluator``:
     product, so a 1001 x 1001 Goldstein-Price lattice costs milliseconds;
     in one variable it is a weighted sum of the powers, taken row by row.
   * ``eval_many`` evaluates at scattered points, on the same per-axis power
-    tables.
-  * ``poly_evaluator`` returns the straight-line single-point function
-    generated by ``MultiPoly.float_evaluator`` (Newton refinement).
+    tables.  No program path calls it; it is a reference for the tests and
+    the benchmark's tracing.
+
+Single points do not come here: ``MultiPoly.eval`` is the generated
+straight-line function of ``MultiPoly.float_evaluator``, a few microseconds
+per call, where a batch kernel would pay numpy's per-call overhead.
 
 No path raises a float to a power with ``**``: numpy's float power is slow,
 and slower still for negative bases.  Exact-rational arithmetic (module
@@ -92,20 +95,3 @@ def eval_many(coeffs: np.ndarray, exps: np.ndarray, pts: np.ndarray) -> np.ndarr
                 term *= table[e]
         out += term
     return out
-
-
-def eval_poly_many(poly, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a MultiPoly at all rows of pts."""
-    coeffs, exps = poly.as_arrays()
-    return eval_many(coeffs, exps, pts)
-
-
-def poly_evaluator(poly):
-    """Fast single-point evaluator.
-
-    Newton refinement calls this hundreds of times per start.  A batch
-    kernel called with a 1-row array pays its numpy per-call overhead every
-    time, so single points go through the straight-line function generated
-    and cached by ``MultiPoly.float_evaluator`` instead (a few microseconds).
-    """
-    return poly.float_evaluator()

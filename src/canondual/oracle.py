@@ -4,9 +4,12 @@ Nothing here shares code with the dual pipeline it checks: grid scans and
 multistart Newton refinement attack bivariate objectives directly, and
 univariate global minimization isolates every real root of the derivative
 by sign-change bracketing.  Lattices (grid scans and the univariate node
-scans) are evaluated in one pass by ``kernels.eval_lattice``; Newton
-refinement uses the generated single-point evaluators of the polynomial
-and its derivatives, built once per polynomial and cached on it.
+scans) are evaluated in one pass by ``kernels.eval_lattice``.  Single
+points go through ``MultiPoly.float_evaluator``, the one scalar float
+evaluator, which ``MultiPoly.eval`` calls.  Newton refinement holds the
+evaluators of the polynomial and its derivatives, built once per
+polynomial and cached on it, and multistart ranks its starts with the
+same function, so the value it reports is the one refinement saw.
 
 Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
 linear congruential generator
@@ -126,13 +129,12 @@ def _newton_evaluators(p: MultiPoly):
     cached = getattr(p, "_newton_cache", None)
     if cached is None:
         grads = p.gradient()
-        value_at = kernels.poly_evaluator(p)
-        bound_at = kernels.poly_evaluator(
-            MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
-        )
-        grad_at = [kernels.poly_evaluator(gp) for gp in grads]
+        value_at = p.float_evaluator()
+        magnitude = MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
+        bound_at = magnitude.float_evaluator()
+        grad_at = [gp.float_evaluator() for gp in grads]
         hess_at = [
-            [kernels.poly_evaluator(grads[i].partial_derivative(j)) for j in range(i, p.arity)]
+            [grads[i].partial_derivative(j).float_evaluator() for j in range(i, p.arity)]
             for i in range(p.arity)
         ]
         cached = (value_at, bound_at, grad_at, hess_at)
@@ -239,10 +241,12 @@ def multistart(
 
     A start whose refinement raises NotConverged is left out of the minimum
     but not out of the account: it is counted in ``failed_starts`` and its
-    evaluations in ``n_evaluations``.
+    evaluations in ``n_evaluations``.  Raises ValueError when k_starts < 1.
     """
     if p.arity != box.dim or p.arity > 2:
         raise DimensionMismatch("multistart supports at most 2 variables matching the box")
+    if k_starts < 1:
+        raise ValueError(f"need at least 1 start, got {k_starts}")
     rng = Lcg(seed)
     starts = [
         tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))

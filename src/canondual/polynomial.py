@@ -17,6 +17,12 @@ overflow; no width guard is needed.
 Display and serialization use graded lexicographic order, highest total
 degree first, ties broken by descending exponent tuple, so output is
 deterministic.
+
+Float evaluation at one point has a single path: ``eval`` calls the
+straight-line function that ``float_evaluator`` generates from the float
+coefficients, with one table of powers per variable shared by all terms.
+``as_arrays`` hands the same float terms to the lattice kernel of module
+``kernels``, and ``eval_exact`` is the exact rational reference.
 """
 
 from __future__ import annotations
@@ -271,19 +277,10 @@ class MultiPoly:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: Sequence[float]) -> float:
-        """Evaluate at a float point."""
+        """Evaluate at a float point with ``float_evaluator``."""
         if len(point) != self.arity:
             raise DimensionMismatch(f"point has length {len(point)}, expected {self.arity}")
-        exps_list, coeffs = self._float_terms()
-        total = 0.0
-        for exps, coeff in zip(exps_list, coeffs):
-            term = coeff
-            for v in range(self.arity):
-                x = point[v]
-                for _ in range(exps[v]):
-                    term *= x
-            total += term
-        return total
+        return self.float_evaluator()(point)
 
     def eval_exact(self, point: Sequence[RationalLike]) -> Fraction:
         """Evaluate at a rational point, exactly."""
@@ -314,9 +311,9 @@ class MultiPoly:
         The source is built only from the float coefficients (written with
         ``repr``, which round-trips exactly) and the integer exponents: one
         line per needed power ``x{v}_{e}`` by repeated multiplication, then
-        the sum of the graded-lex terms.  It agrees with ``eval`` to
-        rounding and costs a few microseconds per call, which is what
-        Newton refinement needs.  Compiled once and cached.
+        the sum of the graded-lex terms.  It is the one scalar float
+        evaluator: ``eval`` calls it, and so do Newton refinement and root
+        polishing, at a few microseconds per call.  Compiled once and cached.
         """
         cached = getattr(self, "_evaluator_cache", None)
         if cached is None:

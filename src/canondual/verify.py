@@ -34,10 +34,6 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
-
-
 def _fd_gradient_matches(
     pr: canonical.Problem,
     points: Sequence[tuple[float, ...]],
@@ -322,14 +318,14 @@ def verify_problem(
             break
     checks.append(_check("conjugate-pairing-on-graph", pairing_ok))
 
-    interior = _problem_interior_samples(pr, 20, seed=302, delta=cfg.interior_margin)
+    interior = _problem_interior_samples(pr, 20, seed=302, delta=dual_solver.INTERIOR_MARGIN)
     ok, detail = _fd_gradient_matches(pr, interior)
     checks.append(_check("dual-gradient-vs-fd", ok, detail))
 
     # Weak duality sampling over feasible duals and a primal box.
     rng = oracle.Lcg(303)
     duals = []
-    for sigma in _problem_interior_samples(pr, 100, seed=304, delta=cfg.interior_margin):
+    for sigma in _problem_interior_samples(pr, 100, seed=304, delta=dual_solver.INTERIOR_MARGIN):
         duals.append(canonical.dual_value(pr, sigma))
     min_primal = math.inf
     for _ in range(100):

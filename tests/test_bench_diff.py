@@ -11,7 +11,7 @@ bench_diff = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_diff)
 
 
-def record(op_parent, op_change, workloads=("planted",)):
+def record(op_parent, op_change, workloads=("planted",), machine=None):
     def metric(parent, change, unit):
         return {
             "unit": unit,
@@ -22,7 +22,7 @@ def record(op_parent, op_change, workloads=("planted",)):
         }
 
     return {
-        "machine": {"python": "3.11.7"},
+        "machine": machine or {"python": "3.11.7", "L3_bytes": 314572800},
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 30",
         "workloads": {
             w: {"pairs": 10, "seeds": list(range(1, 11)),
@@ -58,9 +58,27 @@ def test_against_the_previous_record(tmp_path, capsys):
     assert bench_diff.main([str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "BENCH_5.json against BENCH_3.json"
+    assert out[1].startswith("planted: ")  # same machine: no machine lines
     planted = out[2]
     assert planted.endswith("; previous record 8 (-25.0 %)")
     assert out[4].endswith("; not in the previous record")  # scan is new
+    assert not any("machine" in line for line in out)
+
+
+def test_against_a_record_from_another_machine(tmp_path, capsys):
+    write(tmp_path, 3, record(9.0, 8.0))
+    other = {"python": "3.11.7", "L3_bytes": 110100480, "cores": 4}
+    path = write(tmp_path, 4, record(8.0, 6.0, machine=other))
+    assert bench_diff.main([str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "BENCH_4.json against BENCH_3.json",
+        "machine differs from the previous record:",
+        "  L3_bytes 314572800 -> 110100480",
+        "  cores absent -> 4",
+    ]
+    assert out[4].startswith("planted: ")
+    assert out[5].endswith("; previous record (cross-machine) 8 (-25.0 %)")
 
 
 def test_records_sort_numerically(tmp_path):

@@ -270,6 +270,16 @@ class TestUsageErrors:
         assert code == 1
         assert "--threads" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("solve", "gp", "--starts", "0"), ("oracle", "gp", "--starts", "-3")]
+    )
+    def test_fewer_than_one_start_is_a_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert "at least 1 start" in err
+        assert "failed to refine" not in err
+
     def test_parser_is_built_once_per_process(self, monkeypatch):
         cli._shared_parser.cache_clear()
         built = []

@@ -1,12 +1,13 @@
 """The concave-maximization engine and its certificate triage."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from canondual import canonical
+from canondual import canonical, dual_solver
 from canondual.cli import parse_problem_dict
 from canondual.benchmarks import gp_canonical_g, thc_problem
 from canondual.dual_solver import (
@@ -374,18 +375,21 @@ class TestSolveCanonical:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["grad_tol", "max_iter"]
         assert cfg.grad_tol == 1e-10
         assert cfg.max_iter == 200
-        assert cfg.interior_margin == 1e-9
-        assert not hasattr(cfg, "fd_step")
-        assert cfg.armijo_c == 1e-4
-        assert cfg.backtrack_ratio == 0.5
+        # The line search's settings are module constants, set by no caller.
+        assert dual_solver.INTERIOR_MARGIN == 1e-9
+        assert dual_solver.ARMIJO_C == 1e-4
+        assert dual_solver.BACKTRACK_RATIO == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(backtrack_ratio=1.0)
+            SolverConfig(max_iter=0)
+        with pytest.raises(TypeError):
+            SolverConfig(backtrack_ratio=0.5)
 
 
 class TestNotConvergedReporting:

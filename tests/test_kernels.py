@@ -1,4 +1,4 @@
-"""The lattice, scattered-point and single-point evaluation kernels."""
+"""The lattice and scattered-point evaluation kernels."""
 
 import itertools
 import math
@@ -17,27 +17,17 @@ from canondual.polynomial import MultiPoly
 
 class TestBackendParity:
     def test_matches_scalar_eval(self):
+        # Scattered points against the exact scalar evaluation.
         poly = thc_objective()
         pts = np.array([[0.5, -1.5], [2.0, 0.25], [-3.0, 3.0]])
-        batched = kernels.eval_poly_many(poly, pts)
+        batched = kernels.eval_many(*poly.as_arrays(), pts)
         for row, value in zip(pts, batched):
-            assert value == pytest.approx(poly.eval(tuple(row)), rel=1e-12)
+            assert value == pytest.approx(float(poly.eval_exact(tuple(row))), rel=1e-12)
 
     def test_zero_polynomial(self):
         zero = MultiPoly.zero(2)
-        out = kernels.eval_poly_many(zero, np.array([[1.0, 2.0]]))
+        out = kernels.eval_many(*zero.as_arrays(), np.array([[1.0, 2.0]]))
         assert out.tolist() == [0.0]
-
-    def test_poly_evaluator_closure(self):
-        poly = gp_objective()
-        evaluate = kernels.poly_evaluator(poly)
-        for point in ((0.0, -1.0), (1.3, 0.7), (-2.0, 2.0)):
-            assert evaluate(point) == pytest.approx(poly.eval(point), rel=1e-12)
-
-    def test_poly_evaluator_is_the_generated_evaluator(self):
-        # Single points never go through the batch kernels, on any backend.
-        poly = gp_objective()
-        assert kernels.poly_evaluator(poly) is poly.float_evaluator()
 
     def test_shape_validation(self):
         coeffs, exps = thc_objective().as_arrays()
@@ -112,7 +102,7 @@ class TestEvalLattice:
         axes = lattice_axes(GP_BOX, 41)
         pts = np.array(list(itertools.product(*axes)))
         lattice = kernels.eval_lattice(*p.as_arrays(), axes)
-        scattered = kernels.eval_poly_many(p, pts)
+        scattered = kernels.eval_many(*p.as_arrays(), pts)
         assert np.allclose(lattice, scattered, rtol=1e-13, atol=1e-9)
 
     def test_axis_validation(self):

@@ -247,6 +247,23 @@ class TestMultistart:
         assert second == first
         assert multistart(MultiPoly.from_terms(2, p.terms), GP_BOX, 16, seed=42) == first
 
+    def test_value_is_the_generated_evaluator_at_the_point(self):
+        # Starts are ranked with the evaluator Newton refinement uses, so
+        # the reported value is that function's, bit for bit.
+        for poly, box in ((gp_objective(), GP_BOX), (thc_objective(), THC_BOX)):
+            result = multistart(poly, box, 64, seed=42)
+            assert result.value == poly.float_evaluator()(result.x_best)
+
+    def test_refinement_uses_the_generated_evaluator(self):
+        # Single points never go through the batch kernels.
+        p = gp_objective()
+        assert oracle._newton_evaluators(p)[0] is p.float_evaluator()
+
+    @pytest.mark.parametrize("k_starts", [0, -3])
+    def test_fewer_than_one_start_is_a_value_error(self, k_starts):
+        with pytest.raises(ValueError, match="at least 1 start"):
+            multistart(thc_objective(), THC_BOX, k_starts, seed=1)
+
     def test_grid_never_beats_multistart(self):
         for poly, box in ((gp_objective(), GP_BOX), (thc_objective(), THC_BOX)):
             coarse = grid_scan(poly, box, 51)
@@ -288,7 +305,7 @@ class TestUnivariateGlobal:
         for p in (gp_g(), gp_h()):
             dp = p.partial_derivative(0)
             grid = np.linspace(-10, 10, 2001).reshape(-1, 1)
-            max_abs = float(np.max(np.abs(kernels.eval_poly_many(dp, grid))))
+            max_abs = float(np.max(np.abs(kernels.eval_many(*dp.as_arrays(), grid))))
             for root in derivative_roots(p, (-10.0, 10.0)):
                 assert abs(dp.eval((root,))) <= 1e-9 * (1.0 + max_abs)
 

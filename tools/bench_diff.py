@@ -22,7 +22,11 @@ change's relative move, the pairs the change won and the parent's quartile
 distance (the spread a gain must exceed).  When a record with a lower n
 exists, the line also gives the previous record's change median and the
 move from it to this record's change median, which is the trajectory of
-the metric over the committed records.  Exits 1 when there is no record.
+the metric over the committed records.  When the two records' ``machine``
+facts differ, each differing fact is printed under the header, as
+``L3_bytes 314572800 -> 110100480``, and those moves are labelled
+cross-machine: they compare machines as well as commits.  Exits 1 when
+there is no record.
 """
 
 from __future__ import annotations
@@ -57,9 +61,22 @@ def _move(old: float, new: float) -> str:
     return f"{100.0 * (new - old) / old:+.1f} %" if old else "n/a"
 
 
+def machine_lines(current: dict, previous: dict) -> list[str]:
+    """One line per machine fact that differs between the two records."""
+    before, now = previous.get("machine", {}), current.get("machine", {})
+    return [
+        f"  {key} {before.get(key, 'absent')} -> {now.get(key, 'absent')}"
+        for key in sorted(before.keys() | now.keys())
+        if before.get(key) != now.get(key)
+    ]
+
+
 def diff_lines(current: dict, previous: dict | None = None) -> list[str]:
-    """One line per workload and metric of current, against previous."""
-    lines = []
+    """One line per workload and metric of current, against previous,
+    after the machine facts that differ between the two."""
+    differing = machine_lines(current, previous) if previous is not None else []
+    lines = ["machine differs from the previous record:", *differing] if differing else []
+    label = "previous record (cross-machine)" if differing else "previous record"
     for workload, entry in sorted(current["workloads"].items()):
         lines.append(f"{workload}: {entry['pairs']} pairs, seeds {entry['seeds']}")
         before = (previous or {}).get("workloads", {}).get(workload, {}).get("metrics", {})
@@ -74,7 +91,7 @@ def diff_lines(current: dict, previous: dict | None = None) -> list[str]:
             if previous is not None:
                 if metric in before:
                     last = before[metric]["change"]["median"]
-                    line += f"; previous record {last:.4g} ({_move(last, change['median'])})"
+                    line += f"; {label} {last:.4g} ({_move(last, change['median'])})"
                 else:
                     line += "; not in the previous record"
             lines.append(line)
