@@ -6,10 +6,12 @@ univariate global minimization isolates every real root of the derivative
 by sign-change bracketing.  Lattices (grid scans and the univariate node
 scans) are evaluated in one pass by ``kernels.eval_lattice``.  Single
 points go through ``MultiPoly.float_evaluator``, the one scalar float
-evaluator, which ``MultiPoly.eval`` calls.  Newton refinement holds the
-evaluators of the polynomial and its derivatives, built once per
-polynomial and cached on it, and multistart ranks its starts with the
-same function, so the value it reports is the one refinement saw.
+evaluator, which ``MultiPoly.eval`` calls.  Newton refinement holds three
+generated functions, built once per polynomial and cached on it: the
+value, the rounding bound, and ``polynomial.joint_evaluator`` of the
+gradient and Hessian, which returns a whole Newton step's data from one
+table of powers.  Multistart ranks its starts with the value function, so
+the value it reports is the one refinement saw.
 
 Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
 linear congruential generator
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, NotConverged, RootIsolationFailure
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, joint_evaluator
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -123,21 +125,16 @@ def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
 
 def _newton_evaluators(p: MultiPoly):
     """Single-point evaluators of p, of its rounding-bound polynomial
-    sum_t |c_t| x^e_t (called at |x|), of its gradient, and of the upper
-    triangle of its Hessian.  Generated once per polynomial and cached on
-    it, like ``MultiPoly.float_evaluator``."""
+    sum_t |c_t| x^e_t (called at |x|), and of its Newton-step data: one
+    generated function returning the gradient and the upper triangle of the
+    Hessian, row by row, from one table of powers.  Built once per
+    polynomial and cached on it, like ``MultiPoly.float_evaluator``."""
     cached = getattr(p, "_newton_cache", None)
     if cached is None:
         grads = p.gradient()
-        value_at = p.float_evaluator()
+        hessian = [grads[i].partial_derivative(j) for i in range(p.arity) for j in range(i, p.arity)]
         magnitude = MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
-        bound_at = magnitude.float_evaluator()
-        grad_at = [gp.float_evaluator() for gp in grads]
-        hess_at = [
-            [grads[i].partial_derivative(j).float_evaluator() for j in range(i, p.arity)]
-            for i in range(p.arity)
-        ]
-        cached = (value_at, bound_at, grad_at, hess_at)
+        cached = (p.float_evaluator(), magnitude.float_evaluator(), joint_evaluator([*grads, *hessian]))
         object.__setattr__(p, "_newton_cache", cached)
     return cached
 
@@ -172,22 +169,25 @@ def _refine_counted(
     count, when ``max_iter`` iterations do not suffice or the step length
     underflows.  Returns (point, number of objective evaluations).
     ``evaluators`` is ``_newton_evaluators(p)``, built here when not given.
+    An iteration makes one call for the gradient and Hessian together, one
+    value call per trial step, and evaluates the rounding bound only when
+    backtracking first halves the step, the one place it is read.
     """
     n = p.arity
-    value_at, bound_at, grad_at, hess_at = evaluators or _newton_evaluators(p)
+    value_at, bound_at, derivatives_at = evaluators or _newton_evaluators(p)
     x = [float(c) for c in start]
     value = value_at(x)
     evals = 1
     for _ in range(max_iter):
-        g = [fn(x) for fn in grad_at]
+        if n == 1:
+            g0, h00 = derivatives_at(x)
+            g, h01, h11 = [g0], 0.0, h00
+        else:
+            g0, g1, h00, h01, h11 = derivatives_at(x)
+            g = [g0, g1]
         gnorm = math.sqrt(sum(gi * gi for gi in g))
         if gnorm <= tol:
             return tuple(x), evals
-        if n == 1:
-            h00 = h11 = hess_at[0][0](x)
-            h01 = 0.0
-        else:
-            h00, h01, h11 = hess_at[0][0](x), hess_at[0][1](x), hess_at[1][0](x)
         mean, radius = 0.5 * (h00 + h11), math.hypot(0.5 * (h00 - h11), h01)
         lam_lo, lam_hi = mean - radius, mean + radius
         floor = _SHIFT_FLOOR * max(abs(lam_lo), abs(lam_hi), gnorm)
@@ -201,7 +201,7 @@ def _refine_counted(
         slope = sum(gi * di for gi, di in zip(g, direction))
         if -0.5 * slope <= _DECREMENT_ULPS * _EPS * abs(value):
             return tuple(x), evals
-        noise = _EPS * bound_at([abs(xi) for xi in x])
+        noise = None
         step = 1.0
         while True:
             trial = [xi + step * di for xi, di in zip(x, direction)]
@@ -211,6 +211,8 @@ def _refine_counted(
                 x, value = trial, trial_value
                 break
             step *= 0.5
+            if noise is None:  # only backtracking reads the rounding bound
+                noise = _EPS * bound_at([abs(xi) for xi in x])
             if -step * slope <= noise:
                 return tuple(x), evals
             if step < _MIN_STEP:

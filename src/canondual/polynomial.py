@@ -21,8 +21,13 @@ deterministic.
 Float evaluation at one point has a single path: ``eval`` calls the
 straight-line function that ``float_evaluator`` generates from the float
 coefficients, with one table of powers per variable shared by all terms.
-``as_arrays`` hands the same float terms to the lattice kernel of module
-``kernels``, and ``eval_exact`` is the exact rational reference.
+``joint_evaluator`` is the same generator given several polynomials, such
+as a gradient and Hessian: one table of powers, one sum per polynomial,
+each output bit for bit that polynomial's ``float_evaluator``.  Partial
+derivatives are cached on their polynomial, so their evaluators are
+compiled once.  ``as_arrays`` hands the same float terms to the lattice
+kernel of module ``kernels``, and ``eval_exact`` is the exact rational
+reference.
 """
 
 from __future__ import annotations
@@ -70,10 +75,13 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 
 
 def _compile_evaluator(
-    arity: int, exps_list: Sequence[Exponents], coeffs: Sequence[float]
-) -> Callable[[Sequence[float]], float]:
-    """Generate and compile ``evaluate(point)`` for the given float terms
-    (see MultiPoly.float_evaluator)."""
+    arity: int, term_lists: Sequence[tuple[Sequence[Exponents], Sequence[float]]]
+) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
+    """Generate and compile ``evaluate(point)`` for one or more polynomials,
+    each given by its graded-lex float terms (see MultiPoly.float_evaluator):
+    one table of powers up to each variable's largest exponent across all of
+    them, then one sum per polynomial.  The function returns the one sum,
+    or the tuple of sums when given several polynomials."""
 
     def power(v: int, e: int) -> str:
         return f"x{v}" if e == 1 else f"x{v}_{e}"
@@ -81,16 +89,26 @@ def _compile_evaluator(
     names = ", ".join(f"x{v}" for v in range(arity))
     lines = ["def evaluate(point):", f"    {names}, = point"]
     for v in range(arity):
-        for e in range(2, max((exps[v] for exps in exps_list), default=0) + 1):
+        top = max((exps[v] for exps_list, _ in term_lists for exps in exps_list), default=0)
+        for e in range(2, top + 1):
             lines.append(f"    {power(v, e)} = {power(v, e - 1)} * x{v}")
-    lines.append("    total = 0.0")
-    for exps, coeff in zip(exps_list, coeffs):
-        factors = "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
-        lines.append(f"    total += {coeff!r}{factors}")
-    lines.append("    return total")
+    totals = ["total"] if len(term_lists) == 1 else [f"total{k}" for k in range(len(term_lists))]
+    for total, (exps_list, coeffs) in zip(totals, term_lists):
+        lines.append(f"    {total} = 0.0")
+        for exps, coeff in zip(exps_list, coeffs):
+            factors = "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
+            lines.append(f"    {total} += {coeff!r}{factors}")
+    lines.append(f"    return {', '.join(totals)}")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<MultiPoly.float_evaluator>", "exec"), {}, namespace)
     return namespace["evaluate"]
+
+
+def joint_evaluator(polys: Sequence["MultiPoly"]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """One generated function returning the values of two or more
+    polynomials of one arity at a point, from one shared table of powers.
+    Output k is bit for bit ``polys[k].float_evaluator()`` at the point."""
+    return _compile_evaluator(polys[0].arity, [p._float_terms() for p in polys])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +218,13 @@ class MultiPoly:
     # -- calculus -----------------------------------------------------------
 
     def partial_derivative(self, var: int) -> "MultiPoly":
-        """Formal partial derivative with respect to variable ``var``."""
+        """Formal partial derivative with respect to variable ``var``.
+        Built once per variable and cached, with its compiled evaluator."""
         if not 0 <= var < self.arity:
             raise DimensionMismatch(f"variable index {var} out of range for arity {self.arity}")
+        cache = self.__dict__.setdefault("_derivative_cache", {})
+        if var in cache:
+            return cache[var]
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[var]
@@ -211,7 +233,8 @@ class MultiPoly:
             lowered = list(exps)
             lowered[var] = e - 1
             out[tuple(lowered)] = coeff * e
-        return MultiPoly(self.arity, out)
+        cache[var] = MultiPoly(self.arity, out)
+        return cache[var]
 
     def gradient(self) -> tuple["MultiPoly", ...]:
         return tuple(self.partial_derivative(v) for v in range(self.arity))
@@ -317,7 +340,7 @@ class MultiPoly:
         """
         cached = getattr(self, "_evaluator_cache", None)
         if cached is None:
-            cached = _compile_evaluator(self.arity, *self._float_terms())
+            cached = _compile_evaluator(self.arity, [self._float_terms()])
             object.__setattr__(self, "_evaluator_cache", cached)
         return cached
 

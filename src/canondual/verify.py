@@ -89,12 +89,8 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
     checks.append(_check("decoupling-positivity-guard", positive, "min h > 0 and min g > 0"))
 
     # Closed-form reproduction of the eliminated dual, 1000 samples, 1e-10 relative.
-    samples = _gp_feasible_samples(1000, seed=101)
-    worst = max(
-        abs(canonical.dual_value(pr, (s,)) - benchmarks.gp_dual_closed_form(s))
-        / (1.0 + abs(benchmarks.gp_dual_closed_form(s)))
-        for s in samples
-    )
+    closed = [(s, benchmarks.gp_dual_closed_form(s)) for s in _gp_feasible_samples(1000, seed=101)]
+    worst = max(abs(canonical.dual_value(pr, (s,)) - value) / (1.0 + abs(value)) for s, value in closed)
     checks.append(_check("dual-closed-form-reproduction", worst <= 1e-10, f"worst {worst:.3e}"))
 
     # Analytic gradient vs central differences at 20 interior points.

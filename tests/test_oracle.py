@@ -1,5 +1,6 @@
 """Brute-force oracles: grid scans, refinement, multistart, root isolation."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual import kernels, oracle
+from canondual import kernels, oracle, polynomial, verify
 from canondual.benchmarks import GP_BOX, THC_BOX, gp_g, gp_h, gp_objective, thc_objective
 from canondual.errors import DimensionMismatch, NotConverged, RootIsolationFailure
 from canondual.oracle import (
@@ -181,6 +182,141 @@ class TestRefineConvergence:
             point, _ = oracle._refine_counted(p, start, 1e-10, 500)
             assert _critical_to_working_precision(p, point, 1e-10), (start, point)
             assert p.eval(point) <= p.eval(start), (start, point)
+
+
+def _refine_reference(p: MultiPoly, start, tol: float, max_iter: int):
+    """Newton refinement as it stood with five single-polynomial evaluators
+    (two gradient entries, three Hessian entries) and the rounding bound
+    evaluated on every iteration: the reference for _refine_counted."""
+    n = p.arity
+    grads = p.gradient()
+    value_at = p.float_evaluator()
+    bound_at = MultiPoly(n, {e: abs(c) for e, c in p.terms.items()}).float_evaluator()
+    grad_at = [gp.float_evaluator() for gp in grads]
+    hess_at = [[grads[i].partial_derivative(j).float_evaluator() for j in range(i, n)] for i in range(n)]
+    x = [float(c) for c in start]
+    value = value_at(x)
+    evals = 1
+    for _ in range(max_iter):
+        g = [fn(x) for fn in grad_at]
+        gnorm = math.sqrt(sum(gi * gi for gi in g))
+        if gnorm <= tol:
+            return tuple(x), evals
+        if n == 1:
+            h00 = h11 = hess_at[0][0](x)
+            h01 = 0.0
+        else:
+            h00, h01, h11 = hess_at[0][0](x), hess_at[0][1](x), hess_at[1][0](x)
+        mean, radius = 0.5 * (h00 + h11), math.hypot(0.5 * (h00 - h11), h01)
+        lam_lo, lam_hi = mean - radius, mean + radius
+        floor = 1e-8 * max(abs(lam_lo), abs(lam_hi), gnorm)
+        tau = 0.0 if lam_lo > floor else max(floor, -lam_lo) - lam_lo
+        if n == 1:
+            direction = [-g[0] / (h00 + tau)]
+        else:
+            a, c = h00 + tau, h11 + tau
+            det = a * c - h01 * h01
+            direction = [-(c * g[0] - h01 * g[1]) / det, -(a * g[1] - h01 * g[0]) / det]
+        slope = sum(gi * di for gi, di in zip(g, direction))
+        if -0.5 * slope <= 4.0 * sys.float_info.epsilon * abs(value):
+            return tuple(x), evals
+        noise = sys.float_info.epsilon * bound_at([abs(xi) for xi in x])
+        step = 1.0
+        while True:
+            trial = [xi + step * di for xi, di in zip(x, direction)]
+            trial_value = value_at(trial)
+            evals += 1
+            if trial_value <= value + 1e-4 * step * slope:
+                x, value = trial, trial_value
+                break
+            step *= 0.5
+            if -step * slope <= noise:
+                return tuple(x), evals
+            if step < 2.0**-60:
+                raise NotConverged("line search stalled", evals)
+    raise NotConverged("no convergence", evals)
+
+
+def _outcome(refine, p, start, max_iter):
+    try:
+        return refine(p, start, 1e-10, max_iter)
+    except NotConverged as failure:
+        return "NotConverged", failure.evaluations
+
+
+def _double_well():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    return x**4 - x**2 + y**2
+
+
+class TestNewtonStepEvaluator:
+    @pytest.mark.parametrize(
+        "name, poly, box",
+        [
+            ("gp", gp_objective, GP_BOX),
+            ("thc", thc_objective, THC_BOX),
+            ("double well", _double_well, Box((-2.0, -2.0), (2.0, 2.0))),
+            ("quartic g", gp_g, Box((-3.0,), (6.0,))),
+        ],
+    )
+    @pytest.mark.parametrize("max_iter", [500, 6])
+    def test_matches_the_five_evaluator_reference(self, name, poly, box, max_iter):
+        # Same point, same evaluation count and the same NotConverged cases
+        # over the 64 starts multistart draws with seed 42; a budget of 6
+        # iterations lets some starts converge and others fail.
+        p = poly()
+        rng = Lcg(42)
+        failures = 0
+        for _ in range(64):
+            start = tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
+            expected = _outcome(_refine_reference, p, start, max_iter)
+            assert _outcome(oracle._refine_counted, p, start, max_iter) == expected, (name, start)
+            failures += expected[0] == "NotConverged"
+        assert failures == 0 if max_iter == 500 else 0 < failures < 64
+
+    def test_one_derivative_call_per_iteration_and_the_bound_only_on_backtracking(self):
+        # A convex quadratic: one full Newton step, then |grad| = 0.  Two
+        # iterations, no step halving, so the rounding bound is never read.
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = (x - 1) ** 2 + 2 * (y + Fraction(1, 2)) ** 2
+        value_at, bound_at, derivatives_at = oracle._newton_evaluators(p)
+        calls = {"derivatives": 0, "bound": 0}
+
+        def counted(key, fn):
+            def wrapper(point):
+                calls[key] += 1
+                return fn(point)
+
+            return wrapper
+
+        evaluators = (value_at, counted("bound", bound_at), counted("derivatives", derivatives_at))
+        assert oracle._refine_counted(p, (3.0, 3.0), 1e-10, 500, evaluators) == ((1.0, -0.5), 2)
+        assert calls == {"derivatives": 2, "bound": 0}
+
+
+class TestCompiledOnce:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        calls = []
+        real = polynomial._compile_evaluator
+        monkeypatch.setattr(
+            polynomial, "_compile_evaluator", lambda *args: calls.append(args) or real(*args)
+        )
+        return calls
+
+    def test_second_derivative_roots_call_compiles_nothing(self, compiled):
+        p = poly1({(4,): 1, (2,): -3, (1,): 1})  # fresh, irrational critical points
+        first = derivative_roots(p, (-10.0, 10.0))
+        assert compiled
+        compiled.clear()
+        assert derivative_roots(p, (-10.0, 10.0)) == first
+        assert compiled == []
+
+    def test_second_verify_gp_call_compiles_nothing(self, compiled):
+        first = verify.verify_gp()
+        compiled.clear()
+        assert verify.verify_gp() == first
+        assert compiled == []
 
 
 class TestMultistart:

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: examples, serialization, and ring properties."""
 
+import struct
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canondual.errors import DimensionMismatch
-from canondual.polynomial import MultiPoly, first_diff_term, rat
+from canondual.polynomial import MultiPoly, first_diff_term, joint_evaluator, rat
 
 
 def two_var(terms):
@@ -145,6 +146,11 @@ class TestDerivatives:
         with pytest.raises(DimensionMismatch):
             f2.partial_derivative(2)
 
+    def test_built_once_per_polynomial(self, f2):
+        assert f2.partial_derivative(0) is f2.partial_derivative(0)
+        assert f2.gradient()[1] is f2.partial_derivative(1)
+        assert f2.partial_derivative(0).float_evaluator() is f2.partial_derivative(0).float_evaluator()
+
 
 class TestSubstituteLinear:
     def test_identity_substitution(self, f2):
@@ -261,3 +267,78 @@ def test_float_evaluator_within_rounding_bound(p, point):
     value = p.float_evaluator()(x)
     assert abs(Fraction(value) - exact) <= 12 * Fraction(2.0**-53) * magnitude
     assert p.eval(x) == value
+
+
+# -- the one code generator ---------------------------------------------------
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _single_polynomial_generator(arity, exps_list, coeffs):
+    """The one-polynomial generator as it stood before it took several term
+    lists, kept verbatim as the reference for MultiPoly.float_evaluator."""
+
+    def power(v: int, e: int) -> str:
+        return f"x{v}" if e == 1 else f"x{v}_{e}"
+
+    names = ", ".join(f"x{v}" for v in range(arity))
+    lines = ["def evaluate(point):", f"    {names}, = point"]
+    for v in range(arity):
+        for e in range(2, max((exps[v] for exps in exps_list), default=0) + 1):
+            lines.append(f"    {power(v, e)} = {power(v, e - 1)} * x{v}")
+    lines.append("    total = 0.0")
+    for exps, coeff in zip(exps_list, coeffs):
+        factors = "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
+        lines.append(f"    total += {coeff!r}{factors}")
+    lines.append("    return total")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<MultiPoly.float_evaluator>", "exec"), {}, namespace)
+    return namespace["evaluate"]
+
+
+float_coefficients = st.floats(min_value=-50, max_value=50, allow_nan=False).filter(bool)
+float_points = st.floats(min_value=-3, max_value=3, allow_nan=False)
+
+
+@st.composite
+def polynomial_lists(draw):
+    """Two to six polynomials of one arity (1 to 4) with unequal degrees,
+    a zero and a constant polynomial among them."""
+    arity = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 5)] * arity)
+    polys = draw(
+        st.lists(
+            st.dictionaries(exponents, float_coefficients, min_size=1, max_size=6),
+            min_size=0,
+            max_size=4,
+        )
+    )
+    polys = [MultiPoly.from_terms(arity, terms) for terms in polys]
+    polys.insert(draw(st.integers(0, len(polys))), MultiPoly.zero(arity))
+    polys.insert(draw(st.integers(0, len(polys))), MultiPoly.constant(arity, draw(float_coefficients)))
+    point = draw(st.lists(float_points, min_size=arity, max_size=arity))
+    return polys, point
+
+
+@given(polynomial_lists())
+def test_joint_evaluator_outputs_are_each_float_evaluator(case):
+    polys, point = case
+    outputs = joint_evaluator(polys)(point)
+    assert len(outputs) == len(polys)
+    for poly, output in zip(polys, outputs):
+        assert _bits(output) == _bits(poly.float_evaluator()(point))
+
+
+@given(polynomial_lists())
+def test_float_evaluator_is_the_single_polynomial_generator(case):
+    polys, point = case
+    for poly in polys:
+        reference = _single_polynomial_generator(poly.arity, *poly._float_terms())
+        evaluate = poly.float_evaluator()
+        # Same source: the compiled code objects agree, not only the values.
+        assert evaluate.__code__.co_code == reference.__code__.co_code
+        assert evaluate.__code__.co_consts == reference.__code__.co_consts
+        assert evaluate.__code__.co_varnames == reference.__code__.co_varnames
+        assert _bits(evaluate(point)) == _bits(reference(point))

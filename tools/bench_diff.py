@@ -16,6 +16,8 @@ with:
              "change": {"median": m, "q1": a, "q3": b},
              "change_wins": 10}}}}}
 
+``tools/bench_record.py`` writes it from the two checkouts' results.
+
 Without an argument the record with the highest n is printed.  Each line is
 one workload and end-to-end metric: the parent and change medians with the
 change's relative move, the pairs the change won and the parent's quartile
