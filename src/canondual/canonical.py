@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .polynomial import MultiPoly
@@ -50,7 +50,7 @@ from .smallmat import (
     solve_sym,
 )
 
-# dual_rounding's multiple of the unit roundoff.
+# DualPoint.rounding's multiple of the unit roundoff.
 _ROUNDING_ULPS = 4
 
 
@@ -224,25 +224,6 @@ class TableProblem:
 Problem = CanonicalProblem | TableProblem
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A dual vector together with the minimum eigenvalue of G at it."""
-
-    sigma: tuple[float, ...]
-    g_margin: float
-
-
-def dual_point(pr: Problem, sigma: Sequence[float]) -> DualPoint:
-    _, margin = in_positive_domain(pr, sigma)
-    return DualPoint(tuple(float(s) for s in sigma), margin)
-
-
-def _check_sigma(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
-    if len(sigma) != pr.m:
-        raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {pr.m}")
-    return tuple(map(float, sigma))
-
-
 def _point(pr: Problem, x: Sequence[float]) -> tuple[float, ...]:
     v = x.entries if isinstance(x, Vector) else tuple(map(float, x))
     if len(v) != pr.n:
@@ -322,50 +303,128 @@ def _xi(table: DualTable, acc: list[float], x: Sequence[float]) -> float:
     return 0.5 * sum(map(mul, _gx(table, acc, x), x)) - sum(map(mul, _f(table, acc), x)) + acc[-1]
 
 
-Solve = Callable[[Sequence[float], float], tuple[float, ...]]
+class DualPoint:
+    """The dual at one sigma: [G, F, c] accumulated once, the threshold
+    test exceeds(t) on those entries, and one x_bar, solved at the first
+    request, from which value, rounding bound, gradient and Hessian all
+    come; the two derivatives share one accumulation of [G_k, F_k, c_k].
 
-
-def _solver(table: DualTable, acc: list[float]) -> tuple[bool, Solve]:
-    """(G positive definite, (v, residual_tol) -> G^{-1} v), one
-    factorisation of G for all the solves at one dual point.
-
-    For n <= 2 the solves are solve_1x1 and solve_2x2 on the accumulated
-    entries.  For n >= 3 the Cholesky factor of the accumulated upper
-    triangle is both the positive definiteness test and, through
-    solve_factored, the solver; only a G that is not positive definite
-    becomes a SymMatrix for solve_sym's elimination.  Every solve keeps
-    solve_sym's refinement step and residual check.
+    Solves are solve_1x1 and solve_2x2 on the accumulated entries for
+    n <= 2.  For n >= 3 the Cholesky factor of the accumulated upper
+    triangle, made once, is both the positive definiteness test and,
+    through solve_factored, the solver for x_bar and the Hessian's solves;
+    only a G that is not positive definite becomes a SymMatrix for
+    solve_sym's elimination.  Every solve keeps solve_sym's refinement step
+    and residual check.
     """
-    n = table.n
-    if n == 1:
-        g = acc[0]
-        return exceeds(1, acc, 0.0), lambda v, tol: (solve_1x1(g, v[0], tol),)
-    if n == 2:
-        a, b, d = acc[0], acc[1], acc[2]
-        return exceeds(2, acc, 0.0), lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
-    factor = _cholesky(n, acc, 0.0)
-    if factor is not None:
-        rows = full_rows(n, acc)
-        return True, lambda v, tol: solve_factored(factor, rows, v, tol)
-    G = _g(table, acc)
-    return False, lambda v, tol: solve_sym(G, v, tol).entries
 
+    __slots__ = ("sigma", "table", "acc", "_factor", "_x", "_x_tol", "_first")
 
-def _at(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, list[float]]:
-    """(sigma, table, [G, F, c] at sigma)."""
-    sig = _check_sigma(pr, sigma)
-    table = pr.table
-    return sig, table, _accumulate(table, table.value, sig)
+    def __init__(self, pr: Problem, sigma: Sequence[float]) -> None:
+        self.table = table = pr.table
+        if len(sigma) != table.m:
+            raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {table.m}")
+        self.sigma = sig = tuple(map(float, sigma))
+        self.acc = _accumulate(table, table.value, sig)
+        self._factor = self._x = self._first = None
+
+    def exceeds(self, t: float) -> bool:
+        """lambda_min(G) > t: smallmat.exceeds on the accumulated entries."""
+        return exceeds(self.table.n, self.acc, t)
+
+    def _factored(self) -> tuple[list[list[float]] | None, tuple[tuple[float, ...], ...]]:
+        """(the Cholesky factor of G, or None when G is not positive
+        definite; the rows of G), made once, for n >= 3."""
+        if self._factor is None:
+            n, acc = self.table.n, self.acc
+            self._factor = (_cholesky(n, acc, 0.0), full_rows(n, acc))
+        return self._factor
+
+    def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
+        n, acc = self.table.n, self.acc
+        if n == 1:
+            return (solve_1x1(acc[0], v[0], residual_tol),)
+        if n == 2:
+            return solve_2x2(acc[0], acc[1], acc[2], v[0], v[1], residual_tol)
+        factor, rows = self._factored()
+        if factor is not None:
+            return solve_factored(factor, rows, v, residual_tol)
+        return solve_sym(_g(self.table, acc), v, residual_tol).entries
+
+    def x_bar(self, residual_tol: float = 1e-9) -> Sequence[float]:
+        """x_bar solving G x = F, the stationary point of Xi(., sigma).  Solved
+        once; a tighter residual_tol than the solve passed repeats the solve
+        for its check, which raises ColumnSpaceViolation or gives the same x_bar."""
+        x = self._x
+        if x is None or residual_tol < self._x_tol:
+            x = self._x = self._solve(_f(self.table, self.acc), residual_tol)
+            self._x_tol = residual_tol
+        return x
+
+    def value(self, residual_tol: float = 1e-9) -> float:
+        """P^d(sigma) = -1/2 F^T x_bar + c."""
+        acc = self.acc
+        return -0.5 * sum(map(mul, _f(self.table, acc), self.x_bar(residual_tol))) + acc[-1]
+
+    def rounding(self) -> float:
+        """A bound on the rounding error of value(): a few units of roundoff
+        times |c| + |1/2 F^T x_bar|, the two terms its last sum adds."""
+        half = 0.5 * sum(map(mul, _f(self.table, self.acc), self.x_bar()))
+        return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(self.acc[-1]) + abs(half))
+
+    def complementary(self, x: Sequence[float]) -> float:
+        """Xi(x, sigma) = 1/2 x^T G x - x^T F + c."""
+        return _xi(self.table, self.acc, x)
+
+    def _interior(self) -> tuple[Sequence[float], list[list[float]]]:
+        """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is
+        differentiable: G nonsingular, which positive definiteness proves."""
+        n, acc = self.table.n, self.acc
+        positive = exceeds(n, acc, 0.0) if n <= 2 else self._factored()[0] is not None
+        if not positive and not is_nonsingular(_g(self.table, acc)):
+            raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
+        x = self.x_bar(1e-6)
+        if self._first is None:
+            self._first = [_accumulate(self.table, rows, self.sigma) for rows in self.table.grad]
+        return x, self._first
+
+    def gradient(self) -> tuple[float, ...]:
+        """Gradient of P^d by the envelope identity: component k is
+        1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k, which in canonical form
+        is Lambda_k(x_bar) - dV*/dsigma_k.  Requires G nonsingular."""
+        x, first = self._interior()
+        return tuple([_xi(self.table, acc, x) for acc in first])
+
+    def hessian(self) -> SymMatrix:
+        """Hessian of P^d, exact:
+
+            H_kl = 1/2 x_bar^T G_kl x_bar - x_bar^T F_kl + c_kl - u_k^T G^{-1} u_l,
+            u_k = G_k x_bar - F_k,
+
+        from d x_bar / d sigma_l = -G^{-1} u_l, the derivative of G x_bar = F.
+        In canonical form u_k = C_k x_bar + b_k and the first terms are
+        -delta_kl / (2 a_k).  Requires G nonsingular, as the gradient does;
+        the m solves reuse the factorisation of G that x_bar came from.
+        """
+        x, first = self._interior()
+        table, sig = self.table, self.sigma
+        u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
+        w = [self._solve(u_l, 1e-6) for u_l in u]
+        return SymMatrix(table.m, tuple(
+            _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
+        ))
 
 
 def g_matrix(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
     """G(sigma) = sum_a sigma^a G_a."""
-    return _g(*_at(pr, sigma)[1:])
+    point = DualPoint(pr, sigma)
+    return _g(point.table, point.acc)
 
 
 def f_vector(pr: Problem, sigma: Sequence[float]) -> Vector:
     """F(sigma) = sum_a sigma^a F_a."""
-    return Vector(_f(*_at(pr, sigma)[1:]))
+    point = DualPoint(pr, sigma)
+    return Vector(_f(point.table, point.acc))
 
 
 def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
@@ -374,72 +433,30 @@ def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) 
     Well defined only where F(sigma) lies in the column space of G(sigma);
     otherwise ColumnSpaceViolation propagates from the solve.
     """
-    _, table, acc = _at(pr, sigma)
-    F = _f(table, acc)
-    return -0.5 * sum(map(mul, F, _solver(table, acc)[1](F, residual_tol))) + acc[-1]
-
-
-def dual_rounding(pr: Problem, sigma: Sequence[float]) -> float:
-    """A bound on the rounding error of dual_value(pr, sigma): a few units
-    of roundoff times |c| + |1/2 F^T x_bar|, the two terms its last sum adds."""
-    _, table, acc = _at(pr, sigma)
-    F = _f(table, acc)
-    half = 0.5 * sum(map(mul, F, _solver(table, acc)[1](F, 1e-9)))
-    return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(acc[-1]) + abs(half))
+    return DualPoint(pr, sigma).value(residual_tol)
 
 
 def recover_primal(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> Vector:
     """x_bar solving G(sigma) x = F(sigma): the stationary point of Xi(., sigma)."""
-    _, table, acc = _at(pr, sigma)
     # Stationarity of Xi in x is exactly the solve residual; the solve
     # enforces it at residual_tol <= 1e-9 relative, well inside 1e-8.
-    return Vector(_solver(table, acc)[1](_f(table, acc), residual_tol))
-
-
-def _interior_primal(pr: Problem, sigma: Sequence[float]) -> tuple[tuple[float, ...], DualTable, Solve, tuple[float, ...]]:
-    """(sigma, table, solve with G(sigma), x_bar) where P^d is
-    differentiable: G nonsingular, which its Cholesky factorisation proves
-    when G is positive definite."""
-    sig, table, acc = _at(pr, sigma)
-    positive, solve = _solver(table, acc)
-    if not positive and not is_nonsingular(_g(table, acc)):
-        raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
-    return sig, table, solve, solve(_f(table, acc), 1e-6)
+    return Vector(DualPoint(pr, sigma).x_bar(residual_tol))
 
 
 def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
-    """Gradient of P^d by the envelope identity: component k is
-    1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k, which in canonical form is
-    Lambda_k(x_bar) - dV*/dsigma_k.  Requires G(sigma) nonsingular."""
-    sig, table, _, x = _interior_primal(pr, sigma)
-    return tuple(_xi(table, _accumulate(table, rows, sig), x) for rows in table.grad)
+    """Gradient of P^d (DualPoint.gradient).  Requires G(sigma) nonsingular."""
+    return DualPoint(pr, sigma).gradient()
 
 
 def dual_hessian(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
-    """Hessian of P^d, exact:
-
-        H_kl = 1/2 x_bar^T G_kl x_bar - x_bar^T F_kl + c_kl - u_k^T G^{-1} u_l,
-        u_k = G_k x_bar - F_k,
-
-    from d x_bar / d sigma_l = -G^{-1} u_l, the derivative of G x_bar = F.
-    In canonical form u_k = C_k x_bar + b_k and the first terms are
-    -delta_kl / (2 a_k).  Requires G(sigma) nonsingular, as the gradient
-    does; the m solves reuse the factorisation of G that x_bar came from.
-    """
-    sig, table, solve, x = _interior_primal(pr, sigma)
-    first = [_accumulate(table, rows, sig) for rows in table.grad]
-    u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
-    w = [solve(u_l, 1e-6) for u_l in u]
-    return SymMatrix(pr.m, tuple(
-        _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
-    ))
+    """Hessian of P^d, exact (DualPoint.hessian).  Requires G(sigma) nonsingular."""
+    return DualPoint(pr, sigma).hessian()
 
 
 def complementary_value(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> float:
     """Xi(x, sigma) = 1/2 x^T G(sigma) x - x^T F(sigma) + c(sigma), which in
     canonical form is Lambda(x)^T sigma - V*(sigma) - U(x)."""
-    _, table, acc = _at(pr, sigma)
-    return _xi(table, acc, _point(pr, x))
+    return DualPoint(pr, sigma).complementary(_point(pr, x))
 
 
 def in_positive_domain(
@@ -454,8 +471,7 @@ def in_interior(pr: Problem, sigma: Sequence[float], margin: float) -> bool:
     """lambda_min(G(sigma)) > margin: the Cholesky factorisation of
     G - margin I has all pivots > 0.  The threshold test of the ascent, its
     interior start and verify's sampling; it computes no eigenvalue."""
-    _, table, acc = _at(pr, sigma)
-    return exceeds(table.n, acc, margin)
+    return DualPoint(pr, sigma).exceeds(margin)
 
 
 def duality_gap(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> tuple[float, float]:

@@ -1,24 +1,27 @@
 """Concave maximization over the interior of the PSD-feasible dual domain.
 
-The engine is a damped Newton ascent on the caller's analytic gradient
-and Hessian: step direction from solving -H d = grad through the Cholesky
-factor of -H, with a steepest-ascent fallback when that factorisation
-fails (H not negative definite), and a backtracking line search that
-accepts a step only when the iterate keeps a strict feasibility margin
-and satisfies the Armijo ascent condition.  Feasibility is a threshold
-test: feasibility_fn(sigma, t) is True when sigma is feasible with margin
-greater than t, for the canonical dual lambda_min(G(sigma)) > t decided by
-a Cholesky factorisation of G - tI.
+The ascent sees the dual through one callback: at(sigma) returns the dual
+point at sigma (canonical.DualPoint), whose exceeds(t) is the feasibility
+threshold test (for the canonical dual lambda_min(G(sigma)) > t, decided
+by a Cholesky factorisation of G - tI) and whose value, rounding bound,
+gradient and Hessian share one factorisation of G.  The engine is a damped
+Newton ascent: step direction from solving -H d = grad through the
+Cholesky factor of -H, with a steepest-ascent fallback when that
+factorisation fails (H not negative definite), and a backtracking line
+search that accepts a trial point only when it keeps a strict feasibility
+margin and satisfies the Armijo ascent condition; that point is then the
+next iterate.
 
 Accepted dual values increase, with one exception at the rounding level:
 when a trial step's predicted gain step * slope is below the bound on the
-dual value's rounding error (rounding_fn), the value can no longer tell
-the trial from the iterate, and an interior trial is accepted when its
-gradient norm is smaller than the iterate's and its value at most that
+dual value's rounding error (point.rounding()), the value can no longer
+tell the trial from the iterate, and an interior trial is accepted when
+its gradient norm is smaller than the iterate's and its value at most that
 bound below the iterate's.  The bound is the dual's own (for the canonical
-dual a few units of roundoff times |c| + |1/2 F^T x_bar|), because the value
-alone cannot show the cancellation between those terms.  Every accepted
-iterate is strictly interior.
+dual a few units of roundoff times |c| + |1/2 F^T x_bar|), because the
+value alone cannot show the cancellation between those terms; a point
+whose bound is 0.0 never takes this path.  Every accepted iterate is
+strictly interior.
 
 The canonical pipeline (solve_canonical) climbs any dual of
 canonical.DualTable form, affine in sigma or staged like Three Hump Camel,
@@ -48,11 +51,8 @@ from .errors import (
 )
 from .smallmat import SymMatrix, Vector, cholesky, solve_sym
 
-ValueFn = Callable[[Sequence[float]], float]
-GradFn = Callable[[Sequence[float]], Sequence[float]]
-HessFn = Callable[[Sequence[float]], SymMatrix]
-FeasFn = Callable[[Sequence[float], float], bool]
-RoundingFn = Callable[[Sequence[float]], float]
+# sigma -> the dual point at sigma: a canonical.DualPoint, or any object with its methods.
+PointFn = Callable[[tuple[float, ...]], canonical.DualPoint]
 
 _MIN_STEP = 1e-16
 INTERIOR_MARGIN = 1e-9  # feasibility margin every accepted iterate keeps
@@ -105,23 +105,18 @@ class AscentResult:
 
 
 def find_interior_start(
-    value_fn: ValueFn,
-    feasibility_fn: FeasFn,
+    at: PointFn,
     m: int,
     delta: float = INTERIOR_MARGIN,
     tau_max: float = 1e6,
 ) -> tuple[float, ...]:
-    """First point on a deterministic ray grid with feasibility_fn(sigma,
-    delta) True and a finite value.
+    """First point on a deterministic ray grid with at(sigma).exceeds(delta)
+    True and a finite value.
 
     Candidates are the origin, then tau * u for geometrically growing tau
     over both signs of each coordinate direction and the all-ones direction.
     """
-    directions = []
-    for k in range(m):
-        unit = [0.0] * m
-        unit[k] = 1.0
-        directions.append(tuple(unit))
+    directions = [tuple(float(j == k) for j in range(m)) for k in range(m)]
     if m > 1:
         directions.append((1.0,) * m)
 
@@ -135,25 +130,23 @@ def find_interior_start(
             tau *= 2.0
 
     for sigma in candidates():
-        if feasibility_fn(sigma, delta):
-            try:
-                value = value_fn(sigma)
-            except _DOMAIN_ERRORS:
-                continue
-            if math.isfinite(value):
-                return sigma
+        point = at(sigma)
+        if point.exceeds(delta) and _try_value(point.value) is not None:
+            return sigma
     raise NoInteriorPoint(f"no strictly feasible point with margin > {delta} up to tau {tau_max}")
 
 
-def _try_value(value_fn: ValueFn, sigma: Sequence[float]) -> float | None:
+def _try_value(value_fn: Callable[..., float], *args) -> float | None:
     try:
-        value = value_fn(sigma)
+        value = value_fn(*args)
     except _DOMAIN_ERRORS:
         return None
     return value if math.isfinite(value) else None
 
 
-def _fd_gradient(value_fn: ValueFn, sigma: tuple[float, ...], fd_step: float) -> tuple[float, ...]:
+def _fd_gradient(
+    value_fn: Callable[[Sequence[float]], float], sigma: tuple[float, ...], fd_step: float
+) -> tuple[float, ...]:
     """Central differences with a one-sided fallback near domain edges."""
     center = None
     grad = []
@@ -179,7 +172,9 @@ def _fd_gradient(value_fn: ValueFn, sigma: tuple[float, ...], fd_step: float) ->
     return tuple(grad)
 
 
-def _fd_hessian(grad_of: GradFn, sigma: tuple[float, ...], fd_step: float) -> SymMatrix:
+def _fd_hessian(
+    grad_of: Callable[[Sequence[float]], Sequence[float]], sigma: tuple[float, ...], fd_step: float
+) -> SymMatrix:
     """Symmetrized central differences of the gradient."""
     m = len(sigma)
     cols: list[Sequence[float] | None] = [None] * m
@@ -213,28 +208,20 @@ def _fd_hessian(grad_of: GradFn, sigma: tuple[float, ...], fd_step: float) -> Sy
     return SymMatrix(m, tuple(rows[i][j] for i in range(m) for j in range(i, m)))
 
 
-def _grad(gradient_fn: GradFn, sigma: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
-    grad = tuple(float(g) for g in gradient_fn(sigma))
+def _grad(point) -> tuple[tuple[float, ...], float]:
+    grad = tuple(float(g) for g in point.gradient())
     return grad, math.sqrt(sum(g * g for g in grad))
 
 
-def maximize_concave(
-    value_fn: ValueFn,
-    gradient_fn: GradFn,
-    hessian_fn: HessFn,
-    feasibility_fn: FeasFn,
-    start: Sequence[float],
-    cfg: SolverConfig | None = None,
-    rounding_fn: RoundingFn | None = None,
-) -> AscentResult:
+def maximize_concave(at: PointFn, start: Sequence[float], cfg: SolverConfig | None = None) -> AscentResult:
     """Damped Newton ascent from a strictly feasible start.
 
-    feasibility_fn(sigma, t) is True when sigma is feasible with margin
-    greater than t; every iterate has margin greater than INTERIOR_MARGIN.
-    rounding_fn(sigma), when given, bounds the rounding error of
-    value_fn(sigma): a trial step whose predicted gain is below it is
-    accepted on a smaller gradient norm and a value at most that bound
-    below the iterate's (module docstring).
+    at(sigma) is the dual point at sigma: point.exceeds(t) is True when
+    sigma is feasible with margin greater than t, and every iterate has
+    margin greater than INTERIOR_MARGIN.  point.rounding() bounds the
+    rounding error of point.value(): a trial step whose predicted gain is
+    below it is accepted on a smaller gradient norm and a value at most
+    that bound below the iterate's (module docstring).
 
     Terminates with converged=True when the gradient norm drops below
     grad_tol, converged=False at the iteration cap, and raises
@@ -244,17 +231,18 @@ def maximize_concave(
     """
     cfg = cfg or SolverConfig()
     sigma = tuple(float(s) for s in start)
-    if not feasibility_fn(sigma, INTERIOR_MARGIN):
+    point = at(sigma)
+    if not point.exceeds(INTERIOR_MARGIN):
         raise ValueError(f"start {sigma} does not have margin > interior margin {INTERIOR_MARGIN:.3e}")
 
-    value = value_fn(sigma)
-    grad, grad_norm = _grad(gradient_fn, sigma)
+    value = point.value()
+    grad, grad_norm = _grad(point)
 
     for iteration in range(cfg.max_iter):
         if grad_norm <= cfg.grad_tol:
             return AscentResult(sigma, value, grad_norm, iteration, True)
 
-        neg_hess = hessian_fn(sigma).scale(-1.0)
+        neg_hess = point.hessian().scale(-1.0)
         direction = None
         factor = cholesky(neg_hess)
         if factor is not None:
@@ -269,33 +257,30 @@ def maximize_concave(
         slope = sum(g * d for g, d in zip(grad, direction))
 
         step = 1.0
-        rounding = None  # value_fn's rounding bound at sigma, computed when first needed
-        accepted = None
+        rounding = None  # the value's rounding bound at sigma, computed when first needed
         while step >= _MIN_STEP:
             trial = tuple(s + step * d for s, d in zip(sigma, direction))
-            trial_value = _try_value(value_fn, trial) if feasibility_fn(trial, INTERIOR_MARGIN) else None
+            trial_point = at(trial)
+            trial_value = _try_value(trial_point.value) if trial_point.exceeds(INTERIOR_MARGIN) else None
             if trial_value is not None:
                 if trial_value >= value + ARMIJO_C * step * slope:
-                    accepted = (trial, trial_value, 0.0, None)
+                    slack, trial_grad = 0.0, None
                     break
-                if rounding_fn is not None:
-                    if rounding is None:
-                        rounding = rounding_fn(sigma)
-                    if step * slope < rounding and trial_value >= value - rounding:
-                        trial_grad = _grad(gradient_fn, trial)
-                        if trial_grad[1] < grad_norm:
-                            accepted = (trial, trial_value, rounding, trial_grad)
-                            break
+                if rounding is None:
+                    rounding = point.rounding()
+                if step * slope < rounding and trial_value >= value - rounding:
+                    slack, trial_grad = rounding, _grad(trial_point)
+                    if trial_grad[1] < grad_norm:
+                        break
             step *= BACKTRACK_RATIO
-        if accepted is None:
+        else:
             raise LineSearchStalled(sigma, value, grad_norm, iteration)
 
-        new_sigma, new_value, slack, new_grad = accepted
-        assert new_value >= value - slack, (
+        assert trial_value >= value - slack, (
             "accepted values increase, or fall by at most the value's rounding bound on a smaller gradient"
         )
-        sigma, value = new_sigma, new_value
-        grad, grad_norm = new_grad or _grad(gradient_fn, sigma)
+        sigma, point, value = trial, trial_point, trial_value
+        grad, grad_norm = trial_grad or _grad(point)
 
     converged = grad_norm <= cfg.grad_tol
     return AscentResult(sigma, value, grad_norm, cfg.max_iter, converged)
@@ -327,29 +312,21 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
     """Full dual pipeline: interior start, concave ascent with the exact
     dual gradient and Hessian, primal recovery, and certificate triage."""
     cfg = cfg or SolverConfig()
-    value_fn = partial(canonical.dual_value, pr)
-    feasibility_fn = partial(canonical.in_interior, pr)
-    start = find_interior_start(value_fn, feasibility_fn, pr.m)
+    at = partial(canonical.DualPoint, pr)
+    start = find_interior_start(at, pr.m)
     stalled = False
     try:
-        result = maximize_concave(
-            value_fn,
-            partial(canonical.dual_gradient, pr),
-            partial(canonical.dual_hessian, pr),
-            feasibility_fn,
-            start,
-            cfg,
-            rounding_fn=partial(canonical.dual_rounding, pr),
-        )
+        result = maximize_concave(at, start, cfg)
     except LineSearchStalled as stall:
         result = AscentResult(stall.sigma, stall.value, stall.grad_norm, stall.iterations, False)
         stalled = True
 
     sigma_star = result.sigma
     _, psd_margin = canonical.in_positive_domain(pr, sigma_star)  # the one eigenvalue, for the report
-    x_bar = canonical.recover_primal(pr, sigma_star)
+    point = at(sigma_star)
+    x_bar = Vector(point.x_bar())
     primal = canonical.primal_value(pr, x_bar)
-    xi = canonical.complementary_value(pr, x_bar, sigma_star)
+    xi = point.complementary(x_bar.entries)
     gap = max(abs(primal - xi), abs(xi - result.value))
     certificate = classify_certificate(result.converged, stalled, psd_margin, gap, primal)
     return CriticalReport(

@@ -167,7 +167,8 @@ def _refine_counted(
     Every accepted step lowers the value, so the returned point is never
     worse than the start.  Raises NotConverged, carrying the evaluation
     count, when ``max_iter`` iterations do not suffice or the step length
-    underflows.  Returns (point, number of objective evaluations).
+    underflows.  Returns (point, p at point, number of objective
+    evaluations); the value is the one the last accepted step computed.
     ``evaluators`` is ``_newton_evaluators(p)``, built here when not given.
     An iteration makes one call for the gradient and Hessian together, one
     value call per trial step, and evaluates the rounding bound only when
@@ -187,7 +188,7 @@ def _refine_counted(
             g = [g0, g1]
         gnorm = math.sqrt(sum(gi * gi for gi in g))
         if gnorm <= tol:
-            return tuple(x), evals
+            return tuple(x), value, evals
         mean, radius = 0.5 * (h00 + h11), math.hypot(0.5 * (h00 - h11), h01)
         lam_lo, lam_hi = mean - radius, mean + radius
         floor = _SHIFT_FLOOR * max(abs(lam_lo), abs(lam_hi), gnorm)
@@ -200,7 +201,7 @@ def _refine_counted(
             direction = [-(c * g[0] - h01 * g[1]) / det, -(a * g[1] - h01 * g[0]) / det]
         slope = sum(gi * di for gi, di in zip(g, direction))
         if -0.5 * slope <= _DECREMENT_ULPS * _EPS * abs(value):
-            return tuple(x), evals
+            return tuple(x), value, evals
         noise = None
         step = 1.0
         while True:
@@ -214,7 +215,7 @@ def _refine_counted(
             if noise is None:  # only backtracking reads the rounding bound
                 noise = _EPS * bound_at([abs(xi) for xi in x])
             if -step * slope <= noise:
-                return tuple(x), evals
+                return tuple(x), value, evals
             if step < _MIN_STEP:
                 raise NotConverged(
                     f"line search stalled at {tuple(x)} with |grad|={gnorm:.3e}", evals
@@ -228,8 +229,7 @@ def local_refine(
     """Polish a starting point to a critical point of p (see _refine_counted)."""
     if p.arity > 2:
         raise DimensionMismatch("local refinement supports at most 2 variables")
-    point, _ = _refine_counted(p, start, tol, max_iter)
-    return point
+    return _refine_counted(p, start, tol, max_iter)[0]
 
 
 def multistart(
@@ -262,14 +262,12 @@ def multistart(
     failed = 0
     for start in starts:  # index order: deterministic reduction
         try:
-            point, evals = _refine_counted(p, start, tol, 500, evaluators)
+            point, value, evals = _refine_counted(p, start, tol, 500, evaluators)
         except NotConverged as failure:
             failed += 1
             total_evals += failure.evaluations
             continue
         total_evals += evals
-        value = p.eval(point)
-        total_evals += 1
         if value < best_value:
             best_value, best_x = value, point
     if best_x is None:

@@ -266,7 +266,7 @@ def _problem_interior_samples(
 ) -> list[tuple[float, ...]]:
     """Dual points with margin > 10 delta near the interior-start ray."""
     feasible = partial(canonical.in_interior, pr)
-    anchor = dual_solver.find_interior_start(partial(canonical.dual_value, pr), feasible, pr.m, delta)
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m, delta)
     rng = oracle.Lcg(seed)
     points: list[tuple[float, ...]] = []
     radius = 1.0

@@ -1,7 +1,12 @@
 """The canonical duality framework on the decoupled quartic and synthetic problems."""
 
+import json
 import math
+import struct
+import sys
 from fractions import Fraction
+from functools import partial
+from operator import mul, sub
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +15,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canondual import canonical, cli
-from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g
-from canondual.dual_solver import _fd_gradient, _fd_hessian
+from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
+from canondual.canonical import _ROUNDING_ULPS, _accumulate, _f, _g, _gx, _xi
+from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, SingularMatrixError
 from canondual.oracle import Lcg
 from canondual.polynomial import MultiPoly
-from canondual.smallmat import SymMatrix, Vector, add_scaled, min_eigenvalue
+from canondual.smallmat import (
+    SymMatrix,
+    Vector,
+    _cholesky,
+    add_scaled,
+    exceeds,
+    full_rows,
+    is_nonsingular,
+    min_eigenvalue,
+    solve_1x1,
+    solve_2x2,
+    solve_factored,
+    solve_sym,
+)
+from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
 
 
 @pytest.fixture(scope="module")
@@ -505,11 +525,170 @@ class TestPrimalPolynomial:
         assert all(abs(float(c)) <= 1e-12 for c in diff.terms.values())
 
 
+# -- one evaluation per dual point --------------------------------------------
+#
+# The separate per-quantity formulas DualPoint replaced, kept verbatim as the
+# reference: each accumulates the table and factors G afresh.
+
+
+def _check_sigma(pr, sigma):
+    if len(sigma) != pr.m:
+        raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {pr.m}")
+    return tuple(map(float, sigma))
+
+
+def _solver(table, acc):
+    n = table.n
+    if n == 1:
+        g = acc[0]
+        return exceeds(1, acc, 0.0), lambda v, tol: (solve_1x1(g, v[0], tol),)
+    if n == 2:
+        a, b, d = acc[0], acc[1], acc[2]
+        return exceeds(2, acc, 0.0), lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
+    factor = _cholesky(n, acc, 0.0)
+    if factor is not None:
+        rows = full_rows(n, acc)
+        return True, lambda v, tol: solve_factored(factor, rows, v, tol)
+    G = _g(table, acc)
+    return False, lambda v, tol: solve_sym(G, v, tol).entries
+
+
+def _at(pr, sigma):
+    sig = _check_sigma(pr, sigma)
+    table = pr.table
+    return sig, table, _accumulate(table, table.value, sig)
+
+
+def reference_dual_value(pr, sigma, residual_tol=1e-9):
+    _, table, acc = _at(pr, sigma)
+    F = _f(table, acc)
+    return -0.5 * sum(map(mul, F, _solver(table, acc)[1](F, residual_tol))) + acc[-1]
+
+
+def reference_dual_rounding(pr, sigma):
+    _, table, acc = _at(pr, sigma)
+    F = _f(table, acc)
+    half = 0.5 * sum(map(mul, F, _solver(table, acc)[1](F, 1e-9)))
+    return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(acc[-1]) + abs(half))
+
+
+def reference_recover_primal(pr, sigma, residual_tol=1e-9):
+    _, table, acc = _at(pr, sigma)
+    return Vector(_solver(table, acc)[1](_f(table, acc), residual_tol))
+
+
+def _interior_primal(pr, sigma):
+    sig, table, acc = _at(pr, sigma)
+    positive, solve = _solver(table, acc)
+    if not positive and not is_nonsingular(_g(table, acc)):
+        raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
+    return sig, table, solve, solve(_f(table, acc), 1e-6)
+
+
+def reference_dual_gradient(pr, sigma):
+    sig, table, _, x = _interior_primal(pr, sigma)
+    return tuple(_xi(table, _accumulate(table, rows, sig), x) for rows in table.grad)
+
+
+def reference_dual_hessian(pr, sigma):
+    sig, table, solve, x = _interior_primal(pr, sigma)
+    first = [_accumulate(table, rows, sig) for rows in table.grad]
+    u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
+    w = [solve(u_l, 1e-6) for u_l in u]
+    return SymMatrix(pr.m, tuple(
+        _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
+    ))
+
+
+def packed(values):
+    values = [float(v) for v in values]
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def assert_point_matches_reference(pr, sigma):
+    """Value, rounding bound, x_bar, Xi(x_bar), gradient and Hessian of one
+    DualPoint equal the separate formulas bit for bit, whichever quantity
+    the point is asked for first."""
+    x = reference_recover_primal(pr, sigma).entries
+    want = packed([
+        reference_dual_value(pr, sigma), reference_dual_rounding(pr, sigma), *x,
+        _xi(pr.table, _at(pr, sigma)[2], x),
+        *reference_dual_gradient(pr, sigma), *reference_dual_hessian(pr, sigma).upper,
+    ])
+    point = canonical.DualPoint(pr, sigma)
+    assert packed([
+        point.value(), point.rounding(), *point.x_bar(), point.complementary(point.x_bar()),
+        *point.gradient(), *point.hessian().upper,
+    ]) == want
+    point = canonical.DualPoint(pr, sigma)
+    hessian, gradient = point.hessian().upper, point.gradient()
+    assert packed([
+        point.value(), point.rounding(), *point.x_bar(), point.complementary(point.x_bar()), *gradient, *hessian,
+    ]) == want
+
+
+def _planted(text):
+    return cli.parse_problem_dict(json.loads(text)).to_problem()
+
+
+SHIPPED_AND_PLANTED = {
+    "gp_canonical_g": gp_canonical_g,
+    "thc_problem": thc_problem,
+    **{f"planted_{i}": partial(_planted, entry[0]) for i, entry in enumerate(STALLED_UNDER_FD_HESSIAN)},
+    "crawls_along_the_boundary": partial(_planted, CRAWLS_ALONG_THE_BOUNDARY[0]),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_AND_PLANTED)
+def test_dual_point_matches_the_separate_formulas(name):
+    # Interior points around the ascent's end, at three radii.
+    pr = SHIPPED_AND_PLANTED[name]()
+    center = solve_canonical(pr).sigma_star
+    rng = Lcg(17)
+    samples = [center]
+    for radius in (1e-3, 0.5, 4.0) * 20:
+        sigma = tuple(s + rng.uniform(-radius, radius) for s in center)
+        if canonical.in_interior(pr, sigma, 1e-9):
+            samples.append(sigma)
+    assert len(samples) >= 20
+    for sigma in samples:
+        assert_point_matches_reference(pr, sigma)
+
+
+@given(st.one_of(interior_canonical_points(), interior_table_points()))
+def test_dual_point_matches_the_separate_formulas_on_random_problems(case):
+    assert_point_matches_reference(*case)
+
+
 class TestDualPoint:
     def test_carries_feasibility_margin(self, gp):
-        point = canonical.dual_point(gp, (-15.0,))
+        # G(-15) = 2 (-15) + 106/3 = 16/3: the threshold test is strict.
+        point = canonical.DualPoint(gp, (-15.0,))
         assert point.sigma == (-15.0,)
-        assert point.g_margin == pytest.approx(16.0 / 3.0, abs=1e-12)
+        (g,) = canonical.g_matrix(gp, (-15.0,)).upper
+        assert g == pytest.approx(16.0 / 3.0, abs=1e-12)
+        assert point.exceeds(g - 1e-12)
+        assert not point.exceeds(g)
+
+    def test_tighter_residual_check_after_a_looser_solve(self):
+        # G = 0 and F = 1e-8: the least-squares x_bar = 0 leaves residual
+        # 1e-8, inside the derivatives' 1e-6 but outside the value's 1e-9.
+        pr = make_problem(A=0.0, f=1e-8, C=1.0, b=0.0, c=0.0, a=1.0, beta=0.0)
+        point = canonical.DualPoint(pr, (0.0,))
+        assert point.x_bar(1e-6) == (0.0,)
+        with pytest.raises(ColumnSpaceViolation):
+            point.value()
+        with pytest.raises(ColumnSpaceViolation):
+            canonical.dual_value(pr, (0.0,))
+        assert canonical.recover_primal(pr, (0.0,), residual_tol=1e-6).entries == (0.0,)
+
+    def test_singular_g_raises_for_derivatives_after_a_solve(self, gp):
+        point = canonical.DualPoint(gp, (-53.0 / 3.0,))
+        point.x_bar(1.0)
+        with pytest.raises(SingularMatrixError):
+            point.gradient()
+        with pytest.raises(SingularMatrixError):
+            point.hessian()
 
 
 # -- Legendre relations as properties ----------------------------------------

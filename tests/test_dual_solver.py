@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -109,15 +110,36 @@ def always_feasible(sigma, margin):
     return True
 
 
-def dual_fns(pr):
-    """(value, gradient, Hessian, feasibility) of a problem's dual, in the
-    argument order of maximize_concave."""
-    return (
-        lambda s: canonical.dual_value(pr, s),
-        lambda s: canonical.dual_gradient(pr, s),
-        lambda s: canonical.dual_hessian(pr, s),
-        lambda s, t: canonical.in_interior(pr, s, t),
-    )
+def formula_points(value, gradient=None, hessian=None, rounding=0.0, feasible=always_feasible):
+    """at(sigma) for a dual given by formulas in sigma.  A rounding bound of
+    0.0 never admits a rounding-level step: every step's predicted gain is
+    positive."""
+
+    class Point:
+        def __init__(self, sigma):
+            self.sigma = sigma
+
+        def exceeds(self, t):
+            return feasible(self.sigma, t)
+
+        def value(self):
+            return value(self.sigma)
+
+        def rounding(self):
+            return rounding
+
+        def gradient(self):
+            return gradient(self.sigma)
+
+        def hessian(self):
+            return hessian(self.sigma)
+
+    return Point
+
+
+def dual_points(pr):
+    """at(sigma) of a problem's dual, the first argument of maximize_concave."""
+    return partial(canonical.DualPoint, pr)
 
 
 def boundary_problem():
@@ -135,114 +157,102 @@ def boundary_problem():
 class TestFindInteriorStart:
     def test_decoupled_quartic_accepts_origin(self):
         pr = gp_canonical_g()
-        start = find_interior_start(
-            lambda s: canonical.dual_value(pr, s),
-            lambda s, t: canonical.in_interior(pr, s, t),
-            1,
-        )
+        start = find_interior_start(dual_points(pr), 1)
         assert start == (0.0,)
 
     def test_three_hump_accepts_origin(self):
         pr = thc_problem()
-        start = find_interior_start(
-            lambda s: canonical.dual_value(pr, s), lambda s, t: canonical.in_interior(pr, s, t), 2
-        )
+        start = find_interior_start(dual_points(pr), 2)
         assert start == (0.0, 0.0)
 
     def test_infeasible_everywhere(self):
         with pytest.raises(NoInteriorPoint):
-            find_interior_start(lambda s: 0.0, lambda s, t: False, 2, tau_max=10.0)
+            find_interior_start(formula_points(lambda s: 0.0, feasible=lambda s, t: False), 2, tau_max=10.0)
 
     def test_origin_excluded_finds_ray_point(self):
         # Feasible iff sigma_0 >= 1: the ray grid must find it.
         def feas(sigma, t):
             return sigma[0] - 1.0 > t
 
-        start = find_interior_start(lambda s: 0.0, feas, 1)
+        start = find_interior_start(formula_points(lambda s: 0.0, feasible=feas), 1)
         assert start[0] >= 1.0
 
 
 class TestMaximizeConcave:
     def test_exact_newton_on_quadratic(self):
-        result = maximize_concave(
-            lambda s: -s[0] ** 2,
-            lambda s: (-2.0 * s[0],),
-            lambda s: SymMatrix(1, (-2.0,)),
-            always_feasible,
-            (1.0,),
-        )
+        at = formula_points(lambda s: -s[0] ** 2, lambda s: (-2.0 * s[0],), lambda s: SymMatrix(1, (-2.0,)))
+        result = maximize_concave(at, (1.0,))
         assert abs(result.sigma[0]) <= 1e-12
         assert result.converged
         assert result.iterations <= 2
 
     def test_decoupled_quartic_dual(self):
-        result = maximize_concave(*dual_fns(gp_canonical_g()), (0.0,))
+        result = maximize_concave(dual_points(gp_canonical_g()), (0.0,))
         assert result.converged
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
         assert result.value == pytest.approx(3.0, abs=1e-8)
 
     def test_three_hump_dual_converges_at_start(self):
-        result = maximize_concave(*dual_fns(thc_problem()), (0.0, 0.0))
+        result = maximize_concave(dual_points(thc_problem()), (0.0, 0.0))
         assert result.converged
         assert result.iterations == 0
         assert result.sigma == (0.0, 0.0)
         assert result.grad_norm <= 1e-10
 
     def test_monotone_ascent_values(self):
-        # Track every accepted value through a wrapper around the value
-        # function: the final value must dominate the start, and the engine's
-        # per-step assertion guarantees monotonicity along the way.
-        pr = gp_canonical_g()
+        # Track every value through a point that records them: the final
+        # value must dominate the start, and the engine's per-step assertion
+        # guarantees monotonicity along the way.
         calls = []
 
-        def value_fn(sigma):
-            v = canonical.dual_value(pr, sigma)
-            calls.append(v)
-            return v
+        class Recorded(canonical.DualPoint):
+            def value(self, residual_tol=1e-9):
+                v = super().value(residual_tol)
+                calls.append(v)
+                return v
 
-        _, gradient_fn, hessian_fn, feasibility_fn = dual_fns(pr)
-        result = maximize_concave(value_fn, gradient_fn, hessian_fn, feasibility_fn, (0.0,))
+        result = maximize_concave(partial(Recorded, gp_canonical_g()), (0.0,))
         assert result.value >= calls[0]
 
     def test_stall_raises_with_payload(self):
         with pytest.raises(LineSearchStalled) as info:
-            maximize_concave(*dual_fns(boundary_problem()), (1.0,))
+            maximize_concave(dual_points(boundary_problem()), (1.0,))
         stall = info.value
         assert stall.sigma[0] == pytest.approx(0.0, abs=1e-6)
         assert stall.grad_norm > 1e-10  # still pushing toward the boundary
 
     def test_rejects_infeasible_start(self):
         with pytest.raises(ValueError):
-            maximize_concave(*dual_fns(boundary_problem()), (-1.0,))
+            maximize_concave(dual_points(boundary_problem()), (-1.0,))
 
-    def test_exact_hessian_needs_one_gradient_per_iteration(self):
-        pr = gp_canonical_g()
-        counts = {"gradient": 0, "hessian": 0}
+    def test_one_accumulation_and_one_factorisation_per_dual_point(self, monkeypatch):
+        # The n = 4, m = 3 planted problem: every Newton step is accepted at
+        # its first trial.  Each dual point accumulates [G, F, c] once, and
+        # the points whose value is asked factor G once: the interior start,
+        # the ascent's start, the 10 accepted trials and the final point.
+        # Each iterate adds m accumulations of the first derivatives, shared
+        # by its gradient and Hessian, and m(m+1)/2 of the second.  One
+        # callback per quantity accumulated 175 times and factored 34.
+        counts = {"_accumulate": 0, "_cholesky": 0}
+        for name in counts:
+            original = getattr(canonical, name)
 
-        def gradient_fn(sigma):
-            counts["gradient"] += 1
-            return canonical.dual_gradient(pr, sigma)
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
 
-        def hessian_fn(sigma):
-            counts["hessian"] += 1
-            return canonical.dual_hessian(pr, sigma)
-
-        result = maximize_concave(
-            lambda s: canonical.dual_value(pr, s),
-            gradient_fn,
-            hessian_fn,
-            lambda s, t: canonical.in_interior(pr, s, t),
-            (0.0,),
-        )
-        assert result.converged
-        assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
-        assert counts == {"gradient": result.iterations + 1, "hessian": result.iterations}
+            monkeypatch.setattr(canonical, name, counted)
+        pr = parse_problem_dict(json.loads(STALLED_UNDER_FD_HESSIAN[3][0])).to_problem()
+        report = solve_canonical(pr)
+        assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
+        assert report.iterations == 10
+        assert counts == {"_accumulate": 111, "_cholesky": report.iterations + 3}
 
     def test_determinism(self):
         pr = gp_canonical_g()
 
         def run():
-            return maximize_concave(*dual_fns(pr), (0.0,))
+            return maximize_concave(dual_points(pr), (0.0,))
 
         assert run() == run()
 
@@ -253,31 +263,27 @@ class TestRoundingLevelSteps:
     # -(s - 1)^2 through a cancellation against 1e3: near s = 1 every
     # computed value is 0.0, so no step can show an Armijo gain.
     @staticmethod
-    def value_fn(sigma):
+    def value(sigma):
         return (1e3 - (sigma[0] - 1.0) ** 2) - 1e3
 
-    @staticmethod
-    def rounding_fn(sigma):
-        return 4 * sys.float_info.epsilon * 1e3
+    ROUNDING = 4 * sys.float_info.epsilon * 1e3
 
-    gradient_fn = staticmethod(lambda s: (-2.0 * (s[0] - 1.0),))
-    hessian_fn = staticmethod(lambda s: SymMatrix(1, (-2.0,)))
+    gradient = staticmethod(lambda s: (-2.0 * (s[0] - 1.0),))
+    hessian = staticmethod(lambda s: SymMatrix(1, (-2.0,)))
 
     def test_stalls_without_a_rounding_bound(self):
         with pytest.raises(LineSearchStalled):
-            maximize_concave(self.value_fn, self.gradient_fn, self.hessian_fn, always_feasible, (1.0 + 1e-8,))
+            maximize_concave(formula_points(self.value, self.gradient, self.hessian, rounding=0.0), (1.0 + 1e-8,))
 
     def test_accepts_a_smaller_gradient_at_an_unresolved_value(self):
         counts = {"gradient": 0}
 
-        def gradient_fn(sigma):
+        def gradient(sigma):
             counts["gradient"] += 1
-            return self.gradient_fn(sigma)
+            return self.gradient(sigma)
 
-        result = maximize_concave(
-            self.value_fn, gradient_fn, self.hessian_fn, always_feasible, (1.0 + 1e-8,),
-            rounding_fn=self.rounding_fn,
-        )
+        at = formula_points(self.value, gradient, self.hessian, rounding=self.ROUNDING)
+        result = maximize_concave(at, (1.0 + 1e-8,))
         assert result.converged
         assert result.sigma == (1.0,)
         assert result.iterations == 1
@@ -286,18 +292,17 @@ class TestRoundingLevelSteps:
 
     def test_value_may_fall_by_at_most_the_bound(self):
         # The value at the optimum reads 1e-15 low, as rounding might have it.
-        def value_fn(sigma):
+        def value(sigma):
             return -((sigma[0] - 1.0) ** 2) - (1e-15 if sigma[0] == 1.0 else 0.0)
 
         start = (1.0 + 1e-9,)
-        args = (value_fn, self.gradient_fn, self.hessian_fn, always_feasible, start)
-        result = maximize_concave(*args, rounding_fn=lambda s: 1e-13)
+        result = maximize_concave(formula_points(value, self.gradient, self.hessian, rounding=1e-13), start)
         assert result.converged and result.sigma == (1.0,)
-        assert value_fn(start) - 1e-13 <= result.value < value_fn(start)
+        assert value(start) - 1e-13 <= result.value < value(start)
         # A bound below the fall rejects the optimum: Armijo steps take over.
-        result = maximize_concave(*args, rounding_fn=lambda s: 1e-16)
+        result = maximize_concave(formula_points(value, self.gradient, self.hessian, rounding=1e-16), start)
         assert result.converged and result.sigma != (1.0,)
-        assert result.value >= value_fn(start)
+        assert result.value >= value(start)
 
     def test_crawl_along_the_boundary_certifies(self):
         text, x_star, value = CRAWLS_ALONG_THE_BOUNDARY

@@ -116,8 +116,9 @@ class TestLocalRefine:
     def test_convex_quadratic_in_two_newton_steps(self):
         x = MultiPoly.variable(2, 0)
         y = MultiPoly.variable(2, 1)
-        point, evals = oracle._refine_counted(x**2 + y**2, (1.0, 1.0), 1e-10, 500)
+        point, value, evals = oracle._refine_counted(x**2 + y**2, (1.0, 1.0), 1e-10, 500)
         assert point == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert value == (x**2 + y**2).eval(point)
         assert evals <= 4  # start value + at most one eval per Newton step
 
     def test_goldstein_price_from_grid_node(self):
@@ -179,7 +180,7 @@ class TestRefineConvergence:
         rng = Lcg(42)
         for _ in range(64):
             start = tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
-            point, _ = oracle._refine_counted(p, start, 1e-10, 500)
+            point, _, _ = oracle._refine_counted(p, start, 1e-10, 500)
             assert _critical_to_working_precision(p, point, 1e-10), (start, point)
             assert p.eval(point) <= p.eval(start), (start, point)
 
@@ -187,7 +188,8 @@ class TestRefineConvergence:
 def _refine_reference(p: MultiPoly, start, tol: float, max_iter: int):
     """Newton refinement as it stood with five single-polynomial evaluators
     (two gradient entries, three Hessian entries) and the rounding bound
-    evaluated on every iteration: the reference for _refine_counted."""
+    evaluated on every iteration: the reference for _refine_counted, which
+    also returns the value its last accepted step computed."""
     n = p.arity
     grads = p.gradient()
     value_at = p.float_evaluator()
@@ -201,7 +203,7 @@ def _refine_reference(p: MultiPoly, start, tol: float, max_iter: int):
         g = [fn(x) for fn in grad_at]
         gnorm = math.sqrt(sum(gi * gi for gi in g))
         if gnorm <= tol:
-            return tuple(x), evals
+            return tuple(x), value, evals
         if n == 1:
             h00 = h11 = hess_at[0][0](x)
             h01 = 0.0
@@ -219,7 +221,7 @@ def _refine_reference(p: MultiPoly, start, tol: float, max_iter: int):
             direction = [-(c * g[0] - h01 * g[1]) / det, -(a * g[1] - h01 * g[0]) / det]
         slope = sum(gi * di for gi, di in zip(g, direction))
         if -0.5 * slope <= 4.0 * sys.float_info.epsilon * abs(value):
-            return tuple(x), evals
+            return tuple(x), value, evals
         noise = sys.float_info.epsilon * bound_at([abs(xi) for xi in x])
         step = 1.0
         while True:
@@ -231,7 +233,7 @@ def _refine_reference(p: MultiPoly, start, tol: float, max_iter: int):
                 break
             step *= 0.5
             if -step * slope <= noise:
-                return tuple(x), evals
+                return tuple(x), value, evals
             if step < 2.0**-60:
                 raise NotConverged("line search stalled", evals)
     raise NotConverged("no convergence", evals)
@@ -290,7 +292,7 @@ class TestNewtonStepEvaluator:
             return wrapper
 
         evaluators = (value_at, counted("bound", bound_at), counted("derivatives", derivatives_at))
-        assert oracle._refine_counted(p, (3.0, 3.0), 1e-10, 500, evaluators) == ((1.0, -0.5), 2)
+        assert oracle._refine_counted(p, (3.0, 3.0), 1e-10, 500, evaluators) == ((1.0, -0.5), 0.0, 2)
         assert calls == {"derivatives": 2, "bound": 0}
 
 
@@ -350,9 +352,10 @@ class TestMultistart:
             for _ in range(8)
         ]
         real_refine = oracle._refine_counted
-        # Starts 0, 2, 4, 6 refine normally (plus one evaluation to rank the
-        # point); starts 1, 3, 5, 7 fail after spending 7 evaluations each.
-        expected = sum(real_refine(thc_objective(), s, 1e-10, 500)[1] + 1 for s in starts[::2])
+        # Starts 0, 2, 4, 6 refine normally, and are ranked by the value the
+        # refinement returns, with no further evaluation; starts 1, 3, 5, 7
+        # fail after spending 7 evaluations each.
+        expected = sum(real_refine(thc_objective(), s, 1e-10, 500)[2] for s in starts[::2])
         expected += 4 * 7
 
         def odd_starts_fail(p, start, tol, max_iter, evaluators=None):
