@@ -641,7 +641,7 @@ SHIPPED_AND_PLANTED = {
 
 @pytest.mark.parametrize("name", SHIPPED_AND_PLANTED)
 def test_dual_point_matches_the_separate_formulas(name):
-    # Interior points around the ascent's end, at three radii.
+    # The ascent's end and interior draws around it, 60 at three radii in turn.
     pr = SHIPPED_AND_PLANTED[name]()
     center = solve_canonical(pr).sigma_star
     rng = Lcg(17)
