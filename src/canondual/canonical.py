@@ -36,7 +36,6 @@ from typing import Sequence
 from .errors import DimensionMismatch, SingularMatrixError
 from .polynomial import MultiPoly
 from .smallmat import (
-    PSD_TOL,
     SymMatrix,
     Vector,
     _cholesky,
@@ -44,6 +43,7 @@ from .smallmat import (
     full_rows,
     is_nonsingular,
     is_psd,
+    min_eigenvalue,
     solve_1x1,
     solve_2x2,
     solve_factored,
@@ -240,17 +240,6 @@ def _u(pr: CanonicalProblem, v: tuple[float, ...]) -> float:
     return -0.5 * sum(map(mul, ax, v)) + sum(map(mul, pr.f.entries, v))
 
 
-def lambda_eval(pr: CanonicalProblem, x: Sequence[float]) -> tuple[float, ...]:
-    """The measure vector xi = Lambda(x)."""
-    return _measures(pr, _point(pr, x))
-
-
-def u_value(pr: CanonicalProblem, x: Sequence[float]) -> float:
-    """U(x) = -1/2 x^T A x + x^T f, in the order of
-    -0.5 * A.quadratic_form(x) + f.dot(x)."""
-    return _u(pr, _point(pr, x))
-
-
 def primal_value(pr: Problem, x: Sequence[float]) -> float:
     """P(x): V(Lambda(x)) - U(x) in canonical form, the objective otherwise."""
     v = _point(pr, x)
@@ -373,8 +362,14 @@ class DualPoint:
         return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(self.acc[-1]) + abs(half))
 
     def complementary(self, x: Sequence[float]) -> float:
-        """Xi(x, sigma) = 1/2 x^T G x - x^T F + c."""
+        """Xi(x, sigma) = 1/2 x^T G x - x^T F + c, which in canonical form is
+        Lambda(x)^T sigma - V*(sigma) - U(x)."""
         return _xi(self.table, self.acc, x)
+
+    def min_eigenvalue(self) -> float:
+        """lambda_min(G), the PSD margin reports print; exceeds(t) decides
+        thresholds without it."""
+        return min_eigenvalue(_g(self.table, self.acc))
 
     def _interior(self) -> tuple[Sequence[float], list[list[float]]]:
         """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is
@@ -415,18 +410,6 @@ class DualPoint:
         ))
 
 
-def g_matrix(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
-    """G(sigma) = sum_a sigma^a G_a."""
-    point = DualPoint(pr, sigma)
-    return _g(point.table, point.acc)
-
-
-def f_vector(pr: Problem, sigma: Sequence[float]) -> Vector:
-    """F(sigma) = sum_a sigma^a F_a."""
-    point = DualPoint(pr, sigma)
-    return Vector(_f(point.table, point.acc))
-
-
 def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
     """P^d(sigma) = -1/2 F^T G^{-1} F + c(sigma).
 
@@ -436,53 +419,16 @@ def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) 
     return DualPoint(pr, sigma).value(residual_tol)
 
 
-def recover_primal(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> Vector:
-    """x_bar solving G(sigma) x = F(sigma): the stationary point of Xi(., sigma)."""
-    # Stationarity of Xi in x is exactly the solve residual; the solve
-    # enforces it at residual_tol <= 1e-9 relative, well inside 1e-8.
-    return Vector(DualPoint(pr, sigma).x_bar(residual_tol))
-
-
 def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
     """Gradient of P^d (DualPoint.gradient).  Requires G(sigma) nonsingular."""
     return DualPoint(pr, sigma).gradient()
 
 
-def dual_hessian(pr: Problem, sigma: Sequence[float]) -> SymMatrix:
-    """Hessian of P^d, exact (DualPoint.hessian).  Requires G(sigma) nonsingular."""
-    return DualPoint(pr, sigma).hessian()
-
-
-def complementary_value(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> float:
-    """Xi(x, sigma) = 1/2 x^T G(sigma) x - x^T F(sigma) + c(sigma), which in
-    canonical form is Lambda(x)^T sigma - V*(sigma) - U(x)."""
-    return DualPoint(pr, sigma).complementary(_point(pr, x))
-
-
-def in_positive_domain(
-    pr: Problem, sigma: Sequence[float], tol: float = PSD_TOL
-) -> tuple[bool, float]:
+def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float]:
     """Membership in the concavity region {sigma : G(sigma) PSD}, with
     margin: the minimum eigenvalue of G, computed for reports."""
-    return is_psd(g_matrix(pr, sigma), tol)
-
-
-def in_interior(pr: Problem, sigma: Sequence[float], margin: float) -> bool:
-    """lambda_min(G(sigma)) > margin: the Cholesky factorisation of
-    G - margin I has all pivots > 0.  The threshold test of the ascent, its
-    interior start and verify's sampling; it computes no eigenvalue."""
-    return DualPoint(pr, sigma).exceeds(margin)
-
-
-def duality_gap(pr: Problem, x: Sequence[float], sigma: Sequence[float]) -> tuple[float, float]:
-    """(|P(x) - Xi(x, sigma)|, |Xi(x, sigma) - P^d(sigma)|).
-
-    Both vanish (to rounding) exactly at a critical pair.
-    """
-    p = primal_value(pr, x)
-    xi = complementary_value(pr, x, sigma)
-    d = dual_value(pr, sigma)
-    return abs(p - xi), abs(xi - d)
+    point = DualPoint(pr, sigma)
+    return is_psd(_g(point.table, point.acc))
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:

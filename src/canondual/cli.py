@@ -127,10 +127,9 @@ def parse_problem_dict(data: dict, where: str = "problem") -> ProblemFile:
         if key not in data:
             raise ProblemFileError(f"{where}: missing required key {key!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not 1 <= n <= 4:
-        raise ProblemFileError(f"{where}: n must be an integer in 1..4")
-    if not isinstance(m, int) or not 1 <= m <= 4:
-        raise ProblemFileError(f"{where}: m must be an integer in 1..4")
+    for name, value in (("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 4:
+            raise ProblemFileError(f"{where}: {name} must be an integer in 1..4")
     A = _parse_matrix(data["A"], n, f"{where}.A")
     f = _parse_vector(data["f"], n, f"{where}.f")
     if not isinstance(data["operators"], list) or len(data["operators"]) != m:

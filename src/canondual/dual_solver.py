@@ -25,9 +25,13 @@ strictly interior.
 
 The canonical pipeline (solve_canonical) climbs any dual of
 canonical.DualTable form, affine in sigma or staged like Three Hump Camel,
-with its exact gradient and Hessian.  The central differences _fd_gradient
-and _fd_hessian are references for verify and the tests; the ascent does
-not use them.
+with its exact gradient and Hessian, on one dual point at a time: the
+interior start hands the point it accepted to the ascent, and the ascent
+hands its last iterate to the report, which reads sigma*, x_bar, Xi and
+the PSD margin from it.  Every ending (converged, iteration cap, or a
+line search stalled against the feasibility boundary) is an AscentResult.
+The central differences _fd_gradient and _fd_hessian are references for
+verify and the tests; the ascent does not use them.
 
 There is no randomness anywhere in the solver: identical inputs and
 configuration produce bit-identical results.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -45,7 +49,6 @@ from . import canonical
 from .errors import (
     ColumnSpaceViolation,
     DomainViolation,
-    LineSearchStalled,
     NoInteriorPoint,
     SingularMatrixError,
 )
@@ -58,6 +61,7 @@ _MIN_STEP = 1e-16
 INTERIOR_MARGIN = 1e-9  # feasibility margin every accepted iterate keeps
 ARMIJO_C = 1e-4  # Armijo sufficient-ascent constant
 BACKTRACK_RATIO = 0.5  # step shrink factor of the line search
+_START_TAU_MAX = 1e6  # largest ray length the interior start tries
 
 # Exceptions treated as "point outside the evaluable domain" by the start
 # search, the line search and the finite-difference references.
@@ -71,8 +75,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("grad_tol", "max_iter"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class Certificate(str, enum.Enum):
@@ -97,21 +102,25 @@ class CriticalReport:
 
 @dataclass(frozen=True)
 class AscentResult:
-    sigma: tuple[float, ...]
+    """The ascent's last iterate, however it ended: converged, at the
+    iteration cap, or stalled (the line search underflowed its minimum
+    step, pressed against the feasibility boundary)."""
+
+    point: canonical.DualPoint = field(compare=False, repr=False)
     value: float
     grad_norm: float
     iterations: int
     converged: bool
+    stalled: bool = False
+
+    @property
+    def sigma(self) -> tuple[float, ...]:
+        return self.point.sigma
 
 
-def find_interior_start(
-    at: PointFn,
-    m: int,
-    delta: float = INTERIOR_MARGIN,
-    tau_max: float = 1e6,
-) -> tuple[float, ...]:
-    """First point on a deterministic ray grid with at(sigma).exceeds(delta)
-    True and a finite value.
+def find_interior_start(at: PointFn, m: int) -> canonical.DualPoint:
+    """The first dual point on a deterministic ray grid with
+    exceeds(INTERIOR_MARGIN) True and a finite value.
 
     Candidates are the origin, then tau * u for geometrically growing tau
     over both signs of each coordinate direction and the all-ones direction.
@@ -123,7 +132,7 @@ def find_interior_start(
     def candidates():
         yield (0.0,) * m
         tau = 2.0 ** -10
-        while tau <= tau_max:
+        while tau <= _START_TAU_MAX:
             for u in directions:
                 for sign in (1.0, -1.0):
                     yield tuple(sign * tau * x for x in u)
@@ -131,9 +140,11 @@ def find_interior_start(
 
     for sigma in candidates():
         point = at(sigma)
-        if point.exceeds(delta) and _try_value(point.value) is not None:
-            return sigma
-    raise NoInteriorPoint(f"no strictly feasible point with margin > {delta} up to tau {tau_max}")
+        if point.exceeds(INTERIOR_MARGIN) and _try_value(point.value) is not None:
+            return point
+    raise NoInteriorPoint(
+        f"no strictly feasible point with margin > {INTERIOR_MARGIN} up to tau {_START_TAU_MAX}"
+    )
 
 
 def _try_value(value_fn: Callable[..., float], *args) -> float | None:
@@ -213,8 +224,11 @@ def _grad(point) -> tuple[tuple[float, ...], float]:
     return grad, math.sqrt(sum(g * g for g in grad))
 
 
-def maximize_concave(at: PointFn, start: Sequence[float], cfg: SolverConfig | None = None) -> AscentResult:
-    """Damped Newton ascent from a strictly feasible start.
+def maximize_concave(
+    at: PointFn, point: canonical.DualPoint, cfg: SolverConfig | None = None
+) -> AscentResult:
+    """Damped Newton ascent from a strictly feasible start point, climbed
+    without rebuilding it.
 
     at(sigma) is the dual point at sigma: point.exceeds(t) is True when
     sigma is feasible with margin greater than t, and every iterate has
@@ -223,24 +237,21 @@ def maximize_concave(at: PointFn, start: Sequence[float], cfg: SolverConfig | No
     below it is accepted on a smaller gradient norm and a value at most
     that bound below the iterate's (module docstring).
 
-    Terminates with converged=True when the gradient norm drops below
-    grad_tol, converged=False at the iteration cap, and raises
-    LineSearchStalled (carrying the last iterate) when backtracking
-    underflows the minimum step, which happens when ascent is blocked by
-    the feasibility boundary.
+    Returns the last iterate with converged=True when the gradient norm
+    drops below grad_tol, converged=False at the iteration cap, and
+    stalled=True when backtracking underflows the minimum step, which
+    happens when ascent is blocked by the feasibility boundary.
     """
     cfg = cfg or SolverConfig()
-    sigma = tuple(float(s) for s in start)
-    point = at(sigma)
     if not point.exceeds(INTERIOR_MARGIN):
-        raise ValueError(f"start {sigma} does not have margin > interior margin {INTERIOR_MARGIN:.3e}")
+        raise ValueError(f"start {point.sigma} does not have margin > interior margin {INTERIOR_MARGIN:.3e}")
 
     value = point.value()
     grad, grad_norm = _grad(point)
 
     for iteration in range(cfg.max_iter):
         if grad_norm <= cfg.grad_tol:
-            return AscentResult(sigma, value, grad_norm, iteration, True)
+            return AscentResult(point, value, grad_norm, iteration, True)
 
         neg_hess = point.hessian().scale(-1.0)
         direction = None
@@ -259,7 +270,7 @@ def maximize_concave(at: PointFn, start: Sequence[float], cfg: SolverConfig | No
         step = 1.0
         rounding = None  # the value's rounding bound at sigma, computed when first needed
         while step >= _MIN_STEP:
-            trial = tuple(s + step * d for s, d in zip(sigma, direction))
+            trial = tuple(s + step * d for s, d in zip(point.sigma, direction))
             trial_point = at(trial)
             trial_value = _try_value(trial_point.value) if trial_point.exceeds(INTERIOR_MARGIN) else None
             if trial_value is not None:
@@ -274,16 +285,15 @@ def maximize_concave(at: PointFn, start: Sequence[float], cfg: SolverConfig | No
                         break
             step *= BACKTRACK_RATIO
         else:
-            raise LineSearchStalled(sigma, value, grad_norm, iteration)
+            return AscentResult(point, value, grad_norm, iteration, False, stalled=True)
 
         assert trial_value >= value - slack, (
             "accepted values increase, or fall by at most the value's rounding bound on a smaller gradient"
         )
-        sigma, point, value = trial, trial_point, trial_value
+        point, value = trial_point, trial_value
         grad, grad_norm = trial_grad or _grad(point)
 
-    converged = grad_norm <= cfg.grad_tol
-    return AscentResult(sigma, value, grad_norm, cfg.max_iter, converged)
+    return AscentResult(point, value, grad_norm, cfg.max_iter, grad_norm <= cfg.grad_tol)
 
 
 def classify_certificate(
@@ -313,24 +323,16 @@ def solve_canonical(pr: canonical.Problem, cfg: SolverConfig | None = None) -> C
     dual gradient and Hessian, primal recovery, and certificate triage."""
     cfg = cfg or SolverConfig()
     at = partial(canonical.DualPoint, pr)
-    start = find_interior_start(at, pr.m)
-    stalled = False
-    try:
-        result = maximize_concave(at, start, cfg)
-    except LineSearchStalled as stall:
-        result = AscentResult(stall.sigma, stall.value, stall.grad_norm, stall.iterations, False)
-        stalled = True
-
-    sigma_star = result.sigma
-    _, psd_margin = canonical.in_positive_domain(pr, sigma_star)  # the one eigenvalue, for the report
-    point = at(sigma_star)
+    result = maximize_concave(at, find_interior_start(at, pr.m), cfg)
+    point = result.point
+    psd_margin = point.min_eigenvalue()  # the one eigenvalue, for the report
     x_bar = Vector(point.x_bar())
     primal = canonical.primal_value(pr, x_bar)
     xi = point.complementary(x_bar.entries)
     gap = max(abs(primal - xi), abs(xi - result.value))
-    certificate = classify_certificate(result.converged, stalled, psd_margin, gap, primal)
+    certificate = classify_certificate(result.converged, result.stalled, psd_margin, gap, primal)
     return CriticalReport(
-        sigma_star=sigma_star,
+        sigma_star=result.sigma,
         x_bar=x_bar,
         primal=primal,
         complementary=xi,

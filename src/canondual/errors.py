@@ -57,24 +57,6 @@ class NotConverged(CanondualError):
         super().__init__(message)
 
 
-class LineSearchStalled(CanondualError):
-    """Backtracking underflowed the minimum step length.
-
-    Carries the last accepted iterate so callers can triage boundary-pressed
-    terminations.
-    """
-
-    def __init__(self, sigma: tuple, value: float, grad_norm: float, iterations: int):
-        self.sigma = sigma
-        self.value = value
-        self.grad_norm = grad_norm
-        self.iterations = iterations
-        super().__init__(
-            f"line search stalled at sigma={sigma} after {iterations} iterations "
-            f"(grad norm {grad_norm:.3e})"
-        )
-
-
 class RootIsolationFailure(CanondualError):
     """Sign-change isolation missed a real root at the scan resolution."""
 

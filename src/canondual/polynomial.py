@@ -241,15 +241,11 @@ class MultiPoly:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute_linear(
-        self,
-        matrix: Sequence[Sequence[RationalLike]],
-        shift: Sequence[RationalLike] | None = None,
-    ) -> "MultiPoly":
-        """Compose with an affine change of variables: p(M @ u + d).
+    def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "MultiPoly":
+        """Compose with a linear change of variables: p(M @ u).
 
         ``matrix`` has one row per original variable, one column per new
-        variable; ``shift`` defaults to zero.  All arithmetic is exact.
+        variable.  All arithmetic is exact.
         """
         if len(matrix) != self.arity:
             raise DimensionMismatch(
@@ -261,15 +257,11 @@ class MultiPoly:
         new_arity = widths.pop()
         if not 1 <= new_arity <= MAX_ARITY:
             raise DimensionMismatch(f"target arity {new_arity} out of range 1..{MAX_ARITY}")
-        if shift is None:
-            shift = [0] * self.arity
-        if len(shift) != self.arity:
-            raise DimensionMismatch(f"shift has length {len(shift)}, expected {self.arity}")
 
         # Linear image of each original variable in the new variables.
         images: list[MultiPoly] = []
         for i in range(self.arity):
-            img = MultiPoly.constant(new_arity, shift[i])
+            img = MultiPoly.zero(new_arity)
             for j in range(new_arity):
                 coeff = rat(matrix[i][j])
                 if coeff != 0:

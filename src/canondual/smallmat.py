@@ -40,6 +40,8 @@ PSD_TOL = 1e-9
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
 _SINGULAR_PIVOT = 1e-13
+# is_nonsingular: every |eigenvalue| above this times max(1, largest |eigenvalue|).
+_NONSINGULAR_REL_TOL = 1e-12
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -462,7 +464,7 @@ def solve_sym(
     return Vector(tuple(_refined(S.rows, v.entries, residual_tol, partial(_solve_eliminated, S))))
 
 
-def is_nonsingular(S: SymMatrix, rel_tol: float = 1e-12) -> bool:
+def is_nonsingular(S: SymMatrix) -> bool:
     evals, _ = eigen_sym(S)
     biggest = max(abs(e) for e in evals)
-    return min(abs(e) for e in evals) > rel_tol * max(1.0, biggest)
+    return min(abs(e) for e in evals) > _NONSINGULAR_REL_TOL * max(1.0, biggest)

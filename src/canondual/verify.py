@@ -22,6 +22,8 @@ from . import benchmarks, canonical, dual_solver, oracle
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError
 
+_PRIMAL_BOX_HALFWIDTH = 10.0  # verify_problem's weak-duality samples: x in [-10, 10]^n
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -141,7 +143,7 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Zero-gap equality chain at the certified solution.
     report = dual_solver.solve_canonical(pr, cfg)
-    xi_val = canonical.complementary_value(pr, report.x_bar, report.sigma_star)
+    xi_val = report.complementary
     tol = 1e-8 * (1.0 + abs(report.primal))
     triple_ok = (
         report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED
@@ -233,7 +235,7 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
         s1 = rng.uniform(-0.9, 0.9)
         floor = 25.0 * s1 * s1 - 13.0 / 5.0
         s2 = rng.uniform(floor + 0.05, floor + 12.0)
-        x, y = canonical.recover_primal(thc, (s1, s2))
+        x, y = canonical.DualPoint(thc, (s1, s2)).x_bar()
         if abs(2.0 * y + x) > 1e-12 * (1.0 + abs(x)):
             half_ok = False
             break
@@ -262,11 +264,10 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
 
 def _problem_interior_samples(
-    pr: canonical.CanonicalProblem, count: int, seed: int, delta: float
+    pr: canonical.CanonicalProblem, count: int, seed: int
 ) -> list[tuple[float, ...]]:
-    """Dual points with margin > 10 delta near the interior-start ray."""
-    feasible = partial(canonical.in_interior, pr)
-    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m, delta)
+    """Dual points with margin > 10 INTERIOR_MARGIN near the interior-start ray."""
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
     rng = oracle.Lcg(seed)
     points: list[tuple[float, ...]] = []
     radius = 1.0
@@ -274,18 +275,14 @@ def _problem_interior_samples(
     while len(points) < count and attempts < 200 * count:
         attempts += 1
         trial = tuple(a + rng.uniform(-radius, radius) for a in anchor)
-        if feasible(trial, 10 * delta):
+        if canonical.DualPoint(pr, trial).exceeds(10 * dual_solver.INTERIOR_MARGIN):
             points.append(trial)
     if len(points) < count:
         points.extend([anchor] * (count - len(points)))
     return points
 
 
-def verify_problem(
-    pr: canonical.CanonicalProblem,
-    cfg: SolverConfig | None = None,
-    primal_box_halfwidth: float = 10.0,
-) -> list[CheckResult]:
+def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = None) -> list[CheckResult]:
     """Generic duality checks for a user-supplied problem."""
     cfg = cfg or SolverConfig()
     checks: list[CheckResult] = []
@@ -314,18 +311,18 @@ def verify_problem(
             break
     checks.append(_check("conjugate-pairing-on-graph", pairing_ok))
 
-    interior = _problem_interior_samples(pr, 20, seed=302, delta=dual_solver.INTERIOR_MARGIN)
+    interior = _problem_interior_samples(pr, 20, seed=302)
     ok, detail = _fd_gradient_matches(pr, interior)
     checks.append(_check("dual-gradient-vs-fd", ok, detail))
 
     # Weak duality sampling over feasible duals and a primal box.
     rng = oracle.Lcg(303)
     duals = []
-    for sigma in _problem_interior_samples(pr, 100, seed=304, delta=dual_solver.INTERIOR_MARGIN):
+    for sigma in _problem_interior_samples(pr, 100, seed=304):
         duals.append(canonical.dual_value(pr, sigma))
     min_primal = math.inf
     for _ in range(100):
-        x = tuple(rng.uniform(-primal_box_halfwidth, primal_box_halfwidth) for _ in range(pr.n))
+        x = tuple(rng.uniform(-_PRIMAL_BOX_HALFWIDTH, _PRIMAL_BOX_HALFWIDTH) for _ in range(pr.n))
         min_primal = min(min_primal, canonical.primal_value(pr, x))
     checks.append(
         _check(
@@ -337,7 +334,7 @@ def verify_problem(
 
     report = dual_solver.solve_canonical(pr, cfg)
     if report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED:
-        xi_val = canonical.complementary_value(pr, report.x_bar, report.sigma_star)
+        xi_val = report.complementary
         tol = 1e-8 * (1.0 + abs(report.primal))
         ok = abs(report.primal - xi_val) <= tol and abs(xi_val - report.dual) <= tol
         checks.append(_check("zero-gap-triple", ok, f"gap {report.gap:.3e}"))

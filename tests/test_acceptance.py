@@ -85,7 +85,7 @@ def test_c2_three_hump_end_to_end(thc_report):
 def test_c3_zero_gap_equality_at_certified_solutions(gp_report, thc_report):
     pr = benchmarks.gp_canonical_g()
     gp_dual = gp_report.dual_report
-    xi_gp = canonical.complementary_value(pr, gp_dual.x_bar, gp_dual.sigma_star)
+    xi_gp = canonical.DualPoint(pr, gp_dual.sigma_star).complementary(gp_dual.x_bar.entries)
     tol_gp = 1e-8 * (1.0 + abs(gp_dual.primal))
     gp_ok = (
         abs(gp_dual.primal - xi_gp) <= tol_gp and abs(xi_gp - gp_dual.dual) <= tol_gp

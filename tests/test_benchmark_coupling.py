@@ -8,11 +8,18 @@ its file and only read.
 
 import importlib
 import importlib.util
+from collections import defaultdict
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
-from canondual import canonical, dual_solver, kernels, smallmat
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from canondual import canonical, cli, dual_solver, kernels, smallmat
+from canondual.benchmarks import gp_canonical_g
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -41,3 +48,23 @@ def test_active_backend_exists():
 def test_solve_sym_is_one_function_in_three_namespaces():
     # The tracer replaces every binding of the same function object.
     assert canonical.solve_sym is smallmat.solve_sym is dual_solver.solve_sym
+
+
+@pytest.mark.parametrize("problem, max_iter, ending", [
+    (gp_canonical_g, 200, "converged"),
+    (gp_canonical_g, 1, "capped"),
+    (partial(cli.load_problem_file, ROOT / "problems" / "boundary_1d.json"), 200, "stalled"),
+])
+def test_ascent_hook_counts_iterations_at_every_ending(problem, max_iter, ending):
+    # The hook reads result.iterations with a default of 0, so a renamed
+    # field would zero the traced dual_solver.iterations without an error.
+    pr = problem()
+    at = partial(canonical.DualPoint, pr)
+    result = dual_solver.maximize_concave(
+        at, dual_solver.find_interior_start(at, pr.m), dual_solver.SolverConfig(max_iter=max_iter)
+    )
+    assert ("converged" if result.converged else "stalled" if result.stalled else "capped") == ending
+    assert type(result.iterations) is int and result.iterations > 0
+    tracer = SimpleNamespace(counters=defaultdict(float))
+    load_tracing()._count_ascent(tracer, (at, None), {}, result, None)
+    assert tracer.counters["dual_solver.iterations"] == result.iterations

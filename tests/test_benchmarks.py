@@ -235,7 +235,8 @@ class TestThcDual:
         assert canonical.dual_value(thc, (0.0, 1.0)) == benchmarks.thc_dual(0.0, 1.0)
         inside, margin = canonical.in_positive_domain(thc, (0.0, 0.0))
         assert inside and margin == pytest.approx((97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12)
-        assert canonical.g_matrix(thc, (0.0, 0.0)).entry(0, 1) == 1.0
+        point = canonical.DualPoint(thc, (0.0, 0.0))
+        assert canonical._g(point.table, point.acc).entry(0, 1) == 1.0
 
     def test_dual_table_matches_closed_form(self):
         thc = benchmarks.thc_problem()

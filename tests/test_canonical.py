@@ -43,6 +43,18 @@ def gp():
     return gp_canonical_g()
 
 
+def g_and_f(pr, sigma):
+    """G(sigma) as a SymMatrix and F(sigma) as a list, as one DualPoint
+    accumulates them."""
+    point = canonical.DualPoint(pr, sigma)
+    return _g(point.table, point.acc), _f(point.table, point.acc)
+
+
+def measures(pr, x):
+    """Lambda(x), one QuadOperator.value per measure."""
+    return tuple(op.value(x) for op in pr.ops)
+
+
 def make_problem(A, f, C, b, c, a, beta, n=1):
     return canonical.CanonicalProblem(
         n=n,
@@ -61,19 +73,19 @@ def make_problem(A, f, C, b, c, a, beta, n=1):
 
 class TestLambdaEval:
     def test_at_recovered_minimizer(self, gp):
-        assert canonical.lambda_eval(gp, (3.0,)) == pytest.approx((-1.0,), abs=1e-12)
+        assert measures(gp, (3.0,)) == pytest.approx((-1.0,), abs=1e-12)
 
     def test_at_vertex_of_the_measure(self, gp):
         # The measure is (t - 4/3)^2 - 34/9, so its minimum value is -34/9.
-        assert canonical.lambda_eval(gp, (4.0 / 3.0,))[0] == pytest.approx(-34.0 / 9.0, abs=1e-12)
+        assert measures(gp, (4.0 / 3.0,))[0] == pytest.approx(-34.0 / 9.0, abs=1e-12)
 
     def test_plain_square_measure_at_origin(self):
         pr = make_problem(A=0.0, f=0.0, C=2.0, b=0.0, c=0.0, a=1.0, beta=0.0)
-        assert canonical.lambda_eval(pr, (0.0,)) == (0.0,)
+        assert measures(pr, (0.0,)) == (0.0,)
 
     def test_dimension_mismatch(self, gp):
         with pytest.raises(DimensionMismatch):
-            canonical.lambda_eval(gp, (1.0, 2.0))
+            canonical.primal_value(gp, (1.0, 2.0))
 
 
 class TestPrimalValue:
@@ -106,15 +118,17 @@ class TestConjugate:
 
 class TestGAndF:
     def test_at_certified_point(self, gp):
-        assert canonical.g_matrix(gp, (-15.0,)).entry(0, 0) == pytest.approx(16.0 / 3.0, abs=1e-12)
-        assert canonical.f_vector(gp, (-15.0,))[0] == pytest.approx(16.0, abs=1e-12)
+        G, F = g_and_f(gp, (-15.0,))
+        assert G.entry(0, 0) == pytest.approx(16.0 / 3.0, abs=1e-12)
+        assert F[0] == pytest.approx(16.0, abs=1e-12)
 
     def test_at_zero_reduces_to_problem_data(self, gp):
-        assert canonical.g_matrix(gp, (0.0,)).entry(0, 0) == gp.A.entry(0, 0)
-        assert canonical.f_vector(gp, (0.0,)).entries == gp.f.entries
+        G, F = g_and_f(gp, (0.0,))
+        assert G.entry(0, 0) == gp.A.entry(0, 0)
+        assert tuple(F) == gp.f.entries
 
     def test_boundary_of_feasible_interval(self, gp):
-        assert canonical.g_matrix(gp, (-53.0 / 3.0,)).entry(0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert g_and_f(gp, (-53.0 / 3.0,))[0].entry(0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDualValue:
@@ -144,7 +158,7 @@ class TestDualGradient:
         grad = canonical.dual_gradient(gp, (-15.0,))
         assert abs(grad[0]) <= 1e-10
         # Both envelope pieces individually: measure at t=3 and conjugate slope.
-        assert canonical.lambda_eval(gp, (3.0,))[0] == pytest.approx(-1.0, abs=1e-12)
+        assert measures(gp, (3.0,))[0] == pytest.approx(-1.0, abs=1e-12)
         assert canonical.conjugate_gradient(gp.V, (-15.0,))[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_finite_differences(self, gp):
@@ -170,7 +184,7 @@ class TestDualGradient:
             canonical.dual_gradient(gp, (-53.0 / 3.0,))
 
 
-def fd_dual_hessian(pr, sigma):
+def fd_hessian(pr, sigma):
     """Central differences of the analytic gradient, the reference for the
     exact Hessian."""
     return _fd_hessian(lambda s: canonical.dual_gradient(pr, s), tuple(sigma), 1e-5)
@@ -188,7 +202,7 @@ class TestDualHessian:
         for _ in range(20):
             sigma = (rng.uniform(-53.0 / 3.0 + 0.5, 40.0),)
             assert canonical.in_positive_domain(gp, sigma)[1] >= 0.1
-            assert_hessians_close(canonical.dual_hessian(gp, sigma), fd_dual_hessian(gp, sigma), 1e-6)
+            assert_hessians_close(canonical.DualPoint(gp, sigma).hessian(), fd_hessian(gp, sigma), 1e-6)
 
     def test_equals_second_derivative_of_closed_form(self, gp):
         # gp_dual_closed_form is -(s^2 + 18 s + 81)/12 - N^2/(4 D) - 2 s with
@@ -200,7 +214,7 @@ class TestDualHessian:
             sigma = rng.uniform(-53.0 / 3.0 + 0.1, 40.0)
             d = sigma + 53.0 / 3.0
             expected = -1.0 / 6.0 - (80.0 / 9.0) ** 2 / (2.0 * d**3)
-            got = canonical.dual_hessian(gp, (sigma,)).entry(0, 0)
+            got = canonical.DualPoint(gp, (sigma,)).hessian().entry(0, 0)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
         # The formula itself reproduces central differences of the closed form.
         sigma, h = 2.0, 1e-3
@@ -213,20 +227,20 @@ class TestDualHessian:
         rng = Lcg(15)
         for _ in range(100):
             sigma = (rng.uniform(-53.0 / 3.0 + 1e-3, 1e3),)
-            assert min_eigenvalue(canonical.dual_hessian(gp, sigma).scale(-1.0)) > 0.0
+            assert min_eigenvalue(canonical.DualPoint(gp, sigma).hessian().scale(-1.0)) > 0.0
 
     def test_uncoupled_measure_leaves_only_the_conjugate(self):
         # C = 0 and b = 0: x_bar does not move with sigma, H = -1/(2a).
         pr = make_problem(A=2.0, f=1.0, C=0.0, b=0.0, c=0.5, a=4.0, beta=1.0)
-        assert canonical.dual_hessian(pr, (0.7,)).upper == (-1.0 / 8.0,)
+        assert canonical.DualPoint(pr, (0.7,)).hessian().upper == (-1.0 / 8.0,)
 
     def test_singular_g_raises(self, gp):
         with pytest.raises(SingularMatrixError):
-            canonical.dual_hessian(gp, (-53.0 / 3.0,))
+            canonical.DualPoint(gp, (-53.0 / 3.0,)).hessian()
 
     def test_dimension_mismatch(self, gp):
         with pytest.raises(DimensionMismatch):
-            canonical.dual_hessian(gp, (1.0, 2.0))
+            canonical.DualPoint(gp, (1.0, 2.0)).hessian()
 
 
 coefficient = st.integers(-8, 8).map(lambda k: k / 4.0)
@@ -260,11 +274,11 @@ def interior_canonical_points(draw):
 
 
 @given(interior_canonical_points())
-def test_dual_hessian_matches_central_differences_on_random_problems(case):
+def test_hessian_matches_central_differences_on_random_problems(case):
     pr, sigma = case
     assert canonical.in_positive_domain(pr, sigma)[1] >= 0.1
-    exact = canonical.dual_hessian(pr, sigma)
-    assert_hessians_close(exact, fd_dual_hessian(pr, sigma), 1e-5)
+    exact = canonical.DualPoint(pr, sigma).hessian()
+    assert_hessians_close(exact, fd_hessian(pr, sigma), 1e-5)
     assert min_eigenvalue(exact.scale(-1.0)) > 0.0
 
 
@@ -288,7 +302,7 @@ def interior_table_points(draw):
     ]
     sigma = tuple(draw(st.lists(coefficient, min_size=m, max_size=m)))
     pr = canonical.TableProblem(canonical.DualTable(n, m, tuple(terms)), MultiPoly.zero(n))
-    margin = min_eigenvalue(canonical.g_matrix(pr, sigma))
+    margin = canonical.DualPoint(pr, sigma).min_eigenvalue()
     if margin < 0.1:
         shift = 0.2 - margin + draw(coefficient) ** 2
         constant = terms[0]
@@ -311,7 +325,7 @@ def test_table_derivatives_match_central_differences(case):
     for got, want in zip(canonical.dual_gradient(pr, sigma), reference):
         assert abs(got - want) <= 1e-6 * scale
     reference = _fd_hessian(lambda s: canonical.dual_gradient(pr, s), sigma, 1e-6)
-    assert_hessians_close(canonical.dual_hessian(pr, sigma), reference, 1e-5)
+    assert_hessians_close(canonical.DualPoint(pr, sigma).hessian(), reference, 1e-5)
 
 
 @given(interior_canonical_points(), st.floats(-2.0, 2.0))
@@ -319,16 +333,18 @@ def test_dual_point_against_numpy(case, t):
     # One factorisation per dual point: the value and x_bar come from the
     # factor of G, the threshold test from one of G - tI.
     pr, sigma = case
-    G = np.array(canonical.g_matrix(pr, sigma).to_rows())
-    F = np.array(canonical.f_vector(pr, sigma).entries)
+    G, F = g_and_f(pr, sigma)
+    G, F = np.array(G.to_rows()), np.array(F)
     x = np.linalg.solve(G, F)
     scale = 1e-12 * np.linalg.cond(G) * (1.0 + np.abs(x).max())
-    assert np.allclose(canonical.recover_primal(pr, sigma).entries, x, rtol=0.0, atol=scale)
-    c = canonical.complementary_value(pr, (0.0,) * pr.n, sigma)  # Xi(0, sigma) = c(sigma)
-    assert canonical.dual_value(pr, sigma) == pytest.approx(-0.5 * float(F @ x) + c, abs=scale * (1.0 + np.abs(F).sum()))
+    point = canonical.DualPoint(pr, sigma)
+    assert np.allclose(point.x_bar(), x, rtol=0.0, atol=scale)
+    c = point.complementary((0.0,) * pr.n)  # Xi(0, sigma) = c(sigma)
+    assert point.value() == pytest.approx(-0.5 * float(F @ x) + c, abs=scale * (1.0 + np.abs(F).sum()))
     lam = float(np.linalg.eigvalsh(G)[0])
+    assert point.min_eigenvalue() == pytest.approx(lam, abs=1e-9 * (1.0 + np.abs(G).max()))
     if abs(lam - t) > 1e-9 * (1.0 + abs(t) + np.abs(G).max()):
-        assert canonical.in_interior(pr, sigma, t) is (lam > t)
+        assert point.exceeds(t) is (lam > t)
 
 
 class TestScalarDualPoint:
@@ -336,25 +352,25 @@ class TestScalarDualPoint:
         rng = Lcg(16)
         for _ in range(200):
             sigma = (rng.uniform(-53.0 / 3.0 + 1e-3, 40.0),)
-            (g,) = canonical.g_matrix(gp, sigma).upper
-            (f,) = canonical.f_vector(gp, sigma).entries
-            expected = float(Fraction(f) / Fraction(g))
-            assert canonical.recover_primal(gp, sigma).entries == (expected,)
-            assert canonical.dual_value(gp, sigma) == -0.5 * (f * expected) + (
-                canonical.complementary_value(gp, (0.0,), sigma)
-            )
+            G, (f,) = g_and_f(gp, sigma)
+            expected = float(Fraction(f) / Fraction(G.upper[0]))
+            point = canonical.DualPoint(gp, sigma)
+            assert tuple(point.x_bar()) == (expected,)
+            assert point.value() == -0.5 * (f * expected) + point.complementary((0.0,))
 
-    def test_in_interior_is_a_strict_threshold(self, gp):
+    def test_exceeds_is_a_strict_threshold(self, gp):
         # G(sigma) = 2 sigma + 106/3 is exact at sigma = -16 (G = 10/3 in floats).
-        g = canonical.g_matrix(gp, (-16.0,)).upper[0]
-        assert canonical.in_interior(gp, (-16.0,), g - 1e-12)
-        assert not canonical.in_interior(gp, (-16.0,), g)
-        assert not canonical.in_interior(gp, (-53.0 / 3.0,), 0.0)
+        point = canonical.DualPoint(gp, (-16.0,))
+        g = point.min_eigenvalue()
+        assert g == g_and_f(gp, (-16.0,))[0].upper[0]
+        assert point.exceeds(g - 1e-12)
+        assert not point.exceeds(g)
+        assert not canonical.DualPoint(gp, (-53.0 / 3.0,)).exceeds(0.0)
 
 
 class TestComplementary:
     def test_equality_chain_at_critical_pair(self, gp):
-        xi = canonical.complementary_value(gp, (3.0,), (-15.0,))
+        xi = canonical.DualPoint(gp, (-15.0,)).complementary((3.0,))
         assert xi == pytest.approx(canonical.primal_value(gp, (3.0,)), abs=1e-10)
         assert xi == pytest.approx(canonical.dual_value(gp, (-15.0,)), abs=1e-10)
 
@@ -362,25 +378,25 @@ class TestComplementary:
         # Lambda(0) = -2 and U(0) = 0, so Xi(0, s) = -V*(s) - 2 s.
         for sigma in (-15.0, -5.0, 0.0, 7.5):
             expected = -canonical.conjugate_value(gp.V, (sigma,)) - 2.0 * sigma
-            assert canonical.complementary_value(gp, (0.0,), (sigma,)) == pytest.approx(
+            assert canonical.DualPoint(gp, (sigma,)).complementary((0.0,)) == pytest.approx(
                 expected, abs=1e-12
             )
 
     def test_zero_problem(self):
         pr = make_problem(A=0.0, f=0.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
-        assert canonical.complementary_value(pr, (4.0,), (0.0,)) == 0.0
+        assert canonical.DualPoint(pr, (0.0,)).complementary((4.0,)) == 0.0
 
 
 class TestRecoverPrimal:
     def test_certified_point(self, gp):
-        assert canonical.recover_primal(gp, (-15.0,))[0] == pytest.approx(3.0, abs=1e-12)
+        assert canonical.DualPoint(gp, (-15.0,)).x_bar()[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_at_zero(self, gp):
-        assert canonical.recover_primal(gp, (0.0,))[0] == pytest.approx(84.0 / 53.0, abs=1e-12)
+        assert canonical.DualPoint(gp, (0.0,)).x_bar()[0] == pytest.approx(84.0 / 53.0, abs=1e-12)
 
     def test_unconstrained_quadratic(self):
         pr = make_problem(A=1.0, f=1.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
-        assert canonical.recover_primal(pr, (0.0,))[0] == pytest.approx(1.0, abs=1e-14)
+        assert canonical.DualPoint(pr, (0.0,)).x_bar()[0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestPositiveDomain:
@@ -407,24 +423,31 @@ class TestPositiveDomain:
             assert not ok
 
 
+def chain_gaps(pr, x, sigma):
+    """(|P(x) - Xi(x, sigma)|, |Xi(x, sigma) - P^d(sigma)|) at one dual point."""
+    point = canonical.DualPoint(pr, sigma)
+    xi = point.complementary(x)
+    return abs(canonical.primal_value(pr, x) - xi), abs(xi - point.value())
+
+
 class TestDualityGap:
     def test_zero_at_critical_pair(self, gp):
-        gap_px, gap_xd = canonical.duality_gap(gp, (3.0,), (-15.0,))
+        gap_px, gap_xd = chain_gaps(gp, (3.0,), (-15.0,))
         assert gap_px <= 1e-8 * 4 and gap_xd <= 1e-8 * 4
 
     def test_positive_at_noncritical_primal(self, gp):
-        gap_px, _ = canonical.duality_gap(gp, (0.0,), (-15.0,))
+        gap_px, _ = chain_gaps(gp, (0.0,), (-15.0,))
         assert gap_px > 1.0  # |30 - Xi(0, -15)| is large
 
     def test_degenerate_zero_problem(self):
         pr = make_problem(A=0.0, f=0.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
-        assert canonical.duality_gap(pr, (0.0,), (0.0,)) == (0.0, 0.0)
+        assert chain_gaps(pr, (0.0,), (0.0,)) == (0.0, 0.0)
 
     def test_propagates_column_space_violation(self):
         # Singular G with F outside its column space: A=0, C=0 (so G == 0), f != 0.
         pr = make_problem(A=0.0, f=1.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
         with pytest.raises(ColumnSpaceViolation):
-            canonical.duality_gap(pr, (0.0,), (0.0,))
+            chain_gaps(pr, (0.0,), (0.0,))
 
 
 class TestWeakDualityAndConcavity:
@@ -502,10 +525,10 @@ def test_primal_value_is_bit_identical_to_the_object_form(case, data):
     x = Vector(tuple(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=pr.n, max_size=pr.n))))
     xi = tuple(0.5 * op.C.quadratic_form(x) + op.b.dot(x) + op.c for op in pr.ops)
     u = -0.5 * pr.A.quadratic_form(x) + pr.f.dot(x)
-    assert canonical.lambda_eval(pr, x) == xi
-    assert canonical.lambda_eval(pr, x.entries) == xi
-    assert canonical.u_value(pr, list(x)) == u
+    assert measures(pr, x.entries) == xi
+    assert canonical.primal_value(pr, x) == pr.V.value(xi) - u
     assert canonical.primal_value(pr, x.entries) == pr.V.value(xi) - u
+    assert canonical.primal_value(pr, list(x)) == pr.V.value(xi) - u
 
 
 class TestPrimalPolynomial:
@@ -572,7 +595,7 @@ def reference_dual_rounding(pr, sigma):
     return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(acc[-1]) + abs(half))
 
 
-def reference_recover_primal(pr, sigma, residual_tol=1e-9):
+def reference_x_bar(pr, sigma, residual_tol=1e-9):
     _, table, acc = _at(pr, sigma)
     return Vector(_solver(table, acc)[1](_f(table, acc), residual_tol))
 
@@ -590,7 +613,7 @@ def reference_dual_gradient(pr, sigma):
     return tuple(_xi(table, _accumulate(table, rows, sig), x) for rows in table.grad)
 
 
-def reference_dual_hessian(pr, sigma):
+def reference_hessian(pr, sigma):
     sig, table, solve, x = _interior_primal(pr, sigma)
     first = [_accumulate(table, rows, sig) for rows in table.grad]
     u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
@@ -609,11 +632,11 @@ def assert_point_matches_reference(pr, sigma):
     """Value, rounding bound, x_bar, Xi(x_bar), gradient and Hessian of one
     DualPoint equal the separate formulas bit for bit, whichever quantity
     the point is asked for first."""
-    x = reference_recover_primal(pr, sigma).entries
+    x = reference_x_bar(pr, sigma).entries
     want = packed([
         reference_dual_value(pr, sigma), reference_dual_rounding(pr, sigma), *x,
         _xi(pr.table, _at(pr, sigma)[2], x),
-        *reference_dual_gradient(pr, sigma), *reference_dual_hessian(pr, sigma).upper,
+        *reference_dual_gradient(pr, sigma), *reference_hessian(pr, sigma).upper,
     ])
     point = canonical.DualPoint(pr, sigma)
     assert packed([
@@ -648,7 +671,7 @@ def test_dual_point_matches_the_separate_formulas(name):
     samples = [center]
     for radius in (1e-3, 0.5, 4.0) * 20:
         sigma = tuple(s + rng.uniform(-radius, radius) for s in center)
-        if canonical.in_interior(pr, sigma, 1e-9):
+        if canonical.DualPoint(pr, sigma).exceeds(1e-9):
             samples.append(sigma)
     assert len(samples) >= 20
     for sigma in samples:
@@ -665,7 +688,7 @@ class TestDualPoint:
         # G(-15) = 2 (-15) + 106/3 = 16/3: the threshold test is strict.
         point = canonical.DualPoint(gp, (-15.0,))
         assert point.sigma == (-15.0,)
-        (g,) = canonical.g_matrix(gp, (-15.0,)).upper
+        (g,) = g_and_f(gp, (-15.0,))[0].upper
         assert g == pytest.approx(16.0 / 3.0, abs=1e-12)
         assert point.exceeds(g - 1e-12)
         assert not point.exceeds(g)
@@ -680,7 +703,7 @@ class TestDualPoint:
             point.value()
         with pytest.raises(ColumnSpaceViolation):
             canonical.dual_value(pr, (0.0,))
-        assert canonical.recover_primal(pr, (0.0,), residual_tol=1e-6).entries == (0.0,)
+        assert canonical.DualPoint(pr, (0.0,)).x_bar(residual_tol=1e-6) == (0.0,)
 
     def test_singular_g_raises_for_derivatives_after_a_solve(self, gp):
         point = canonical.DualPoint(gp, (-53.0 / 3.0,))

@@ -233,6 +233,24 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError, match="symmetric"):
             cli.load_problem_file(bad)
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_bool_dimension_rejected(self, tmp_path, key):
+        # bool is an int in Python: true must not read as 1.
+        data = {
+            "n": 1, "m": 1, "A": [[1]], "f": [0],
+            "operators": [{"C": [[0]], "b": [0], "c": 0}],
+            "V": [{"a": 1, "beta": 0}],
+        }
+        data[key] = True
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ProblemFileError, match=f"{key} must be an integer"):
+            cli.load_problem_file(bad)
+        for command in ("solve", "verify"):
+            code, out, err = run_cli(command, "file", str(bad))
+            assert (code, out) == (1, "")
+            assert f"{key} must be an integer" in err
+
     def test_parse_error_reports_location(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"n": 1,\n  "m": }')
@@ -269,6 +287,13 @@ class TestUsageErrors:
         code, _, err = run_cli(command, "gp", "--threads", "2")
         assert code == 1
         assert "--threads" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_grad_tol_must_be_finite_and_positive(self, value):
+        # NaN passed a "<= 0" test and ran to the iteration cap (exit 2).
+        code, out, err = run_cli("solve", "gp", "--no-oracle", "--grad-tol", value)
+        assert (code, out) == (1, "")
+        assert "grad_tol must be finite and positive" in err
 
     @pytest.mark.parametrize(
         "argv", [("solve", "gp", "--starts", "0"), ("oracle", "gp", "--starts", "-3")]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -18,7 +19,7 @@ from canondual.dual_solver import (
     maximize_concave,
     solve_canonical,
 )
-from canondual.errors import LineSearchStalled, NoInteriorPoint
+from canondual.errors import NoInteriorPoint
 from canondual.smallmat import SymMatrix, Vector
 
 # Canonical problems with planted exact minimisers on which the ascent with a
@@ -158,16 +159,27 @@ class TestFindInteriorStart:
     def test_decoupled_quartic_accepts_origin(self):
         pr = gp_canonical_g()
         start = find_interior_start(dual_points(pr), 1)
-        assert start == (0.0,)
+        assert isinstance(start, canonical.DualPoint)
+        assert start.sigma == (0.0,)
 
     def test_three_hump_accepts_origin(self):
         pr = thc_problem()
         start = find_interior_start(dual_points(pr), 2)
-        assert start == (0.0, 0.0)
+        assert start.sigma == (0.0, 0.0)
 
     def test_infeasible_everywhere(self):
+        tried = []
+
+        def feasible(sigma, t):
+            tried.append(sigma)
+            return False
+
         with pytest.raises(NoInteriorPoint):
-            find_interior_start(formula_points(lambda s: 0.0, feasible=lambda s, t: False), 2, tau_max=10.0)
+            find_interior_start(formula_points(lambda s: 0.0, feasible=feasible), 2)
+        # The origin, then 2^-10 .. 2^19 (the largest power of two <= 1e6)
+        # over 3 directions and both signs.
+        assert len(tried) == 1 + 30 * 3 * 2
+        assert max(abs(s) for sigma in tried for s in sigma) == 2.0 ** 19
 
     def test_origin_excluded_finds_ray_point(self):
         # Feasible iff sigma_0 >= 1: the ray grid must find it.
@@ -175,25 +187,27 @@ class TestFindInteriorStart:
             return sigma[0] - 1.0 > t
 
         start = find_interior_start(formula_points(lambda s: 0.0, feasible=feas), 1)
-        assert start[0] >= 1.0
+        assert start.sigma[0] >= 1.0
 
 
 class TestMaximizeConcave:
     def test_exact_newton_on_quadratic(self):
         at = formula_points(lambda s: -s[0] ** 2, lambda s: (-2.0 * s[0],), lambda s: SymMatrix(1, (-2.0,)))
-        result = maximize_concave(at, (1.0,))
+        result = maximize_concave(at, at((1.0,)))
         assert abs(result.sigma[0]) <= 1e-12
         assert result.converged
         assert result.iterations <= 2
 
     def test_decoupled_quartic_dual(self):
-        result = maximize_concave(dual_points(gp_canonical_g()), (0.0,))
+        at = dual_points(gp_canonical_g())
+        result = maximize_concave(at, at((0.0,)))
         assert result.converged
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
         assert result.value == pytest.approx(3.0, abs=1e-8)
 
     def test_three_hump_dual_converges_at_start(self):
-        result = maximize_concave(dual_points(thc_problem()), (0.0, 0.0))
+        at = dual_points(thc_problem())
+        result = maximize_concave(at, at((0.0, 0.0)))
         assert result.converged
         assert result.iterations == 0
         assert result.sigma == (0.0, 0.0)
@@ -211,28 +225,34 @@ class TestMaximizeConcave:
                 calls.append(v)
                 return v
 
-        result = maximize_concave(partial(Recorded, gp_canonical_g()), (0.0,))
+        at = partial(Recorded, gp_canonical_g())
+        result = maximize_concave(at, at((0.0,)))
         assert result.value >= calls[0]
 
-    def test_stall_raises_with_payload(self):
-        with pytest.raises(LineSearchStalled) as info:
-            maximize_concave(dual_points(boundary_problem()), (1.0,))
-        stall = info.value
-        assert stall.sigma[0] == pytest.approx(0.0, abs=1e-6)
-        assert stall.grad_norm > 1e-10  # still pushing toward the boundary
+    def test_stall_returns_the_last_iterate(self):
+        at = dual_points(boundary_problem())
+        result = maximize_concave(at, at((1.0,)))
+        assert result.stalled and not result.converged
+        assert result.sigma[0] == pytest.approx(0.0, abs=1e-6)
+        assert result.grad_norm > 1e-10  # still pushing toward the boundary
+        assert result.point.sigma == result.sigma
+        assert result.value == result.point.value()
 
     def test_rejects_infeasible_start(self):
+        at = dual_points(boundary_problem())
         with pytest.raises(ValueError):
-            maximize_concave(dual_points(boundary_problem()), (-1.0,))
+            maximize_concave(at, at((-1.0,)))
 
     def test_one_accumulation_and_one_factorisation_per_dual_point(self, monkeypatch):
         # The n = 4, m = 3 planted problem: every Newton step is accepted at
         # its first trial.  Each dual point accumulates [G, F, c] once, and
         # the points whose value is asked factor G once: the interior start,
-        # the ascent's start, the 10 accepted trials and the final point.
-        # Each iterate adds m accumulations of the first derivatives, shared
-        # by its gradient and Hessian, and m(m+1)/2 of the second.  One
-        # callback per quantity accumulated 175 times and factored 34.
+        # which the ascent climbs from, and the 10 accepted trials, the last
+        # of which the report reads.  Each iterate adds m accumulations of
+        # the first derivatives, shared by its gradient and Hessian, and
+        # m(m+1)/2 of the second.  Rebuilding the start and the end point,
+        # and G again for the reported eigenvalue, took 111 accumulations
+        # and 13 factorisations; one callback per quantity took 175 and 34.
         counts = {"_accumulate": 0, "_cholesky": 0}
         for name in counts:
             original = getattr(canonical, name)
@@ -246,13 +266,16 @@ class TestMaximizeConcave:
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         assert report.iterations == 10
-        assert counts == {"_accumulate": 111, "_cholesky": report.iterations + 3}
+        assert counts == {"_accumulate": 108, "_cholesky": report.iterations + 1}
 
     def test_determinism(self):
         pr = gp_canonical_g()
 
+        at = dual_points(pr)
+
         def run():
-            return maximize_concave(dual_points(pr), (0.0,))
+            result = maximize_concave(at, at((0.0,)))
+            return result.sigma, result
 
         assert run() == run()
 
@@ -272,8 +295,12 @@ class TestRoundingLevelSteps:
     hessian = staticmethod(lambda s: SymMatrix(1, (-2.0,)))
 
     def test_stalls_without_a_rounding_bound(self):
-        with pytest.raises(LineSearchStalled):
-            maximize_concave(formula_points(self.value, self.gradient, self.hessian, rounding=0.0), (1.0 + 1e-8,))
+        at = formula_points(self.value, self.gradient, self.hessian, rounding=0.0)
+        result = maximize_concave(at, at((1.0 + 1e-8,)))
+        assert result.stalled and not result.converged
+        assert result.iterations == 0
+        assert result.sigma == (1.0 + 1e-8,)
+        assert result.grad_norm == pytest.approx(2e-8, rel=1e-6)
 
     def test_accepts_a_smaller_gradient_at_an_unresolved_value(self):
         counts = {"gradient": 0}
@@ -283,8 +310,8 @@ class TestRoundingLevelSteps:
             return self.gradient(sigma)
 
         at = formula_points(self.value, gradient, self.hessian, rounding=self.ROUNDING)
-        result = maximize_concave(at, (1.0 + 1e-8,))
-        assert result.converged
+        result = maximize_concave(at, at((1.0 + 1e-8,)))
+        assert result.converged and not result.stalled
         assert result.sigma == (1.0,)
         assert result.iterations == 1
         # The trial's gradient is kept for the accepted iterate.
@@ -296,11 +323,13 @@ class TestRoundingLevelSteps:
             return -((sigma[0] - 1.0) ** 2) - (1e-15 if sigma[0] == 1.0 else 0.0)
 
         start = (1.0 + 1e-9,)
-        result = maximize_concave(formula_points(value, self.gradient, self.hessian, rounding=1e-13), start)
+        at = formula_points(value, self.gradient, self.hessian, rounding=1e-13)
+        result = maximize_concave(at, at(start))
         assert result.converged and result.sigma == (1.0,)
         assert value(start) - 1e-13 <= result.value < value(start)
         # A bound below the fall rejects the optimum: Armijo steps take over.
-        result = maximize_concave(formula_points(value, self.gradient, self.hessian, rounding=1e-16), start)
+        at = formula_points(value, self.gradient, self.hessian, rounding=1e-16)
+        result = maximize_concave(at, at(start))
         assert result.converged and result.sigma != (1.0,)
         assert result.value >= value(start)
 
@@ -393,6 +422,10 @@ class TestSolverConfig:
             SolverConfig(grad_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        # NaN passes a "<= 0" test; a tolerance must also be finite.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(grad_tol=bad)
         with pytest.raises(TypeError):
             SolverConfig(backtrack_ratio=0.5)
 
