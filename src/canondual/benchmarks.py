@@ -223,7 +223,6 @@ def gp_solve(
     with_oracle: bool = True,
     oracle_starts: int = ORACLE_STARTS,
     oracle_seed: int = ORACLE_SEED,
-    oracle_box: oracle.Box = GP_BOX,
 ) -> SolveReport:
     """Full Goldstein-Price pipeline.
 
@@ -242,7 +241,7 @@ def gp_solve(
 
     oracle_value = oracle_x = agreement = None
     if with_oracle:
-        best = oracle.multistart(gp_objective(), oracle_box, oracle_starts, oracle_seed)
+        best = oracle.multistart(gp_objective(), GP_BOX, oracle_starts, oracle_seed)
         oracle_value, oracle_x = best.value, best.x_best
         agreement = _oracle_agrees(value, oracle_value)
     return SolveReport(
@@ -405,7 +404,6 @@ def thc_solve(
     with_oracle: bool = True,
     oracle_starts: int = ORACLE_STARTS,
     oracle_seed: int = ORACLE_SEED,
-    oracle_box: oracle.Box = THC_BOX,
 ) -> SolveReport:
     """Full Three Hump pipeline: both staging identities are validated (once
     per process) and the dual table goes through solve_canonical."""
@@ -414,7 +412,7 @@ def thc_solve(
     if not thc_level2_identity():
         raise IdentityViolation(f"level-2 staging failed at {thc_identity_mismatch(2)}")
     objective = thc_objective() if with_oracle else None
-    return solve_problem("thc", thc_problem(), cfg, objective, oracle_box, oracle_starts, oracle_seed)
+    return solve_problem("thc", thc_problem(), cfg, objective, THC_BOX, oracle_starts, oracle_seed)
 
 
 def solve_problem(

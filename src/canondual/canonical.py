@@ -20,8 +20,12 @@ TableProblem: its table and exact objective, given directly.
 
 With G affine, P^d is concave wherever G(sigma) is positive semidefinite
 (THC's staged dual is too; verify thc samples it); a dual critical point
-there recovers the primal global minimizer x_bar with a zero duality gap
-P(x_bar) = Xi(x_bar, sigma) = P^d(sigma).
+where G is positive definite recovers the primal global minimizer x_bar
+with a zero duality gap P(x_bar) = Xi(x_bar, sigma) = P^d(sigma).  That
+open region is the only place the program evaluates P^d and its
+derivatives: at any other sigma they raise DomainViolation.  The
+boundary, where G is singular, gets no solve (only its margin,
+in_positive_domain, is reported).
 """
 
 from __future__ import annotations
@@ -33,25 +37,28 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Sequence
 
-from .errors import DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch
 from .polynomial import MultiPoly
+# solve_sym is not called here.  It stays bound because perfbench's tracer
+# wraps it in every namespace that holds it, and the benchmark's tests and
+# tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
 from .smallmat import (
     SymMatrix,
     Vector,
-    _cholesky,
+    cholesky,
     exceeds,
     full_rows,
-    is_nonsingular,
-    is_psd,
     min_eigenvalue,
     solve_1x1,
     solve_2x2,
     solve_factored,
-    solve_sym,
+    solve_sym,  # noqa: F401
 )
 
 # DualPoint.rounding's multiple of the unit roundoff.
 _ROUNDING_ULPS = 4
+# in_positive_domain accepts margin >= -PSD_TOL.
+PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -298,13 +305,14 @@ class DualPoint:
     request, from which value, rounding bound, gradient and Hessian all
     come; the two derivatives share one accumulation of [G_k, F_k, c_k].
 
-    Solves are solve_1x1 and solve_2x2 on the accumulated entries for
-    n <= 2.  For n >= 3 the Cholesky factor of the accumulated upper
-    triangle, made once, is both the positive definiteness test and,
-    through solve_factored, the solver for x_bar and the Hessian's solves;
-    only a G that is not positive definite becomes a SymMatrix for
-    solve_sym's elimination.  Every solve keeps solve_sym's refinement step
-    and residual check.
+    P^d is concave where G is positive definite, and only there does a
+    point solve: value, x_bar, rounding, gradient and Hessian raise
+    DomainViolation at any other G.  Solves are solve_1x1 and solve_2x2 on
+    the accumulated entries for n <= 2.  For n >= 3 the Cholesky factor of
+    the accumulated upper triangle, made once, is both the positive
+    definiteness test and, through solve_factored, the solver for x_bar and
+    the Hessian's solves.  The n >= 2 solves keep solve_sym's refinement
+    step and residual check.
     """
 
     __slots__ = ("sigma", "table", "acc", "_factor", "_x", "_x_tol", "_first")
@@ -326,24 +334,22 @@ class DualPoint:
         definite; the rows of G), made once, for n >= 3."""
         if self._factor is None:
             n, acc = self.table.n, self.acc
-            self._factor = (_cholesky(n, acc, 0.0), full_rows(n, acc))
+            self._factor = (cholesky(n, acc, 0.0), full_rows(n, acc))
         return self._factor
 
     def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
         n, acc = self.table.n, self.acc
         if n == 1:
-            return (solve_1x1(acc[0], v[0], residual_tol),)
+            return (solve_1x1(acc[0], v[0]),)
         if n == 2:
             return solve_2x2(acc[0], acc[1], acc[2], v[0], v[1], residual_tol)
-        factor, rows = self._factored()
-        if factor is not None:
-            return solve_factored(factor, rows, v, residual_tol)
-        return solve_sym(_g(self.table, acc), v, residual_tol).entries
+        return solve_factored(*self._factored(), v, residual_tol)
 
     def x_bar(self, residual_tol: float = 1e-9) -> Sequence[float]:
-        """x_bar solving G x = F, the stationary point of Xi(., sigma).  Solved
-        once; a tighter residual_tol than the solve passed repeats the solve
-        for its check, which raises ColumnSpaceViolation or gives the same x_bar."""
+        """x_bar solving G x = F, the stationary point of Xi(., sigma), or
+        DomainViolation when G is not positive definite.  Solved once; a
+        tighter residual_tol than the solve passed repeats the solve for its
+        check, which raises ColumnSpaceViolation or gives the same x_bar."""
         x = self._x
         if x is None or residual_tol < self._x_tol:
             x = self._x = self._solve(_f(self.table, self.acc), residual_tol)
@@ -373,11 +379,8 @@ class DualPoint:
 
     def _interior(self) -> tuple[Sequence[float], list[list[float]]]:
         """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is
-        differentiable: G nonsingular, which positive definiteness proves."""
-        n, acc = self.table.n, self.acc
-        positive = exceeds(n, acc, 0.0) if n <= 2 else self._factored()[0] is not None
-        if not positive and not is_nonsingular(_g(self.table, acc)):
-            raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
+        differentiable: G positive definite, which the solve for x_bar
+        tests (DomainViolation otherwise)."""
         x = self.x_bar(1e-6)
         if self._first is None:
             self._first = [_accumulate(self.table, rows, self.sigma) for rows in self.table.grad]
@@ -386,7 +389,7 @@ class DualPoint:
     def gradient(self) -> tuple[float, ...]:
         """Gradient of P^d by the envelope identity: component k is
         1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k, which in canonical form
-        is Lambda_k(x_bar) - dV*/dsigma_k.  Requires G nonsingular."""
+        is Lambda_k(x_bar) - dV*/dsigma_k.  Requires G positive definite."""
         x, first = self._interior()
         return tuple([_xi(self.table, acc, x) for acc in first])
 
@@ -398,7 +401,7 @@ class DualPoint:
 
         from d x_bar / d sigma_l = -G^{-1} u_l, the derivative of G x_bar = F.
         In canonical form u_k = C_k x_bar + b_k and the first terms are
-        -delta_kl / (2 a_k).  Requires G nonsingular, as the gradient does;
+        -delta_kl / (2 a_k).  Requires G positive definite, as the gradient does;
         the m solves reuse the factorisation of G that x_bar came from.
         """
         x, first = self._interior()
@@ -413,22 +416,22 @@ class DualPoint:
 def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
     """P^d(sigma) = -1/2 F^T G^{-1} F + c(sigma).
 
-    Well defined only where F(sigma) lies in the column space of G(sigma);
-    otherwise ColumnSpaceViolation propagates from the solve.
+    Evaluated only where G(sigma) is positive definite; elsewhere
+    DomainViolation propagates from the solve.
     """
     return DualPoint(pr, sigma).value(residual_tol)
 
 
 def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
-    """Gradient of P^d (DualPoint.gradient).  Requires G(sigma) nonsingular."""
+    """Gradient of P^d (DualPoint.gradient).  Requires G(sigma) positive definite."""
     return DualPoint(pr, sigma).gradient()
 
 
 def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float]:
     """Membership in the concavity region {sigma : G(sigma) PSD}, with
-    margin: the minimum eigenvalue of G, computed for reports."""
-    point = DualPoint(pr, sigma)
-    return is_psd(_g(point.table, point.acc))
+    margin: (lambda_min(G) >= -PSD_TOL, lambda_min(G)), computed for reports."""
+    margin = DualPoint(pr, sigma).min_eigenvalue()
+    return margin >= -PSD_TOL, margin
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:

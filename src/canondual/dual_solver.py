@@ -4,13 +4,14 @@ The ascent sees the dual through one callback: at(sigma) returns the dual
 point at sigma (canonical.DualPoint), whose exceeds(t) is the feasibility
 threshold test (for the canonical dual lambda_min(G(sigma)) > t, decided
 by a Cholesky factorisation of G - tI) and whose value, rounding bound,
-gradient and Hessian share one factorisation of G.  The engine is a damped
-Newton ascent: step direction from solving -H d = grad through the
-Cholesky factor of -H, with a steepest-ascent fallback when that
-factorisation fails (H not negative definite), and a backtracking line
-search that accepts a trial point only when it keeps a strict feasibility
-margin and satisfies the Armijo ascent condition; that point is then the
-next iterate.
+gradient and Hessian share one factorisation of G; outside the region
+where G is positive definite they raise DomainViolation.  The engine is a
+damped Newton ascent: step direction from solve_sym(-H, grad), with a
+steepest-ascent fallback when -H is not positive definite
+(DomainViolation) or the solve fails its residual check
+(ColumnSpaceViolation), and a backtracking line search that accepts a
+trial point only when it keeps a strict feasibility margin and satisfies
+the Armijo ascent condition; that point is then the next iterate.
 
 Accepted dual values increase, with one exception at the rounding level:
 when a trial step's predicted gain step * slope is below the bound on the
@@ -46,13 +47,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 from . import canonical
-from .errors import (
-    ColumnSpaceViolation,
-    DomainViolation,
-    NoInteriorPoint,
-    SingularMatrixError,
-)
-from .smallmat import SymMatrix, Vector, cholesky, solve_sym
+from .errors import ColumnSpaceViolation, DomainViolation, NoInteriorPoint
+from .smallmat import SymMatrix, Vector, solve_sym
 
 # sigma -> the dual point at sigma: a canonical.DualPoint, or any object with its methods.
 PointFn = Callable[[tuple[float, ...]], canonical.DualPoint]
@@ -65,7 +61,7 @@ _START_TAU_MAX = 1e6  # largest ray length the interior start tries
 
 # Exceptions treated as "point outside the evaluable domain" by the start
 # search, the line search and the finite-difference references.
-_DOMAIN_ERRORS = (ColumnSpaceViolation, DomainViolation, SingularMatrixError)
+_DOMAIN_ERRORS = (ColumnSpaceViolation, DomainViolation)
 
 
 @dataclass(frozen=True)
@@ -254,17 +250,14 @@ def maximize_concave(
             return AscentResult(point, value, grad_norm, iteration, True)
 
         neg_hess = point.hessian().scale(-1.0)
-        direction = None
-        factor = cholesky(neg_hess)
-        if factor is not None:
-            try:
-                d = solve_sym(neg_hess, Vector(grad), residual_tol=1e-6, factor=factor)
-                if sum(g * di for g, di in zip(grad, d)) > 0.0:
-                    direction = tuple(d)
-            except ColumnSpaceViolation:
-                direction = None
-        if direction is None:
-            direction = grad  # steepest ascent
+        direction = grad  # steepest ascent, unless the Newton step ascends
+        try:
+            d = solve_sym(neg_hess, Vector(grad), 1e-6)
+        except (ColumnSpaceViolation, DomainViolation):
+            pass
+        else:
+            if sum(g * di for g, di in zip(grad, d)) > 0.0:
+                direction = tuple(d)
         slope = sum(g * d for g, d in zip(grad, direction))
 
         step = 1.0

@@ -12,19 +12,18 @@ class DimensionMismatch(CanondualError, ValueError):
 
 
 class ColumnSpaceViolation(CanondualError):
-    """Right-hand side is not in the column space of a (near-)singular matrix.
+    """A solve's residual exceeds its tolerance.
 
-    Raised by the symmetric solver when the least-squares residual exceeds
-    the requested tolerance, i.e. the dual point lies outside the domain on
-    which the dual function is well defined.
+    Raised by smallmat's positive definite solvers when, after one step of
+    iterative refinement, ||S x - v|| > residual_tol * (1 + ||v||): S is too
+    ill-conditioned for the accuracy asked, so the dual point is treated as
+    outside the domain on which the dual can be evaluated.
     """
 
     def __init__(self, residual: float, tol: float):
         self.residual = residual
         self.tol = tol
-        super().__init__(
-            f"right-hand side outside column space: residual {residual:.3e} > tol {tol:.3e}"
-        )
+        super().__init__(f"solve residual {residual:.3e} > tol {tol:.3e}")
 
 
 class SingularMatrixError(CanondualError):
@@ -32,7 +31,8 @@ class SingularMatrixError(CanondualError):
 
 
 class DomainViolation(CanondualError, ValueError):
-    """A point lies outside the feasible domain of a closed-form dual."""
+    """A point lies outside the domain of a dual: that of a closed form, or
+    where G(sigma) is not positive definite and no solve is made."""
 
 
 class IdentityViolation(CanondualError):

@@ -44,6 +44,8 @@ _EPS = sys.float_info.epsilon
 _SHIFT_FLOOR = 1e-8  # relative floor on the shifted Hessian's eigenvalues
 _MIN_STEP = 2.0**-60
 _DECREMENT_ULPS = 4.0  # predicted decreases below this many ulps of |p| are noise
+_REFINE_TOL = 1e-10  # gradient norm at which multistart's refinements stop
+_N_SCAN = 10_000  # cells of univariate_global's first node scan
 
 
 class Lcg:
@@ -237,7 +239,6 @@ def multistart(
     box: Box,
     k_starts: int,
     seed: int,
-    tol: float = 1e-10,
 ) -> OracleResult:
     """Refine k seeded starts and keep the best by start index.
 
@@ -262,7 +263,7 @@ def multistart(
     failed = 0
     for start in starts:  # index order: deterministic reduction
         try:
-            point, value, evals = _refine_counted(p, start, tol, 500, evaluators)
+            point, value, evals = _refine_counted(p, start, _REFINE_TOL, 500, evaluators)
         except NotConverged as failure:
             failed += 1
             total_evals += failure.evaluations
@@ -281,7 +282,7 @@ def multistart(
     )
 
 
-def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = 10_000) -> list[float]:
+def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = _N_SCAN) -> list[float]:
     """All real roots of p' in [lo, hi] via sign-change scan, bisection to
     width 1e-13, and Newton polish.  Ascending, deduplicated."""
     if p.arity != 1:
@@ -334,9 +335,7 @@ def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = 
     return merged
 
 
-def univariate_global(
-    p: MultiPoly, interval: tuple[float, float], n_scan: int = 10_000
-) -> OracleResult:
+def univariate_global(p: MultiPoly, interval: tuple[float, float]) -> OracleResult:
     """Global minimum of a univariate polynomial on [lo, hi].
 
     Evaluates p at every isolated critical point and both endpoints.  As a
@@ -364,9 +363,9 @@ def univariate_global(
         )
         return result, node_min
 
-    result, node_min = attempt(n_scan)
+    result, node_min = attempt(_N_SCAN)
     if node_min < result.value - 1e-9 * (1.0 + abs(result.value)):
-        result, node_min = attempt(10 * n_scan)
+        result, node_min = attempt(10 * _N_SCAN)
         if node_min < result.value - 1e-9 * (1.0 + abs(result.value)):
             raise RootIsolationFailure(
                 f"lattice value {node_min} undercuts isolated minimum {result.value}"

@@ -7,15 +7,17 @@ expanded from it once, at construction, for reads.
 Threshold tests lambda_min(S) > t ask whether S - tI has a Cholesky
 factorisation with all pivots > 0 (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 10), by closed forms for n <= 2 and by the
-factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues
-themselves come from closed forms for n in {1, 2} and cyclic Jacobi sweeps
-for n in {3, 4}.  Solves are closed forms for n <= 2 (a division; the 2x2
-inverse by its determinant), for n >= 3 substitution through a Cholesky
-factor when the caller has one (solve_factored, which needs only the factor
-and the matrix's rows), and otherwise pivoted elimination with an
-eigendecomposition fallback for singular matrices; each is followed by one
-step of iterative refinement and a column-space residual check, computed
-on plain lists.
+factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues,
+which only reports read, come from closed forms for n in {1, 2} and cyclic
+Jacobi sweeps for n in {3, 4}.
+
+Solves are for positive definite matrices only, the matrices G(sigma) of
+the region where the dual is concave and every certificate is issued; any
+other matrix raises DomainViolation and gets no solve.  They are closed
+forms for n <= 2 (a division; the 2x2 inverse by its determinant) and for
+n >= 3 substitution through the Cholesky factor (solve_factored, which
+needs only the factor and the matrix's rows).  For n >= 2 one step of
+iterative refinement and a residual check follow, computed on plain lists.
 
 Everything here is pure-Python float arithmetic: the sizes are tiny, the
 kernels deterministic, and the test suite cross-checks them against
@@ -27,21 +29,14 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter, mul, sub
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, Sequence
 
-from .errors import ColumnSpaceViolation, DimensionMismatch
+from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 
 MAX_DIM = 4
 
-# PSD membership accepts margin >= -PSD_TOL.
-PSD_TOL = 1e-9
-
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
-_SINGULAR_PIVOT = 1e-13
-# is_nonsingular: every |eigenvalue| above this times max(1, largest |eigenvalue|).
-_NONSINGULAR_REL_TOL = 1e-12
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -197,28 +192,10 @@ def add_scaled(base: SymMatrix, parts: Sequence[tuple[float, SymMatrix]]) -> Sym
     return SymMatrix(base.n, tuple(upper))
 
 
-def _eigen_2x2(a: float, b: float, d: float) -> tuple[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]]:
-    mean = 0.5 * (a + d)
-    radius = math.hypot(0.5 * (a - d), b)
-    lo, hi = mean - radius, mean + radius
-    if b == 0.0:
-        if a <= d:
-            return (a, d), ((1.0, 0.0), (0.0, 1.0))
-        return (d, a), ((0.0, 1.0), (1.0, 0.0))
-    theta = 0.5 * math.atan2(2.0 * b, a - d)
-    c, s = math.cos(theta), math.sin(theta)
-    # Column (c, s) pairs with c^2 a + 2 c s b + s^2 d.
-    val_cs = c * c * a + 2.0 * c * s * b + s * s * d
-    if abs(val_cs - lo) <= abs(val_cs - hi):
-        return (lo, hi), ((c, s), (-s, c))
-    return (lo, hi), ((-s, c), (c, s))
-
-
-def _jacobi(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Cyclic Jacobi diagonalization; returns (eigenvalues, eigenvector columns)."""
+def _jacobi(rows: list[list[float]]) -> list[float]:
+    """Cyclic Jacobi diagonalization; returns the eigenvalues, ascending."""
     n = len(rows)
     a = [row[:] for row in rows]
-    vecs = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     scale = max(1.0, max(abs(x) for row in a for x in row))
     tol = _JACOBI_OFF_TOL * scale
     for _ in range(60):
@@ -243,46 +220,26 @@ def _jacobi(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
                         akp, akq = a[k][p], a[k][q]
                         a[k][p] = a[p][k] = c * akp - s * akq
                         a[k][q] = a[q][k] = s * akp + c * akq
-                for k in range(n):
-                    vkp, vkq = vecs[k][p], vecs[k][q]
-                    vecs[k][p] = c * vkp - s * vkq
-                    vecs[k][q] = s * vkp + c * vkq
-    order = sorted(range(n), key=lambda i: a[i][i])
-    evals = [a[i][i] for i in order]
-    columns = [[vecs[r][i] for r in range(n)] for i in order]
-    return evals, columns
+    return sorted(a[i][i] for i in range(n))
 
 
-def eigen_sym(S: SymMatrix) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+def eigen_sym(S: SymMatrix) -> tuple[float, ...]:
+    """Eigenvalues, ascending: closed forms for n <= 2, Jacobi sweeps otherwise."""
     if S.n == 1:
-        return (S.entry(0, 0),), ((1.0,),)
+        return (S.upper[0],)
     if S.n == 2:
-        evals, vecs = _eigen_2x2(S.entry(0, 0), S.entry(0, 1), S.entry(1, 1))
-        return evals, vecs
-    evals, vecs = _jacobi(S.to_rows())
-    return tuple(evals), tuple(tuple(v) for v in vecs)
+        a, b, d = S.upper
+        mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+        return (mean - radius, mean + radius)
+    return tuple(_jacobi(S.to_rows()))
 
 
 def min_eigenvalue(S: SymMatrix) -> float:
     """Smallest eigenvalue: closed form for n <= 2, Jacobi otherwise."""
-    if S.n == 1:
-        return S.upper[0]
-    if S.n == 2:
-        a, b, d = S.upper
-        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
-    return eigen_sym(S)[0][0]
+    return eigen_sym(S)[0]
 
 
-def is_psd(S: SymMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """(min_eigenvalue >= -tol, min_eigenvalue)."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    margin = min_eigenvalue(S)
-    return margin >= -tol, margin
-
-
-def _cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]] | None:
+def cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]] | None:
     """Rows of the lower factor L, L L^T = S - shift I for the S whose upper
     triangle is the first n(n+1)/2 entries of upper; None when a pivot is
     not > 0, that is when lambda_min(S) <= shift up to rounding."""
@@ -300,12 +257,6 @@ def _cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]]
     return factor
 
 
-def cholesky(S: SymMatrix, shift: float = 0.0) -> list[list[float]] | None:
-    """Rows of the lower Cholesky factor of S - shift I, or None when that
-    matrix is not positive definite: the threshold test lambda_min(S) > shift."""
-    return _cholesky(S.n, S.upper, shift)
-
-
 def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
     """lambda_min(S) > t for the symmetric S whose upper triangle is the
     first n(n+1)/2 entries of upper: S - tI has a Cholesky factorisation
@@ -315,7 +266,7 @@ def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
     if n == 2:
         a = upper[0] - t
         return a > 0.0 and a * (upper[2] - t) - upper[1] * upper[1] > 0.0
-    return _cholesky(n, upper, t) is not None
+    return cholesky(n, upper, t) is not None
 
 
 def _substitute(factor: list[list[float]], v: Sequence[float]) -> list[float]:
@@ -330,57 +281,21 @@ def _substitute(factor: list[list[float]], v: Sequence[float]) -> list[float]:
     return x
 
 
-def _solve_pivoted(S: SymMatrix, v: Sequence[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None when singular."""
-    n = S.n
-    scale = max(1.0, max(abs(x) for x in S.upper))
-    aug = [list(row) + [v[i]] for i, row in enumerate(S.rows)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot_row][col]) <= _SINGULAR_PIVOT * scale:
-            return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / aug[col][col]
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
-    return x
-
-
-def _solve_pseudo(S: SymMatrix, v: Sequence[float]) -> list[float]:
-    """Least-squares solve through the eigendecomposition, dropping tiny modes."""
-    evals, vecs = eigen_sym(S)
-    cutoff = _SINGULAR_PIVOT * max(1.0, max(abs(e) for e in evals))
-    x = [0.0] * S.n
-    for lam, col in zip(evals, vecs):
-        if abs(lam) <= cutoff:
-            continue
-        proj = sum(col[i] * v[i] for i in range(S.n)) / lam
-        for i in range(S.n):
-            x[i] += proj * col[i]
-    return x
-
-
-def _solve_eliminated(S: SymMatrix, v: Sequence[float]) -> list[float]:
-    """Elimination, or the least-squares solve when S is singular."""
-    solved = _solve_pivoted(S, v)
-    return solved if solved is not None else _solve_pseudo(S, v)
-
-
-def _refined(rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float, solve_once) -> list[float]:
-    """solve_once(v) for the matrix with the given full rows, one step of
-    iterative refinement with solve_once and the column-space residual
-    check of solve_sym, on plain lists."""
-    x = solve_once(v)
+def solve_factored(
+    factor: list[list[float]] | None, rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float
+) -> list[float]:
+    """Solve S x = v through factor, cholesky(n, upper, 0.0) of the S with
+    the given full rows: substitution, one step of iterative refinement, and
+    ColumnSpaceViolation when the residual exceeds residual_tol * (1 + ||v||).
+    A factor of None (S not positive definite) raises DomainViolation."""
+    if factor is None:
+        raise DomainViolation("matrix is not positive definite")
+    x = _substitute(factor, v)
     residual_vec = [vi - sum(map(mul, row, x)) for row, vi in zip(rows, v)]
     residual = _norm(residual_vec)
     v_norm = _norm(v)
     if residual > 1e-14 * (1.0 + v_norm):
-        corrected = list(map(add, x, solve_once(residual_vec)))
+        corrected = list(map(add, x, _substitute(factor, residual_vec)))
         corrected_residual = _norm([vi - sum(map(mul, row, corrected)) for row, vi in zip(rows, v)])
         if corrected_residual < residual:
             x, residual = corrected, corrected_residual
@@ -390,35 +305,23 @@ def _refined(rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: 
     return x
 
 
-def solve_factored(
-    factor: list[list[float]], rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float = 1e-9
-) -> list[float]:
-    """Solve S x = v through factor, the Cholesky factor of the positive
-    definite S with the given full rows: substitution, one refinement step
-    and the residual check (ColumnSpaceViolation) of solve_sym."""
-    return _refined(rows, v, residual_tol, partial(_substitute, factor))
+def solve_1x1(s: float, v: float) -> float:
+    """solve_sym for a 1x1 system, on floats: v / s for s > 0, and
+    DomainViolation otherwise.  The quotient is correctly rounded, so
+    refinement would never change it."""
+    if not s > 0.0:
+        raise DomainViolation("matrix is not positive definite")
+    return v / s
 
 
-def solve_1x1(s: float, v: float, residual_tol: float = 1e-9) -> float:
-    """solve_sym for a 1x1 system, on floats: v / s, or 0 when s is zero to
-    working precision and v is too (ColumnSpaceViolation otherwise).  The
-    quotient is correctly rounded, so refinement would never change it."""
-    if abs(s) > _SINGULAR_PIVOT * max(1.0, abs(s)):
-        return v / s
-    limit = residual_tol * (1.0 + abs(v))
-    if abs(v) > limit:
-        raise ColumnSpaceViolation(abs(v), limit)
-    return 0.0
-
-
-def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: float = 1e-9) -> tuple[float, float]:
+def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: float) -> tuple[float, float]:
     """solve_sym for the system [[a, b], [b, d]] x = (v0, v1), on floats:
-    the inverse by its determinant, one refinement step, the residual check."""
+    DomainViolation unless the matrix is positive definite (the pivot test
+    of exceeds), then the inverse by its determinant, one refinement step
+    and the residual check."""
     det = a * d - b * b
-    if not abs(det) > (_SINGULAR_PIVOT * max(1.0, abs(a), abs(b), abs(d))) ** 2:
-        S = SymMatrix(2, (a, b, d))
-        x0, x1 = _refined(S.rows, (v0, v1), residual_tol, partial(_solve_pseudo, S))
-        return x0, x1
+    if not (a > 0.0 and det > 0.0):
+        raise DomainViolation("matrix is not positive definite")
     x0 = (d * v0 - b * v1) / det
     x1 = (a * v1 - b * v0) / det
     r0 = v0 - (a * x0 + b * x1)
@@ -439,32 +342,20 @@ def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: 
     return x0, x1
 
 
-def solve_sym(
-    S: SymMatrix, v: Vector, residual_tol: float = 1e-9, factor: list[list[float]] | None = None
-) -> Vector:
-    """Solve S x = v, least-squares when S is singular.
+def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
+    """Solve S x = v for a positive definite S; DomainViolation otherwise.
 
-    n <= 2 goes through solve_1x1 and solve_2x2.  For n >= 3, factor, the
-    Cholesky factor of a positive definite S (cholesky(S)), replaces
-    elimination.  One step of iterative refinement keeps residuals near
-    rounding level for moderately conditioned systems.  Raises
-    ColumnSpaceViolation when the residual exceeds residual_tol * (1 + ||v||),
-    i.e. v is not in the column space of S.
+    n <= 2 goes through solve_1x1 and solve_2x2, n >= 3 through
+    solve_factored with the Cholesky factor of S.  Raises
+    ColumnSpaceViolation when the refined residual exceeds
+    residual_tol * (1 + ||v||): S is too ill-conditioned for that accuracy.
     """
     if not isinstance(v, Vector):
         v = Vector(tuple(v))
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
     if S.n == 1:
-        return Vector((solve_1x1(S.upper[0], v[0], residual_tol),))
+        return Vector((solve_1x1(S.upper[0], v[0]),))
     if S.n == 2:
         return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
-    if factor is not None:
-        return Vector(tuple(solve_factored(factor, S.rows, v.entries, residual_tol)))
-    return Vector(tuple(_refined(S.rows, v.entries, residual_tol, partial(_solve_eliminated, S))))
-
-
-def is_nonsingular(S: SymMatrix) -> bool:
-    evals, _ = eigen_sym(S)
-    biggest = max(abs(e) for e in evals)
-    return min(abs(e) for e in evals) > _NONSINGULAR_REL_TOL * max(1.0, biggest)
+    return Vector(tuple(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol)))

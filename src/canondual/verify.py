@@ -23,6 +23,8 @@ from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError
 
 _PRIMAL_BOX_HALFWIDTH = 10.0  # verify_problem's weak-duality samples: x in [-10, 10]^n
+_FD_STEP = 1e-5  # dual-gradient-vs-fd: central difference step, times 1 + |sigma_k|
+_FD_TOL = 1e-6  # dual-gradient-vs-fd: worst relative error allowed
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,33 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _fd_gradient_matches(
-    pr: canonical.Problem,
-    points: Sequence[tuple[float, ...]],
-    step: float = 1e-5,
-    tol: float = 1e-6,
-) -> tuple[bool, str]:
+def _fd_gradient_matches(pr: canonical.Problem, points: Sequence[tuple[float, ...]]) -> tuple[bool, str]:
     worst = 0.0
     for sigma in points:
-        fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), step)
+        fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), _FD_STEP)
         for analytic, reference in zip(canonical.dual_gradient(pr, sigma), fd):
             worst = max(worst, abs(analytic - reference) / (1.0 + abs(reference)))
-    return worst <= tol, f"worst relative error {worst:.3e}"
+    return worst <= _FD_TOL, f"worst relative error {worst:.3e}"
+
+
+def _complementary(pr: canonical.CanonicalProblem, sigma: Sequence[float], x: Sequence[float]) -> float:
+    """Xi(x, sigma) = sum_k sigma_k Lambda_k(x) - V*(sigma) - U(x) from the
+    problem's own operators and V, not from the dual table the ascent used."""
+    lam = sum(s * op.value(x) for s, op in zip(sigma, pr.ops))
+    return lam - canonical.conjugate_value(pr.V, sigma) - canonical._u(pr, x)
+
+
+def _zero_gap_triple(pr: canonical.CanonicalProblem, report: dual_solver.CriticalReport) -> tuple[bool, float]:
+    """(P(x_bar) = Xi(x_bar, sigma*) = P^d(sigma*) within 1e-8 (1 + |P|),
+    Xi) for a certified report, with Xi recomputed from sigma* and x_bar."""
+    xi = _complementary(pr, report.sigma_star, report.x_bar.entries)
+    tol = 1e-8 * (1.0 + abs(report.primal))
+    ok = (
+        report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED
+        and abs(report.primal - xi) <= tol
+        and abs(xi - report.dual) <= tol
+    )
+    return ok, xi
 
 
 def _gp_feasible_samples(count: int, seed: int, margin: float = 1e-3) -> list[float]:
@@ -143,13 +160,7 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Zero-gap equality chain at the certified solution.
     report = dual_solver.solve_canonical(pr, cfg)
-    xi_val = report.complementary
-    tol = 1e-8 * (1.0 + abs(report.primal))
-    triple_ok = (
-        report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED
-        and abs(report.primal - xi_val) <= tol
-        and abs(xi_val - report.dual) <= tol
-    )
+    triple_ok, xi_val = _zero_gap_triple(pr, report)
     checks.append(
         _check(
             "zero-gap-triple",
@@ -334,9 +345,7 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
 
     report = dual_solver.solve_canonical(pr, cfg)
     if report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED:
-        xi_val = report.complementary
-        tol = 1e-8 * (1.0 + abs(report.primal))
-        ok = abs(report.primal - xi_val) <= tol and abs(xi_val - report.dual) <= tol
+        ok, _ = _zero_gap_triple(pr, report)
         checks.append(_check("zero-gap-triple", ok, f"gap {report.gap:.3e}"))
     else:
         checks.append(

@@ -18,22 +18,19 @@ from canondual import canonical, cli
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
 from canondual.canonical import _ROUNDING_ULPS, _accumulate, _f, _g, _gx, _xi
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
-from canondual.errors import ColumnSpaceViolation, DimensionMismatch, SingularMatrixError
+from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from canondual.oracle import Lcg
 from canondual.polynomial import MultiPoly
 from canondual.smallmat import (
     SymMatrix,
     Vector,
-    _cholesky,
     add_scaled,
-    exceeds,
+    cholesky,
     full_rows,
-    is_nonsingular,
     min_eigenvalue,
     solve_1x1,
     solve_2x2,
     solve_factored,
-    solve_sym,
 )
 from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
 
@@ -69,6 +66,22 @@ def make_problem(A, f, C, b, c, a, beta, n=1):
         ),
         V=canonical.ConvexQuadV(((a, beta),)),
     )
+
+
+def constant_g_problem(upper):
+    """A one-term table, m = 1, whose G is the symmetric matrix with the
+    given upper triangle at every sigma, with F = 0 and c = 0."""
+    n = {1: 1, 3: 2, 6: 3, 10: 4}[len(upper)]
+    term = canonical.DualTerm((0,), SymMatrix(n, tuple(upper)), Vector((0.0,) * n), 0.0)
+    return canonical.TableProblem(canonical.DualTable(n, 1, (term,)), MultiPoly.zero(n))
+
+
+def ill_conditioned_problem():
+    """n = 2 with G = [[1, 1], [1, 1 + 1e-9]] and F = (0.1, 0.3) at every
+    sigma: positive definite, condition number about 4e9, and a refined
+    solve leaves residual 1e-8 (1 + ||F||)."""
+    return make_problem(A=[1.0, 1.0, 1.0 + 1e-9], f=[0.1, 0.3], C=[0.0] * 3, b=[0.0] * 2, c=0.0, a=1.0,
+                        beta=0.0, n=2)
 
 
 class TestLambdaEval:
@@ -153,6 +166,13 @@ class TestDualValue:
         assert worst <= 1e-10
 
 
+def closed_form_slope(sigma):
+    """The derivative of gp_dual_closed_form, -(s^2 + 18 s + 81)/12 -
+    N^2/(4 D) - 2 s with N = 8 s/3 + 56 and D = s + 53/3."""
+    n, d = 8.0 * sigma / 3.0 + 56.0, sigma + 53.0 / 3.0
+    return -(2.0 * sigma + 18.0) / 12.0 - (2.0 * n * (8.0 / 3.0) * d - n * n) / (4.0 * d * d) - 2.0
+
+
 class TestDualGradient:
     def test_vanishes_at_certified_point(self, gp):
         grad = canonical.dual_gradient(gp, (-15.0,))
@@ -180,8 +200,22 @@ class TestDualGradient:
         assert canonical.dual_gradient(pr, (3.0,)) == pytest.approx((0.0,), abs=1e-14)
 
     def test_singular_g_raises(self, gp):
-        with pytest.raises(SingularMatrixError):
+        # G(-53/3) = 0 exactly: the edge of the region has no solve.
+        with pytest.raises(DomainViolation):
             canonical.dual_gradient(gp, (-53.0 / 3.0,))
+
+    def test_fd_reference_is_one_sided_at_the_edge(self, gp):
+        # From sigma = -53/3 + 1e-4 the lower step, 1e-5 (1 + |sigma|), lands
+        # where G < 0 and the dual has no solve, so the reference is the
+        # forward difference, not a central one across the pole of P^d.  It
+        # is the closed form's slope somewhere in [sigma, sigma + h], and the
+        # slope falls (P^d is concave), so it lies between the end slopes.
+        sigma = -53.0 / 3.0 + 1e-4
+        h = 1e-5 * (1.0 + abs(sigma))
+        assert sigma - h < -53.0 / 3.0 < sigma
+        (got,) = _fd_gradient(lambda s: canonical.dual_value(gp, s), (sigma,), 1e-5)
+        assert got == pytest.approx((gp_dual_closed_form(sigma + h) - gp_dual_closed_form(sigma)) / h, rel=1e-6)
+        assert closed_form_slope(sigma + h) < got < closed_form_slope(sigma)
 
 
 def fd_hessian(pr, sigma):
@@ -235,7 +269,7 @@ class TestDualHessian:
         assert canonical.DualPoint(pr, (0.7,)).hessian().upper == (-1.0 / 8.0,)
 
     def test_singular_g_raises(self, gp):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(DomainViolation):
             canonical.DualPoint(gp, (-53.0 / 3.0,)).hessian()
 
     def test_dimension_mismatch(self, gp):
@@ -412,6 +446,23 @@ class TestPositiveDomain:
         ok, margin = canonical.in_positive_domain(gp, (-53.0 / 3.0,))
         assert ok and abs(margin) <= 1e-9
 
+    def test_identity_g_is_psd_with_margin_one(self):
+        # G(0) = A = I: a constant G through a table with one term.
+        assert canonical.in_positive_domain(constant_g_problem([1.0, 0.0, 1.0]), (0.0,)) == (True, 1.0)
+
+    def test_explicit_negative_eigenvalue(self):
+        assert canonical.in_positive_domain(constant_g_problem([0.0, 0.0, -1.0]), (0.0,)) == (False, -1.0)
+
+    def test_three_hump_origin_is_psd(self):
+        # G(0, 0) = [[44/75, 1], [1, 2]]: determinant 13/75 > 0.
+        ok, margin = canonical.in_positive_domain(thc_problem(), (0.0, 0.0))
+        assert ok and margin == pytest.approx((97.0 - math.sqrt(8434.0)) / 75.0, abs=1e-14)
+
+    def test_zero_g_is_psd_from_both_sides(self):
+        for sign in (1.0, -1.0):
+            ok, margin = canonical.in_positive_domain(constant_g_problem([sign * 0.0] * 6), (0.0,))
+            assert ok and margin == 0.0
+
     def test_spurious_primal_critical_points_are_rejected(self, gp):
         # The other critical points of the quartic, t = 0 and t = 1, map
         # through sigma = 6 xi - 9 to exactly -21 and -31: both infeasible.
@@ -440,14 +491,17 @@ class TestDualityGap:
         assert gap_px > 1.0  # |30 - Xi(0, -15)| is large
 
     def test_degenerate_zero_problem(self):
+        # G == 0: Xi(0, 0) = P(0) = 0, but the dual has no solve there.
         pr = make_problem(A=0.0, f=0.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
-        assert chain_gaps(pr, (0.0,), (0.0,)) == (0.0, 0.0)
+        point = canonical.DualPoint(pr, (0.0,))
+        assert point.complementary((0.0,)) == canonical.primal_value(pr, (0.0,)) == 0.0
+        with pytest.raises(DomainViolation):
+            chain_gaps(pr, (0.0,), (0.0,))
 
     def test_propagates_column_space_violation(self):
-        # Singular G with F outside its column space: A=0, C=0 (so G == 0), f != 0.
-        pr = make_problem(A=0.0, f=1.0, C=0.0, b=0.0, c=0.0, a=1.0, beta=0.0)
+        # A positive definite G too ill-conditioned for the value's residual check.
         with pytest.raises(ColumnSpaceViolation):
-            chain_gaps(pr, (0.0,), (0.0,))
+            chain_gaps(ill_conditioned_problem(), (0.0, 0.0), (0.0,))
 
 
 class TestWeakDualityAndConcavity:
@@ -550,8 +604,9 @@ class TestPrimalPolynomial:
 
 # -- one evaluation per dual point --------------------------------------------
 #
-# The separate per-quantity formulas DualPoint replaced, kept verbatim as the
-# reference: each accumulates the table and factors G afresh.
+# The separate per-quantity formulas DualPoint replaced, kept as the
+# reference: each accumulates the table and factors G afresh.  Like DualPoint
+# they solve only at a positive definite G.
 
 
 def _check_sigma(pr, sigma):
@@ -564,16 +619,12 @@ def _solver(table, acc):
     n = table.n
     if n == 1:
         g = acc[0]
-        return exceeds(1, acc, 0.0), lambda v, tol: (solve_1x1(g, v[0], tol),)
+        return lambda v, tol: (solve_1x1(g, v[0]),)
     if n == 2:
         a, b, d = acc[0], acc[1], acc[2]
-        return exceeds(2, acc, 0.0), lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
-    factor = _cholesky(n, acc, 0.0)
-    if factor is not None:
-        rows = full_rows(n, acc)
-        return True, lambda v, tol: solve_factored(factor, rows, v, tol)
-    G = _g(table, acc)
-    return False, lambda v, tol: solve_sym(G, v, tol).entries
+        return lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
+    factor, rows = cholesky(n, acc, 0.0), full_rows(n, acc)
+    return lambda v, tol: solve_factored(factor, rows, v, tol)
 
 
 def _at(pr, sigma):
@@ -585,26 +636,24 @@ def _at(pr, sigma):
 def reference_dual_value(pr, sigma, residual_tol=1e-9):
     _, table, acc = _at(pr, sigma)
     F = _f(table, acc)
-    return -0.5 * sum(map(mul, F, _solver(table, acc)[1](F, residual_tol))) + acc[-1]
+    return -0.5 * sum(map(mul, F, _solver(table, acc)(F, residual_tol))) + acc[-1]
 
 
 def reference_dual_rounding(pr, sigma):
     _, table, acc = _at(pr, sigma)
     F = _f(table, acc)
-    half = 0.5 * sum(map(mul, F, _solver(table, acc)[1](F, 1e-9)))
+    half = 0.5 * sum(map(mul, F, _solver(table, acc)(F, 1e-9)))
     return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(acc[-1]) + abs(half))
 
 
 def reference_x_bar(pr, sigma, residual_tol=1e-9):
     _, table, acc = _at(pr, sigma)
-    return Vector(_solver(table, acc)[1](_f(table, acc), residual_tol))
+    return Vector(_solver(table, acc)(_f(table, acc), residual_tol))
 
 
 def _interior_primal(pr, sigma):
     sig, table, acc = _at(pr, sigma)
-    positive, solve = _solver(table, acc)
-    if not positive and not is_nonsingular(_g(table, acc)):
-        raise SingularMatrixError("G(sigma) is singular; dual derivatives undefined on the boundary")
+    solve = _solver(table, acc)
     return sig, table, solve, solve(_f(table, acc), 1e-6)
 
 
@@ -694,24 +743,44 @@ class TestDualPoint:
         assert not point.exceeds(g)
 
     def test_tighter_residual_check_after_a_looser_solve(self):
-        # G = 0 and F = 1e-8: the least-squares x_bar = 0 leaves residual
-        # 1e-8, inside the derivatives' 1e-6 but outside the value's 1e-9.
-        pr = make_problem(A=0.0, f=1e-8, C=1.0, b=0.0, c=0.0, a=1.0, beta=0.0)
+        # G positive definite with condition number about 4e9: the refined
+        # x_bar leaves residual 1e-8 (1 + ||F||), inside the derivatives'
+        # 1e-6 but outside the value's 1e-9.
+        pr = ill_conditioned_problem()
         point = canonical.DualPoint(pr, (0.0,))
-        assert point.x_bar(1e-6) == (0.0,)
+        x = point.x_bar(1e-6)
+        G, F = g_and_f(pr, (0.0,))
+        assert np.allclose(x, np.linalg.solve(np.array(G.to_rows()), np.array(F)), rtol=1e-6)
         with pytest.raises(ColumnSpaceViolation):
             point.value()
         with pytest.raises(ColumnSpaceViolation):
             canonical.dual_value(pr, (0.0,))
-        assert canonical.DualPoint(pr, (0.0,)).x_bar(residual_tol=1e-6) == (0.0,)
+        assert canonical.DualPoint(pr, (0.0,)).x_bar(residual_tol=1e-6) == x
 
     def test_singular_g_raises_for_derivatives_after_a_solve(self, gp):
+        # A solve at a loose tolerance first: at a singular G it raises, and
+        # so does every derivative after it; at a positive definite G the
+        # derivatives repeat the solve at their own tolerance.
         point = canonical.DualPoint(gp, (-53.0 / 3.0,))
+        for request in (lambda: point.x_bar(1.0), point.gradient, point.hessian):
+            with pytest.raises(DomainViolation):
+                request()
+        point = canonical.DualPoint(gp, (-15.0,))
         point.x_bar(1.0)
-        with pytest.raises(SingularMatrixError):
-            point.gradient()
-        with pytest.raises(SingularMatrixError):
-            point.hessian()
+        assert point.gradient() == canonical.dual_gradient(gp, (-15.0,))
+        assert point.hessian() == canonical.DualPoint(gp, (-15.0,)).hessian()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_indefinite_g_raises_everywhere(self, n):
+        # G = diag(1, ..., 1, -1), or -1 for n = 1: nonsingular, not positive definite.
+        diagonal = [1.0] * (n - 1) + [-1.0]
+        A = [diagonal[i] if i == j else 0.0 for i in range(n) for j in range(i, n)]
+        pr = make_problem(A=A, f=[1.0] * n, C=[0.0] * len(A), b=[0.0] * n, c=0.0, a=1.0, beta=0.0, n=n)
+        point = canonical.DualPoint(pr, (0.5,))
+        assert not point.exceeds(0.0)
+        for request in (point.value, point.x_bar, point.gradient, point.hessian):
+            with pytest.raises(DomainViolation):
+                request()
 
 
 # -- Legendre relations as properties ----------------------------------------

@@ -253,7 +253,7 @@ class TestMaximizeConcave:
         # m(m+1)/2 of the second.  Rebuilding the start and the end point,
         # and G again for the reported eigenvalue, took 111 accumulations
         # and 13 factorisations; one callback per quantity took 175 and 34.
-        counts = {"_accumulate": 0, "_cholesky": 0}
+        counts = {"_accumulate": 0, "cholesky": 0}
         for name in counts:
             original = getattr(canonical, name)
 
@@ -266,7 +266,7 @@ class TestMaximizeConcave:
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         assert report.iterations == 10
-        assert counts == {"_accumulate": 108, "_cholesky": report.iterations + 1}
+        assert counts == {"_accumulate": 108, "cholesky": report.iterations + 1}
 
     def test_determinism(self):
         pr = gp_canonical_g()

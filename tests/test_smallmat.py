@@ -1,6 +1,7 @@
 """Small symmetric linear algebra, cross-checked against numpy.linalg."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual.errors import ColumnSpaceViolation, DimensionMismatch
+from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from canondual.smallmat import (
     SymMatrix,
     _triu_index,
@@ -19,8 +20,6 @@ from canondual.smallmat import (
     cholesky,
     eigen_sym,
     exceeds,
-    is_nonsingular,
-    is_psd,
     min_eigenvalue,
     solve_1x1,
     solve_2x2,
@@ -81,28 +80,6 @@ class TestMinEigenvalue:
         assert got > 0
 
 
-class TestIsPsd:
-    def test_identity_is_psd(self):
-        assert is_psd(SymMatrix.identity(2), 0.0) == (True, 1.0)
-
-    def test_explicit_negative_eigenvalue(self):
-        ok, margin = is_psd(SymMatrix.from_rows([[0.0, 0.0], [0.0, -1.0]]), 0.0)
-        assert not ok
-        assert margin == -1.0
-
-    def test_feasibility_matrix_is_psd_at_zero_tol(self):
-        ok, _ = is_psd(THC_FEAS_AT_ORIGIN, 0.0)
-        assert ok
-
-    def test_double_sided_psd_means_zero(self):
-        Z = SymMatrix.zero(3)
-        assert is_psd(Z, 0.0)[0] and is_psd(Z.scale(-1.0), 0.0)[0]
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(SymMatrix.identity(2), -1.0)
-
-
 class TestSolveSym:
     def test_identity_solve(self):
         x = solve_sym(SymMatrix.identity(2), Vector((3.0, -2.0)))
@@ -114,13 +91,28 @@ class TestSolveSym:
         assert x[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_column_space_violation(self):
+        # Positive definite with condition number about 4e9: the refined
+        # residual is 1e-8 (1 + ||v||), inside 1e-6 but outside 1e-9.
+        S, v = SymMatrix(2, (1.0, 1.0, 1.0 + 1e-9)), Vector((0.1, 0.3))
         with pytest.raises(ColumnSpaceViolation):
-            solve_sym(SymMatrix.from_rows([[0.0, 0.0], [0.0, 1.0]]), Vector((1.0, 0.0)))
+            solve_sym(S, v)
+        x = solve_sym(S, v, 1e-6)
+        assert np.allclose(x.entries, np.linalg.solve(np.array(S.to_rows()), np.array(v.entries)), rtol=1e-6)
 
     def test_singular_but_consistent(self):
+        # No solve outside the positive definite matrices, even where a
+        # least-squares solution would fit exactly.
         S = SymMatrix.from_rows([[0.0, 0.0], [0.0, 1.0]])
-        x = solve_sym(S, Vector((0.0, 5.0)))
-        assert x.entries == (0.0, 5.0)
+        with pytest.raises(DomainViolation):
+            solve_sym(S, Vector((0.0, 5.0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("last", [0.0, -1.0], ids=["singular", "indefinite"])
+    def test_not_positive_definite_raises(self, n, last):
+        diagonal = (1.0,) * (n - 1) + (last,)
+        S = SymMatrix.from_rows([[diagonal[i] if i == j else 0.0 for j in range(n)] for i in range(n)])
+        with pytest.raises(DomainViolation):
+            solve_sym(S, Vector((1.0,) * n))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -166,7 +158,7 @@ def sym_matrices(draw, min_n=1, max_n=4):
 
 @given(sym_matrices())
 def test_eigenvalues_reproduce_trace_and_det(S):
-    evals, _ = eigen_sym(S)
+    evals = eigen_sym(S)
     dense = np.array(S.to_rows())
     scale = max(1.0, float(np.abs(dense).max())) ** S.n
     assert sum(evals) == pytest.approx(float(np.trace(dense)), abs=1e-9 * scale)
@@ -175,49 +167,26 @@ def test_eigenvalues_reproduce_trace_and_det(S):
 
 @given(sym_matrices())
 def test_eigenvalues_match_numpy(S):
-    evals, _ = eigen_sym(S)
+    evals = eigen_sym(S)
     expected = np.linalg.eigvalsh(np.array(S.to_rows()))
     assert np.allclose(evals, expected, atol=1e-9, rtol=1e-9)
 
 
 @given(sym_matrices())
-def test_eigenvectors_diagonalize(S):
-    evals, vecs = eigen_sym(S)
-    Q = np.array(vecs).T  # columns are eigenvectors
-    dense = np.array(S.to_rows())
-    scale = max(1.0, float(np.abs(dense).max()))
-    assert np.allclose(Q.T @ Q, np.eye(S.n), atol=1e-10)
-    assert np.allclose(dense @ Q, Q @ np.diag(evals), atol=1e-8 * scale)
-
-
-@st.composite
-def well_conditioned_systems(draw):
-    S = draw(sym_matrices())
-    dense = np.array(S.to_rows())
-    evals = np.linalg.eigvalsh(dense)
-    if float(np.abs(evals).min()) <= 1e-2:
-        # Shift the spectrum away from zero; keeps symmetry structurally.
-        shift = 1.0 + float(np.abs(evals).min())
-        S = add_scaled(S, [(shift, SymMatrix.identity(S.n))])
-    v = draw(st.lists(entry, min_size=S.n, max_size=S.n))
-    return S, Vector(tuple(v))
-
-
-@given(well_conditioned_systems())
-def test_solve_residual_tiny_away_from_singularity(system):
-    S, v = system
-    x = solve_sym(S, v)
-    residual = (S.matvec(x) - v).norm()
-    assert residual <= 1e-12 * (1.0 + v.norm())
-
-
-@given(sym_matrices(min_n=2))
-def test_is_nonsingular_agrees_with_numpy_rank(S):
-    dense = np.array(S.to_rows())
-    evals = np.abs(np.linalg.eigvalsh(dense))
-    # Stay away from the threshold where the two classifications may differ.
-    if evals.min() > 1e-6 * max(1.0, evals.max()):
-        assert is_nonsingular(S)
+def test_solve_sym_raises_exactly_outside_positive_definite(S):
+    # A solve for lambda_min(S) > 0, DomainViolation below, away from ties
+    # where rounding may decide either way.  An infinite residual_tol keeps
+    # the residual check of ill-conditioned systems out of the way.
+    lam = float(np.linalg.eigvalsh(np.array(S.to_rows()))[0])
+    scale = max(1.0, max(abs(x) for x in S.upper))
+    if abs(lam) <= 1e-9 * scale:
+        return
+    v = Vector((1.0,) * S.n)
+    if lam > 0.0:
+        assert solve_sym(S, v, math.inf).n == S.n
+    else:
+        with pytest.raises(DomainViolation):
+            solve_sym(S, v, math.inf)
 
 
 @given(sym_matrices(), st.lists(entry, min_size=4, max_size=4))
@@ -245,12 +214,12 @@ def test_cholesky_threshold_agrees_with_numpy(S, t):
     if abs(lam - t) <= 1e-9 * scale:
         return
     assert exceeds(S.n, S.upper, t) is (lam > t)
-    assert (cholesky(S, t) is not None) is (lam > t)
+    assert (cholesky(S.n, S.upper, t) is not None) is (lam > t)
 
 
 @given(sym_matrices())
 def test_cholesky_factor_reproduces_the_matrix(S):
-    factor = cholesky(S)
+    factor = cholesky(S.n, S.upper, 0.0)
     if factor is None:
         return
     L = np.zeros((S.n, S.n))
@@ -269,11 +238,17 @@ def positive_definite_systems(draw, min_n=1):
 
 
 @given(positive_definite_systems())
+def test_solve_residual_tiny_away_from_singularity(system):
+    S, v = system
+    x = solve_sym(S, v)
+    residual = (S.matvec(x) - v).norm()
+    assert residual <= 1e-12 * (1.0 + v.norm())
+
+
+@given(positive_definite_systems())
 def test_factored_solve_matches_numpy(system):
     S, v = system
-    factor = cholesky(S)
-    assert factor is not None
-    x = solve_sym(S, v, factor=factor)
+    x = solve_sym(S, v)
     dense = np.array(S.to_rows())
     expected = np.linalg.solve(dense, np.array(v.entries))
     cond = float(np.linalg.cond(dense))
@@ -288,7 +263,7 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
     # refinement, and raise the same ColumnSpaceViolation when the residual
     # exceeds the (here possibly zero) tolerance.
     S, v = system
-    factor = cholesky(S)
+    factor = cholesky(S.n, S.upper, 0.0)
     try:
         expected = _refined_reference(S, v, residual_tol, partial(_substitute_reference, factor)).entries
     except ColumnSpaceViolation as reference:
@@ -296,25 +271,32 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
             solve_factored(factor, S.rows, v.entries, residual_tol)
         assert (raised.value.residual, raised.value.tol) == (reference.residual, reference.tol)
         with pytest.raises(ColumnSpaceViolation):
-            solve_sym(S, v, residual_tol, factor)
+            solve_sym(S, v, residual_tol)
         return
     assert tuple(solve_factored(factor, S.rows, v.entries, residual_tol)) == expected
-    assert solve_sym(S, v, residual_tol, factor).entries == expected
+    assert solve_sym(S, v, residual_tol).entries == expected
 
 
 @given(entry, entry)
 def test_1x1_solve_is_one_correctly_rounded_division(s, v):
-    if abs(s) <= 1e-13 * max(1.0, abs(s)):
+    if not s > 0.0:
+        with pytest.raises(DomainViolation):
+            solve_1x1(s, v)
         return
+    if abs(Fraction(v) / Fraction(s)) > sys.float_info.max:
+        return  # the quotient overflows, and float() of the exact one raises
     expected = float(Fraction(v) / Fraction(s))
     assert solve_1x1(s, v) == expected
     assert solve_sym(SymMatrix(1, (s,)), Vector((v,))).entries == (expected,)
 
 
 def test_1x1_solve_of_a_zero_matrix():
-    assert solve_1x1(0.0, 0.0) == 0.0
-    with pytest.raises(ColumnSpaceViolation):
-        solve_1x1(0.0, 1.0)
+    # No solve at a zero matrix, whether the right-hand side fits it or not.
+    for v in (0.0, 1.0):
+        with pytest.raises(DomainViolation):
+            solve_1x1(0.0, v)
+        with pytest.raises(DomainViolation):
+            solve_sym(SymMatrix(1, (0.0,)), Vector((v,)))
 
 
 @given(sym_matrices(min_n=2, max_n=2), entry, entry)
@@ -323,7 +305,9 @@ def test_2x2_solve_is_the_refined_closed_form(S, v0, v1):
     # refinement and residual check; the float version must give its bits.
     a, b, d = S.upper
     det = a * d - b * b
-    if not abs(det) > (1e-13 * max(1.0, abs(a), abs(b), abs(d))) ** 2:
+    if not (a > 0.0 and det > 0.0):
+        with pytest.raises(DomainViolation):
+            solve_2x2(a, b, d, v0, v1, 1e-9)
         return
 
     def cramer(r):
@@ -333,9 +317,9 @@ def test_2x2_solve_is_the_refined_closed_form(S, v0, v1):
         expected = _refined_reference(S, Vector((v0, v1)), 1e-9, cramer).entries
     except ColumnSpaceViolation:
         with pytest.raises(ColumnSpaceViolation):
-            solve_2x2(a, b, d, v0, v1)
+            solve_2x2(a, b, d, v0, v1, 1e-9)
         return
-    assert solve_2x2(a, b, d, v0, v1) == expected
+    assert solve_2x2(a, b, d, v0, v1, 1e-9) == expected
 
 
 def test_2x2_solve_refines_an_ill_conditioned_system():
@@ -344,7 +328,7 @@ def test_2x2_solve_refines_an_ill_conditioned_system():
     a, b, d, v0, v1 = 1.1742365971831072, 1.3171198061730727, 1.4773894590841445, -0.8122808264515302, -0.9433050469559874
     det = a * d - b * b
     closed = ((d * v0 - b * v1) / det, (a * v1 - b * v0) / det)
-    x = solve_2x2(a, b, d, v0, v1)
+    x = solve_2x2(a, b, d, v0, v1, 1e-9)
     assert x != closed
     expected = np.linalg.solve(np.array([[a, b], [b, d]]), np.array([v0, v1]))
     assert np.abs(np.array(x) - expected).max() < np.abs(np.array(closed) - expected).max()

@@ -13,8 +13,11 @@ byte-identical.
 The invocations are ``solve --format json``, ``solve --format text``,
 ``solve --no-oracle --format json`` and ``verify`` on gp, thc, each
 ``problems/*.json`` of this checkout and each problem of the planted pool;
-``oracle gp|thc --grid 201 --starts 16 --format json``; and
-``solve gp|thc --seed 0..19``.  The pool is written once, by
+``solve --max-iter 2 --format json`` on gp, thc and each ``problems/*.json``,
+which ends the ascent at its iteration cap; ``oracle --grid 201 --starts 16
+--format json`` on gp, thc and each ``problems/*.json``; and
+``solve gp|thc --seed 0..19``: 214 invocations with the 3 shipped problems
+and the 36 of the pool.  The pool is written once, by
 ``perfbench/workloads.write_pool``, to a temporary directory that both
 sides read by absolute path; ``problems/`` is read from each checkout.
 """
@@ -57,17 +60,17 @@ def write_pool(directory: Path) -> list[Path]:
 
 
 def invocations(pool: Sequence[Path], shipped: Sequence[str]) -> list[list[str]]:
-    problems = [["gp"], ["thc"]] + [["file", f"problems/{name}"] for name in shipped]
-    problems += [["file", str(path)] for path in pool]
+    own = [["gp"], ["thc"]] + [["file", f"problems/{name}"] for name in shipped]
     found = []
-    for problem in problems:
+    for problem in own + [["file", str(path)] for path in pool]:
         found += [
             ["solve", *problem, "--format", "json"],
             ["solve", *problem, "--format", "text"],
             ["solve", *problem, "--no-oracle", "--format", "json"],
             ["verify", *problem],
         ]
-    found += [["oracle", name, "--grid", "201", "--starts", "16", "--format", "json"] for name in ("gp", "thc")]
+    found += [["solve", *problem, "--max-iter", "2", "--format", "json"] for problem in own]
+    found += [["oracle", *problem, "--grid", "201", "--starts", "16", "--format", "json"] for problem in own]
     found += [["solve", name, "--seed", str(seed)] for name in ("gp", "thc") for seed in range(20)]
     return found
 
