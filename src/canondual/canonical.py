@@ -281,10 +281,6 @@ def _accumulate(table: DualTable, rows: Rows, sig: tuple[float, ...]) -> list[fl
     return acc
 
 
-def _g(table: DualTable, acc: list[float]) -> SymMatrix:
-    return SymMatrix(table.n, acc[:-table.n - 1])
-
-
 def _f(table: DualTable, acc: list[float]) -> list[float]:
     return acc[-table.n - 1:-1]
 
@@ -340,7 +336,7 @@ class DualPoint:
     def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
         n, acc = self.table.n, self.acc
         if n == 1:
-            return (solve_1x1(acc[0], v[0]),)
+            return (solve_1x1(acc[0], v[0], residual_tol),)
         if n == 2:
             return solve_2x2(acc[0], acc[1], acc[2], v[0], v[1], residual_tol)
         return solve_factored(*self._factored(), v, residual_tol)
@@ -375,7 +371,7 @@ class DualPoint:
     def min_eigenvalue(self) -> float:
         """lambda_min(G), the PSD margin reports print; exceeds(t) decides
         thresholds without it."""
-        return min_eigenvalue(_g(self.table, self.acc))
+        return min_eigenvalue(self.table.n, self.acc)
 
     def _interior(self) -> tuple[Sequence[float], list[list[float]]]:
         """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is

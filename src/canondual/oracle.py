@@ -10,8 +10,11 @@ evaluator, which ``MultiPoly.eval`` calls.  Newton refinement holds three
 generated functions, built once per polynomial and cached on it: the
 value, the rounding bound, and ``polynomial.joint_evaluator`` of the
 gradient and Hessian, which returns a whole Newton step's data from one
-table of powers.  Multistart ranks its starts with the value function, so
-the value it reports is the one refinement saw.
+table of powers.  One refinement iteration, for one or two variables, runs
+on float locals and builds no list: the gradient, Hessian, direction and
+trial point are named floats, combined in the order of float operations of
+sums over the coordinates.  Multistart ranks its starts with the value
+function, so the value it reports is the one refinement saw.
 
 Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
 linear congruential generator
@@ -43,7 +46,7 @@ _UNIT_SCALE = float(1 << 33)  # top 33 bits of the state -> [0, 1)
 _EPS = sys.float_info.epsilon
 _SHIFT_FLOOR = 1e-8  # relative floor on the shifted Hessian's eigenvalues
 _MIN_STEP = 2.0**-60
-_DECREMENT_ULPS = 4.0  # predicted decreases below this many ulps of |p| are noise
+_DECREMENT = 4.0 * _EPS  # predicted decreases below 4 ulps of |p| are noise
 _REFINE_TOL = 1e-10  # gradient norm at which multistart's refinements stop
 _N_SCAN = 10_000  # cells of univariate_global's first node scan
 
@@ -143,7 +146,7 @@ def _newton_evaluators(p: MultiPoly):
 
 def _refine_counted(
     p: MultiPoly, start: Sequence[float], tol: float, max_iter: int, evaluators=None
-) -> tuple[tuple[float, ...], int]:
+) -> tuple[tuple[float, ...], float, int]:
     """Modified Newton descent with exact polynomial derivatives.
 
     Each step solves (H + tau I) d = -grad with the smallest shift tau >= 0
@@ -175,52 +178,65 @@ def _refine_counted(
     An iteration makes one call for the gradient and Hessian together, one
     value call per trial step, and evaluates the rounding bound only when
     backtracking first halves the step, the one place it is read.
+
+    One iteration runs on float locals (point x0, x1, gradient g0, g1,
+    Hessian h00, h01, h11, direction d0, d1, trial point t0, t1) and builds
+    no list, in the same order of float operations as sums over the
+    coordinates.  For n = 1 the second coordinate's x1, g1, h01 and d1 stay
+    0.0 and h11 = h00, so those sums are the one coordinate's terms.  Only
+    n <= 2 is handled; a larger arity needs a loop of its own.
     """
-    n = p.arity
+    one = p.arity == 1
     value_at, bound_at, derivatives_at = evaluators or _newton_evaluators(p)
-    x = [float(c) for c in start]
-    value = value_at(x)
+    x0 = float(start[0])
+    x1 = 0.0 if one else float(start[1])
+    value = value_at((x0,) if one else (x0, x1))
     evals = 1
+    g1 = h01 = d1 = 0.0
     for _ in range(max_iter):
-        if n == 1:
-            g0, h00 = derivatives_at(x)
-            g, h01, h11 = [g0], 0.0, h00
+        if one:
+            g0, h00 = derivatives_at((x0,))
+            h11 = h00
         else:
-            g0, g1, h00, h01, h11 = derivatives_at(x)
-            g = [g0, g1]
-        gnorm = math.sqrt(sum(gi * gi for gi in g))
+            g0, g1, h00, h01, h11 = derivatives_at((x0, x1))
+        gnorm = math.sqrt(g0 * g0 + g1 * g1)
         if gnorm <= tol:
-            return tuple(x), value, evals
+            return ((x0,) if one else (x0, x1)), value, evals
         mean, radius = 0.5 * (h00 + h11), math.hypot(0.5 * (h00 - h11), h01)
         lam_lo, lam_hi = mean - radius, mean + radius
         floor = _SHIFT_FLOOR * max(abs(lam_lo), abs(lam_hi), gnorm)
         tau = 0.0 if lam_lo > floor else max(floor, -lam_lo) - lam_lo
-        if n == 1:
-            direction = [-g[0] / (h00 + tau)]
+        if one:
+            d0 = -g0 / (h00 + tau)
         else:
             a, c = h00 + tau, h11 + tau
             det = a * c - h01 * h01
-            direction = [-(c * g[0] - h01 * g[1]) / det, -(a * g[1] - h01 * g[0]) / det]
-        slope = sum(gi * di for gi, di in zip(g, direction))
-        if -0.5 * slope <= _DECREMENT_ULPS * _EPS * abs(value):
-            return tuple(x), value, evals
+            d0 = -(c * g0 - h01 * g1) / det
+            d1 = -(a * g1 - h01 * g0) / det
+        # A sum over the coordinates would start from 0; without it only the
+        # sign of a zero slope can differ, which no comparison below sees.
+        slope = g0 * d0 + g1 * d1
+        if -0.5 * slope <= _DECREMENT * abs(value):
+            return ((x0,) if one else (x0, x1)), value, evals
         noise = None
         step = 1.0
         while True:
-            trial = [xi + step * di for xi, di in zip(x, direction)]
-            trial_value = value_at(trial)
+            t0 = x0 + step * d0
+            t1 = x1 + step * d1
+            trial_value = value_at((t0,) if one else (t0, t1))
             evals += 1
             if trial_value <= value + 1e-4 * step * slope:
-                x, value = trial, trial_value
+                x0, x1, value = t0, t1, trial_value
                 break
             step *= 0.5
             if noise is None:  # only backtracking reads the rounding bound
-                noise = _EPS * bound_at([abs(xi) for xi in x])
+                noise = _EPS * bound_at((abs(x0),) if one else (abs(x0), abs(x1)))
             if -step * slope <= noise:
-                return tuple(x), value, evals
+                return ((x0,) if one else (x0, x1)), value, evals
             if step < _MIN_STEP:
                 raise NotConverged(
-                    f"line search stalled at {tuple(x)} with |grad|={gnorm:.3e}", evals
+                    f"line search stalled at {(x0,) if one else (x0, x1)} with |grad|={gnorm:.3e}",
+                    evals,
                 )
     raise NotConverged(f"no convergence within {max_iter} iterations from {tuple(start)}", evals)
 

@@ -9,7 +9,8 @@ factorisation with all pivots > 0 (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 10), by closed forms for n <= 2 and by the
 factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues,
 which only reports read, come from closed forms for n in {1, 2} and cyclic
-Jacobi sweeps for n in {3, 4}.
+Jacobi sweeps for n in {3, 4}; min_eigenvalue, like the threshold tests,
+reads an upper triangle and builds no SymMatrix for n <= 2.
 
 Solves are for positive definite matrices only, the matrices G(sigma) of
 the region where the dual is concave and every certificate is issued; any
@@ -223,20 +224,31 @@ def _jacobi(rows: list[list[float]]) -> list[float]:
     return sorted(a[i][i] for i in range(n))
 
 
+def _closed_form_eigenvalues(n: int, upper: Sequence[float]) -> tuple[float, ...]:
+    """Eigenvalues, ascending, of the symmetric S of size n <= 2 whose upper
+    triangle is the first n(n+1)/2 entries of upper."""
+    if n == 1:
+        return (upper[0],)
+    a, b, d = upper[0], upper[1], upper[2]
+    mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    return (mean - radius, mean + radius)
+
+
 def eigen_sym(S: SymMatrix) -> tuple[float, ...]:
     """Eigenvalues, ascending: closed forms for n <= 2, Jacobi sweeps otherwise."""
-    if S.n == 1:
-        return (S.upper[0],)
-    if S.n == 2:
-        a, b, d = S.upper
-        mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
-        return (mean - radius, mean + radius)
+    if S.n <= 2:
+        return _closed_form_eigenvalues(S.n, S.upper)
     return tuple(_jacobi(S.to_rows()))
 
 
-def min_eigenvalue(S: SymMatrix) -> float:
-    """Smallest eigenvalue: closed form for n <= 2, Jacobi otherwise."""
-    return eigen_sym(S)[0]
+def min_eigenvalue(n: int, upper: Sequence[float]) -> float:
+    """Smallest eigenvalue of the symmetric S whose upper triangle is the
+    first n(n+1)/2 entries of upper: the closed form for n <= 2, read off
+    the entries as exceeds reads them, and eigen_sym's Jacobi sweeps
+    otherwise."""
+    if n <= 2:
+        return _closed_form_eigenvalues(n, upper)[0]
+    return eigen_sym(SymMatrix(n, upper[:_triu_len(n)]))[0]
 
 
 def cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]] | None:
@@ -305,13 +317,18 @@ def solve_factored(
     return x
 
 
-def solve_1x1(s: float, v: float) -> float:
+def solve_1x1(s: float, v: float, residual_tol: float = 1e-9) -> float:
     """solve_sym for a 1x1 system, on floats: v / s for s > 0, and
     DomainViolation otherwise.  The quotient is correctly rounded, so
-    refinement would never change it."""
+    refinement would never change it; when it overflows, no float solves
+    the system and ColumnSpaceViolation is raised with an infinite
+    residual."""
     if not s > 0.0:
         raise DomainViolation("matrix is not positive definite")
-    return v / s
+    x = v / s
+    if math.isinf(x):
+        raise ColumnSpaceViolation(math.inf, residual_tol * (1.0 + abs(v)))
+    return x
 
 
 def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: float) -> tuple[float, float]:
@@ -355,7 +372,7 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
     if S.n == 1:
-        return Vector((solve_1x1(S.upper[0], v[0]),))
+        return Vector((solve_1x1(S.upper[0], v[0], residual_tol),))
     if S.n == 2:
         return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
     return Vector(tuple(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol)))

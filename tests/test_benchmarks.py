@@ -10,6 +10,7 @@ from canondual.dual_solver import Certificate, _fd_gradient
 from canondual.errors import DomainViolation, IdentityViolation, SingularMatrixError
 from canondual.oracle import Lcg
 from canondual.polynomial import MultiPoly
+from canondual.smallmat import full_rows
 
 
 class TestObjectives:
@@ -236,7 +237,7 @@ class TestThcDual:
         inside, margin = canonical.in_positive_domain(thc, (0.0, 0.0))
         assert inside and margin == pytest.approx((97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12)
         point = canonical.DualPoint(thc, (0.0, 0.0))
-        assert canonical._g(point.table, point.acc).entry(0, 1) == 1.0
+        assert full_rows(point.table.n, point.acc)[0][1] == 1.0
 
     def test_dual_table_matches_closed_form(self):
         thc = benchmarks.thc_problem()

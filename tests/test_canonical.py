@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from canondual import canonical, cli
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
-from canondual.canonical import _ROUNDING_ULPS, _accumulate, _f, _g, _gx, _xi
+from canondual.canonical import _ROUNDING_ULPS, _accumulate, _f, _gx, _xi
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from canondual.oracle import Lcg
@@ -26,8 +26,8 @@ from canondual.smallmat import (
     Vector,
     add_scaled,
     cholesky,
+    eigen_sym,
     full_rows,
-    min_eigenvalue,
     solve_1x1,
     solve_2x2,
     solve_factored,
@@ -44,7 +44,8 @@ def g_and_f(pr, sigma):
     """G(sigma) as a SymMatrix and F(sigma) as a list, as one DualPoint
     accumulates them."""
     point = canonical.DualPoint(pr, sigma)
-    return _g(point.table, point.acc), _f(point.table, point.acc)
+    n = point.table.n
+    return SymMatrix(n, point.acc[:n * (n + 1) // 2]), _f(point.table, point.acc)
 
 
 def measures(pr, x):
@@ -261,7 +262,7 @@ class TestDualHessian:
         rng = Lcg(15)
         for _ in range(100):
             sigma = (rng.uniform(-53.0 / 3.0 + 1e-3, 1e3),)
-            assert min_eigenvalue(canonical.DualPoint(gp, sigma).hessian().scale(-1.0)) > 0.0
+            assert eigen_sym(canonical.DualPoint(gp, sigma).hessian().scale(-1.0))[0] > 0.0
 
     def test_uncoupled_measure_leaves_only_the_conjugate(self):
         # C = 0 and b = 0: x_bar does not move with sigma, H = -1/(2a).
@@ -300,7 +301,7 @@ def interior_canonical_points(draw):
         (draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])), draw(coefficient)) for _ in range(m)
     ))
     sigma = tuple(draw(st.lists(coefficient, min_size=m, max_size=m)))
-    margin = min_eigenvalue(add_scaled(A, [(s, op.C) for s, op in zip(sigma, ops)]))
+    margin = eigen_sym(add_scaled(A, [(s, op.C) for s, op in zip(sigma, ops)]))[0]
     if margin < 0.1:
         A = add_scaled(A, [(0.2 - margin + draw(coefficient) ** 2, SymMatrix.identity(n))])
     pr = canonical.CanonicalProblem(n=n, A=A, f=vec(), ops=ops, V=V)
@@ -313,7 +314,7 @@ def test_hessian_matches_central_differences_on_random_problems(case):
     assert canonical.in_positive_domain(pr, sigma)[1] >= 0.1
     exact = canonical.DualPoint(pr, sigma).hessian()
     assert_hessians_close(exact, fd_hessian(pr, sigma), 1e-5)
-    assert min_eigenvalue(exact.scale(-1.0)) > 0.0
+    assert eigen_sym(exact.scale(-1.0))[0] > 0.0
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Brute-force oracles: grid scans, refinement, multistart, root isolation."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canondual import kernels, oracle, polynomial, verify
@@ -246,6 +247,19 @@ def _outcome(refine, p, start, max_iter):
         return "NotConverged", failure.evaluations
 
 
+@st.composite
+def refinement_problems(draw):
+    """An arity-1 or arity-2 polynomial of degree at most 6 with small
+    integer coefficients, convex or not and bounded below or not, and a
+    start in [-2, 2]^n."""
+    n = draw(st.integers(1, 2))
+    monomials = [e for e in itertools.product(range(7), repeat=n) if sum(e) <= 6]
+    coefficient = st.integers(-4, 4).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coefficient, min_size=1, max_size=6))
+    start = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    return MultiPoly(n, terms), start
+
+
 def _double_well():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     return x**4 - x**2 + y**2
@@ -275,6 +289,20 @@ class TestNewtonStepEvaluator:
             assert _outcome(oracle._refine_counted, p, start, max_iter) == expected, (name, start)
             failures += expected[0] == "NotConverged"
         assert failures == 0 if max_iter == 500 else 0 < failures < 64
+
+    @given(refinement_problems(), st.sampled_from([6, 500]))
+    # Drawn cases rarely end at the rounding-bound stop (about 1 in 2000
+    # random ones); these two do.
+    @example((MultiPoly(2, {(0, 5): -1, (1, 3): 4, (2, 1): -4}), (-1.1889549067224636, -0.9417754610385454)), 500)
+    @example((MultiPoly(2, {(6, 0): 2, (3, 3): 1, (5, 1): -3}), (8.638362128009224, 5.051859972536441)), 500)
+    def test_matches_the_five_evaluator_reference_on_drawn_polynomials(self, case, max_iter):
+        # The drawn polynomials and starts reach the shifted step,
+        # backtracking and the n = 1 branch.  The reprs compare the
+        # outcomes bit for bit, NaN and signed zeros included, as unbounded
+        # polynomials can run off to them.
+        p, start = case
+        expected = _outcome(_refine_reference, p, start, max_iter)
+        assert repr(_outcome(oracle._refine_counted, p, start, max_iter)) == repr(expected)
 
     def test_one_derivative_call_per_iteration_and_the_bound_only_on_backtracking(self):
         # A convex quadratic: one full Newton step, then |grad| = 0.  Two

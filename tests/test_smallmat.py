@@ -1,14 +1,13 @@
 """Small symmetric linear algebra, cross-checked against numpy.linalg."""
 
 import math
-import sys
 from fractions import Fraction
 from functools import partial
 from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
@@ -63,17 +62,17 @@ THC_FEAS_AT_ORIGIN = SymMatrix.from_rows([[22.0 / 75.0, 0.5], [0.5, 1.0]])
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue(SymMatrix.identity(2)) == 1.0
+        assert min_eigenvalue(2, SymMatrix.identity(2).upper) == 1.0
 
     def test_scalar_from_g_problem(self):
         # G at the certified dual point of the decoupled quartic: 106/3 - 30.
         value = 2 * (-15 + 53 / 3)
-        assert min_eigenvalue(SymMatrix(1, (value,))) == pytest.approx(16 / 3, abs=1e-12)
+        assert min_eigenvalue(1, (value,)) == pytest.approx(16 / 3, abs=1e-12)
 
     def test_feasibility_matrix_at_origin(self):
         # Closed form from the characteristic polynomial: (97 - sqrt(8434)) / 150.
         expected = (97.0 - math.sqrt(8434.0)) / 150.0
-        got = min_eigenvalue(THC_FEAS_AT_ORIGIN)
+        got = min_eigenvalue(2, THC_FEAS_AT_ORIGIN.upper)
         assert got == pytest.approx(expected, abs=1e-14)
         assert got == pytest.approx(np.linalg.eigvalsh(np.array(THC_FEAS_AT_ORIGIN.to_rows()))[0])
         # Positivity is forced by det = 13/300 > 0 and positive trace.
@@ -170,6 +169,13 @@ def test_eigenvalues_match_numpy(S):
     evals = eigen_sym(S)
     expected = np.linalg.eigvalsh(np.array(S.to_rows()))
     assert np.allclose(evals, expected, atol=1e-9, rtol=1e-9)
+
+
+@given(sym_matrices(), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_min_eigenvalue_reads_only_the_leading_triangle(S, tail):
+    # The triangle may lead a longer buffer, such as a dual point's
+    # accumulated [G, F, c]; the result is eigen_sym's lowest, bit for bit.
+    assert min_eigenvalue(S.n, [*S.upper, *tail]) == eigen_sym(S)[0]
 
 
 @given(sym_matrices())
@@ -278,14 +284,21 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
 
 
 @given(entry, entry)
+@example(2.2250738585e-313, 1.0)  # the quotient overflows
+@example(2.2250738585e-313, -1.0)
 def test_1x1_solve_is_one_correctly_rounded_division(s, v):
     if not s > 0.0:
         with pytest.raises(DomainViolation):
             solve_1x1(s, v)
         return
-    if abs(Fraction(v) / Fraction(s)) > sys.float_info.max:
-        return  # the quotient overflows, and float() of the exact one raises
-    expected = float(Fraction(v) / Fraction(s))
+    try:
+        expected = float(Fraction(v) / Fraction(s))
+    except OverflowError:  # the correctly rounded quotient overflows
+        for solve in (partial(solve_1x1, s, v), partial(solve_sym, SymMatrix(1, (s,)), Vector((v,)))):
+            with pytest.raises(ColumnSpaceViolation) as raised:
+                solve()
+            assert raised.value.residual == math.inf
+        return
     assert solve_1x1(s, v) == expected
     assert solve_sym(SymMatrix(1, (s,)), Vector((v,))).entries == (expected,)
 
