@@ -317,7 +317,7 @@ def solve_factored(
     return x
 
 
-def solve_1x1(s: float, v: float, residual_tol: float = 1e-9) -> float:
+def solve_1x1(s: float, v: float, residual_tol: float) -> float:
     """solve_sym for a 1x1 system, on floats: v / s for s > 0, and
     DomainViolation otherwise.  The quotient is correctly rounded, so
     refinement would never change it; when it overflows, no float solves

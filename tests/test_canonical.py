@@ -620,7 +620,7 @@ def _solver(table, acc):
     n = table.n
     if n == 1:
         g = acc[0]
-        return lambda v, tol: (solve_1x1(g, v[0]),)
+        return lambda v, tol: (solve_1x1(g, v[0], tol),)
     if n == 2:
         a, b, d = acc[0], acc[1], acc[2]
         return lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
