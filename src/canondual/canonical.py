@@ -336,7 +336,7 @@ class DualPoint:
     def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
         n, acc = self.table.n, self.acc
         if n == 1:
-            return (solve_1x1(acc[0], v[0], residual_tol),)
+            return (solve_1x1(acc[0], v[0]),)
         if n == 2:
             return solve_2x2(acc[0], acc[1], acc[2], v[0], v[1], residual_tol)
         return solve_factored(*self._factored(), v, residual_tol)

@@ -28,6 +28,7 @@ numpy.linalg independently.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, itemgetter, mul, sub
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -317,17 +318,17 @@ def solve_factored(
     return x
 
 
-def solve_1x1(s: float, v: float, residual_tol: float) -> float:
+def solve_1x1(s: float, v: float) -> float:
     """solve_sym for a 1x1 system, on floats: v / s for s > 0, and
     DomainViolation otherwise.  The quotient is correctly rounded, so
     refinement would never change it; when it overflows, no float solves
-    the system and ColumnSpaceViolation is raised with an infinite
-    residual."""
+    the system and ColumnSpaceViolation reports an infinite residual,
+    above every finite tolerance."""
     if not s > 0.0:
         raise DomainViolation("matrix is not positive definite")
     x = v / s
     if math.isinf(x):
-        raise ColumnSpaceViolation(math.inf, residual_tol * (1.0 + abs(v)))
+        raise ColumnSpaceViolation(math.inf, sys.float_info.max)
     return x
 
 
@@ -372,7 +373,7 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
     if S.n == 1:
-        return Vector((solve_1x1(S.upper[0], v[0], residual_tol),))
+        return Vector((solve_1x1(S.upper[0], v[0]),))
     if S.n == 2:
         return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
     return Vector(tuple(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol)))

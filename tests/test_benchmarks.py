@@ -10,7 +10,7 @@ from canondual.dual_solver import Certificate, _fd_gradient
 from canondual.errors import DomainViolation, IdentityViolation, SingularMatrixError
 from canondual.oracle import Lcg
 from canondual.polynomial import MultiPoly
-from canondual.smallmat import full_rows
+from tests.test_canonical import g_and_f
 
 
 class TestObjectives:
@@ -236,8 +236,7 @@ class TestThcDual:
         assert canonical.dual_value(thc, (0.0, 1.0)) == benchmarks.thc_dual(0.0, 1.0)
         inside, margin = canonical.in_positive_domain(thc, (0.0, 0.0))
         assert inside and margin == pytest.approx((97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12)
-        point = canonical.DualPoint(thc, (0.0, 0.0))
-        assert full_rows(point.table.n, point.acc)[0][1] == 1.0
+        assert g_and_f(thc, (0.0, 0.0))[0].entry(0, 1) == 1.0
 
     def test_dual_table_matches_closed_form(self):
         thc = benchmarks.thc_problem()

@@ -44,8 +44,7 @@ def g_and_f(pr, sigma):
     """G(sigma) as a SymMatrix and F(sigma) as a list, as one DualPoint
     accumulates them."""
     point = canonical.DualPoint(pr, sigma)
-    n = point.table.n
-    return SymMatrix(n, point.acc[:n * (n + 1) // 2]), _f(point.table, point.acc)
+    return SymMatrix(point.table.n, point.acc[:-point.table.n - 1]), _f(point.table, point.acc)
 
 
 def measures(pr, x):
@@ -620,7 +619,7 @@ def _solver(table, acc):
     n = table.n
     if n == 1:
         g = acc[0]
-        return lambda v, tol: (solve_1x1(g, v[0], tol),)
+        return lambda v, tol: (solve_1x1(g, v[0]),)
     if n == 2:
         a, b, d = acc[0], acc[1], acc[2]
         return lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)

@@ -289,17 +289,17 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
 def test_1x1_solve_is_one_correctly_rounded_division(s, v):
     if not s > 0.0:
         with pytest.raises(DomainViolation):
-            solve_1x1(s, v, 1e-9)
+            solve_1x1(s, v)
         return
     try:
         expected = float(Fraction(v) / Fraction(s))
     except OverflowError:  # the correctly rounded quotient overflows
-        for solve in (partial(solve_1x1, s, v, 1e-9), partial(solve_sym, SymMatrix(1, (s,)), Vector((v,)))):
+        for solve in (partial(solve_1x1, s, v), partial(solve_sym, SymMatrix(1, (s,)), Vector((v,)))):
             with pytest.raises(ColumnSpaceViolation) as raised:
                 solve()
             assert raised.value.residual == math.inf
         return
-    assert solve_1x1(s, v, 1e-9) == expected
+    assert solve_1x1(s, v) == expected
     assert solve_sym(SymMatrix(1, (s,)), Vector((v,))).entries == (expected,)
 
 
@@ -307,7 +307,7 @@ def test_1x1_solve_of_a_zero_matrix():
     # No solve at a zero matrix, whether the right-hand side fits it or not.
     for v in (0.0, 1.0):
         with pytest.raises(DomainViolation):
-            solve_1x1(0.0, v, 1e-9)
+            solve_1x1(0.0, v)
         with pytest.raises(DomainViolation):
             solve_sym(SymMatrix(1, (0.0,)), Vector((v,)))
 
