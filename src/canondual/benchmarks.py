@@ -38,7 +38,6 @@ from . import canonical, dual_solver, oracle
 from .dual_solver import CriticalReport, SolverConfig
 from .errors import DomainViolation, IdentityViolation, SingularMatrixError
 from .polynomial import MultiPoly, first_diff_term
-from .smallmat import SymMatrix, Vector
 
 GP_BOX = oracle.Box((-2.0, -2.0), (2.0, 2.0))
 THC_BOX = oracle.Box((-5.0, -5.0), (5.0, 5.0))
@@ -185,28 +184,20 @@ def gp_canonical_g() -> canonical.CanonicalProblem:
     """g(t) as a canonical problem: A = 106/3, f = 56, measure
     t^2 - (8/3) t - 2, V(xi) = 3 xi^2 - 9 xi.
 
-    The identity V(Lambda(t)) - U(t) = g(t) is checked exactly before the
-    float problem is returned.
+    The identity V(Lambda(t)) - U(t) = g(t) is checked exactly on the
+    problem returned, the one the solver climbs.
     """
-    t = MultiPoly.variable(1, 0)
-    lam = t**2 - Fraction(8, 3) * t - 2
-    v_of_lam = 3 * lam * lam - 9 * lam
-    u = -Fraction(53, 3) * t**2 + 56 * t
-    if v_of_lam - u != gp_g():
-        offender = first_diff_term(v_of_lam - u, gp_g())
-        raise IdentityViolation(f"canonical form of g differs at monomial {offender}")
-    operator = canonical.QuadOperator(
-        C=SymMatrix(1, (2.0,)),
-        b=Vector((float(Fraction(-8, 3)),)),
-        c=-2.0,
-    )
-    return canonical.CanonicalProblem(
+    pr = canonical.CanonicalProblem(
         n=1,
-        A=SymMatrix(1, (float(Fraction(106, 3)),)),
-        f=Vector((56.0,)),
-        ops=(operator,),
-        V=canonical.ConvexQuadV(((3.0, -9.0),)),
+        A=(Fraction(106, 3),),
+        f=(56,),
+        ops=(canonical.QuadOperator(C=(2,), b=(Fraction(-8, 3),), c=-2),),
+        V=canonical.ConvexQuadV(((3, -9),)),
     )
+    expanded = canonical.primal_polynomial(pr)
+    if expanded != gp_g():
+        raise IdentityViolation(f"canonical form of g differs at monomial {first_diff_term(expanded, gp_g())}")
+    return pr
 
 
 def gp_dual_closed_form(sigma: float) -> float:
@@ -329,14 +320,15 @@ _THC_TABLE = {
 }
 
 
-def _thc_table_sides() -> tuple[MultiPoly, MultiPoly]:
-    """60 * sum_a sigma^a xi_a(x, y) from the table, and the complementary
-    function of the level-2 staging, xi2 s2 - V2*(s2) - U2 with
-    V2*(s2) = s2^2 / 4, both in (x, y, s1, s2)."""
+def _thc_table_sides(terms: tuple[canonical.DualTerm, ...]) -> tuple[MultiPoly, MultiPoly]:
+    """60 * sum_a sigma^a xi_a(x, y) from the table's terms, and the
+    complementary function of the level-2 staging, xi2 s2 - V2*(s2) - U2
+    with V2*(s2) = s2^2 / 4, both in (x, y, s1, s2)."""
     x, y, s1, s2 = (MultiPoly.variable(4, i) for i in range(4))
     table_xi = MultiPoly.zero(4)
-    for (a1, a2), ((g11, g12, g22), (f1, f2), c) in _THC_TABLE.items():
-        xi = Fraction(g11, 2) * x**2 + g12 * x * y + Fraction(g22, 2) * y**2 - f1 * x - f2 * y + c
+    for t in terms:
+        (a1, a2), (g11, g12, g22), (f1, f2) = t.exps, t.G, t.F
+        xi = Fraction(g11, 2) * x**2 + g12 * x * y + Fraction(g22, 2) * y**2 - f1 * x - f2 * y + t.c
         table_xi = table_xi + s1**a1 * s2**a2 * xi
     _, measure, u2 = _thc_level2_parts(x, y, s1)
     return 60 * table_xi, measure * s2 - Fraction(1, 4) * s2**2 - u2
@@ -344,15 +336,13 @@ def _thc_table_sides() -> tuple[MultiPoly, MultiPoly]:
 
 @lru_cache(maxsize=None)
 def thc_problem() -> canonical.TableProblem:
-    """Three Hump Camel as its dual table and objective.  The table is
-    checked exactly against the level-2 staging (once per process)."""
-    lhs, rhs = _thc_table_sides()
+    """Three Hump Camel as its dual table, whose terms hold _THC_TABLE's
+    rationals, and its objective.  The terms are checked exactly against
+    the level-2 staging (once per process)."""
+    terms = tuple(canonical.DualTerm(exps, G, F, c) for exps, (G, F, c) in _THC_TABLE.items())
+    lhs, rhs = _thc_table_sides(terms)
     if lhs != rhs:
         raise IdentityViolation(f"THC dual table differs from the staging at {first_diff_term(lhs, rhs)}")
-    terms = tuple(
-        canonical.DualTerm(exps, SymMatrix(2, tuple(map(float, G))), Vector(tuple(map(float, F))), float(c))
-        for exps, (G, F, c) in _THC_TABLE.items()
-    )
     return canonical.TableProblem(canonical.DualTable(2, 2, terms), thc_objective())
 
 

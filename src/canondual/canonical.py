@@ -18,6 +18,13 @@ c = sum_k sigma_k c_k - V*(sigma), V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a
 A staging whose G is not affine in sigma (Three Hump Camel) is a
 TableProblem: its table and exact objective, given directly.
 
+The problem types hold the exact rationals they are built from (ints,
+"p/q" strings and floats convert exactly, through polynomial.rat), and
+each derives its float view once, at construction: QuadOperator.C_rows,
+CanonicalProblem.A_rows, ConvexQuadV.pairs_float, DualTable.entries.
+Every float evaluation reads these views; only primal_polynomial reads
+the rationals.  Matrices are given by their upper triangle, row-major.
+
 With G affine, P^d is concave wherever G(sigma) is positive semidefinite
 (THC's staged dual is too; verify thc samples it); a dual critical point
 where G is positive definite recovers the primal global minimizer x_bar
@@ -38,11 +45,12 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, RationalLike, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
 from .smallmat import (
+    MAX_DIM,
     SymMatrix,
     Vector,
     cholesky,
@@ -61,45 +69,59 @@ _ROUNDING_ULPS = 4
 PSD_TOL = 1e-9
 
 
+def _exact(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    return tuple(map(rat, values))
+
+
 @dataclass(frozen=True)
 class QuadOperator:
-    """One quadratic measure: Lambda(x) = 1/2 x^T C x + x^T b + c."""
+    """One quadratic measure: Lambda(x) = 1/2 x^T C x + x^T b + c, C given by
+    its upper triangle in row-major order.  The coefficients are exact
+    (polynomial.rat); C_rows, b_float and c_float are their float view."""
 
-    C: SymMatrix
-    b: Vector
-    c: float = 0.0
+    C: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
+    c: Fraction = Fraction(0)
+    C_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    b_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    c_float: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.C.n != self.b.n:
-            raise DimensionMismatch(f"C is {self.C.n}x{self.C.n} but b has length {self.b.n}")
-        object.__setattr__(self, "c", float(self.c))
+        C, b, c = _exact(self.C), _exact(self.b), rat(self.c)
+        for name, value in (("C", C), ("b", b), ("c", c), ("C_rows", SymMatrix(len(b), C).rows),
+                            ("b_float", tuple(map(float, b))), ("c_float", float(c))):
+            object.__setattr__(self, name, value)
 
     def value(self, x: Sequence[float]) -> float:
-        """Lambda(x) on the stored rows of C, in the order of
-        0.5 * C.quadratic_form(x) + b.dot(x) + c."""
-        cx = [sum(map(mul, row, x)) for row in self.C.rows]
-        return 0.5 * sum(map(mul, cx, x)) + sum(map(mul, self.b.entries, x)) + self.c
+        """Lambda(x) on the float view: C x summed row by row, then
+        0.5 * x^T (C x) + b^T x + c."""
+        cx = [sum(map(mul, row, x)) for row in self.C_rows]
+        return 0.5 * sum(map(mul, cx, x)) + sum(map(mul, self.b_float, x)) + self.c_float
 
 
 @dataclass(frozen=True)
 class ConvexQuadV:
-    """Diagonal convex quadratic V(xi) = sum_k a_k xi_k^2 + beta_k xi_k, a_k > 0.
+    """Diagonal convex quadratic V(xi) = sum_k a_k xi_k^2 + beta_k xi_k, a_k > 0,
+    given by its exact (a_k, beta_k) pairs; pairs_float is their float view.
 
     Strict convexity makes the gradient map invertible, so the Legendre
     conjugate V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k) is globally
     defined in closed form.
     """
 
-    pairs: tuple[tuple[float, float], ...]
+    pairs: tuple[tuple[Fraction, Fraction], ...]
+    pairs_float: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(a), float(beta)) for a, beta in self.pairs)
+        pairs = tuple((rat(a), rat(beta)) for a, beta in self.pairs)
         if not pairs:
             raise DimensionMismatch("V needs at least one component")
-        for k, (a, _) in enumerate(pairs):
+        pairs_float = tuple((float(a), float(beta)) for a, beta in pairs)
+        for k, (a, _) in enumerate(pairs_float):
             if a <= 0:
                 raise ValueError(f"a[{k}] must be > 0 for strict convexity, got {a}")
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs_float", pairs_float)
 
     @property
     def m(self) -> int:
@@ -108,18 +130,19 @@ class ConvexQuadV:
     def value(self, xi: Sequence[float]) -> float:
         if len(xi) != self.m:
             raise DimensionMismatch(f"xi has length {len(xi)}, expected {self.m}")
-        return sum(a * x * x + beta * x for (a, beta), x in zip(self.pairs, xi))
+        return sum(a * x * x + beta * x for (a, beta), x in zip(self.pairs_float, xi))
 
 
 @dataclass(frozen=True)
 class DualTerm:
-    """The coefficients of the monomial sigma^exps in G(sigma), F(sigma) and
-    c(sigma)."""
+    """The coefficients of the monomial sigma^exps in G(sigma) (its upper
+    triangle, row-major), F(sigma) and c(sigma): exact rationals or floats,
+    which DualTable reads through float()."""
 
     exps: tuple[int, ...]
-    G: SymMatrix
-    F: Vector
-    c: float
+    G: tuple[RationalLike, ...]
+    F: tuple[RationalLike, ...]
+    c: RationalLike
 
 
 Rows = tuple[tuple[int, float, tuple[int, ...]], ...]  # (term, coefficient, factors)
@@ -129,12 +152,13 @@ Rows = tuple[tuple[int, float, tuple[int, ...]], ...]  # (term, coefficient, fac
 class DualTable:
     """G, F and c as polynomials in sigma, one DualTerm per monomial.
 
-    Construction keeps each term's nonzero coefficients as (slot, value)
-    pairs over [upper triangle of G, F, c] and writes the monomials as rows
-    of (term, coefficient, factors), the factors being variable indices
-    repeated by exponent: value for the polynomials themselves, grad[k]
-    for their sigma_k-derivatives and hess, as ((k, l), rows) over the upper
-    triangle in row-major order, for the second derivatives.
+    Construction keeps each term's nonzero coefficients, as floats, in
+    (slot, value) pairs over [upper triangle of G, F, c] and writes the
+    monomials as rows of (term, coefficient, factors), the factors being
+    variable indices repeated by exponent: value for the polynomials
+    themselves, grad[k] for their sigma_k-derivatives and hess, as
+    ((k, l), rows) over the upper triangle in row-major order, for the
+    second derivatives.
     """
 
     n: int
@@ -146,11 +170,12 @@ class DualTable:
     hess: tuple[tuple[tuple[int, int], Rows], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shape = (self.m, self.n * (self.n + 1) // 2, self.n)
         entries = []
         for t in self.terms:
-            if len(t.exps) != self.m or t.G.n != self.n or t.F.n != self.n:
+            if not 1 <= self.n <= MAX_DIM or (len(t.exps), len(t.G), len(t.F)) != shape:
                 raise DimensionMismatch(f"term {t.exps} does not fit n={self.n}, m={self.m}")
-            entries.append(tuple((slot, v) for slot, v in enumerate(t.G.upper + t.F.entries + (t.c,)) if v))
+            entries.append(tuple((slot, v) for slot, v in enumerate(map(float, (*t.G, *t.F, t.c))) if v))
 
         def differentiate(rows: Rows, k: int) -> Rows:
             return tuple(
@@ -168,24 +193,35 @@ class DualTable:
 
 @dataclass(frozen=True)
 class CanonicalProblem:
+    """min P(x) = V(Lambda(x)) - U(x), U(x) = -1/2 x^T A x + x^T f, with A
+    given by its upper triangle in row-major order.  A and f are exact
+    (polynomial.rat); A_rows and f_float are their float view."""
+
     n: int
-    A: SymMatrix
-    f: Vector
+    A: tuple[Fraction, ...]
+    f: tuple[Fraction, ...]
     ops: tuple[QuadOperator, ...]
     V: ConvexQuadV
+    A_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    f_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.A.n != self.n or self.f.n != self.n:
-            raise DimensionMismatch(f"A and f must have size n={self.n}")
+        A, f = _exact(self.A), _exact(self.f)
+        A_rows = SymMatrix(self.n, A).rows
+        if len(f) != self.n:
+            raise DimensionMismatch(f"f has length {len(f)}, expected n={self.n}")
         if not self.ops:
             raise DimensionMismatch("need at least one quadratic operator")
         for k, op in enumerate(self.ops):
-            if op.C.n != self.n:
-                raise DimensionMismatch(f"operator {k} has size {op.C.n}, expected {self.n}")
+            if len(op.b) != self.n:
+                raise DimensionMismatch(f"operator {k} has size {len(op.b)}, expected {self.n}")
         if self.V.m != len(self.ops):
             raise DimensionMismatch(
                 f"V has {self.V.m} components but there are {len(self.ops)} operators"
             )
+        for name, value in (("A", A), ("f", f), ("ops", tuple(self.ops)), ("A_rows", A_rows),
+                            ("f_float", tuple(map(float, f)))):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -194,19 +230,21 @@ class CanonicalProblem:
     @cached_property
     def table(self) -> DualTable:
         """G = A + sum_k sigma_k C_k, F = f - sum_k sigma_k b_k and
-        c = sum_k sigma_k c_k - V*(sigma) on the monomials 1, sigma_k, sigma_k^2."""
+        c = sum_k sigma_k c_k - V*(sigma) on the monomials 1, sigma_k, sigma_k^2.
+        G and F are the exact data; c is computed in floats from the float
+        view."""
         m = self.m
 
         def unit(k: int, e: int) -> tuple[int, ...]:
             return tuple(e if j == k else 0 for j in range(m))
 
-        pairs = self.V.pairs
+        pairs = self.V.pairs_float
         terms = [DualTerm((0,) * m, self.A, self.f, -sum(beta * beta / (4.0 * a) for a, beta in pairs))]
         terms += [
-            DualTerm(unit(k, 1), op.C, op.b.scale(-1.0), op.c + beta / (2.0 * a))
+            DualTerm(unit(k, 1), op.C, tuple(-b for b in op.b), op.c_float + beta / (2.0 * a))
             for k, ((a, beta), op) in enumerate(zip(pairs, self.ops))
         ]
-        zero = (SymMatrix.zero(self.n), Vector((0.0,) * self.n))
+        zero = ((0,) * len(self.A), (0,) * self.n)
         terms += [DualTerm(unit(k, 2), *zero, -1.0 / (4.0 * a)) for k, (a, _) in enumerate(pairs)]
         return DualTable(self.n, m, tuple(terms))
 
@@ -243,8 +281,8 @@ def _measures(pr: CanonicalProblem, v: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _u(pr: CanonicalProblem, v: tuple[float, ...]) -> float:
-    ax = [sum(map(mul, row, v)) for row in pr.A.rows]
-    return -0.5 * sum(map(mul, ax, v)) + sum(map(mul, pr.f.entries, v))
+    ax = [sum(map(mul, row, v)) for row in pr.A_rows]
+    return -0.5 * sum(map(mul, ax, v)) + sum(map(mul, pr.f_float, v))
 
 
 def primal_value(pr: Problem, x: Sequence[float]) -> float:
@@ -259,14 +297,14 @@ def conjugate_value(V: ConvexQuadV, sigma: Sequence[float]) -> float:
     """Legendre conjugate V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k)."""
     if len(sigma) != V.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {V.m}")
-    return sum((s - beta) ** 2 / (4.0 * a) for (a, beta), s in zip(V.pairs, sigma))
+    return sum((s - beta) ** 2 / (4.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
 def conjugate_gradient(V: ConvexQuadV, sigma: Sequence[float]) -> tuple[float, ...]:
     """Gradient of V*: the inverse duality map xi_k = (sigma_k - beta_k) / (2 a_k)."""
     if len(sigma) != V.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {V.m}")
-    return tuple((s - beta) / (2.0 * a) for (a, beta), s in zip(V.pairs, sigma))
+    return tuple((s - beta) / (2.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
 def _accumulate(table: DualTable, rows: Rows, sig: tuple[float, ...]) -> list[float]:
@@ -431,24 +469,26 @@ def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
-    """P(x) as an exact polynomial (float data converts exactly to rationals).
+    """P(x) as an exact polynomial of the problem's exact data.
 
     Expanded on one {exponents: Fraction} map: each Lambda_k as its terms,
     then a_k Lambda_k^2 + beta_k Lambda_k over the upper triangle of term
     pairs, then 1/2 x^T A x - x^T f.  Used by the oracle to cross-check
-    solutions of file-defined problems, and printed by verify.
+    solutions of file-defined problems, printed by verify, and compared
+    with g(t) by benchmarks.gp_canonical_g.
     """
     n = pr.n
     zero = (0,) * n
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    def quadratic(S: SymMatrix, b: Sequence[float], c: float) -> list[tuple[tuple[int, ...], Fraction]]:
-        """The terms of 1/2 x^T S x + x^T b + c."""
-        terms = {zero: Fraction(c)}
+    def quadratic(S: Sequence[Fraction], b: Sequence[Fraction], c: Fraction) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The terms of 1/2 x^T S x + x^T b + c, S an upper triangle."""
+        terms = {zero: c}
+        upper = iter(S)
         for i in range(n):
-            terms[units[i]] = Fraction(b[i])
+            terms[units[i]] = b[i]
             for j in range(i, n):
-                s = Fraction(S.rows[i][j])
+                s = next(upper)
                 terms[tuple(map(add, units[i], units[j]))] = s / 2 if i == j else s
         return [(e, t) for e, t in terms.items() if t]
 
@@ -458,8 +498,7 @@ def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
         total[exps] = total[exps] + value if exps in total else value
 
     for (a, beta), op in zip(pr.V.pairs, pr.ops):
-        lam = quadratic(op.C, op.b.entries, op.c)
-        a, beta = Fraction(a), Fraction(beta)
+        lam = quadratic(op.C, op.b, op.c)
         for p, (e1, t1) in enumerate(lam):
             scaled = a * t1
             accumulate(tuple(map(add, e1, e1)), scaled * t1)
@@ -468,6 +507,6 @@ def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
                 accumulate(tuple(map(add, e1, e2)), twice * t2)
             accumulate(e1, beta * t1)
     # minus U(x) = +1/2 x^T A x - x^T f
-    for exps, value in quadratic(pr.A, [-f for f in pr.f.entries], 0.0):
+    for exps, value in quadratic(pr.A, [-f for f in pr.f], Fraction(0)):
         accumulate(exps, value)
     return MultiPoly(n, total)

@@ -19,7 +19,6 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +27,6 @@ from .benchmarks import SolveReport
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError, ProblemFileError
 from .polynomial import MultiPoly, rat
-from .smallmat import SymMatrix, Vector
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -40,59 +38,6 @@ _EXIT_VERIFY_FAILED = 3
 # Problem files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """Exact-rational mirror of a canonical problem, as stored on disk.
-
-    Rationals serialize as "p/q" strings so that a round trip through JSON
-    is exact; plain numbers are also accepted (floats convert exactly).
-    """
-
-    n: int
-    m: int
-    A: tuple[tuple[Fraction, ...], ...]
-    f: tuple[Fraction, ...]
-    operators: tuple[tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], Fraction], ...]
-    V: tuple[tuple[Fraction, Fraction], ...]
-
-    def to_problem(self) -> canonical.CanonicalProblem:
-        ops = tuple(
-            canonical.QuadOperator(
-                C=SymMatrix.from_rows([[float(x) for x in row] for row in C]),
-                b=Vector(tuple(float(x) for x in b)),
-                c=float(c),
-            )
-            for C, b, c in self.operators
-        )
-        return canonical.CanonicalProblem(
-            n=self.n,
-            A=SymMatrix.from_rows([[float(x) for x in row] for row in self.A]),
-            f=Vector(tuple(float(x) for x in self.f)),
-            ops=ops,
-            V=canonical.ConvexQuadV(tuple((float(a), float(b)) for a, b in self.V)),
-        )
-
-    def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
-        return {
-            "n": self.n,
-            "m": self.m,
-            "A": [[frac(x) for x in row] for row in self.A],
-            "f": [frac(x) for x in self.f],
-            "operators": [
-                {
-                    "C": [[frac(x) for x in row] for row in C],
-                    "b": [frac(x) for x in b],
-                    "c": frac(c),
-                }
-                for C, b, c in self.operators
-            ],
-            "V": [{"a": frac(a), "beta": frac(beta)} for a, beta in self.V],
-        }
-
-
 def _parse_rational(value, where: str) -> Fraction:
     try:
         return rat(value)
@@ -100,7 +45,16 @@ def _parse_rational(value, where: str) -> Fraction:
         raise ProblemFileError(f"{where}: cannot parse rational from {value!r} ({exc})") from None
 
 
-def _parse_matrix(data, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
+def _as_float(x: Fraction) -> Fraction:
+    """x rounded to the nearest float, the value a file's coefficient takes
+    in the problem: the solver's float view, verify's printed expansion and
+    the oracle's objective all read files through this rounding."""
+    return Fraction(float(x))
+
+
+def _parse_matrix(data, n: int, where: str) -> tuple[Fraction, ...]:
+    """The upper triangle, row-major, of a symmetric n x n matrix given by
+    its rows; symmetry is checked on the exact entries."""
     if not isinstance(data, list) or len(data) != n or any(
         not isinstance(row, list) or len(row) != n for row in data
     ):
@@ -113,16 +67,19 @@ def _parse_matrix(data, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ProblemFileError(f"{where} must be symmetric: entries ({i},{j}) and ({j},{i}) differ")
-    return rows
+    return tuple(_as_float(rows[i][j]) for i in range(n) for j in range(i, n))
 
 
 def _parse_vector(data, n: int, where: str) -> tuple[Fraction, ...]:
     if not isinstance(data, list) or len(data) != n:
         raise ProblemFileError(f"{where}: expected a vector of length {n}")
-    return tuple(_parse_rational(x, f"{where}[{i}]") for i, x in enumerate(data))
+    return tuple(_as_float(_parse_rational(x, f"{where}[{i}]")) for i, x in enumerate(data))
 
 
-def parse_problem_dict(data: dict, where: str = "problem") -> ProblemFile:
+def parse_problem_dict(data: dict, where: str = "problem") -> canonical.CanonicalProblem:
+    """The canonical problem of a parsed JSON problem file.  Rationals are
+    "p/q" strings or plain numbers; each is stored rounded to a float
+    (_as_float)."""
     for key in ("n", "m", "A", "f", "operators", "V"):
         if key not in data:
             raise ProblemFileError(f"{where}: missing required key {key!r}")
@@ -140,8 +97,8 @@ def parse_problem_dict(data: dict, where: str = "problem") -> ProblemFile:
             raise ProblemFileError(f"{where}.operators[{k}] must be an object")
         C = _parse_matrix(op.get("C"), n, f"{where}.operators[{k}].C")
         b = _parse_vector(op.get("b"), n, f"{where}.operators[{k}].b")
-        c = _parse_rational(op.get("c", 0), f"{where}.operators[{k}].c")
-        operators.append((C, b, c))
+        c = _as_float(_parse_rational(op.get("c", 0), f"{where}.operators[{k}].c"))
+        operators.append(canonical.QuadOperator(C, b, c))
     if not isinstance(data["V"], list) or len(data["V"]) != m:
         raise ProblemFileError(f"{where}.V must list exactly m={m} entries")
     V = []
@@ -152,16 +109,12 @@ def parse_problem_dict(data: dict, where: str = "problem") -> ProblemFile:
         beta = _parse_rational(component.get("beta", 0), f"{where}.V[{k}].beta")
         if a <= 0:
             raise ProblemFileError(f"{where}.V[{k}].a must be > 0, got {a}")
-        V.append((a, beta))
-    return ProblemFile(n=n, m=m, A=A, f=f, operators=tuple(operators), V=tuple(V))
+        V.append((_as_float(a), _as_float(beta)))
+    return canonical.CanonicalProblem(n=n, A=A, f=f, ops=tuple(operators), V=canonical.ConvexQuadV(tuple(V)))
 
 
 def load_problem_file(path: str | Path) -> canonical.CanonicalProblem:
     """Parse and validate a JSON problem file."""
-    return load_problem_file_exact(path).to_problem()
-
-
-def load_problem_file_exact(path: str | Path) -> ProblemFile:
     path = Path(path)
     try:
         text = path.read_text()

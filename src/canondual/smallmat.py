@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -64,28 +64,6 @@ class Vector:
 
     def __getitem__(self, i: int) -> float:
         return self.entries[i]
-
-    def dot(self, other: "Vector | Sequence[float]") -> float:
-        other_entries = other.entries if isinstance(other, Vector) else tuple(other)
-        if len(other_entries) != self.n:
-            raise DimensionMismatch(f"vector lengths {self.n} and {len(other_entries)} differ")
-        return sum(map(mul, self.entries, other_entries))
-
-    def norm(self) -> float:
-        return _norm(self.entries)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        if other.n != self.n:
-            raise DimensionMismatch(f"vector lengths {self.n} and {other.n} differ")
-        return Vector(tuple(map(add, self.entries, other.entries)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        if other.n != self.n:
-            raise DimensionMismatch(f"vector lengths {self.n} and {other.n} differ")
-        return Vector(tuple(map(sub, self.entries, other.entries)))
-
-    def scale(self, factor: float) -> "Vector":
-        return Vector(tuple(factor * x for x in self.entries))
 
 
 def _triu_len(n: int) -> int:
@@ -136,62 +114,11 @@ class SymMatrix:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "rows", full_rows(self.n, upper))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "SymMatrix":
-        """Build from full rows; the strict lower triangle must match the
-        upper one exactly."""
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("matrix rows must form a square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(rows[i][j]) != float(rows[j][i]):
-                    raise DimensionMismatch(f"asymmetric entries at ({i},{j})")
-        upper = tuple(float(rows[i][j]) for i in range(n) for j in range(i, n))
-        return cls(n, upper)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_rows([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n: int) -> "SymMatrix":
-        return cls(n, (0.0,) * _triu_len(n))
-
-    def entry(self, i: int, j: int) -> float:
-        return self.rows[i][j]
-
     def to_rows(self) -> list[list[float]]:
         return [list(row) for row in self.rows]
 
     def scale(self, factor: float) -> "SymMatrix":
         return SymMatrix(self.n, tuple(factor * x for x in self.upper))
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if other.n != self.n:
-            raise DimensionMismatch(f"matrix sizes {self.n} and {other.n} differ")
-        return SymMatrix(self.n, tuple(a + b for a, b in zip(self.upper, other.upper)))
-
-    def matvec(self, v: Vector | Sequence[float]) -> Vector:
-        entries = v.entries if isinstance(v, Vector) else tuple(v)
-        if len(entries) != self.n:
-            raise DimensionMismatch(f"matrix size {self.n}, vector length {len(entries)}")
-        return Vector(tuple(sum(map(mul, row, entries)) for row in self.rows))
-
-    def quadratic_form(self, v: Vector | Sequence[float]) -> float:
-        """v^T S v."""
-        return self.matvec(v).dot(v)
-
-
-def add_scaled(base: SymMatrix, parts: Sequence[tuple[float, SymMatrix]]) -> SymMatrix:
-    """base + sum_k coeff_k * part_k, exact on the shared triangle storage."""
-    upper = list(base.upper)
-    for coeff, part in parts:
-        if part.n != base.n:
-            raise DimensionMismatch(f"matrix sizes {base.n} and {part.n} differ")
-        for idx, value in enumerate(part.upper):
-            upper[idx] += coeff * value
-    return SymMatrix(base.n, tuple(upper))
 
 
 def _jacobi(rows: list[list[float]]) -> list[float]:

@@ -304,7 +304,7 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
     for _ in range(100):
         sigma = tuple(rng.uniform(-20.0, 20.0) for _ in range(pr.m))
         xi = canonical.conjugate_gradient(pr.V, sigma)
-        back = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs, xi))
+        back = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
         if any(abs(b - s) > 1e-12 * (1.0 + abs(s)) for b, s in zip(back, sigma)):
             invol_ok = False
             break
@@ -314,7 +314,7 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
     pairing_ok = True
     for _ in range(100):
         xi = tuple(rng.uniform(-10.0, 10.0) for _ in range(pr.m))
-        sigma = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs, xi))
+        sigma = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
         lhs = pr.V.value(xi) + canonical.conjugate_value(pr.V, sigma)
         rhs = sum(x * s for x, s in zip(xi, sigma))
         if abs(lhs - rhs) > 1e-10 * (1.0 + abs(rhs)):

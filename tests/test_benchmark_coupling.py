@@ -68,3 +68,24 @@ def test_ascent_hook_counts_iterations_at_every_ending(problem, max_iter, ending
     tracer = SimpleNamespace(counters=defaultdict(float))
     load_tracing()._count_ascent(tracer, (at, None), {}, result, None)
     assert tracer.counters["dual_solver.iterations"] == result.iterations
+
+
+def test_smallmat_calls_of_the_benchmark_tests_work():
+    # perfbench/tests/test_tracing.py solves SymMatrix(2, upper) x = Vector(...)
+    # through the traced solve_sym, whose span _by_size names from the
+    # matrix's .n, as it names eigen_sym's.  Tier-1 does not collect
+    # perfbench/tests, so the same calls are made here.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_operation(1)
+        x = smallmat.solve_sym(smallmat.SymMatrix(2, (2.0, 0.0, 3.0)), smallmat.Vector((2.0, 3.0)))
+        tracer.end_operation()
+    finally:
+        tracer.uninstall()
+    assert x.entries == (1.0, 1.0)
+    assert tracer.calls["smallmat.solve_sym.n2"] == 1
+    S = smallmat.SymMatrix(3, (1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
+    assert tracing._by_size("smallmat.eigen_sym")((S,), {}) == "smallmat.eigen_sym.n3"
+    assert smallmat.eigen_sym(S) == (1.0, 1.0, 1.0)

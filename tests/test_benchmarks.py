@@ -122,6 +122,14 @@ class TestGpCanonical:
         _, margin = canonical.in_positive_domain(pr, (-53.0 / 3.0,))
         assert abs(margin) <= 1e-9
 
+    def test_solved_problem_expands_to_g_exactly(self):
+        # The identity holds on the problem the solver climbs, with 106/3
+        # and -8/3 held exactly; its float view is float() of them.
+        pr = benchmarks.gp_canonical_g()
+        assert canonical.primal_polynomial(pr) == benchmarks.gp_g()
+        assert pr.A == (Fraction(106, 3),) and pr.A_rows == ((106 / 3,),)
+        assert pr.ops[0].b == (Fraction(-8, 3),) and pr.ops[0].b_float == (-8 / 3,)
+
 
 @pytest.fixture(scope="module")
 def gp_report():
@@ -199,8 +207,15 @@ class TestThcIdentities:
         assert lhs3 != nudged3
 
     def test_dual_table_matches_level2_staging(self):
-        lhs, rhs = benchmarks._thc_table_sides()
+        lhs, rhs = benchmarks._thc_table_sides(benchmarks.thc_problem().table.terms)
         assert lhs == rhs
+
+    def test_solved_table_holds_the_exact_rationals(self):
+        # The terms the solver reads are the ones checked against the
+        # staging: _THC_TABLE's rationals, not float copies of them.
+        terms = benchmarks.thc_problem().table.terms
+        assert {t.exps: (t.G, t.F, t.c) for t in terms} == benchmarks._THC_TABLE
+        assert terms[0].G[0] == Fraction(44, 75) and terms[0].G[0] != 44 / 75
 
     def test_perturbed_dual_table_is_rejected(self, monkeypatch):
         table = dict(benchmarks._THC_TABLE)
@@ -217,7 +232,7 @@ class TestThcIdentities:
     def test_dual_table_checked_once_per_process(self, monkeypatch):
         built = []
         real = benchmarks._thc_table_sides
-        monkeypatch.setattr(benchmarks, "_thc_table_sides", lambda: built.append(1) or real())
+        monkeypatch.setattr(benchmarks, "_thc_table_sides", lambda terms: built.append(1) or real(terms))
         benchmarks.thc_problem.cache_clear()
         for _ in range(3):
             benchmarks.thc_solve(with_oracle=False)
@@ -236,7 +251,7 @@ class TestThcDual:
         assert canonical.dual_value(thc, (0.0, 1.0)) == benchmarks.thc_dual(0.0, 1.0)
         inside, margin = canonical.in_positive_domain(thc, (0.0, 0.0))
         assert inside and margin == pytest.approx((97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12)
-        assert g_and_f(thc, (0.0, 0.0))[0].entry(0, 1) == 1.0
+        assert g_and_f(thc, (0.0, 0.0))[0].rows[0][1] == 1.0
 
     def test_dual_table_matches_closed_form(self):
         thc = benchmarks.thc_problem()

@@ -24,7 +24,7 @@ from canondual.polynomial import MultiPoly
 from canondual.smallmat import (
     SymMatrix,
     Vector,
-    add_scaled,
+    _triu_index,
     cholesky,
     eigen_sym,
     full_rows,
@@ -53,26 +53,30 @@ def measures(pr, x):
 
 
 def make_problem(A, f, C, b, c, a, beta, n=1):
+    def entries(x):
+        return tuple(x) if isinstance(x, (list, tuple)) else (x,)
+
     return canonical.CanonicalProblem(
         n=n,
-        A=SymMatrix(n, tuple(A)) if isinstance(A, (list, tuple)) else SymMatrix(1, (A,)),
-        f=Vector(tuple(f) if isinstance(f, (list, tuple)) else (f,)),
-        ops=(
-            canonical.QuadOperator(
-                C=SymMatrix(n, tuple(C)) if isinstance(C, (list, tuple)) else SymMatrix(1, (C,)),
-                b=Vector(tuple(b) if isinstance(b, (list, tuple)) else (b,)),
-                c=c,
-            ),
-        ),
+        A=entries(A),
+        f=entries(f),
+        ops=(canonical.QuadOperator(C=entries(C), b=entries(b), c=c),),
         V=canonical.ConvexQuadV(((a, beta),)),
     )
+
+
+def shift_diagonal(upper, n, shift):
+    """The upper triangle of S + shift * I, S the n x n symmetric matrix
+    with the given upper triangle."""
+    diagonal = {_triu_index(n, i, i) for i in range(n)}
+    return tuple(x + shift if k in diagonal else x for k, x in enumerate(upper))
 
 
 def constant_g_problem(upper):
     """A one-term table, m = 1, whose G is the symmetric matrix with the
     given upper triangle at every sigma, with F = 0 and c = 0."""
     n = {1: 1, 3: 2, 6: 3, 10: 4}[len(upper)]
-    term = canonical.DualTerm((0,), SymMatrix(n, tuple(upper)), Vector((0.0,) * n), 0.0)
+    term = canonical.DualTerm((0,), tuple(upper), (0.0,) * n, 0.0)
     return canonical.TableProblem(canonical.DualTable(n, 1, (term,)), MultiPoly.zero(n))
 
 
@@ -132,16 +136,16 @@ class TestConjugate:
 class TestGAndF:
     def test_at_certified_point(self, gp):
         G, F = g_and_f(gp, (-15.0,))
-        assert G.entry(0, 0) == pytest.approx(16.0 / 3.0, abs=1e-12)
+        assert G.upper[0] == pytest.approx(16.0 / 3.0, abs=1e-12)
         assert F[0] == pytest.approx(16.0, abs=1e-12)
 
     def test_at_zero_reduces_to_problem_data(self, gp):
         G, F = g_and_f(gp, (0.0,))
-        assert G.entry(0, 0) == gp.A.entry(0, 0)
-        assert tuple(F) == gp.f.entries
+        assert G.rows == gp.A_rows
+        assert tuple(F) == gp.f_float
 
     def test_boundary_of_feasible_interval(self, gp):
-        assert g_and_f(gp, (-53.0 / 3.0,))[0].entry(0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert g_and_f(gp, (-53.0 / 3.0,))[0].upper[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDualValue:
@@ -248,7 +252,7 @@ class TestDualHessian:
             sigma = rng.uniform(-53.0 / 3.0 + 0.1, 40.0)
             d = sigma + 53.0 / 3.0
             expected = -1.0 / 6.0 - (80.0 / 9.0) ** 2 / (2.0 * d**3)
-            got = canonical.DualPoint(gp, (sigma,)).hessian().entry(0, 0)
+            (got,) = canonical.DualPoint(gp, (sigma,)).hessian().upper
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
         # The formula itself reproduces central differences of the closed form.
         sigma, h = 2.0, 1e-3
@@ -289,10 +293,10 @@ def interior_canonical_points(draw):
     tri = n * (n + 1) // 2
 
     def sym():
-        return SymMatrix(n, tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri))))
+        return tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri)))
 
     def vec():
-        return Vector(tuple(draw(st.lists(coefficient, min_size=n, max_size=n))))
+        return tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))
 
     A = sym()
     ops = tuple(canonical.QuadOperator(C=sym(), b=vec(), c=draw(coefficient)) for _ in range(m))
@@ -300,10 +304,11 @@ def interior_canonical_points(draw):
         (draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])), draw(coefficient)) for _ in range(m)
     ))
     sigma = tuple(draw(st.lists(coefficient, min_size=m, max_size=m)))
-    margin = eigen_sym(add_scaled(A, [(s, op.C) for s, op in zip(sigma, ops)]))[0]
+    f = vec()
+    margin = canonical.DualPoint(canonical.CanonicalProblem(n=n, A=A, f=f, ops=ops, V=V), sigma).min_eigenvalue()
     if margin < 0.1:
-        A = add_scaled(A, [(0.2 - margin + draw(coefficient) ** 2, SymMatrix.identity(n))])
-    pr = canonical.CanonicalProblem(n=n, A=A, f=vec(), ops=ops, V=V)
+        A = shift_diagonal(A, n, 0.2 - margin + draw(coefficient) ** 2)
+    pr = canonical.CanonicalProblem(n=n, A=A, f=f, ops=ops, V=V)
     return pr, sigma
 
 
@@ -328,8 +333,8 @@ def interior_table_points(draw):
     terms = [
         canonical.DualTerm(
             exps[:m],
-            SymMatrix(n, tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri)))),
-            Vector(tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))),
+            tuple(draw(st.lists(coefficient, min_size=tri, max_size=tri))),
+            tuple(draw(st.lists(coefficient, min_size=n, max_size=n))),
             draw(coefficient),
         )
         for exps in monomials
@@ -340,9 +345,7 @@ def interior_table_points(draw):
     if margin < 0.1:
         shift = 0.2 - margin + draw(coefficient) ** 2
         constant = terms[0]
-        terms[0] = canonical.DualTerm(
-            constant.exps, add_scaled(constant.G, [(shift, SymMatrix.identity(n))]), constant.F, constant.c
-        )
+        terms[0] = canonical.DualTerm(constant.exps, shift_diagonal(constant.G, n, shift), constant.F, constant.c)
         pr = canonical.TableProblem(canonical.DualTable(n, m, tuple(terms)), MultiPoly.zero(n))
     return pr, sigma
 
@@ -533,28 +536,29 @@ def _primal_polynomial_reference(pr):
         acc = MultiPoly.zero(n)
         for i in range(n):
             for j in range(n):
-                coeff = Fraction(S.entry(i, j))
+                coeff = S[_triu_index(n, i, j)]
                 if coeff:
                     acc = acc + (xs[i] * xs[j]).scale(coeff)
         return acc
 
     total = MultiPoly.zero(n)
     for (a, beta), op in zip(pr.V.pairs, pr.ops):
-        lam = quad_poly(op.C).scale(Fraction(1, 2)) + MultiPoly.constant(n, Fraction(op.c))
+        lam = quad_poly(op.C).scale(Fraction(1, 2)) + MultiPoly.constant(n, op.c)
         for i in range(n):
-            bi = Fraction(op.b[i])
+            bi = op.b[i]
             if bi:
                 lam = lam + xs[i].scale(bi)
-        total = total + (lam * lam).scale(Fraction(a)) + lam.scale(Fraction(beta))
+        total = total + (lam * lam).scale(a) + lam.scale(beta)
     total = total + quad_poly(pr.A).scale(Fraction(1, 2))
     for i in range(n):
-        fi = Fraction(pr.f[i])
+        fi = pr.f[i]
         if fi:
             total = total - xs[i].scale(fi)
     return total
 
 
-PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+PROBLEMS = sorted(PROBLEMS_DIR.glob("*.json"))
 
 
 @given(interior_canonical_points())
@@ -573,12 +577,21 @@ def test_primal_polynomial_of_problem_files(path):
 
 @given(interior_canonical_points(), st.data())
 def test_primal_value_is_bit_identical_to_the_object_form(case, data):
-    # Reference: V(Lambda(x)) - U(x) through SymMatrix.quadratic_form and
-    # Vector.dot; the plain-tuple evaluation must give the same bits.
+    # Reference: V(Lambda(x)) - U(x) from float() of the exact data, x^T S x
+    # as the sum of x_i (S x)_i and v^T x summed in index order; the float
+    # views must give the same bits.
     pr, _ = case
-    x = Vector(tuple(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=pr.n, max_size=pr.n))))
-    xi = tuple(0.5 * op.C.quadratic_form(x) + op.b.dot(x) + op.c for op in pr.ops)
-    u = -0.5 * pr.A.quadratic_form(x) + pr.f.dot(x)
+    n = pr.n
+    x = Vector(tuple(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))))
+
+    def quadratic_form(upper):
+        return sum(sum(float(upper[_triu_index(n, i, j)]) * x[j] for j in range(n)) * x[i] for i in range(n))
+
+    def dot(v):
+        return sum(float(v[i]) * x[i] for i in range(n))
+
+    xi = tuple(0.5 * quadratic_form(op.C) + dot(op.b) + float(op.c) for op in pr.ops)
+    u = -0.5 * quadratic_form(pr.A) + dot(pr.f)
     assert measures(pr, x.entries) == xi
     assert canonical.primal_value(pr, x) == pr.V.value(xi) - u
     assert canonical.primal_value(pr, x.entries) == pr.V.value(xi) - u
@@ -595,10 +608,12 @@ class TestPrimalPolynomial:
                 canonical.primal_value(gp, (t,)), rel=1e-9, abs=1e-9
             )
 
-    def test_coefficients_match_quartic_to_rounding(self, gp):
-        # The problem stores 106/3 and -8/3 as floats, so the reconstruction
-        # differs from the exact quartic only at float-representation level.
-        diff = canonical.primal_polynomial(gp) - gp_g()
+    def test_coefficients_match_quartic_to_rounding(self):
+        # problems/gp_g.json's reader stores 106/3 and -8/3 rounded to
+        # floats, so its expansion differs from the exact quartic, but only
+        # at float-representation level.
+        diff = canonical.primal_polynomial(cli.load_problem_file(PROBLEMS_DIR / "gp_g.json")) - gp_g()
+        assert diff.terms
         assert all(abs(float(c)) <= 1e-12 for c in diff.terms.values())
 
 
@@ -700,7 +715,7 @@ def assert_point_matches_reference(pr, sigma):
 
 
 def _planted(text):
-    return cli.parse_problem_dict(json.loads(text)).to_problem()
+    return cli.parse_problem_dict(json.loads(text))
 
 
 SHIPPED_AND_PLANTED = {

@@ -20,7 +20,7 @@ from canondual.dual_solver import (
     solve_canonical,
 )
 from canondual.errors import NoInteriorPoint
-from canondual.smallmat import SymMatrix, Vector
+from canondual.smallmat import SymMatrix
 
 # Canonical problems with planted exact minimisers on which the ascent with a
 # finite-difference Hessian stalled at |grad| 2e-10 to 8e-10, just above
@@ -148,10 +148,10 @@ def boundary_problem():
     feasibility wall, so the run must end BoundaryCritical, not certified."""
     return canonical.CanonicalProblem(
         n=1,
-        A=SymMatrix(1, (0.0,)),
-        f=Vector((0.0,)),
-        ops=(canonical.QuadOperator(C=SymMatrix(1, (2.0,)), b=Vector((0.0,)), c=0.0),),
-        V=canonical.ConvexQuadV(((1.0, -2.0),)),
+        A=(0,),
+        f=(0,),
+        ops=(canonical.QuadOperator(C=(2,), b=(0,), c=0),),
+        V=canonical.ConvexQuadV(((1, -2),)),
     )
 
 
@@ -262,7 +262,7 @@ class TestMaximizeConcave:
                 return original(*args)
 
             monkeypatch.setattr(canonical, name, counted)
-        pr = parse_problem_dict(json.loads(STALLED_UNDER_FD_HESSIAN[3][0])).to_problem()
+        pr = parse_problem_dict(json.loads(STALLED_UNDER_FD_HESSIAN[3][0]))
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         assert report.iterations == 10
@@ -335,7 +335,7 @@ class TestRoundingLevelSteps:
 
     def test_crawl_along_the_boundary_certifies(self):
         text, x_star, value = CRAWLS_ALONG_THE_BOUNDARY
-        report = solve_canonical(parse_problem_dict(json.loads(text)).to_problem())
+        report = solve_canonical(parse_problem_dict(json.loads(text)))
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         for got, want in zip(report.x_bar, x_star):
             assert got == pytest.approx(float(Fraction(want)), abs=1e-9)
@@ -359,10 +359,10 @@ class TestSolveCanonical:
         # minimize x^2 - 2x: dual is -1 - sigma^2/4, maximized at 0.
         pr = canonical.CanonicalProblem(
             n=1,
-            A=SymMatrix(1, (2.0,)),
-            f=Vector((2.0,)),
-            ops=(canonical.QuadOperator(C=SymMatrix(1, (0.0,)), b=Vector((0.0,)), c=0.0),),
-            V=canonical.ConvexQuadV(((1.0, 0.0),)),
+            A=(2,),
+            f=(2,),
+            ops=(canonical.QuadOperator(C=(0,), b=(0,), c=0),),
+            V=canonical.ConvexQuadV(((1, 0),)),
         )
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
@@ -394,7 +394,7 @@ class TestSolveCanonical:
         "text, x_star, value", STALLED_UNDER_FD_HESSIAN, ids=["n3m3", "n2m3", "n2m1", "n4m3"]
     )
     def test_certifies_at_the_planted_minimiser(self, text, x_star, value):
-        pr = parse_problem_dict(json.loads(text)).to_problem()
+        pr = parse_problem_dict(json.loads(text))
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         for got, want in zip(report.x_bar, x_star):

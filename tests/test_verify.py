@@ -16,7 +16,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _planted(text):
-    return cli.parse_problem_dict(json.loads(text)).to_problem()
+    return cli.parse_problem_dict(json.loads(text))
 
 
 CERTIFIED = {
