@@ -6,12 +6,15 @@ factors as h(s) * g(t) with
     h(s) = 1 + (s + 1)^2 (3 s^2 - 14 s + 19)   (quartic, min 1 at s = -1)
     g(t) = 30 + t^2 (3 t^2 - 16 t + 18)        (quartic, min 3 at t = 3)
 
-h is minimized by enumerating every real root of h'; g goes through the
-generic canonical machinery with measure t^2 - (8/3) t - 2 and
-V(xi) = 3 xi^2 - 9 xi, whose dual is maximized at sigma = -15.  Both
-minima are strictly positive, which is what justifies
-min (h * g) = (min h)(min g); the decomposition and the canonical form are
-verified as exact rational identities at construction time.
+h and g are written once, as expressions of a polynomial argument: gp_h
+and gp_g evaluate them at one variable, gp_decompose at the two variables
+(s, t) before substituting the change of variables.  h is minimized by
+enumerating every real root of h'; g goes through the generic canonical
+machinery with measure t^2 - (8/3) t - 2 and V(xi) = 3 xi^2 - 9 xi, whose
+dual is maximized at sigma = -15.  Both minima are strictly positive,
+which is what justifies min (h * g) = (min h)(min g); the decomposition
+and the canonical form are verified as exact rational identities at
+construction time.
 
 Three Hump Camel (2x^2 - 1.05x^4 + x^6/6 + xy + y^2) needs two staged
 measures, xi1 = x^3 - (16/5) x then xi2 = x^2 + 5 sigma1 x, because the
@@ -25,12 +28,17 @@ goes through solve_canonical like every other problem.  Both staging
 identities, and the table against the level-2 complementary function, are
 verified exactly in rational arithmetic (sigma1 a polynomial variable).
 The closed forms thc_dual, thc_equilibrium and thc_complementary remain
-as references for verify.
+as float references for verify and the tests.
+
+gp_solve and solve_problem (thc and problem files) build their SolveReport
+the same way: _cross_checked adds the brute-force oracle's multistart
+value over the problem's box and whether it agrees with the certified
+value within ORACLE_AGREEMENT_TOL (1 + |value|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,13 +70,9 @@ class SolveReport:
     x_star: tuple[float, ...]
     value: float
     dual_report: CriticalReport
-    oracle_value: float | None
-    oracle_x: tuple[float, ...] | None
-    oracle_agreement: bool | None
-
-
-def _oracle_agrees(value: float, oracle_value: float) -> bool:
-    return abs(value - oracle_value) <= ORACLE_AGREEMENT_TOL * (1.0 + abs(value))
+    oracle_value: float | None = None
+    oracle_x: tuple[float, ...] | None = None
+    oracle_agreement: bool | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +105,22 @@ def thc_objective() -> MultiPoly:
     )
 
 
+def _h(s: MultiPoly) -> MultiPoly:
+    return 1 + (s + 1) ** 2 * (3 * s**2 - 14 * s + 19)
+
+
+def _g(t: MultiPoly) -> MultiPoly:
+    return 30 + t**2 * (3 * t**2 - 16 * t + 18)
+
+
 @lru_cache(maxsize=None)
 def gp_h() -> MultiPoly:
-    s = MultiPoly.variable(1, 0)
-    return 1 + (s + 1) ** 2 * (3 * s**2 - 14 * s + 19)
+    return _h(MultiPoly.variable(1, 0))
 
 
 @lru_cache(maxsize=None)
 def gp_g() -> MultiPoly:
-    t = MultiPoly.variable(1, 0)
-    return 30 + t**2 * (3 * t**2 - 16 * t + 18)
+    return _g(MultiPoly.variable(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +134,11 @@ _GP_T_INV = (
 )
 
 
-def _lift_to_pair(p: MultiPoly, slot: int) -> MultiPoly:
-    """Embed a univariate polynomial into two variables at position slot."""
-    terms = {}
-    for (e,), coeff in p.terms.items():
-        exps = [0, 0]
-        exps[slot] = e
-        terms[tuple(exps)] = coeff
-    return MultiPoly.from_terms(2, terms)
-
-
 @lru_cache(maxsize=None)
 def gp_decompose() -> GpDecomposition:
     """The decoupling change of variables, verified exactly at build time."""
     h, g = gp_h(), gp_g()
-    product_st = _lift_to_pair(h, 0) * _lift_to_pair(g, 1)
+    product_st = _h(MultiPoly.variable(2, 0)) * _g(MultiPoly.variable(2, 1))
     # Substitute s = x + y, t = 2x - 3y and compare with the expansion.
     recombined = product_st.substitute_linear(_GP_T)
     if recombined != gp_objective():
@@ -229,22 +229,8 @@ def gp_solve(
     x_star = (3.0 * s_star + t_star) / 5.0
     y_star = (2.0 * s_star - t_star) / 5.0
     value = dec.h.eval([s_star]) * dec.g.eval([t_star])
-
-    oracle_value = oracle_x = agreement = None
-    if with_oracle:
-        best = oracle.multistart(gp_objective(), GP_BOX, oracle_starts, oracle_seed)
-        oracle_value, oracle_x = best.value, best.x_best
-        agreement = _oracle_agrees(value, oracle_value)
-    return SolveReport(
-        problem_name="gp",
-        transformed_solution=(s_star, t_star),
-        x_star=(x_star, y_star),
-        value=value,
-        dual_report=report,
-        oracle_value=oracle_value,
-        oracle_x=oracle_x,
-        oracle_agreement=agreement,
-    )
+    solved = SolveReport("gp", (s_star, t_star), (x_star, y_star), value, report)
+    return _cross_checked(solved, gp_objective() if with_oracle else None, GP_BOX, oracle_starts, oracle_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +383,9 @@ def thc_solve(
 ) -> SolveReport:
     """Full Three Hump pipeline: both staging identities are validated (once
     per process) and the dual table goes through solve_canonical."""
-    if not thc_level1_identity():
-        raise IdentityViolation(f"level-1 staging failed at {thc_identity_mismatch(1)}")
-    if not thc_level2_identity():
-        raise IdentityViolation(f"level-2 staging failed at {thc_identity_mismatch(2)}")
+    for level, identity in ((1, thc_level1_identity), (2, thc_level2_identity)):
+        if not identity():
+            raise IdentityViolation(f"level-{level} staging failed at {thc_identity_mismatch(level)}")
     objective = thc_objective() if with_oracle else None
     return solve_problem("thc", thc_problem(), cfg, objective, THC_BOX, oracle_starts, oracle_seed)
 
@@ -417,18 +402,17 @@ def solve_problem(
     """solve_canonical on pr, cross-checked by the oracle on objective over
     box unless objective is None."""
     report = dual_solver.solve_canonical(pr, cfg)
-    oracle_value = oracle_x = agreement = None
-    if objective is not None:
-        best = oracle.multistart(objective, box, oracle_starts, oracle_seed)
-        oracle_value, oracle_x = best.value, best.x_best
-        agreement = _oracle_agrees(report.primal, oracle_value)
-    return SolveReport(
-        problem_name=name,
-        transformed_solution=report.sigma_star,
-        x_star=tuple(report.x_bar),
-        value=report.primal,
-        dual_report=report,
-        oracle_value=oracle_value,
-        oracle_x=oracle_x,
-        oracle_agreement=agreement,
-    )
+    solved = SolveReport(name, report.sigma_star, tuple(report.x_bar), report.primal, report)
+    return _cross_checked(solved, objective, box, oracle_starts, oracle_seed)
+
+
+def _cross_checked(
+    report: SolveReport, objective: MultiPoly | None, box: oracle.Box, oracle_starts: int, oracle_seed: int
+) -> SolveReport:
+    """report with the oracle's multistart on objective over box and its
+    agreement with report.value, or report itself when objective is None."""
+    if objective is None:
+        return report
+    best = oracle.multistart(objective, box, oracle_starts, oracle_seed)
+    agreement = abs(report.value - best.value) <= ORACLE_AGREEMENT_TOL * (1.0 + abs(report.value))
+    return replace(report, oracle_value=best.value, oracle_x=best.x_best, oracle_agreement=agreement)

@@ -39,10 +39,16 @@ _EXIT_VERIFY_FAILED = 3
 # ---------------------------------------------------------------------------
 
 def _parse_rational(value, where: str) -> Fraction:
+    """The exact rational of a file entry, which must have a float view:
+    JSON's Infinity, 1e400 and a 401-digit integer are out of range."""
     try:
-        return rat(value)
+        x = rat(value)
+        float(x)
+    except OverflowError:
+        raise ProblemFileError(f"{where}: {value!r} is outside the float range") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(f"{where}: cannot parse rational from {value!r} ({exc})") from None
+    return x
 
 
 def _as_float(x: Fraction) -> Fraction:
@@ -355,11 +361,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    poly = benchmarks.gp_objective() if args.problem == "gp" else benchmarks.thc_objective()
-    if args.box is not None:
-        box = oracle.Box((args.box[0], args.box[2]), (args.box[1], args.box[3]))
-    else:
-        box = benchmarks.GP_BOX if args.problem == "gp" else benchmarks.THC_BOX
+    poly, box = _objective_and_box(args)
     write_grid_csv(poly, box, args.n, args.out)
     print(f"wrote {args.n * args.n} rows to {args.out}")
     return _EXIT_OK

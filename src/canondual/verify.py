@@ -8,15 +8,22 @@ Each suite is a list of named checks mixing three kinds of evidence:
   * certificate triage facts (known spurious critical points rejected).
 
 Sampling uses the package's seeded generator, so suites are deterministic.
+
+The rules the suites share are stated once each: _zero_gap_triple (all
+three suites; each passes in its own Xi, recomputed apart from the ascent:
+_complementary for gp and file, benchmarks.thc_complementary for thc),
+_midpoint_concave (gp's dual_value, thc's closed-form dual), and
+_weak_duality and _fd_gradient_matches (gp and file).  Their tolerances
+are the module constants below; a tolerance that one check alone uses is
+written in that check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import benchmarks, canonical, dual_solver, oracle
 from .dual_solver import Certificate, SolverConfig
@@ -25,6 +32,9 @@ from .errors import CanondualError
 _PRIMAL_BOX_HALFWIDTH = 10.0  # verify_problem's weak-duality samples: x in [-10, 10]^n
 _FD_STEP = 1e-5  # dual-gradient-vs-fd: central difference step, times 1 + |sigma_k|
 _FD_TOL = 1e-6  # dual-gradient-vs-fd: worst relative error allowed
+_CONCAVITY_TOL = 1e-9  # dual-midpoint-concavity: midpoint value may sit this far below the chord
+_WEAK_DUALITY_TOL = 1e-8  # weak-duality-sampling: max dual may exceed min primal by this much
+_ZERO_GAP_TOL = 1e-8  # zero-gap-triple: |P - Xi| and |Xi - Pd| allowed, times 1 + |P|
 
 
 @dataclass(frozen=True)
@@ -38,13 +48,35 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _fd_gradient_matches(pr: canonical.Problem, points: Sequence[tuple[float, ...]]) -> tuple[bool, str]:
+def _fd_gradient_matches(pr: canonical.Problem, points: Sequence[tuple[float, ...]]) -> CheckResult:
     worst = 0.0
     for sigma in points:
         fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), _FD_STEP)
         for analytic, reference in zip(canonical.dual_gradient(pr, sigma), fd):
             worst = max(worst, abs(analytic - reference) / (1.0 + abs(reference)))
-    return worst <= _FD_TOL, f"worst relative error {worst:.3e}"
+    return _check("dual-gradient-vs-fd", worst <= _FD_TOL, f"worst relative error {worst:.3e}")
+
+
+def _midpoint_concave(
+    value: Callable[[tuple[float, ...]], float], pairs: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]
+) -> bool:
+    """value((a + b) / 2) >= (value(a) + value(b)) / 2 - _CONCAVITY_TOL on
+    every sampled pair (a, b) of dual points; stops at the first violation."""
+    for a, b in pairs:
+        mid = tuple(0.5 * (p + q) for p, q in zip(a, b))
+        if value(mid) < 0.5 * (value(a) + value(b)) - _CONCAVITY_TOL:
+            return False
+    return True
+
+
+def _weak_duality(duals: Sequence[float], primals: Sequence[float]) -> CheckResult:
+    """No sampled dual value above a sampled primal value."""
+    max_dual, min_primal = max(duals), min(primals)
+    return _check(
+        "weak-duality-sampling",
+        max_dual <= min_primal + _WEAK_DUALITY_TOL,
+        f"max dual {max_dual:.6f} vs min primal {min_primal:.6f}",
+    )
 
 
 def _complementary(pr: canonical.CanonicalProblem, sigma: Sequence[float], x: Sequence[float]) -> float:
@@ -54,17 +86,20 @@ def _complementary(pr: canonical.CanonicalProblem, sigma: Sequence[float], x: Se
     return lam - canonical.conjugate_value(pr.V, sigma) - canonical._u(pr, x)
 
 
-def _zero_gap_triple(pr: canonical.CanonicalProblem, report: dual_solver.CriticalReport) -> tuple[bool, float]:
-    """(P(x_bar) = Xi(x_bar, sigma*) = P^d(sigma*) within 1e-8 (1 + |P|),
-    Xi) for a certified report, with Xi recomputed from sigma* and x_bar."""
-    xi = _complementary(pr, report.sigma_star, report.x_bar.entries)
-    tol = 1e-8 * (1.0 + abs(report.primal))
+def _zero_gap_triple(report: dual_solver.CriticalReport, xi: float, detail: str | None = None) -> CheckResult:
+    """P(x_bar) = Xi(x_bar, sigma*) = P^d(sigma*) within _ZERO_GAP_TOL
+    (1 + |P|) for a certified report.  xi is Xi recomputed by the suite from
+    sigma* and x_bar, not read from the report; the detail defaults to the
+    three values."""
+    tol = _ZERO_GAP_TOL * (1.0 + abs(report.primal))
     ok = (
         report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED
         and abs(report.primal - xi) <= tol
         and abs(xi - report.dual) <= tol
     )
-    return ok, xi
+    if detail is None:
+        detail = f"P={report.primal:.12f} Xi={xi:.12f} Pd={report.dual:.12f}"
+    return _check("zero-gap-triple", ok, detail)
 
 
 def _gp_feasible_samples(count: int, seed: int, margin: float = 1e-3) -> list[float]:
@@ -113,35 +148,21 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
     checks.append(_check("dual-closed-form-reproduction", worst <= 1e-10, f"worst {worst:.3e}"))
 
     # Analytic gradient vs central differences at 20 interior points.
-    points = [(s,) for s in _gp_feasible_samples(20, seed=102, margin=0.5)]
-    ok, detail = _fd_gradient_matches(pr, points)
-    checks.append(_check("dual-gradient-vs-fd", ok, detail))
+    checks.append(_fd_gradient_matches(pr, [(s,) for s in _gp_feasible_samples(20, seed=102, margin=0.5)]))
 
     # Midpoint concavity on 200 sampled feasible pairs (the domain is convex).
-    rng = oracle.Lcg(103)
-    concave_ok = True
-    for _ in range(200):
-        a = rng.uniform(-53.0 / 3.0 + 1e-3, 40.0)
-        b = rng.uniform(-53.0 / 3.0 + 1e-3, 40.0)
-        mid = 0.5 * (a + b)
-        lhs = canonical.dual_value(pr, (mid,))
-        rhs = 0.5 * (canonical.dual_value(pr, (a,)) + canonical.dual_value(pr, (b,)))
-        if lhs < rhs - 1e-9:
-            concave_ok = False
-            break
+    ends = [(s,) for s in _gp_feasible_samples(400, seed=103)]
+    concave_ok = _midpoint_concave(partial(canonical.dual_value, pr), zip(ends[::2], ends[1::2]))
     checks.append(_check("dual-midpoint-concavity", concave_ok))
 
     # Weak duality: dual values never exceed primal values (100 x 100 samples).
     rng = oracle.Lcg(104)
     sigmas = [rng.uniform(-53.0 / 3.0 + 1e-6, 40.0) for _ in range(100)]
     ts = [rng.uniform(-10.0, 10.0) for _ in range(100)]
-    max_dual = max(canonical.dual_value(pr, (s,)) for s in sigmas)
-    min_primal = min(canonical.primal_value(pr, (t,)) for t in ts)
     checks.append(
-        _check(
-            "weak-duality-sampling",
-            max_dual <= min_primal + 1e-8,
-            f"max dual {max_dual:.6f} vs min primal {min_primal:.6f}",
+        _weak_duality(
+            [canonical.dual_value(pr, (s,)) for s in sigmas],
+            [canonical.primal_value(pr, (t,)) for t in ts],
         )
     )
 
@@ -160,37 +181,30 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Zero-gap equality chain at the certified solution.
     report = dual_solver.solve_canonical(pr, cfg)
-    triple_ok, xi_val = _zero_gap_triple(pr, report)
-    checks.append(
-        _check(
-            "zero-gap-triple",
-            triple_ok,
-            f"P={report.primal:.12f} Xi={xi_val:.12f} Pd={report.dual:.12f}",
-        )
-    )
+    checks.append(_zero_gap_triple(report, _complementary(pr, report.sigma_star, report.x_bar.entries)))
     return checks
+
+
+def _thc_feasible_samples(count: int, seed: int) -> list[tuple[float, float]]:
+    """Strictly feasible THC dual points: s1 in [-0.9, 0.9] and s2 from 0.05
+    to 12 above the boundary s2 = 25 s1^2 - 13/5."""
+    rng = oracle.Lcg(seed)
+    points = []
+    for _ in range(count):
+        s1 = rng.uniform(-0.9, 0.9)
+        floor = 25.0 * s1 * s1 - 13.0 / 5.0
+        points.append((s1, rng.uniform(floor + 0.05, floor + 12.0)))
+    return points
 
 
 def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
     cfg = cfg or SolverConfig()
     checks: list[CheckResult] = []
 
-    ok1 = benchmarks.thc_level1_identity()
-    checks.append(
-        _check(
-            "staging-level1-exact",
-            ok1,
-            "" if ok1 else f"offending monomial {benchmarks.thc_identity_mismatch(1)}",
-        )
-    )
-    ok2 = benchmarks.thc_level2_identity()
-    checks.append(
-        _check(
-            "staging-level2-exact",
-            ok2,
-            "" if ok2 else f"offending monomial {benchmarks.thc_identity_mismatch(2)}",
-        )
-    )
+    for level, identity in ((1, benchmarks.thc_level1_identity), (2, benchmarks.thc_level2_identity)):
+        ok = identity()
+        detail = "" if ok else f"offending monomial {benchmarks.thc_identity_mismatch(level)}"
+        checks.append(_check(f"staging-level{level}-exact", ok, detail))
 
     thc = benchmarks.thc_problem()  # the dual the solver climbs
 
@@ -210,43 +224,22 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # The table's dual equals the closed form at 200 strictly feasible
     # samples, 1e-9 relative.
-    rng = oracle.Lcg(202)
     worst = 0.0
-    for _ in range(200):
-        s1 = rng.uniform(-0.9, 0.9)
-        floor = 25.0 * s1 * s1 - 13.0 / 5.0
-        s2 = rng.uniform(floor + 0.05, floor + 12.0)
-        eliminated = canonical.dual_value(thc, (s1, s2))
-        closed = benchmarks.thc_dual(s1, s2)
+    for sigma in _thc_feasible_samples(200, seed=202):
+        eliminated = canonical.dual_value(thc, sigma)
+        closed = benchmarks.thc_dual(*sigma)
         worst = max(worst, abs(closed - eliminated) / (1.0 + abs(closed)))
     checks.append(_check("dual-vs-elimination", worst <= 1e-9, f"worst {worst:.3e}"))
 
     # Midpoint concavity over 200 feasible pairs (region is convex).
-    rng = oracle.Lcg(203)
-    concave_ok = True
-    for _ in range(200):
-        pts = []
-        for _ in range(2):
-            s1 = rng.uniform(-0.9, 0.9)
-            floor = 25.0 * s1 * s1 - 13.0 / 5.0
-            pts.append((s1, rng.uniform(floor + 0.05, floor + 12.0)))
-        (a1, a2), (b1, b2) = pts
-        mid = (0.5 * (a1 + b1), 0.5 * (a2 + b2))
-        lhs = benchmarks.thc_dual(*mid)
-        rhs = 0.5 * (benchmarks.thc_dual(a1, a2) + benchmarks.thc_dual(b1, b2))
-        if lhs < rhs - 1e-9:
-            concave_ok = False
-            break
+    ends = _thc_feasible_samples(400, seed=203)
+    concave_ok = _midpoint_concave(lambda sigma: benchmarks.thc_dual(*sigma), zip(ends[::2], ends[1::2]))
     checks.append(_check("dual-midpoint-concavity", concave_ok))
 
     # x_bar = G^{-1} F always has y = -x/2 (second stationarity row).
-    rng = oracle.Lcg(204)
     half_ok = True
-    for _ in range(100):
-        s1 = rng.uniform(-0.9, 0.9)
-        floor = 25.0 * s1 * s1 - 13.0 / 5.0
-        s2 = rng.uniform(floor + 0.05, floor + 12.0)
-        x, y = canonical.DualPoint(thc, (s1, s2)).x_bar()
+    for sigma in _thc_feasible_samples(100, seed=204):
+        x, y = canonical.DualPoint(thc, sigma).x_bar()
         if abs(2.0 * y + x) > 1e-12 * (1.0 + abs(x)):
             half_ok = False
             break
@@ -254,23 +247,8 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Zero-gap equality chain at the certified solution.
     report = benchmarks.thc_solve(cfg, with_oracle=False)
-    dual = report.dual_report
-    xi_val = benchmarks.thc_complementary(
-        dual.sigma_star[0], dual.sigma_star[1], report.x_star[0], report.x_star[1]
-    )
-    tol = 1e-8 * (1.0 + abs(dual.primal))
-    triple_ok = (
-        dual.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED
-        and abs(dual.primal - xi_val) <= tol
-        and abs(xi_val - dual.dual) <= tol
-    )
-    checks.append(
-        _check(
-            "zero-gap-triple",
-            triple_ok,
-            f"P={dual.primal:.12f} Xi={xi_val:.12f} Pd={dual.dual:.12f}",
-        )
-    )
+    xi = benchmarks.thc_complementary(*report.dual_report.sigma_star, *report.x_star)
+    checks.append(_zero_gap_triple(report.dual_report, xi))
     return checks
 
 
@@ -322,37 +300,19 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
             break
     checks.append(_check("conjugate-pairing-on-graph", pairing_ok))
 
-    interior = _problem_interior_samples(pr, 20, seed=302)
-    ok, detail = _fd_gradient_matches(pr, interior)
-    checks.append(_check("dual-gradient-vs-fd", ok, detail))
+    checks.append(_fd_gradient_matches(pr, _problem_interior_samples(pr, 20, seed=302)))
 
     # Weak duality sampling over feasible duals and a primal box.
     rng = oracle.Lcg(303)
-    duals = []
-    for sigma in _problem_interior_samples(pr, 100, seed=304):
-        duals.append(canonical.dual_value(pr, sigma))
-    min_primal = math.inf
-    for _ in range(100):
-        x = tuple(rng.uniform(-_PRIMAL_BOX_HALFWIDTH, _PRIMAL_BOX_HALFWIDTH) for _ in range(pr.n))
-        min_primal = min(min_primal, canonical.primal_value(pr, x))
-    checks.append(
-        _check(
-            "weak-duality-sampling",
-            max(duals) <= min_primal + 1e-8,
-            f"max dual {max(duals):.6f} vs min primal {min_primal:.6f}",
-        )
-    )
+    duals = [canonical.dual_value(pr, sigma) for sigma in _problem_interior_samples(pr, 100, seed=304)]
+    h = _PRIMAL_BOX_HALFWIDTH
+    primals = [canonical.primal_value(pr, tuple(rng.uniform(-h, h) for _ in range(pr.n))) for _ in range(100)]
+    checks.append(_weak_duality(duals, primals))
 
     report = dual_solver.solve_canonical(pr, cfg)
     if report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED:
-        ok, _ = _zero_gap_triple(pr, report)
-        checks.append(_check("zero-gap-triple", ok, f"gap {report.gap:.3e}"))
+        xi = _complementary(pr, report.sigma_star, report.x_bar.entries)
+        checks.append(_zero_gap_triple(report, xi, f"gap {report.gap:.3e}"))
     else:
-        checks.append(
-            _check(
-                "zero-gap-triple",
-                True,
-                f"skipped: certificate {report.certificate.value}",
-            )
-        )
+        checks.append(_check("zero-gap-triple", True, f"skipped: certificate {report.certificate.value}"))
     return checks

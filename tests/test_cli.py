@@ -268,6 +268,22 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError, match=r"broken\.json:2"):
             cli.load_problem_file(bad)
 
+    @pytest.mark.parametrize("a, f, entry", [
+        ("1e400", "0", "A[0][0]"),
+        ("Infinity", "0", "A[0][0]"),
+        ("1", '"1' + "0" * 400 + '"', "f[0]"),
+    ], ids=["json-1e400", "json-Infinity", "401-digit-string"])
+    def test_coefficient_outside_the_float_range_is_located(self, tmp_path, a, f, entry):
+        # Each of these once ended in an OverflowError traceback.
+        bad = tmp_path / "huge.json"
+        bad.write_text(f'{{"n": 1, "m": 1, "A": [[{a}]], "f": [{f}], '
+                       '"operators": [{"C": [[0]], "b": [0], "c": 0}], "V": [{"a": 1}]}')
+        with pytest.raises(ProblemFileError, match="outside the float range"):
+            cli.load_problem_file(bad)
+        code, out, err = run_cli("solve", "file", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}.{entry}: ")
+
     def test_missing_file_is_usage_error(self):
         code, _, err = run_cli("solve", "file", "/nonexistent/problem.json")
         assert code == 1

@@ -1,4 +1,5 @@
-"""The verify suites' zero-gap check against the problem's own data."""
+"""The verify suites: their checks in order, the zero-gap check against the
+problem's own data, and the shared concavity and weak-duality rules."""
 
 import dataclasses
 import json
@@ -51,13 +52,70 @@ def _shifted_with_restated_xi(pr, cfg=None, solve=solve_canonical):
     )
 
 
-@pytest.mark.parametrize("suite", [
-    verify.verify_gp,
-    lambda: verify.verify_problem(cli.load_problem_file(PROBLEMS / "gp_g.json")),
-], ids=["verify_gp", "verify_problem"])
+def _verify_gp_g_file():
+    return verify.verify_problem(cli.load_problem_file(PROBLEMS / "gp_g.json"))
+
+
+SUITES = {"verify_gp": verify.verify_gp, "verify_thc": verify.verify_thc, "verify_problem": _verify_gp_g_file}
+
+
+@pytest.mark.parametrize("suite", SUITES.values(), ids=SUITES)
 def test_zero_gap_triple_fails_on_a_shifted_sigma(monkeypatch, suite):
     checks = {check.name: check for check in suite()}
     assert checks["zero-gap-triple"].passed
     monkeypatch.setattr(dual_solver, "solve_canonical", _shifted_with_restated_xi)
     checks = {check.name: check for check in suite()}
     assert not checks["zero-gap-triple"].passed
+
+
+CHECK_NAMES = {
+    "verify_gp": [
+        "decoupling-identity-exact",
+        "g-canonical-form-exact",
+        "h-critical-set",
+        "decoupling-positivity-guard",
+        "dual-closed-form-reproduction",
+        "dual-gradient-vs-fd",
+        "dual-midpoint-concavity",
+        "weak-duality-sampling",
+        "spurious-critical-triage",
+        "zero-gap-triple",
+    ],
+    "verify_thc": [
+        "staging-level1-exact",
+        "staging-level2-exact",
+        "feasibility-region-algebra",
+        "dual-vs-elimination",
+        "dual-midpoint-concavity",
+        "equilibrium-halving-row",
+        "zero-gap-triple",
+    ],
+    "verify_problem": [
+        "legendre-involution",
+        "conjugate-pairing-on-graph",
+        "dual-gradient-vs-fd",
+        "weak-duality-sampling",
+        "zero-gap-triple",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_suites_keep_their_checks_in_order(name):
+    checks = SUITES[name]()
+    assert [check.name for check in checks] == CHECK_NAMES[name]
+    assert all(check.passed for check in checks)
+
+
+def test_midpoint_concavity_rejects_a_convex_function():
+    pairs = [((-1.0,), (1.0,)), ((0.0,), (2.0,))]
+    assert verify._midpoint_concave(lambda s: -s[0] ** 2, pairs)
+    assert not verify._midpoint_concave(lambda s: s[0] ** 2, pairs)
+
+
+def test_weak_duality_fails_when_a_dual_value_exceeds_a_primal_value():
+    held = verify._weak_duality([1.0, 2.0], [2.0, 5.0])
+    assert held.passed and held.detail == "max dual 2.000000 vs min primal 2.000000"
+    broken = verify._weak_duality([1.0, 2.5], [2.0, 5.0])
+    assert broken.name == "weak-duality-sampling"
+    assert not broken.passed and broken.detail == "max dual 2.500000 vs min primal 2.000000"
