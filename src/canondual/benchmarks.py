@@ -194,7 +194,7 @@ def gp_canonical_g() -> canonical.CanonicalProblem:
         ops=(canonical.QuadOperator(C=(2,), b=(Fraction(-8, 3),), c=-2),),
         V=canonical.ConvexQuadV(((3, -9),)),
     )
-    expanded = canonical.primal_polynomial(pr)
+    expanded = pr.objective
     if expanded != gp_g():
         raise IdentityViolation(f"canonical form of g differs at monomial {first_diff_term(expanded, gp_g())}")
     return pr

@@ -21,9 +21,18 @@ TableProblem: its table and exact objective, given directly.
 The problem types hold the exact rationals they are built from (ints,
 "p/q" strings and floats convert exactly, through polynomial.rat), and
 each derives its float view once, at construction: QuadOperator.C_rows,
-CanonicalProblem.A_rows, ConvexQuadV.pairs_float, DualTable.entries.
-Every float evaluation reads these views; only primal_polynomial reads
-the rationals.  Matrices are given by their upper triangle, row-major.
+CanonicalProblem.A_rows, ConvexQuadV.pairs_float, and DualTable's
+accumulators, bound to the table's float coefficients.  Every float
+evaluation reads these views; only primal_polynomial reads the rationals.
+Matrices are given by their upper triangle, row-major.
+
+A table's accumulators are straight-line functions generated from its
+shape, (n, m), the monomials and the slots each term carries, and
+compiled once per shape and process: GP's and THC's tables compile once,
+and every canonical problem of one (n, m) shares one compiled function,
+whatever its coefficients and zeros (terms of degree 0 and 1 carry every
+slot).  Rows constant in sigma that lead a row set are summed once, when
+a table binds; every sum is bit for bit that of the term-by-term loop.
 
 With G affine, P^d is concave wherever G(sigma) is positive semidefinite
 (THC's staged dual is too; verify thc samples it); a dual critical point
@@ -42,9 +51,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Sequence
+from math import isfinite
+from typing import Callable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainViolation
 from .polynomial import MultiPoly, RationalLike, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
@@ -146,28 +156,95 @@ class DualTerm:
 
 
 Rows = tuple[tuple[int, float, tuple[int, ...]], ...]  # (term, coefficient, factors)
+Accumulator = Callable[[tuple[float, ...]], list[float]]  # sigma -> [upper triangle of G, F, c]
+
+# Compiled accumulator binders by table shape: (n, m, value rows, the slots
+# each term carries).  A shape holds no coefficient values, so every table
+# of one shape shares one compiled function.  Each entry is (bind, the
+# (term, slot) coefficients bind takes after the constants).
+_BINDERS: dict[tuple, tuple[Callable[..., tuple[Accumulator, ...]], tuple[tuple[int, int], ...]]] = {}
+
+
+def _leading(rows: Rows) -> int:
+    """The number of rows before the first with a factor: rows constant in
+    sigma, whose sums a table makes once, when it binds."""
+    return next((r for r, (_, _, factors) in enumerate(rows) if factors), len(rows))
+
+
+def _compile_binder(n: int, m: int, row_sets: tuple[Rows, ...], slots: tuple[tuple[int, ...], ...]
+                    ) -> tuple[Callable[..., tuple[Accumulator, ...]], tuple[tuple[int, int], ...]]:
+    """Generate and compile ``bind(K0, K1, ..., *coefficients)`` for one
+    table shape, and name the (term, slot) coefficients it takes.
+
+    K_j holds, for row set j, the sums of its leading constant rows
+    (_leading) in every slot.  bind returns one straight-line accumulator
+    per row set, closed over the K_j and the coefficients: a copy of K_j
+    for a row set without factors, and otherwise each remaining row's
+    monomial written as ``w = coefficient * s_a * s_b ...`` and each
+    slot's sum as one expression, ``k_slot + w_t * c_t,slot + ...`` in row
+    order.
+    """
+    width = n * (n + 3) // 2 + 1
+    unpack = "".join(f"s{k}, " for k in range(m)) or "() "  # "() = sigma" when m = 0
+    coefficients: dict[tuple[int, int], None] = {}  # in first use order
+
+    def accumulator(j: int, rows: Rows) -> list[str]:
+        lead = _leading(rows)
+        if lead == len(rows):
+            return [f"    def acc{j}(sigma):", f"        return [*K{j}]"]
+        lines = [f"    def acc{j}(sigma):", "        " + "".join(f"k{slot}, " for slot in range(width)) + f"= K{j}",
+                 f"        {unpack}= sigma"]
+        sums = [[f"k{slot}"] for slot in range(width)]
+        for r, (i, coeff, factors) in enumerate(rows[lead:]):
+            lines.append(f"        w{r} = {coeff!r}" + "".join(f" * s{k}" for k in factors))
+            for slot in slots[i]:
+                coefficients[i, slot] = None
+                sums[slot].append(f"w{r} * c{i}_{slot}")
+        lines.append("        return [" + ", ".join(" + ".join(terms) for terms in sums) + "]")
+        return lines
+
+    body = [line for j, rows in enumerate(row_sets) for line in accumulator(j, rows)]
+    params = [f"K{j}" for j in range(len(row_sets))] + [f"c{i}_{slot}" for i, slot in coefficients]
+    lines = [f"def bind({', '.join(params)}):", *body,
+             "    return (" + "".join(f"acc{j}, " for j in range(len(row_sets))) + ")"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<DualTable accumulators>", "exec"), {}, namespace)
+    return namespace["bind"], tuple(coefficients)
 
 
 @dataclass(frozen=True)
 class DualTable:
     """G, F and c as polynomials in sigma, one DualTerm per monomial.
 
-    Construction keeps each term's nonzero coefficients, as floats, in
-    (slot, value) pairs over [upper triangle of G, F, c] and writes the
-    monomials as rows of (term, coefficient, factors), the factors being
-    variable indices repeated by exponent: value for the polynomials
-    themselves, grad[k] for their sigma_k-derivatives and hess, as
-    ((k, l), rows) over the upper triangle in row-major order, for the
-    second derivatives.
+    Construction writes the monomials as rows of (term, coefficient,
+    factors), the factors being variable indices repeated by exponent:
+    value for the polynomials themselves, grad[k] for their
+    sigma_k-derivatives and hess, as ((k, l), rows) over the upper triangle
+    in row-major order, for the second derivatives.  It then binds each
+    term's carried coefficients, as floats over the slots [upper triangle
+    of G, F, c], to the accumulators of the table's shape (_compile_binder,
+    compiled once per shape and process): accumulate(sigma) sums the value
+    rows, accumulate_grad[k] and accumulate_hess[j] the row sets of grad[k]
+    and hess[j].  The leading rows of a row set that are constant in sigma
+    are summed here, once, in the order and with the operations the
+    generated sums use.  A term of degree 0 or 1 carries every slot, zeros
+    included, and any other term its nonzero slots, so a canonical table's
+    shape is fixed by (n, m).  The zeros leave every sum bit for bit as
+    without them: at finite sigma the monomials 1 and sigma_k, and their
+    derivatives, are finite, w * 0.0 is +-0.0, and adding +-0.0 to a sum
+    that starts at +0.0 changes nothing.  A monomial of higher degree may
+    overflow to inf at a large finite sigma, where inf * 0.0 would be NaN.
     """
 
     n: int
     m: int
     terms: tuple[DualTerm, ...]
-    entries: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False, compare=False)
     value: Rows = field(init=False, repr=False, compare=False)
     grad: tuple[Rows, ...] = field(init=False, repr=False, compare=False)
     hess: tuple[tuple[tuple[int, int], Rows], ...] = field(init=False, repr=False, compare=False)
+    accumulate: Accumulator = field(init=False, repr=False, compare=False)
+    accumulate_grad: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
+    accumulate_hess: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = (self.m, self.n * (self.n + 1) // 2, self.n)
@@ -175,7 +252,7 @@ class DualTable:
         for t in self.terms:
             if not 1 <= self.n <= MAX_DIM or (len(t.exps), len(t.G), len(t.F)) != shape:
                 raise DimensionMismatch(f"term {t.exps} does not fit n={self.n}, m={self.m}")
-            entries.append(tuple((slot, v) for slot, v in enumerate(map(float, (*t.G, *t.F, t.c))) if v))
+            entries.append({slot: v for slot, v in enumerate(map(float, (*t.G, *t.F, t.c))) if v or sum(t.exps) <= 1})
 
         def differentiate(rows: Rows, k: int) -> Rows:
             return tuple(
@@ -187,7 +264,26 @@ class DualTable:
         )
         grad = tuple(differentiate(value, k) for k in range(self.m))
         hess = tuple(((k, l), differentiate(grad[k], l)) for k in range(self.m) for l in range(k, self.m))
-        for name, rows in (("entries", tuple(entries)), ("value", value), ("grad", grad), ("hess", hess)):
+        slots = tuple(map(tuple, entries))
+        row_sets = (value, *grad, *(rows for _, rows in hess))
+        key = (self.n, self.m, value, slots)
+        binder = _BINDERS.get(key)
+        if binder is None:
+            binder = _BINDERS[key] = _compile_binder(self.n, self.m, row_sets, slots)
+        bind, needed = binder
+
+        def constants(rows: Rows) -> tuple[float, ...]:
+            # the leading constant rows summed as the generated sums add: 0.0 + w * c in row order
+            sums = [0.0] * (self.n * (self.n + 3) // 2 + 1)
+            for i, w, _ in rows[:_leading(rows)]:
+                for slot, v in entries[i].items():
+                    sums[slot] += w * v
+            return tuple(sums)
+
+        accumulate, *derivatives = bind(*map(constants, row_sets), *(entries[i][slot] for i, slot in needed))
+        for name, rows in zip(("value", "grad", "hess", "accumulate", "accumulate_grad", "accumulate_hess"),
+                              (value, grad, hess, accumulate, tuple(derivatives[:self.m]),
+                               tuple(derivatives[self.m:]))):
             object.__setattr__(self, name, rows)
 
 
@@ -226,6 +322,11 @@ class CanonicalProblem:
     @property
     def m(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def objective(self) -> MultiPoly:
+        """P(x) as an exact polynomial (primal_polynomial), expanded once."""
+        return primal_polynomial(self)
 
     @cached_property
     def table(self) -> DualTable:
@@ -307,18 +408,6 @@ def conjugate_gradient(V: ConvexQuadV, sigma: Sequence[float]) -> tuple[float, .
     return tuple((s - beta) / (2.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
-def _accumulate(table: DualTable, rows: Rows, sig: tuple[float, ...]) -> list[float]:
-    """[upper triangle of G, F, c] summed over rows: each term's
-    coefficients times its row's coefficient and monomial at sigma."""
-    acc = [0.0] * (table.n * (table.n + 3) // 2 + 1)
-    for i, w, factors in rows:
-        for k in factors:
-            w *= sig[k]
-        for slot, value in table.entries[i]:
-            acc[slot] += w * value
-    return acc
-
-
 def _f(table: DualTable, acc: list[float]) -> list[float]:
     return acc[-table.n - 1:-1]
 
@@ -334,10 +423,12 @@ def _xi(table: DualTable, acc: list[float], x: Sequence[float]) -> float:
 
 
 class DualPoint:
-    """The dual at one sigma: [G, F, c] accumulated once, the threshold
-    test exceeds(t) on those entries, and one x_bar, solved at the first
-    request, from which value, rounding bound, gradient and Hessian all
-    come; the two derivatives share one accumulation of [G_k, F_k, c_k].
+    """The dual at one sigma: [G, F, c] accumulated once by the table's
+    accumulate, the threshold test exceeds(t) on those entries, and one
+    x_bar, solved at the first request, from which value, rounding bound,
+    gradient and Hessian all come; the two derivatives share one
+    accumulation of [G_k, F_k, c_k].  A sigma with an infinite or NaN entry
+    is outside the domain: the constructor raises DomainViolation.
 
     P^d is concave where G is positive definite, and only there does a
     point solve: value, x_bar, rounding, gradient and Hessian raise
@@ -356,7 +447,9 @@ class DualPoint:
         if len(sigma) != table.m:
             raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {table.m}")
         self.sigma = sig = tuple(map(float, sigma))
-        self.acc = _accumulate(table, table.value, sig)
+        if not all(map(isfinite, sig)):
+            raise DomainViolation(f"sigma {sig} is not finite")
+        self.acc = table.accumulate(sig)
         self._factor = self._x = self._first = None
 
     def exceeds(self, t: float) -> bool:
@@ -417,7 +510,7 @@ class DualPoint:
         tests (DomainViolation otherwise)."""
         x = self.x_bar(1e-6)
         if self._first is None:
-            self._first = [_accumulate(self.table, rows, self.sigma) for rows in self.table.grad]
+            self._first = [first(self.sigma) for first in self.table.accumulate_grad]
         return x, self._first
 
     def gradient(self) -> tuple[float, ...]:
@@ -443,7 +536,8 @@ class DualPoint:
         u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
         w = [self._solve(u_l, 1e-6) for u_l in u]
         return SymMatrix(table.m, tuple(
-            _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
+            _xi(table, second(sig), x) - sum(map(mul, u[k], w[l]))
+            for ((k, l), _), second in zip(table.hess, table.accumulate_hess)
         ))
 
 

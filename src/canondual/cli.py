@@ -260,7 +260,7 @@ def _cmd_solve(args) -> int:
         report = pipeline(cfg, with_oracle=args.oracle, oracle_starts=args.starts, oracle_seed=args.seed)
     else:
         pr = load_problem_file(args.path)
-        poly = canonical.primal_polynomial(pr) if args.oracle and pr.n <= 2 else None
+        poly = pr.objective if args.oracle and pr.n <= 2 else None
         box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
         report = benchmarks.solve_problem("file", pr, cfg, poly, box, args.starts, args.seed)
 
@@ -281,7 +281,7 @@ def _serialized_poly_lines(problem: str, pr: canonical.CanonicalProblem | None) 
         return [("f1", benchmarks.gp_objective()), ("h", dec.h), ("g", dec.g)]
     if problem == "thc":
         return [("f2", benchmarks.thc_objective())]
-    return [("P", canonical.primal_polynomial(pr))]
+    return [("P", pr.objective)]
 
 
 def _cmd_verify(args) -> int:
@@ -316,7 +316,7 @@ def _objective_and_box(args) -> tuple[MultiPoly, oracle.Box]:
         pr = load_problem_file(args.path)
         if pr.n > 2:
             raise CanondualError("oracle search supports problems with n <= 2")
-        poly = canonical.primal_polynomial(pr)
+        poly = pr.objective
         default_box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
     if args.box is not None:
         if poly.arity == 1:

@@ -264,8 +264,12 @@ def maximize_concave(
         rounding = None  # the value's rounding bound at sigma, computed when first needed
         while step >= _MIN_STEP:
             trial = tuple(s + step * d for s, d in zip(point.sigma, direction))
-            trial_point = at(trial)
-            trial_value = _try_value(trial_point.value) if trial_point.exceeds(INTERIOR_MARGIN) else None
+            try:
+                trial_point = at(trial)
+            except _DOMAIN_ERRORS:  # a non-finite trial, from a step that overflows sigma
+                trial_value = None
+            else:
+                trial_value = _try_value(trial_point.value) if trial_point.exceeds(INTERIOR_MARGIN) else None
             if trial_value is not None:
                 if trial_value >= value + ARMIJO_C * step * slope:
                     slack, trial_grad = 0.0, None

@@ -74,14 +74,22 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+# The most terms _compile_evaluator writes into one sum expression: the
+# compiler recurses once per operator, and a sum of some thousands of terms
+# exhausts its recursion limit.
+_TERMS_PER_STATEMENT = 1000
+
+
 def _compile_evaluator(
     arity: int, term_lists: Sequence[tuple[Sequence[Exponents], Sequence[float]]]
 ) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
     """Generate and compile ``evaluate(point)`` for one or more polynomials,
     each given by its graded-lex float terms (see MultiPoly.float_evaluator):
     one table of powers up to each variable's largest exponent across all of
-    them, then one sum per polynomial.  The function returns the one sum,
-    or the tuple of sums when given several polynomials."""
+    them, then one sum per polynomial, ``0.0 + t1 + t2 + ...`` in graded-lex
+    order, written as one expression (one per _TERMS_PER_STATEMENT terms).
+    The function returns the one sum, or the tuple of sums when given
+    several polynomials."""
 
     def power(v: int, e: int) -> str:
         return f"x{v}" if e == 1 else f"x{v}_{e}"
@@ -94,10 +102,14 @@ def _compile_evaluator(
             lines.append(f"    {power(v, e)} = {power(v, e - 1)} * x{v}")
     totals = ["total"] if len(term_lists) == 1 else [f"total{k}" for k in range(len(term_lists))]
     for total, (exps_list, coeffs) in zip(totals, term_lists):
-        lines.append(f"    {total} = 0.0")
-        for exps, coeff in zip(exps_list, coeffs):
-            factors = "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
-            lines.append(f"    {total} += {coeff!r}{factors}")
+        terms = [
+            f"{coeff!r}" + "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
+            for exps, coeff in zip(exps_list, coeffs)
+        ]
+        start = "0.0"
+        for i in range(0, max(len(terms), 1), _TERMS_PER_STATEMENT):
+            lines.append(f"    {total} = " + " + ".join([start, *terms[i:i + _TERMS_PER_STATEMENT]]))
+            start = total
     lines.append(f"    return {', '.join(totals)}")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<MultiPoly.float_evaluator>", "exec"), {}, namespace)

@@ -302,11 +302,13 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
 
     checks.append(_fd_gradient_matches(pr, _problem_interior_samples(pr, 20, seed=302)))
 
-    # Weak duality sampling over feasible duals and a primal box.
+    # Weak duality sampling over feasible duals and a primal box, P through
+    # the float evaluator of its exact expansion (the one verify file prints).
     rng = oracle.Lcg(303)
     duals = [canonical.dual_value(pr, sigma) for sigma in _problem_interior_samples(pr, 100, seed=304)]
     h = _PRIMAL_BOX_HALFWIDTH
-    primals = [canonical.primal_value(pr, tuple(rng.uniform(-h, h) for _ in range(pr.n))) for _ in range(100)]
+    primal = pr.objective.float_evaluator()
+    primals = [primal(tuple(rng.uniform(-h, h) for _ in range(pr.n))) for _ in range(100)]
     checks.append(_weak_duality(duals, primals))
 
     report = dual_solver.solve_canonical(pr, cfg)

@@ -6,8 +6,10 @@ breaks the benchmark, not the program.  The tracing module is loaded from
 its file and only read.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from collections import defaultdict
 from functools import partial
 from pathlib import Path
@@ -89,3 +91,34 @@ def test_smallmat_calls_of_the_benchmark_tests_work():
     S = smallmat.SymMatrix(3, (1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
     assert tracing._by_size("smallmat.eigen_sym")((S,), {}) == "smallmat.eigen_sym.n3"
     assert smallmat.eigen_sym(S) == (1.0, 1.0, 1.0)
+
+
+def test_outputs_are_the_same_with_the_tracer_installed(pool_paths):
+    # The benchmark checks each output of a traced round as it checks the
+    # untraced ones, so the wrappers must leave every output as it was.
+    pool = str(pool_paths[5])  # n = 2, m = 2: solve file runs the oracle
+    argvs = [["solve", "gp", "--format", "json", "--seed", "3"], ["solve", "thc", "--format", "json", "--seed", "4"],
+             ["verify", "gp"], ["verify", "thc"],
+             ["solve", "file", pool, "--format", "json", "--seed", "5"], ["verify", "file", pool]]
+
+    def outputs():
+        found = []
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.run(argv)
+            found.append((code, out.getvalue()))
+        return found
+
+    untraced = outputs()
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_operation(1)
+        traced = outputs()
+        tracer.end_operation()
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["cli.run"] == len(argvs) and tracer.calls["canonical.dual_value"] > 1000
+    assert traced == untraced
+    assert outputs() == untraced

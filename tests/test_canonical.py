@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from canondual import canonical, cli
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
-from canondual.canonical import _ROUNDING_ULPS, _accumulate, _f, _gx, _xi
+from canondual.canonical import _ROUNDING_ULPS, _f, _gx, _xi
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from canondual.oracle import Lcg
@@ -624,6 +624,22 @@ class TestPrimalPolynomial:
 # they solve only at a positive definite G.
 
 
+def _accumulate(table, rows, sig):
+    """The interpreted accumulation that the table's generated accumulators
+    replace, kept as their reference: [upper triangle of G, F, c] summed
+    over rows, each term's nonzero coefficients times its row's coefficient
+    and monomial at sigma."""
+    acc = [0.0] * (table.n * (table.n + 3) // 2 + 1)
+    for i, w, factors in rows:
+        for k in factors:
+            w *= sig[k]
+        t = table.terms[i]
+        for slot, value in enumerate(map(float, (*t.G, *t.F, t.c))):
+            if value:
+                acc[slot] += w * value
+    return acc
+
+
 def _check_sigma(pr, sigma):
     if len(sigma) != pr.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {pr.m}")
@@ -834,3 +850,64 @@ def test_conjugate_pairing_on_gradient_graph(a, beta, xi):
     lhs = V.value((xi,)) + canonical.conjugate_value(V, (sigma,))
     rhs = xi * sigma
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def _accumulations(table, sig):
+    """The value, gradient and Hessian row sets' accumulations at sigma, as
+    the generated accumulators give them and as the reference loop does."""
+    generated = [table.accumulate(sig), *(f(sig) for f in table.accumulate_grad),
+                 *(f(sig) for f in table.accumulate_hess)]
+    reference = [_accumulate(table, rows, sig) for rows in (table.value, *table.grad,
+                                                             *(rows for _, rows in table.hess))]
+    return generated, reference
+
+
+def test_generated_accumulation_is_the_reference_loop_bit_for_bit(pool_paths):
+    # GP, THC (whose table has the mixed monomial s1 s2), the shipped files
+    # and the 36 planted pool problems, at random sigma with zero entries,
+    # and at sigma whose squares overflow: the zeros a term of degree 0 or 1
+    # carries stay +-0.0 there, and no term of higher degree carries one.
+    problems = [gp_canonical_g(), thc_problem(), *map(cli.load_problem_file, [*PROBLEMS, *pool_paths])]
+    rng = Lcg(19)
+    for pr in problems:
+        huge = [tuple(big if k == j else 0.0 for k in range(pr.m)) for big in (1e200, -1e200) for j in range(pr.m)]
+        drawn = [tuple(0.0 if rng.uniform(0.0, 1.0) < 0.3 else rng.uniform(-60.0, 60.0) for _ in range(pr.m))
+                 for _ in range(40)]
+        for sig in huge + drawn:
+            generated, reference = _accumulations(pr.table, sig)
+            assert len(generated) == 1 + pr.m + pr.m * (pr.m + 1) // 2
+            assert [packed(acc) for acc in generated] == [packed(acc) for acc in reference], sig
+
+
+def test_one_compiled_accumulator_per_canonical_shape(pool_paths):
+    # Two problems of one (n, m) whose zeros lie in different places share
+    # the compiled code, bound to their own coefficients.
+    p = make_problem(A=[1.0], f=[0.0], C=[2.0], b=[0.0], c=0.0, a=1.0, beta=0.0)
+    q = make_problem(A=[0.0], f=[3.0], C=[0.0], b=[5.0], c=7.0, a=2.0, beta=1.0)
+    for f, g in zip((p.table.accumulate, *p.table.accumulate_grad, *p.table.accumulate_hess),
+                    (q.table.accumulate, *q.table.accumulate_grad, *q.table.accumulate_hess)):
+        assert f.__code__ is g.__code__
+    assert p.table.accumulate((1.0,)) == [3.0, 0.0, -0.25]
+    assert q.table.accumulate((1.0,)) == [0.0, -2.0, -0.125 + 7.25 - 0.125]
+    # One code per (n, m) across the pool and GP; THC's table has its own.
+    codes = {}
+    for pr in [gp_canonical_g(), *map(cli.load_problem_file, pool_paths)]:
+        codes.setdefault((pr.n, pr.m), set()).add(pr.table.accumulate.__code__)
+    assert len(codes) == 12 and all(len(found) == 1 for found in codes.values())
+    assert thc_problem().table.accumulate.__code__ not in set().union(*codes.values())
+
+
+@pytest.mark.parametrize("problem, sigma", [
+    (gp_canonical_g, (math.inf,)),
+    (gp_canonical_g, (-math.inf,)),
+    (gp_canonical_g, (math.nan,)),
+    (thc_problem, (math.inf, 0.0)),
+    (thc_problem, (0.0, math.nan)),
+])
+def test_non_finite_sigma_is_outside_the_domain(problem, sigma):
+    # inf * 0.0 is NaN: no accumulation is made at a non-finite sigma.
+    pr = problem()
+    for request in (canonical.DualPoint, canonical.dual_value, canonical.dual_gradient,
+                    canonical.in_positive_domain):
+        with pytest.raises(DomainViolation, match="not finite"):
+            request(pr, sigma)

@@ -205,6 +205,19 @@ class TestMaximizeConcave:
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
         assert result.value == pytest.approx(3.0, abs=1e-8)
 
+    def test_overflowing_step_backtracks_to_a_stall(self, monkeypatch):
+        # A Newton direction with an infinite entry makes every trial sigma
+        # non-finite, which DualPoint rejects with DomainViolation: the line
+        # search backtracks as at an infeasible trial and reports a stall.
+        def infinite(neg_hess, grad, tol):
+            return tuple(math.copysign(math.inf, g) for g in grad.entries)
+
+        monkeypatch.setattr(dual_solver, "solve_sym", infinite)
+        at = dual_points(gp_canonical_g())
+        result = maximize_concave(at, at((0.0,)))
+        assert result.stalled and not result.converged
+        assert result.sigma == (0.0,) and result.iterations == 0
+
     def test_three_hump_dual_converges_at_start(self):
         at = dual_points(thc_problem())
         result = maximize_concave(at, at((0.0, 0.0)))
@@ -253,20 +266,25 @@ class TestMaximizeConcave:
         # m(m+1)/2 of the second.  Rebuilding the start and the end point,
         # and G again for the reported eigenvalue, took 111 accumulations
         # and 13 factorisations; one callback per quantity took 175 and 34.
-        counts = {"_accumulate": 0, "cholesky": 0}
-        for name in counts:
-            original = getattr(canonical, name)
+        counts = {"accumulations": 0, "cholesky": 0}
 
-            def counted(*args, name=name, original=original):
+        def counted(original, name="accumulations"):
+            def call(*args):
                 counts[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(canonical, name, counted)
+            return call
+
+        monkeypatch.setattr(canonical, "cholesky", counted(canonical.cholesky, "cholesky"))
         pr = parse_problem_dict(json.loads(STALLED_UNDER_FD_HESSIAN[3][0]))
+        table = pr.table
+        for name in ("accumulate_grad", "accumulate_hess"):
+            object.__setattr__(table, name, tuple(map(counted, getattr(table, name))))
+        object.__setattr__(table, "accumulate", counted(table.accumulate))
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         assert report.iterations == 10
-        assert counts == {"_accumulate": 108, "cholesky": report.iterations + 1}
+        assert counts == {"accumulations": 108, "cholesky": report.iterations + 1}
 
     def test_determinism(self):
         pr = gp_canonical_g()
