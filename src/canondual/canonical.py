@@ -61,6 +61,7 @@ from .polynomial import MultiPoly, RationalLike, rat
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
 from .smallmat import (
     MAX_DIM,
+    Factor,
     SymMatrix,
     Vector,
     cholesky,
@@ -456,7 +457,7 @@ class DualPoint:
         """lambda_min(G) > t: smallmat.exceeds on the accumulated entries."""
         return exceeds(self.table.n, self.acc, t)
 
-    def _factored(self) -> tuple[list[list[float]] | None, tuple[tuple[float, ...], ...]]:
+    def _factored(self) -> tuple[Factor | None, tuple[tuple[float, ...], ...]]:
         """(the Cholesky factor of G, or None when G is not positive
         definite; the rows of G), made once, for n >= 3."""
         if self._factor is None:

@@ -22,7 +22,16 @@ linear congruential generator
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
 with the top 33 bits of each state mapped to [0, 1), and all reductions are
-ordered by start index.
+ordered by start index.  With M and I the multiplier and increment, the
+k-th state after s_0 is
+
+    s_k = M^k s_0 + I (1 + M + ... + M^(k-1)) mod 2^64
+
+(F. B. Brown, "Random number generation with arbitrary strides", Trans.
+Am. Nucl. Soc. 71, 1994), so ``Lcg.units`` makes any number of draws in
+one numpy pass on uint64 arrays, which wrap modulo 2^64.  It is the only
+draw path in the package: every seeded sample, here and in ``verify``,
+comes from it, mostly through ``Lcg.uniform_rows``.
 """
 
 from __future__ import annotations
@@ -42,6 +51,12 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _UNIT_SCALE = float(1 << 33)  # top 33 bits of the state -> [0, 1)
+# Every operand of Lcg.units is uint64: under NumPy 2's promotion rules a
+# Python int above 2^63 meeting a uint64 array may raise.
+_MULTIPLIER_U64 = np.uint64(LCG_MULTIPLIER)
+_INCREMENT_U64 = np.uint64(LCG_INCREMENT)
+_ONE_U64 = np.uint64(1)
+_UNIT_SHIFT_U64 = np.uint64(31)
 
 _EPS = sys.float_info.epsilon
 _SHIFT_FLOOR = 1e-8  # relative floor on the shifted Hessian's eigenvalues
@@ -70,6 +85,27 @@ class Lcg:
         self.state = state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & _MASK64
         return lo + (hi - lo) * ((state >> 31) / _UNIT_SCALE)
 
+    def units(self, count: int) -> np.ndarray:
+        """The next count values of next_unit(), in one numpy pass, leaving
+        the state where count calls of next_unit() leave it.
+
+        The k-th state is M^k s_0 + c_k with c_k = I (1 + M + ... + M^(k-1)),
+        the powers a running product and c_k a running sum, all mod 2^64."""
+        powers = np.multiply.accumulate(np.full(count, _MULTIPLIER_U64))
+        geometric = np.cumsum(powers) - powers + _ONE_U64  # 1 + M + ... + M^(k-1)
+        states = powers * np.uint64(self.state) + geometric * _INCREMENT_U64
+        if count:
+            self.state = int(states[-1])
+        return (states >> _UNIT_SHIFT_U64).astype(np.float64) / _UNIT_SCALE
+
+    def uniform_rows(self, lower: Sequence[float], upper: Sequence[float], count: int) -> list[tuple[float, ...]]:
+        """count rows of uniform(lower[j], upper[j]) over the columns j, drawn
+        row by row as the loop over rows and columns would draw them, each
+        entry lo + (hi - lo) * u by the same float operations."""
+        lo, hi = np.array(lower, dtype=np.float64), np.array(upper, dtype=np.float64)
+        units = self.units(count * len(lo)).reshape(count, len(lo))
+        return list(map(tuple, (lo + (hi - lo) * units).tolist()))
+
 
 @dataclass(frozen=True)
 class Box:
@@ -81,6 +117,8 @@ class Box:
         upper = tuple(float(x) for x in self.upper)
         if len(lower) != len(upper):
             raise DimensionMismatch("box bounds have different lengths")
+        if not all(map(math.isfinite, lower + upper)):
+            raise ValueError(f"box bounds must be finite, got {lower} .. {upper}")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise ValueError("box must satisfy lower < upper componentwise")
         object.__setattr__(self, "lower", lower)
@@ -266,11 +304,7 @@ def multistart(
         raise DimensionMismatch("multistart supports at most 2 variables matching the box")
     if k_starts < 1:
         raise ValueError(f"need at least 1 start, got {k_starts}")
-    rng = Lcg(seed)
-    starts = [
-        tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
-        for _ in range(k_starts)
-    ]
+    starts = Lcg(seed).uniform_rows(box.lower, box.upper, k_starts)
 
     evaluators = _newton_evaluators(p)  # generated once, shared by every start
     best_x: tuple[float, ...] | None = None

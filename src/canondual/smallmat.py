@@ -18,11 +18,17 @@ other matrix raises DomainViolation and gets no solve.  They are closed
 forms for n <= 2 (a division; the 2x2 inverse by its determinant) and for
 n >= 3 substitution through the Cholesky factor (solve_factored, which
 needs only the factor and the matrix's rows).  For n >= 2 one step of
-iterative refinement and a residual check follow, computed on plain lists.
+iterative refinement and a residual check follow.
 
+The Cholesky factor, the forward and back substitution and the residual
+are straight-line functions on float locals, generated once per matrix
+size n and cached by n (kernels); no loop runs over the entries.  Their
+dot products are written out as plain left-to-right sums,
+0.0 + p0 + p1 + ..., the float operations sum() makes on Python 3.11.
 Everything here is pure-Python float arithmetic: the sizes are tiny, the
 kernels deterministic, and the test suite cross-checks them against
-numpy.linalg independently.
+numpy.linalg independently and against the loops they replace, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ import math
 import sys
 from operator import add, itemgetter, mul
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 
 MAX_DIM = 4
+
+Factor = tuple[tuple[float, ...], ...]  # the rows of a lower Cholesky factor
 
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
@@ -89,11 +97,6 @@ def full_rows(n: int, upper: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """The rows of the symmetric matrix whose upper triangle is the first
     n(n+1)/2 entries of upper."""
     return (tuple(upper[:1]),) if n == 1 else tuple([row(upper) for row in _ROW_GETTERS[n]])
-
-
-# Upper-triangle index of (i, j), j <= i, by matrix size: the lower
-# triangle a Cholesky factorisation reads.
-_LOWER_INDEX = {n: [[_triu_index(n, i, j) for j in range(i + 1)] for i in range(n)] for n in range(1, MAX_DIM + 1)}
 
 
 @dataclass(frozen=True)
@@ -179,22 +182,97 @@ def min_eigenvalue(n: int, upper: Sequence[float]) -> float:
     return eigen_sym(SymMatrix(n, upper[:_triu_len(n)]))[0]
 
 
-def cholesky(n: int, upper: Sequence[float], shift: float) -> list[list[float]] | None:
+def _sum_of(terms: Sequence[str]) -> str:
+    """Source of sum() over the float terms, as Python 3.11 adds them:
+    "(0.0 + t0 + t1 ...)" from left to right, or "" for none."""
+    return f"(0.0 + {' + '.join(terms)})" if terms else ""
+
+
+def _minus_sum(head: str, terms: Sequence[str]) -> str:
+    """Source of head - sum(terms).  An empty sum() is the int 0, and
+    head - 0 has the bits of head, so nothing is subtracted then."""
+    return f"{head} - {_sum_of(terms)}" if terms else head
+
+
+def _kernel_source(n: int) -> str:
+    """The straight-line factor, substitute and residual of size n."""
+    lower = [[f"l{i}{j}" for j in range(i + 1)] for i in range(n)]
+    xs, vs = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+    rows = [[f"a{i}{j}" for j in range(n)] for i in range(n)]
+
+    def tuple_of(names: Sequence[str]) -> str:
+        return "(" + "".join(f"{name}, " for name in names) + ")"
+
+    lines = ["def factor(upper, shift):"]
+    for i in range(n):
+        for j in range(i):
+            dot = [f"l{i}{k} * l{j}{k}" for k in range(j)]
+            lines.append(f"    l{i}{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}{j}")
+        squares = [f"l{i}{k} * l{i}{k}" for k in range(i)]
+        lines += [f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}",
+                  "    if not pivot > 0.0:", "        return None", f"    l{i}{i} = sqrt(pivot)"]
+    lines.append(f"    return {tuple_of(map(tuple_of, lower))}")
+
+    lines += ["def substitute(factor, v):", f"    {tuple_of(map(tuple_of, lower))} = factor",
+              f"    {tuple_of(vs)} = v"]
+    for i in range(n):  # forward: L y = v
+        dot = [f"l{i}{k} * y{k}" for k in range(i)]
+        lines.append(f"    y{i} = ({_minus_sum(f'v{i}', dot)}) / l{i}{i}")
+    for i in reversed(range(n)):  # back: L^T x = y
+        dot = [f"l{k}{i} * x{k}" for k in range(i + 1, n)]
+        lines.append(f"    x{i} = ({_minus_sum(f'y{i}', dot)}) / l{i}{i}")
+    lines.append(f"    return {tuple_of(xs)}")
+
+    lines += ["def residual(rows, v, x):", f"    {tuple_of(map(tuple_of, rows))} = rows",
+              f"    {tuple_of(vs)} = v", f"    {tuple_of(xs)} = x"]
+    for i in range(n):
+        lines.append(f"    r{i} = {_minus_sum(f'v{i}', [f'a{i}{j} * x{j}' for j in range(n)])}")
+    squares = [f"r{i} * r{i}" for i in range(n)]
+    lines.append(f"    return {tuple_of(f'r{i}' for i in range(n))}, sqrt{_sum_of(squares)}")
+    return "\n".join(lines)
+
+
+class Kernels(NamedTuple):
+    """The straight-line Cholesky kernels of one matrix size n."""
+
+    factor: Callable[[Sequence[float], float], Factor | None]
+    substitute: Callable[[Factor, Sequence[float]], tuple[float, ...]]
+    residual: Callable[[Sequence[Sequence[float]], Sequence[float], Sequence[float]],
+                       tuple[tuple[float, ...], float]]
+
+
+# Compiled kernels by matrix size n, generated at first use.
+_KERNELS: dict[int, Kernels] = {}
+
+
+def kernels(n: int) -> Kernels:
+    """The kernels of size n, compiled once per process:
+
+      * factor(upper, shift): cholesky's factor, or None at the first pivot
+        that is not > 0;
+      * substitute(factor, v): x with L L^T x = v, forward then back
+        substitution;
+      * residual(rows, v, x): (v - S x, ||v - S x||) for the S with the
+        given full rows, S x summed row by row.
+
+    Every dot product is written out as sum() over floats adds on Python
+    3.11, 0.0 + p0 + p1 + ... from left to right, and an empty one is left
+    out.  These plain left-to-right sums are the kernels' definition; the
+    compensated sum() of Python 3.12 may round differently.
+    """
+    found = _KERNELS.get(n)
+    if found is None:
+        namespace: dict = {}
+        exec(compile(_kernel_source(n), f"<smallmat kernels n={n}>", "exec"), {"sqrt": math.sqrt}, namespace)
+        found = _KERNELS[n] = Kernels(namespace["factor"], namespace["substitute"], namespace["residual"])
+    return found
+
+
+def cholesky(n: int, upper: Sequence[float], shift: float) -> Factor | None:
     """Rows of the lower factor L, L L^T = S - shift I for the S whose upper
     triangle is the first n(n+1)/2 entries of upper; None when a pivot is
     not > 0, that is when lambda_min(S) <= shift up to rounding."""
-    factor: list[list[float]] = []
-    for i, index in enumerate(_LOWER_INDEX[n]):
-        row: list[float] = []
-        for j in range(i):
-            lower = factor[j]
-            row.append((upper[index[j]] - sum(map(mul, row, lower))) / lower[j])
-        pivot = upper[index[i]] - shift - sum(map(mul, row, row))
-        if not pivot > 0.0:
-            return None
-        row.append(math.sqrt(pivot))
-        factor.append(row)
-    return factor
+    return kernels(n).factor(upper, shift)
 
 
 def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
@@ -206,37 +284,25 @@ def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
     if n == 2:
         a = upper[0] - t
         return a > 0.0 and a * (upper[2] - t) - upper[1] * upper[1] > 0.0
-    return cholesky(n, upper, t) is not None
-
-
-def _substitute(factor: list[list[float]], v: Sequence[float]) -> list[float]:
-    """x with L L^T x = v, by forward then back substitution."""
-    n = len(factor)
-    y: list[float] = []
-    for row, vi in zip(factor, v):
-        y.append((vi - sum(map(mul, row, y))) / row[-1])
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - sum(factor[k][i] * x[k] for k in range(i + 1, n))) / factor[i][i]
-    return x
+    return kernels(n).factor(upper, t) is not None
 
 
 def solve_factored(
-    factor: list[list[float]] | None, rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float
-) -> list[float]:
+    factor: Factor | None, rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float
+) -> tuple[float, ...]:
     """Solve S x = v through factor, cholesky(n, upper, 0.0) of the S with
     the given full rows: substitution, one step of iterative refinement, and
     ColumnSpaceViolation when the residual exceeds residual_tol * (1 + ||v||).
     A factor of None (S not positive definite) raises DomainViolation."""
     if factor is None:
         raise DomainViolation("matrix is not positive definite")
-    x = _substitute(factor, v)
-    residual_vec = [vi - sum(map(mul, row, x)) for row, vi in zip(rows, v)]
-    residual = _norm(residual_vec)
+    _, substitute, residual_of = kernels(len(factor))
+    x = substitute(factor, v)
+    residual_vec, residual = residual_of(rows, v, x)
     v_norm = _norm(v)
     if residual > 1e-14 * (1.0 + v_norm):
-        corrected = list(map(add, x, _substitute(factor, residual_vec)))
-        corrected_residual = _norm([vi - sum(map(mul, row, corrected)) for row, vi in zip(rows, v)])
+        corrected = tuple(map(add, x, substitute(factor, residual_vec)))
+        corrected_residual = residual_of(rows, v, corrected)[1]
         if corrected_residual < residual:
             x, residual = corrected, corrected_residual
     limit = residual_tol * (1.0 + v_norm)
@@ -303,4 +369,4 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
         return Vector((solve_1x1(S.upper[0], v[0]),))
     if S.n == 2:
         return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
-    return Vector(tuple(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol)))
+    return Vector(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol))

@@ -7,7 +7,8 @@ Each suite is a list of named checks mixing three kinds of evidence:
     weak duality, closed-form reproduction), and
   * certificate triage facts (known spurious critical points rejected).
 
-Sampling uses the package's seeded generator, so suites are deterministic.
+Sampling uses the package's seeded generator, so suites are deterministic;
+every sample is drawn through oracle.Lcg.units, most as uniform_rows.
 
 The rules the suites share are stated once each: _zero_gap_triple (all
 three suites; each passes in its own Xi, recomputed apart from the ascent:
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import benchmarks, canonical, dual_solver, oracle
@@ -103,9 +105,8 @@ def _zero_gap_triple(report: dual_solver.CriticalReport, xi: float, detail: str 
 
 
 def _gp_feasible_samples(count: int, seed: int, margin: float = 1e-3) -> list[float]:
-    rng = oracle.Lcg(seed)
     lo = -53.0 / 3.0 + margin
-    return [rng.uniform(lo, 40.0) for _ in range(count)]
+    return (lo + (40.0 - lo) * oracle.Lcg(seed).units(count)).tolist()
 
 
 def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
@@ -157,8 +158,9 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Weak duality: dual values never exceed primal values (100 x 100 samples).
     rng = oracle.Lcg(104)
-    sigmas = [rng.uniform(-53.0 / 3.0 + 1e-6, 40.0) for _ in range(100)]
-    ts = [rng.uniform(-10.0, 10.0) for _ in range(100)]
+    lo = -53.0 / 3.0 + 1e-6
+    sigmas = (lo + (40.0 - lo) * rng.units(100)).tolist()
+    ts = (-10.0 + (10.0 - -10.0) * rng.units(100)).tolist()
     checks.append(
         _weak_duality(
             [canonical.dual_value(pr, (s,)) for s in sigmas],
@@ -188,13 +190,11 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
 def _thc_feasible_samples(count: int, seed: int) -> list[tuple[float, float]]:
     """Strictly feasible THC dual points: s1 in [-0.9, 0.9] and s2 from 0.05
     to 12 above the boundary s2 = 25 s1^2 - 13/5."""
-    rng = oracle.Lcg(seed)
-    points = []
-    for _ in range(count):
-        s1 = rng.uniform(-0.9, 0.9)
-        floor = 25.0 * s1 * s1 - 13.0 / 5.0
-        points.append((s1, rng.uniform(floor + 0.05, floor + 12.0)))
-    return points
+    units = oracle.Lcg(seed).units(2 * count).reshape(count, 2)
+    s1 = -0.9 + (0.9 - -0.9) * units[:, 0]
+    floor = 25.0 * s1 * s1 - 13.0 / 5.0
+    lo, hi = floor + 0.05, floor + 12.0
+    return list(zip(s1.tolist(), (lo + (hi - lo) * units[:, 1]).tolist()))
 
 
 def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
@@ -210,11 +210,8 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Feasibility region is exactly {s2 >= 25 s1^2 - 13/5}: compare the PSD
     # margin sign with the algebraic inequality on a sample sweep.
-    rng = oracle.Lcg(201)
     region_ok = True
-    for _ in range(400):
-        s1 = rng.uniform(-1.5, 1.5)
-        s2 = rng.uniform(-5.0, 10.0)
+    for s1, s2 in oracle.Lcg(201).uniform_rows((-1.5, -5.0), (1.5, 10.0), 400):
         inside, _ = canonical.in_positive_domain(thc, (s1, s2))
         algebraic = s2 >= 25.0 * s1 * s1 - 13.0 / 5.0 - 1e-7
         if inside != algebraic and abs(s2 - (25.0 * s1 * s1 - 13.0 / 5.0)) > 1e-6:
@@ -253,19 +250,26 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
 
 def _problem_interior_samples(
-    pr: canonical.CanonicalProblem, count: int, seed: int
+    pr: canonical.CanonicalProblem, anchor: tuple[float, ...], count: int, seed: int
 ) -> list[tuple[float, ...]]:
-    """Dual points with margin > 10 INTERIOR_MARGIN near the interior-start ray."""
-    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+    """Dual points with margin > 10 INTERIOR_MARGIN near anchor, the interior
+    start: anchor plus uniform(-1, 1) offsets, in draw order, from at most
+    200 count trials, padded with anchor.  The trials are drawn count at a
+    time; the generator is this function's own, so the draws left unused
+    change nothing."""
     rng = oracle.Lcg(seed)
     points: list[tuple[float, ...]] = []
     radius = 1.0
-    attempts = 0
-    while len(points) < count and attempts < 200 * count:
-        attempts += 1
-        trial = tuple(a + rng.uniform(-radius, radius) for a in anchor)
-        if canonical.DualPoint(pr, trial).exceeds(10 * dual_solver.INTERIOR_MARGIN):
-            points.append(trial)
+    attempts, limit = 0, 200 * count
+    while len(points) < count and attempts < limit:
+        chunk = min(count, limit - attempts)
+        attempts += chunk
+        for offset in rng.uniform_rows((-radius,) * pr.m, (radius,) * pr.m, chunk):
+            trial = tuple(map(add, anchor, offset))
+            if canonical.DualPoint(pr, trial).exceeds(10 * dual_solver.INTERIOR_MARGIN):
+                points.append(trial)
+                if len(points) == count:
+                    break
     if len(points) < count:
         points.extend([anchor] * (count - len(points)))
     return points
@@ -278,9 +282,9 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
     rng = oracle.Lcg(301)
 
     # Conjugation involution: applying both duality relations returns sigma.
+    # All 100 samples are drawn first, so pairing's draws follow them.
     invol_ok = True
-    for _ in range(100):
-        sigma = tuple(rng.uniform(-20.0, 20.0) for _ in range(pr.m))
+    for sigma in rng.uniform_rows((-20.0,) * pr.m, (20.0,) * pr.m, 100):
         xi = canonical.conjugate_gradient(pr.V, sigma)
         back = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
         if any(abs(b - s) > 1e-12 * (1.0 + abs(s)) for b, s in zip(back, sigma)):
@@ -290,8 +294,7 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
 
     # Conjugate pairing on the gradient graph: V(xi) + V*(sigma) == xi . sigma.
     pairing_ok = True
-    for _ in range(100):
-        xi = tuple(rng.uniform(-10.0, 10.0) for _ in range(pr.m))
+    for xi in rng.uniform_rows((-10.0,) * pr.m, (10.0,) * pr.m, 100):
         sigma = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
         lhs = pr.V.value(xi) + canonical.conjugate_value(pr.V, sigma)
         rhs = sum(x * s for x, s in zip(xi, sigma))
@@ -300,15 +303,17 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
             break
     checks.append(_check("conjugate-pairing-on-graph", pairing_ok))
 
-    checks.append(_fd_gradient_matches(pr, _problem_interior_samples(pr, 20, seed=302)))
+    # The interior start, found once for both dual samples; solve_canonical
+    # finds its own.
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+    checks.append(_fd_gradient_matches(pr, _problem_interior_samples(pr, anchor, 20, seed=302)))
 
     # Weak duality sampling over feasible duals and a primal box, P through
     # the float evaluator of its exact expansion (the one verify file prints).
-    rng = oracle.Lcg(303)
-    duals = [canonical.dual_value(pr, sigma) for sigma in _problem_interior_samples(pr, 100, seed=304)]
+    duals = [canonical.dual_value(pr, sigma) for sigma in _problem_interior_samples(pr, anchor, 100, seed=304)]
     h = _PRIMAL_BOX_HALFWIDTH
     primal = pr.objective.float_evaluator()
-    primals = [primal(tuple(rng.uniform(-h, h) for _ in range(pr.n))) for _ in range(100)]
+    primals = [primal(x) for x in oracle.Lcg(303).uniform_rows((-h,) * pr.n, (h,) * pr.n, 100)]
     checks.append(_weak_duality(duals, primals))
 
     report = dual_solver.solve_canonical(pr, cfg)

@@ -165,6 +165,16 @@ class TestOracleCommand:
         code, out, _ = run_cli("oracle", "gp", "--grid", "11", "--starts", "8")
         assert "0 failed" in out
 
+    @pytest.mark.parametrize("command", ["oracle", "grid"])
+    @pytest.mark.parametrize("box", [["nan", "1", "-1", "1"], ["-1", "inf", "-1", "1"], ["-1", "1", "-1", "nan"]])
+    def test_non_finite_box_is_a_usage_error(self, tmp_path, command, box):
+        # argparse reads "-inf" as an option, so the CLI cases are nan and inf.
+        extra = ["--n", "11", "--out", str(tmp_path / "grid.csv")] if command == "grid" else []
+        code, out, err = run_cli(command, "gp", "--box", *box, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: box bounds must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_oracle_box_override(self):
         code, out, _ = run_cli(
             "oracle", "thc", "--box", "-1", "1", "-1", "1", "--grid", "41",

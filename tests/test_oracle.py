@@ -60,6 +60,27 @@ class TestLcg:
             assert rng.uniform(lo, hi) == lo + (hi - lo) * reference.next_unit()
         assert rng.state == reference.state
 
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+    @pytest.mark.parametrize("count", [0, 1, 2, 1000])
+    def test_units_are_the_scalar_draws(self, seed, count):
+        rng, reference = Lcg(seed), Lcg(seed)
+        units = rng.units(count)
+        assert units.dtype == np.float64 and units.shape == (count,)
+        assert units.tolist() == [reference.next_unit() for _ in range(count)]
+        assert rng.state == reference.state
+        # The stream goes on where the scalar steps left it.
+        assert rng.units(3).tolist() == [reference.next_unit() for _ in range(3)]
+
+    @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
+    def test_uniform_rows_are_the_scalar_rows(self, seed):
+        rng, reference = Lcg(seed), Lcg(seed)
+        lower, upper = (-2.0, -53.0 / 3.0 + 1e-3, 0.0), (3.0, 40.0, 1.0)
+        expected = [tuple(reference.uniform(lo, hi) for lo, hi in zip(lower, upper)) for _ in range(50)]
+        rows = rng.uniform_rows(lower, upper, 50)
+        assert rows == expected and rng.state == reference.state
+        assert all(type(x) is float for row in rows for x in row)
+        assert rng.uniform_rows((), (), 4) == [()] * 4 and rng.state == reference.state
+
 
 class TestBox:
     def test_validation(self):
@@ -67,6 +88,14 @@ class TestBox:
             Box((0.0,), (0.0,))
         with pytest.raises(DimensionMismatch):
             Box((0.0,), (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_bounds_are_rejected(self, bad, side):
+        lower, upper = [-1.0, -1.0], [1.0, 1.0]
+        (lower if side == "lower" else upper)[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box(tuple(lower), tuple(upper))
 
 
 class TestGridScan:
@@ -376,6 +405,21 @@ class TestMultistart:
     def test_seeded_benchmark_starts_all_converge(self):
         for poly, box in ((gp_objective(), GP_BOX), (thc_objective(), THC_BOX)):
             assert multistart(poly, box, 64, seed=42).failed_starts == 0
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_starts_are_the_scalar_draws(self, monkeypatch, seed):
+        rng = Lcg(seed)
+        expected = [tuple(rng.uniform(lo, hi) for lo, hi in zip(GP_BOX.lower, GP_BOX.upper)) for _ in range(16)]
+        starts = []
+        real_refine = oracle._refine_counted
+
+        def recording(p, start, tol, max_iter, evaluators=None):
+            starts.append(start)
+            return real_refine(p, start, tol, max_iter, evaluators)
+
+        monkeypatch.setattr(oracle, "_refine_counted", recording)
+        multistart(gp_objective(), GP_BOX, 16, seed=seed)
+        assert starts == expected
 
     def test_failed_starts_are_counted_with_their_evaluations(self, monkeypatch):
         rng = Lcg(42)

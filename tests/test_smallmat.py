@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
+from canondual import smallmat
 from canondual.smallmat import (
     SymMatrix,
     _triu_index,
@@ -18,6 +19,7 @@ from canondual.smallmat import (
     cholesky,
     eigen_sym,
     exceeds,
+    kernels,
     min_eigenvalue,
     solve_1x1,
     solve_2x2,
@@ -60,6 +62,23 @@ def _refined_reference(S, v, residual_tol, solve_once):
     if residual > limit:
         raise ColumnSpaceViolation(residual, limit)
     return tuple(x)
+
+
+def _cholesky_reference(n, upper, shift):
+    """The Cholesky factor row by row, each dot product a sum() of the
+    products: the loop the generated factor replaced."""
+    factor = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            lower = factor[j]
+            row.append((upper[_triu_index(n, j, i)] - sum(map(mul, row, lower))) / lower[j])
+        pivot = upper[_triu_index(n, i, i)] - shift - sum(map(mul, row, row))
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return factor
 
 
 def _substitute_reference(factor, v):
@@ -358,3 +377,68 @@ def test_2x2_solve_refines_an_ill_conditioned_system():
     assert np.abs(np.array(x) - expected).max() < np.abs(np.array(closed) - expected).max()
     S = SymMatrix(2, (a, b, d))
     assert norm(residual_vector(S, x, (v0, v1))) < norm(residual_vector(S, closed, (v0, v1)))
+
+
+def bits(values):
+    """The exact bits of floats, signed zeros told apart."""
+    return None if values is None else tuple(map(float.hex, values))
+
+
+@given(sym_matrices(), st.sampled_from([0.0, 1.0, -1.0, 5.0, 20.0]), st.lists(entry, min_size=4, max_size=4),
+       st.sampled_from([1e-9, 1e-16, 0.0]))
+def test_generated_kernels_are_the_loops_bit_for_bit(S, shift, v, residual_tol):
+    # The factor of S - shift I, pivot test included (the larger shifts
+    # make a pivot <= 0), the substitution and the refined, checked solve,
+    # against the loops they replaced; at a tolerance the residual exceeds
+    # both raise the same ColumnSpaceViolation.
+    n, v = S.n, tuple(v[:S.n])
+    factor, expected = cholesky(n, S.upper, shift), _cholesky_reference(n, S.upper, shift)
+    if n >= 3:
+        assert exceeds(n, S.upper, shift) is (factor is not None)
+    if expected is None:
+        assert factor is None
+        return
+    assert [bits(row) for row in factor] == [bits(row) for row in expected]
+    assert bits(kernels(n).substitute(factor, v)) == bits(_substitute_reference(expected, v))
+    diagonal = {_triu_index(n, i, i) for i in range(n)}
+    shifted = SymMatrix(n, tuple(x - shift if k in diagonal else x for k, x in enumerate(S.upper)))
+    try:
+        reference = _refined_reference(shifted, v, residual_tol, partial(_substitute_reference, expected))
+    except ColumnSpaceViolation as raised:
+        with pytest.raises(ColumnSpaceViolation) as caught:
+            solve_factored(factor, shifted.rows, v, residual_tol)
+        assert bits((caught.value.residual, caught.value.tol)) == bits((raised.residual, raised.tol))
+        return
+    assert bits(solve_factored(factor, shifted.rows, v, residual_tol)) == bits(reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_zeros_follow_the_loops(n):
+    # sum() starts from 0, so -0.0 minus a dot product of signed zeros is
+    # -0.0; the generated sums must start from 0.0 to agree.
+    upper = tuple(4.0 if i == j else 0.0 if (i, j) == (0, 1) else -0.0 for i in range(n) for j in range(i, n))
+    v = (0.0,) + (-0.0,) * (n - 1)
+    S = SymMatrix(n, upper)
+    factor = cholesky(n, upper, 0.0)
+    assert [bits(row) for row in factor] == [bits(row) for row in _cholesky_reference(n, upper, 0.0)]
+    x = kernels(n).substitute(factor, v)
+    assert bits(x) == bits(_substitute_reference(factor, v))
+    assert bits(kernels(n).residual(S.rows, v, x)[0]) == bits(residual_vector(S, x, v))
+
+
+def test_kernels_are_compiled_once_per_size(monkeypatch):
+    # A fresh cache fills with one set of kernels per size, keyed by the
+    # integer n, however many matrices of that size are factored and solved.
+    generated = []
+    source = smallmat._kernel_source
+    monkeypatch.setattr(smallmat, "_KERNELS", {})
+    monkeypatch.setattr(smallmat, "_kernel_source", lambda n: generated.append(n) or source(n))
+    for scale in (1.0, 2.0, 3.0):
+        for n in range(1, 5):
+            S = SymMatrix(n, tuple(scale * (n + 1.0) if i == j else 1.0 for i in range(n) for j in range(i, n)))
+            factor = cholesky(n, S.upper, 0.0)
+            solve_factored(factor, S.rows, (1.0,) * n, 1e-9)
+            assert exceeds(n, S.upper, 0.0)
+    assert sorted(generated) == [1, 2, 3, 4]
+    assert sorted(smallmat._KERNELS) == [1, 2, 3, 4] and all(type(n) is int for n in smallmat._KERNELS)
+    assert all(isinstance(found, smallmat.Kernels) for found in smallmat._KERNELS.values())

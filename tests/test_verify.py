@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from canondual import cli, dual_solver, verify
+from canondual import benchmarks, canonical, cli, dual_solver, verify
 from canondual.benchmarks import gp_canonical_g
 from canondual.dual_solver import Certificate, solve_canonical
+from canondual.oracle import Lcg
 from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -119,3 +120,125 @@ def test_weak_duality_fails_when_a_dual_value_exceeds_a_primal_value():
     broken = verify._weak_duality([1.0, 2.5], [2.0, 5.0])
     assert broken.name == "weak-duality-sampling"
     assert not broken.passed and broken.detail == "max dual 2.500000 vs min primal 2.000000"
+
+
+# -- the samplers against the scalar draws they replaced ---------------------
+# Each reference draws with Lcg.uniform, one value at a time; the suites
+# draw through Lcg.units and must give the same samples, bit for bit.
+
+
+def _scalar_gp_feasible_samples(count, seed, margin=1e-3):
+    rng = Lcg(seed)
+    lo = -53.0 / 3.0 + margin
+    return [rng.uniform(lo, 40.0) for _ in range(count)]
+
+
+def _scalar_thc_feasible_samples(count, seed):
+    rng = Lcg(seed)
+    points = []
+    for _ in range(count):
+        s1 = rng.uniform(-0.9, 0.9)
+        floor = 25.0 * s1 * s1 - 13.0 / 5.0
+        points.append((s1, rng.uniform(floor + 0.05, floor + 12.0)))
+    return points
+
+
+def _scalar_interior_samples(pr, anchor, count, seed):
+    rng = Lcg(seed)
+    points = []
+    attempts = 0
+    while len(points) < count and attempts < 200 * count:
+        attempts += 1
+        trial = tuple(a + rng.uniform(-1.0, 1.0) for a in anchor)
+        if canonical.DualPoint(pr, trial).exceeds(10 * dual_solver.INTERIOR_MARGIN):
+            points.append(trial)
+    if len(points) < count:
+        points.extend([anchor] * (count - len(points)))
+    return points
+
+
+def _scalar_rows(rng, lower, upper, count):
+    return [tuple(rng.uniform(lo, hi) for lo, hi in zip(lower, upper)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count, seed, margin", [(1000, 101, 1e-3), (20, 102, 0.5), (400, 103, 1e-3), (0, 1, 0.0)])
+def test_gp_feasible_samples_are_the_scalar_draws(count, seed, margin):
+    assert verify._gp_feasible_samples(count, seed, margin) == _scalar_gp_feasible_samples(count, seed, margin)
+
+
+@pytest.mark.parametrize("count, seed", [(200, 202), (400, 203), (100, 204), (0, 1)])
+def test_thc_feasible_samples_are_the_scalar_draws(count, seed):
+    assert verify._thc_feasible_samples(count, seed) == _scalar_thc_feasible_samples(count, seed)
+
+
+def test_problem_interior_samples_are_the_scalar_draws(pool_paths):
+    problems = [gp_canonical_g(), cli.load_problem_file(PROBLEMS / "gp_g.json")]
+    problems += [cli.load_problem_file(path) for path in pool_paths]
+    for pr in problems:
+        anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+        for count, seed in ((20, 302), (100, 304)):
+            expected = _scalar_interior_samples(pr, anchor, count, seed)
+            assert verify._problem_interior_samples(pr, anchor, count, seed) == expected
+    # No trial is accepted around an anchor outside the domain: 200 count
+    # trials, then the anchor as padding.
+    outside = (-100.0,)
+    assert verify._problem_interior_samples(gp_canonical_g(), outside, 3, 7) == [outside] * 3
+    assert _scalar_interior_samples(gp_canonical_g(), outside, 3, 7) == [outside] * 3
+
+
+def _recorded(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_verify_gp_weak_duality_draws_are_the_scalar_draws(monkeypatch):
+    recorded = _recorded(monkeypatch, verify, "_weak_duality")
+    verify.verify_gp()
+    rng = Lcg(104)
+    sigmas = [rng.uniform(-53.0 / 3.0 + 1e-6, 40.0) for _ in range(100)]
+    ts = [rng.uniform(-10.0, 10.0) for _ in range(100)]
+    pr = gp_canonical_g()
+    assert recorded == [([canonical.dual_value(pr, (s,)) for s in sigmas],
+                         [canonical.primal_value(pr, (t,)) for t in ts])]
+
+
+def test_verify_thc_region_sweep_draws_are_the_scalar_draws(monkeypatch):
+    recorded = _recorded(monkeypatch, canonical, "in_positive_domain")
+    verify.verify_thc()
+    sweep = _scalar_rows(Lcg(201), (-1.5, -5.0), (1.5, 10.0), 400)
+    assert [sigma for _, sigma in recorded] == sweep
+
+
+@pytest.mark.parametrize("index", [0, 35])
+def test_verify_problem_draws_are_the_scalar_draws(monkeypatch, pool_paths, index):
+    # Involution, pairing (after all 100 involution samples), the two
+    # interior samples around one anchor, and the primal box.
+    pr = cli.load_problem_file(pool_paths[index])
+    involution = _recorded(monkeypatch, canonical, "conjugate_gradient")
+    pairing = _recorded(monkeypatch, canonical, "conjugate_value")
+    gradient_points = _recorded(monkeypatch, verify, "_fd_gradient_matches")
+    weak = _recorded(monkeypatch, verify, "_weak_duality")
+    anchors = _recorded(monkeypatch, dual_solver, "find_interior_start")
+    verify.verify_problem(pr)
+    assert len(anchors) == 2  # verify_problem's, once for both samples, and solve_canonical's
+    rng = Lcg(301)
+    sigmas = _scalar_rows(rng, (-20.0,) * pr.m, (20.0,) * pr.m, 100)
+    xis = _scalar_rows(rng, (-10.0,) * pr.m, (10.0,) * pr.m, 100)
+    assert [sigma for _, sigma in involution] == sigmas
+    assert [sigma for _, sigma in pairing[:100]] == [
+        tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi)) for xi in xis
+    ]
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+    assert gradient_points == [(pr, _scalar_interior_samples(pr, anchor, 20, 302))]
+    primal = pr.objective.float_evaluator()
+    duals = [canonical.dual_value(pr, sigma) for sigma in _scalar_interior_samples(pr, anchor, 100, 304)]
+    box = _scalar_rows(Lcg(303), (-10.0,) * pr.n, (10.0,) * pr.n, 100)
+    assert weak == [(duals, [primal(x) for x in box])]
