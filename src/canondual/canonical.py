@@ -51,11 +51,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import add, mul, sub
-from math import isfinite
+from math import isfinite, lcm
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, DomainViolation
-from .polynomial import MultiPoly, RationalLike, rat
+from .polynomial import Exponents, MultiPoly, RationalLike, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
@@ -84,6 +84,12 @@ def _exact(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(rat, values))
 
 
+def _floats(values: Sequence[Fraction]) -> tuple[float, ...]:
+    """The float view of exact values: numerator / denominator, which is
+    what float() of a Fraction computes, without its generic dispatch."""
+    return tuple([x.numerator / x.denominator for x in values])
+
+
 @dataclass(frozen=True)
 class QuadOperator:
     """One quadratic measure: Lambda(x) = 1/2 x^T C x + x^T b + c, C given by
@@ -99,8 +105,8 @@ class QuadOperator:
 
     def __post_init__(self) -> None:
         C, b, c = _exact(self.C), _exact(self.b), rat(self.c)
-        for name, value in (("C", C), ("b", b), ("c", c), ("C_rows", SymMatrix(len(b), C).rows),
-                            ("b_float", tuple(map(float, b))), ("c_float", float(c))):
+        for name, value in (("C", C), ("b", b), ("c", c), ("C_rows", SymMatrix(len(b), _floats(C)).rows),
+                            ("b_float", _floats(b)), ("c_float", _floats((c,))[0])):
             object.__setattr__(self, name, value)
 
     def value(self, x: Sequence[float]) -> float:
@@ -127,7 +133,7 @@ class ConvexQuadV:
         pairs = tuple((rat(a), rat(beta)) for a, beta in self.pairs)
         if not pairs:
             raise DimensionMismatch("V needs at least one component")
-        pairs_float = tuple((float(a), float(beta)) for a, beta in pairs)
+        pairs_float = tuple(map(_floats, pairs))
         for k, (a, _) in enumerate(pairs_float):
             if a <= 0:
                 raise ValueError(f"a[{k}] must be > 0 for strict convexity, got {a}")
@@ -304,7 +310,7 @@ class CanonicalProblem:
 
     def __post_init__(self) -> None:
         A, f = _exact(self.A), _exact(self.f)
-        A_rows = SymMatrix(self.n, A).rows
+        A_rows = SymMatrix(self.n, _floats(A)).rows
         if len(f) != self.n:
             raise DimensionMismatch(f"f has length {len(f)}, expected n={self.n}")
         if not self.ops:
@@ -317,7 +323,7 @@ class CanonicalProblem:
                 f"V has {self.V.m} components but there are {len(self.ops)} operators"
             )
         for name, value in (("A", A), ("f", f), ("ops", tuple(self.ops)), ("A_rows", A_rows),
-                            ("f_float", tuple(map(float, f)))):
+                            ("f_float", _floats(f))):
             object.__setattr__(self, name, value)
 
     @property
@@ -566,42 +572,53 @@ def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
     """P(x) as an exact polynomial of the problem's exact data.
 
-    Expanded on one {exponents: Fraction} map: each Lambda_k as its terms,
-    then a_k Lambda_k^2 + beta_k Lambda_k over the upper triangle of term
-    pairs, then 1/2 x^T A x - x^T f.  Used by the oracle to cross-check
-    solutions of file-defined problems, printed by verify, and compared
-    with g(t) by benchmarks.gp_canonical_g.
+    Expanded on integers: each Lambda_k's terms scaled to integer
+    numerators over the lcm d_k of their denominators, and squared on ints
+    over the upper triangle of term pairs; a_k Lambda_k^2 is then a_k / d_k^2
+    times that square, beta_k Lambda_k is beta_k / d_k times Lambda_k's
+    numerators, and 1/2 x^T A x - x^T f is one more such part.  Every part
+    is gathered over one common denominator, and each monomial of the
+    result makes one Fraction.  Used by the oracle to cross-check solutions
+    of file-defined problems, printed by verify, and compared with g(t) by
+    benchmarks.gp_canonical_g.
     """
     n = pr.n
     zero = (0,) * n
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    def quadratic(S: Sequence[Fraction], b: Sequence[Fraction], c: Fraction) -> list[tuple[tuple[int, ...], Fraction]]:
-        """The terms of 1/2 x^T S x + x^T b + c, S an upper triangle."""
-        terms = {zero: c}
+    def quadratic(S: Sequence[Fraction], b: Sequence[Fraction], c: Fraction) -> tuple[int, list[tuple[Exponents, int]]]:
+        """The nonzero terms of 1/2 x^T S x + x^T b + c, S an upper triangle,
+        as their lcm denominator d and each term's numerator over d."""
+        terms = [(zero, c.numerator, c.denominator)]
         upper = iter(S)
         for i in range(n):
-            terms[units[i]] = b[i]
+            terms.append((units[i], b[i].numerator, b[i].denominator))
             for j in range(i, n):
                 s = next(upper)
-                terms[tuple(map(add, units[i], units[j]))] = s / 2 if i == j else s
-        return [(e, t) for e, t in terms.items() if t]
+                terms.append((tuple(map(add, units[i], units[j])), s.numerator, s.denominator * (2 if i == j else 1)))
+        d = lcm(*(den for _, num, den in terms if num))
+        return d, [(e, num * (d // den)) for e, num, den in terms if num]
 
-    total: dict[tuple[int, ...], Fraction] = {}
-
-    def accumulate(exps: tuple[int, ...], value: Fraction) -> None:
-        total[exps] = total[exps] + value if exps in total else value
-
+    parts: list[tuple[int, int, dict[Exponents, int]]] = []  # (numerator, denominator, integer terms)
     for (a, beta), op in zip(pr.V.pairs, pr.ops):
-        lam = quadratic(op.C, op.b, op.c)
+        d, lam = quadratic(op.C, op.b, op.c)
+        square: dict[Exponents, int] = {}
         for p, (e1, t1) in enumerate(lam):
-            scaled = a * t1
-            accumulate(tuple(map(add, e1, e1)), scaled * t1)
-            twice = 2 * scaled
+            exps = tuple(map(add, e1, e1))
+            square[exps] = square.get(exps, 0) + t1 * t1
+            twice = 2 * t1
             for e2, t2 in lam[p + 1:]:
-                accumulate(tuple(map(add, e1, e2)), twice * t2)
-            accumulate(e1, beta * t1)
+                exps = tuple(map(add, e1, e2))
+                square[exps] = square.get(exps, 0) + twice * t2
+        parts.append((a.numerator, a.denominator * d * d, square))
+        parts.append((beta.numerator, beta.denominator * d, dict(lam)))
     # minus U(x) = +1/2 x^T A x - x^T f
-    for exps, value in quadratic(pr.A, [-f for f in pr.f], Fraction(0)):
-        accumulate(exps, value)
-    return MultiPoly(n, total)
+    d, u = quadratic(pr.A, [-f for f in pr.f], Fraction(0))
+    parts.append((1, d, dict(u)))
+    common = lcm(*(den for _, den, _ in parts))
+    total: dict[Exponents, int] = {}
+    for num, den, terms in parts:
+        scale = num * (common // den)
+        for exps, value in terms.items():
+            total[exps] = total.get(exps, 0) + scale * value
+    return MultiPoly(n, {exps: Fraction(value, common) for exps, value in total.items() if value})

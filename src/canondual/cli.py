@@ -17,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,24 +39,28 @@ _EXIT_VERIFY_FAILED = 3
 # Problem files
 # ---------------------------------------------------------------------------
 
-def _parse_rational(value, where: str) -> Fraction:
-    """The exact rational of a file entry, which must have a float view:
+def _parse_rational(value, where: str, *index: int) -> tuple[Fraction, float]:
+    """The exact rational of the file entry where[index...] and its float
+    view, numerator / denominator as float() computes it, which must exist:
     JSON's Infinity, 1e400 and a 401-digit integer are out of range."""
     try:
         x = rat(value)
-        float(x)
+        return x, x.numerator / x.denominator
     except OverflowError:
-        raise ProblemFileError(f"{where}: {value!r} is outside the float range") from None
+        problem = f"{value!r} is outside the float range"
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ProblemFileError(f"{where}: cannot parse rational from {value!r} ({exc})") from None
-    return x
+        problem = f"cannot parse rational from {value!r} ({exc})"
+    raise ProblemFileError(where + "".join(f"[{i}]" for i in index) + f": {problem}")
 
 
-def _as_float(x: Fraction) -> Fraction:
-    """x rounded to the nearest float, the value a file's coefficient takes
-    in the problem: the solver's float view, verify's printed expansion and
-    the oracle's objective all read files through this rounding."""
-    return Fraction(float(x))
+def _as_float(entry: tuple[Fraction, float]) -> Fraction:
+    """An entry's rational rounded to the nearest float (its float view),
+    the value a file's coefficient takes in the problem: the solver's float
+    view, verify's printed expansion and the oracle's objective all read
+    files through this rounding.  A rational that is a float is kept."""
+    x, view = entry
+    ratio = view.as_integer_ratio()
+    return x if ratio == (x.numerator, x.denominator) else Fraction(*ratio)
 
 
 def _parse_matrix(data, n: int, where: str) -> tuple[Fraction, ...]:
@@ -65,13 +70,10 @@ def _parse_matrix(data, n: int, where: str) -> tuple[Fraction, ...]:
         not isinstance(row, list) or len(row) != n for row in data
     ):
         raise ProblemFileError(f"{where}: expected an {n}x{n} row-major matrix")
-    rows = tuple(
-        tuple(_parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(data)
-    )
+    rows = [[_parse_rational(x, where, i, j) for j, x in enumerate(row)] for i, row in enumerate(data)]
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if rows[i][j][0] != rows[j][i][0]:
                 raise ProblemFileError(f"{where} must be symmetric: entries ({i},{j}) and ({j},{i}) differ")
     return tuple(_as_float(rows[i][j]) for i in range(n) for j in range(i, n))
 
@@ -79,7 +81,7 @@ def _parse_matrix(data, n: int, where: str) -> tuple[Fraction, ...]:
 def _parse_vector(data, n: int, where: str) -> tuple[Fraction, ...]:
     if not isinstance(data, list) or len(data) != n:
         raise ProblemFileError(f"{where}: expected a vector of length {n}")
-    return tuple(_as_float(_parse_rational(x, f"{where}[{i}]")) for i, x in enumerate(data))
+    return tuple(_as_float(_parse_rational(x, where, i)) for i, x in enumerate(data))
 
 
 def parse_problem_dict(data: dict, where: str = "problem") -> canonical.CanonicalProblem:
@@ -113,8 +115,8 @@ def parse_problem_dict(data: dict, where: str = "problem") -> canonical.Canonica
             raise ProblemFileError(f"{where}.V[{k}] must be an object")
         a = _parse_rational(component.get("a"), f"{where}.V[{k}].a")
         beta = _parse_rational(component.get("beta", 0), f"{where}.V[{k}].beta")
-        if a <= 0:
-            raise ProblemFileError(f"{where}.V[{k}].a must be > 0, got {a}")
+        if a[0] <= 0:
+            raise ProblemFileError(f"{where}.V[{k}].a must be > 0, got {a[0]}")
         V.append((_as_float(a), _as_float(beta)))
     return canonical.CanonicalProblem(n=n, A=A, f=f, ops=tuple(operators), V=canonical.ConvexQuadV(tuple(V)))
 
@@ -371,7 +373,19 @@ def _cmd_grid(args) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# argparse reads a token that starts with "-" as a value, not an option,
+# when this pattern calls it a negative number.  Python 3.11's own pattern
+# knows -1 and -1.5 only; this one also takes an exponent, -inf and -nan,
+# so that --box -1e0 1 -inf 1 reaches oracle.Box, which rejects non-finite
+# bounds.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise _UsageError(message)
 

@@ -249,10 +249,9 @@ def maximize_concave(
         if grad_norm <= cfg.grad_tol:
             return AscentResult(point, value, grad_norm, iteration, True)
 
-        neg_hess = point.hessian().scale(-1.0)
-        direction = grad  # steepest ascent, unless the Newton step ascends
+        direction = grad  # steepest ascent, unless the Hessian and the Newton step exist and it ascends
         try:
-            d = solve_sym(neg_hess, Vector(grad), 1e-6)
+            d = solve_sym(point.hessian().scale(-1.0), Vector(grad), 1e-6)
         except (ColumnSpaceViolation, DomainViolation):
             pass
         else:

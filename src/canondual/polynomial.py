@@ -19,19 +19,23 @@ degree first, ties broken by descending exponent tuple, so output is
 deterministic.
 
 Float evaluation at one point has a single path: ``eval`` calls the
-straight-line function that ``float_evaluator`` generates from the float
-coefficients, with one table of powers per variable shared by all terms.
-``joint_evaluator`` is the same generator given several polynomials, such
-as a gradient and Hessian: one table of powers, one sum per polynomial,
-each output bit for bit that polynomial's ``float_evaluator``.  Partial
-derivatives are cached on their polynomial, so their evaluators are
-compiled once.  ``as_arrays`` hands the same float terms to the lattice
-kernel of module ``kernels``, and ``eval_exact`` is the exact rational
-reference.
+straight-line function that ``float_evaluator`` generates, with one table
+of powers per variable shared by all terms.  ``joint_evaluator`` is the
+same generator given several polynomials, such as a gradient and Hessian:
+one table of powers, one sum per polynomial, each output bit for bit that
+polynomial's ``float_evaluator``.  The code is compiled once per shape,
+the arity and each polynomial's graded-lex exponent list; the
+coefficients are the code's constants, bound per polynomial, so a
+polynomial and its rounding-bound polynomial share one compile, and so do
+problems that differ only in their coefficients.  Partial derivatives are
+cached on their polynomial, so their evaluators are bound once.
+``as_arrays`` hands the same float terms to the lattice kernel of module
+``kernels``, and ``eval_exact`` is the exact rational reference.
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
@@ -54,18 +58,16 @@ def rat(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational coefficient")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(int(text))
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational coefficient")
+    if isinstance(value, (int, float)):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -79,17 +81,26 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 # exhausts its recursion limit.
 _TERMS_PER_STATEMENT = 1000
 
+# Compiled evaluators by shape: (arity, the graded-lex exponent list of each
+# polynomial).  A shape holds no coefficient values, so every polynomial of
+# one shape shares one code object.  Each entry is (that code object, the
+# positions in its co_consts of the coefficients, in term order).
+_EVALUATORS: dict[tuple, tuple[types.CodeType, tuple[int, ...]]] = {}
 
-def _compile_evaluator(
-    arity: int, term_lists: Sequence[tuple[Sequence[Exponents], Sequence[float]]]
-) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
-    """Generate and compile ``evaluate(point)`` for one or more polynomials,
-    each given by its graded-lex float terms (see MultiPoly.float_evaluator):
-    one table of powers up to each variable's largest exponent across all of
-    them, then one sum per polynomial, ``0.0 + t1 + t2 + ...`` in graded-lex
-    order, written as one expression (one per _TERMS_PER_STATEMENT terms).
-    The function returns the one sum, or the tuple of sums when given
-    several polynomials."""
+
+def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> tuple[types.CodeType, tuple[int, ...]]:
+    """Generate and compile ``evaluate(point)`` for one or more polynomials
+    of the given graded-lex exponent lists: one table of powers up to each
+    variable's largest exponent across all of them, then one sum per
+    polynomial, ``0.0 + t1 + t2 + ...`` in graded-lex order, written as one
+    expression (one per _TERMS_PER_STATEMENT terms).  The function returns
+    the one sum, or the tuple of sums when given several polynomials.
+
+    Each coefficient is written as a placeholder constant, 1.0, 2.0, ... in
+    term order, and the positions of the placeholders in the code's
+    co_consts are returned with it.  A polynomial that is one constant term
+    is written as that term alone: ``0.0 + c`` would fold into one
+    constant, and for c != 0 it has the bits of c."""
 
     def power(v: int, e: int) -> str:
         return f"x{v}" if e == 1 else f"x{v}_{e}"
@@ -97,29 +108,51 @@ def _compile_evaluator(
     names = ", ".join(f"x{v}" for v in range(arity))
     lines = ["def evaluate(point):", f"    {names}, = point"]
     for v in range(arity):
-        top = max((exps[v] for exps_list, _ in term_lists for exps in exps_list), default=0)
+        top = max((exps[v] for exps_list in shape for exps in exps_list), default=0)
         for e in range(2, top + 1):
             lines.append(f"    {power(v, e)} = {power(v, e - 1)} * x{v}")
-    totals = ["total"] if len(term_lists) == 1 else [f"total{k}" for k in range(len(term_lists))]
-    for total, (exps_list, coeffs) in zip(totals, term_lists):
-        terms = [
-            f"{coeff!r}" + "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e)
-            for exps, coeff in zip(exps_list, coeffs)
-        ]
-        start = "0.0"
+    totals = ["total"] if len(shape) == 1 else [f"total{k}" for k in range(len(shape))]
+    count = 0
+    for total, exps_list in zip(totals, shape):
+        terms = []
+        for exps in exps_list:
+            count += 1
+            terms.append(f"{float(count)!r}" + "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e))
+        start = [] if len(exps_list) == 1 and not any(exps_list[0]) else ["0.0"]
         for i in range(0, max(len(terms), 1), _TERMS_PER_STATEMENT):
-            lines.append(f"    {total} = " + " + ".join([start, *terms[i:i + _TERMS_PER_STATEMENT]]))
-            start = total
+            lines.append(f"    {total} = " + " + ".join([*start, *terms[i:i + _TERMS_PER_STATEMENT]]))
+            start = [total]
     lines.append(f"    return {', '.join(totals)}")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<MultiPoly.float_evaluator>", "exec"), {}, namespace)
-    return namespace["evaluate"]
+    code = namespace["evaluate"].__code__
+    position = {c: i for i, c in enumerate(code.co_consts) if type(c) is float}
+    return code, tuple(position[float(k)] for k in range(1, count + 1))
+
+
+def _compile_evaluator(
+    arity: int, term_lists: Sequence[tuple[Sequence[Exponents], Sequence[float]]]
+) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
+    """The evaluator of one or more polynomials, each given by its
+    graded-lex float terms (see MultiPoly.float_evaluator): the code of
+    their shape (_compile_shape, compiled once per shape and process) with
+    the float coefficients put in as its constants."""
+    shape = tuple(tuple(exps_list) for exps_list, _ in term_lists)
+    compiled = _EVALUATORS.get((arity, shape))
+    if compiled is None:
+        compiled = _EVALUATORS[arity, shape] = _compile_shape(arity, shape)
+    code, positions = compiled
+    consts = list(code.co_consts)
+    for position, coeff in zip(positions, [c for _, coeffs in term_lists for c in coeffs]):
+        consts[position] = coeff
+    return types.FunctionType(code.replace(co_consts=tuple(consts)), {})
 
 
 def joint_evaluator(polys: Sequence["MultiPoly"]) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """One generated function returning the values of two or more
     polynomials of one arity at a point, from one shared table of powers.
-    Output k is bit for bit ``polys[k].float_evaluator()`` at the point."""
+    Output k is bit for bit ``polys[k].float_evaluator()`` at the point.
+    Compiled once per shape; the coefficients are the code's constants."""
     return _compile_evaluator(polys[0].arity, [p._float_terms() for p in polys])
 
 
@@ -327,7 +360,8 @@ class MultiPoly:
         cached = getattr(self, "_float_cache", None)
         if cached is None:
             exps_list = self.sorted_exponents()
-            coeffs = [float(self.terms[e]) for e in exps_list]
+            # float() of a Fraction, numerator / denominator, without its generic dispatch
+            coeffs = [c.numerator / c.denominator for c in map(self.terms.__getitem__, exps_list)]
             cached = (exps_list, coeffs)
             object.__setattr__(self, "_float_cache", cached)
         return cached
@@ -335,12 +369,15 @@ class MultiPoly:
     def float_evaluator(self) -> Callable[[Sequence[float]], float]:
         """Straight-line float evaluator generated from the float terms.
 
-        The source is built only from the float coefficients (written with
-        ``repr``, which round-trips exactly) and the integer exponents: one
-        line per needed power ``x{v}_{e}`` by repeated multiplication, then
-        the sum of the graded-lex terms.  It is the one scalar float
-        evaluator: ``eval`` calls it, and so do Newton refinement and root
-        polishing, at a few microseconds per call.  Compiled once and cached.
+        The source is built from the integer exponents alone: one line per
+        needed power ``x{v}_{e}`` by repeated multiplication, then the sum
+        of the graded-lex terms, each a coefficient times its powers.  It
+        is compiled once per shape; the float coefficients are the code's
+        constants, put in with ``code.replace(co_consts=...)``, so a call
+        runs as with the coefficients written in as literals.  It is the
+        one scalar float evaluator: ``eval`` calls it, and so do Newton
+        refinement and root polishing, at a few microseconds per call.
+        Bound once and cached on the polynomial.
         """
         cached = getattr(self, "_evaluator_cache", None)
         if cached is None:

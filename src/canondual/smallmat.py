@@ -195,10 +195,12 @@ def _minus_sum(head: str, terms: Sequence[str]) -> str:
 
 
 def _kernel_source(n: int) -> str:
-    """The straight-line factor, substitute and residual of size n."""
-    lower = [[f"l{i}{j}" for j in range(i + 1)] for i in range(n)]
+    """The straight-line factor, substitute and residual of size n.  The
+    entries of L and of the rows are named l{i}_{j} and a{i}_{j}: without the
+    separator, l1_11 and l11_1 would both be l111 from n = 12 on."""
+    lower = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(n)]
     xs, vs = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
-    rows = [[f"a{i}{j}" for j in range(n)] for i in range(n)]
+    rows = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
 
     def tuple_of(names: Sequence[str]) -> str:
         return "(" + "".join(f"{name}, " for name in names) + ")"
@@ -206,27 +208,27 @@ def _kernel_source(n: int) -> str:
     lines = ["def factor(upper, shift):"]
     for i in range(n):
         for j in range(i):
-            dot = [f"l{i}{k} * l{j}{k}" for k in range(j)]
-            lines.append(f"    l{i}{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}{j}")
-        squares = [f"l{i}{k} * l{i}{k}" for k in range(i)]
+            dot = [f"l{i}_{k} * l{j}_{k}" for k in range(j)]
+            lines.append(f"    l{i}_{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}_{j}")
+        squares = [f"l{i}_{k} * l{i}_{k}" for k in range(i)]
         lines += [f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}",
-                  "    if not pivot > 0.0:", "        return None", f"    l{i}{i} = sqrt(pivot)"]
+                  "    if not pivot > 0.0:", "        return None", f"    l{i}_{i} = sqrt(pivot)"]
     lines.append(f"    return {tuple_of(map(tuple_of, lower))}")
 
     lines += ["def substitute(factor, v):", f"    {tuple_of(map(tuple_of, lower))} = factor",
               f"    {tuple_of(vs)} = v"]
     for i in range(n):  # forward: L y = v
-        dot = [f"l{i}{k} * y{k}" for k in range(i)]
-        lines.append(f"    y{i} = ({_minus_sum(f'v{i}', dot)}) / l{i}{i}")
+        dot = [f"l{i}_{k} * y{k}" for k in range(i)]
+        lines.append(f"    y{i} = ({_minus_sum(f'v{i}', dot)}) / l{i}_{i}")
     for i in reversed(range(n)):  # back: L^T x = y
-        dot = [f"l{k}{i} * x{k}" for k in range(i + 1, n)]
-        lines.append(f"    x{i} = ({_minus_sum(f'y{i}', dot)}) / l{i}{i}")
+        dot = [f"l{k}_{i} * x{k}" for k in range(i + 1, n)]
+        lines.append(f"    x{i} = ({_minus_sum(f'y{i}', dot)}) / l{i}_{i}")
     lines.append(f"    return {tuple_of(xs)}")
 
     lines += ["def residual(rows, v, x):", f"    {tuple_of(map(tuple_of, rows))} = rows",
               f"    {tuple_of(vs)} = v", f"    {tuple_of(xs)} = x"]
     for i in range(n):
-        lines.append(f"    r{i} = {_minus_sum(f'v{i}', [f'a{i}{j} * x{j}' for j in range(n)])}")
+        lines.append(f"    r{i} = {_minus_sum(f'v{i}', [f'a{i}_{j} * x{j}' for j in range(n)])}")
     squares = [f"r{i} * r{i}" for i in range(n)]
     lines.append(f"    return {tuple_of(f'r{i}' for i in range(n))}, sqrt{_sum_of(squares)}")
     return "\n".join(lines)

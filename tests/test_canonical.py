@@ -598,6 +598,75 @@ def test_primal_value_is_bit_identical_to_the_object_form(case, data):
     assert canonical.primal_value(pr, list(x)) == pr.V.value(xi) - u
 
 
+def _primal_polynomial_term_by_term(pr):
+    """P(x) accumulated one Fraction term at a time on one {exponents:
+    Fraction} map: each Lambda_k's terms, then a_k Lambda_k^2 + beta_k
+    Lambda_k over the upper triangle of term pairs, then 1/2 x^T A x - x^T f.
+    primal_polynomial's expansion on integers replaced it."""
+    n = pr.n
+    zero = (0,) * n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def quadratic(S, b, c):
+        terms = {zero: c}
+        upper = iter(S)
+        for i in range(n):
+            terms[units[i]] = b[i]
+            for j in range(i, n):
+                s = next(upper)
+                terms[tuple(map(sum, zip(units[i], units[j])))] = s / 2 if i == j else s
+        return [(e, t) for e, t in terms.items() if t]
+
+    total = {}
+
+    def accumulate(exps, value):
+        total[exps] = total[exps] + value if exps in total else value
+
+    for (a, beta), op in zip(pr.V.pairs, pr.ops):
+        lam = quadratic(op.C, op.b, op.c)
+        for p, (e1, t1) in enumerate(lam):
+            accumulate(tuple(2 * e for e in e1), a * t1 * t1)
+            for e2, t2 in lam[p + 1:]:
+                accumulate(tuple(map(sum, zip(e1, e2))), 2 * a * t1 * t2)
+            accumulate(e1, beta * t1)
+    for exps, value in quadratic(pr.A, [-f for f in pr.f], Fraction(0)):
+        accumulate(exps, value)
+    return MultiPoly(n, total)
+
+
+rationals = st.fractions(min_value=-7, max_value=7, max_denominator=30)
+
+
+@st.composite
+def exact_canonical_problems(draw):
+    """A canonical problem (n <= 4, m <= 3) of arbitrary rationals, zeros
+    among them; V's a_k > 0 and beta_k rational."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    entries = st.one_of(st.just(Fraction(0)), rationals)
+
+    def row(size):
+        return tuple(draw(st.lists(entries, min_size=size, max_size=size)))
+
+    ops = tuple(canonical.QuadOperator(C=row(n * (n + 1) // 2), b=row(n), c=draw(entries)) for _ in range(m))
+    V = canonical.ConvexQuadV(tuple(
+        (draw(st.fractions(min_value=Fraction(1, 30), max_value=5, max_denominator=30)), draw(entries))
+        for _ in range(m)
+    ))
+    return canonical.CanonicalProblem(n=n, A=row(n * (n + 1) // 2), f=row(n), ops=ops, V=V)
+
+
+@given(exact_canonical_problems())
+def test_primal_polynomial_is_the_term_by_term_expansion(pr):
+    assert canonical.primal_polynomial(pr) == _primal_polynomial_term_by_term(pr)
+
+
+def test_primal_polynomial_of_the_planted_pool(pool_paths):
+    for path in pool_paths:
+        pr = cli.load_problem_file(path)
+        assert canonical.primal_polynomial(pr) == _primal_polynomial_term_by_term(pr)
+
+
 class TestPrimalPolynomial:
     def test_matches_primal_value_on_samples(self, gp):
         poly = canonical.primal_polynomial(gp)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,14 +11,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canondual import cli
 from canondual.benchmarks import thc_objective
 from canondual.errors import ProblemFileError
 from canondual.oracle import Box
+from canondual.polynomial import rat
+from canondual.smallmat import _triu_index
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
+DATA = ROOT / "tests" / "data"
 
 
 def run_cli(*argv):
@@ -97,6 +103,18 @@ class TestSolveCommand:
         assert data["x_star"][0] == pytest.approx(3.0, abs=1e-8)
 
 
+    def test_a_failed_hessian_solve_is_not_an_error(self):
+        # The Hessian's solve at an iterate fails its residual check; the
+        # ascent takes a steepest-ascent step instead of stopping at
+        # "error: solve residual ... > tol ...".
+        code, out, err = run_cli("solve", "file", str(DATA / "survey_4_4_13.json"), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["certificate"] == "GlobalMinimumCertified"
+        code, out, err = run_cli("solve", "file", str(DATA / "survey_4_3_0.json"), "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["certificate"] == "BoundaryCritical"
+
+
 class TestVerifyCommand:
     def test_verify_gp(self):
         code, out, _ = run_cli("verify", "gp")
@@ -166,14 +184,22 @@ class TestOracleCommand:
         assert "0 failed" in out
 
     @pytest.mark.parametrize("command", ["oracle", "grid"])
-    @pytest.mark.parametrize("box", [["nan", "1", "-1", "1"], ["-1", "inf", "-1", "1"], ["-1", "1", "-1", "nan"]])
+    @pytest.mark.parametrize("box", [["nan", "1", "-1", "1"], ["-1", "inf", "-1", "1"], ["-1", "1", "-1", "nan"],
+                                     ["-inf", "1", "-1", "1"], ["-1", "1", "-INF", "1"], ["-1e0", "1", "-nan", "1"]])
     def test_non_finite_box_is_a_usage_error(self, tmp_path, command, box):
-        # argparse reads "-inf" as an option, so the CLI cases are nan and inf.
         extra = ["--n", "11", "--out", str(tmp_path / "grid.csv")] if command == "grid" else []
         code, out, err = run_cli(command, "gp", "--box", *box, *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: box bounds must be finite") and err.count("\n") == 1
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("box", [["-1e0", "1", "-1", "1"], ["-1", "1E0", "-1.0E+0", "1"],
+                                     ["-.1e1", "1", "-10e-1", "1e0"]])
+    def test_box_bounds_may_have_an_exponent(self, box):
+        argv = ["oracle", "thc", "--grid", "11", "--starts", "4", "--format", "json"]
+        code, out, err = run_cli(*argv, "--box", *box)
+        assert (code, err) == (0, "")
+        assert out == run_cli(*argv, "--box", "-1", "1", "-1", "1")[1]
 
     def test_oracle_box_override(self):
         code, out, _ = run_cli(
@@ -298,6 +324,95 @@ class TestProblemFiles:
         code, _, err = run_cli("solve", "file", "/nonexistent/problem.json")
         assert code == 1
         assert "problem.json" in err
+
+
+# -- the reader: one exact value and one float view per entry ---------------
+
+json_entries = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.fractions(max_denominator=10**6).map(lambda x: f"{x.numerator}/{x.denominator}"),
+    st.integers(-99, 99).map(str),
+)
+
+
+@st.composite
+def problem_dicts(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def matrix():
+        upper = {(i, j): draw(json_entries) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+    def vector():
+        return draw(st.lists(json_entries, min_size=n, max_size=n))
+
+    return {"n": n, "m": m, "A": matrix(), "f": vector(),
+            "operators": [{"C": matrix(), "b": vector(), "c": draw(json_entries)} for _ in range(m)],
+            "V": [{"a": draw(st.integers(1, 9).map(lambda k: f"{k}/7")), "beta": draw(json_entries)}
+                  for _ in range(m)]}
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@given(problem_dicts())
+def test_reader_stores_each_entry_rounded_to_a_float(data):
+    # The reference reads each entry as rat(x) and stores Fraction(float(x));
+    # the float views are float() of what is stored.
+    def stored(value):
+        return Fraction(float(rat(value)))
+
+    def upper(rows):
+        return tuple(stored(rows[i][j]) for i in range(len(rows)) for j in range(i, len(rows)))
+
+    pr = cli.parse_problem_dict(data)
+    assert pr.A == upper(data["A"]) and pr.f == tuple(map(stored, data["f"]))
+    assert _bits(pr.f_float) == _bits(map(float, pr.f))
+    assert _bits(x for row in pr.A_rows for x in row) == _bits(float(pr.A[_triu_index(pr.n, i, j)])
+                                                               for i in range(pr.n) for j in range(pr.n))
+    for op, given_op in zip(pr.ops, data["operators"]):
+        assert (op.C, op.b, op.c) == (upper(given_op["C"]), tuple(map(stored, given_op["b"])), stored(given_op["c"]))
+        assert _bits((*op.b_float, op.c_float)) == _bits(map(float, (*op.b, op.c)))
+        assert _bits(x for row in op.C_rows for x in row) == _bits(float(op.C[_triu_index(pr.n, i, j)])
+                                                                   for i in range(pr.n) for j in range(pr.n))
+    assert pr.V.pairs == tuple((stored(v["a"]), stored(v["beta"])) for v in data["V"])
+    assert _bits(x for pair in pr.V.pairs_float for x in pair) == _bits(float(x) for pair in pr.V.pairs for x in pair)
+
+
+_READER_BASE = {"n": 2, "m": 1, "A": [[2, "1/3"], ["1/3", 2]], "f": [0, 1.5],
+                "operators": [{"C": [[1, 0], [0, 1]], "b": [0, 0], "c": 0}], "V": [{"a": 1, "beta": 0}]}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("A", 1, 0), "1/0", "problem.A[1][0]: cannot parse rational from '1/0' (Fraction(1, 0))"),
+    (("A", 0, 1), "x", "problem.A[0][1]: cannot parse rational from 'x' (invalid literal for int() with base 10: 'x')"),
+    (("f", 1), True, "problem.f[1]: cannot parse rational from True (bool is not a rational coefficient)"),
+    (("f", 0), float("nan"), "problem.f[0]: cannot parse rational from nan (cannot convert NaN to integer ratio)"),
+    (("operators", 0, "c"), "1e400",
+     "problem.operators[0].c: cannot parse rational from '1e400' (invalid literal for int() with base 10: '1e400')"),
+    (("operators", 0, "b", 1), float("inf"), "problem.operators[0].b[1]: inf is outside the float range"),
+    (("operators", 0, "C", 1, 1), "1" + "0" * 400,
+     "problem.operators[0].C[1][1]: '1" + "0" * 400 + "' is outside the float range"),
+    (("V", 0, "a"), "0", "problem.V[0].a must be > 0, got 0"),
+    (("V", 0, "a"), "-1/3", "problem.V[0].a must be > 0, got -1/3"),
+    (("V", 0, "a"), None, "problem.V[0].a: cannot parse rational from None (cannot interpret None as a rational)"),
+    (("V", 0, "beta"), [1], "problem.V[0].beta: cannot parse rational from [1] (cannot interpret [1] as a rational)"),
+    # 1/3 and the float nearest it differ exactly: symmetry is checked before rounding.
+    (("A", 0, 1), 0.3333333333333333, "problem.A must be symmetric: entries (0,1) and (1,0) differ"),
+    (("A", 0, 1), " 3 / x", "problem.A[0][1]: cannot parse rational from ' 3 / x' (invalid literal for int() with base 10: 'x')"),
+    (("f", 0), "1/2/3", "problem.f[0]: cannot parse rational from '1/2/3' (invalid literal for int() with base 10: '2/3')"),
+])
+def test_reader_error_text(path, value, message):
+    data = json.loads(json.dumps(_READER_BASE))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ProblemFileError) as raised:
+        cli.parse_problem_dict(data)
+    assert str(raised.value) == message
 
 
 class TestUsageErrors:

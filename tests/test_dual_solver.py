@@ -6,11 +6,12 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from canondual import canonical, dual_solver
-from canondual.cli import parse_problem_dict
+from canondual.cli import load_problem_file, parse_problem_dict
 from canondual.benchmarks import gp_canonical_g, thc_problem
 from canondual.dual_solver import (
     Certificate,
@@ -422,6 +423,30 @@ class TestSolveCanonical:
         assert report.grad_norm <= SolverConfig().grad_tol
         # Newton with the exact Hessian converges quadratically near sigma*.
         assert report.iterations <= 20
+
+
+# Problems of the planted recipe (perfbench/planted.generate, seeds
+# "survey:0.25:n:m:i") on which the Hessian's solve failed its residual
+# check, outside the guard that sends a failed Newton solve to steepest
+# ascent: solve and verify stopped at "error: solve residual ... > tol ...".
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestHessianInsideTheGuard:
+    def test_a_failed_hessian_solve_takes_a_steepest_ascent_step(self):
+        # n = 4, m = 4, i = 13: certified at its planted minimiser.
+        report = solve_canonical(load_problem_file(DATA / "survey_4_4_13.json"))
+        assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
+        for got, want in zip(report.x_bar, (-1.25, -0.25, 1.0, -1.75)):
+            assert got == pytest.approx(want, abs=1e-9)
+        assert report.primal == pytest.approx(-63.5594482421875, abs=1e-12)
+
+    def test_the_crawl_still_ends_at_the_boundary(self):
+        # n = 4, m = 3, i = 0: no escaped error now, but the ascent still
+        # crawls to the PSD boundary; the planted sigma* is interior, so the
+        # label is wrong (a barrier path is the open remedy).
+        report = solve_canonical(load_problem_file(DATA / "survey_4_3_0.json"))
+        assert report.certificate is Certificate.BOUNDARY_CRITICAL
 
 
 class TestSolverConfig:

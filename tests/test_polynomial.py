@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canondual import cli, oracle, polynomial
 from canondual.errors import DimensionMismatch
 from canondual.polynomial import MultiPoly, first_diff_term, joint_evaluator, rat
 
@@ -346,9 +347,72 @@ def test_float_evaluator_is_the_single_polynomial_generator(case):
 def test_float_evaluator_splits_sums_the_compiler_cannot_take_whole():
     # 3600 terms: one 3600-term expression overflows the compiler's
     # recursion limit; the sum is written a thousand terms per statement.
+    # The second polynomial of the shape binds its own coefficients into
+    # the first one's code.
     rng = random.Random(5)
-    poly = MultiPoly(2, {(a, b): rng.randint(-9, 9) or 1 for a in range(60) for b in range(60)})
-    reference = _single_polynomial_generator(2, *poly._float_terms())
-    for _ in range(50):
-        point = (rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
-        assert _bits(poly.eval(point)) == _bits(reference(point))
+    exponents = [(a, b) for a in range(60) for b in range(60)]
+    polys = [MultiPoly(2, {e: rng.randint(-9, 9) or 1 for e in exponents}) for _ in range(2)]
+    assert polys[0].float_evaluator().__code__.co_code == polys[1].float_evaluator().__code__.co_code
+    for poly in polys:
+        reference = _single_polynomial_generator(2, *poly._float_terms())
+        for _ in range(50):
+            point = (rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
+            assert _bits(poly.eval(point)) == _bits(reference(point))
+
+
+# -- one compile per shape ----------------------------------------------------
+
+repeated_coefficients = st.sampled_from([-2.5, -1.0, 0.1, 1.0, 3.0, 1e300])
+
+
+@st.composite
+def polynomials_of_one_shape(draw):
+    """Two to four polynomials with one exponent list and coefficients
+    drawn from a few values, so that values repeat within and across them;
+    a constant and the zero polynomial are shapes of their own."""
+    arity = draw(st.integers(1, 4))
+    exponents = draw(st.sets(st.tuples(*[st.integers(0, 4)] * arity), min_size=0, max_size=6))
+    count = draw(st.integers(2, 4))
+    polys = [MultiPoly.from_terms(arity, {e: draw(repeated_coefficients) for e in exponents}) for _ in range(count)]
+    point = draw(st.lists(float_points, min_size=arity, max_size=arity))
+    return polys, point
+
+
+@given(polynomials_of_one_shape())
+def test_one_shape_binds_each_polynomials_own_coefficients(case):
+    polys, point = case
+    for poly in polys:
+        reference = _single_polynomial_generator(poly.arity, *poly._float_terms())
+        assert _bits(poly.float_evaluator()(point)) == _bits(reference(point))
+    codes = {poly.float_evaluator().__code__.co_code for poly in polys}
+    assert len(codes) == 1
+
+
+def test_evaluators_are_compiled_once_per_shape(monkeypatch):
+    # P and its rounding-bound polynomial |P| share one shape, and so do the
+    # objectives of two problems that differ only in their coefficients.
+    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
+    p = MultiPoly.from_terms(2, {(4, 0): 1, (2, 1): -3, (0, 2): Fraction(1, 3), (1, 0): -1, (0, 0): 2})
+    value, bound, _ = oracle._newton_evaluators(p)
+    assert len(polynomial._EVALUATORS) == 2  # P and |P|; the gradient and Hessian
+    assert value.__code__.co_code == bound.__code__.co_code
+    q = MultiPoly.from_terms(2, {e: 2 * c + 1 for e, c in p.terms.items()})
+    oracle._newton_evaluators(q)
+    assert len(polynomial._EVALUATORS) == 2
+    point = (0.75, -1.25)
+    assert _bits(q.eval(point)) == _bits(_single_polynomial_generator(2, *q._float_terms())(point))
+    magnitude = MultiPoly(2, {e: abs(c) for e, c in p.terms.items()})
+    assert _bits(bound(point)) == _bits(_single_polynomial_generator(2, *magnitude._float_terms())(point))
+
+
+def test_pool_problems_of_one_shape_compile_once(monkeypatch, pool_paths):
+    # Pool problems 1, 21, 25, 29 and 33 (n = 2) expand to objectives of one
+    # exponent list: their values, rounding bounds and Newton-step data
+    # take two compiles in all.
+    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
+    point = (0.375, -1.5)
+    for name in ("planted_01.json", "planted_21.json", "planted_25.json", "planted_29.json", "planted_33.json"):
+        objective = cli.load_problem_file(next(p for p in pool_paths if p.name == name)).objective
+        value, _, _ = oracle._newton_evaluators(objective)
+        assert _bits(value(point)) == _bits(_single_polynomial_generator(2, *objective._float_terms())(point))
+        assert len(polynomial._EVALUATORS) == 2

@@ -442,3 +442,23 @@ def test_kernels_are_compiled_once_per_size(monkeypatch):
     assert sorted(generated) == [1, 2, 3, 4]
     assert sorted(smallmat._KERNELS) == [1, 2, 3, 4] and all(type(n) is int for n in smallmat._KERNELS)
     assert all(isinstance(found, smallmat.Kernels) for found in smallmat._KERNELS.values())
+
+
+def test_kernel_names_are_unique_beyond_ten():
+    # Without a separator between the indices, l1_11 and l11_1 share one
+    # name from n = 12 on; the kernels then factor and solve the wrong system.
+    n = 12
+    namespace: dict = {}
+    exec(compile(smallmat._kernel_source(n), "<kernels n=12>", "exec"), {"sqrt": math.sqrt}, namespace)
+    factor, substitute, residual = namespace["factor"], namespace["substitute"], namespace["residual"]
+    lower = {name for name in factor.__code__.co_varnames if name.startswith("l")}
+    rows = {name for name in residual.__code__.co_varnames if name.startswith("a")}
+    assert len(lower) == n * (n + 1) // 2 and len(rows) == n * n
+    rng = np.random.default_rng(12)
+    M = rng.uniform(-1.0, 1.0, (n, n))
+    S = M.T @ M + n * np.eye(n)  # SymMatrix stops at n = 4
+    upper = tuple(float(x) for i, row in enumerate(S) for x in row[i:])
+    v = tuple(map(float, rng.uniform(-1.0, 1.0, n)))
+    x = substitute(factor(upper, 0.0), v)
+    assert residual(tuple(map(tuple, S.tolist())), v, x)[1] < 1e-12
+    assert np.allclose(x, np.linalg.solve(S, v), rtol=1e-12, atol=1e-12)
