@@ -26,13 +26,14 @@ accumulators, bound to the table's float coefficients.  Every float
 evaluation reads these views; only primal_polynomial reads the rationals.
 Matrices are given by their upper triangle, row-major.
 
-A table's accumulators are straight-line functions generated from its
-shape, (n, m), the monomials and the slots each term carries, and
-compiled once per shape and process: GP's and THC's tables compile once,
-and every canonical problem of one (n, m) shares one compiled function,
-whatever its coefficients and zeros (terms of degree 0 and 1 carry every
-slot).  Rows constant in sigma that lead a row set are summed once, when
-a table binds; every sum is bit for bit that of the term-by-term loop.
+Each slot of a table's [upper triangle of G, F, c] is a polynomial in
+sigma, one term per DualTerm, and so are its first and second
+sigma-derivatives.  A table's accumulators evaluate them: each is one
+function of polynomial's straight-line generator, given the slots'
+terms, compiled once per shape and process and bound to the table's
+coefficients.  GP's and THC's tables compile once, and every canonical
+problem of one (n, m) shares one compiled set, whatever its coefficients
+and zeros (terms of degree 0 and 1 carry every slot).
 
 With G affine, P^d is concave wherever G(sigma) is positive semidefinite
 (THC's staged dual is too; verify thc samples it); a dual critical point
@@ -55,7 +56,7 @@ from math import isfinite, lcm
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, DomainViolation
-from .polynomial import Exponents, MultiPoly, RationalLike, rat
+from .polynomial import MAX_ARITY, Compiled, Exponents, MultiPoly, RationalLike, _bind, _shape_code, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
@@ -162,136 +163,104 @@ class DualTerm:
     c: RationalLike
 
 
-Rows = tuple[tuple[int, float, tuple[int, ...]], ...]  # (term, coefficient, factors)
-Accumulator = Callable[[tuple[float, ...]], list[float]]  # sigma -> [upper triangle of G, F, c]
+Accumulator = Callable[[tuple[float, ...]], tuple[float, ...]]  # sigma -> (upper triangle of G, F, c)
+Layout = tuple[tuple[Compiled, tuple[tuple[int, int], ...]], ...]
 
-# Compiled accumulator binders by table shape: (n, m, value rows, the slots
-# each term carries).  A shape holds no coefficient values, so every table
-# of one shape shares one compiled function.  Each entry is (bind, the
-# (term, slot) coefficients bind takes after the constants).
-_BINDERS: dict[tuple, tuple[Callable[..., tuple[Accumulator, ...]], tuple[tuple[int, int], ...]]] = {}
-
-
-def _leading(rows: Rows) -> int:
-    """The number of rows before the first with a factor: rows constant in
-    sigma, whose sums a table makes once, when it binds."""
-    return next((r for r, (_, _, factors) in enumerate(rows) if factors), len(rows))
+# Table layouts by (n, m, each term's exponents, the slots each term of
+# degree 2 or more carries).  An entry holds, for accumulate, each
+# accumulate_grad[k] and each accumulate_hess[j] in turn, the compiled
+# code of its slots' polynomials (polynomial._shape_code) and, for each
+# coefficient that code takes, in its order, the (index into the table's
+# flat coefficients, multiplier) it is made from.
+_LAYOUTS: dict[tuple, Layout] = {}
 
 
-def _compile_binder(n: int, m: int, row_sets: tuple[Rows, ...], slots: tuple[tuple[int, ...], ...]
-                    ) -> tuple[Callable[..., tuple[Accumulator, ...]], tuple[tuple[int, int], ...]]:
-    """Generate and compile ``bind(K0, K1, ..., *coefficients)`` for one
-    table shape, and name the (term, slot) coefficients it takes.
-
-    K_j holds, for row set j, the sums of its leading constant rows
-    (_leading) in every slot.  bind returns one straight-line accumulator
-    per row set, closed over the K_j and the coefficients: a copy of K_j
-    for a row set without factors, and otherwise each remaining row's
-    monomial written as ``w = coefficient * s_a * s_b ...`` and each
-    slot's sum as one expression, ``k_slot + w_t * c_t,slot + ...`` in row
-    order.
-    """
+def _layout(n: int, m: int, exps: tuple[tuple[int, ...], ...], carried: tuple[tuple[int, ...] | None, ...]
+            ) -> Layout:
+    """The layout of one table shape.  For each derivative order, (), each
+    (k,) and each (k, l) with k <= l, a term sigma^a becomes
+    e sigma^(a - e_k - ...), e the product of the exponents it takes down,
+    and each slot's polynomial holds those derived terms, in the table's
+    term order, whose term carries the slot (None: every slot).  Their
+    exponents are the shape compiled; each coefficient is e times the
+    term's coefficient in that slot."""
+    if len(set(exps)) != len(exps):
+        raise DimensionMismatch("a dual table needs one term per monomial")
     width = n * (n + 3) // 2 + 1
-    unpack = "".join(f"s{k}, " for k in range(m)) or "() "  # "() = sigma" when m = 0
-    coefficients: dict[tuple[int, int], None] = {}  # in first use order
-
-    def accumulator(j: int, rows: Rows) -> list[str]:
-        lead = _leading(rows)
-        if lead == len(rows):
-            return [f"    def acc{j}(sigma):", f"        return [*K{j}]"]
-        lines = [f"    def acc{j}(sigma):", "        " + "".join(f"k{slot}, " for slot in range(width)) + f"= K{j}",
-                 f"        {unpack}= sigma"]
-        sums = [[f"k{slot}"] for slot in range(width)]
-        for r, (i, coeff, factors) in enumerate(rows[lead:]):
-            lines.append(f"        w{r} = {coeff!r}" + "".join(f" * s{k}" for k in factors))
-            for slot in slots[i]:
-                coefficients[i, slot] = None
-                sums[slot].append(f"w{r} * c{i}_{slot}")
-        lines.append("        return [" + ", ".join(" + ".join(terms) for terms in sums) + "]")
-        return lines
-
-    body = [line for j, rows in enumerate(row_sets) for line in accumulator(j, rows)]
-    params = [f"K{j}" for j in range(len(row_sets))] + [f"c{i}_{slot}" for i, slot in coefficients]
-    lines = [f"def bind({', '.join(params)}):", *body,
-             "    return (" + "".join(f"acc{j}, " for j in range(len(row_sets))) + ")"]
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<DualTable accumulators>", "exec"), {}, namespace)
-    return namespace["bind"], tuple(coefficients)
+    orders = [(), *((k,) for k in range(m)), *((k, l) for k in range(m) for l in range(k, m))]
+    layout = []
+    for order in orders:
+        derived = []
+        for i, a in enumerate(exps):
+            d, e = list(a), 1
+            for k in order:
+                e *= d[k]
+                d[k] -= 1
+            if e:
+                derived.append((i, tuple(d), e))
+        shape, sources = [], []
+        for slot in range(width):
+            terms = [(i, d, e) for i, d, e in derived if carried[i] is None or slot in carried[i]]
+            shape.append(tuple(d for _, d, _ in terms))
+            sources += [(i * width + slot, e) for i, _, e in terms]
+        layout.append((_shape_code(m, tuple(shape)), tuple(sources)))
+    return tuple(layout)
 
 
 @dataclass(frozen=True)
 class DualTable:
     """G, F and c as polynomials in sigma, one DualTerm per monomial.
 
-    Construction writes the monomials as rows of (term, coefficient,
-    factors), the factors being variable indices repeated by exponent:
-    value for the polynomials themselves, grad[k] for their
-    sigma_k-derivatives and hess, as ((k, l), rows) over the upper triangle
-    in row-major order, for the second derivatives.  It then binds each
-    term's carried coefficients, as floats over the slots [upper triangle
-    of G, F, c], to the accumulators of the table's shape (_compile_binder,
-    compiled once per shape and process): accumulate(sigma) sums the value
-    rows, accumulate_grad[k] and accumulate_hess[j] the row sets of grad[k]
-    and hess[j].  The leading rows of a row set that are constant in sigma
-    are summed here, once, in the order and with the operations the
-    generated sums use.  A term of degree 0 or 1 carries every slot, zeros
-    included, and any other term its nonzero slots, so a canonical table's
-    shape is fixed by (n, m).  The zeros leave every sum bit for bit as
-    without them: at finite sigma the monomials 1 and sigma_k, and their
-    derivatives, are finite, w * 0.0 is +-0.0, and adding +-0.0 to a sum
-    that starts at +0.0 changes nothing.  A monomial of higher degree may
-    overflow to inf at a large finite sigma, where inf * 0.0 would be NaN.
+    Each slot of [upper triangle of G, F, c] is a polynomial in sigma, one
+    term per DualTerm, and so is each of its first and second
+    sigma-derivatives.  accumulate(sigma) evaluates the slots,
+    accumulate_grad[k] their sigma_k-derivatives and accumulate_hess[j]
+    their second derivatives over the upper triangle of (k, l) in row-major
+    order, each one joint evaluator of polynomial's generator, compiled
+    once per shape and process (_layout): the terms in the table's order,
+    each derivative's coefficient the float e * c.  A term of degree 0 or 1
+    carries every slot, zeros included, and any other term its nonzero
+    slots, so a canonical table's shape is fixed by (n, m).  The zeros leave
+    every sum as without them: at finite sigma the monomials 1 and sigma_k,
+    and their derivatives, are finite, their product with 0.0 is +-0.0, and
+    adding +-0.0 to a sum that starts at +0.0 changes nothing.  A monomial
+    of higher degree may overflow to inf at a large finite sigma, where
+    inf * 0.0 would be NaN.  A coefficient -0.0 is read as +0.0, as a sum
+    that starts at 0.0 reads it: the generator writes a constant term that
+    leads a sum, or is all of it, without that 0.0.
     """
 
     n: int
     m: int
     terms: tuple[DualTerm, ...]
-    value: Rows = field(init=False, repr=False, compare=False)
-    grad: tuple[Rows, ...] = field(init=False, repr=False, compare=False)
-    hess: tuple[tuple[tuple[int, int], Rows], ...] = field(init=False, repr=False, compare=False)
     accumulate: Accumulator = field(init=False, repr=False, compare=False)
     accumulate_grad: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
     accumulate_hess: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shape = (self.m, self.n * (self.n + 1) // 2, self.n)
-        entries = []
+        n, m = self.n, self.m
+        if not (1 <= n <= MAX_DIM and 1 <= m <= MAX_ARITY):
+            raise DimensionMismatch(f"a dual table needs 1 <= n <= {MAX_DIM} and 1 <= m <= {MAX_ARITY}, "
+                                    f"got n={n}, m={m}")
+        shape = (m, n * (n + 1) // 2, n)
+        flat: list[float] = []
+        exps, carried = [], []
         for t in self.terms:
-            if not 1 <= self.n <= MAX_DIM or (len(t.exps), len(t.G), len(t.F)) != shape:
-                raise DimensionMismatch(f"term {t.exps} does not fit n={self.n}, m={self.m}")
-            entries.append({slot: v for slot, v in enumerate(map(float, (*t.G, *t.F, t.c))) if v or sum(t.exps) <= 1})
-
-        def differentiate(rows: Rows, k: int) -> Rows:
-            return tuple(
-                (i, coeff * f.count(k), f[:f.index(k)] + f[f.index(k) + 1:]) for i, coeff, f in rows if k in f
-            )
-
-        value = tuple(
-            (i, 1.0, tuple(k for k, e in enumerate(t.exps) for _ in range(e))) for i, t in enumerate(self.terms)
-        )
-        grad = tuple(differentiate(value, k) for k in range(self.m))
-        hess = tuple(((k, l), differentiate(grad[k], l)) for k in range(self.m) for l in range(k, self.m))
-        slots = tuple(map(tuple, entries))
-        row_sets = (value, *grad, *(rows for _, rows in hess))
-        key = (self.n, self.m, value, slots)
-        binder = _BINDERS.get(key)
-        if binder is None:
-            binder = _BINDERS[key] = _compile_binder(self.n, self.m, row_sets, slots)
-        bind, needed = binder
-
-        def constants(rows: Rows) -> tuple[float, ...]:
-            # the leading constant rows summed as the generated sums add: 0.0 + w * c in row order
-            sums = [0.0] * (self.n * (self.n + 3) // 2 + 1)
-            for i, w, _ in rows[:_leading(rows)]:
-                for slot, v in entries[i].items():
-                    sums[slot] += w * v
-            return tuple(sums)
-
-        accumulate, *derivatives = bind(*map(constants, row_sets), *(entries[i][slot] for i, slot in needed))
-        for name, rows in zip(("value", "grad", "hess", "accumulate", "accumulate_grad", "accumulate_hess"),
-                              (value, grad, hess, accumulate, tuple(derivatives[:self.m]),
-                               tuple(derivatives[self.m:]))):
-            object.__setattr__(self, name, rows)
+            if (len(t.exps), len(t.G), len(t.F)) != shape:
+                raise DimensionMismatch(f"term {t.exps} does not fit n={n}, m={m}")
+            values = [float(v) + 0.0 for v in (*t.G, *t.F, t.c)]  # + 0.0 reads -0.0 as +0.0
+            flat += values
+            exps.append(tuple(t.exps))
+            carried.append(None if sum(t.exps) <= 1 else tuple([s for s, v in enumerate(values) if v]))
+        key = (n, m, tuple(exps), tuple(carried))
+        layout = _LAYOUTS.get(key)
+        if layout is None:
+            layout = _LAYOUTS[key] = _layout(*key)
+        accumulate, *derivatives = [_bind(compiled, [e * flat[j] for j, e in sources])
+                                    for compiled, sources in layout]
+        object.__setattr__(self, "accumulate", accumulate)
+        object.__setattr__(self, "accumulate_grad", tuple(derivatives[:m]))
+        object.__setattr__(self, "accumulate_hess", tuple(derivatives[m:]))
 
 
 @dataclass(frozen=True)
@@ -542,9 +511,10 @@ class DualPoint:
         table, sig = self.table, self.sigma
         u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
         w = [self._solve(u_l, 1e-6) for u_l in u]
+        pairs = [(k, l) for k in range(table.m) for l in range(k, table.m)]
         return SymMatrix(table.m, tuple(
             _xi(table, second(sig), x) - sum(map(mul, u[k], w[l]))
-            for ((k, l), _), second in zip(table.hess, table.accumulate_hess)
+            for (k, l), second in zip(pairs, table.accumulate_hess)
         ))
 
 

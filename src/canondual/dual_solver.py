@@ -151,32 +151,52 @@ def _try_value(value_fn: Callable[..., float], *args) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _fd_gradient(
-    value_fn: Callable[[Sequence[float]], float], sigma: tuple[float, ...], fd_step: float
-) -> tuple[float, ...]:
-    """Central differences with a one-sided fallback near domain edges."""
+def _fd_columns(
+    fn: Callable[[tuple[float, ...]], tuple[float, ...]], sigma: tuple[float, ...], fd_step: float,
+    finite: bool, what: str
+) -> list[tuple[float, ...]]:
+    """For each sigma_k, the central difference quotients of fn's outputs
+    with step h = fd_step (1 + |sigma_k|), or, where one side is outside the
+    domain (fn raises a domain error there, or, with finite, gives a
+    non-finite output), the one-sided quotients against fn(sigma)."""
+
+    def side(s: tuple[float, ...]) -> tuple[float, ...] | None:
+        try:
+            out = fn(s)
+        except _DOMAIN_ERRORS:
+            return None
+        return out if not finite or all(map(math.isfinite, out)) else None
+
     center = None
-    grad = []
+    cols = []
     for k, sk in enumerate(sigma):
         h = fd_step * (1.0 + abs(sk))
         up = list(sigma)
         up[k] = sk + h
         down = list(sigma)
         down[k] = sk - h
-        f_up = _try_value(value_fn, tuple(up))
-        f_down = _try_value(value_fn, tuple(down))
+        f_up = side(tuple(up))
+        f_down = side(tuple(down))
         if f_up is not None and f_down is not None:
-            grad.append((f_up - f_down) / (2.0 * h))
+            cols.append(tuple((a - b) / (2.0 * h) for a, b in zip(f_up, f_down)))
             continue
         if center is None:
-            center = value_fn(sigma)
+            center = fn(sigma)
         if f_up is not None:
-            grad.append((f_up - center) / h)
+            cols.append(tuple((a - b) / h for a, b in zip(f_up, center)))
         elif f_down is not None:
-            grad.append((center - f_down) / h)
+            cols.append(tuple((a - b) / h for a, b in zip(center, f_down)))
         else:
-            raise DomainViolation(f"cannot difference value function near sigma={sigma}")
-    return tuple(grad)
+            raise DomainViolation(f"cannot difference {what} near sigma={sigma}")
+    return cols
+
+
+def _fd_gradient(
+    value_fn: Callable[[Sequence[float]], float], sigma: tuple[float, ...], fd_step: float
+) -> tuple[float, ...]:
+    """Central differences with a one-sided fallback near domain edges."""
+    cols = _fd_columns(lambda s: (value_fn(s),), sigma, fd_step, True, "value function")
+    return tuple(col[0] for col in cols)
 
 
 def _fd_hessian(
@@ -184,33 +204,7 @@ def _fd_hessian(
 ) -> SymMatrix:
     """Symmetrized central differences of the gradient."""
     m = len(sigma)
-    cols: list[Sequence[float] | None] = [None] * m
-    center = None
-    for k, sk in enumerate(sigma):
-        h = fd_step * (1.0 + abs(sk))
-        up = list(sigma)
-        up[k] = sk + h
-        down = list(sigma)
-        down[k] = sk - h
-        try:
-            g_up = tuple(grad_of(tuple(up)))
-        except _DOMAIN_ERRORS:
-            g_up = None
-        try:
-            g_down = tuple(grad_of(tuple(down)))
-        except _DOMAIN_ERRORS:
-            g_down = None
-        if g_up is not None and g_down is not None:
-            cols[k] = tuple((a - b) / (2.0 * h) for a, b in zip(g_up, g_down))
-        else:
-            if center is None:
-                center = tuple(grad_of(sigma))
-            if g_up is not None:
-                cols[k] = tuple((a - b) / h for a, b in zip(g_up, center))
-            elif g_down is not None:
-                cols[k] = tuple((a - b) / h for a, b in zip(center, g_down))
-            else:
-                raise DomainViolation(f"cannot difference gradient near sigma={sigma}")
+    cols = _fd_columns(lambda s: tuple(grad_of(s)), sigma, fd_step, False, "gradient")
     rows = [[0.5 * (cols[i][j] + cols[j][i]) for j in range(m)] for i in range(m)]
     return SymMatrix(m, tuple(rows[i][j] for i in range(m) for j in range(i, m)))
 

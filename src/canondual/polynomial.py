@@ -28,8 +28,9 @@ the arity and each polynomial's graded-lex exponent list; the
 coefficients are the code's constants, bound per polynomial, so a
 polynomial and its rounding-bound polynomial share one compile, and so do
 problems that differ only in their coefficients.  Partial derivatives are
-cached on their polynomial, so their evaluators are bound once.
-``as_arrays`` hands the same float terms to the lattice kernel of module
+cached on their polynomial, so their evaluators are bound once.  Module
+``canonical`` hands the same generator a dual table's slots, polynomials
+in sigma, in the table's term order (_shape_code, _bind).  ``as_arrays`` hands the same float terms to the lattice kernel of module
 ``kernels``, and ``eval_exact`` is the exact rational reference.
 """
 
@@ -81,26 +82,32 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 # exhausts its recursion limit.
 _TERMS_PER_STATEMENT = 1000
 
-# Compiled evaluators by shape: (arity, the graded-lex exponent list of each
+# Compiled evaluators by shape: (arity, the exponent list of each
 # polynomial).  A shape holds no coefficient values, so every polynomial of
 # one shape shares one code object.  Each entry is (that code object, the
-# positions in its co_consts of the coefficients, in term order).
-_EVALUATORS: dict[tuple, tuple[types.CodeType, tuple[int, ...]]] = {}
+# positions of the coefficients, in term order, in its co_consts or, where
+# the compiler folded the returned tuple into one constant, in that tuple;
+# the position of that tuple in co_consts, or None).
+Compiled = tuple[types.CodeType, tuple[int, ...], int | None]
+_EVALUATORS: dict[tuple, Compiled] = {}
 
 
-def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> tuple[types.CodeType, tuple[int, ...]]:
+def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Compiled:
     """Generate and compile ``evaluate(point)`` for one or more polynomials
-    of the given graded-lex exponent lists: one table of powers up to each
-    variable's largest exponent across all of them, then one sum per
-    polynomial, ``0.0 + t1 + t2 + ...`` in graded-lex order, written as one
-    expression (one per _TERMS_PER_STATEMENT terms).  The function returns
-    the one sum, or the tuple of sums when given several polynomials.
+    of the given exponent lists: one table of powers up to each variable's
+    largest exponent across all of them, then one sum per polynomial,
+    ``0.0 + t1 + t2 + ...`` in term order, written as one expression (one
+    per _TERMS_PER_STATEMENT terms).  The function returns the one sum, or
+    the tuple of sums when given several polynomials; there each sum of one
+    statement is written into the return statement itself.
 
     Each coefficient is written as a placeholder constant, 1.0, 2.0, ... in
-    term order, and the positions of the placeholders in the code's
-    co_consts are returned with it.  A polynomial that is one constant term
-    is written as that term alone: ``0.0 + c`` would fold into one
-    constant, and for c != 0 it has the bits of c."""
+    term order, and the positions of the placeholders are returned with the
+    code.  A polynomial that is one constant term is written as that term
+    alone: ``0.0 + c`` would fold into one constant, and for c != 0 it has
+    the bits of c.  When every polynomial of several is constant, the
+    compiler folds the returned tuple into one constant: the placeholders
+    are then its items."""
 
     def power(v: int, e: int) -> str:
         return f"x{v}" if e == 1 else f"x{v}_{e}"
@@ -111,41 +118,62 @@ def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> tupl
         top = max((exps[v] for exps_list in shape for exps in exps_list), default=0)
         for e in range(2, top + 1):
             lines.append(f"    {power(v, e)} = {power(v, e - 1)} * x{v}")
-    totals = ["total"] if len(shape) == 1 else [f"total{k}" for k in range(len(shape))]
+    returned = []
     count = 0
-    for total, exps_list in zip(totals, shape):
+    for k, exps_list in enumerate(shape):
         terms = []
         for exps in exps_list:
             count += 1
             terms.append(f"{float(count)!r}" + "".join(f" * {power(v, e)}" for v, e in enumerate(exps) if e))
         start = [] if len(exps_list) == 1 and not any(exps_list[0]) else ["0.0"]
+        if len(shape) > 1 and len(terms) <= _TERMS_PER_STATEMENT:
+            returned.append(" + ".join([*start, *terms]))
+            continue
+        total = "total" if len(shape) == 1 else f"total{k}"
         for i in range(0, max(len(terms), 1), _TERMS_PER_STATEMENT):
             lines.append(f"    {total} = " + " + ".join([*start, *terms[i:i + _TERMS_PER_STATEMENT]]))
             start = [total]
-    lines.append(f"    return {', '.join(totals)}")
+        returned.append(total)
+    lines.append(f"    return {', '.join(returned)}")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<MultiPoly.float_evaluator>", "exec"), {}, namespace)
     code = namespace["evaluate"].__code__
-    position = {c: i for i, c in enumerate(code.co_consts) if type(c) is float}
-    return code, tuple(position[float(k)] for k in range(1, count + 1))
+    folded = next((i for i, c in enumerate(code.co_consts) if type(c) is tuple), None)
+    consts = code.co_consts if folded is None else code.co_consts[folded]
+    position = {c: i for i, c in enumerate(consts) if type(c) is float}
+    return code, tuple(position[float(k)] for k in range(1, count + 1)), folded
+
+
+def _shape_code(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Compiled:
+    """The compiled code of one shape (_compile_shape), compiled once per
+    shape and process."""
+    compiled = _EVALUATORS.get((arity, shape))
+    if compiled is None:
+        compiled = _EVALUATORS[arity, shape] = _compile_shape(arity, shape)
+    return compiled
+
+
+def _bind(compiled: Compiled, coeffs: Sequence[float]) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
+    """The function of a shape's compiled code with the float coefficients,
+    in term order, put in as its constants."""
+    code, positions, folded = compiled
+    consts = list(code.co_consts)
+    target = consts if folded is None else list(consts[folded])
+    for position, coeff in zip(positions, coeffs):
+        target[position] = coeff
+    if folded is not None:
+        consts[folded] = tuple(target)
+    return types.FunctionType(code.replace(co_consts=tuple(consts)), {})
 
 
 def _compile_evaluator(
     arity: int, term_lists: Sequence[tuple[Sequence[Exponents], Sequence[float]]]
 ) -> Callable[[Sequence[float]], float | tuple[float, ...]]:
-    """The evaluator of one or more polynomials, each given by its
-    graded-lex float terms (see MultiPoly.float_evaluator): the code of
-    their shape (_compile_shape, compiled once per shape and process) with
-    the float coefficients put in as its constants."""
+    """The evaluator of one or more polynomials, each given by its float
+    terms (see MultiPoly.float_evaluator): the code of their shape
+    (_shape_code) bound to their coefficients (_bind)."""
     shape = tuple(tuple(exps_list) for exps_list, _ in term_lists)
-    compiled = _EVALUATORS.get((arity, shape))
-    if compiled is None:
-        compiled = _EVALUATORS[arity, shape] = _compile_shape(arity, shape)
-    code, positions = compiled
-    consts = list(code.co_consts)
-    for position, coeff in zip(positions, [c for _, coeffs in term_lists for c in coeffs]):
-        consts[position] = coeff
-    return types.FunctionType(code.replace(co_consts=tuple(consts)), {})
+    return _bind(_shape_code(arity, shape), [c for _, coeffs in term_lists for c in coeffs])
 
 
 def joint_evaluator(polys: Sequence["MultiPoly"]) -> Callable[[Sequence[float]], tuple[float, ...]]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual import canonical, cli
+from canondual import canonical, cli, polynomial
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
 from canondual.canonical import _ROUNDING_ULPS, _f, _gx, _xi
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
@@ -693,19 +693,37 @@ class TestPrimalPolynomial:
 # they solve only at a positive definite G.
 
 
-def _accumulate(table, rows, sig):
+def _orders(m):
+    """The derivative orders of a table's accumulators, in their order:
+    the value, each sigma_k and each (k, l) with k <= l."""
+    return [(), *((k,) for k in range(m)), *((k, l) for k in range(m) for l in range(k, m))]
+
+
+def _accumulate(table, order, sig):
     """The interpreted accumulation that the table's generated accumulators
-    replace, kept as their reference: [upper triangle of G, F, c] summed
-    over rows, each term's nonzero coefficients times its row's coefficient
-    and monomial at sigma."""
+    replace, kept as their reference: [upper triangle of G, F, c] of the
+    derivative of the given order, summed over table.terms, each term's
+    nonzero coefficients c times its derivative's exponent product e,
+    e * c, times each sigma_k's power from left to right, each power made
+    by repeated multiplication."""
     acc = [0.0] * (table.n * (table.n + 3) // 2 + 1)
-    for i, w, factors in rows:
-        for k in factors:
-            w *= sig[k]
-        t = table.terms[i]
+    for t in table.terms:
+        exps, e = list(t.exps), 1
+        for k in order:
+            e *= exps[k]
+            exps[k] -= 1
+        if not e:
+            continue
         for slot, value in enumerate(map(float, (*t.G, *t.F, t.c))):
             if value:
-                acc[slot] += w * value
+                w = e * value
+                for k, p in enumerate(exps):
+                    if p:
+                        power = sig[k]
+                        for _ in range(p - 1):
+                            power *= sig[k]
+                        w *= power
+                acc[slot] += w
     return acc
 
 
@@ -730,7 +748,7 @@ def _solver(table, acc):
 def _at(pr, sigma):
     sig = _check_sigma(pr, sigma)
     table = pr.table
-    return sig, table, _accumulate(table, table.value, sig)
+    return sig, table, _accumulate(table, (), sig)
 
 
 def reference_dual_value(pr, sigma, residual_tol=1e-9):
@@ -759,16 +777,17 @@ def _interior_primal(pr, sigma):
 
 def reference_dual_gradient(pr, sigma):
     sig, table, _, x = _interior_primal(pr, sigma)
-    return tuple(_xi(table, _accumulate(table, rows, sig), x) for rows in table.grad)
+    return tuple(_xi(table, _accumulate(table, (k,), sig), x) for k in range(table.m))
 
 
 def reference_hessian(pr, sigma):
     sig, table, solve, x = _interior_primal(pr, sigma)
-    first = [_accumulate(table, rows, sig) for rows in table.grad]
+    first = [_accumulate(table, (k,), sig) for k in range(table.m)]
     u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
     w = [solve(u_l, 1e-6) for u_l in u]
     return SymMatrix(pr.m, tuple(
-        _xi(table, _accumulate(table, rows, sig), x) - sum(map(mul, u[k], w[l])) for (k, l), rows in table.hess
+        _xi(table, _accumulate(table, (k, l), sig), x) - sum(map(mul, u[k], w[l]))
+        for k, l in _orders(table.m)[1 + table.m:]
     ))
 
 
@@ -922,12 +941,11 @@ def test_conjugate_pairing_on_gradient_graph(a, beta, xi):
 
 
 def _accumulations(table, sig):
-    """The value, gradient and Hessian row sets' accumulations at sigma, as
-    the generated accumulators give them and as the reference loop does."""
+    """The value, gradient and Hessian accumulations at sigma, as the
+    generated accumulators give them and as the reference loop does."""
     generated = [table.accumulate(sig), *(f(sig) for f in table.accumulate_grad),
                  *(f(sig) for f in table.accumulate_hess)]
-    reference = [_accumulate(table, rows, sig) for rows in (table.value, *table.grad,
-                                                             *(rows for _, rows in table.hess))]
+    reference = [_accumulate(table, order, sig) for order in _orders(table.m)]
     return generated, reference
 
 
@@ -948,22 +966,54 @@ def test_generated_accumulation_is_the_reference_loop_bit_for_bit(pool_paths):
             assert [packed(acc) for acc in generated] == [packed(acc) for acc in reference], sig
 
 
-def test_one_compiled_accumulator_per_canonical_shape(pool_paths):
-    # Two problems of one (n, m) whose zeros lie in different places share
-    # the compiled code, bound to their own coefficients.
+def test_one_compiled_accumulator_per_canonical_shape(monkeypatch, pool_paths):
+    # One compile per (n, m) across the pool and GP; THC's table adds its own.
+    tables = [pr.table for pr in [gp_canonical_g(), *map(cli.load_problem_file, pool_paths)]]
+    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
+    monkeypatch.setattr(canonical, "_LAYOUTS", {})
+    added = {}
+    for t in tables:
+        compiled = len(polynomial._EVALUATORS)
+        canonical.DualTable(t.n, t.m, t.terms)
+        added.setdefault((t.n, t.m), []).append(len(polynomial._EVALUATORS) - compiled)
+    assert len(added) == 12 and all(first and not any(rest) for first, *rest in added.values())
+    compiled = len(polynomial._EVALUATORS)
+    canonical.DualTable(2, 2, thc_problem().table.terms)
+    assert len(polynomial._EVALUATORS) > compiled
+    # Two problems of GP's (n, m) whose zeros lie in different places share
+    # its compiled code, bound to their own coefficients.
     p = make_problem(A=[1.0], f=[0.0], C=[2.0], b=[0.0], c=0.0, a=1.0, beta=0.0)
     q = make_problem(A=[0.0], f=[3.0], C=[0.0], b=[5.0], c=7.0, a=2.0, beta=1.0)
-    for f, g in zip((p.table.accumulate, *p.table.accumulate_grad, *p.table.accumulate_hess),
-                    (q.table.accumulate, *q.table.accumulate_grad, *q.table.accumulate_hess)):
-        assert f.__code__ is g.__code__
-    assert p.table.accumulate((1.0,)) == [3.0, 0.0, -0.25]
-    assert q.table.accumulate((1.0,)) == [0.0, -2.0, -0.125 + 7.25 - 0.125]
-    # One code per (n, m) across the pool and GP; THC's table has its own.
-    codes = {}
-    for pr in [gp_canonical_g(), *map(cli.load_problem_file, pool_paths)]:
-        codes.setdefault((pr.n, pr.m), set()).add(pr.table.accumulate.__code__)
-    assert len(codes) == 12 and all(len(found) == 1 for found in codes.values())
-    assert thc_problem().table.accumulate.__code__ not in set().union(*codes.values())
+    compiled = len(polynomial._EVALUATORS)
+    assert p.table.accumulate((1.0,)) == (3.0, 0.0, -0.25)
+    assert q.table.accumulate((1.0,)) == (0.0, -2.0, -0.125 + 7.25 - 0.125)
+    assert len(polynomial._EVALUATORS) == compiled
+
+
+def test_negative_zero_coefficients_sum_as_the_reference_loop():
+    # The value's slots are led by a constant term, and the first
+    # derivative's are one constant term: sums written without their
+    # leading 0.0, which read a coefficient -0.0 as +0.0 to stay +0.0.
+    zero = (-0.0,), (-0.0,), -0.0
+    table = canonical.DualTable(1, 1, (canonical.DualTerm((0,), *zero), canonical.DualTerm((1,), *zero)))
+    for sig in [(0.0,), (-1.0,), (2.5,)]:
+        generated, reference = _accumulations(table, sig)
+        assert [packed(acc) for acc in generated] == [packed(acc) for acc in reference] == [packed((0.0,) * 3)] * 3
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (5, 1), (7, 1), (1, 0), (1, 5)])
+def test_table_dimensions_are_checked_before_its_terms(n, m):
+    # Even a table without terms: its solves need 1 <= n <= smallmat.MAX_DIM,
+    # and its accumulators take one variable per sigma component, 1 to
+    # polynomial.MAX_ARITY of them.
+    with pytest.raises(DimensionMismatch, match=f"got n={n}, m={m}"):
+        canonical.DualTable(n, m, ())
+
+
+def test_table_rejects_a_repeated_monomial():
+    term = canonical.DualTerm((0,), (1.0,), (0.0,), 0.0)
+    with pytest.raises(DimensionMismatch, match="one term per monomial"):
+        canonical.DualTable(1, 1, (term, term))
 
 
 @pytest.mark.parametrize("problem, sigma", [

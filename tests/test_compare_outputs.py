@@ -55,9 +55,10 @@ def test_each_differing_stdout_and_exit_code_is_printed():
 
 
 def test_main_runs_every_invocation_on_both_sides(capsys):
-    # gp, thc, the three shipped problems and the 36 pool problems, four
-    # invocations each; a capped solve and an oracle run each of gp, thc and
-    # the shipped problems; and 20 seeds each of solve gp|thc.
+    # gp, thc, the three shipped problems, the two survey problems and the
+    # 36 pool problems, four invocations each; a capped solve and an oracle
+    # run each of gp, thc and the shipped problems; and 20 seeds each of
+    # solve gp|thc.
     seen_pool = []
 
     def run(checkout, argv):
@@ -68,14 +69,15 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     assert compare_outputs.main(["/parent", "/change"], run) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "DIFFERS: canondual solve thc --seed 7"
-    assert out[-1] == "1 of 214 invocations differ"
+    assert out[-1] == "1 of 222 invocations differ"
     assert len(seen_pool) == 2 * 4 * 36 and all(seen_pool)
 
     run, calls = runner()
     assert compare_outputs.main(["/parent", "/change"], run) == 0
     argvs = {argv for _, argv in calls}
-    assert len(calls) == 2 * len(argvs) == 2 * 214
+    assert len(calls) == 2 * len(argvs) == 2 * 222
     assert ("verify", "file", "problems/gp_g.json") in argvs
+    assert ("solve", "file", "tests/data/survey_4_4_13.json", "--no-oracle", "--format", "json") in argvs
     assert ("oracle", "thc", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("oracle", "file", "problems/convex_1d.json", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("solve", "file", "problems/boundary_1d.json", "--max-iter", "2", "--format", "json") in argvs

@@ -541,6 +541,17 @@ class TestUnivariateGlobal:
         with pytest.raises(DimensionMismatch):
             univariate_global(gp_objective(), (-1.0, 1.0))
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the node scan misses a pair of roots in one cell")
+    def test_close_pair_of_derivative_roots(self):
+        # p' = (x - 1)(x - 1 - 1e-5)(x + 2): the roots 1 and 1 + 1e-5 share
+        # one scan cell of width 2e-3, so p' has no sign change between its
+        # nodes there and only -2.0 is returned.  univariate_global does not
+        # raise: the global minimum is at -2, and no node undercuts it.
+        x = MultiPoly.variable(1, 0)
+        dp = (x - 1) * (x - Fraction(100001, 100000)) * (x + 2)
+        p = MultiPoly(1, {(e + 1,): c / (e + 1) for (e,), c in dp.terms.items()})  # p' = dp
+        assert derivative_roots(p, (-10.0, 10.0)) == [-2.0, 1.0, 1.00001]
+
 
 class TestCauchyBound:
     def test_brackets_all_critical_points(self):

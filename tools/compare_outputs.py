@@ -12,14 +12,18 @@ byte-identical.
 
 The invocations are ``solve --format json``, ``solve --format text``,
 ``solve --no-oracle --format json`` and ``verify`` on gp, thc, each
-``problems/*.json`` of this checkout and each problem of the planted pool;
+``problems/*.json`` of this checkout, the two n = 4 survey problems in
+``tests/data`` (one ends ``BoundaryCritical`` after 30 iterations, the
+other takes 47, so both are sensitive to rounding) and each problem of the
+planted pool;
 ``solve --max-iter 2 --format json`` on gp, thc and each ``problems/*.json``,
 which ends the ascent at its iteration cap; ``oracle --grid 201 --starts 16
 --format json`` on gp, thc and each ``problems/*.json``; and
-``solve gp|thc --seed 0..19``: 214 invocations with the 3 shipped problems
+``solve gp|thc --seed 0..19``: 222 invocations with the 3 shipped problems
 and the 36 of the pool.  The pool is written once, by
 ``perfbench/workloads.write_pool``, to a temporary directory that both
-sides read by absolute path; ``problems/`` is read from each checkout.
+sides read by absolute path; ``problems/`` and ``tests/data`` are read
+from each checkout.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 ROOT = Path(__file__).resolve().parent.parent
+SURVEY = ("tests/data/survey_4_3_0.json", "tests/data/survey_4_4_13.json")
 JOBS = 2  # invocations run at once; each is mostly waiting on its process
 
 # (checkout, argv) -> (exit code, stdout)
@@ -62,7 +67,7 @@ def write_pool(directory: Path) -> list[Path]:
 def invocations(pool: Sequence[Path], shipped: Sequence[str]) -> list[list[str]]:
     own = [["gp"], ["thc"]] + [["file", f"problems/{name}"] for name in shipped]
     found = []
-    for problem in own + [["file", str(path)] for path in pool]:
+    for problem in own + [["file", path] for path in SURVEY] + [["file", str(path)] for path in pool]:
         found += [
             ["solve", *problem, "--format", "json"],
             ["solve", *problem, "--format", "text"],
