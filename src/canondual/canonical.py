@@ -43,6 +43,12 @@ open region is the only place the program evaluates P^d and its
 derivatives: at any other sigma they raise DomainViolation.  The
 boundary, where G is singular, gets no solve (only its margin,
 in_positive_domain, is reported).
+
+For n <= 2, dual_samples and domain_margins evaluate many sigma at once,
+given as columns, one float64 array per component: the accumulator,
+which only multiplies and adds, takes the columns as its point, and
+smallmat's array solves and eigenvalues take the slots, so every entry
+has the bits of DualPoint at its sigma.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ from fractions import Fraction
 from operator import add, mul, sub
 from math import isfinite, lcm
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation
 from .polynomial import MAX_ARITY, Compiled, Exponents, MultiPoly, RationalLike, _bind, _shape_code, rat
@@ -69,8 +77,11 @@ from .smallmat import (
     exceeds,
     full_rows,
     min_eigenvalue,
+    min_eigenvalue_many,
     solve_1x1,
+    solve_1x1_many,
     solve_2x2,
+    solve_2x2_many,
     solve_factored,
     solve_sym,  # noqa: F401
 )
@@ -537,6 +548,53 @@ def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float
     margin: (lambda_min(G) >= -PSD_TOL, lambda_min(G)), computed for reports."""
     margin = DualPoint(pr, sigma).min_eigenvalue()
     return margin >= -PSD_TOL, margin
+
+
+def _sample_slots(pr: Problem, sigma: Sequence[Sequence[float]]
+                  ) -> tuple[list[np.ndarray], DomainViolation | None]:
+    """The slots of [upper triangle of G, F, c] at each sample sigma, given
+    as m columns, up to the first sample with an infinite or NaN entry, and
+    the DomainViolation DualPoint raises there (None when there is none).
+    A slot constant in sigma is broadcast.  For n <= 2."""
+    table = pr.table
+    if table.n > 2:
+        raise DimensionMismatch(f"sampled duals are for n <= 2, got n={table.n}")
+    columns = np.array(sigma, dtype=np.float64)
+    if columns.ndim != 2 or len(columns) != table.m:
+        raise DimensionMismatch(f"sigma needs {table.m} columns of samples, got shape {columns.shape}")
+    finite = np.isfinite(columns).all(axis=0)
+    count, error = len(finite), None
+    if not finite.all():
+        count = int(np.argmin(finite))
+        error = DomainViolation(f"sigma {tuple(columns[:, count].tolist())} is not finite")
+    slots = table.accumulate(tuple(columns[:, :count]))
+    return [np.broadcast_to(slot, (count,)) for slot in slots], error
+
+
+def dual_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(P^d, x_bar) at each sample sigma, given as m columns: the bits of
+    DualPoint(pr, sigma).value(residual_tol) and of its x_bar, for n <= 2.
+    P^d is -1/2 (0.0 + F_0 x_0 [+ F_1 x_1]) + c, the sum value takes.  The
+    error is DualPoint's at the first sample, in order, that raises one."""
+    slots, error = _sample_slots(pr, sigma)
+    f = slots[-pr.n - 1:-1]
+    x = (solve_1x1_many(slots[0], *f),) if pr.n == 1 else solve_2x2_many(*slots[:3], *f, residual_tol)
+    if error is not None:
+        raise error
+    dot = 0.0
+    for f_k, x_k in zip(f, x):
+        dot = dot + f_k * x_k
+    return -0.5 * dot + slots[-1], x
+
+
+def domain_margins(pr: Problem, sigma: Sequence[Sequence[float]]) -> np.ndarray:
+    """in_positive_domain's margin lambda_min(G) at each sample sigma, given
+    as m columns, bit for bit, for n <= 2."""
+    slots, error = _sample_slots(pr, sigma)
+    if error is not None:
+        raise error
+    return min_eigenvalue_many(pr.n, slots)
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:

@@ -25,10 +25,16 @@ are straight-line functions on float locals, generated once per matrix
 size n and cached by n (kernels); no loop runs over the entries.  Their
 dot products are written out as plain left-to-right sums,
 0.0 + p0 + p1 + ..., the float operations sum() makes on Python 3.11.
-Everything here is pure-Python float arithmetic: the sizes are tiny, the
-kernels deterministic, and the test suite cross-checks them against
+Everything else here is pure-Python float arithmetic: the sizes are tiny,
+the kernels deterministic, and the test suite cross-checks them against
 numpy.linalg independently and against the loops they replace, bit for
 bit.
+
+The closed forms also have array forms, solve_1x1_many, solve_2x2_many and
+min_eigenvalue_many, for many systems of one size n <= 2 at once: numpy
+float64 columns, one entry per system, through the same operations in the
+same order, so each entry has the bits of the scalar call on its system.
+n >= 3 has none: the Cholesky kernels branch on each pivot.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import sys
 from operator import add, itemgetter, mul
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 
@@ -163,6 +171,20 @@ def _closed_form_eigenvalues(n: int, upper: Sequence[float]) -> tuple[float, ...
     a, b, d = upper[0], upper[1], upper[2]
     mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
     return (mean - radius, mean + radius)
+
+
+def min_eigenvalue_many(n: int, upper: Sequence[np.ndarray]) -> np.ndarray:
+    """min_eigenvalue at each entry of the float64 columns of an upper
+    triangle of size n <= 2: the entry itself for n = 1, mean - radius for
+    n = 2 with the radius from math.hypot, one entry at a time (np.hypot
+    may round differently)."""
+    if n == 1:
+        return upper[0]
+    if n != 2:
+        raise DimensionMismatch(f"array eigenvalues are for n <= 2, got n={n}")
+    a, b, d = upper[:3]
+    radius = list(map(math.hypot, (0.5 * (a - d)).tolist(), b.tolist()))
+    return 0.5 * (a + d) - np.array(radius)
 
 
 def eigen_sym(S: SymMatrix) -> tuple[float, ...]:
@@ -353,6 +375,51 @@ def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: 
     if residual > limit:
         raise ColumnSpaceViolation(residual, limit)
     return x0, x1
+
+
+def _first(offending: np.ndarray) -> int | None:
+    """The index of the first True entry, or None."""
+    return int(np.argmax(offending)) if offending.any() else None
+
+
+def solve_1x1_many(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """solve_1x1 at each entry of the float64 columns s and v: v / s.  At
+    the first entry, in order, where solve_1x1 raises, it is called on that
+    entry and raises its own error."""
+    with np.errstate(all="ignore"):
+        x = v / s
+    i = _first(~(s > 0.0) | np.isinf(x))
+    if i is not None:
+        solve_1x1(float(s[i]), float(v[i]))
+    return x
+
+
+def solve_2x2_many(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
+                   residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """solve_2x2 at each entry of the float64 columns, by its operations in
+    its order: the refinement step is made everywhere and taken where
+    solve_2x2 takes it.  At the first entry, in order, where solve_2x2
+    raises, it is called on that entry and raises its own error."""
+    with np.errstate(all="ignore"):
+        det = a * d - b * b
+        x0 = (d * v0 - b * v1) / det
+        x1 = (a * v1 - b * v0) / det
+        r0 = v0 - (a * x0 + b * x1)
+        r1 = v1 - (b * x0 + d * x1)
+        residual = np.sqrt(r0 * r0 + r1 * r1)
+        v_norm = np.sqrt(v0 * v0 + v1 * v1)
+        y0 = x0 + (d * r0 - b * r1) / det
+        y1 = x1 + (a * r1 - b * r0) / det
+        r0 = v0 - (a * y0 + b * y1)
+        r1 = v1 - (b * y0 + d * y1)
+        corrected = np.sqrt(r0 * r0 + r1 * r1)
+        refined = (residual > 1e-14 * (1.0 + v_norm)) & (corrected < residual)
+        residual = np.where(refined, corrected, residual)
+        limit = residual_tol * (1.0 + v_norm)
+    i = _first(~((a > 0.0) & (det > 0.0)) | (residual > limit))
+    if i is not None:
+        solve_2x2(*(float(column[i]) for column in (a, b, d, v0, v1)), residual_tol)
+    return np.where(refined, y0, x0), np.where(refined, y1, x1)
 
 
 def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:

@@ -8,12 +8,17 @@ Each suite is a list of named checks mixing three kinds of evidence:
   * certificate triage facts (known spurious critical points rejected).
 
 Sampling uses the package's seeded generator, so suites are deterministic;
-every sample is drawn through oracle.Lcg.units, most as uniform_rows.
+every sample is drawn through oracle.Lcg.units, most as uniform_rows.  The
+gp and thc suites evaluate each sample set of the dual in one pass,
+canonical.dual_samples (and, for thc's region sweep, the PSD margins of
+canonical.domain_margins), bit for bit the DualPoint at each sample; their
+references, gp_dual_closed_form and thc_dual, and the finite-difference
+gradient check stay scalar, as does verify_problem, whose n may exceed 2.
 
 The rules the suites share are stated once each: _zero_gap_triple (all
 three suites; each passes in its own Xi, recomputed apart from the ascent:
 _complementary for gp and file, benchmarks.thc_complementary for thc),
-_midpoint_concave (gp's dual_value, thc's closed-form dual), and
+_midpoint_concave (gp's sampled dual values, thc's closed-form dual), and
 _weak_duality and _fd_gradient_matches (gp and file).  Their tolerances
 are the module constants below; a tolerance that one check alone uses is
 written in that check.
@@ -25,7 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import benchmarks, canonical, dual_solver, oracle
 from .dual_solver import Certificate, SolverConfig
@@ -59,16 +66,11 @@ def _fd_gradient_matches(pr: canonical.Problem, points: Sequence[tuple[float, ..
     return _check("dual-gradient-vs-fd", worst <= _FD_TOL, f"worst relative error {worst:.3e}")
 
 
-def _midpoint_concave(
-    value: Callable[[tuple[float, ...]], float], pairs: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]
-) -> bool:
-    """value((a + b) / 2) >= (value(a) + value(b)) / 2 - _CONCAVITY_TOL on
-    every sampled pair (a, b) of dual points; stops at the first violation."""
-    for a, b in pairs:
-        mid = tuple(0.5 * (p + q) for p, q in zip(a, b))
-        if value(mid) < 0.5 * (value(a) + value(b)) - _CONCAVITY_TOL:
-            return False
-    return True
+def _midpoint_concave(a: Sequence[float], b: Sequence[float], mid: Sequence[float]) -> bool:
+    """value(mid) >= (value(a) + value(b)) / 2 - _CONCAVITY_TOL on every
+    sampled pair (a, b) of dual points, given the values at each pair's
+    ends and midpoint, pair by pair."""
+    return not np.any(np.asarray(mid) < 0.5 * (np.asarray(a) + np.asarray(b)) - _CONCAVITY_TOL)
 
 
 def _weak_duality(duals: Sequence[float], primals: Sequence[float]) -> CheckResult:
@@ -144,26 +146,30 @@ def verify_gp(cfg: SolverConfig | None = None) -> list[CheckResult]:
     checks.append(_check("decoupling-positivity-guard", positive, "min h > 0 and min g > 0"))
 
     # Closed-form reproduction of the eliminated dual, 1000 samples, 1e-10 relative.
-    closed = [(s, benchmarks.gp_dual_closed_form(s)) for s in _gp_feasible_samples(1000, seed=101)]
-    worst = max(abs(canonical.dual_value(pr, (s,)) - value) / (1.0 + abs(value)) for s, value in closed)
+    sigmas = _gp_feasible_samples(1000, seed=101)
+    closed = np.array([benchmarks.gp_dual_closed_form(s) for s in sigmas])
+    values, _ = canonical.dual_samples(pr, (sigmas,))
+    worst = max((np.abs(values - closed) / (1.0 + np.abs(closed))).tolist())
     checks.append(_check("dual-closed-form-reproduction", worst <= 1e-10, f"worst {worst:.3e}"))
 
     # Analytic gradient vs central differences at 20 interior points.
     checks.append(_fd_gradient_matches(pr, [(s,) for s in _gp_feasible_samples(20, seed=102, margin=0.5)]))
 
-    # Midpoint concavity on 200 sampled feasible pairs (the domain is convex).
-    ends = [(s,) for s in _gp_feasible_samples(400, seed=103)]
-    concave_ok = _midpoint_concave(partial(canonical.dual_value, pr), zip(ends[::2], ends[1::2]))
+    # Midpoint concavity on 200 sampled feasible pairs (the domain is convex):
+    # the dual at their 400 ends and 200 midpoints.
+    ends = np.array(_gp_feasible_samples(400, seed=103))
+    values, _ = canonical.dual_samples(pr, (np.concatenate([ends, 0.5 * (ends[::2] + ends[1::2])]),))
+    concave_ok = _midpoint_concave(values[:400:2], values[1:400:2], values[400:])
     checks.append(_check("dual-midpoint-concavity", concave_ok))
 
     # Weak duality: dual values never exceed primal values (100 x 100 samples).
     rng = oracle.Lcg(104)
     lo = -53.0 / 3.0 + 1e-6
-    sigmas = (lo + (40.0 - lo) * rng.units(100)).tolist()
+    sigmas = lo + (40.0 - lo) * rng.units(100)
     ts = (-10.0 + (10.0 - -10.0) * rng.units(100)).tolist()
     checks.append(
         _weak_duality(
-            [canonical.dual_value(pr, (s,)) for s in sigmas],
+            canonical.dual_samples(pr, (sigmas,))[0].tolist(),
             [canonical.primal_value(pr, (t,)) for t in ts],
         )
     )
@@ -210,36 +216,31 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Feasibility region is exactly {s2 >= 25 s1^2 - 13/5}: compare the PSD
     # margin sign with the algebraic inequality on a sample sweep.
-    region_ok = True
-    for s1, s2 in oracle.Lcg(201).uniform_rows((-1.5, -5.0), (1.5, 10.0), 400):
-        inside, _ = canonical.in_positive_domain(thc, (s1, s2))
-        algebraic = s2 >= 25.0 * s1 * s1 - 13.0 / 5.0 - 1e-7
-        if inside != algebraic and abs(s2 - (25.0 * s1 * s1 - 13.0 / 5.0)) > 1e-6:
-            region_ok = False
-            break
+    s1, s2 = np.array(oracle.Lcg(201).uniform_rows((-1.5, -5.0), (1.5, 10.0), 400)).T
+    inside = canonical.domain_margins(thc, (s1, s2)) >= -canonical.PSD_TOL
+    floor = 25.0 * s1 * s1 - 13.0 / 5.0
+    region_ok = not np.any((inside != (s2 >= floor - 1e-7)) & (np.abs(s2 - floor) > 1e-6))
     checks.append(_check("feasibility-region-algebra", region_ok))
 
     # The table's dual equals the closed form at 200 strictly feasible
     # samples, 1e-9 relative.
-    worst = 0.0
-    for sigma in _thc_feasible_samples(200, seed=202):
-        eliminated = canonical.dual_value(thc, sigma)
-        closed = benchmarks.thc_dual(*sigma)
-        worst = max(worst, abs(closed - eliminated) / (1.0 + abs(closed)))
+    samples = _thc_feasible_samples(200, seed=202)
+    closed = np.array([benchmarks.thc_dual(*sigma) for sigma in samples])
+    eliminated, _ = canonical.dual_samples(thc, tuple(zip(*samples)))
+    worst = max([0.0, *(np.abs(closed - eliminated) / (1.0 + np.abs(closed))).tolist()])
     checks.append(_check("dual-vs-elimination", worst <= 1e-9, f"worst {worst:.3e}"))
 
-    # Midpoint concavity over 200 feasible pairs (region is convex).
+    # Midpoint concavity over 200 feasible pairs (region is convex), on the
+    # closed-form dual.
     ends = _thc_feasible_samples(400, seed=203)
-    concave_ok = _midpoint_concave(lambda sigma: benchmarks.thc_dual(*sigma), zip(ends[::2], ends[1::2]))
+    mids = [tuple(0.5 * (p + q) for p, q in zip(a, b)) for a, b in zip(ends[::2], ends[1::2])]
+    values = [benchmarks.thc_dual(*sigma) for sigma in ends + mids]
+    concave_ok = _midpoint_concave(values[:400:2], values[1:400:2], values[400:])
     checks.append(_check("dual-midpoint-concavity", concave_ok))
 
     # x_bar = G^{-1} F always has y = -x/2 (second stationarity row).
-    half_ok = True
-    for sigma in _thc_feasible_samples(100, seed=204):
-        x, y = canonical.DualPoint(thc, sigma).x_bar()
-        if abs(2.0 * y + x) > 1e-12 * (1.0 + abs(x)):
-            half_ok = False
-            break
+    _, (x, y) = canonical.dual_samples(thc, tuple(zip(*_thc_feasible_samples(100, seed=204))))
+    half_ok = not np.any(np.abs(2.0 * y + x) > 1e-12 * (1.0 + np.abs(x)))
     checks.append(_check("equilibrium-halving-row", half_ok, "2y + x = 0"))
 
     # Zero-gap equality chain at the certified solution.

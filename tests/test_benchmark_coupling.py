@@ -119,6 +119,10 @@ def test_outputs_are_the_same_with_the_tracer_installed(pool_paths):
         tracer.end_operation()
     finally:
         tracer.uninstall()
-    assert tracer.calls["cli.run"] == len(argvs) and tracer.calls["canonical.dual_value"] > 1000
+    # The gp and thc suites sample the dual through canonical.dual_samples,
+    # which is not wrapped; the ascents, the gradient checks and verify
+    # file call dual_value.
+    assert tracer.calls["cli.run"] == len(argvs) and tracer.calls["canonical.dual_value"] > 100
+    assert tracer.calls["verify.verify_gp"] == tracer.calls["verify.verify_thc"] == 1
     assert traced == untraced
     assert outputs() == untraced

@@ -1030,3 +1030,93 @@ def test_non_finite_sigma_is_outside_the_domain(problem, sigma):
                     canonical.in_positive_domain):
         with pytest.raises(DomainViolation, match="not finite"):
             request(pr, sigma)
+
+
+# -- sampled duals against DualPoint, sample by sample -----------------------
+# dual_samples and domain_margins must give each sample the bits of the
+# scalar calls, and raise the error the first raising sample raises.
+
+
+def _scalar_samples(pr, points, residual_tol):
+    """(P^d, x_bar) by dual_value and DualPoint.x_bar at each point, and the
+    error of the first point that raises one (None when none does)."""
+    found = []
+    for sigma in points:
+        try:
+            found.append((canonical.dual_value(pr, sigma, residual_tol),
+                          *canonical.DualPoint(pr, sigma).x_bar(residual_tol)))
+        except (DomainViolation, ColumnSpaceViolation) as exc:
+            return found, exc
+    return found, None
+
+
+def _assert_samples_are_the_dual_points(pr, points, residual_tol=1e-9):
+    expected, error = _scalar_samples(pr, points, residual_tol)
+    columns = tuple(zip(*points))
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            canonical.dual_samples(pr, columns, residual_tol)
+        assert str(raised.value) == str(error)
+        return
+    values, x = canonical.dual_samples(pr, columns, residual_tol)
+    found = zip(values.tolist(), *(column.tolist() for column in x))
+    assert [tuple(map(float.hex, row)) for row in found] == [tuple(map(float.hex, row)) for row in expected]
+
+
+def _assert_margins_are_in_positive_domain(pr, points):
+    margins = canonical.domain_margins(pr, tuple(zip(*points))).tolist()
+    assert list(map(float.hex, margins)) == [canonical.in_positive_domain(pr, sigma)[1].hex() for sigma in points]
+
+
+# Margins above the boundary from 1e-8 to about 60 (GP) or 12 (THC).
+margins = st.floats(-8.0, 1.8).map(lambda e: 10.0 ** e)
+gp_points = st.lists(margins.map(lambda t: (-53.0 / 3.0 + t,)), min_size=1, max_size=30)
+thc_points = st.lists(
+    st.tuples(st.floats(-1.5, 1.5), margins).map(lambda p: (p[0], 25.0 * p[0] * p[0] - 13.0 / 5.0 + p[1])),
+    min_size=1, max_size=30,
+)
+tolerances = st.sampled_from([1e-9, 1e-15, 0.0])
+
+
+@given(gp_points, tolerances)
+def test_gp_dual_samples_are_the_dual_points_bit_for_bit(points, residual_tol):
+    pr = gp_canonical_g()
+    _assert_samples_are_the_dual_points(pr, points, residual_tol)
+    _assert_margins_are_in_positive_domain(pr, points)
+
+
+@given(thc_points, tolerances)
+def test_thc_dual_samples_are_the_dual_points_bit_for_bit(points, residual_tol):
+    pr = thc_problem()
+    _assert_samples_are_the_dual_points(pr, points, residual_tol)
+    _assert_margins_are_in_positive_domain(pr, points)
+
+
+@pytest.mark.parametrize("problem, points, residual_tol, message", [
+    (gp_canonical_g, [(1.0,), (math.nan,), (-30.0,)], 1e-9, "not finite"),
+    (gp_canonical_g, [(1.0,), (-30.0,), (math.inf,)], 1e-9, "not positive definite"),
+    (thc_problem, [(0.0, 0.0), (math.inf, 0.0), (1.0, 0.0)], 1e-9, "not finite"),
+    (thc_problem, [(0.0, 0.0), (1.0, 0.0), (0.0, -math.inf)], 1e-9, "not positive definite"),
+    (thc_problem, [(0.0, 0.0), (0.3, 1.0), (0.1, 0.3), (0.5, 4.0), (1.0, 0.0)], 0.0,
+     "solve residual 6.939e-18 > tol 0.000e+00"),
+])
+def test_dual_samples_raise_the_first_samples_error(problem, points, residual_tol, message):
+    pr = problem()
+    _, error = _scalar_samples(pr, points, residual_tol)
+    assert message in str(error)
+    _assert_samples_are_the_dual_points(pr, points, residual_tol)
+    if all(map(math.isfinite, sum(points, ()))):
+        _assert_margins_are_in_positive_domain(pr, points)
+    else:
+        with pytest.raises(DomainViolation, match="not finite"):
+            canonical.domain_margins(pr, tuple(zip(*points)))
+
+
+def test_dual_samples_are_for_two_dimensions_at_most():
+    pr = cli.load_problem_file(Path(__file__).resolve().parent / "data" / "survey_4_3_0.json")
+    columns = ((1.0,),) * pr.m
+    for request in (canonical.dual_samples, canonical.domain_margins):
+        with pytest.raises(DimensionMismatch):
+            request(pr, columns)
+        with pytest.raises(DimensionMismatch):
+            request(thc_problem(), ((1.0,),))

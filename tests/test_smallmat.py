@@ -21,8 +21,11 @@ from canondual.smallmat import (
     exceeds,
     kernels,
     min_eigenvalue,
+    min_eigenvalue_many,
     solve_1x1,
+    solve_1x1_many,
     solve_2x2,
+    solve_2x2_many,
     solve_factored,
     solve_sym,
 )
@@ -462,3 +465,112 @@ def test_kernel_names_are_unique_beyond_ten():
     x = substitute(factor(upper, 0.0), v)
     assert residual(tuple(map(tuple, S.tolist())), v, x)[1] < 1e-12
     assert np.allclose(x, np.linalg.solve(S, v), rtol=1e-12, atol=1e-12)
+
+
+# -- the array forms against the scalar solves, entry by entry --------------
+
+
+def _first_error(calls):
+    """The exception the first raising call raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except (DomainViolation, ColumnSpaceViolation) as exc:
+            return exc
+    return None
+
+
+def _assert_same_error(expected, batch):
+    with pytest.raises(type(expected)) as raised:
+        batch()
+    assert str(raised.value) == str(expected)
+    if isinstance(expected, ColumnSpaceViolation):
+        assert bits((raised.value.residual, raised.value.tol)) == bits((expected.residual, expected.tol))
+
+
+def _columns(rows):
+    return [np.array(column, dtype=np.float64) for column in zip(*rows)]
+
+
+@st.composite
+def conditioned_spd(draw):
+    """(a, b, d) of a 2x2 positive definite matrix: eigenvalues top and
+    top / cond, cond up to 1e12, eigenvectors at angle theta."""
+    top = draw(st.floats(1e-2, 10.0))
+    cond = 10.0 ** draw(st.floats(0.0, 12.0))
+    theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    low = top / cond
+    return c * c * top + s * s * low, c * s * (top - low), s * s * top + c * c * low
+
+
+systems = st.lists(st.tuples(conditioned_spd(), entry, entry), min_size=1, max_size=30)
+
+
+@given(systems, st.sampled_from([1e-9, 1e-12, 0.0]))
+def test_2x2_array_solve_is_the_scalar_solve_bit_for_bit(drawn, residual_tol):
+    rows = [(a, b, d, v0, v1) for (a, b, d), v0, v1 in drawn]
+    expected = _first_error([partial(solve_2x2, *row, residual_tol) for row in rows])
+    batch = partial(solve_2x2_many, *_columns(rows), residual_tol)
+    if expected is not None:
+        _assert_same_error(expected, batch)
+        return
+    x0, x1 = batch()
+    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(solve_2x2(*row, residual_tol)) for row in rows]
+
+
+def test_2x2_array_solve_takes_the_refinement_entry_by_entry():
+    # 1000 seeded systems with condition numbers 1 to 1e12: the refinement
+    # step changes some answers, not all, and each entry has the scalar bits.
+    rng = np.random.default_rng(22)
+    top = rng.uniform(1e-2, 10.0, 1000)
+    low = top / 10.0 ** rng.uniform(0.0, 12.0, 1000)
+    c, s = np.cos(theta := rng.uniform(0.0, np.pi, 1000)), np.sin(theta)
+    a, b, d = c * c * top + s * s * low, c * s * (top - low), s * s * top + c * c * low
+    v0, v1 = rng.uniform(-10.0, 10.0, (2, 1000))
+    x0, x1 = solve_2x2_many(a, b, d, v0, v1, 1.0)
+    rows = list(zip(*(column.tolist() for column in (a, b, d, v0, v1))))
+    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(solve_2x2(*row, 1.0)) for row in rows]
+    det = a * d - b * b
+    refined = (x0 != (d * v0 - b * v1) / det) | (x1 != (a * v1 - b * v0) / det)
+    assert 0 < refined.sum() < 1000
+
+
+@given(st.lists(st.tuples(entry, entry), min_size=1, max_size=30))
+@example([(1.0, 1.0), (2.2250738585e-313, 1.0), (0.0, 1.0)])  # overflow, then not positive definite
+@example([(2.0, 1.0), (-1.0, 1.0), (2.2250738585e-313, 1.0)])  # not positive definite, then overflow
+def test_1x1_array_solve_is_the_scalar_solve_bit_for_bit(rows):
+    expected = _first_error([partial(solve_1x1, *row) for row in rows])
+    batch = partial(solve_1x1_many, *_columns(rows))
+    if expected is not None:
+        _assert_same_error(expected, batch)
+        return
+    assert bits(batch().tolist()) == bits([solve_1x1(*row) for row in rows])
+
+
+@pytest.mark.parametrize("rows, residual_tol, error", [
+    # not positive definite at the third system
+    ([(2.0, 0.0, 2.0, 1.0, 1.0)] * 2 + [(1.0, 2.0, 1.0, 1.0, 1.0), (-1.0, 0.0, 1.0, 1.0, 1.0)], 1e-9,
+     DomainViolation),
+    # a NaN entry is not positive definite
+    ([(2.0, 0.0, 2.0, 1.0, 1.0), (math.nan, 0.0, 2.0, 1.0, 1.0)], 1e-9, DomainViolation),
+    # the residual of the second system exceeds a zero tolerance, the fourth is not positive definite
+    ([(4.0, 0.0, 4.0, 1.0, 2.0), (1.1742365971831072, 1.3171198061730727, 1.4773894590841445,
+                                  -0.8122808264515302, -0.9433050469559874),
+      (4.0, 0.0, 4.0, 1.0, 2.0), (1.0, 2.0, 1.0, 1.0, 1.0)], 0.0, ColumnSpaceViolation),
+])
+def test_2x2_array_solve_raises_the_first_systems_error(rows, residual_tol, error):
+    expected = _first_error([partial(solve_2x2, *row, residual_tol) for row in rows])
+    assert type(expected) is error
+    _assert_same_error(expected, partial(solve_2x2_many, *_columns(rows), residual_tol))
+
+
+@given(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=30))
+def test_min_eigenvalue_many_is_the_scalar_closed_form(rows):
+    assert bits(min_eigenvalue_many(2, _columns(rows)).tolist()) == bits([min_eigenvalue(2, row) for row in rows])
+    assert bits(min_eigenvalue_many(1, _columns(rows)).tolist()) == bits([min_eigenvalue(1, row) for row in rows])
+
+
+def test_min_eigenvalue_many_is_for_n_up_to_two():
+    with pytest.raises(DimensionMismatch):
+        min_eigenvalue_many(3, _columns([(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)]))

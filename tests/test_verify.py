@@ -6,6 +6,7 @@ import json
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canondual import benchmarks, canonical, cli, dual_solver, verify
@@ -108,10 +109,31 @@ def test_suites_keep_their_checks_in_order(name):
     assert all(check.passed for check in checks)
 
 
+def _midpoint_values(value, pairs):
+    """value at each pair's ends a and b and at its midpoint, as
+    _midpoint_concave takes them."""
+    mids = [tuple(0.5 * (p + q) for p, q in zip(a, b)) for a, b in pairs]
+    return [value(a) for a, _ in pairs], [value(b) for _, b in pairs], [value(mid) for mid in mids]
+
+
 def test_midpoint_concavity_rejects_a_convex_function():
     pairs = [((-1.0,), (1.0,)), ((0.0,), (2.0,))]
-    assert verify._midpoint_concave(lambda s: -s[0] ** 2, pairs)
-    assert not verify._midpoint_concave(lambda s: s[0] ** 2, pairs)
+    assert verify._midpoint_concave(*_midpoint_values(lambda s: -s[0] ** 2, pairs))
+    assert not verify._midpoint_concave(*_midpoint_values(lambda s: s[0] ** 2, pairs))
+
+
+def test_midpoint_concavity_reads_every_pair():
+    # 200 pairs on which -s^2 is concave, then one more convex bump on the
+    # last pair only; lists and arrays alike.
+    ends = [(float(k),) for k in range(400)]
+    pairs = list(zip(ends[::2], ends[1::2]))
+    a, b, mid = _midpoint_values(lambda s: -s[0] ** 2, pairs)
+    assert verify._midpoint_concave(a, b, mid)
+    mid[-1] = 0.5 * (a[-1] + b[-1]) - 2.0 * verify._CONCAVITY_TOL
+    assert not verify._midpoint_concave(a, b, mid)
+    assert not verify._midpoint_concave(np.array(a), np.array(b), np.array(mid))
+    mid[-1] = 0.5 * (a[-1] + b[-1]) - 0.5 * verify._CONCAVITY_TOL
+    assert verify._midpoint_concave(a, b, mid)
 
 
 def test_weak_duality_fails_when_a_dual_value_exceeds_a_primal_value():
@@ -211,10 +233,23 @@ def test_verify_gp_weak_duality_draws_are_the_scalar_draws(monkeypatch):
 
 
 def test_verify_thc_region_sweep_draws_are_the_scalar_draws(monkeypatch):
-    recorded = _recorded(monkeypatch, canonical, "in_positive_domain")
+    # One batched call over the 400 rows; each row's margin is the one
+    # in_positive_domain reports there, bit for bit.
+    calls = []
+    original = canonical.domain_margins
+
+    def record(pr, sigma):
+        calls.append((pr, sigma, original(pr, sigma)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(canonical, "domain_margins", record)
     verify.verify_thc()
     sweep = _scalar_rows(Lcg(201), (-1.5, -5.0), (1.5, 10.0), 400)
-    assert [sigma for _, sigma in recorded] == sweep
+    [(pr, (s1, s2), margins)] = calls
+    assert list(zip(s1.tolist(), s2.tolist())) == sweep
+    thc = benchmarks.thc_problem()
+    assert pr is thc
+    assert [m.hex() for m in margins.tolist()] == [canonical.in_positive_domain(thc, row)[1].hex() for row in sweep]
 
 
 @pytest.mark.parametrize("index", [0, 35])
