@@ -44,11 +44,15 @@ derivatives: at any other sigma they raise DomainViolation.  The
 boundary, where G is singular, gets no solve (only its margin,
 in_positive_domain, is reported).
 
-For n <= 2, dual_samples and domain_margins evaluate many sigma at once,
-given as columns, one float64 array per component: the accumulator,
-which only multiplies and adds, takes the columns as its point, and
-smallmat's array solves and eigenvalues take the slots, so every entry
-has the bits of DualPoint at its sigma.
+Many sigma, given as columns, one float64 array per component, are
+evaluated at once: the accumulators, which only multiply and add, take the
+columns as their point, and smallmat's array solves take the slots,
+dispatched on n as DualPoint solves, so every entry has the bits of
+DualPoint at its sigma.  dual_columns and dual_gradient_columns return
+P^d with x_bar, and the gradient, with the mask of the samples where
+DualPoint raises nothing; dual_samples raises DualPoint's error at the
+first sample that has one.  domain_exceeds is the threshold test on
+columns, and domain_margins, for n <= 2, the margins.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from fractions import Fraction
 from operator import add, mul, sub
 from math import isfinite, lcm
@@ -73,16 +78,20 @@ from .smallmat import (
     Factor,
     SymMatrix,
     Vector,
+    _first,
     cholesky,
+    column_kernels,
     exceeds,
+    exceeds_many,
     full_rows,
     min_eigenvalue,
     min_eigenvalue_many,
     solve_1x1,
-    solve_1x1_many,
+    solve_1x1_columns,
     solve_2x2,
-    solve_2x2_many,
+    solve_2x2_columns,
     solve_factored,
+    solve_factored_columns,
     solve_sym,  # noqa: F401
 )
 
@@ -388,6 +397,16 @@ def conjugate_value(V: ConvexQuadV, sigma: Sequence[float]) -> float:
     return sum((s - beta) ** 2 / (4.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
+def conjugate_values(V: ConvexQuadV, sigma: Sequence[np.ndarray]) -> np.ndarray:
+    """conjugate_value at each sample sigma, given as m float64 columns, bit
+    for bit: each square is taken entry by entry with pow, as ** takes it
+    on a float (numpy's ** multiplies, which may round differently)."""
+    if len(sigma) != V.m:
+        raise DimensionMismatch(f"sigma has {len(sigma)} columns, expected {V.m}")
+    return sum(np.array(list(map(pow, (s - beta).tolist(), repeat(2)))) / (4.0 * a)
+               for (a, beta), s in zip(V.pairs_float, sigma))
+
+
 def conjugate_gradient(V: ConvexQuadV, sigma: Sequence[float]) -> tuple[float, ...]:
     """Gradient of V*: the inverse duality map xi_k = (sigma_k - beta_k) / (2 a_k)."""
     if len(sigma) != V.m:
@@ -550,50 +569,111 @@ def in_positive_domain(pr: Problem, sigma: Sequence[float]) -> tuple[bool, float
     return margin >= -PSD_TOL, margin
 
 
-def _sample_slots(pr: Problem, sigma: Sequence[Sequence[float]]
-                  ) -> tuple[list[np.ndarray], DomainViolation | None]:
-    """The slots of [upper triangle of G, F, c] at each sample sigma, given
-    as m columns, up to the first sample with an infinite or NaN entry, and
-    the DomainViolation DualPoint raises there (None when there is none).
-    A slot constant in sigma is broadcast.  For n <= 2."""
+def _sample_slots(pr: Problem, sigma: Sequence[Sequence[float]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(the samples as an m x count float64 array, the slots of [upper
+    triangle of G, F, c] at each), sigma given as m columns of one length.
+    A slot constant in sigma is broadcast.  Every sample is accumulated, a
+    non-finite one too: the callers mask it."""
     table = pr.table
-    if table.n > 2:
-        raise DimensionMismatch(f"sampled duals are for n <= 2, got n={table.n}")
-    columns = np.array(sigma, dtype=np.float64)
-    if columns.ndim != 2 or len(columns) != table.m:
-        raise DimensionMismatch(f"sigma needs {table.m} columns of samples, got shape {columns.shape}")
-    finite = np.isfinite(columns).all(axis=0)
-    count, error = len(finite), None
-    if not finite.all():
-        count = int(np.argmin(finite))
-        error = DomainViolation(f"sigma {tuple(columns[:, count].tolist())} is not finite")
-    slots = table.accumulate(tuple(columns[:, :count]))
-    return [np.broadcast_to(slot, (count,)) for slot in slots], error
+    columns = [np.asarray(column, dtype=np.float64) for column in sigma]
+    if len(columns) != table.m or any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
+        raise DimensionMismatch(f"sigma needs {table.m} columns of samples of one length, "
+                                f"got shapes {[column.shape for column in columns]}")
+    stacked = np.array(columns)
+    with np.errstate(all="ignore"):
+        slots = table.accumulate(tuple(stacked))
+    count = stacked.shape[1]
+    return stacked, [slot if type(slot) is np.ndarray else np.full(count, slot) for slot in slots]
+
+
+def _raise_first(pr: Problem, columns: np.ndarray, ok: np.ndarray, residual_tol: float | None = None) -> None:
+    """Raise DualPoint's error at the first sample, in order, where ok is
+    False: its constructor's at a non-finite sigma and, given residual_tol,
+    its x_bar's at that tolerance."""
+    i = _first(~ok)
+    if i is not None:
+        point = DualPoint(pr, columns[:, i].tolist())
+        if residual_tol is not None:
+            point.x_bar(residual_tol)
+
+
+def _solved_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float
+                    ) -> tuple[np.ndarray, list[np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
+    """(the samples, their slots, x_bar at each, a mask of the samples where
+    DualPoint(pr, sample).x_bar(residual_tol) raises nothing: sigma finite,
+    G positive definite and the residual within its limit).  The solve
+    dispatches on n as DualPoint._solve does."""
+    columns, slots = _sample_slots(pr, sigma)
+    n, f = pr.n, slots[-pr.n - 1:-1]
+    if n == 1:
+        x, solved = solve_1x1_columns(slots[0], *f)
+        x = (x,)
+    elif n == 2:
+        x, solved = solve_2x2_columns(*slots[:3], *f, residual_tol)
+    else:
+        with np.errstate(all="ignore"):
+            factored = column_kernels(n).factor(slots, 0.0)
+        x, solved = solve_factored_columns(factored, full_rows(n, slots), f, residual_tol)
+    return columns, slots, x, solved & np.isfinite(columns).all(axis=0)
+
+
+def _value(table: DualTable, acc: Sequence, x: Sequence) -> np.ndarray:
+    """DualPoint.value's -1/2 F^T x_bar + c, on columns."""
+    with np.errstate(all="ignore"):
+        return -0.5 * sum(map(mul, _f(table, acc), x)) + acc[-1]
+
+
+def dual_columns(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """(P^d, x_bar, solved) at each sample sigma, given as m columns: where
+    solved is True, the bits of DualPoint(pr, sigma).value(residual_tol) and
+    of its x_bar; where it is False, DualPoint raises there and the entries
+    are meaningless.  Raises nothing for a sample."""
+    _, slots, x, solved = _solved_samples(pr, sigma, residual_tol)
+    return _value(pr.table, slots, x), x, solved
 
 
 def dual_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(P^d, x_bar) at each sample sigma, given as m columns: the bits of
-    DualPoint(pr, sigma).value(residual_tol) and of its x_bar, for n <= 2.
-    P^d is -1/2 (0.0 + F_0 x_0 [+ F_1 x_1]) + c, the sum value takes.  The
-    error is DualPoint's at the first sample, in order, that raises one."""
-    slots, error = _sample_slots(pr, sigma)
-    f = slots[-pr.n - 1:-1]
-    x = (solve_1x1_many(slots[0], *f),) if pr.n == 1 else solve_2x2_many(*slots[:3], *f, residual_tol)
-    if error is not None:
-        raise error
-    dot = 0.0
-    for f_k, x_k in zip(f, x):
-        dot = dot + f_k * x_k
-    return -0.5 * dot + slots[-1], x
+    DualPoint(pr, sigma).value(residual_tol) and of its x_bar.  The error is
+    DualPoint's at the first sample, in order, that raises one."""
+    columns, slots, x, solved = _solved_samples(pr, sigma, residual_tol)
+    _raise_first(pr, columns, solved, residual_tol)
+    return _value(pr.table, slots, x), x
+
+
+def dual_gradient_columns(pr: Problem, sigma: Sequence[Sequence[float]]
+                          ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(the gradient of P^d, solved) at each sample sigma, given as m
+    columns: where solved is True, the bits of dual_gradient(pr, sigma),
+    from x_bar at its tolerance 1e-6 and the table's accumulate_grad, which
+    take the columns as they take a point; where it is False, dual_gradient
+    raises there.  Raises nothing for a sample."""
+    columns, _, x, solved = _solved_samples(pr, sigma, 1e-6)
+    table = pr.table
+    with np.errstate(all="ignore"):
+        point = tuple(columns)
+        return tuple([_xi(table, first(point), x) for first in table.accumulate_grad]), solved
+
+
+def domain_exceeds(pr: Problem, sigma: Sequence[Sequence[float]], t: float) -> np.ndarray:
+    """DualPoint(pr, sigma).exceeds(t), lambda_min(G) > t, at each sample
+    sigma, given as m columns.  The error is DualPoint's at the first
+    non-finite sample."""
+    columns, slots = _sample_slots(pr, sigma)
+    _raise_first(pr, columns, np.isfinite(columns).all(axis=0))
+    return exceeds_many(pr.n, slots, t)
 
 
 def domain_margins(pr: Problem, sigma: Sequence[Sequence[float]]) -> np.ndarray:
     """in_positive_domain's margin lambda_min(G) at each sample sigma, given
-    as m columns, bit for bit, for n <= 2."""
-    slots, error = _sample_slots(pr, sigma)
-    if error is not None:
-        raise error
+    as m columns, bit for bit, for n <= 2.  The error is DualPoint's at the
+    first non-finite sample."""
+    if pr.n > 2:
+        raise DimensionMismatch(f"sampled margins are for n <= 2, got n={pr.n}")
+    columns, slots = _sample_slots(pr, sigma)
+    _raise_first(pr, columns, np.isfinite(columns).all(axis=0))
     return min_eigenvalue_many(pr.n, slots)
 
 
@@ -649,4 +729,4 @@ def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:
         scale = num * (common // den)
         for exps, value in terms.items():
             total[exps] = total.get(exps, 0) + scale * value
-    return MultiPoly(n, {exps: Fraction(value, common) for exps, value in total.items() if value})
+    return MultiPoly._of(n, {exps: Fraction(value, common) for exps, value in total.items() if value})

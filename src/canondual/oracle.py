@@ -102,9 +102,14 @@ class Lcg:
         """count rows of uniform(lower[j], upper[j]) over the columns j, drawn
         row by row as the loop over rows and columns would draw them, each
         entry lo + (hi - lo) * u by the same float operations."""
+        return list(map(tuple, self.uniform_columns(lower, upper, count).T.tolist()))
+
+    def uniform_columns(self, lower: Sequence[float], upper: Sequence[float], count: int) -> np.ndarray:
+        """The draws of uniform_rows as a float64 array with one row per
+        column j, shape (len(lower), count)."""
         lo, hi = np.array(lower, dtype=np.float64), np.array(upper, dtype=np.float64)
         units = self.units(count * len(lo)).reshape(count, len(lo))
-        return list(map(tuple, (lo + (hi - lo) * units).tolist()))
+        return (lo + (hi - lo) * units).T
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ def _newton_evaluators(p: MultiPoly):
     if cached is None:
         grads = p.gradient()
         hessian = [grads[i].partial_derivative(j) for i in range(p.arity) for j in range(i, p.arity)]
-        magnitude = MultiPoly(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
+        magnitude = MultiPoly._of(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
         cached = (p.float_evaluator(), magnitude.float_evaluator(), joint_evaluator([*grads, *hessian]))
         object.__setattr__(p, "_newton_cache", cached)
     return cached

@@ -208,6 +208,18 @@ class MultiPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, arity: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """The polynomial of terms the package has built itself, without
+        __post_init__'s checks: arity in range, exponent tuples of that
+        length with nonnegative int entries, and Fraction coefficients, none
+        zero.  Every polynomial from outside the package goes through the
+        constructor."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -243,7 +255,7 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.arity, out)
+        return MultiPoly._of(self.arity, {exps: coeff for exps, coeff in out.items() if coeff})
 
     __radd__ = __add__
 
@@ -267,7 +279,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(self.arity, out)
+        return MultiPoly._of(self.arity, {exps: coeff for exps, coeff in out.items() if coeff})
 
     __rmul__ = __mul__
 
@@ -281,7 +293,7 @@ class MultiPoly:
 
     def scale(self, factor: RationalLike) -> "MultiPoly":
         factor = rat(factor)
-        return MultiPoly(self.arity, {e: c * factor for e, c in self.terms.items()})
+        return MultiPoly._of(self.arity, {e: c * factor for e, c in self.terms.items()} if factor else {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -306,7 +318,7 @@ class MultiPoly:
             lowered = list(exps)
             lowered[var] = e - 1
             out[tuple(lowered)] = coeff * e
-        cache[var] = MultiPoly(self.arity, out)
+        cache[var] = MultiPoly._of(self.arity, out)
         return cache[var]
 
     def gradient(self) -> tuple["MultiPoly", ...]:

@@ -30,11 +30,19 @@ the kernels deterministic, and the test suite cross-checks them against
 numpy.linalg independently and against the loops they replace, bit for
 bit.
 
-The closed forms also have array forms, solve_1x1_many, solve_2x2_many and
-min_eigenvalue_many, for many systems of one size n <= 2 at once: numpy
-float64 columns, one entry per system, through the same operations in the
-same order, so each entry has the bits of the scalar call on its system.
-n >= 3 has none: the Cholesky kernels branch on each pivot.
+The solves and the threshold test also have array forms, for many
+matrices of one size n <= 4 at once: numpy float64 columns, one entry per
+matrix, through the same operations in the same order, so each entry has
+the bits of the scalar call on its matrix.  For n <= 2 they are the closed
+forms (solve_1x1_columns, solve_2x2_columns); for n >= 3, column_kernels
+compiles the kernels' own source with one change, a pivot that is not > 0
+marked in a per-entry mask instead of ending the factor, and
+solve_factored_columns substitutes, refines and checks through that
+factor.  Each *_columns form returns, beside its answers, the mask of the
+entries where the scalar call raises nothing; each *_many form raises, at
+the first entry in order where the scalar call raises, that call's own
+error.  exceeds_many is exceeds on columns; min_eigenvalue_many is for
+n <= 2 only.
 """
 
 from __future__ import annotations
@@ -216,10 +224,13 @@ def _minus_sum(head: str, terms: Sequence[str]) -> str:
     return f"{head} - {_sum_of(terms)}" if terms else head
 
 
-def _kernel_source(n: int) -> str:
+def _kernel_source(n: int, columns: bool = False) -> str:
     """The straight-line factor, substitute and residual of size n.  The
     entries of L and of the rows are named l{i}_{j} and a{i}_{j}: without the
-    separator, l1_11 and l11_1 would both be l111 from n = 12 on."""
+    separator, l1_11 and l11_1 would both be l111 from n = 12 on.  The
+    column form differs in one line per pivot: where the scalar factor
+    returns None at a pivot that is not > 0, it goes on and keeps a mask of
+    the samples whose pivots all are, which it returns beside the factor."""
     lower = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(n)]
     xs, vs = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
     rows = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
@@ -233,9 +244,13 @@ def _kernel_source(n: int) -> str:
             dot = [f"l{i}_{k} * l{j}_{k}" for k in range(j)]
             lines.append(f"    l{i}_{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}_{j}")
         squares = [f"l{i}_{k} * l{i}_{k}" for k in range(i)]
-        lines += [f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}",
-                  "    if not pivot > 0.0:", "        return None", f"    l{i}_{i} = sqrt(pivot)"]
-    lines.append(f"    return {tuple_of(map(tuple_of, lower))}")
+        lines.append(f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}")
+        if columns:
+            lines.append("    positive = pivot > 0.0" if i == 0 else "    positive = positive & (pivot > 0.0)")
+        else:
+            lines += ["    if not pivot > 0.0:", "        return None"]
+        lines.append(f"    l{i}_{i} = sqrt(pivot)")
+    lines.append(f"    return {tuple_of(map(tuple_of, lower))}{', positive' if columns else ''}")
 
     lines += ["def substitute(factor, v):", f"    {tuple_of(map(tuple_of, lower))} = factor",
               f"    {tuple_of(vs)} = v"]
@@ -265,8 +280,17 @@ class Kernels(NamedTuple):
                        tuple[tuple[float, ...], float]]
 
 
-# Compiled kernels by matrix size n, generated at first use.
+# Compiled kernels by matrix size n, generated at first use: the scalar
+# kernels and their column forms.
 _KERNELS: dict[int, Kernels] = {}
+_COLUMN_KERNELS: dict[int, Kernels] = {}
+
+
+def _compile_kernels(n: int, columns: bool) -> Kernels:
+    namespace: dict = {}
+    name = f"<smallmat {'column ' if columns else ''}kernels n={n}>"
+    exec(compile(_kernel_source(n, columns), name, "exec"), {"sqrt": np.sqrt if columns else math.sqrt}, namespace)
+    return Kernels(namespace["factor"], namespace["substitute"], namespace["residual"])
 
 
 def kernels(n: int) -> Kernels:
@@ -286,9 +310,22 @@ def kernels(n: int) -> Kernels:
     """
     found = _KERNELS.get(n)
     if found is None:
-        namespace: dict = {}
-        exec(compile(_kernel_source(n), f"<smallmat kernels n={n}>", "exec"), {"sqrt": math.sqrt}, namespace)
-        found = _KERNELS[n] = Kernels(namespace["factor"], namespace["substitute"], namespace["residual"])
+        found = _KERNELS[n] = _compile_kernels(n, False)
+    return found
+
+
+def column_kernels(n: int) -> Kernels:
+    """The kernels of size n on float64 columns, one entry per matrix,
+    compiled once per process from the same source (_kernel_source): each
+    entry has the bits of the scalar kernel on its matrix.  substitute and
+    residual are the scalar code, residual with np.sqrt; factor(upper,
+    shift) returns (the factor, a mask of the entries whose pivots are all
+    > 0), and where the mask is False the factor's entries are meaningless
+    (NaN from the square root of a pivot <= 0).  Call them under
+    np.errstate(all="ignore")."""
+    found = _COLUMN_KERNELS.get(n)
+    if found is None:
+        found = _COLUMN_KERNELS[n] = _compile_kernels(n, True)
     return found
 
 
@@ -382,24 +419,43 @@ def _first(offending: np.ndarray) -> int | None:
     return int(np.argmax(offending)) if offending.any() else None
 
 
+def exceeds_many(n: int, upper: Sequence[np.ndarray], t: float) -> np.ndarray:
+    """exceeds at each entry of the float64 columns of an upper triangle of
+    size n: the closed forms for n <= 2 and the shifted column factor's
+    mask for n >= 3, each entry the scalar test's answer on its matrix."""
+    with np.errstate(all="ignore"):
+        if n == 1:
+            return upper[0] - t > 0.0
+        if n == 2:
+            a = upper[0] - t
+            return (a > 0.0) & (a * (upper[2] - t) - upper[1] * upper[1] > 0.0)
+        return column_kernels(n).factor(upper, t)[1]
+
+
+def solve_1x1_columns(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(solve_1x1 at each entry of the float64 columns s and v, a mask of
+    the entries where it raises nothing)."""
+    with np.errstate(all="ignore"):
+        x = v / s
+    return x, (s > 0.0) & ~np.isinf(x)
+
+
 def solve_1x1_many(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """solve_1x1 at each entry of the float64 columns s and v: v / s.  At
     the first entry, in order, where solve_1x1 raises, it is called on that
     entry and raises its own error."""
-    with np.errstate(all="ignore"):
-        x = v / s
-    i = _first(~(s > 0.0) | np.isinf(x))
+    x, solved = solve_1x1_columns(s, v)
+    i = _first(~solved)
     if i is not None:
         solve_1x1(float(s[i]), float(v[i]))
     return x
 
 
-def solve_2x2_many(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
-                   residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """solve_2x2 at each entry of the float64 columns, by its operations in
-    its order: the refinement step is made everywhere and taken where
-    solve_2x2 takes it.  At the first entry, in order, where solve_2x2
-    raises, it is called on that entry and raises its own error."""
+def solve_2x2_columns(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
+                      residual_tol: float) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(solve_2x2 at each entry of the float64 columns, a mask of the
+    entries where it raises nothing), by its operations in its order: the
+    refinement step is made everywhere and taken where solve_2x2 takes it."""
     with np.errstate(all="ignore"):
         det = a * d - b * b
         x0 = (d * v0 - b * v1) / det
@@ -416,10 +472,62 @@ def solve_2x2_many(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, 
         refined = (residual > 1e-14 * (1.0 + v_norm)) & (corrected < residual)
         residual = np.where(refined, corrected, residual)
         limit = residual_tol * (1.0 + v_norm)
-    i = _first(~((a > 0.0) & (det > 0.0)) | (residual > limit))
+    solved = (a > 0.0) & (det > 0.0) & ~(residual > limit)
+    return (np.where(refined, y0, x0), np.where(refined, y1, x1)), solved
+
+
+def solve_2x2_many(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
+                   residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """solve_2x2 at each entry of the float64 columns (solve_2x2_columns).
+    At the first entry, in order, where solve_2x2 raises, it is called on
+    that entry and raises its own error."""
+    x, solved = solve_2x2_columns(a, b, d, v0, v1, residual_tol)
+    i = _first(~solved)
     if i is not None:
         solve_2x2(*(float(column[i]) for column in (a, b, d, v0, v1)), residual_tol)
-    return np.where(refined, y0, x0), np.where(refined, y1, x1)
+    return x
+
+
+ColumnFactor = tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]  # column_kernels(n).factor's (factor, mask)
+
+
+def solve_factored_columns(factored: ColumnFactor, rows: Sequence[Sequence[np.ndarray]], v: Sequence[np.ndarray],
+                           residual_tol: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(solve_factored at each entry of the float64 columns, a mask of the
+    entries where it raises nothing), given the column factor of the
+    matrices with those rows: the substitution, the refinement step made
+    everywhere and taken where solve_factored takes it, and the residual
+    check, by its operations in its order."""
+    factor, positive = factored
+    _, substitute, residual_of = column_kernels(len(factor))
+    with np.errstate(all="ignore"):
+        x = substitute(factor, v)
+        residual_vec, residual = residual_of(rows, v, x)
+        v_norm = np.sqrt(sum(map(mul, v, v)))
+        corrected = tuple(map(add, x, substitute(factor, residual_vec)))
+        corrected_residual = residual_of(rows, v, corrected)[1]
+        refined = (residual > 1e-14 * (1.0 + v_norm)) & (corrected_residual < residual)
+        residual = np.where(refined, corrected_residual, residual)
+        limit = residual_tol * (1.0 + v_norm)
+    return tuple([np.where(refined, y, x_k) for y, x_k in zip(corrected, x)]), positive & ~(residual > limit)
+
+
+def solve_factored_many(factored: ColumnFactor, rows: Sequence[Sequence[np.ndarray]], v: Sequence[np.ndarray],
+                        residual_tol: float) -> tuple[np.ndarray, ...]:
+    """solve_factored at each entry of the float64 columns
+    (solve_factored_columns).  At the first entry, in order, where
+    solve_factored raises, it is called on that entry's factor (None where
+    a pivot is not > 0), rows and v, and raises its own error."""
+    x, solved = solve_factored_columns(factored, rows, v, residual_tol)
+    i = _first(~solved)
+    if i is not None:
+        factor, positive = factored
+
+        def at(entries: Sequence[np.ndarray]) -> tuple[float, ...]:
+            return tuple([float(entry[i]) for entry in entries])
+
+        solve_factored(tuple(map(at, factor)) if positive[i] else None, tuple(map(at, rows)), at(v), residual_tol)
+    return x
 
 
 def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:

@@ -8,12 +8,15 @@ Each suite is a list of named checks mixing three kinds of evidence:
   * certificate triage facts (known spurious critical points rejected).
 
 Sampling uses the package's seeded generator, so suites are deterministic;
-every sample is drawn through oracle.Lcg.units, most as uniform_rows.  The
-gp and thc suites evaluate each sample set of the dual in one pass,
-canonical.dual_samples (and, for thc's region sweep, the PSD margins of
-canonical.domain_margins), bit for bit the DualPoint at each sample; their
-references, gp_dual_closed_form and thc_dual, and the finite-difference
-gradient check stay scalar, as does verify_problem, whose n may exceed 2.
+every sample is drawn through oracle.Lcg.units, most as uniform_rows or
+uniform_columns.  Each suite evaluates each sample set of the dual in one
+numpy pass over columns, bit for bit the DualPoint at each sample:
+canonical.dual_samples, dual_columns and dual_gradient_columns (the
+finite-difference gradient check, _fd_gradient_matches), domain_exceeds
+(verify_problem's interior samples) and domain_margins (thc's region
+sweep).  verify_problem's conjugate checks and primal samples are column
+arithmetic too.  The references of gp and thc, gp_dual_closed_form and
+thc_dual, stay scalar.
 
 The rules the suites share are stated once each: _zero_gap_triple (all
 three suites; each passes in its own Xi, recomputed apart from the ascent:
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -58,11 +60,46 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 
 
 def _fd_gradient_matches(pr: canonical.Problem, points: Sequence[tuple[float, ...]]) -> CheckResult:
+    """canonical.dual_gradient against dual_solver._fd_gradient of
+    canonical.dual_value at each point, in two passes: the analytic
+    gradient at the points (dual_gradient_columns), and the dual at the
+    points and their 2m shifted neighbours (dual_columns), from which the
+    central differences and, where one side is outside the domain (it
+    raises there, or its value is not finite), the one-sided quotients
+    against the point's value are formed as _fd_columns forms them.  Where
+    the scalar check raises, at the first such point, in order, the scalar
+    check runs there and raises its error.  The worst relative error is
+    taken with max over the points and components in order, as the scalar
+    loop took it."""
+    m = pr.m
+    sigma = np.array(points, dtype=np.float64).reshape(len(points), m).T
+    analytic, analytic_ok = canonical.dual_gradient_columns(pr, sigma)
+    h = _FD_STEP * (1.0 + np.abs(sigma))
+    shifted = [sigma]  # the points, then each component's up and down neighbours
+    for k in range(m):
+        for step in (h[k], -h[k]):  # sigma_k + (-h) has the bits of sigma_k - h
+            neighbour = sigma.copy()
+            neighbour[k] = sigma[k] + step
+            shifted.append(neighbour)
+    values, _, solved = canonical.dual_columns(pr, np.concatenate(shifted, axis=1))
+    values, solved = values.reshape(2 * m + 1, -1), solved.reshape(2 * m + 1, -1)
+    valid = solved & np.isfinite(values)
+    center, up, down = values[0], values[1::2], values[2::2]
+    up_ok, down_ok = valid[1::2], valid[2::2]
+    both = up_ok & down_ok
+    # The scalar check's errors: the point's value, needed where a side is
+    # out; "cannot difference" where both sides are; the analytic gradient.
+    offending = (~both.all(axis=0) & ~solved[0]) | (~up_ok & ~down_ok).any(axis=0) | ~analytic_ok
+    if offending.any():
+        first = tuple(points[int(np.argmax(offending))])
+        dual_solver._fd_gradient(partial(canonical.dual_value, pr), first, _FD_STEP)
+        canonical.dual_gradient(pr, first)
+    with np.errstate(all="ignore"):
+        reference = np.where(both, (up - down) / (2.0 * h), np.where(up_ok, (up - center) / h, (center - down) / h))
+        errors = np.abs(np.array(analytic) - reference) / (1.0 + np.abs(reference))
     worst = 0.0
-    for sigma in points:
-        fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), _FD_STEP)
-        for analytic, reference in zip(canonical.dual_gradient(pr, sigma), fd):
-            worst = max(worst, abs(analytic - reference) / (1.0 + abs(reference)))
+    for error in errors.T.ravel().tolist():
+        worst = max(worst, error)
     return _check("dual-gradient-vs-fd", worst <= _FD_TOL, f"worst relative error {worst:.3e}")
 
 
@@ -256,52 +293,47 @@ def _problem_interior_samples(
     """Dual points with margin > 10 INTERIOR_MARGIN near anchor, the interior
     start: anchor plus uniform(-1, 1) offsets, in draw order, from at most
     200 count trials, padded with anchor.  The trials are drawn count at a
-    time; the generator is this function's own, so the draws left unused
-    change nothing."""
+    time and each chunk is tested in one pass (canonical.domain_exceeds);
+    the generator is this function's own, so the draws left unused change
+    nothing."""
     rng = oracle.Lcg(seed)
     points: list[tuple[float, ...]] = []
     radius = 1.0
     attempts, limit = 0, 200 * count
+    origin = np.array(anchor, dtype=np.float64).reshape(pr.m, 1)
     while len(points) < count and attempts < limit:
         chunk = min(count, limit - attempts)
         attempts += chunk
-        for offset in rng.uniform_rows((-radius,) * pr.m, (radius,) * pr.m, chunk):
-            trial = tuple(map(add, anchor, offset))
-            if canonical.DualPoint(pr, trial).exceeds(10 * dual_solver.INTERIOR_MARGIN):
-                points.append(trial)
-                if len(points) == count:
-                    break
+        trials = origin + rng.uniform_columns((-radius,) * pr.m, (radius,) * pr.m, chunk)
+        inside = canonical.domain_exceeds(pr, trials, 10 * dual_solver.INTERIOR_MARGIN)
+        points += map(tuple, trials[:, inside].T[:count - len(points)].tolist())
     if len(points) < count:
         points.extend([anchor] * (count - len(points)))
     return points
 
 
 def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = None) -> list[CheckResult]:
-    """Generic duality checks for a user-supplied problem."""
+    """Generic duality checks for a user-supplied problem.  Each sample set
+    is evaluated in one numpy pass, as float64 columns, bit for bit the
+    scalar evaluation of each sample."""
     cfg = cfg or SolverConfig()
     checks: list[CheckResult] = []
     rng = oracle.Lcg(301)
+    pairs = pr.V.pairs_float
 
     # Conjugation involution: applying both duality relations returns sigma.
     # All 100 samples are drawn first, so pairing's draws follow them.
-    invol_ok = True
-    for sigma in rng.uniform_rows((-20.0,) * pr.m, (20.0,) * pr.m, 100):
-        xi = canonical.conjugate_gradient(pr.V, sigma)
-        back = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
-        if any(abs(b - s) > 1e-12 * (1.0 + abs(s)) for b, s in zip(back, sigma)):
-            invol_ok = False
-            break
+    sigma = rng.uniform_columns((-20.0,) * pr.m, (20.0,) * pr.m, 100)
+    back = [2.0 * a * x + beta for (a, beta), x in zip(pairs, canonical.conjugate_gradient(pr.V, sigma))]
+    invol_ok = not any(np.any(np.abs(b - s) > 1e-12 * (1.0 + np.abs(s))) for b, s in zip(back, sigma))
     checks.append(_check("legendre-involution", invol_ok))
 
     # Conjugate pairing on the gradient graph: V(xi) + V*(sigma) == xi . sigma.
-    pairing_ok = True
-    for xi in rng.uniform_rows((-10.0,) * pr.m, (10.0,) * pr.m, 100):
-        sigma = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
-        lhs = pr.V.value(xi) + canonical.conjugate_value(pr.V, sigma)
-        rhs = sum(x * s for x, s in zip(xi, sigma))
-        if abs(lhs - rhs) > 1e-10 * (1.0 + abs(rhs)):
-            pairing_ok = False
-            break
+    xi = rng.uniform_columns((-10.0,) * pr.m, (10.0,) * pr.m, 100)
+    sigma = [2.0 * a * x + beta for (a, beta), x in zip(pairs, xi)]
+    lhs = pr.V.value(xi) + canonical.conjugate_values(pr.V, sigma)
+    rhs = sum(x * s for x, s in zip(xi, sigma))
+    pairing_ok = not np.any(np.abs(lhs - rhs) > 1e-10 * (1.0 + np.abs(rhs)))
     checks.append(_check("conjugate-pairing-on-graph", pairing_ok))
 
     # The interior start, found once for both dual samples; solve_canonical
@@ -310,12 +342,14 @@ def verify_problem(pr: canonical.CanonicalProblem, cfg: SolverConfig | None = No
     checks.append(_fd_gradient_matches(pr, _problem_interior_samples(pr, anchor, 20, seed=302)))
 
     # Weak duality sampling over feasible duals and a primal box, P through
-    # the float evaluator of its exact expansion (the one verify file prints).
-    duals = [canonical.dual_value(pr, sigma) for sigma in _problem_interior_samples(pr, anchor, 100, seed=304)]
+    # the float evaluator of its exact expansion (the one verify file
+    # prints), which takes the box's columns as it takes a point.
+    duals, _ = canonical.dual_samples(pr, np.array(_problem_interior_samples(pr, anchor, 100, seed=304)).T)
     h = _PRIMAL_BOX_HALFWIDTH
-    primal = pr.objective.float_evaluator()
-    primals = [primal(x) for x in oracle.Lcg(303).uniform_rows((-h,) * pr.n, (h,) * pr.n, 100)]
-    checks.append(_weak_duality(duals, primals))
+    box = oracle.Lcg(303).uniform_columns((-h,) * pr.n, (h,) * pr.n, 100)
+    with np.errstate(all="ignore"):
+        primals = np.broadcast_to(pr.objective.float_evaluator()(tuple(box)), (100,))
+    checks.append(_weak_duality(duals.tolist(), primals.tolist()))
 
     report = dual_solver.solve_canonical(pr, cfg)
     if report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED:

@@ -119,10 +119,15 @@ def test_outputs_are_the_same_with_the_tracer_installed(pool_paths):
         tracer.end_operation()
     finally:
         tracer.uninstall()
-    # The gp and thc suites sample the dual through canonical.dual_samples,
-    # which is not wrapped; the ascents, the gradient checks and verify
-    # file call dual_value.
-    assert tracer.calls["cli.run"] == len(argvs) and tracer.calls["canonical.dual_value"] > 100
+    # The three suites evaluate their dual samples and gradient checks in
+    # passes over columns (canonical.dual_samples, dual_columns,
+    # dual_gradient_columns), which are not wrapped, and the ascents work
+    # on dual points: no command calls the wrapped scalar dual_value,
+    # dual_gradient or _fd_gradient.
+    assert tracer.calls["cli.run"] == len(argvs)
+    for scalar in ("canonical.dual_value", "canonical.dual_gradient", "dual_solver.fd_gradient"):
+        assert tracer.calls[scalar] == 0, scalar
     assert tracer.calls["verify.verify_gp"] == tracer.calls["verify.verify_thc"] == 1
+    assert tracer.calls["verify.verify_problem"] == 1
     assert traced == untraced
     assert outputs() == untraced

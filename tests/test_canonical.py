@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual import canonical, cli, polynomial
+from canondual import canonical, cli, dual_solver, polynomial
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
 from canondual.canonical import _ROUNDING_ULPS, _f, _gx, _xi
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
@@ -1112,11 +1112,100 @@ def test_dual_samples_raise_the_first_samples_error(problem, points, residual_to
             canonical.domain_margins(pr, tuple(zip(*points)))
 
 
-def test_dual_samples_are_for_two_dimensions_at_most():
-    pr = cli.load_problem_file(Path(__file__).resolve().parent / "data" / "survey_4_3_0.json")
+def test_domain_margins_are_for_two_dimensions_at_most():
+    # dual_samples takes every n <= 4; the margins read eigenvalues, which
+    # have array forms for n <= 2 only.
+    pr = cli.load_problem_file(SURVEY / "survey_4_3_0.json")
     columns = ((1.0,),) * pr.m
+    with pytest.raises(DimensionMismatch):
+        canonical.domain_margins(pr, columns)
+    assert canonical.dual_columns(pr, columns)[2].tolist() == [canonical.DualPoint(pr, (1.0,) * pr.m).exceeds(0.0)]
     for request in (canonical.dual_samples, canonical.domain_margins):
         with pytest.raises(DimensionMismatch):
-            request(pr, columns)
-        with pytest.raises(DimensionMismatch):
             request(thc_problem(), ((1.0,),))
+
+
+@pytest.mark.parametrize("problem, columns", [
+    (thc_problem, ([0.0], [1.0, 2.0])),
+    (thc_problem, ([0.0, 1.0], [])),
+    (thc_problem, ([[0.0]], [1.0])),
+    (gp_canonical_g, ([0.0, 1.0], [1.0])),
+])
+def test_ragged_sigma_columns_are_a_dimension_mismatch(problem, columns):
+    pr = problem()
+    for request in (canonical.dual_samples, canonical.dual_columns, canonical.dual_gradient_columns,
+                    canonical.domain_margins, partial(canonical.domain_exceeds, t=0.0)):
+        with pytest.raises(DimensionMismatch):
+            request(pr, columns)
+
+
+SURVEY = Path(__file__).resolve().parent / "data"
+
+
+def _large_problems(pool_paths):
+    """The pool's problems of n = 3 and 4 and both survey files."""
+    problems = [cli.load_problem_file(path) for path in [*pool_paths, *sorted(SURVEY.glob("survey_*.json"))]]
+    return [pr for pr in problems if pr.n >= 3]
+
+
+def _around_the_start(pr, count, radius, seed):
+    """count points uniform within radius of the problem's interior start,
+    as rows: near it they are inside the domain, farther out many are not."""
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+    rng = np.random.default_rng(seed)
+    return [tuple((np.array(anchor) + rng.uniform(-radius, radius, pr.m)).tolist()) for _ in range(count)]
+
+
+def _raises(call):
+    try:
+        call()
+    except (DomainViolation, ColumnSpaceViolation):
+        return True
+    return False
+
+
+def test_sampled_duals_are_the_dual_points_for_n_three_and_four(pool_paths):
+    # Inside the domain and out of it: each solved sample has the bits of
+    # dual_value, x_bar and dual_gradient, each unsolved one raises in the
+    # scalar call, and exceeds is DualPoint.exceeds.
+    for i, pr in enumerate(_large_problems(pool_paths)):
+        points = _around_the_start(pr, 60, 3.0, i)
+        columns = tuple(zip(*points))
+        values, x, solved = canonical.dual_columns(pr, columns)
+        gradient, gradient_solved = canonical.dual_gradient_columns(pr, columns)
+        for t in (0.0, 1e-8, 1.0):
+            assert canonical.domain_exceeds(pr, columns, t).tolist() == [
+                canonical.DualPoint(pr, sigma).exceeds(t) for sigma in points]
+        assert 0 < solved.sum() < len(points)
+        for j, sigma in enumerate(points):
+            assert bool(solved[j]) is not _raises(partial(canonical.dual_value, pr, sigma))
+            assert bool(gradient_solved[j]) is not _raises(partial(canonical.dual_gradient, pr, sigma))
+            if solved[j]:
+                expected = (canonical.dual_value(pr, sigma), *canonical.DualPoint(pr, sigma).x_bar())
+                assert [float(column[j]).hex() for column in (values, *x)] == [v.hex() for v in expected]
+            if gradient_solved[j]:
+                found = [float(column[j]).hex() for column in gradient]
+                assert found == [g.hex() for g in canonical.dual_gradient(pr, sigma)]
+        inside = [sigma for sigma, ok in zip(points, solved) if ok]
+        _assert_samples_are_the_dual_points(pr, inside)
+        _assert_samples_are_the_dual_points(pr, points)  # the first unsolved sample's error
+
+
+def test_sampled_duals_raise_the_first_samples_error_for_n_three_and_four(pool_paths):
+    # A non-finite sigma, a G that is not positive definite and a residual
+    # over a zero tolerance, each after solved samples and before others.
+    for i, pr in enumerate(_large_problems(pool_paths)):
+        points = _around_the_start(pr, 40, 0.05, i)
+        far = next(sigma for sigma in _around_the_start(pr, 200, 50.0, i)
+                   if not canonical.DualPoint(pr, sigma).exceeds(0.0))
+        for bad, residual_tol, message in (((math.nan,) * pr.m, 1e-9, "not finite"),
+                                           (far, 1e-9, "not positive definite")):
+            rows = [*points[:3], bad, *points[3:], (math.inf,) * pr.m]
+            _, error = _scalar_samples(pr, rows, residual_tol)
+            assert message in str(error)
+            _assert_samples_are_the_dual_points(pr, rows, residual_tol)
+        _, error = _scalar_samples(pr, points, 0.0)
+        assert isinstance(error, ColumnSpaceViolation)
+        _assert_samples_are_the_dual_points(pr, points, 0.0)
+        with pytest.raises(DomainViolation, match="not finite"):
+            canonical.domain_exceeds(pr, tuple(zip(*[points[0], (math.inf,) * pr.m])), 0.0)

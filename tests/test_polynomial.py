@@ -206,6 +206,31 @@ class TestValidation:
         p = MultiPoly.from_terms(2, {(1, 0): 0, (0, 1): 2})
         assert list(p.terms) == [(0, 1)]
 
+    @pytest.mark.parametrize("arity, terms, error", [
+        (0, {(): 1}, DimensionMismatch),
+        (5, {(0,) * 5: 1}, DimensionMismatch),
+        (2, {(1, -1): 1}, ValueError),
+        (2, {(1, 1.0): 1}, ValueError),
+        (2, {(1,): 1}, DimensionMismatch),
+        (2, {(1, 0, 0): 1}, DimensionMismatch),
+        (2, {(1, 0): True}, TypeError),
+        (2, {(1, 0): False}, TypeError),
+    ])
+    def test_outside_terms_are_checked(self, arity, terms, error):
+        # The public constructor and from_terms check every term; only the
+        # package's own results skip the checks.
+        for build in (MultiPoly, MultiPoly.from_terms):
+            with pytest.raises(error):
+                build(arity, terms)
+
+    def test_own_results_hold_only_nonzero_fractions(self):
+        p = two_var({(1, 0): 1, (0, 1): "1/2"})
+        results = [p - p, p + (-p), p * 0, p.scale(0), p * p - p * p, p.partial_derivative(0), (p * p).scale("2/3")]
+        for q in results:
+            assert all(type(c) is Fraction and c != 0 for c in q.terms.values())
+            assert all(type(e) is tuple and len(e) == 2 for e in q.terms)
+        assert [q.is_zero() for q in results] == [True] * 5 + [False] * 2
+
 
 # -- property tests ---------------------------------------------------------
 

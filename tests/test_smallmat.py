@@ -17,8 +17,11 @@ from canondual.smallmat import (
     _triu_index,
     Vector,
     cholesky,
+    column_kernels,
     eigen_sym,
     exceeds,
+    exceeds_many,
+    full_rows,
     kernels,
     min_eigenvalue,
     min_eigenvalue_many,
@@ -27,6 +30,7 @@ from canondual.smallmat import (
     solve_2x2,
     solve_2x2_many,
     solve_factored,
+    solve_factored_many,
     solve_sym,
 )
 
@@ -435,7 +439,7 @@ def test_kernels_are_compiled_once_per_size(monkeypatch):
     generated = []
     source = smallmat._kernel_source
     monkeypatch.setattr(smallmat, "_KERNELS", {})
-    monkeypatch.setattr(smallmat, "_kernel_source", lambda n: generated.append(n) or source(n))
+    monkeypatch.setattr(smallmat, "_kernel_source", lambda n, columns: generated.append(n) or source(n, columns))
     for scale in (1.0, 2.0, 3.0):
         for n in range(1, 5):
             S = SymMatrix(n, tuple(scale * (n + 1.0) if i == j else 1.0 for i in range(n) for j in range(i, n)))
@@ -574,3 +578,127 @@ def test_min_eigenvalue_many_is_the_scalar_closed_form(rows):
 def test_min_eigenvalue_many_is_for_n_up_to_two():
     with pytest.raises(DimensionMismatch):
         min_eigenvalue_many(3, _columns([(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)]))
+
+
+# -- the column Cholesky kernels against the scalar ones, entry by entry ----
+
+
+def _spd_upper(rng, n, top, cond):
+    """The upper triangle of Q diag(top ... top / cond) Q^T, Q a random
+    orthogonal matrix of rng: a positive definite matrix of condition
+    number about cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = (q * np.geomspace(top, top / cond, n)) @ q.T
+    return tuple(float(S[i, j]) for i in range(n) for j in range(i, n))
+
+
+@st.composite
+def conditioned_spd_systems(draw, n):
+    """(upper, v) of positive definite systems of size n, condition numbers
+    up to 1e12, each drawn from its own seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = _spd_upper(rng, n, draw(st.floats(1e-2, 10.0)), 10.0 ** draw(st.floats(0.0, 12.0)))
+    return upper, tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+def _systems(n):
+    return st.lists(conditioned_spd_systems(n), min_size=1, max_size=20)
+
+
+def _factor_at(factor, i):
+    return tuple(tuple(float(entry[i]) for entry in row) for row in factor)
+
+
+def _solve_many(n, uppers, vs, residual_tol):
+    slots = _columns(uppers)
+    with np.errstate(all="ignore"):
+        factored = column_kernels(n).factor(slots, 0.0)
+    return solve_factored_many(factored, full_rows(n, slots), _columns(vs), residual_tol)
+
+
+def _scalar_solves(n, uppers, vs, residual_tol):
+    return [partial(solve_factored, cholesky(n, upper, 0.0), full_rows(n, upper), v, residual_tol)
+            for upper, v in zip(uppers, vs)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@given(data=st.data(), shift=st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 5.0]),
+       residual_tol=st.sampled_from([1e-9, 1e-12, 0.0]))
+def test_column_kernels_are_the_scalar_kernels_bit_for_bit(n, data, shift, residual_tol):
+    # The factor of S - shift I with its pivot mask (the larger shifts make
+    # a pivot <= 0), exceeds, and the refined, checked solve: each entry has
+    # the scalar kernel's bits on its system, and the batched solve raises
+    # the first raising system's error.
+    drawn = data.draw(_systems(n))
+    uppers, vs = [upper for upper, _ in drawn], [v for _, v in drawn]
+    with np.errstate(all="ignore"):
+        factor, positive = column_kernels(n).factor(_columns(uppers), shift)
+    for i, upper in enumerate(uppers):
+        expected = cholesky(n, upper, shift)
+        assert bool(positive[i]) is (expected is not None)
+        if expected is not None:
+            assert [bits(row) for row in _factor_at(factor, i)] == [bits(row) for row in expected]
+    assert exceeds_many(n, _columns(uppers), shift).tolist() == [exceeds(n, upper, shift) for upper in uppers]
+    expected = _first_error(_scalar_solves(n, uppers, vs, residual_tol))
+    batch = partial(_solve_many, n, uppers, vs, residual_tol)
+    if expected is not None:
+        _assert_same_error(expected, batch)
+        return
+    found = list(zip(*(column.tolist() for column in batch())))
+    assert [bits(x) for x in found] == [bits(solve()) for solve in _scalar_solves(n, uppers, vs, residual_tol)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(rows=st.lists(st.lists(entry, min_size=3, max_size=3), min_size=1, max_size=30),
+       t=st.sampled_from([0.0, 1e-8, 1.0, -1.0]))
+def test_exceeds_many_is_the_closed_form_test(n, rows, t):
+    assert exceeds_many(n, _columns(rows), t).tolist() == [exceeds(n, row, t) for row in rows]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_solve_takes_the_refinement_entry_by_entry(n):
+    # 1000 seeded systems with condition numbers 1 to 1e12: the refinement
+    # step changes some answers, not all, and each entry has the scalar bits.
+    rng = np.random.default_rng(24 + n)
+    uppers = [_spd_upper(rng, n, rng.uniform(1e-2, 10.0), 10.0 ** rng.uniform(0.0, 12.0)) for _ in range(1000)]
+    vs = [tuple(rng.uniform(-10.0, 10.0, n).tolist()) for _ in range(1000)]
+    found = list(zip(*(column.tolist() for column in _solve_many(n, uppers, vs, 1.0))))
+    assert [bits(x) for x in found] == [bits(solve()) for solve in _scalar_solves(n, uppers, vs, 1.0)]
+    unrefined = [kernels(n).substitute(cholesky(n, upper, 0.0), v) for upper, v in zip(uppers, vs)]
+    refined = sum(bits(x) != bits(y) for x, y in zip(found, unrefined))
+    assert 0 < refined < 1000
+
+
+def _with_pivot(n, p, value):
+    """The upper triangle of the identity of size n with diagonal entry p
+    set to value: pivots 1, ..., 1, value, 1, ..."""
+    return tuple(value if i == j == p else float(i == j) for i in range(n) for j in range(i, n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_solve_raises_the_first_systems_error(n):
+    good, v = _with_pivot(n, 0, 4.0), (1.0,) * n
+    rng = np.random.default_rng(7)
+    # A system whose refined residual is over a zero tolerance.
+    over = next(upper for upper in (_spd_upper(rng, n, 1.0, 1e10) for _ in range(100))
+                if _first_error(_scalar_solves(n, [upper], [v], 0.0)) is not None)
+    for p in range(n):  # a pivot that is not > 0 at each position, NaN included
+        for value in (0.0, -1.0, math.nan):
+            for uppers in ([good, _with_pivot(n, p, value), over], [good, good, _with_pivot(n, p, value)]):
+                expected = _first_error(_scalar_solves(n, uppers, [v] * 3, 0.0))
+                assert type(expected) is DomainViolation
+                _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
+            assert exceeds_many(n, _columns([good, _with_pivot(n, p, value)]), 0.0).tolist() == [True, False]
+    uppers = [good, over, _with_pivot(n, 1, -1.0)]
+    expected = _first_error(_scalar_solves(n, uppers, [v] * 3, 0.0))
+    assert type(expected) is ColumnSpaceViolation
+    _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
+
+
+def test_column_kernels_are_compiled_once_per_size(monkeypatch):
+    monkeypatch.setattr(smallmat, "_COLUMN_KERNELS", {})
+    for _ in range(3):
+        for n in (3, 4):
+            assert column_kernels(n) is column_kernels(n)
+            assert exceeds_many(n, _columns([_with_pivot(n, 0, 2.0)]), 0.0).tolist() == [True]
+    assert sorted(smallmat._COLUMN_KERNELS) == [3, 4]

@@ -3,6 +3,7 @@ problem's own data, and the shared concavity and weak-duality rules."""
 
 import dataclasses
 import json
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -12,10 +13,12 @@ import pytest
 from canondual import benchmarks, canonical, cli, dual_solver, verify
 from canondual.benchmarks import gp_canonical_g
 from canondual.dual_solver import Certificate, solve_canonical
+from canondual.errors import CanondualError, DomainViolation
 from canondual.oracle import Lcg
 from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _planted(text):
@@ -254,11 +257,12 @@ def test_verify_thc_region_sweep_draws_are_the_scalar_draws(monkeypatch):
 
 @pytest.mark.parametrize("index", [0, 35])
 def test_verify_problem_draws_are_the_scalar_draws(monkeypatch, pool_paths, index):
-    # Involution, pairing (after all 100 involution samples), the two
-    # interior samples around one anchor, and the primal box.
+    # Involution, pairing (after all 100 involution samples), each as one
+    # set of columns, the two interior samples around one anchor, and the
+    # primal box.
     pr = cli.load_problem_file(pool_paths[index])
     involution = _recorded(monkeypatch, canonical, "conjugate_gradient")
-    pairing = _recorded(monkeypatch, canonical, "conjugate_value")
+    pairing = _recorded(monkeypatch, canonical, "conjugate_values")
     gradient_points = _recorded(monkeypatch, verify, "_fd_gradient_matches")
     weak = _recorded(monkeypatch, verify, "_weak_duality")
     anchors = _recorded(monkeypatch, dual_solver, "find_interior_start")
@@ -267,8 +271,10 @@ def test_verify_problem_draws_are_the_scalar_draws(monkeypatch, pool_paths, inde
     rng = Lcg(301)
     sigmas = _scalar_rows(rng, (-20.0,) * pr.m, (20.0,) * pr.m, 100)
     xis = _scalar_rows(rng, (-10.0,) * pr.m, (10.0,) * pr.m, 100)
-    assert [sigma for _, sigma in involution] == sigmas
-    assert [sigma for _, sigma in pairing[:100]] == [
+    [(_, sigma)] = involution
+    assert list(zip(*(column.tolist() for column in sigma))) == sigmas
+    [(_, sigma)] = pairing
+    assert list(zip(*(column.tolist() for column in sigma))) == [
         tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi)) for xi in xis
     ]
     anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
@@ -277,3 +283,108 @@ def test_verify_problem_draws_are_the_scalar_draws(monkeypatch, pool_paths, inde
     duals = [canonical.dual_value(pr, sigma) for sigma in _scalar_interior_samples(pr, anchor, 100, 304)]
     box = _scalar_rows(Lcg(303), (-10.0,) * pr.n, (10.0,) * pr.n, 100)
     assert weak == [(duals, [primal(x) for x in box])]
+
+
+# -- verify_problem against the scalar suite it replaced ---------------------
+
+
+def _scalar_fd_gradient_matches(pr, points):
+    worst = 0.0
+    for sigma in points:
+        fd = dual_solver._fd_gradient(partial(canonical.dual_value, pr), tuple(sigma), verify._FD_STEP)
+        for analytic, reference in zip(canonical.dual_gradient(pr, sigma), fd):
+            worst = max(worst, abs(analytic - reference) / (1.0 + abs(reference)))
+    return verify._check("dual-gradient-vs-fd", worst <= verify._FD_TOL, f"worst relative error {worst:.3e}")
+
+
+def _scalar_verify_problem(pr):
+    """verify_problem as a loop over samples: one DualPoint, conjugate or
+    primal evaluation per sample."""
+    checks = []
+    rng = Lcg(301)
+    invol_ok = True
+    for sigma in rng.uniform_rows((-20.0,) * pr.m, (20.0,) * pr.m, 100):
+        xi = canonical.conjugate_gradient(pr.V, sigma)
+        back = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
+        if any(abs(b - s) > 1e-12 * (1.0 + abs(s)) for b, s in zip(back, sigma)):
+            invol_ok = False
+            break
+    checks.append(verify._check("legendre-involution", invol_ok))
+    pairing_ok = True
+    for xi in rng.uniform_rows((-10.0,) * pr.m, (10.0,) * pr.m, 100):
+        sigma = tuple(2.0 * a * x + beta for (a, beta), x in zip(pr.V.pairs_float, xi))
+        lhs = pr.V.value(xi) + canonical.conjugate_value(pr.V, sigma)
+        rhs = sum(x * s for x, s in zip(xi, sigma))
+        if abs(lhs - rhs) > 1e-10 * (1.0 + abs(rhs)):
+            pairing_ok = False
+            break
+    checks.append(verify._check("conjugate-pairing-on-graph", pairing_ok))
+    anchor = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m).sigma
+    checks.append(_scalar_fd_gradient_matches(pr, _scalar_interior_samples(pr, anchor, 20, 302)))
+    duals = [canonical.dual_value(pr, sigma) for sigma in _scalar_interior_samples(pr, anchor, 100, 304)]
+    primal = pr.objective.float_evaluator()
+    primals = [primal(x) for x in _scalar_rows(Lcg(303), (-10.0,) * pr.n, (10.0,) * pr.n, 100)]
+    checks.append(verify._weak_duality(duals, primals))
+    report = solve_canonical(pr)
+    if report.certificate == Certificate.GLOBAL_MINIMUM_CERTIFIED:
+        xi = verify._complementary(pr, report.sigma_star, report.x_bar.entries)
+        checks.append(verify._zero_gap_triple(report, xi, f"gap {report.gap:.3e}"))
+    else:
+        checks.append(verify._check("zero-gap-triple", True, f"skipped: certificate {report.certificate.value}"))
+    return checks
+
+
+def _outcome(suite, *args):
+    """The suite's checks, or the type and message of what it raises."""
+    try:
+        return suite(*args)
+    except CanondualError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_problem_is_the_scalar_suite(pool_paths):
+    # Names, outcomes and detail strings, F2's failing pool problems 23, 30
+    # and 33 and both survey files included.
+    paths = [*sorted(PROBLEMS.glob("*.json")), *pool_paths, *sorted(DATA.glob("survey_*.json"))]
+    failing = []
+    for path in paths:
+        pr = cli.load_problem_file(path)
+        checks = _outcome(verify.verify_problem, pr)
+        assert checks == _outcome(_scalar_verify_problem, pr), path.name
+        failing += [path.name for check in checks if not check.passed]
+    assert failing == ["planted_23.json", "planted_30.json", "planted_33.json",
+                       "survey_4_3_0.json", "survey_4_4_13.json"]
+
+
+@pytest.mark.parametrize("points", [
+    [(5.0,), (-53.0 / 3.0 + 1e-4,), (-53.0 / 3.0 + 3e-4,)],  # the second's lower side is outside the domain
+    [(5.0,), (-53.0 / 3.0 - 1.0,), (-30.0,)],  # the second is outside: its value raises
+    [],
+])
+def test_gp_gradient_check_is_the_scalar_check_near_the_boundary(points):
+    pr = gp_canonical_g()
+    h = verify._FD_STEP * (1.0 + abs(points[1][0])) if points else 0.0
+    if points and points[1][0] > -53.0 / 3.0:
+        assert not canonical.DualPoint(pr, (points[1][0] - h,)).exceeds(0.0)
+    assert _outcome(verify._fd_gradient_matches, pr, points) == _outcome(_scalar_fd_gradient_matches, pr, points)
+
+
+def test_gradient_check_raises_cannot_difference_where_both_sides_are_out():
+    # THC's domain s2 >= 25 s1^2 - 13/5 is about 1e-5 wide in s1 at 2e-9
+    # above its lowest point: both s1 neighbours are outside it.
+    pr = benchmarks.thc_problem()
+    points = [(0.1, 1.0), (0.0, -13.0 / 5.0 + 2e-9), (0.2, 2.0)]
+    outcome = _outcome(verify._fd_gradient_matches, pr, points)
+    assert outcome == _outcome(_scalar_fd_gradient_matches, pr, points)
+    assert outcome[0] is DomainViolation and outcome[1].startswith("cannot difference value function")
+
+
+def test_verify_file_leaks_no_numpy_warning(monkeypatch, capsys, pool_paths):
+    # The column passes divide by pivots <= 0 and take their square roots on
+    # the rejected trials; none of it may reach the user.
+    exceeds = _recorded(monkeypatch, canonical, "domain_exceeds")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["verify", "file", str(pool_paths[35])]) == 0
+    assert capsys.readouterr().err == ""
+    assert any(not canonical.DualPoint(pr, sigma).exceeds(0.0) for pr, trials, _ in exceeds for sigma in trials.T)
