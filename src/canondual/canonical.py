@@ -46,13 +46,13 @@ in_positive_domain, is reported).
 
 Many sigma, given as columns, one float64 array per component, are
 evaluated at once: the accumulators, which only multiply and add, take the
-columns as their point, and smallmat's array solves take the slots,
-dispatched on n as DualPoint solves, so every entry has the bits of
-DualPoint at its sigma.  dual_columns and dual_gradient_columns return
-P^d with x_bar, and the gradient, with the mask of the samples where
-DualPoint raises nothing; dual_samples raises DualPoint's error at the
-first sample that has one.  domain_exceeds is the threshold test on
-columns, and domain_margins, for n <= 2, the margins.
+columns as their point, and smallmat's column kernels, compiled from the
+source of the kernels DualPoint solves with, take the slots, so every
+entry has the bits of DualPoint at its sigma.  dual_columns and
+dual_gradient_columns return P^d with x_bar, and the gradient, with the
+mask of the samples where DualPoint raises nothing; dual_samples raises
+DualPoint's error at the first sample that has one.  domain_exceeds is the
+threshold test on columns.
 """
 
 from __future__ import annotations
@@ -75,23 +75,15 @@ from .polynomial import MAX_ARITY, Compiled, Exponents, MultiPoly, RationalLike,
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
 from .smallmat import (
     MAX_DIM,
-    Factor,
     SymMatrix,
     Vector,
-    _first,
     cholesky,
     column_kernels,
     exceeds,
     exceeds_many,
     full_rows,
+    kernels,
     min_eigenvalue,
-    min_eigenvalue_many,
-    solve_1x1,
-    solve_1x1_columns,
-    solve_2x2,
-    solve_2x2_columns,
-    solve_factored,
-    solve_factored_columns,
     solve_sym,  # noqa: F401
 )
 
@@ -438,12 +430,11 @@ class DualPoint:
 
     P^d is concave where G is positive definite, and only there does a
     point solve: value, x_bar, rounding, gradient and Hessian raise
-    DomainViolation at any other G.  Solves are solve_1x1 and solve_2x2 on
-    the accumulated entries for n <= 2.  For n >= 3 the Cholesky factor of
-    the accumulated upper triangle, made once, is both the positive
-    definiteness test and, through solve_factored, the solver for x_bar and
-    the Hessian's solves.  The n >= 2 solves keep solve_sym's refinement
-    step and residual check.
+    DomainViolation at any other G.  For every n, the factor of the
+    accumulated upper triangle (smallmat.cholesky), made once at the first
+    solve, is both the positive definiteness test and, through
+    smallmat.kernels(n).solve, the solver for x_bar and the Hessian's
+    solves, with the refinement step and residual check of solve_sym.
     """
 
     __slots__ = ("sigma", "table", "acc", "_factor", "_x", "_x_tol", "_first")
@@ -462,21 +453,14 @@ class DualPoint:
         """lambda_min(G) > t: smallmat.exceeds on the accumulated entries."""
         return exceeds(self.table.n, self.acc, t)
 
-    def _factored(self) -> tuple[Factor | None, tuple[tuple[float, ...], ...]]:
-        """(the Cholesky factor of G, or None when G is not positive
-        definite; the rows of G), made once, for n >= 3."""
-        if self._factor is None:
-            n, acc = self.table.n, self.acc
-            self._factor = (cholesky(n, acc, 0.0), full_rows(n, acc))
-        return self._factor
-
     def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
+        """kernels(n).solve of G x = v through G's factor, made at the first
+        solve and kept (as a 1-tuple: the factor is None when G is not
+        positive definite)."""
         n, acc = self.table.n, self.acc
-        if n == 1:
-            return (solve_1x1(acc[0], v[0]),)
-        if n == 2:
-            return solve_2x2(acc[0], acc[1], acc[2], v[0], v[1], residual_tol)
-        return solve_factored(*self._factored(), v, residual_tol)
+        if self._factor is None:
+            self._factor = (cholesky(n, acc, 0.0),)
+        return kernels(n).solve(self._factor[0], acc, v, residual_tol)
 
     def x_bar(self, residual_tol: float = 1e-9) -> Sequence[float]:
         """x_bar solving G x = F, the stationary point of Xi(., sigma), or
@@ -586,6 +570,11 @@ def _sample_slots(pr: Problem, sigma: Sequence[Sequence[float]]) -> tuple[np.nda
     return stacked, [slot if type(slot) is np.ndarray else np.full(count, slot) for slot in slots]
 
 
+def _first(offending: np.ndarray) -> int | None:
+    """The index of the first True entry, or None."""
+    return int(np.argmax(offending)) if offending.any() else None
+
+
 def _raise_first(pr: Problem, columns: np.ndarray, ok: np.ndarray, residual_tol: float | None = None) -> None:
     """Raise DualPoint's error at the first sample, in order, where ok is
     False: its constructor's at a non-finite sigma and, given residual_tol,
@@ -601,19 +590,12 @@ def _solved_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol:
                     ) -> tuple[np.ndarray, list[np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
     """(the samples, their slots, x_bar at each, a mask of the samples where
     DualPoint(pr, sample).x_bar(residual_tol) raises nothing: sigma finite,
-    G positive definite and the residual within its limit).  The solve
-    dispatches on n as DualPoint._solve does."""
+    G positive definite and the residual within its limit), by the column
+    form of the kernels DualPoint solves with."""
     columns, slots = _sample_slots(pr, sigma)
-    n, f = pr.n, slots[-pr.n - 1:-1]
-    if n == 1:
-        x, solved = solve_1x1_columns(slots[0], *f)
-        x = (x,)
-    elif n == 2:
-        x, solved = solve_2x2_columns(*slots[:3], *f, residual_tol)
-    else:
-        with np.errstate(all="ignore"):
-            factored = column_kernels(n).factor(slots, 0.0)
-        x, solved = solve_factored_columns(factored, full_rows(n, slots), f, residual_tol)
+    factor, solve = column_kernels(pr.n)
+    with np.errstate(all="ignore"):
+        x, solved = solve(factor(slots, 0.0), slots, slots[-pr.n - 1:-1], residual_tol)
     return columns, slots, x, solved & np.isfinite(columns).all(axis=0)
 
 
@@ -664,17 +646,6 @@ def domain_exceeds(pr: Problem, sigma: Sequence[Sequence[float]], t: float) -> n
     columns, slots = _sample_slots(pr, sigma)
     _raise_first(pr, columns, np.isfinite(columns).all(axis=0))
     return exceeds_many(pr.n, slots, t)
-
-
-def domain_margins(pr: Problem, sigma: Sequence[Sequence[float]]) -> np.ndarray:
-    """in_positive_domain's margin lambda_min(G) at each sample sigma, given
-    as m columns, bit for bit, for n <= 2.  The error is DualPoint's at the
-    first non-finite sample."""
-    if pr.n > 2:
-        raise DimensionMismatch(f"sampled margins are for n <= 2, got n={pr.n}")
-    columns, slots = _sample_slots(pr, sigma)
-    _raise_first(pr, columns, np.isfinite(columns).all(axis=0))
-    return min_eigenvalue_many(pr.n, slots)
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:

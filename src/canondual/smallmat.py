@@ -4,52 +4,44 @@ Symmetry is structural: a SymMatrix is given by its upper triangle, so
 there is exactly one stored value per (i, j) pair; the full rows are
 expanded from it once, at construction, for reads.
 
-Threshold tests lambda_min(S) > t ask whether S - tI has a Cholesky
-factorisation with all pivots > 0 (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 10), by closed forms for n <= 2 and by the
-factorisation for n in {3, 4}; no eigenvalue is computed.  Eigenvalues,
-which only reports read, come from closed forms for n in {1, 2} and cyclic
+Threshold tests lambda_min(S) > t ask whether all pivots of S - tI are > 0
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): the entry
+for n = 1, the leading entry and the determinant for n = 2, the Cholesky
+pivots for n in {3, 4}; no eigenvalue is computed.  Eigenvalues, which
+only reports read, come from closed forms for n in {1, 2} and cyclic
 Jacobi sweeps for n in {3, 4}; min_eigenvalue, like the threshold tests,
 reads an upper triangle and builds no SymMatrix for n <= 2.
 
 Solves are for positive definite matrices only, the matrices G(sigma) of
 the region where the dual is concave and every certificate is issued; any
-other matrix raises DomainViolation and gets no solve.  They are closed
-forms for n <= 2 (a division; the 2x2 inverse by its determinant) and for
-n >= 3 substitution through the Cholesky factor (solve_factored, which
-needs only the factor and the matrix's rows).  For n >= 2 one step of
-iterative refinement and a residual check follow.
+other matrix raises DomainViolation and gets no solve.  A solve is a
+division for n = 1, the inverse by the determinant for n = 2 and
+substitution through the Cholesky factor for n >= 3; for n >= 2 one step
+of iterative refinement (ch. 12) and a residual check follow.
 
-The Cholesky factor, the forward and back substitution and the residual
-are straight-line functions on float locals, generated once per matrix
-size n and cached by n (kernels); no loop runs over the entries.  Their
-dot products are written out as plain left-to-right sums,
-0.0 + p0 + p1 + ..., the float operations sum() makes on Python 3.11.
-Everything else here is pure-Python float arithmetic: the sizes are tiny,
-the kernels deterministic, and the test suite cross-checks them against
-numpy.linalg independently and against the loops they replace, bit for
-bit.
+Each matrix size n has two straight-line functions on float locals, the
+factor, which is the threshold test, and the solve, generated from one
+source (_kernel_source) once per n and cached by n (kernels); no loop runs
+over the entries.  Their dot products are written out as plain
+left-to-right sums, 0.0 + p0 + p1 + ..., the float operations sum() makes
+on Python 3.11.  Everything else here is pure-Python float arithmetic: the
+sizes are tiny, the kernels deterministic, and the test suite cross-checks
+them against numpy.linalg and against reference loops and closed forms,
+bit for bit.
 
-The solves and the threshold test also have array forms, for many
-matrices of one size n <= 4 at once: numpy float64 columns, one entry per
+The same source compiles to array forms (column_kernels), for many
+matrices of one size n at once: numpy float64 columns, one entry per
 matrix, through the same operations in the same order, so each entry has
-the bits of the scalar call on its matrix.  For n <= 2 they are the closed
-forms (solve_1x1_columns, solve_2x2_columns); for n >= 3, column_kernels
-compiles the kernels' own source with one change, a pivot that is not > 0
-marked in a per-entry mask instead of ending the factor, and
-solve_factored_columns substitutes, refines and checks through that
-factor.  Each *_columns form returns, beside its answers, the mask of the
-entries where the scalar call raises nothing; each *_many form raises, at
-the first entry in order where the scalar call raises, that call's own
-error.  exceeds_many is exceeds on columns; min_eigenvalue_many is for
-n <= 2 only.
+the bits of the scalar call on its matrix.  Where the scalar kernels
+return None or raise, the column kernels mark the entry in a mask, which
+they return beside their answers.  exceeds_many is exceeds on columns.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import add, itemgetter, mul
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -59,14 +51,12 @@ from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 
 MAX_DIM = 4
 
-Factor = tuple[tuple[float, ...], ...]  # the rows of a lower Cholesky factor
+# A factor of kernels(n): the pivot (n = 1), the determinant (n = 2) or the
+# rows of a lower Cholesky factor (n >= 3).
+Factor = float | tuple[tuple[float, ...], ...]
 
 # Off-diagonal target for Jacobi sweeps (relative to scale for large input).
 _JACOBI_OFF_TOL = 1e-12
-
-
-def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(sum(map(mul, v, v)))
 
 
 @dataclass(frozen=True)
@@ -181,20 +171,6 @@ def _closed_form_eigenvalues(n: int, upper: Sequence[float]) -> tuple[float, ...
     return (mean - radius, mean + radius)
 
 
-def min_eigenvalue_many(n: int, upper: Sequence[np.ndarray]) -> np.ndarray:
-    """min_eigenvalue at each entry of the float64 columns of an upper
-    triangle of size n <= 2: the entry itself for n = 1, mean - radius for
-    n = 2 with the radius from math.hypot, one entry at a time (np.hypot
-    may round differently)."""
-    if n == 1:
-        return upper[0]
-    if n != 2:
-        raise DimensionMismatch(f"array eigenvalues are for n <= 2, got n={n}")
-    a, b, d = upper[:3]
-    radius = list(map(math.hypot, (0.5 * (a - d)).tolist(), b.tolist()))
-    return 0.5 * (a + d) - np.array(radius)
-
-
 def eigen_sym(S: SymMatrix) -> tuple[float, ...]:
     """Eigenvalues, ascending: closed forms for n <= 2, Jacobi sweeps otherwise."""
     if S.n <= 2:
@@ -225,83 +201,150 @@ def _minus_sum(head: str, terms: Sequence[str]) -> str:
 
 
 def _kernel_source(n: int, columns: bool = False) -> str:
-    """The straight-line factor, substitute and residual of size n.  The
-    entries of L and of the rows are named l{i}_{j} and a{i}_{j}: without the
-    separator, l1_11 and l11_1 would both be l111 from n = 12 on.  The
-    column form differs in one line per pivot: where the scalar factor
-    returns None at a pivot that is not > 0, it goes on and keeps a mask of
-    the samples whose pivots all are, which it returns beside the factor."""
-    lower = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(n)]
-    xs, vs = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
-    rows = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    """The straight-line factor and solve of size n, on float locals or, with
+    columns, on float64 columns.  The entries of L and of S are named
+    l{i}_{j} and a{i}_{j} (S read once from its upper triangle, i <= j):
+    without the separator, l1_11 and l11_1 would both be l111 from n = 12
+    on.
+
+    factor(upper, shift) tests the pivots of S - shift I: its entry for
+    n = 1, its leading entry and determinant for n = 2, the Cholesky pivots
+    for n >= 3.  It returns the pivot, the determinant or the rows of L,
+    or None at the first pivot that is not > 0.  solve(factor, upper, v,
+    residual_tol), given factor(upper, 0.0), raises DomainViolation for
+    None and solves S x = v: for n = 1 the quotient, correctly rounded, so
+    refinement would never change it (an overflow to +-inf raises
+    ColumnSpaceViolation with an infinite residual); for n = 2 the inverse
+    by the determinant and for n >= 3 forward and back substitution
+    through L, each followed by one step of iterative refinement, taken
+    where it lowers the residual, and ColumnSpaceViolation when the
+    residual exceeds residual_tol * (1 + ||v||).
+
+    The column form differs where the scalar form stops: its factor goes on
+    past a pivot that is not > 0 and returns (factor, the mask of the
+    samples whose pivots all are), and its solve takes that pair, makes the
+    refinement step only when some sample needs it, takes it sample by
+    sample, and returns (x, the mask of the samples where the scalar solve
+    raises nothing)."""
+
+    def a(i: int, j: int) -> str:
+        return f"a{min(i, j)}_{max(i, j)}"
 
     def tuple_of(names: Sequence[str]) -> str:
         return "(" + "".join(f"{name}, " for name in names) + ")"
 
-    lines = ["def factor(upper, shift):"]
-    for i in range(n):
-        for j in range(i):
-            dot = [f"l{i}_{k} * l{j}_{k}" for k in range(j)]
-            lines.append(f"    l{i}_{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}_{j}")
-        squares = [f"l{i}_{k} * l{i}_{k}" for k in range(i)]
-        lines.append(f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}")
+    def test(pivot: str, first: bool) -> list[str]:
         if columns:
-            lines.append("    positive = pivot > 0.0" if i == 0 else "    positive = positive & (pivot > 0.0)")
-        else:
-            lines += ["    if not pivot > 0.0:", "        return None"]
-        lines.append(f"    l{i}_{i} = sqrt(pivot)")
-    lines.append(f"    return {tuple_of(map(tuple_of, lower))}{', positive' if columns else ''}")
+            return [f"    positive = {pivot} > 0.0" if first else f"    positive = positive & ({pivot} > 0.0)"]
+        return [f"    if not {pivot} > 0.0:", "        return None"]
 
-    lines += ["def substitute(factor, v):", f"    {tuple_of(map(tuple_of, lower))} = factor",
-              f"    {tuple_of(vs)} = v"]
-    for i in range(n):  # forward: L y = v
-        dot = [f"l{i}_{k} * y{k}" for k in range(i)]
-        lines.append(f"    y{i} = ({_minus_sum(f'v{i}', dot)}) / l{i}_{i}")
-    for i in reversed(range(n)):  # back: L^T x = y
-        dot = [f"l{k}_{i} * x{k}" for k in range(i + 1, n)]
-        lines.append(f"    x{i} = ({_minus_sum(f'y{i}', dot)}) / l{i}_{i}")
-    lines.append(f"    return {tuple_of(xs)}")
+    def inverse(into: str, of: str, indent: str) -> list[str]:
+        """{into}0, {into}1, ... = S^-1 ({of}0, {of}1, ...)."""
+        if n == 2:
+            return [f"{indent}{into}0 = ({a(1, 1)} * {of}0 - {a(0, 1)} * {of}1) / det",
+                    f"{indent}{into}1 = ({a(0, 0)} * {of}1 - {a(0, 1)} * {of}0) / det"]
+        lines = []
+        for i in range(n):  # forward: L y = v
+            dot = [f"l{i}_{k} * y{k}" for k in range(i)]
+            lines.append(f"{indent}y{i} = ({_minus_sum(f'{of}{i}', dot)}) / l{i}_{i}")
+        for i in reversed(range(n)):  # back: L^T x = y
+            dot = [f"l{k}_{i} * {into}{k}" for k in range(i + 1, n)]
+            lines.append(f"{indent}{into}{i} = ({_minus_sum(f'y{i}', dot)}) / l{i}_{i}")
+        return lines
 
-    lines += ["def residual(rows, v, x):", f"    {tuple_of(map(tuple_of, rows))} = rows",
-              f"    {tuple_of(vs)} = v", f"    {tuple_of(xs)} = x"]
-    for i in range(n):
-        lines.append(f"    r{i} = {_minus_sum(f'v{i}', [f'a{i}_{j} * x{j}' for j in range(n)])}")
-    squares = [f"r{i} * r{i}" for i in range(n)]
-    lines.append(f"    return {tuple_of(f'r{i}' for i in range(n))}, sqrt{_sum_of(squares)}")
+    def residual(of: str, norm: str, indent: str) -> list[str]:
+        """r = v - S x for x = ({of}0, {of}1, ...), S x summed row by row,
+        and {norm} = ||r||."""
+        lines = [f"{indent}r{i} = {_minus_sum(f'v{i}', [f'{a(i, j)} * {of}{j}' for j in range(n)])}"
+                 for i in range(n)]
+        return lines + [f"{indent}{norm} = sqrt{_sum_of([f'r{i} * r{i}' for i in range(n)])}"]
+
+    lower = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(n)]
+    lines = ["def factor(upper, shift):", "    pivot = upper[0] - shift", *test("pivot", True)]
+    if n == 1:
+        factor = "pivot"
+    elif n == 2:
+        lines += ["    det = pivot * (upper[2] - shift) - upper[1] * upper[1]", *test("det", False)]
+        factor = "det"
+    else:
+        lines.append("    l0_0 = sqrt(pivot)")
+        for i in range(1, n):
+            for j in range(i):
+                dot = [f"l{i}_{k} * l{j}_{k}" for k in range(j)]
+                lines.append(f"    l{i}_{j} = ({_minus_sum(f'upper[{_triu_index(n, j, i)}]', dot)}) / l{j}_{j}")
+            squares = [f"l{i}_{k} * l{i}_{k}" for k in range(i)]
+            lines += [f"    pivot = {_minus_sum(f'upper[{_triu_index(n, i, i)}] - shift', squares)}",
+                      *test("pivot", False), f"    l{i}_{i} = sqrt(pivot)"]
+        factor = tuple_of(map(tuple_of, lower))
+    lines.append(f"    return {factor}{', positive' if columns else ''}")
+
+    xs = [f"x{i}" for i in range(n)]
+    lines.append("def solve(factor, upper, v, residual_tol):")
+    if columns:
+        lines.append("    factor, positive = factor")
+    else:
+        lines += ["    if factor is None:", '        raise DomainViolation("matrix is not positive definite")']
+    lines.append(f"    {tuple_of(f'v{i}' for i in range(n))} = v")
+    if n == 1:
+        lines.append("    x0 = v0 / upper[0]")
+        if columns:
+            return "\n".join([*lines, "    return (x0,), positive & ~isinf(x0)"])
+        return "\n".join([*lines, "    if isinf(x0):", f"        raise ColumnSpaceViolation(inf, {sys.float_info.max!r})",
+                          "    return (x0,)"])
+    lines.append(f"    {factor} = factor")
+    lines += [f"    {a(i, j)} = upper[{_triu_index(n, i, j)}]" for i in range(n) for j in range(i, n)]
+    lines += [*inverse("x", "v", "    "), *residual("x", "residual", "    "),
+              f"    v_norm = sqrt{_sum_of([f'v{i} * v{i}' for i in range(n)])}"]
+    refinement = [*inverse("d", "r", "        "), *(f"        c{i} = x{i} + d{i}" for i in range(n)),
+                  *residual("c", "corrected", "        ")]
+    if columns:
+        lines += ["    refine = residual > 1e-14 * (1.0 + v_norm)", "    if refine.any():", *refinement,
+                  "        refine = refine & (corrected < residual)",
+                  *(f"        x{i} = where(refine, c{i}, x{i})" for i in range(n)),
+                  "        residual = where(refine, corrected, residual)",
+                  "    limit = residual_tol * (1.0 + v_norm)",
+                  f"    return {tuple_of(xs)}, positive & ~(residual > limit)"]
+    else:
+        lines += ["    if residual > 1e-14 * (1.0 + v_norm):", *refinement, "        if corrected < residual:",
+                  f"            {', '.join(xs)}, residual = {', '.join(f'c{i}' for i in range(n))}, corrected",
+                  "    limit = residual_tol * (1.0 + v_norm)",
+                  "    if residual > limit:", "        raise ColumnSpaceViolation(residual, limit)",
+                  f"    return {tuple_of(xs)}"]
     return "\n".join(lines)
 
 
 class Kernels(NamedTuple):
-    """The straight-line Cholesky kernels of one matrix size n."""
+    """The straight-line factor and solve of one matrix size n."""
 
     factor: Callable[[Sequence[float], float], Factor | None]
-    substitute: Callable[[Factor, Sequence[float]], tuple[float, ...]]
-    residual: Callable[[Sequence[Sequence[float]], Sequence[float], Sequence[float]],
-                       tuple[tuple[float, ...], float]]
+    solve: Callable[[Factor | None, Sequence[float], Sequence[float], float], tuple[float, ...]]
 
 
 # Compiled kernels by matrix size n, generated at first use: the scalar
-# kernels and their column forms.
+# kernels and their column forms, each with the names its source calls.
 _KERNELS: dict[int, Kernels] = {}
 _COLUMN_KERNELS: dict[int, Kernels] = {}
+_SCALAR_NAMES = {"sqrt": math.sqrt, "isinf": math.isinf, "inf": math.inf,
+                 "ColumnSpaceViolation": ColumnSpaceViolation, "DomainViolation": DomainViolation}
+_COLUMN_NAMES = {"sqrt": np.sqrt, "isinf": np.isinf, "where": np.where}
 
 
 def _compile_kernels(n: int, columns: bool) -> Kernels:
     namespace: dict = {}
     name = f"<smallmat {'column ' if columns else ''}kernels n={n}>"
-    exec(compile(_kernel_source(n, columns), name, "exec"), {"sqrt": np.sqrt if columns else math.sqrt}, namespace)
-    return Kernels(namespace["factor"], namespace["substitute"], namespace["residual"])
+    exec(compile(_kernel_source(n, columns), name, "exec"), dict(_COLUMN_NAMES if columns else _SCALAR_NAMES),
+         namespace)
+    return Kernels(namespace["factor"], namespace["solve"])
 
 
 def kernels(n: int) -> Kernels:
-    """The kernels of size n, compiled once per process:
+    """The kernels of size n (_kernel_source), compiled once per process:
 
-      * factor(upper, shift): cholesky's factor, or None at the first pivot
-        that is not > 0;
-      * substitute(factor, v): x with L L^T x = v, forward then back
-        substitution;
-      * residual(rows, v, x): (v - S x, ||v - S x||) for the S with the
-        given full rows, S x summed row by row.
+      * factor(upper, shift): the factor of S - shift I for the S whose
+        upper triangle is the first n(n+1)/2 entries of upper, or None at
+        the first pivot that is not > 0;
+      * solve(factor, upper, v, residual_tol): x with S x = v, given
+        factor(upper, 0.0), refined and checked.
 
     Every dot product is written out as sum() over floats adds on Python
     3.11, 0.0 + p0 + p1 + ... from left to right, and an empty one is left
@@ -316,13 +359,13 @@ def kernels(n: int) -> Kernels:
 
 def column_kernels(n: int) -> Kernels:
     """The kernels of size n on float64 columns, one entry per matrix,
-    compiled once per process from the same source (_kernel_source): each
-    entry has the bits of the scalar kernel on its matrix.  substitute and
-    residual are the scalar code, residual with np.sqrt; factor(upper,
-    shift) returns (the factor, a mask of the entries whose pivots are all
-    > 0), and where the mask is False the factor's entries are meaningless
-    (NaN from the square root of a pivot <= 0).  Call them under
-    np.errstate(all="ignore")."""
+    compiled once per process from the same source: each entry has the
+    bits of the scalar kernel on its matrix.  factor(upper, shift) returns
+    (the factor, a mask of the entries whose pivots are all > 0), and where
+    the mask is False the factor's entries are meaningless (NaN from the
+    square root of a pivot <= 0); solve(that pair, upper, v, residual_tol)
+    returns (x, a mask of the entries where the scalar solve raises
+    nothing).  Call them under np.errstate(all="ignore")."""
     found = _COLUMN_KERNELS.get(n)
     if found is None:
         found = _COLUMN_KERNELS[n] = _compile_kernels(n, True)
@@ -330,211 +373,32 @@ def column_kernels(n: int) -> Kernels:
 
 
 def cholesky(n: int, upper: Sequence[float], shift: float) -> Factor | None:
-    """Rows of the lower factor L, L L^T = S - shift I for the S whose upper
-    triangle is the first n(n+1)/2 entries of upper; None when a pivot is
-    not > 0, that is when lambda_min(S) <= shift up to rounding."""
+    """kernels(n).factor: the factor of S - shift I for the S whose upper
+    triangle is the first n(n+1)/2 entries of upper (its entry for n = 1,
+    its determinant for n = 2, the rows of its lower Cholesky factor L for
+    n >= 3), or None when a pivot is not > 0, that is when
+    lambda_min(S) <= shift up to rounding."""
     return kernels(n).factor(upper, shift)
 
 
 def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
     """lambda_min(S) > t for the symmetric S whose upper triangle is the
-    first n(n+1)/2 entries of upper: S - tI has a Cholesky factorisation
-    with all pivots > 0.  For n <= 2 the pivots are closed forms."""
-    if n == 1:
-        return upper[0] - t > 0.0
-    if n == 2:
-        a = upper[0] - t
-        return a > 0.0 and a * (upper[2] - t) - upper[1] * upper[1] > 0.0
+    first n(n+1)/2 entries of upper: all pivots of S - tI are > 0."""
     return kernels(n).factor(upper, t) is not None
-
-
-def solve_factored(
-    factor: Factor | None, rows: Sequence[Sequence[float]], v: Sequence[float], residual_tol: float
-) -> tuple[float, ...]:
-    """Solve S x = v through factor, cholesky(n, upper, 0.0) of the S with
-    the given full rows: substitution, one step of iterative refinement, and
-    ColumnSpaceViolation when the residual exceeds residual_tol * (1 + ||v||).
-    A factor of None (S not positive definite) raises DomainViolation."""
-    if factor is None:
-        raise DomainViolation("matrix is not positive definite")
-    _, substitute, residual_of = kernels(len(factor))
-    x = substitute(factor, v)
-    residual_vec, residual = residual_of(rows, v, x)
-    v_norm = _norm(v)
-    if residual > 1e-14 * (1.0 + v_norm):
-        corrected = tuple(map(add, x, substitute(factor, residual_vec)))
-        corrected_residual = residual_of(rows, v, corrected)[1]
-        if corrected_residual < residual:
-            x, residual = corrected, corrected_residual
-    limit = residual_tol * (1.0 + v_norm)
-    if residual > limit:
-        raise ColumnSpaceViolation(residual, limit)
-    return x
-
-
-def solve_1x1(s: float, v: float) -> float:
-    """solve_sym for a 1x1 system, on floats: v / s for s > 0, and
-    DomainViolation otherwise.  The quotient is correctly rounded, so
-    refinement would never change it; when it overflows, no float solves
-    the system and ColumnSpaceViolation reports an infinite residual,
-    above every finite tolerance."""
-    if not s > 0.0:
-        raise DomainViolation("matrix is not positive definite")
-    x = v / s
-    if math.isinf(x):
-        raise ColumnSpaceViolation(math.inf, sys.float_info.max)
-    return x
-
-
-def solve_2x2(a: float, b: float, d: float, v0: float, v1: float, residual_tol: float) -> tuple[float, float]:
-    """solve_sym for the system [[a, b], [b, d]] x = (v0, v1), on floats:
-    DomainViolation unless the matrix is positive definite (the pivot test
-    of exceeds), then the inverse by its determinant, one refinement step
-    and the residual check."""
-    det = a * d - b * b
-    if not (a > 0.0 and det > 0.0):
-        raise DomainViolation("matrix is not positive definite")
-    x0 = (d * v0 - b * v1) / det
-    x1 = (a * v1 - b * v0) / det
-    r0 = v0 - (a * x0 + b * x1)
-    r1 = v1 - (b * x0 + d * x1)
-    residual = math.sqrt(r0 * r0 + r1 * r1)
-    v_norm = math.sqrt(v0 * v0 + v1 * v1)
-    if residual > 1e-14 * (1.0 + v_norm):
-        y0 = x0 + (d * r0 - b * r1) / det
-        y1 = x1 + (a * r1 - b * r0) / det
-        r0 = v0 - (a * y0 + b * y1)
-        r1 = v1 - (b * y0 + d * y1)
-        corrected = math.sqrt(r0 * r0 + r1 * r1)
-        if corrected < residual:
-            x0, x1, residual = y0, y1, corrected
-    limit = residual_tol * (1.0 + v_norm)
-    if residual > limit:
-        raise ColumnSpaceViolation(residual, limit)
-    return x0, x1
-
-
-def _first(offending: np.ndarray) -> int | None:
-    """The index of the first True entry, or None."""
-    return int(np.argmax(offending)) if offending.any() else None
 
 
 def exceeds_many(n: int, upper: Sequence[np.ndarray], t: float) -> np.ndarray:
     """exceeds at each entry of the float64 columns of an upper triangle of
-    size n: the closed forms for n <= 2 and the shifted column factor's
-    mask for n >= 3, each entry the scalar test's answer on its matrix."""
+    size n: the column factor's mask, each entry the scalar test's answer
+    on its matrix."""
     with np.errstate(all="ignore"):
-        if n == 1:
-            return upper[0] - t > 0.0
-        if n == 2:
-            a = upper[0] - t
-            return (a > 0.0) & (a * (upper[2] - t) - upper[1] * upper[1] > 0.0)
         return column_kernels(n).factor(upper, t)[1]
-
-
-def solve_1x1_columns(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(solve_1x1 at each entry of the float64 columns s and v, a mask of
-    the entries where it raises nothing)."""
-    with np.errstate(all="ignore"):
-        x = v / s
-    return x, (s > 0.0) & ~np.isinf(x)
-
-
-def solve_1x1_many(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """solve_1x1 at each entry of the float64 columns s and v: v / s.  At
-    the first entry, in order, where solve_1x1 raises, it is called on that
-    entry and raises its own error."""
-    x, solved = solve_1x1_columns(s, v)
-    i = _first(~solved)
-    if i is not None:
-        solve_1x1(float(s[i]), float(v[i]))
-    return x
-
-
-def solve_2x2_columns(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
-                      residual_tol: float) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """(solve_2x2 at each entry of the float64 columns, a mask of the
-    entries where it raises nothing), by its operations in its order: the
-    refinement step is made everywhere and taken where solve_2x2 takes it."""
-    with np.errstate(all="ignore"):
-        det = a * d - b * b
-        x0 = (d * v0 - b * v1) / det
-        x1 = (a * v1 - b * v0) / det
-        r0 = v0 - (a * x0 + b * x1)
-        r1 = v1 - (b * x0 + d * x1)
-        residual = np.sqrt(r0 * r0 + r1 * r1)
-        v_norm = np.sqrt(v0 * v0 + v1 * v1)
-        y0 = x0 + (d * r0 - b * r1) / det
-        y1 = x1 + (a * r1 - b * r0) / det
-        r0 = v0 - (a * y0 + b * y1)
-        r1 = v1 - (b * y0 + d * y1)
-        corrected = np.sqrt(r0 * r0 + r1 * r1)
-        refined = (residual > 1e-14 * (1.0 + v_norm)) & (corrected < residual)
-        residual = np.where(refined, corrected, residual)
-        limit = residual_tol * (1.0 + v_norm)
-    solved = (a > 0.0) & (det > 0.0) & ~(residual > limit)
-    return (np.where(refined, y0, x0), np.where(refined, y1, x1)), solved
-
-
-def solve_2x2_many(a: np.ndarray, b: np.ndarray, d: np.ndarray, v0: np.ndarray, v1: np.ndarray,
-                   residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """solve_2x2 at each entry of the float64 columns (solve_2x2_columns).
-    At the first entry, in order, where solve_2x2 raises, it is called on
-    that entry and raises its own error."""
-    x, solved = solve_2x2_columns(a, b, d, v0, v1, residual_tol)
-    i = _first(~solved)
-    if i is not None:
-        solve_2x2(*(float(column[i]) for column in (a, b, d, v0, v1)), residual_tol)
-    return x
-
-
-ColumnFactor = tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]  # column_kernels(n).factor's (factor, mask)
-
-
-def solve_factored_columns(factored: ColumnFactor, rows: Sequence[Sequence[np.ndarray]], v: Sequence[np.ndarray],
-                           residual_tol: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(solve_factored at each entry of the float64 columns, a mask of the
-    entries where it raises nothing), given the column factor of the
-    matrices with those rows: the substitution, the refinement step made
-    everywhere and taken where solve_factored takes it, and the residual
-    check, by its operations in its order."""
-    factor, positive = factored
-    _, substitute, residual_of = column_kernels(len(factor))
-    with np.errstate(all="ignore"):
-        x = substitute(factor, v)
-        residual_vec, residual = residual_of(rows, v, x)
-        v_norm = np.sqrt(sum(map(mul, v, v)))
-        corrected = tuple(map(add, x, substitute(factor, residual_vec)))
-        corrected_residual = residual_of(rows, v, corrected)[1]
-        refined = (residual > 1e-14 * (1.0 + v_norm)) & (corrected_residual < residual)
-        residual = np.where(refined, corrected_residual, residual)
-        limit = residual_tol * (1.0 + v_norm)
-    return tuple([np.where(refined, y, x_k) for y, x_k in zip(corrected, x)]), positive & ~(residual > limit)
-
-
-def solve_factored_many(factored: ColumnFactor, rows: Sequence[Sequence[np.ndarray]], v: Sequence[np.ndarray],
-                        residual_tol: float) -> tuple[np.ndarray, ...]:
-    """solve_factored at each entry of the float64 columns
-    (solve_factored_columns).  At the first entry, in order, where
-    solve_factored raises, it is called on that entry's factor (None where
-    a pivot is not > 0), rows and v, and raises its own error."""
-    x, solved = solve_factored_columns(factored, rows, v, residual_tol)
-    i = _first(~solved)
-    if i is not None:
-        factor, positive = factored
-
-        def at(entries: Sequence[np.ndarray]) -> tuple[float, ...]:
-            return tuple([float(entry[i]) for entry in entries])
-
-        solve_factored(tuple(map(at, factor)) if positive[i] else None, tuple(map(at, rows)), at(v), residual_tol)
-    return x
 
 
 def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     """Solve S x = v for a positive definite S; DomainViolation otherwise.
 
-    n <= 2 goes through solve_1x1 and solve_2x2, n >= 3 through
-    solve_factored with the Cholesky factor of S.  Raises
+    kernels(n).solve through cholesky(n, upper, 0.0).  Raises
     ColumnSpaceViolation when the refined residual exceeds
     residual_tol * (1 + ||v||): S is too ill-conditioned for that accuracy.
     """
@@ -542,8 +406,4 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
         v = Vector(tuple(v))
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
-    if S.n == 1:
-        return Vector((solve_1x1(S.upper[0], v[0]),))
-    if S.n == 2:
-        return Vector(solve_2x2(*S.upper, *v.entries, residual_tol))
-    return Vector(solve_factored(cholesky(S.n, S.upper, 0.0), S.rows, v.entries, residual_tol))
+    return Vector(kernels(S.n).solve(cholesky(S.n, S.upper, 0.0), S.upper, v.entries, residual_tol))

@@ -12,8 +12,8 @@ every sample is drawn through oracle.Lcg.units, most as uniform_rows or
 uniform_columns.  Each suite evaluates each sample set of the dual in one
 numpy pass over columns, bit for bit the DualPoint at each sample:
 canonical.dual_samples, dual_columns and dual_gradient_columns (the
-finite-difference gradient check, _fd_gradient_matches), domain_exceeds
-(verify_problem's interior samples) and domain_margins (thc's region
+finite-difference gradient check, _fd_gradient_matches) and
+domain_exceeds (verify_problem's interior samples and thc's region
 sweep).  verify_problem's conjugate checks and primal samples are column
 arithmetic too.  The references of gp and thc, gp_dual_closed_form and
 thc_dual, stay scalar.
@@ -252,9 +252,9 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
     thc = benchmarks.thc_problem()  # the dual the solver climbs
 
     # Feasibility region is exactly {s2 >= 25 s1^2 - 13/5}: compare the PSD
-    # margin sign with the algebraic inequality on a sample sweep.
+    # threshold test with the algebraic inequality on a sample sweep.
     s1, s2 = np.array(oracle.Lcg(201).uniform_rows((-1.5, -5.0), (1.5, 10.0), 400)).T
-    inside = canonical.domain_margins(thc, (s1, s2)) >= -canonical.PSD_TOL
+    inside = canonical.domain_exceeds(thc, (s1, s2), -canonical.PSD_TOL)
     floor = 25.0 * s1 * s1 - 13.0 / 5.0
     region_ok = not np.any((inside != (s2 >= floor - 1e-7)) & (np.abs(s2 - floor) > 1e-6))
     checks.append(_check("feasibility-region-algebra", region_ok))

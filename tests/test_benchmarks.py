@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from canondual import benchmarks, canonical
+from canondual import benchmarks, canonical, oracle
 from canondual.dual_solver import Certificate, _fd_gradient
 from canondual.errors import DomainViolation, IdentityViolation, SingularMatrixError
 from canondual.oracle import Lcg
@@ -342,6 +342,22 @@ class TestThcSolve:
         assert report.dual_report.psd_margin == pytest.approx(
             (97.0 - np.sqrt(8434.0)) / 75.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("seed", [378328577, 2019958222])
+    def test_oracle_agrees_where_every_seeded_start_misses_the_origin(self, seed):
+        # All 64 starts of these seeds refine to the side minima 0.2986; the
+        # refinement from the best node of the lattice scan reaches 0.
+        objective = benchmarks.thc_objective()
+        assert oracle.multistart(objective, benchmarks.THC_BOX, 64, seed).value > 0.29
+        report = benchmarks.thc_solve(oracle_seed=seed)
+        assert (report.oracle_value, report.oracle_x, report.oracle_agreement) == (0.0, (0.0, 0.0), True)
+
+    def test_an_agreeing_multistart_is_the_whole_oracle(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("grid_scan called after an agreeing multistart")
+
+        monkeypatch.setattr(oracle, "grid_scan", no_scan)
+        assert benchmarks.thc_solve().oracle_agreement is True
 
 
 class TestDualConcavity:

@@ -25,12 +25,8 @@ from canondual.smallmat import (
     SymMatrix,
     Vector,
     _triu_index,
-    cholesky,
     eigen_sym,
-    full_rows,
-    solve_1x1,
-    solve_2x2,
-    solve_factored,
+    solve_sym,
 )
 from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
 
@@ -735,14 +731,8 @@ def _check_sigma(pr, sigma):
 
 def _solver(table, acc):
     n = table.n
-    if n == 1:
-        g = acc[0]
-        return lambda v, tol: (solve_1x1(g, v[0]),)
-    if n == 2:
-        a, b, d = acc[0], acc[1], acc[2]
-        return lambda v, tol: solve_2x2(a, b, d, v[0], v[1], tol)
-    factor, rows = cholesky(n, acc, 0.0), full_rows(n, acc)
-    return lambda v, tol: solve_factored(factor, rows, v, tol)
+    G = SymMatrix(n, tuple(acc[:n * (n + 1) // 2]))
+    return lambda v, tol: solve_sym(G, Vector(tuple(v)), tol).entries
 
 
 def _at(pr, sigma):
@@ -1033,8 +1023,9 @@ def test_non_finite_sigma_is_outside_the_domain(problem, sigma):
 
 
 # -- sampled duals against DualPoint, sample by sample -----------------------
-# dual_samples and domain_margins must give each sample the bits of the
-# scalar calls, and raise the error the first raising sample raises.
+# dual_samples must give each sample the bits of the scalar calls, and
+# raise the error the first raising sample raises; domain_exceeds must give
+# each sample DualPoint's threshold test.
 
 
 def _scalar_samples(pr, points, residual_tol):
@@ -1063,9 +1054,10 @@ def _assert_samples_are_the_dual_points(pr, points, residual_tol=1e-9):
     assert [tuple(map(float.hex, row)) for row in found] == [tuple(map(float.hex, row)) for row in expected]
 
 
-def _assert_margins_are_in_positive_domain(pr, points):
-    margins = canonical.domain_margins(pr, tuple(zip(*points))).tolist()
-    assert list(map(float.hex, margins)) == [canonical.in_positive_domain(pr, sigma)[1].hex() for sigma in points]
+def _assert_exceeds_are_the_dual_points(pr, points):
+    for t in (0.0, -canonical.PSD_TOL):
+        inside = canonical.domain_exceeds(pr, tuple(zip(*points)), t).tolist()
+        assert inside == [canonical.DualPoint(pr, sigma).exceeds(t) for sigma in points]
 
 
 # Margins above the boundary from 1e-8 to about 60 (GP) or 12 (THC).
@@ -1082,14 +1074,14 @@ tolerances = st.sampled_from([1e-9, 1e-15, 0.0])
 def test_gp_dual_samples_are_the_dual_points_bit_for_bit(points, residual_tol):
     pr = gp_canonical_g()
     _assert_samples_are_the_dual_points(pr, points, residual_tol)
-    _assert_margins_are_in_positive_domain(pr, points)
+    _assert_exceeds_are_the_dual_points(pr, points)
 
 
 @given(thc_points, tolerances)
 def test_thc_dual_samples_are_the_dual_points_bit_for_bit(points, residual_tol):
     pr = thc_problem()
     _assert_samples_are_the_dual_points(pr, points, residual_tol)
-    _assert_margins_are_in_positive_domain(pr, points)
+    _assert_exceeds_are_the_dual_points(pr, points)
 
 
 @pytest.mark.parametrize("problem, points, residual_tol, message", [
@@ -1106,23 +1098,10 @@ def test_dual_samples_raise_the_first_samples_error(problem, points, residual_to
     assert message in str(error)
     _assert_samples_are_the_dual_points(pr, points, residual_tol)
     if all(map(math.isfinite, sum(points, ()))):
-        _assert_margins_are_in_positive_domain(pr, points)
+        _assert_exceeds_are_the_dual_points(pr, points)
     else:
         with pytest.raises(DomainViolation, match="not finite"):
-            canonical.domain_margins(pr, tuple(zip(*points)))
-
-
-def test_domain_margins_are_for_two_dimensions_at_most():
-    # dual_samples takes every n <= 4; the margins read eigenvalues, which
-    # have array forms for n <= 2 only.
-    pr = cli.load_problem_file(SURVEY / "survey_4_3_0.json")
-    columns = ((1.0,),) * pr.m
-    with pytest.raises(DimensionMismatch):
-        canonical.domain_margins(pr, columns)
-    assert canonical.dual_columns(pr, columns)[2].tolist() == [canonical.DualPoint(pr, (1.0,) * pr.m).exceeds(0.0)]
-    for request in (canonical.dual_samples, canonical.domain_margins):
-        with pytest.raises(DimensionMismatch):
-            request(thc_problem(), ((1.0,),))
+            canonical.domain_exceeds(pr, tuple(zip(*points)), 0.0)
 
 
 @pytest.mark.parametrize("problem, columns", [
@@ -1130,11 +1109,12 @@ def test_domain_margins_are_for_two_dimensions_at_most():
     (thc_problem, ([0.0, 1.0], [])),
     (thc_problem, ([[0.0]], [1.0])),
     (gp_canonical_g, ([0.0, 1.0], [1.0])),
+    (thc_problem, ([1.0],)),  # one column for two components
 ])
 def test_ragged_sigma_columns_are_a_dimension_mismatch(problem, columns):
     pr = problem()
     for request in (canonical.dual_samples, canonical.dual_columns, canonical.dual_gradient_columns,
-                    canonical.domain_margins, partial(canonical.domain_exceeds, t=0.0)):
+                    partial(canonical.domain_exceeds, t=0.0)):
         with pytest.raises(DimensionMismatch):
             request(pr, columns)
 

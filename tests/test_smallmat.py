@@ -1,6 +1,7 @@
 """Small symmetric linear algebra, cross-checked against numpy.linalg."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -21,16 +22,8 @@ from canondual.smallmat import (
     eigen_sym,
     exceeds,
     exceeds_many,
-    full_rows,
     kernels,
     min_eigenvalue,
-    min_eigenvalue_many,
-    solve_1x1,
-    solve_1x1_many,
-    solve_2x2,
-    solve_2x2_many,
-    solve_factored,
-    solve_factored_many,
     solve_sym,
 )
 
@@ -98,6 +91,57 @@ def _substitute_reference(factor, v):
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - sum(factor[k][i] * x[k] for k in range(i + 1, n))) / factor[i][i]
     return tuple(x)
+
+
+def _closed_form_factor(n, upper, shift):
+    """The factor of S - shift I for n <= 2 by the pivot tests the kernels
+    were written from: the pivot (n = 1), the determinant after the leading
+    pivot (n = 2), or None."""
+    pivot = upper[0] - shift
+    if not pivot > 0.0:
+        return None
+    if n == 1:
+        return pivot
+    det = pivot * (upper[2] - shift) - upper[1] * upper[1]
+    return det if det > 0.0 else None
+
+
+def _factor_reference(n, upper, shift):
+    return _closed_form_factor(n, upper, shift) if n <= 2 else _cholesky_reference(n, upper, shift)
+
+
+def _inverse_reference(n, upper, factor):
+    """v -> S^-1 v for n >= 2: the inverse by the determinant, or forward
+    then back substitution through the Cholesky factor."""
+    if n >= 3:
+        return partial(_substitute_reference, factor)
+    a, b, d = upper[:3]
+    return lambda r: ((d * r[0] - b * r[1]) / factor, (a * r[1] - b * r[0]) / factor)
+
+
+def _solve_reference(n, upper, factor, v, residual_tol):
+    """The solve written out: the quotient for n = 1, which overflows to an
+    infinite residual, and the refined, checked inverse for n >= 2."""
+    if n == 1:
+        x = v[0] / upper[0]
+        if math.isinf(x):
+            raise ColumnSpaceViolation(math.inf, sys.float_info.max)
+        return (x,)
+    S = SymMatrix(n, tuple(upper[:n * (n + 1) // 2]))
+    return _refined_reference(S, v, residual_tol, _inverse_reference(n, upper, factor))
+
+
+def _solve(n, upper, v, residual_tol):
+    """kernels(n).solve through the factor of the S with that upper triangle."""
+    return kernels(n).solve(cholesky(n, upper, 0.0), upper, v, residual_tol)
+
+
+def _solve_1x1(s, v):
+    return _solve(1, (s,), (v,), 1e-9)[0]
+
+
+def _solve_2x2(a, b, d, v0, v1, residual_tol):
+    return _solve(2, (a, b, d), (v0, v1), residual_tol)
 
 
 THC_FEAS_AT_ORIGIN = SymMatrix(2, (22.0 / 75.0, 0.5, 1.0))
@@ -258,7 +302,7 @@ def test_cholesky_threshold_agrees_with_numpy(S, t):
     assert (cholesky(S.n, S.upper, t) is not None) is (lam > t)
 
 
-@given(sym_matrices())
+@given(sym_matrices(min_n=3))
 def test_cholesky_factor_reproduces_the_matrix(S):
     factor = cholesky(S.n, S.upper, 0.0)
     if factor is None:
@@ -311,12 +355,12 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
         expected = _refined_reference(S, v.entries, residual_tol, partial(_substitute_reference, factor))
     except ColumnSpaceViolation as reference:
         with pytest.raises(ColumnSpaceViolation) as raised:
-            solve_factored(factor, S.rows, v.entries, residual_tol)
+            kernels(S.n).solve(factor, S.upper, v.entries, residual_tol)
         assert (raised.value.residual, raised.value.tol) == (reference.residual, reference.tol)
         with pytest.raises(ColumnSpaceViolation):
             solve_sym(S, v, residual_tol)
         return
-    assert tuple(solve_factored(factor, S.rows, v.entries, residual_tol)) == expected
+    assert tuple(kernels(S.n).solve(factor, S.upper, v.entries, residual_tol)) == expected
     assert solve_sym(S, v, residual_tol).entries == expected
 
 
@@ -326,17 +370,17 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
 def test_1x1_solve_is_one_correctly_rounded_division(s, v):
     if not s > 0.0:
         with pytest.raises(DomainViolation):
-            solve_1x1(s, v)
+            _solve_1x1(s, v)
         return
     try:
         expected = float(Fraction(v) / Fraction(s))
     except OverflowError:  # the correctly rounded quotient overflows
-        for solve in (partial(solve_1x1, s, v), partial(solve_sym, SymMatrix(1, (s,)), Vector((v,)))):
+        for solve in (partial(_solve_1x1, s, v), partial(solve_sym, SymMatrix(1, (s,)), Vector((v,)))):
             with pytest.raises(ColumnSpaceViolation) as raised:
                 solve()
             assert raised.value.residual == math.inf
         return
-    assert solve_1x1(s, v) == expected
+    assert _solve_1x1(s, v) == expected
     assert solve_sym(SymMatrix(1, (s,)), Vector((v,))).entries == (expected,)
 
 
@@ -344,7 +388,7 @@ def test_1x1_solve_of_a_zero_matrix():
     # No solve at a zero matrix, whether the right-hand side fits it or not.
     for v in (0.0, 1.0):
         with pytest.raises(DomainViolation):
-            solve_1x1(0.0, v)
+            _solve_1x1(0.0, v)
         with pytest.raises(DomainViolation):
             solve_sym(SymMatrix(1, (0.0,)), Vector((v,)))
 
@@ -357,7 +401,7 @@ def test_2x2_solve_is_the_refined_closed_form(S, v0, v1):
     det = a * d - b * b
     if not (a > 0.0 and det > 0.0):
         with pytest.raises(DomainViolation):
-            solve_2x2(a, b, d, v0, v1, 1e-9)
+            _solve_2x2(a, b, d, v0, v1, 1e-9)
         return
 
     def cramer(r):
@@ -367,9 +411,9 @@ def test_2x2_solve_is_the_refined_closed_form(S, v0, v1):
         expected = _refined_reference(S, (v0, v1), 1e-9, cramer)
     except ColumnSpaceViolation:
         with pytest.raises(ColumnSpaceViolation):
-            solve_2x2(a, b, d, v0, v1, 1e-9)
+            _solve_2x2(a, b, d, v0, v1, 1e-9)
         return
-    assert solve_2x2(a, b, d, v0, v1, 1e-9) == expected
+    assert _solve_2x2(a, b, d, v0, v1, 1e-9) == expected
 
 
 def test_2x2_solve_refines_an_ill_conditioned_system():
@@ -378,7 +422,7 @@ def test_2x2_solve_refines_an_ill_conditioned_system():
     a, b, d, v0, v1 = 1.1742365971831072, 1.3171198061730727, 1.4773894590841445, -0.8122808264515302, -0.9433050469559874
     det = a * d - b * b
     closed = ((d * v0 - b * v1) / det, (a * v1 - b * v0) / det)
-    x = solve_2x2(a, b, d, v0, v1, 1e-9)
+    x = _solve_2x2(a, b, d, v0, v1, 1e-9)
     assert x != closed
     expected = np.linalg.solve(np.array([[a, b], [b, d]]), np.array([v0, v1]))
     assert np.abs(np.array(x) - expected).max() < np.abs(np.array(closed) - expected).max()
@@ -391,32 +435,36 @@ def bits(values):
     return None if values is None else tuple(map(float.hex, values))
 
 
+def factor_bits(factor):
+    """bits of a kernels' factor: a float for n <= 2, the rows of L otherwise."""
+    if factor is None or isinstance(factor, float):
+        return None if factor is None else factor.hex()
+    return [bits(row) for row in factor]
+
+
 @given(sym_matrices(), st.sampled_from([0.0, 1.0, -1.0, 5.0, 20.0]), st.lists(entry, min_size=4, max_size=4),
        st.sampled_from([1e-9, 1e-16, 0.0]))
 def test_generated_kernels_are_the_loops_bit_for_bit(S, shift, v, residual_tol):
     # The factor of S - shift I, pivot test included (the larger shifts
-    # make a pivot <= 0), the substitution and the refined, checked solve,
-    # against the loops they replaced; at a tolerance the residual exceeds
-    # both raise the same ColumnSpaceViolation.
+    # make a pivot <= 0), and the refined, checked solve, against the loops
+    # and closed forms they were written from; at a tolerance the residual
+    # exceeds both raise the same ColumnSpaceViolation.
     n, v = S.n, tuple(v[:S.n])
-    factor, expected = cholesky(n, S.upper, shift), _cholesky_reference(n, S.upper, shift)
-    if n >= 3:
-        assert exceeds(n, S.upper, shift) is (factor is not None)
+    factor, expected = cholesky(n, S.upper, shift), _factor_reference(n, S.upper, shift)
+    assert exceeds(n, S.upper, shift) is (factor is not None)
+    assert factor_bits(factor) == factor_bits(expected)
     if expected is None:
-        assert factor is None
         return
-    assert [bits(row) for row in factor] == [bits(row) for row in expected]
-    assert bits(kernels(n).substitute(factor, v)) == bits(_substitute_reference(expected, v))
     diagonal = {_triu_index(n, i, i) for i in range(n)}
-    shifted = SymMatrix(n, tuple(x - shift if k in diagonal else x for k, x in enumerate(S.upper)))
+    shifted = tuple(x - shift if k in diagonal else x for k, x in enumerate(S.upper))
     try:
-        reference = _refined_reference(shifted, v, residual_tol, partial(_substitute_reference, expected))
+        reference = _solve_reference(n, shifted, expected, v, residual_tol)
     except ColumnSpaceViolation as raised:
         with pytest.raises(ColumnSpaceViolation) as caught:
-            solve_factored(factor, shifted.rows, v, residual_tol)
+            kernels(n).solve(factor, shifted, v, residual_tol)
         assert bits((caught.value.residual, caught.value.tol)) == bits((raised.residual, raised.tol))
         return
-    assert bits(solve_factored(factor, shifted.rows, v, residual_tol)) == bits(reference)
+    assert bits(kernels(n).solve(factor, shifted, v, residual_tol)) == bits(reference)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -425,12 +473,9 @@ def test_signed_zeros_follow_the_loops(n):
     # -0.0; the generated sums must start from 0.0 to agree.
     upper = tuple(4.0 if i == j else 0.0 if (i, j) == (0, 1) else -0.0 for i in range(n) for j in range(i, n))
     v = (0.0,) + (-0.0,) * (n - 1)
-    S = SymMatrix(n, upper)
     factor = cholesky(n, upper, 0.0)
-    assert [bits(row) for row in factor] == [bits(row) for row in _cholesky_reference(n, upper, 0.0)]
-    x = kernels(n).substitute(factor, v)
-    assert bits(x) == bits(_substitute_reference(factor, v))
-    assert bits(kernels(n).residual(S.rows, v, x)[0]) == bits(residual_vector(S, x, v))
+    assert factor_bits(factor) == factor_bits(_factor_reference(n, upper, 0.0))
+    assert bits(kernels(n).solve(factor, upper, v, 1e-9)) == bits(_solve_reference(n, upper, factor, v, 1e-9))
 
 
 def test_kernels_are_compiled_once_per_size(monkeypatch):
@@ -443,8 +488,7 @@ def test_kernels_are_compiled_once_per_size(monkeypatch):
     for scale in (1.0, 2.0, 3.0):
         for n in range(1, 5):
             S = SymMatrix(n, tuple(scale * (n + 1.0) if i == j else 1.0 for i in range(n) for j in range(i, n)))
-            factor = cholesky(n, S.upper, 0.0)
-            solve_factored(factor, S.rows, (1.0,) * n, 1e-9)
+            _solve(n, S.upper, (1.0,) * n, 1e-9)
             assert exceeds(n, S.upper, 0.0)
     assert sorted(generated) == [1, 2, 3, 4]
     assert sorted(smallmat._KERNELS) == [1, 2, 3, 4] and all(type(n) is int for n in smallmat._KERNELS)
@@ -455,19 +499,17 @@ def test_kernel_names_are_unique_beyond_ten():
     # Without a separator between the indices, l1_11 and l11_1 share one
     # name from n = 12 on; the kernels then factor and solve the wrong system.
     n = 12
-    namespace: dict = {}
-    exec(compile(smallmat._kernel_source(n), "<kernels n=12>", "exec"), {"sqrt": math.sqrt}, namespace)
-    factor, substitute, residual = namespace["factor"], namespace["substitute"], namespace["residual"]
+    factor, solve = smallmat._compile_kernels(n, False)
     lower = {name for name in factor.__code__.co_varnames if name.startswith("l")}
-    rows = {name for name in residual.__code__.co_varnames if name.startswith("a")}
-    assert len(lower) == n * (n + 1) // 2 and len(rows) == n * n
+    entries = {name for name in solve.__code__.co_varnames if name.startswith("a")}
+    assert len(lower) == len(entries) == n * (n + 1) // 2
     rng = np.random.default_rng(12)
     M = rng.uniform(-1.0, 1.0, (n, n))
     S = M.T @ M + n * np.eye(n)  # SymMatrix stops at n = 4
     upper = tuple(float(x) for i, row in enumerate(S) for x in row[i:])
     v = tuple(map(float, rng.uniform(-1.0, 1.0, n)))
-    x = substitute(factor(upper, 0.0), v)
-    assert residual(tuple(map(tuple, S.tolist())), v, x)[1] < 1e-12
+    x = solve(factor(upper, 0.0), upper, v, 1e-12)
+    assert np.linalg.norm(S @ x - v) < 1e-12
     assert np.allclose(x, np.linalg.solve(S, v), rtol=1e-12, atol=1e-12)
 
 
@@ -496,6 +538,25 @@ def _columns(rows):
     return [np.array(column, dtype=np.float64) for column in zip(*rows)]
 
 
+def _solve_many(n, uppers, vs, residual_tol):
+    """The column solve of the systems (column_kernels(n)) and, at the first
+    entry its mask rejects, the scalar solve of that system, which must
+    raise: the error contract of canonical.dual_samples."""
+    slots = _columns(uppers)
+    factor, solve = column_kernels(n)
+    with np.errstate(all="ignore"):
+        x, solved = solve(factor(slots, 0.0), slots, _columns(vs), residual_tol)
+    if not solved.all():
+        i = int(np.argmin(solved))
+        _solve(n, uppers[i], vs[i], residual_tol)
+        raise AssertionError(f"the scalar solve of system {i} raises nothing")
+    return x
+
+
+def _solve_2x2_many(rows, residual_tol):
+    return _solve_many(2, [row[:3] for row in rows], [row[3:] for row in rows], residual_tol)
+
+
 @st.composite
 def conditioned_spd(draw):
     """(a, b, d) of a 2x2 positive definite matrix: eigenvalues top and
@@ -514,13 +575,13 @@ systems = st.lists(st.tuples(conditioned_spd(), entry, entry), min_size=1, max_s
 @given(systems, st.sampled_from([1e-9, 1e-12, 0.0]))
 def test_2x2_array_solve_is_the_scalar_solve_bit_for_bit(drawn, residual_tol):
     rows = [(a, b, d, v0, v1) for (a, b, d), v0, v1 in drawn]
-    expected = _first_error([partial(solve_2x2, *row, residual_tol) for row in rows])
-    batch = partial(solve_2x2_many, *_columns(rows), residual_tol)
+    expected = _first_error([partial(_solve_2x2, *row, residual_tol) for row in rows])
+    batch = partial(_solve_2x2_many, rows, residual_tol)
     if expected is not None:
         _assert_same_error(expected, batch)
         return
     x0, x1 = batch()
-    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(solve_2x2(*row, residual_tol)) for row in rows]
+    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(_solve_2x2(*row, residual_tol)) for row in rows]
 
 
 def test_2x2_array_solve_takes_the_refinement_entry_by_entry():
@@ -532,9 +593,9 @@ def test_2x2_array_solve_takes_the_refinement_entry_by_entry():
     c, s = np.cos(theta := rng.uniform(0.0, np.pi, 1000)), np.sin(theta)
     a, b, d = c * c * top + s * s * low, c * s * (top - low), s * s * top + c * c * low
     v0, v1 = rng.uniform(-10.0, 10.0, (2, 1000))
-    x0, x1 = solve_2x2_many(a, b, d, v0, v1, 1.0)
     rows = list(zip(*(column.tolist() for column in (a, b, d, v0, v1))))
-    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(solve_2x2(*row, 1.0)) for row in rows]
+    x0, x1 = _solve_2x2_many(rows, 1.0)
+    assert [bits(x) for x in zip(x0.tolist(), x1.tolist())] == [bits(_solve_2x2(*row, 1.0)) for row in rows]
     det = a * d - b * b
     refined = (x0 != (d * v0 - b * v1) / det) | (x1 != (a * v1 - b * v0) / det)
     assert 0 < refined.sum() < 1000
@@ -544,12 +605,12 @@ def test_2x2_array_solve_takes_the_refinement_entry_by_entry():
 @example([(1.0, 1.0), (2.2250738585e-313, 1.0), (0.0, 1.0)])  # overflow, then not positive definite
 @example([(2.0, 1.0), (-1.0, 1.0), (2.2250738585e-313, 1.0)])  # not positive definite, then overflow
 def test_1x1_array_solve_is_the_scalar_solve_bit_for_bit(rows):
-    expected = _first_error([partial(solve_1x1, *row) for row in rows])
-    batch = partial(solve_1x1_many, *_columns(rows))
+    expected = _first_error([partial(_solve_1x1, *row) for row in rows])
+    batch = partial(_solve_many, 1, [row[:1] for row in rows], [row[1:] for row in rows], 1e-9)
     if expected is not None:
         _assert_same_error(expected, batch)
         return
-    assert bits(batch().tolist()) == bits([solve_1x1(*row) for row in rows])
+    assert bits(batch()[0].tolist()) == bits([_solve_1x1(*row) for row in rows])
 
 
 @pytest.mark.parametrize("rows, residual_tol, error", [
@@ -564,20 +625,9 @@ def test_1x1_array_solve_is_the_scalar_solve_bit_for_bit(rows):
       (4.0, 0.0, 4.0, 1.0, 2.0), (1.0, 2.0, 1.0, 1.0, 1.0)], 0.0, ColumnSpaceViolation),
 ])
 def test_2x2_array_solve_raises_the_first_systems_error(rows, residual_tol, error):
-    expected = _first_error([partial(solve_2x2, *row, residual_tol) for row in rows])
+    expected = _first_error([partial(_solve_2x2, *row, residual_tol) for row in rows])
     assert type(expected) is error
-    _assert_same_error(expected, partial(solve_2x2_many, *_columns(rows), residual_tol))
-
-
-@given(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=30))
-def test_min_eigenvalue_many_is_the_scalar_closed_form(rows):
-    assert bits(min_eigenvalue_many(2, _columns(rows)).tolist()) == bits([min_eigenvalue(2, row) for row in rows])
-    assert bits(min_eigenvalue_many(1, _columns(rows)).tolist()) == bits([min_eigenvalue(1, row) for row in rows])
-
-
-def test_min_eigenvalue_many_is_for_n_up_to_two():
-    with pytest.raises(DimensionMismatch):
-        min_eigenvalue_many(3, _columns([(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)]))
+    _assert_same_error(expected, partial(_solve_2x2_many, rows, residual_tol))
 
 
 # -- the column Cholesky kernels against the scalar ones, entry by entry ----
@@ -606,22 +656,16 @@ def _systems(n):
 
 
 def _factor_at(factor, i):
+    if isinstance(factor, np.ndarray):
+        return float(factor[i])
     return tuple(tuple(float(entry[i]) for entry in row) for row in factor)
 
 
-def _solve_many(n, uppers, vs, residual_tol):
-    slots = _columns(uppers)
-    with np.errstate(all="ignore"):
-        factored = column_kernels(n).factor(slots, 0.0)
-    return solve_factored_many(factored, full_rows(n, slots), _columns(vs), residual_tol)
-
-
 def _scalar_solves(n, uppers, vs, residual_tol):
-    return [partial(solve_factored, cholesky(n, upper, 0.0), full_rows(n, upper), v, residual_tol)
-            for upper, v in zip(uppers, vs)]
+    return [partial(_solve, n, upper, v, residual_tol) for upper, v in zip(uppers, vs)]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @given(data=st.data(), shift=st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 5.0]),
        residual_tol=st.sampled_from([1e-9, 1e-12, 0.0]))
 def test_column_kernels_are_the_scalar_kernels_bit_for_bit(n, data, shift, residual_tol):
@@ -637,7 +681,7 @@ def test_column_kernels_are_the_scalar_kernels_bit_for_bit(n, data, shift, resid
         expected = cholesky(n, upper, shift)
         assert bool(positive[i]) is (expected is not None)
         if expected is not None:
-            assert [bits(row) for row in _factor_at(factor, i)] == [bits(row) for row in expected]
+            assert factor_bits(_factor_at(factor, i)) == factor_bits(expected)
     assert exceeds_many(n, _columns(uppers), shift).tolist() == [exceeds(n, upper, shift) for upper in uppers]
     expected = _first_error(_scalar_solves(n, uppers, vs, residual_tol))
     batch = partial(_solve_many, n, uppers, vs, residual_tol)
@@ -655,18 +699,20 @@ def test_exceeds_many_is_the_closed_form_test(n, rows, t):
     assert exceeds_many(n, _columns(rows), t).tolist() == [exceeds(n, row, t) for row in rows]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_column_solve_takes_the_refinement_entry_by_entry(n):
-    # 1000 seeded systems with condition numbers 1 to 1e12: the refinement
-    # step changes some answers, not all, and each entry has the scalar bits.
+    # 1000 seeded systems with condition numbers 1 to 1e12: for n >= 2 the
+    # refinement step changes some answers, not all, and each entry has the
+    # scalar bits; the correctly rounded 1x1 quotient is never refined.
     rng = np.random.default_rng(24 + n)
     uppers = [_spd_upper(rng, n, rng.uniform(1e-2, 10.0), 10.0 ** rng.uniform(0.0, 12.0)) for _ in range(1000)]
     vs = [tuple(rng.uniform(-10.0, 10.0, n).tolist()) for _ in range(1000)]
     found = list(zip(*(column.tolist() for column in _solve_many(n, uppers, vs, 1.0))))
     assert [bits(x) for x in found] == [bits(solve()) for solve in _scalar_solves(n, uppers, vs, 1.0)]
-    unrefined = [kernels(n).substitute(cholesky(n, upper, 0.0), v) for upper, v in zip(uppers, vs)]
+    unrefined = [(v[0] / upper[0],) if n == 1 else _inverse_reference(n, upper, cholesky(n, upper, 0.0))(v)
+                 for upper, v in zip(uppers, vs)]
     refined = sum(bits(x) != bits(y) for x, y in zip(found, unrefined))
-    assert 0 < refined < 1000
+    assert refined == 0 if n == 1 else 0 < refined < 1000
 
 
 def _with_pivot(n, p, value):
@@ -675,13 +721,15 @@ def _with_pivot(n, p, value):
     return tuple(value if i == j == p else float(i == j) for i in range(n) for j in range(i, n))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_column_solve_raises_the_first_systems_error(n):
     good, v = _with_pivot(n, 0, 4.0), (1.0,) * n
     rng = np.random.default_rng(7)
-    # A system whose refined residual is over a zero tolerance.
-    over = next(upper for upper in (_spd_upper(rng, n, 1.0, 1e10) for _ in range(100))
-                if _first_error(_scalar_solves(n, [upper], [v], 0.0)) is not None)
+    # A system whose refined residual is over a zero tolerance; for n = 1,
+    # whose quotient is not refined, one whose quotient overflows.
+    over = (2.2250738585e-313,) if n == 1 else next(
+        upper for upper in (_spd_upper(rng, n, 1.0, 1e10) for _ in range(100))
+        if _first_error(_scalar_solves(n, [upper], [v], 0.0)) is not None)
     for p in range(n):  # a pivot that is not > 0 at each position, NaN included
         for value in (0.0, -1.0, math.nan):
             for uppers in ([good, _with_pivot(n, p, value), over], [good, good, _with_pivot(n, p, value)]):
@@ -689,7 +737,7 @@ def test_column_solve_raises_the_first_systems_error(n):
                 assert type(expected) is DomainViolation
                 _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
             assert exceeds_many(n, _columns([good, _with_pivot(n, p, value)]), 0.0).tolist() == [True, False]
-    uppers = [good, over, _with_pivot(n, 1, -1.0)]
+    uppers = [good, over, _with_pivot(n, min(1, n - 1), -1.0)]
     expected = _first_error(_scalar_solves(n, uppers, [v] * 3, 0.0))
     assert type(expected) is ColumnSpaceViolation
     _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
@@ -698,7 +746,7 @@ def test_column_solve_raises_the_first_systems_error(n):
 def test_column_kernels_are_compiled_once_per_size(monkeypatch):
     monkeypatch.setattr(smallmat, "_COLUMN_KERNELS", {})
     for _ in range(3):
-        for n in (3, 4):
+        for n in range(1, 5):
             assert column_kernels(n) is column_kernels(n)
             assert exceeds_many(n, _columns([_with_pivot(n, 0, 2.0)]), 0.0).tolist() == [True]
-    assert sorted(smallmat._COLUMN_KERNELS) == [3, 4]
+    assert sorted(smallmat._COLUMN_KERNELS) == [1, 2, 3, 4]

@@ -236,23 +236,25 @@ def test_verify_gp_weak_duality_draws_are_the_scalar_draws(monkeypatch):
 
 
 def test_verify_thc_region_sweep_draws_are_the_scalar_draws(monkeypatch):
-    # One batched call over the 400 rows; each row's margin is the one
-    # in_positive_domain reports there, bit for bit.
+    # One batched threshold test over the 400 rows; each row's membership is
+    # DualPoint's exceeds(-PSD_TOL) there, and in_positive_domain's
+    # margin >= -PSD_TOL, which the sweep read before, agrees on every row.
     calls = []
-    original = canonical.domain_margins
+    original = canonical.domain_exceeds
 
-    def record(pr, sigma):
-        calls.append((pr, sigma, original(pr, sigma)))
+    def record(pr, sigma, t):
+        calls.append((pr, sigma, t, original(pr, sigma, t)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(canonical, "domain_margins", record)
+    monkeypatch.setattr(canonical, "domain_exceeds", record)
     verify.verify_thc()
     sweep = _scalar_rows(Lcg(201), (-1.5, -5.0), (1.5, 10.0), 400)
-    [(pr, (s1, s2), margins)] = calls
+    [(pr, (s1, s2), t, inside)] = calls
     assert list(zip(s1.tolist(), s2.tolist())) == sweep
     thc = benchmarks.thc_problem()
-    assert pr is thc
-    assert [m.hex() for m in margins.tolist()] == [canonical.in_positive_domain(thc, row)[1].hex() for row in sweep]
+    assert pr is thc and t == -canonical.PSD_TOL
+    assert inside.tolist() == [canonical.DualPoint(thc, row).exceeds(t) for row in sweep]
+    assert inside.tolist() == [canonical.in_positive_domain(thc, row)[0] for row in sweep]
 
 
 @pytest.mark.parametrize("index", [0, 35])
