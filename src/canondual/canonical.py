@@ -33,7 +33,12 @@ function of polynomial's straight-line generator, given the slots'
 terms, compiled once per shape and process and bound to the table's
 coefficients.  GP's and THC's tables compile once, and every canonical
 problem of one (n, m) shares one compiled set, whatever its coefficients
-and zeros (terms of degree 0 and 1 carry every slot).
+and zeros (terms of degree 0 and 1 carry every slot).  What a dual point
+computes from its slots, x_bar and the factor of G, its value, rounding
+bound, Xi, gradient, exact Hessian and the ascent's Newton direction, is
+straight-line code as well, generated once per shape (n, m)
+(_point_source) with every dot product a plain left-to-right sum, and
+bound to the table beside the accumulators and smallmat.kernels(n).
 
 With G affine, P^d is concave wherever G(sigma) is positive semidefinite
 (THC's staged dual is too; verify thc samples it); a dual critical point
@@ -46,9 +51,10 @@ in_positive_domain, is reported).
 
 Many sigma, given as columns, one float64 array per component, are
 evaluated at once: the accumulators, which only multiply and add, take the
-columns as their point, and smallmat's column kernels, compiled from the
-source of the kernels DualPoint solves with, take the slots, so every
-entry has the bits of DualPoint at its sigma.  dual_columns and
+columns as their point, smallmat's column kernels, compiled from the
+source of the kernels DualPoint solves with, take the slots, and the
+value and gradient are the same generated functions DualPoint calls, so
+every entry has the bits of DualPoint at its sigma.  dual_columns and
 dual_gradient_columns return P^d with x_bar, and the gradient, with the
 mask of the samples where DualPoint raises nothing; dual_samples raises
 DualPoint's error at the first sample that has one.  domain_exceeds is the
@@ -62,26 +68,26 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from fractions import Fraction
-from operator import add, mul, sub
-from math import isfinite, lcm
-from typing import Callable, Sequence
+from operator import add, mul
+from math import isfinite, lcm, sqrt
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from .polynomial import MAX_ARITY, Compiled, Exponents, MultiPoly, RationalLike, _bind, _shape_code, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
 # tests/test_benchmark_coupling.py check that canonical.solve_sym exists.
 from .smallmat import (
     MAX_DIM,
+    Kernels,
     SymMatrix,
     Vector,
-    cholesky,
+    _sum_of,
+    _triu_index,
     column_kernels,
-    exceeds,
     exceeds_many,
-    full_rows,
     kernels,
     min_eigenvalue,
     solve_sym,  # noqa: F401
@@ -219,6 +225,118 @@ def _layout(n: int, m: int, exps: tuple[tuple[int, ...], ...], carried: tuple[tu
     return tuple(layout)
 
 
+class PointCode(NamedTuple):
+    """The straight-line functions of one table shape (n, m), from a dual
+    point's accumulated slots, x_bar and G's factor (_point_source)."""
+
+    value: Callable[..., float]
+    rounding: Callable[..., float]
+    xi: Callable[..., float]
+    gradient: Callable[..., tuple[float, ...]]
+    norm: Callable[[Sequence[float]], float]
+    hessian: Callable[..., tuple[float, ...]]
+    newton: Callable[..., tuple[tuple[float, ...], float]]
+
+
+# Compiled dual point functions by table shape (n, m), generated at first use.
+_POINT_CODE: dict[tuple[int, int], PointCode] = {}
+
+
+def _point_source(n: int, m: int) -> str:
+    """The dual point functions of shape (n, m) as straight-line code.  An
+    accumulation's slots, the upper triangle of G (row-major), F and c, are
+    unpacked into locals, p0, p1, ... for [G, F, c] and q{k}_0, q{k}_1, ...
+    for its sigma_k-derivative.  Every dot product is the left fold
+    0.0 + t0 + t1 + ... (smallmat._sum_of), the float operations of Python
+    3.11's sum() over the same terms, and G x is summed row by row.
+
+      * value(acc, x) = -1/2 F^T x + c and rounding(acc, x), a few units of
+        roundoff times |c| + |1/2 F^T x|;
+      * xi(acc, x) = 1/2 x^T G x - x^T F + c;
+      * gradient(first, x): xi of each sigma_k-derivative's slots at x;
+      * norm(g) = ||g||;
+      * hessian(sigma, x, first, second, factor, acc): the upper triangle
+        of xi(second[j](sigma), x) - u_k^T G^-1 u_l, (k, l) the j-th pair
+        k <= l in row-major order and u_k = G_k x - F_k, each G^-1 u_l by
+        kernels(n).solve through the factor of G, whose slots are acc, at
+        residual tolerance 1e-6;
+      * newton(sigma, x, first, second, factor, acc, g): (d, g^T d) for the
+        d solving -H d = g through kernels(m) at residual tolerance 1e-6,
+        H = hessian(...), where the Hessian and that solve raise no
+        DomainViolation or ColumnSpaceViolation and g^T d > 0; otherwise
+        (g, g^T g), steepest ascent.
+
+    value, rounding, xi and gradient only multiply and add, so they take
+    float64 columns as they take floats.  The gradient and the Hessian call
+    xi rather than repeat it, which halves the compile time of the source
+    at n = 4."""
+    tri = n * (n + 1) // 2
+    width = tri + n + 1
+    xs = [f"x{i}" for i in range(n)]
+
+    def names(prefix: str, count: int) -> str:
+        return "(" + "".join(f"{prefix}{i}, " for i in range(count)) + ")"
+
+    def dot(left: Sequence[str], right: Sequence[str]) -> str:
+        return _sum_of([f"{a} * {b}" for a, b in zip(left, right)])
+
+    def rows(p: str) -> list[str]:
+        """G x, summed row by row, for the slots named p0, p1, ..."""
+        return [dot([f"{p}{_triu_index(n, i, j)}" for j in range(n)], xs) for i in range(n)]
+
+    pairs = [(k, l) for k in range(m) for l in range(k, m)]
+    gs, ds = [f"g{k}" for k in range(m)], [f"d{k}" for k in range(m)]
+    unpack_acc, unpack_x = f"    {names('p', width)} = acc", f"    {names('x', n)} = x"
+    half_fx = f"0.5 * {dot([f'p{tri + i}' for i in range(n)], xs)}"
+    lines = [
+        "def value(acc, x):", unpack_acc, unpack_x, f"    return -{half_fx} + p{width - 1}",
+        "def rounding(acc, x):", unpack_acc, unpack_x,
+        f"    return {_ROUNDING_ULPS * sys.float_info.epsilon!r} * (abs(p{width - 1}) + abs({half_fx}))",
+        "def xi(acc, x):", unpack_acc, unpack_x,
+        f"    return 0.5 * {dot(rows('p'), xs)} - {dot([f'p{tri + i}' for i in range(n)], xs)} + p{width - 1}",
+        "def gradient(first, x):", f"    {names('q', m)} = first",
+        f"    return ({''.join(f'xi(q{k}, x), ' for k in range(m))})",
+        "def norm(g):", f"    {names('g', m)} = g", f"    return sqrt{dot(gs, gs)}",
+        "def hessian(sigma, x, first, second, factor, acc):", unpack_x,
+        f"    {', '.join(names(f'q{k}_', width) for k in range(m))}, = first",
+    ]
+    for k in range(m):
+        lines += [f"    u{k}_{i} = {row} - q{k}_{tri + i}" for i, row in enumerate(rows(f"q{k}_"))]
+    for l in range(m):
+        lines.append(f"    {names(f'w{l}_', n)} = solve(factor, acc, {names(f'u{l}_', n)}, 1e-6)")
+    for j, (k, l) in enumerate(pairs):
+        us, ws = [f"u{k}_{i}" for i in range(n)], [f"w{l}_{i}" for i in range(n)]
+        lines.append(f"    h{j} = xi(second[{j}](sigma), x) - {dot(us, ws)}")
+    lines += [
+        f"    return {names('h', len(pairs))}",
+        "def newton(sigma, x, first, second, factor, acc, g):", f"    {names('g', m)} = g",
+        "    try:",
+        f"        {names('h', len(pairs))} = hessian(sigma, x, first, second, factor, acc)",
+        f"        upper = ({''.join(f'-1.0 * h{j}, ' for j in range(len(pairs)))})",
+        f"        {names('d', m)} = newton_solve(newton_factor(upper, 0.0), upper, g, 1e-6)",
+        "    except (ColumnSpaceViolation, DomainViolation):",
+        f"        return g, {dot(gs, gs)}",
+        f"    slope = {dot(gs, ds)}",
+        "    if slope > 0.0:",
+        f"        return {names('d', m)}, slope",
+        f"    return g, {dot(gs, gs)}",
+    ]
+    return "\n".join(lines)
+
+
+def _point_code(n: int, m: int) -> PointCode:
+    """The dual point functions of shape (n, m) (_point_source), compiled
+    once per shape and process."""
+    found = _POINT_CODE.get((n, m))
+    if found is None:
+        namespace = {"sqrt": sqrt, "solve": kernels(n).solve, "newton_factor": kernels(m).factor,
+                     "newton_solve": kernels(m).solve, "ColumnSpaceViolation": ColumnSpaceViolation,
+                     "DomainViolation": DomainViolation}
+        exec(compile(_point_source(n, m), f"<canonical dual point n={n} m={m}>", "exec"), namespace)
+        found = _POINT_CODE[n, m] = PointCode(*(namespace[name] for name in PointCode._fields))
+    return found
+
+
 @dataclass(frozen=True)
 class DualTable:
     """G, F and c as polynomials in sigma, one DualTerm per monomial.
@@ -240,6 +358,10 @@ class DualTable:
     inf * 0.0 would be NaN.  A coefficient -0.0 is read as +0.0, as a sum
     that starts at 0.0 reads it: the generator writes a constant term that
     leads a sum, or is all of it, without that 0.0.
+
+    kernels is smallmat.kernels(n), the factor and solve of G, and point the
+    dual point functions of the shape (n, m) (_point_source), which read the
+    accumulators' slots: both are bound once, at construction.
     """
 
     n: int
@@ -248,6 +370,8 @@ class DualTable:
     accumulate: Accumulator = field(init=False, repr=False, compare=False)
     accumulate_grad: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
     accumulate_hess: tuple[Accumulator, ...] = field(init=False, repr=False, compare=False)
+    kernels: Kernels = field(init=False, repr=False, compare=False)
+    point: PointCode = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, m = self.n, self.m
@@ -273,6 +397,8 @@ class DualTable:
         object.__setattr__(self, "accumulate", accumulate)
         object.__setattr__(self, "accumulate_grad", tuple(derivatives[:m]))
         object.__setattr__(self, "accumulate_hess", tuple(derivatives[m:]))
+        object.__setattr__(self, "kernels", kernels(n))
+        object.__setattr__(self, "point", _point_code(n, m))
 
 
 @dataclass(frozen=True)
@@ -406,35 +532,24 @@ def conjugate_gradient(V: ConvexQuadV, sigma: Sequence[float]) -> tuple[float, .
     return tuple((s - beta) / (2.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
-def _f(table: DualTable, acc: list[float]) -> list[float]:
-    return acc[-table.n - 1:-1]
-
-
-def _gx(table: DualTable, acc: list[float], x: Sequence[float]) -> list[float]:
-    """G x for accumulated coefficients."""
-    return [sum(map(mul, row, x)) for row in full_rows(table.n, acc)]
-
-
-def _xi(table: DualTable, acc: list[float], x: Sequence[float]) -> float:
-    """1/2 x^T G x - x^T F + c for accumulated coefficients."""
-    return 0.5 * sum(map(mul, _gx(table, acc, x), x)) - sum(map(mul, _f(table, acc), x)) + acc[-1]
-
-
 class DualPoint:
     """The dual at one sigma: [G, F, c] accumulated once by the table's
     accumulate, the threshold test exceeds(t) on those entries, and one
     x_bar, solved at the first request, from which value, rounding bound,
-    gradient and Hessian all come; the two derivatives share one
-    accumulation of [G_k, F_k, c_k].  A sigma with an infinite or NaN entry
-    is outside the domain: the constructor raises DomainViolation.
+    gradient, Hessian and the ascent's Newton direction all come; the
+    derivatives share one accumulation of [G_k, F_k, c_k].  A sigma with an
+    infinite or NaN entry is outside the domain: the constructor raises
+    DomainViolation.
 
     P^d is concave where G is positive definite, and only there does a
     point solve: value, x_bar, rounding, gradient and Hessian raise
     DomainViolation at any other G.  For every n, the factor of the
-    accumulated upper triangle (smallmat.cholesky), made once at the first
-    solve, is both the positive definiteness test and, through
-    smallmat.kernels(n).solve, the solver for x_bar and the Hessian's
-    solves, with the refinement step and residual check of solve_sym.
+    accumulated upper triangle (table.kernels.factor), made once at the
+    first solve, is both the positive definiteness test and, through
+    table.kernels.solve, the solver for x_bar and the Hessian's solves,
+    with the refinement step and residual check of solve_sym.  Everything
+    computed from x_bar is the table's straight-line code (table.point,
+    _point_source); hessian() returns its upper triangle as a SymMatrix.
     """
 
     __slots__ = ("sigma", "table", "acc", "_factor", "_x", "_x_tol", "_first")
@@ -450,51 +565,47 @@ class DualPoint:
         self._factor = self._x = self._first = None
 
     def exceeds(self, t: float) -> bool:
-        """lambda_min(G) > t: smallmat.exceeds on the accumulated entries."""
-        return exceeds(self.table.n, self.acc, t)
-
-    def _solve(self, v: Sequence[float], residual_tol: float) -> Sequence[float]:
-        """kernels(n).solve of G x = v through G's factor, made at the first
-        solve and kept (as a 1-tuple: the factor is None when G is not
-        positive definite)."""
-        n, acc = self.table.n, self.acc
-        if self._factor is None:
-            self._factor = (cholesky(n, acc, 0.0),)
-        return kernels(n).solve(self._factor[0], acc, v, residual_tol)
+        """lambda_min(G) > t: the pivots of G - t I on the accumulated entries
+        (smallmat.exceeds)."""
+        return self.table.kernels.factor(self.acc, t) is not None
 
     def x_bar(self, residual_tol: float = 1e-9) -> Sequence[float]:
         """x_bar solving G x = F, the stationary point of Xi(., sigma), or
-        DomainViolation when G is not positive definite.  Solved once; a
+        DomainViolation when G is not positive definite: table.kernels.solve
+        through G's factor, made at the first solve and kept (as a 1-tuple:
+        the factor is None when G is not positive definite).  Solved once; a
         tighter residual_tol than the solve passed repeats the solve for its
         check, which raises ColumnSpaceViolation or gives the same x_bar."""
         x = self._x
         if x is None or residual_tol < self._x_tol:
-            x = self._x = self._solve(_f(self.table, self.acc), residual_tol)
+            table, acc = self.table, self.acc
+            factor, solve = table.kernels
+            if self._factor is None:
+                self._factor = (factor(acc, 0.0),)
+            x = self._x = solve(self._factor[0], acc, acc[-table.n - 1:-1], residual_tol)
             self._x_tol = residual_tol
         return x
 
     def value(self, residual_tol: float = 1e-9) -> float:
         """P^d(sigma) = -1/2 F^T x_bar + c."""
-        acc = self.acc
-        return -0.5 * sum(map(mul, _f(self.table, acc), self.x_bar(residual_tol))) + acc[-1]
+        return self.table.point.value(self.acc, self.x_bar(residual_tol))
 
     def rounding(self) -> float:
         """A bound on the rounding error of value(): a few units of roundoff
         times |c| + |1/2 F^T x_bar|, the two terms its last sum adds."""
-        half = 0.5 * sum(map(mul, _f(self.table, self.acc), self.x_bar()))
-        return _ROUNDING_ULPS * sys.float_info.epsilon * (abs(self.acc[-1]) + abs(half))
+        return self.table.point.rounding(self.acc, self.x_bar())
 
     def complementary(self, x: Sequence[float]) -> float:
         """Xi(x, sigma) = 1/2 x^T G x - x^T F + c, which in canonical form is
         Lambda(x)^T sigma - V*(sigma) - U(x)."""
-        return _xi(self.table, self.acc, x)
+        return self.table.point.xi(self.acc, x)
 
     def min_eigenvalue(self) -> float:
         """lambda_min(G), the PSD margin reports print; exceeds(t) decides
         thresholds without it."""
         return min_eigenvalue(self.table.n, self.acc)
 
-    def _interior(self) -> tuple[Sequence[float], list[list[float]]]:
+    def _interior(self) -> tuple[Sequence[float], list[tuple[float, ...]]]:
         """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is
         differentiable: G positive definite, which the solve for x_bar
         tests (DomainViolation otherwise)."""
@@ -508,7 +619,12 @@ class DualPoint:
         1/2 x_bar^T G_k x_bar - x_bar^T F_k + c_k, which in canonical form
         is Lambda_k(x_bar) - dV*/dsigma_k.  Requires G positive definite."""
         x, first = self._interior()
-        return tuple([_xi(self.table, acc, x) for acc in first])
+        return self.table.point.gradient(first, x)
+
+    def gradient_with_norm(self) -> tuple[tuple[float, ...], float]:
+        """(the gradient, its Euclidean norm), as the ascent reads them."""
+        grad = self.gradient()
+        return grad, self.table.point.norm(grad)
 
     def hessian(self) -> SymMatrix:
         """Hessian of P^d, exact:
@@ -522,14 +638,21 @@ class DualPoint:
         the m solves reuse the factorisation of G that x_bar came from.
         """
         x, first = self._interior()
-        table, sig = self.table, self.sigma
-        u = [tuple(map(sub, _gx(table, acc, x), _f(table, acc))) for acc in first]
-        w = [self._solve(u_l, 1e-6) for u_l in u]
-        pairs = [(k, l) for k in range(table.m) for l in range(k, table.m)]
-        return SymMatrix(table.m, tuple(
-            _xi(table, second(sig), x) - sum(map(mul, u[k], w[l]))
-            for (k, l), second in zip(pairs, table.accumulate_hess)
-        ))
+        table = self.table
+        return SymMatrix(table.m, table.point.hessian(self.sigma, x, first, table.accumulate_hess,
+                                                      self._factor[0], self.acc))
+
+    def newton_direction(self, grad: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+        """(direction, slope) of the ascent at this point, given its gradient:
+        the Newton direction d solving -H d = grad (the bits of
+        solve_sym(hessian().scale(-1.0), Vector(grad), 1e-6)) and grad^T d
+        when the Hessian and that solve raise no DomainViolation or
+        ColumnSpaceViolation and grad^T d > 0, otherwise steepest ascent,
+        grad and grad^T grad.  Requires G positive definite, as the gradient
+        does."""
+        x, first = self._interior()
+        table = self.table
+        return table.point.newton(self.sigma, x, first, table.accumulate_hess, self._factor[0], self.acc, grad)
 
 
 def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
@@ -602,7 +725,7 @@ def _solved_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol:
 def _value(table: DualTable, acc: Sequence, x: Sequence) -> np.ndarray:
     """DualPoint.value's -1/2 F^T x_bar + c, on columns."""
     with np.errstate(all="ignore"):
-        return -0.5 * sum(map(mul, _f(table, acc), x)) + acc[-1]
+        return table.point.value(acc, x)
 
 
 def dual_columns(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
@@ -629,14 +752,15 @@ def dual_gradient_columns(pr: Problem, sigma: Sequence[Sequence[float]]
                           ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(the gradient of P^d, solved) at each sample sigma, given as m
     columns: where solved is True, the bits of dual_gradient(pr, sigma),
-    from x_bar at its tolerance 1e-6 and the table's accumulate_grad, which
-    take the columns as they take a point; where it is False, dual_gradient
-    raises there.  Raises nothing for a sample."""
+    from x_bar at its tolerance 1e-6, the table's accumulate_grad and its
+    generated gradient (table.point.gradient), which take the columns as
+    they take a point; where it is False, dual_gradient raises there.
+    Raises nothing for a sample."""
     columns, _, x, solved = _solved_samples(pr, sigma, 1e-6)
     table = pr.table
     with np.errstate(all="ignore"):
         point = tuple(columns)
-        return tuple([_xi(table, first(point), x) for first in table.accumulate_grad]), solved
+        return table.point.gradient([first(point) for first in table.accumulate_grad], x), solved
 
 
 def domain_exceeds(pr: Problem, sigma: Sequence[Sequence[float]], t: float) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 import json
 import math
+import random
 import struct
 import sys
 from fractions import Fraction
 from functools import partial
 from operator import mul, sub
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from canondual import canonical, cli, dual_solver, polynomial
 from canondual.benchmarks import gp_canonical_g, gp_dual_closed_form, gp_g, thc_problem
-from canondual.canonical import _ROUNDING_ULPS, _f, _gx, _xi
+from canondual.canonical import DualTable, _ROUNDING_ULPS
 from canondual.dual_solver import _fd_gradient, _fd_hessian, solve_canonical
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
 from canondual.oracle import Lcg
@@ -26,9 +28,26 @@ from canondual.smallmat import (
     Vector,
     _triu_index,
     eigen_sym,
+    full_rows,
     solve_sym,
 )
-from tests.test_dual_solver import CRAWLS_ALONG_THE_BOUNDARY, STALLED_UNDER_FD_HESSIAN
+from tests.test_dual_solver import (
+    CRAWLS_ALONG_THE_BOUNDARY,
+    STALLED_UNDER_FD_HESSIAN,
+    reference_newton_direction,
+)
+
+SURVEY = Path(__file__).resolve().parent / "data"
+SURVEY_FILES = sorted(SURVEY.glob("survey_*.json"))
+
+# The planted pool's generator, perfbench/planted.py, and its reference module.
+_PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, _PERFBENCH)
+try:
+    import planted
+    import reference as planted_reference
+finally:
+    sys.path.remove(_PERFBENCH)
 
 
 @pytest.fixture(scope="module")
@@ -723,6 +742,20 @@ def _accumulate(table, order, sig):
     return acc
 
 
+def _f(table: DualTable, acc: list[float]) -> list[float]:
+    return acc[-table.n - 1:-1]
+
+
+def _gx(table: DualTable, acc: list[float], x: Sequence[float]) -> list[float]:
+    """G x for accumulated coefficients."""
+    return [sum(map(mul, row, x)) for row in full_rows(table.n, acc)]
+
+
+def _xi(table: DualTable, acc: list[float], x: Sequence[float]) -> float:
+    """1/2 x^T G x - x^T F + c for accumulated coefficients."""
+    return 0.5 * sum(map(mul, _gx(table, acc, x), x)) - sum(map(mul, _f(table, acc), x)) + acc[-1]
+
+
 def _check_sigma(pr, sigma):
     if len(sigma) != pr.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {pr.m}")
@@ -781,30 +814,42 @@ def reference_hessian(pr, sigma):
     ))
 
 
+def reference_newton(pr, sigma):
+    """The ascent's (direction, slope) at sigma from the reference gradient
+    and Hessian, as the interpreted ascent made them."""
+    return reference_newton_direction(partial(reference_hessian, pr, sigma), reference_dual_gradient(pr, sigma))
+
+
 def packed(values):
     values = [float(v) for v in values]
     return struct.pack(f"{len(values)}d", *values)
 
 
 def assert_point_matches_reference(pr, sigma):
-    """Value, rounding bound, x_bar, Xi(x_bar), gradient and Hessian of one
-    DualPoint equal the separate formulas bit for bit, whichever quantity
-    the point is asked for first."""
+    """Value, rounding bound, x_bar, Xi(x_bar), gradient, its norm, Hessian
+    and the ascent's direction and slope of one DualPoint equal the separate
+    formulas bit for bit, whichever quantity the point is asked for first."""
     x = reference_x_bar(pr, sigma).entries
+    gradient = reference_dual_gradient(pr, sigma)
+    direction, slope = reference_newton(pr, sigma)
     want = packed([
         reference_dual_value(pr, sigma), reference_dual_rounding(pr, sigma), *x,
-        _xi(pr.table, _at(pr, sigma)[2], x),
-        *reference_dual_gradient(pr, sigma), *reference_hessian(pr, sigma).upper,
+        _xi(pr.table, _at(pr, sigma)[2], x), *gradient, math.sqrt(sum(g * g for g in gradient)),
+        *reference_hessian(pr, sigma).upper, *direction, slope,
     ])
     point = canonical.DualPoint(pr, sigma)
+    gradient, norm = point.gradient_with_norm()
+    direction, slope = point.newton_direction(gradient)
     assert packed([
         point.value(), point.rounding(), *point.x_bar(), point.complementary(point.x_bar()),
-        *point.gradient(), *point.hessian().upper,
+        *point.gradient(), norm, *point.hessian().upper, *direction, slope,
     ]) == want
     point = canonical.DualPoint(pr, sigma)
     hessian, gradient = point.hessian().upper, point.gradient()
+    direction, slope = point.newton_direction(gradient)
     assert packed([
-        point.value(), point.rounding(), *point.x_bar(), point.complementary(point.x_bar()), *gradient, *hessian,
+        point.value(), point.rounding(), *point.x_bar(), point.complementary(point.x_bar()), *gradient,
+        point.gradient_with_norm()[1], *hessian, *direction, slope,
     ]) == want
 
 
@@ -817,21 +862,28 @@ SHIPPED_AND_PLANTED = {
     "thc_problem": thc_problem,
     **{f"planted_{i}": partial(_planted, entry[0]) for i, entry in enumerate(STALLED_UNDER_FD_HESSIAN)},
     "crawls_along_the_boundary": partial(_planted, CRAWLS_ALONG_THE_BOUNDARY[0]),
+    **{path.stem: partial(cli.load_problem_file, path) for path in SURVEY_FILES},
 }
+
+
+def _draws_around(center, count, seed):
+    """center and count draws around it, at radii 1e-3, 0.5 and 4.0 in turn."""
+    rng = Lcg(seed)
+    return [tuple(center), *(tuple(s + rng.uniform(-radius, radius) for s in center)
+                             for radius in (1e-3, 0.5, 4.0) * (count // 3))]
+
+
+def _interior(pr, samples):
+    return [sigma for sigma in samples if canonical.DualPoint(pr, sigma).exceeds(1e-9)]
 
 
 @pytest.mark.parametrize("name", SHIPPED_AND_PLANTED)
 def test_dual_point_matches_the_separate_formulas(name):
-    # The ascent's end and interior draws around it, 60 at three radii in turn.
+    # The ascent's end and the interior draws of 60 around it.  The survey
+    # files end pressed against the boundary, where fewer draws are inside.
     pr = SHIPPED_AND_PLANTED[name]()
-    center = solve_canonical(pr).sigma_star
-    rng = Lcg(17)
-    samples = [center]
-    for radius in (1e-3, 0.5, 4.0) * 20:
-        sigma = tuple(s + rng.uniform(-radius, radius) for s in center)
-        if canonical.DualPoint(pr, sigma).exceeds(1e-9):
-            samples.append(sigma)
-    assert len(samples) >= 20
+    samples = _interior(pr, _draws_around(solve_canonical(pr).sigma_star, 60, 17))
+    assert len(samples) >= (8 if name.startswith("survey") else 20)
     for sigma in samples:
         assert_point_matches_reference(pr, sigma)
 
@@ -839,6 +891,103 @@ def test_dual_point_matches_the_separate_formulas(name):
 @given(st.one_of(interior_canonical_points(), interior_table_points()))
 def test_dual_point_matches_the_separate_formulas_on_random_problems(case):
     assert_point_matches_reference(*case)
+
+
+@st.composite
+def planted_problems(draw):
+    """(a problem by the planted pool's recipe, perfbench/planted.generate,
+    with 1 <= n, m <= 4, its planted sigma* as floats)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    drawn = planted.generate(random.Random(draw(st.integers(0, 2 ** 32 - 1))), n, m)
+    pr = cli.parse_problem_dict(planted_reference.problem_to_json(drawn))
+    return pr, tuple(map(float, drawn["sigma_star"]))
+
+
+@given(planted_problems())
+def test_dual_point_matches_the_separate_formulas_on_planted_draws(case):
+    # The planted sigma*, interior with margin >= 0.25, and the interior
+    # draws of 9 around it.
+    pr, center = case
+    for sigma in _interior(pr, _draws_around(center, 9, 23)):
+        assert_point_matches_reference(pr, sigma)
+
+
+@given(planted_problems())
+def test_column_gradients_are_the_dual_points_on_planted_draws(case):
+    # At each solved sample the bits of DualPoint.gradient(), and each
+    # unsolved one raises there.  test_sampled_duals_are_the_dual_points_for_n_three_and_four
+    # checks the survey files and the pool's n = 3, 4 problems.
+    pr, center = case
+    samples = _draws_around(center, 30, 31)
+    gradient, solved = canonical.dual_gradient_columns(pr, tuple(zip(*samples)))
+    assert solved[0]
+    for j, sigma in enumerate(samples):
+        point = canonical.DualPoint(pr, sigma)
+        if solved[j]:
+            assert [float(column[j]).hex() for column in gradient] == [g.hex() for g in point.gradient()]
+        else:
+            assert _raises(point.gradient)
+
+
+def _table_problem(n, m, terms):
+    return canonical.TableProblem(canonical.DualTable(n, m, tuple(canonical.DualTerm(*t) for t in terms)),
+                                  MultiPoly.zero(n))
+
+
+# Duals on which the ascent's step falls back to steepest ascent, each
+# (problem, sigma, what makes it fall back), G = 1 unless given.
+STEEPEST_ASCENT = [
+    # P^d = sigma^2 is convex: -H = -2 is not positive definite.
+    (_table_problem(1, 1, [((0,), (1,), (0,), 0), ((2,), (0,), (0,), 1)]), (0.5,), DomainViolation),
+    # P^d = 1e300 sigma - 1e-300 sigma^2: -H d = g overflows to inf.
+    (_table_problem(1, 1, [((0,), (1,), (0,), 0), ((1,), (0,), (0,), 1e300), ((2,), (0,), (0,), -1e-300)]),
+     (0.0,), ColumnSpaceViolation),
+    # G = 1e-300 and F = 1e10 sigma: at sigma = 0, x_bar = 0 but the
+    # Hessian's solve G w = u = -1e10 overflows.
+    (_table_problem(1, 1, [((0,), (1e-300,), (0,), 0), ((1,), (0,), (1e10,), 1)]), (0.0,), ColumnSpaceViolation),
+    # P^d = -sigma^2 at its maximum: g = 0, so the Newton step d = 0 does not ascend.
+    (_table_problem(1, 1, [((0,), (1,), (0,), 0), ((2,), (0,), (0,), -1)]), (0.0,), None),
+    # The same in two components, the second convex: -H is indefinite.
+    (_table_problem(2, 2, [((0, 0), (1, 0, 1), (0, 0), 0), ((1, 0), (0, 0, 0), (0, 0), 1),
+                           ((2, 0), (0, 0, 0), (0, 0), -1), ((0, 2), (0, 0, 0), (0, 0), 1)]),
+     (0.25, 0.5), DomainViolation),
+]
+
+
+@pytest.mark.parametrize("pr, sigma, error", STEEPEST_ASCENT)
+def test_newton_direction_falls_back_where_the_reference_does(pr, sigma, error):
+    # The reference, solve_sym(H.scale(-1.0), Vector(g), 1e-6), raises the
+    # error (or ascends by no Newton step), and both take (g, g^T g).
+    point = canonical.DualPoint(pr, sigma)
+    grad = point.gradient()
+    if error is None:
+        assert not any(grad)
+    else:
+        with pytest.raises(error):
+            solve_sym(point.hessian().scale(-1.0), Vector(grad), 1e-6)
+    want, want_slope = reference_newton_direction(point.hessian, grad)
+    assert want == grad
+    direction, slope = point.newton_direction(grad)
+    assert packed([*direction, slope]) == packed([*want, want_slope])
+
+
+def test_newton_direction_is_the_reference_where_the_step_exists(pool_paths):
+    # At the interior start of each pool problem that is not already at its
+    # maximum the Newton step exists and ascends: the bits of
+    # solve_sym(H.scale(-1.0), Vector(g), 1e-6) and of g^T d.
+    climbed = 0
+    for path in pool_paths:
+        pr = cli.load_problem_file(path)
+        point = dual_solver.find_interior_start(partial(canonical.DualPoint, pr), pr.m)
+        grad = point.gradient()
+        if not any(grad):
+            continue
+        d = solve_sym(point.hessian().scale(-1.0), Vector(grad), 1e-6)
+        direction, slope = point.newton_direction(grad)
+        assert packed(direction) == packed(d.entries)
+        assert packed([slope]) == packed([sum(g * di for g, di in zip(grad, d))]) and slope > 0.0
+        climbed += 1
+    assert climbed >= 30
 
 
 class TestDualPoint:
@@ -1119,12 +1268,9 @@ def test_ragged_sigma_columns_are_a_dimension_mismatch(problem, columns):
             request(pr, columns)
 
 
-SURVEY = Path(__file__).resolve().parent / "data"
-
-
 def _large_problems(pool_paths):
     """The pool's problems of n = 3 and 4 and both survey files."""
-    problems = [cli.load_problem_file(path) for path in [*pool_paths, *sorted(SURVEY.glob("survey_*.json"))]]
+    problems = [cli.load_problem_file(path) for path in [*pool_paths, *SURVEY_FILES]]
     return [pr for pr in problems if pr.n >= 3]
 
 

@@ -55,27 +55,31 @@ def test_each_differing_stdout_and_exit_code_is_printed():
 
 
 def test_main_runs_every_invocation_on_both_sides(capsys):
-    # gp, thc, the three shipped problems, the two survey problems and the
-    # 36 pool problems, four invocations each; a capped solve and an oracle
-    # run each of gp, thc and the shipped problems; and 20 seeds each of
-    # solve gp|thc.
-    seen_pool = []
+    # gp, thc, the three shipped problems, the two survey problems, the 36
+    # pool problems and the 4 survey draws, four invocations each; a capped
+    # solve and an oracle run each of gp, thc and the shipped problems; and
+    # 20 seeds each of solve gp|thc.
+    seen_pool, drawn = [], set()
 
     def run(checkout, argv):
         if argv[1] == "file" and argv[2].startswith("/"):
             seen_pool.append(Path(argv[2]).is_file())
+            if Path(argv[2]).name.startswith("survey_"):
+                drawn.add(argv[2])
         return 0, checkout.name if argv == ["solve", "thc", "--seed", "7"] else "same"
 
     assert compare_outputs.main(["/parent", "/change"], run) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "DIFFERS: canondual solve thc --seed 7"
-    assert out[-1] == "1 of 222 invocations differ"
-    assert len(seen_pool) == 2 * 4 * 36 and all(seen_pool)
+    assert out[-1] == "1 of 238 invocations differ"
+    assert len(seen_pool) == 2 * 4 * (36 + 4) and all(seen_pool)
+    assert {Path(argv).name for argv in drawn} == {"survey_2_4_14.json", "survey_3_4_4.json",
+                                                   "survey_4_4_3.json", "survey_4_4_15.json"}
 
     run, calls = runner()
     assert compare_outputs.main(["/parent", "/change"], run) == 0
     argvs = {argv for _, argv in calls}
-    assert len(calls) == 2 * len(argvs) == 2 * 222
+    assert len(calls) == 2 * len(argvs) == 2 * 238
     assert ("verify", "file", "problems/gp_g.json") in argvs
     assert ("solve", "file", "tests/data/survey_4_4_13.json", "--no-oracle", "--format", "json") in argvs
     assert ("oracle", "thc", "--grid", "201", "--starts", "16", "--format", "json") in argvs

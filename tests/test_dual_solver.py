@@ -20,8 +20,8 @@ from canondual.dual_solver import (
     maximize_concave,
     solve_canonical,
 )
-from canondual.errors import NoInteriorPoint
-from canondual.smallmat import SymMatrix
+from canondual.errors import ColumnSpaceViolation, DomainViolation, NoInteriorPoint
+from canondual.smallmat import Kernels, SymMatrix, Vector, solve_sym
 
 # Canonical problems with planted exact minimisers on which the ascent with a
 # finite-difference Hessian stalled at |grad| 2e-10 to 8e-10, just above
@@ -112,9 +112,31 @@ def always_feasible(sigma, margin):
     return True
 
 
+def reference_gradient_with_norm(gradient):
+    """The gradient and its norm as the interpreted ascent made them."""
+    grad = tuple(float(g) for g in gradient())
+    return grad, math.sqrt(sum(g * g for g in grad))
+
+
+def reference_newton_direction(hessian, grad):
+    """The ascent's (direction, slope) as the interpreted ascent made them:
+    the Newton step from solve_sym(-H, grad) when the Hessian and that solve
+    raise nothing and it ascends, steepest ascent otherwise."""
+    direction = grad
+    try:
+        d = solve_sym(hessian().scale(-1.0), Vector(grad), 1e-6)
+    except (ColumnSpaceViolation, DomainViolation):
+        pass
+    else:
+        if sum(g * di for g, di in zip(grad, d)) > 0.0:
+            direction = tuple(d)
+    return direction, sum(g * d for g, d in zip(grad, direction))
+
+
 def formula_points(value, gradient=None, hessian=None, rounding=0.0, feasible=always_feasible):
-    """at(sigma) for a dual given by formulas in sigma.  A rounding bound of
-    0.0 never admits a rounding-level step: every step's predicted gain is
+    """at(sigma) for a dual given by formulas in sigma, whose gradient norm
+    and step direction are the reference formulas.  A rounding bound of 0.0
+    never admits a rounding-level step: every step's predicted gain is
     positive."""
 
     class Point:
@@ -135,6 +157,12 @@ def formula_points(value, gradient=None, hessian=None, rounding=0.0, feasible=al
 
         def hessian(self):
             return hessian(self.sigma)
+
+        def gradient_with_norm(self):
+            return reference_gradient_with_norm(self.gradient)
+
+        def newton_direction(self, grad):
+            return reference_newton_direction(self.hessian, grad)
 
     return Point
 
@@ -206,15 +234,15 @@ class TestMaximizeConcave:
         assert result.sigma[0] == pytest.approx(-15.0, abs=1e-8)
         assert result.value == pytest.approx(3.0, abs=1e-8)
 
-    def test_overflowing_step_backtracks_to_a_stall(self, monkeypatch):
+    def test_overflowing_step_backtracks_to_a_stall(self):
         # A Newton direction with an infinite entry makes every trial sigma
         # non-finite, which DualPoint rejects with DomainViolation: the line
         # search backtracks as at an infeasible trial and reports a stall.
-        def infinite(neg_hess, grad, tol):
-            return tuple(math.copysign(math.inf, g) for g in grad.entries)
+        class Overflowing(canonical.DualPoint):
+            def newton_direction(self, grad):
+                return tuple(math.copysign(math.inf, g) for g in grad), math.inf
 
-        monkeypatch.setattr(dual_solver, "solve_sym", infinite)
-        at = dual_points(gp_canonical_g())
+        at = partial(Overflowing, gp_canonical_g())
         result = maximize_concave(at, at((0.0,)))
         assert result.stalled and not result.converged
         assert result.sigma == (0.0,) and result.iterations == 0
@@ -257,9 +285,10 @@ class TestMaximizeConcave:
         with pytest.raises(ValueError):
             maximize_concave(at, at((-1.0,)))
 
-    def test_one_accumulation_and_one_factorisation_per_dual_point(self, monkeypatch):
-        # The n = 4, m = 3 planted problem: every Newton step is accepted at
-        # its first trial.  Each dual point accumulates [G, F, c] once, and
+    def test_one_accumulation_and_one_factorisation_per_dual_point(self):
+        # The n = 4, m = 3 planted problem: 10 Newton steps, two of which
+        # backtrack from infeasible trials.  Each dual point accumulates
+        # [G, F, c] once, and
         # the points whose value is asked factor G once: the interior start,
         # which the ascent climbs from, and the 10 accepted trials, the last
         # of which the report reads.  Each iterate adds m accumulations of
@@ -267,7 +296,11 @@ class TestMaximizeConcave:
         # m(m+1)/2 of the second.  Rebuilding the start and the end point,
         # and G again for the reported eigenvalue, took 111 accumulations
         # and 13 factorisations; one callback per quantity took 175 and 34.
-        counts = {"accumulations": 0, "cholesky": 0}
+        # The table's factor also makes the threshold tests, of G - t I with
+        # t = INTERIOR_MARGIN: one at each of the 15 points built (the
+        # origin, 10 accepted and 4 infeasible trials), and the ascent's test
+        # of its start.
+        counts = {"accumulations": 0, "factorisations": 0, "threshold tests": 0}
 
         def counted(original, name="accumulations"):
             def call(*args):
@@ -276,16 +309,23 @@ class TestMaximizeConcave:
 
             return call
 
-        monkeypatch.setattr(canonical, "cholesky", counted(canonical.cholesky, "cholesky"))
         pr = parse_problem_dict(json.loads(STALLED_UNDER_FD_HESSIAN[3][0]))
         table = pr.table
+        factor, solve = table.kernels
+
+        def counted_factor(upper, shift):
+            counts["factorisations" if shift == 0.0 else "threshold tests"] += 1
+            return factor(upper, shift)
+
+        object.__setattr__(table, "kernels", Kernels(counted_factor, solve))
         for name in ("accumulate_grad", "accumulate_hess"):
             object.__setattr__(table, name, tuple(map(counted, getattr(table, name))))
         object.__setattr__(table, "accumulate", counted(table.accumulate))
         report = solve_canonical(pr)
         assert report.certificate is Certificate.GLOBAL_MINIMUM_CERTIFIED
         assert report.iterations == 10
-        assert counts == {"accumulations": 108, "cholesky": report.iterations + 1}
+        assert counts == {"accumulations": 108, "factorisations": report.iterations + 1,
+                          "threshold tests": 16}
 
     def test_determinism(self):
         pr = gp_canonical_g()

@@ -14,15 +14,20 @@ The invocations are ``solve --format json``, ``solve --format text``,
 ``solve --no-oracle --format json`` and ``verify`` on gp, thc, each
 ``problems/*.json`` of this checkout, the two n = 4 survey problems in
 ``tests/data`` (one ends ``BoundaryCritical`` after 30 iterations, the
-other takes 47, so both are sensitive to rounding) and each problem of the
-planted pool;
+other takes 47, so both are sensitive to rounding), each problem of the
+planted pool and four more fresh planted draws on which the ascent fails
+(``SURVEY_DRAWS``: two end ``BoundaryCritical`` after 61 and 92
+iterations, two ``NotConverged`` at the 200-iteration cap, all pressed
+against the boundary of the PSD region, so the most sensitive to the
+Newton step's bits);
 ``solve --max-iter 2 --format json`` on gp, thc and each ``problems/*.json``,
 which ends the ascent at its iteration cap; ``oracle --grid 201 --starts 16
 --format json`` on gp, thc and each ``problems/*.json``; and
-``solve gp|thc --seed 0..19``: 222 invocations with the 3 shipped problems
-and the 36 of the pool.  The pool is written once, by
+``solve gp|thc --seed 0..19``: 238 invocations with the 3 shipped problems,
+the 36 of the pool and the 4 draws.  The pool is written once, by
 ``perfbench/workloads.write_pool``, to a temporary directory that both
-sides read by absolute path; ``problems/`` and ``tests/data`` are read
+sides read by absolute path, and the draws beside it by
+``perfbench/planted.generate``; ``problems/`` and ``tests/data`` are read
 from each checkout.
 """
 
@@ -30,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -40,6 +47,9 @@ from typing import Callable, Sequence, TextIO
 
 ROOT = Path(__file__).resolve().parent.parent
 SURVEY = ("tests/data/survey_4_3_0.json", "tests/data/survey_4_4_13.json")
+# (n, m, i) of planted.generate(random.Random(f"survey:0.25:{n}:{m}:{i}"), n, m),
+# the draws of ROADMAP item 2 that tests/data does not ship.
+SURVEY_DRAWS = ((2, 4, 14), (3, 4, 4), (4, 4, 3), (4, 4, 15))
 JOBS = 2  # invocations run at once; each is mostly waiting on its process
 
 # (checkout, argv) -> (exit code, stdout)
@@ -55,13 +65,20 @@ def run_cli(checkout: Path, argv: Sequence[str]) -> tuple[int, str]:
 
 
 def write_pool(directory: Path) -> list[Path]:
-    """The planted pool's problem files, written by the benchmark's own
-    generator."""
+    """The planted pool's problem files and the survey draws', written by
+    the benchmark's own generator."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import planted
+    import reference
     import workloads
 
     workloads.write_pool(directory)
-    return sorted(directory.glob("planted_*.json"))
+    draws = []
+    for n, m, i in SURVEY_DRAWS:
+        problem = planted.generate(random.Random(f"survey:0.25:{n}:{m}:{i}"), n, m)
+        draws.append(directory / f"survey_{n}_{m}_{i}.json")
+        draws[-1].write_text(json.dumps(reference.problem_to_json(problem)))
+    return sorted(directory.glob("planted_*.json")) + draws
 
 
 def invocations(pool: Sequence[Path], shipped: Sequence[str]) -> list[list[str]]:
