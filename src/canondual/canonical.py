@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import repeat
 from fractions import Fraction
 from operator import add, mul
@@ -84,12 +84,12 @@ from .smallmat import (
     Kernels,
     SymMatrix,
     Vector,
+    _plain_sum,
     _sum_of,
     _triu_index,
     column_kernels,
-    exceeds_many,
+    eigen_sym,
     kernels,
-    min_eigenvalue,
     solve_sym,  # noqa: F401
 )
 
@@ -130,9 +130,10 @@ class QuadOperator:
 
     def value(self, x: Sequence[float]) -> float:
         """Lambda(x) on the float view: C x summed row by row, then
-        0.5 * x^T (C x) + b^T x + c."""
-        cx = [sum(map(mul, row, x)) for row in self.C_rows]
-        return 0.5 * sum(map(mul, cx, x)) + sum(map(mul, self.b_float, x)) + self.c_float
+        0.5 * x^T (C x) + b^T x + c, each dot product a plain left-to-right
+        sum (smallmat._plain_sum), written out."""
+        cx = [reduce(add, map(mul, row, x), 0.0) for row in self.C_rows]
+        return 0.5 * reduce(add, map(mul, cx, x), 0.0) + reduce(add, map(mul, self.b_float, x), 0.0) + self.c_float
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class ConvexQuadV:
     def value(self, xi: Sequence[float]) -> float:
         if len(xi) != self.m:
             raise DimensionMismatch(f"xi has length {len(xi)}, expected {self.m}")
-        return sum(a * x * x + beta * x for (a, beta), x in zip(self.pairs_float, xi))
+        return _plain_sum(a * x * x + beta * x for (a, beta), x in zip(self.pairs_float, xi))
 
 
 @dataclass(frozen=True)
@@ -182,25 +183,23 @@ class DualTerm:
 
 
 Accumulator = Callable[[tuple[float, ...]], tuple[float, ...]]  # sigma -> (upper triangle of G, F, c)
+# For accumulate, each accumulate_grad[k] and each accumulate_hess[j] in
+# turn, the compiled code of its slots' polynomials (polynomial._shape_code)
+# and, for each coefficient that code takes, in its order, the (index into
+# the table's flat coefficients, multiplier) it is made from.
 Layout = tuple[tuple[Compiled, tuple[tuple[int, int], ...]], ...]
 
-# Table layouts by (n, m, each term's exponents, the slots each term of
-# degree 2 or more carries).  An entry holds, for accumulate, each
-# accumulate_grad[k] and each accumulate_hess[j] in turn, the compiled
-# code of its slots' polynomials (polynomial._shape_code) and, for each
-# coefficient that code takes, in its order, the (index into the table's
-# flat coefficients, multiplier) it is made from.
-_LAYOUTS: dict[tuple, Layout] = {}
 
-
+@cache
 def _layout(n: int, m: int, exps: tuple[tuple[int, ...], ...], carried: tuple[tuple[int, ...] | None, ...]
             ) -> Layout:
-    """The layout of one table shape.  For each derivative order, (), each
-    (k,) and each (k, l) with k <= l, a term sigma^a becomes
-    e sigma^(a - e_k - ...), e the product of the exponents it takes down,
-    and each slot's polynomial holds those derived terms, in the table's
-    term order, whose term carries the slot (None: every slot).  Their
-    exponents are the shape compiled; each coefficient is e times the
+    """The layout of one table shape, n, m, each term's exponents and the
+    slots each term carries (None: every slot), made once per shape and
+    process.  For each derivative order, (), each (k,) and each (k, l) with
+    k <= l, a term sigma^a becomes e sigma^(a - e_k - ...), e the product of
+    the exponents it takes down, and each slot's polynomial holds those
+    derived terms, in the table's term order, whose term carries the slot.
+    Their exponents are the shape compiled; each coefficient is e times the
     term's coefficient in that slot."""
     if len(set(exps)) != len(exps):
         raise DimensionMismatch("a dual table needs one term per monomial")
@@ -236,10 +235,6 @@ class PointCode(NamedTuple):
     norm: Callable[[Sequence[float]], float]
     hessian: Callable[..., tuple[float, ...]]
     newton: Callable[..., tuple[tuple[float, ...], float]]
-
-
-# Compiled dual point functions by table shape (n, m), generated at first use.
-_POINT_CODE: dict[tuple[int, int], PointCode] = {}
 
 
 def _point_source(n: int, m: int) -> str:
@@ -324,17 +319,15 @@ def _point_source(n: int, m: int) -> str:
     return "\n".join(lines)
 
 
+@cache
 def _point_code(n: int, m: int) -> PointCode:
     """The dual point functions of shape (n, m) (_point_source), compiled
     once per shape and process."""
-    found = _POINT_CODE.get((n, m))
-    if found is None:
-        namespace = {"sqrt": sqrt, "solve": kernels(n).solve, "newton_factor": kernels(m).factor,
-                     "newton_solve": kernels(m).solve, "ColumnSpaceViolation": ColumnSpaceViolation,
-                     "DomainViolation": DomainViolation}
-        exec(compile(_point_source(n, m), f"<canonical dual point n={n} m={m}>", "exec"), namespace)
-        found = _POINT_CODE[n, m] = PointCode(*(namespace[name] for name in PointCode._fields))
-    return found
+    namespace = {"sqrt": sqrt, "solve": kernels(n).solve, "newton_factor": kernels(m).factor,
+                 "newton_solve": kernels(m).solve, "ColumnSpaceViolation": ColumnSpaceViolation,
+                 "DomainViolation": DomainViolation}
+    exec(compile(_point_source(n, m), f"<canonical dual point n={n} m={m}>", "exec"), namespace)
+    return PointCode(*(namespace[name] for name in PointCode._fields))
 
 
 @dataclass(frozen=True)
@@ -388,12 +381,8 @@ class DualTable:
             flat += values
             exps.append(tuple(t.exps))
             carried.append(None if sum(t.exps) <= 1 else tuple([s for s, v in enumerate(values) if v]))
-        key = (n, m, tuple(exps), tuple(carried))
-        layout = _LAYOUTS.get(key)
-        if layout is None:
-            layout = _LAYOUTS[key] = _layout(*key)
         accumulate, *derivatives = [_bind(compiled, [e * flat[j] for j, e in sources])
-                                    for compiled, sources in layout]
+                                    for compiled, sources in _layout(n, m, tuple(exps), tuple(carried))]
         object.__setattr__(self, "accumulate", accumulate)
         object.__setattr__(self, "accumulate_grad", tuple(derivatives[:m]))
         object.__setattr__(self, "accumulate_hess", tuple(derivatives[m:]))
@@ -454,7 +443,7 @@ class CanonicalProblem:
             return tuple(e if j == k else 0 for j in range(m))
 
         pairs = self.V.pairs_float
-        terms = [DualTerm((0,) * m, self.A, self.f, -sum(beta * beta / (4.0 * a) for a, beta in pairs))]
+        terms = [DualTerm((0,) * m, self.A, self.f, -_plain_sum(beta * beta / (4.0 * a) for a, beta in pairs))]
         terms += [
             DualTerm(unit(k, 1), op.C, tuple(-b for b in op.b), op.c_float + beta / (2.0 * a))
             for k, ((a, beta), op) in enumerate(zip(pairs, self.ops))
@@ -496,8 +485,8 @@ def _measures(pr: CanonicalProblem, v: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _u(pr: CanonicalProblem, v: tuple[float, ...]) -> float:
-    ax = [sum(map(mul, row, v)) for row in pr.A_rows]
-    return -0.5 * sum(map(mul, ax, v)) + sum(map(mul, pr.f_float, v))
+    ax = [reduce(add, map(mul, row, v), 0.0) for row in pr.A_rows]
+    return -0.5 * reduce(add, map(mul, ax, v), 0.0) + reduce(add, map(mul, pr.f_float, v), 0.0)
 
 
 def primal_value(pr: Problem, x: Sequence[float]) -> float:
@@ -512,7 +501,7 @@ def conjugate_value(V: ConvexQuadV, sigma: Sequence[float]) -> float:
     """Legendre conjugate V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k)."""
     if len(sigma) != V.m:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {V.m}")
-    return sum((s - beta) ** 2 / (4.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
+    return _plain_sum((s - beta) ** 2 / (4.0 * a) for (a, beta), s in zip(V.pairs_float, sigma))
 
 
 def conjugate_values(V: ConvexQuadV, sigma: Sequence[np.ndarray]) -> np.ndarray:
@@ -565,8 +554,8 @@ class DualPoint:
         self._factor = self._x = self._first = None
 
     def exceeds(self, t: float) -> bool:
-        """lambda_min(G) > t: the pivots of G - t I on the accumulated entries
-        (smallmat.exceeds)."""
+        """lambda_min(G) > t: all pivots of G - t I on the accumulated entries
+        are > 0 (table.kernels.factor)."""
         return self.table.kernels.factor(self.acc, t) is not None
 
     def x_bar(self, residual_tol: float = 1e-9) -> Sequence[float]:
@@ -586,9 +575,9 @@ class DualPoint:
             self._x_tol = residual_tol
         return x
 
-    def value(self, residual_tol: float = 1e-9) -> float:
-        """P^d(sigma) = -1/2 F^T x_bar + c."""
-        return self.table.point.value(self.acc, self.x_bar(residual_tol))
+    def value(self) -> float:
+        """P^d(sigma) = -1/2 F^T x_bar + c, x_bar at its residual tolerance 1e-9."""
+        return self.table.point.value(self.acc, self.x_bar())
 
     def rounding(self) -> float:
         """A bound on the rounding error of value(): a few units of roundoff
@@ -601,9 +590,10 @@ class DualPoint:
         return self.table.point.xi(self.acc, x)
 
     def min_eigenvalue(self) -> float:
-        """lambda_min(G), the PSD margin reports print; exceeds(t) decides
-        thresholds without it."""
-        return min_eigenvalue(self.table.n, self.acc)
+        """lambda_min(G), the PSD margin reports print (smallmat.eigen_sym);
+        exceeds(t) decides thresholds without it."""
+        n = self.table.n
+        return eigen_sym(SymMatrix(n, self.acc[:n * (n + 1) // 2]))[0]
 
     def _interior(self) -> tuple[Sequence[float], list[tuple[float, ...]]]:
         """(x_bar, [G_k, F_k, c_k] for each k, accumulated once) where P^d is
@@ -655,13 +645,13 @@ class DualPoint:
         return table.point.newton(self.sigma, x, first, table.accumulate_hess, self._factor[0], self.acc, grad)
 
 
-def dual_value(pr: Problem, sigma: Sequence[float], residual_tol: float = 1e-9) -> float:
-    """P^d(sigma) = -1/2 F^T G^{-1} F + c(sigma).
+def dual_value(pr: Problem, sigma: Sequence[float]) -> float:
+    """P^d(sigma) = -1/2 F^T G^{-1} F + c(sigma) (DualPoint.value).
 
     Evaluated only where G(sigma) is positive definite; elsewhere
     DomainViolation propagates from the solve.
     """
-    return DualPoint(pr, sigma).value(residual_tol)
+    return DualPoint(pr, sigma).value()
 
 
 def dual_gradient(pr: Problem, sigma: Sequence[float]) -> tuple[float, ...]:
@@ -698,15 +688,12 @@ def _first(offending: np.ndarray) -> int | None:
     return int(np.argmax(offending)) if offending.any() else None
 
 
-def _raise_first(pr: Problem, columns: np.ndarray, ok: np.ndarray, residual_tol: float | None = None) -> None:
+def _raise_first(pr: Problem, columns: np.ndarray, ok: np.ndarray) -> None:
     """Raise DualPoint's error at the first sample, in order, where ok is
-    False: its constructor's at a non-finite sigma and, given residual_tol,
-    its x_bar's at that tolerance."""
+    False: its constructor's at a non-finite sigma, else its x_bar's."""
     i = _first(~ok)
     if i is not None:
-        point = DualPoint(pr, columns[:, i].tolist())
-        if residual_tol is not None:
-            point.x_bar(residual_tol)
+        DualPoint(pr, columns[:, i].tolist()).x_bar()
 
 
 def _solved_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float
@@ -728,23 +715,22 @@ def _value(table: DualTable, acc: Sequence, x: Sequence) -> np.ndarray:
         return table.point.value(acc, x)
 
 
-def dual_columns(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
+def dual_columns(pr: Problem, sigma: Sequence[Sequence[float]]
                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """(P^d, x_bar, solved) at each sample sigma, given as m columns: where
-    solved is True, the bits of DualPoint(pr, sigma).value(residual_tol) and
-    of its x_bar; where it is False, DualPoint raises there and the entries
-    are meaningless.  Raises nothing for a sample."""
-    _, slots, x, solved = _solved_samples(pr, sigma, residual_tol)
+    solved is True, the bits of DualPoint(pr, sigma).value() and of its
+    x_bar; where it is False, DualPoint raises there and the entries are
+    meaningless.  Raises nothing for a sample."""
+    _, slots, x, solved = _solved_samples(pr, sigma, 1e-9)
     return _value(pr.table, slots, x), x, solved
 
 
-def dual_samples(pr: Problem, sigma: Sequence[Sequence[float]], residual_tol: float = 1e-9
-                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def dual_samples(pr: Problem, sigma: Sequence[Sequence[float]]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(P^d, x_bar) at each sample sigma, given as m columns: the bits of
-    DualPoint(pr, sigma).value(residual_tol) and of its x_bar.  The error is
+    DualPoint(pr, sigma).value() and of its x_bar.  The error is
     DualPoint's at the first sample, in order, that raises one."""
-    columns, slots, x, solved = _solved_samples(pr, sigma, residual_tol)
-    _raise_first(pr, columns, solved, residual_tol)
+    columns, slots, x, solved = _solved_samples(pr, sigma, 1e-9)
+    _raise_first(pr, columns, solved)
     return _value(pr.table, slots, x), x
 
 
@@ -769,7 +755,8 @@ def domain_exceeds(pr: Problem, sigma: Sequence[Sequence[float]], t: float) -> n
     non-finite sample."""
     columns, slots = _sample_slots(pr, sigma)
     _raise_first(pr, columns, np.isfinite(columns).all(axis=0))
-    return exceeds_many(pr.n, slots, t)
+    with np.errstate(all="ignore"):
+        return column_kernels(pr.n).factor(slots, t)[1]
 
 
 def primal_polynomial(pr: CanonicalProblem) -> MultiPoly:

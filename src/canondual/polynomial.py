@@ -24,18 +24,21 @@ of powers per variable shared by all terms.  ``joint_evaluator`` is the
 same generator given several polynomials, such as a gradient and Hessian:
 one table of powers, one sum per polynomial, each output bit for bit that
 polynomial's ``float_evaluator``.  The code is compiled once per shape,
-the arity and each polynomial's graded-lex exponent list; the
-coefficients are the code's constants, bound per polynomial, so a
-polynomial and its rounding-bound polynomial share one compile, and so do
-problems that differ only in their coefficients.  Partial derivatives are
-cached on their polynomial, so their evaluators are bound once.  Module
+the arity and each polynomial's graded-lex exponent list, and process
+(``_shape_code``, cached by shape); the coefficients are the code's
+constants, bound per polynomial (``_bind``), so a polynomial and its
+rounding-bound polynomial share one compile, and so do problems that
+differ only in their coefficients.  Partial derivatives are cached on
+their polynomial, so their evaluators are bound once.  Module
 ``canonical`` hands the same generator a dual table's slots, polynomials
-in sigma, in the table's term order (_shape_code, _bind).  ``as_arrays`` hands the same float terms to the lattice kernel of module
-``kernels``, and ``eval_exact`` is the exact rational reference.
+in sigma, in the table's term order.  ``as_arrays`` hands the same float
+terms to the lattice kernel of module ``kernels``, and ``eval_exact`` is
+the exact rational reference.
 """
 
 from __future__ import annotations
 
+import functools
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,29 +80,30 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
-# The most terms _compile_evaluator writes into one sum expression: the
+# The most terms _shape_code writes into one sum expression: the
 # compiler recurses once per operator, and a sum of some thousands of terms
 # exhausts its recursion limit.
 _TERMS_PER_STATEMENT = 1000
 
-# Compiled evaluators by shape: (arity, the exponent list of each
-# polynomial).  A shape holds no coefficient values, so every polynomial of
-# one shape shares one code object.  Each entry is (that code object, the
-# positions of the coefficients, in term order, in its co_consts or, where
-# the compiler folded the returned tuple into one constant, in that tuple;
-# the position of that tuple in co_consts, or None).
+# The compiled evaluator of one shape: (its code object, the positions of
+# the coefficients, in term order, in its co_consts or, where the compiler
+# folded the returned tuple into one constant, in that tuple; the position
+# of that tuple in co_consts, or None).
 Compiled = tuple[types.CodeType, tuple[int, ...], int | None]
-_EVALUATORS: dict[tuple, Compiled] = {}
 
 
-def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Compiled:
+@functools.cache
+def _shape_code(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Compiled:
     """Generate and compile ``evaluate(point)`` for one or more polynomials
-    of the given exponent lists: one table of powers up to each variable's
-    largest exponent across all of them, then one sum per polynomial,
-    ``0.0 + t1 + t2 + ...`` in term order, written as one expression (one
-    per _TERMS_PER_STATEMENT terms).  The function returns the one sum, or
-    the tuple of sums when given several polynomials; there each sum of one
-    statement is written into the return statement itself.
+    of the given exponent lists, once per shape (the arity and the exponent
+    lists) and process: a shape holds no coefficient values, so every
+    polynomial of one shape shares one code object.  The code makes one
+    table of powers up to each variable's largest exponent across all of
+    them, then one sum per polynomial, ``0.0 + t1 + t2 + ...`` in term
+    order, written as one expression (one per _TERMS_PER_STATEMENT terms).
+    The function returns the one sum, or the tuple of sums when given
+    several polynomials; there each sum of one statement is written into
+    the return statement itself.
 
     Each coefficient is written as a placeholder constant, 1.0, 2.0, ... in
     term order, and the positions of the placeholders are returned with the
@@ -142,15 +146,6 @@ def _compile_shape(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Comp
     consts = code.co_consts if folded is None else code.co_consts[folded]
     position = {c: i for i, c in enumerate(consts) if type(c) is float}
     return code, tuple(position[float(k)] for k in range(1, count + 1)), folded
-
-
-def _shape_code(arity: int, shape: tuple[tuple[Exponents, ...], ...]) -> Compiled:
-    """The compiled code of one shape (_compile_shape), compiled once per
-    shape and process."""
-    compiled = _EVALUATORS.get((arity, shape))
-    if compiled is None:
-        compiled = _EVALUATORS[arity, shape] = _compile_shape(arity, shape)
-    return compiled
 
 
 def _bind(compiled: Compiled, coeffs: Sequence[float]) -> Callable[[Sequence[float]], float | tuple[float, ...]]:

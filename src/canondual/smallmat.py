@@ -7,10 +7,9 @@ expanded from it once, at construction, for reads.
 Threshold tests lambda_min(S) > t ask whether all pivots of S - tI are > 0
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): the entry
 for n = 1, the leading entry and the determinant for n = 2, the Cholesky
-pivots for n in {3, 4}; no eigenvalue is computed.  Eigenvalues, which
-only reports read, come from closed forms for n in {1, 2} and cyclic
-Jacobi sweeps for n in {3, 4}; min_eigenvalue, like the threshold tests,
-reads an upper triangle and builds no SymMatrix for n <= 2.
+pivots for n in {3, 4}; no eigenvalue is computed.  Eigenvalues
+(eigen_sym), which only reports read, come from closed forms for n in
+{1, 2} and cyclic Jacobi sweeps for n in {3, 4}.
 
 Solves are for positive definite matrices only, the matrices G(sigma) of
 the region where the dual is concave and every certificate is issued; any
@@ -24,26 +23,29 @@ factor, which is the threshold test, and the solve, generated from one
 source (_kernel_source) once per n and cached by n (kernels); no loop runs
 over the entries.  Their dot products are written out as plain
 left-to-right sums, 0.0 + p0 + p1 + ..., the float operations sum() makes
-on Python 3.11.  Everything else here is pure-Python float arithmetic: the
-sizes are tiny, the kernels deterministic, and the test suite cross-checks
-them against numpy.linalg and against reference loops and closed forms,
-bit for bit.
+on Python 3.11, and the Jacobi sweeps fold their off-diagonal norm the
+same way, so no result depends on the compensated sum() of Python 3.12.
+Everything else here is pure-Python float arithmetic: the sizes are tiny,
+the kernels deterministic, and the test suite cross-checks them against
+numpy.linalg and against reference loops and closed forms, bit for bit.
 
 The same source compiles to array forms (column_kernels), for many
 matrices of one size n at once: numpy float64 columns, one entry per
 matrix, through the same operations in the same order, so each entry has
 the bits of the scalar call on its matrix.  Where the scalar kernels
 return None or raise, the column kernels mark the entry in a mask, which
-they return beside their answers.  exceeds_many is exceeds on columns.
+they return beside their answers: column_kernels(n).factor(upper, t)[1]
+is the threshold test on columns.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cache, reduce
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,6 +132,13 @@ class SymMatrix:
         return SymMatrix(self.n, tuple(factor * x for x in self.upper))
 
 
+def _plain_sum(terms: Iterable[float]) -> float:
+    """0.0 + t0 + t1 + ..., from left to right: the float operations of
+    sum() on Python 3.11, which Python 3.12 compensates (_sum_of writes the
+    same sum into generated source)."""
+    return reduce(add, terms, 0.0)
+
+
 def _jacobi(rows: list[list[float]]) -> list[float]:
     """Cyclic Jacobi diagonalization; returns the eigenvalues, ascending."""
     n = len(rows)
@@ -137,7 +146,7 @@ def _jacobi(rows: list[list[float]]) -> list[float]:
     scale = max(1.0, max(abs(x) for row in a for x in row))
     tol = _JACOBI_OFF_TOL * scale
     for _ in range(60):
-        off = math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
+        off = math.sqrt(2.0 * _plain_sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
         if off <= tol:
             break
         for p in range(n - 1):
@@ -161,31 +170,15 @@ def _jacobi(rows: list[list[float]]) -> list[float]:
     return sorted(a[i][i] for i in range(n))
 
 
-def _closed_form_eigenvalues(n: int, upper: Sequence[float]) -> tuple[float, ...]:
-    """Eigenvalues, ascending, of the symmetric S of size n <= 2 whose upper
-    triangle is the first n(n+1)/2 entries of upper."""
-    if n == 1:
-        return (upper[0],)
-    a, b, d = upper[0], upper[1], upper[2]
-    mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
-    return (mean - radius, mean + radius)
-
-
 def eigen_sym(S: SymMatrix) -> tuple[float, ...]:
     """Eigenvalues, ascending: closed forms for n <= 2, Jacobi sweeps otherwise."""
-    if S.n <= 2:
-        return _closed_form_eigenvalues(S.n, S.upper)
+    if S.n == 1:
+        return S.upper
+    if S.n == 2:
+        a, b, d = S.upper
+        mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+        return (mean - radius, mean + radius)
     return tuple(_jacobi(S.to_rows()))
-
-
-def min_eigenvalue(n: int, upper: Sequence[float]) -> float:
-    """Smallest eigenvalue of the symmetric S whose upper triangle is the
-    first n(n+1)/2 entries of upper: the closed form for n <= 2, read off
-    the entries as exceeds reads them, and eigen_sym's Jacobi sweeps
-    otherwise."""
-    if n <= 2:
-        return _closed_form_eigenvalues(n, upper)[0]
-    return eigen_sym(SymMatrix(n, upper[:_triu_len(n)]))[0]
 
 
 def _sum_of(terms: Sequence[str]) -> str:
@@ -320,10 +313,6 @@ class Kernels(NamedTuple):
     solve: Callable[[Factor | None, Sequence[float], Sequence[float], float], tuple[float, ...]]
 
 
-# Compiled kernels by matrix size n, generated at first use: the scalar
-# kernels and their column forms, each with the names its source calls.
-_KERNELS: dict[int, Kernels] = {}
-_COLUMN_KERNELS: dict[int, Kernels] = {}
 _SCALAR_NAMES = {"sqrt": math.sqrt, "isinf": math.isinf, "inf": math.inf,
                  "ColumnSpaceViolation": ColumnSpaceViolation, "DomainViolation": DomainViolation}
 _COLUMN_NAMES = {"sqrt": np.sqrt, "isinf": np.isinf, "where": np.where}
@@ -337,6 +326,7 @@ def _compile_kernels(n: int, columns: bool) -> Kernels:
     return Kernels(namespace["factor"], namespace["solve"])
 
 
+@cache
 def kernels(n: int) -> Kernels:
     """The kernels of size n (_kernel_source), compiled once per process:
 
@@ -351,12 +341,10 @@ def kernels(n: int) -> Kernels:
     out.  These plain left-to-right sums are the kernels' definition; the
     compensated sum() of Python 3.12 may round differently.
     """
-    found = _KERNELS.get(n)
-    if found is None:
-        found = _KERNELS[n] = _compile_kernels(n, False)
-    return found
+    return _compile_kernels(n, False)
 
 
+@cache
 def column_kernels(n: int) -> Kernels:
     """The kernels of size n on float64 columns, one entry per matrix,
     compiled once per process from the same source: each entry has the
@@ -366,39 +354,13 @@ def column_kernels(n: int) -> Kernels:
     square root of a pivot <= 0); solve(that pair, upper, v, residual_tol)
     returns (x, a mask of the entries where the scalar solve raises
     nothing).  Call them under np.errstate(all="ignore")."""
-    found = _COLUMN_KERNELS.get(n)
-    if found is None:
-        found = _COLUMN_KERNELS[n] = _compile_kernels(n, True)
-    return found
-
-
-def cholesky(n: int, upper: Sequence[float], shift: float) -> Factor | None:
-    """kernels(n).factor: the factor of S - shift I for the S whose upper
-    triangle is the first n(n+1)/2 entries of upper (its entry for n = 1,
-    its determinant for n = 2, the rows of its lower Cholesky factor L for
-    n >= 3), or None when a pivot is not > 0, that is when
-    lambda_min(S) <= shift up to rounding."""
-    return kernels(n).factor(upper, shift)
-
-
-def exceeds(n: int, upper: Sequence[float], t: float) -> bool:
-    """lambda_min(S) > t for the symmetric S whose upper triangle is the
-    first n(n+1)/2 entries of upper: all pivots of S - tI are > 0."""
-    return kernels(n).factor(upper, t) is not None
-
-
-def exceeds_many(n: int, upper: Sequence[np.ndarray], t: float) -> np.ndarray:
-    """exceeds at each entry of the float64 columns of an upper triangle of
-    size n: the column factor's mask, each entry the scalar test's answer
-    on its matrix."""
-    with np.errstate(all="ignore"):
-        return column_kernels(n).factor(upper, t)[1]
+    return _compile_kernels(n, True)
 
 
 def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
     """Solve S x = v for a positive definite S; DomainViolation otherwise.
 
-    kernels(n).solve through cholesky(n, upper, 0.0).  Raises
+    kernels(n).solve through kernels(n).factor(upper, 0.0).  Raises
     ColumnSpaceViolation when the refined residual exceeds
     residual_tol * (1 + ||v||): S is too ill-conditioned for that accuracy.
     """
@@ -406,4 +368,5 @@ def solve_sym(S: SymMatrix, v: Vector, residual_tol: float = 1e-9) -> Vector:
         v = Vector(tuple(v))
     if v.n != S.n:
         raise DimensionMismatch(f"matrix size {S.n}, vector length {v.n}")
-    return Vector(kernels(S.n).solve(cholesky(S.n, S.upper, 0.0), S.upper, v.entries, residual_tol))
+    factor, solve = kernels(S.n)
+    return Vector(solve(factor(S.upper, 0.0), S.upper, v.entries, residual_tol))

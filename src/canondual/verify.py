@@ -39,6 +39,7 @@ import numpy as np
 from . import benchmarks, canonical, dual_solver, oracle
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError
+from .smallmat import _plain_sum
 
 _PRIMAL_BOX_HALFWIDTH = 10.0  # verify_problem's weak-duality samples: x in [-10, 10]^n
 _FD_STEP = 1e-5  # dual-gradient-vs-fd: central difference step, times 1 + |sigma_k|
@@ -123,7 +124,7 @@ def _weak_duality(duals: Sequence[float], primals: Sequence[float]) -> CheckResu
 def _complementary(pr: canonical.CanonicalProblem, sigma: Sequence[float], x: Sequence[float]) -> float:
     """Xi(x, sigma) = sum_k sigma_k Lambda_k(x) - V*(sigma) - U(x) from the
     problem's own operators and V, not from the dual table the ascent used."""
-    lam = sum(s * op.value(x) for s, op in zip(sigma, pr.ops))
+    lam = _plain_sum(s * op.value(x) for s, op in zip(sigma, pr.ops))
     return lam - canonical.conjugate_value(pr.V, sigma) - canonical._u(pr, x)
 
 

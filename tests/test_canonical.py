@@ -420,6 +420,31 @@ class TestScalarDualPoint:
         assert not canonical.DualPoint(gp, (-53.0 / 3.0,)).exceeds(0.0)
 
 
+# The reported PSD margin, lambda_min(G) at the ascent's last iterate
+# (smallmat.eigen_sym's closed forms for n <= 2, Jacobi sweeps otherwise),
+# pinned to its bits on the paper's problems, the pool's first problem of
+# each n (m = 1) and both survey draws, one of which ends on the boundary.
+REPORTED_MARGINS = [
+    (gp_canonical_g, "0x1.55555555551bcp+2"),
+    (thc_problem, "0x1.19fa9a6a81360p-4"),
+    ("planted_00.json", "0x1.7ffffffff92d2p-1"),
+    ("planted_01.json", "0x1.0000000000000p+0"),
+    ("planted_02.json", "0x1.1aa547628e069p+0"),
+    ("planted_03.json", "0x1.91e324a5c49f0p+0"),
+    ("survey_4_3_0.json", "0x1.12e0a023e5560p-30"),
+    ("survey_4_4_13.json", "0x1.c40baf0061c26p-1"),
+]
+
+
+@pytest.mark.parametrize("problem, margin", REPORTED_MARGINS)
+def test_reported_psd_margin_is_pinned(problem, margin, pool_paths):
+    if callable(problem):
+        pr = problem()
+    else:
+        pr = cli.load_problem_file(next(path for path in [*pool_paths, *SURVEY_FILES] if path.name == problem))
+    assert solve_canonical(pr).psd_margin.hex() == margin
+
+
 class TestComplementary:
     def test_equality_chain_at_critical_pair(self, gp):
         xi = canonical.DualPoint(gp, (-15.0,)).complementary((3.0,))
@@ -1105,28 +1130,32 @@ def test_generated_accumulation_is_the_reference_loop_bit_for_bit(pool_paths):
             assert [packed(acc) for acc in generated] == [packed(acc) for acc in reference], sig
 
 
-def test_one_compiled_accumulator_per_canonical_shape(monkeypatch, pool_paths):
+def test_one_compiled_accumulator_per_canonical_shape(pool_paths):
     # One compile per (n, m) across the pool and GP; THC's table adds its own.
     tables = [pr.table for pr in [gp_canonical_g(), *map(cli.load_problem_file, pool_paths)]]
-    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
-    monkeypatch.setattr(canonical, "_LAYOUTS", {})
+    polynomial._shape_code.cache_clear()
+    canonical._layout.cache_clear()
+
+    def compiles():
+        return polynomial._shape_code.cache_info().currsize
+
     added = {}
     for t in tables:
-        compiled = len(polynomial._EVALUATORS)
+        compiled = compiles()
         canonical.DualTable(t.n, t.m, t.terms)
-        added.setdefault((t.n, t.m), []).append(len(polynomial._EVALUATORS) - compiled)
+        added.setdefault((t.n, t.m), []).append(compiles() - compiled)
     assert len(added) == 12 and all(first and not any(rest) for first, *rest in added.values())
-    compiled = len(polynomial._EVALUATORS)
+    compiled = compiles()
     canonical.DualTable(2, 2, thc_problem().table.terms)
-    assert len(polynomial._EVALUATORS) > compiled
+    assert compiles() > compiled
     # Two problems of GP's (n, m) whose zeros lie in different places share
     # its compiled code, bound to their own coefficients.
     p = make_problem(A=[1.0], f=[0.0], C=[2.0], b=[0.0], c=0.0, a=1.0, beta=0.0)
     q = make_problem(A=[0.0], f=[3.0], C=[0.0], b=[5.0], c=7.0, a=2.0, beta=1.0)
-    compiled = len(polynomial._EVALUATORS)
+    compiled = compiles()
     assert p.table.accumulate((1.0,)) == (3.0, 0.0, -0.25)
     assert q.table.accumulate((1.0,)) == (0.0, -2.0, -0.125 + 7.25 - 0.125)
-    assert len(polynomial._EVALUATORS) == compiled
+    assert compiles() == compiled
 
 
 def test_negative_zero_coefficients_sum_as_the_reference_loop():
@@ -1172,35 +1201,45 @@ def test_non_finite_sigma_is_outside_the_domain(problem, sigma):
 
 
 # -- sampled duals against DualPoint, sample by sample -----------------------
-# dual_samples must give each sample the bits of the scalar calls, and
-# raise the error the first raising sample raises; domain_exceeds must give
-# each sample DualPoint's threshold test.
+# The column solve (_solved_samples) must give each sample the bits of the
+# scalar calls and mark the first sample whose x_bar raises at the same
+# tolerance; dual_samples, at x_bar's 1e-9, must also raise that sample's
+# error; domain_exceeds must give each sample DualPoint's threshold test.
 
 
 def _scalar_samples(pr, points, residual_tol):
-    """(P^d, x_bar) by dual_value and DualPoint.x_bar at each point, and the
-    error of the first point that raises one (None when none does)."""
+    """(P^d, x_bar) by dual_value and DualPoint.x_bar(residual_tol) at each
+    point, and the error of the first point that raises one (None when none
+    does).  An x_bar within a tolerance <= 1e-9 is within dual_value's."""
     found = []
     for sigma in points:
         try:
-            found.append((canonical.dual_value(pr, sigma, residual_tol),
-                          *canonical.DualPoint(pr, sigma).x_bar(residual_tol)))
+            x = canonical.DualPoint(pr, sigma).x_bar(residual_tol)
+            found.append((canonical.dual_value(pr, sigma), *x))
         except (DomainViolation, ColumnSpaceViolation) as exc:
             return found, exc
     return found, None
 
 
+def _hex_rows(values, x):
+    return [tuple(map(float.hex, row)) for row in zip(values.tolist(), *(column.tolist() for column in x))]
+
+
 def _assert_samples_are_the_dual_points(pr, points, residual_tol=1e-9):
     expected, error = _scalar_samples(pr, points, residual_tol)
     columns = tuple(zip(*points))
+    _, slots, x, solved = canonical._solved_samples(pr, columns, residual_tol)
+    assert solved.tolist()[:len(expected) + 1] == [True] * len(expected) + [False] * (error is not None)
+    expected = [tuple(map(float.hex, row)) for row in expected]
+    assert _hex_rows(canonical._value(pr.table, slots, x), x)[:len(expected)] == expected
+    if residual_tol != 1e-9:
+        return
     if error is not None:
         with pytest.raises(type(error)) as raised:
-            canonical.dual_samples(pr, columns, residual_tol)
+            canonical.dual_samples(pr, columns)
         assert str(raised.value) == str(error)
         return
-    values, x = canonical.dual_samples(pr, columns, residual_tol)
-    found = zip(values.tolist(), *(column.tolist() for column in x))
-    assert [tuple(map(float.hex, row)) for row in found] == [tuple(map(float.hex, row)) for row in expected]
+    assert _hex_rows(*canonical.dual_samples(pr, columns)) == expected
 
 
 def _assert_exceeds_are_the_dual_points(pr, points):

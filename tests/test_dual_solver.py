@@ -262,8 +262,8 @@ class TestMaximizeConcave:
         calls = []
 
         class Recorded(canonical.DualPoint):
-            def value(self, residual_tol=1e-9):
-                v = super().value(residual_tol)
+            def value(self):
+                v = super().value()
                 calls.append(v)
                 return v
 

@@ -1,10 +1,11 @@
-"""The dual point and the ascent add floats without the builtin sum().
+"""The scalar float paths add without the builtin sum().
 
 Python 3.12 made sum() over floats compensated, so a sum() call rounds
 differently there than the plain left-to-right sum 0.0 + t0 + t1 + ...
 that Python 3.11's sum() makes and that the generated code writes out.
-The dual point's methods, the ascent and the generated sources call no
-sum(), so their bits do not depend on the Python version.
+The dual point's methods, the ascent, the generated sources and the
+scalar measures, conjugates and Xi call no sum(), so their bits do not
+depend on the Python version.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from canondual import canonical, smallmat
+from canondual import canonical, smallmat, verify
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "canondual"
 
@@ -44,6 +45,19 @@ def test_generated_sources_call_no_sum(n):
         assert sum_calls(canonical._point_source(n, m)) == []
     for columns in (False, True):
         assert sum_calls(smallmat._kernel_source(n, columns)) == []
+
+
+@pytest.mark.parametrize("function", [
+    canonical.QuadOperator.value,
+    canonical.ConvexQuadV.value,
+    canonical.CanonicalProblem.table.func,  # the constant term c of a canonical table
+    canonical._u,
+    canonical.conjugate_value,
+    verify._complementary,
+    smallmat._jacobi,  # the off-diagonal norm of the sweeps
+], ids=lambda function: function.__qualname__)
+def test_scalar_paths_call_no_sum(function):
+    assert sum_calls(inspect.getsource(function)) == []
 
 
 def test_detector_sees_a_sum_call():

@@ -413,31 +413,31 @@ def test_one_shape_binds_each_polynomials_own_coefficients(case):
     assert len(codes) == 1
 
 
-def test_evaluators_are_compiled_once_per_shape(monkeypatch):
+def test_evaluators_are_compiled_once_per_shape():
     # P and its rounding-bound polynomial |P| share one shape, and so do the
     # objectives of two problems that differ only in their coefficients.
-    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
+    polynomial._shape_code.cache_clear()
     p = MultiPoly.from_terms(2, {(4, 0): 1, (2, 1): -3, (0, 2): Fraction(1, 3), (1, 0): -1, (0, 0): 2})
     value, bound, _ = oracle._newton_evaluators(p)
-    assert len(polynomial._EVALUATORS) == 2  # P and |P|; the gradient and Hessian
+    assert polynomial._shape_code.cache_info().currsize == 2  # P and |P|; the gradient and Hessian
     assert value.__code__.co_code == bound.__code__.co_code
     q = MultiPoly.from_terms(2, {e: 2 * c + 1 for e, c in p.terms.items()})
     oracle._newton_evaluators(q)
-    assert len(polynomial._EVALUATORS) == 2
+    assert polynomial._shape_code.cache_info().currsize == 2
     point = (0.75, -1.25)
     assert _bits(q.eval(point)) == _bits(_single_polynomial_generator(2, *q._float_terms())(point))
     magnitude = MultiPoly(2, {e: abs(c) for e, c in p.terms.items()})
     assert _bits(bound(point)) == _bits(_single_polynomial_generator(2, *magnitude._float_terms())(point))
 
 
-def test_pool_problems_of_one_shape_compile_once(monkeypatch, pool_paths):
+def test_pool_problems_of_one_shape_compile_once(pool_paths):
     # Pool problems 1, 21, 25, 29 and 33 (n = 2) expand to objectives of one
     # exponent list: their values, rounding bounds and Newton-step data
     # take two compiles in all.
-    monkeypatch.setattr(polynomial, "_EVALUATORS", {})
+    polynomial._shape_code.cache_clear()
     point = (0.375, -1.5)
     for name in ("planted_01.json", "planted_21.json", "planted_25.json", "planted_29.json", "planted_33.json"):
         objective = cli.load_problem_file(next(p for p in pool_paths if p.name == name)).objective
         value, _, _ = oracle._newton_evaluators(objective)
         assert _bits(value(point)) == _bits(_single_polynomial_generator(2, *objective._float_terms())(point))
-        assert len(polynomial._EVALUATORS) == 2
+        assert polynomial._shape_code.cache_info().currsize == 2

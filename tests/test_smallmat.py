@@ -12,18 +12,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canondual.errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
-from canondual import smallmat
+from canondual import canonical, smallmat
+from canondual.polynomial import MultiPoly
 from canondual.smallmat import (
     SymMatrix,
     _triu_index,
     Vector,
-    cholesky,
     column_kernels,
     eigen_sym,
-    exceeds,
-    exceeds_many,
     kernels,
-    min_eigenvalue,
     solve_sym,
 )
 
@@ -133,7 +130,8 @@ def _solve_reference(n, upper, factor, v, residual_tol):
 
 def _solve(n, upper, v, residual_tol):
     """kernels(n).solve through the factor of the S with that upper triangle."""
-    return kernels(n).solve(cholesky(n, upper, 0.0), upper, v, residual_tol)
+    factor, solve = kernels(n)
+    return solve(factor(upper, 0.0), upper, v, residual_tol)
 
 
 def _solve_1x1(s, v):
@@ -149,17 +147,17 @@ THC_FEAS_AT_ORIGIN = SymMatrix(2, (22.0 / 75.0, 0.5, 1.0))
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue(2, identity(2).upper) == 1.0
+        assert eigen_sym(identity(2))[0] == 1.0
 
     def test_scalar_from_g_problem(self):
         # G at the certified dual point of the decoupled quartic: 106/3 - 30.
         value = 2 * (-15 + 53 / 3)
-        assert min_eigenvalue(1, (value,)) == pytest.approx(16 / 3, abs=1e-12)
+        assert eigen_sym(SymMatrix(1, (value,)))[0] == pytest.approx(16 / 3, abs=1e-12)
 
     def test_feasibility_matrix_at_origin(self):
         # Closed form from the characteristic polynomial: (97 - sqrt(8434)) / 150.
         expected = (97.0 - math.sqrt(8434.0)) / 150.0
-        got = min_eigenvalue(2, THC_FEAS_AT_ORIGIN.upper)
+        got = eigen_sym(THC_FEAS_AT_ORIGIN)[0]
         assert got == pytest.approx(expected, abs=1e-14)
         assert got == pytest.approx(np.linalg.eigvalsh(np.array(THC_FEAS_AT_ORIGIN.to_rows()))[0])
         # Positivity is forced by det = 13/300 > 0 and positive trace.
@@ -251,9 +249,15 @@ def test_eigenvalues_match_numpy(S):
 
 @given(sym_matrices(), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
 def test_min_eigenvalue_reads_only_the_leading_triangle(S, tail):
-    # The triangle may lead a longer buffer, such as a dual point's
-    # accumulated [G, F, c]; the result is eigen_sym's lowest, bit for bit.
-    assert min_eigenvalue(S.n, [*S.upper, *tail]) == eigen_sym(S)[0]
+    # G's triangle leads a dual point's accumulated [G, F, c], here of a
+    # table of one constant term, F and c taken from tail; its margin is
+    # eigen_sym's lowest on the triangle alone, bit for bit.  A table reads
+    # -0.0 as +0.0, and so does S here.
+    S = SymMatrix(S.n, tuple(x + 0.0 for x in S.upper))
+    F, c = (tail * S.n)[:S.n], tail[-1]
+    table = canonical.DualTable(S.n, 1, (canonical.DualTerm((0,), S.upper, tuple(F), c),))
+    point = canonical.DualPoint(canonical.TableProblem(table, MultiPoly.zero(S.n)), (0.0,))
+    assert point.min_eigenvalue() == eigen_sym(S)[0]
 
 
 @given(sym_matrices())
@@ -298,13 +302,12 @@ def test_cholesky_threshold_agrees_with_numpy(S, t):
     scale = max(1.0, abs(t), max(abs(x) for x in S.upper))
     if abs(lam - t) <= 1e-9 * scale:
         return
-    assert exceeds(S.n, S.upper, t) is (lam > t)
-    assert (cholesky(S.n, S.upper, t) is not None) is (lam > t)
+    assert (kernels(S.n).factor(S.upper, t) is not None) is (lam > t)
 
 
 @given(sym_matrices(min_n=3))
 def test_cholesky_factor_reproduces_the_matrix(S):
-    factor = cholesky(S.n, S.upper, 0.0)
+    factor = kernels(S.n).factor(S.upper, 0.0)
     if factor is None:
         return
     L = np.zeros((S.n, S.n))
@@ -350,7 +353,7 @@ def test_factored_list_solve_is_the_vector_refinement(system, residual_tol):
     # step-by-step refinement, and raise the same ColumnSpaceViolation when the residual
     # exceeds the (here possibly zero) tolerance.
     S, v = system
-    factor = cholesky(S.n, S.upper, 0.0)
+    factor = kernels(S.n).factor(S.upper, 0.0)
     try:
         expected = _refined_reference(S, v.entries, residual_tol, partial(_substitute_reference, factor))
     except ColumnSpaceViolation as reference:
@@ -450,8 +453,7 @@ def test_generated_kernels_are_the_loops_bit_for_bit(S, shift, v, residual_tol):
     # and closed forms they were written from; at a tolerance the residual
     # exceeds both raise the same ColumnSpaceViolation.
     n, v = S.n, tuple(v[:S.n])
-    factor, expected = cholesky(n, S.upper, shift), _factor_reference(n, S.upper, shift)
-    assert exceeds(n, S.upper, shift) is (factor is not None)
+    factor, expected = kernels(n).factor(S.upper, shift), _factor_reference(n, S.upper, shift)
     assert factor_bits(factor) == factor_bits(expected)
     if expected is None:
         return
@@ -473,26 +475,26 @@ def test_signed_zeros_follow_the_loops(n):
     # -0.0; the generated sums must start from 0.0 to agree.
     upper = tuple(4.0 if i == j else 0.0 if (i, j) == (0, 1) else -0.0 for i in range(n) for j in range(i, n))
     v = (0.0,) + (-0.0,) * (n - 1)
-    factor = cholesky(n, upper, 0.0)
+    factor = kernels(n).factor(upper, 0.0)
     assert factor_bits(factor) == factor_bits(_factor_reference(n, upper, 0.0))
     assert bits(kernels(n).solve(factor, upper, v, 1e-9)) == bits(_solve_reference(n, upper, factor, v, 1e-9))
 
 
 def test_kernels_are_compiled_once_per_size(monkeypatch):
-    # A fresh cache fills with one set of kernels per size, keyed by the
-    # integer n, however many matrices of that size are factored and solved.
+    # A fresh cache fills with one set of kernels per size, however many
+    # matrices of that size are factored and solved.
     generated = []
     source = smallmat._kernel_source
-    monkeypatch.setattr(smallmat, "_KERNELS", {})
+    kernels.cache_clear()
     monkeypatch.setattr(smallmat, "_kernel_source", lambda n, columns: generated.append(n) or source(n, columns))
     for scale in (1.0, 2.0, 3.0):
         for n in range(1, 5):
             S = SymMatrix(n, tuple(scale * (n + 1.0) if i == j else 1.0 for i in range(n) for j in range(i, n)))
             _solve(n, S.upper, (1.0,) * n, 1e-9)
-            assert exceeds(n, S.upper, 0.0)
+            assert kernels(n).factor(S.upper, 0.0) is not None
     assert sorted(generated) == [1, 2, 3, 4]
-    assert sorted(smallmat._KERNELS) == [1, 2, 3, 4] and all(type(n) is int for n in smallmat._KERNELS)
-    assert all(isinstance(found, smallmat.Kernels) for found in smallmat._KERNELS.values())
+    assert (kernels.cache_info().misses, kernels.cache_info().currsize) == (4, 4)
+    assert all(isinstance(kernels(n), smallmat.Kernels) for n in range(1, 5))
 
 
 def test_kernel_names_are_unique_beyond_ten():
@@ -536,6 +538,13 @@ def _assert_same_error(expected, batch):
 
 def _columns(rows):
     return [np.array(column, dtype=np.float64) for column in zip(*rows)]
+
+
+def _column_exceeds(n, columns, t):
+    """The threshold test lambda_min(S) > t at each entry of the columns of
+    an upper triangle: the column factor's mask."""
+    with np.errstate(all="ignore"):
+        return column_kernels(n).factor(columns, t)[1]
 
 
 def _solve_many(n, uppers, vs, residual_tol):
@@ -678,11 +687,12 @@ def test_column_kernels_are_the_scalar_kernels_bit_for_bit(n, data, shift, resid
     with np.errstate(all="ignore"):
         factor, positive = column_kernels(n).factor(_columns(uppers), shift)
     for i, upper in enumerate(uppers):
-        expected = cholesky(n, upper, shift)
+        expected = kernels(n).factor(upper, shift)
         assert bool(positive[i]) is (expected is not None)
         if expected is not None:
             assert factor_bits(_factor_at(factor, i)) == factor_bits(expected)
-    assert exceeds_many(n, _columns(uppers), shift).tolist() == [exceeds(n, upper, shift) for upper in uppers]
+    assert _column_exceeds(n, _columns(uppers), shift).tolist() == [
+        kernels(n).factor(upper, shift) is not None for upper in uppers]
     expected = _first_error(_scalar_solves(n, uppers, vs, residual_tol))
     batch = partial(_solve_many, n, uppers, vs, residual_tol)
     if expected is not None:
@@ -696,7 +706,7 @@ def test_column_kernels_are_the_scalar_kernels_bit_for_bit(n, data, shift, resid
 @given(rows=st.lists(st.lists(entry, min_size=3, max_size=3), min_size=1, max_size=30),
        t=st.sampled_from([0.0, 1e-8, 1.0, -1.0]))
 def test_exceeds_many_is_the_closed_form_test(n, rows, t):
-    assert exceeds_many(n, _columns(rows), t).tolist() == [exceeds(n, row, t) for row in rows]
+    assert _column_exceeds(n, _columns(rows), t).tolist() == [kernels(n).factor(row, t) is not None for row in rows]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -709,7 +719,7 @@ def test_column_solve_takes_the_refinement_entry_by_entry(n):
     vs = [tuple(rng.uniform(-10.0, 10.0, n).tolist()) for _ in range(1000)]
     found = list(zip(*(column.tolist() for column in _solve_many(n, uppers, vs, 1.0))))
     assert [bits(x) for x in found] == [bits(solve()) for solve in _scalar_solves(n, uppers, vs, 1.0)]
-    unrefined = [(v[0] / upper[0],) if n == 1 else _inverse_reference(n, upper, cholesky(n, upper, 0.0))(v)
+    unrefined = [(v[0] / upper[0],) if n == 1 else _inverse_reference(n, upper, kernels(n).factor(upper, 0.0))(v)
                  for upper, v in zip(uppers, vs)]
     refined = sum(bits(x) != bits(y) for x, y in zip(found, unrefined))
     assert refined == 0 if n == 1 else 0 < refined < 1000
@@ -736,17 +746,17 @@ def test_column_solve_raises_the_first_systems_error(n):
                 expected = _first_error(_scalar_solves(n, uppers, [v] * 3, 0.0))
                 assert type(expected) is DomainViolation
                 _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
-            assert exceeds_many(n, _columns([good, _with_pivot(n, p, value)]), 0.0).tolist() == [True, False]
+            assert _column_exceeds(n, _columns([good, _with_pivot(n, p, value)]), 0.0).tolist() == [True, False]
     uppers = [good, over, _with_pivot(n, min(1, n - 1), -1.0)]
     expected = _first_error(_scalar_solves(n, uppers, [v] * 3, 0.0))
     assert type(expected) is ColumnSpaceViolation
     _assert_same_error(expected, partial(_solve_many, n, uppers, [v] * 3, 0.0))
 
 
-def test_column_kernels_are_compiled_once_per_size(monkeypatch):
-    monkeypatch.setattr(smallmat, "_COLUMN_KERNELS", {})
+def test_column_kernels_are_compiled_once_per_size():
+    column_kernels.cache_clear()
     for _ in range(3):
         for n in range(1, 5):
             assert column_kernels(n) is column_kernels(n)
-            assert exceeds_many(n, _columns([_with_pivot(n, 0, 2.0)]), 0.0).tolist() == [True]
-    assert sorted(smallmat._COLUMN_KERNELS) == [1, 2, 3, 4]
+            assert _column_exceeds(n, _columns([_with_pivot(n, 0, 2.0)]), 0.0).tolist() == [True]
+    assert (column_kernels.cache_info().misses, column_kernels.cache_info().currsize) == (4, 4)
