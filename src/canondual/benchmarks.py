@@ -165,19 +165,20 @@ def gp_decompose() -> GpDecomposition:
     return GpDecomposition(T=_GP_T, T_inv=_GP_T_INV, h=h, g=g)
 
 
-def gp_solve_h() -> tuple[float, float, list[tuple[float, float]]]:
-    """Global minimum of h by enumerating every critical point.
+@lru_cache(maxsize=None)
+def gp_solve_h() -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """Global minimum of h by enumerating every critical point, isolated
+    exactly by oracle.derivative_roots: (s_star, h(s_star), ((root, h(root)), ...)).
 
-    Returns (s_star, h(s_star), [(root, h(root)), ...]).  h' factors as
-    12 (s + 1)(s - 1)(s - 2): three critical points, not one, but the
-    global minimum is still at s = -1 since h has a positive leading
-    coefficient and h(-1) = 1 < h(2) = 28 < h(1) = 33.
+    h' factors as 12 (s + 1)(s - 1)(s - 2): three critical points, not
+    one, but the global minimum is still at s = -1 since h has a positive
+    leading coefficient and h(-1) = 1 < h(2) = 28 < h(1) = 33.
     """
     h = gp_h()
     dh = h.partial_derivative(0)
     bound = max(10.0, 1.1 * oracle.cauchy_root_bound(dh))
     roots = oracle.derivative_roots(h, (-bound, bound))
-    criticals = [(root, h.eval([root])) for root in roots]
+    criticals = tuple((root, h.eval([root])) for root in roots)
     for root, value in criticals:
         if value <= 0:
             raise IdentityViolation(f"h({root}) = {value} <= 0 breaks the decoupling guard")

@@ -497,6 +497,11 @@ def primal_value(pr: Problem, x: Sequence[float]) -> float:
     return pr.V.value(_measures(pr, v)) - _u(pr, v)
 
 
+def primal_samples(pr: CanonicalProblem, x: tuple[np.ndarray, ...]) -> np.ndarray:
+    """primal_value, bit for bit, at each sample x given as n columns."""
+    return pr.V.value(_measures(pr, x)) - _u(pr, x)
+
+
 def conjugate_value(V: ConvexQuadV, sigma: Sequence[float]) -> float:
     """Legendre conjugate V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k)."""
     if len(sigma) != V.m:

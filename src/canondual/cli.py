@@ -476,10 +476,7 @@ def run(argv: Sequence[str]) -> int:
             return _cmd_oracle(args)
         if args.command == "grid":
             return _cmd_grid(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ProblemFileError included
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except CanondualError as exc:

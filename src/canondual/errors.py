@@ -57,9 +57,5 @@ class NotConverged(CanondualError):
         super().__init__(message)
 
 
-class RootIsolationFailure(CanondualError):
-    """Sign-change isolation missed a real root at the scan resolution."""
-
-
 class ProblemFileError(CanondualError, ValueError):
     """A problem file failed to parse or violated a validation invariant."""

@@ -3,14 +3,14 @@
 Two entry points, both built from the float coefficients and integer
 exponents of ``MultiPoly.as_arrays``:
 
-  * ``eval_lattice`` evaluates on a tensor-product lattice (grid scans, CSV
-    surface export, the node scans of univariate root isolation).  Each
-    axis gets one power table ``[1, x, x^2, ..., x^d]`` built by repeated
-    multiplication; the terms are scattered into a dense coefficient array
-    indexed by exponents, which is contracted with the tables one axis at a
-    time.  In two variables that is ``(X @ C) @ Y^T``, one small matrix
-    product, so a 1001 x 1001 Goldstein-Price lattice costs milliseconds;
-    in one variable it is a weighted sum of the powers, taken row by row.
+  * ``eval_lattice`` evaluates on a tensor-product lattice (grid scans and
+    CSV surface export).  Each axis gets one power table
+    ``[1, x, x^2, ..., x^d]`` built by repeated multiplication; the terms
+    are scattered into a dense coefficient array indexed by exponents,
+    which is contracted with the tables one axis at a time.  In two
+    variables that is ``(X @ C) @ Y^T``, one small matrix product, so a
+    1001 x 1001 Goldstein-Price lattice costs milliseconds; in one
+    variable it is a weighted sum of the powers, taken row by row.
   * ``eval_many`` evaluates at scattered points, on the same per-axis power
     tables.  No program path calls it; it is a reference for the tests and
     the benchmark's tracing.

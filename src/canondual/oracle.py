@@ -3,17 +3,17 @@
 Nothing here shares code with the dual pipeline it checks: grid scans and
 multistart Newton refinement attack bivariate objectives directly, and
 univariate global minimization isolates every real root of the derivative
-by sign-change bracketing.  Lattices (grid scans and the univariate node
-scans) are evaluated in one pass by ``kernels.eval_lattice``.  Single
-points go through ``MultiPoly.float_evaluator``, the one scalar float
-evaluator, which ``MultiPoly.eval`` calls.  Newton refinement holds three
-generated functions, built once per polynomial and cached on it: the
-value, the rounding bound, and ``polynomial.joint_evaluator`` of the
-gradient and Hessian, which returns a whole Newton step's data from one
-table of powers.  One refinement iteration, for one or two variables, runs
-on float locals and builds no list: the gradient, Hessian, direction and
-trial point are named floats, combined in the order of float operations of
-sums over the coordinates.  Multistart ranks its starts with the value
+exactly, by Sturm chains on integers.  Grid scans are evaluated in one
+pass by ``kernels.eval_lattice``.  Single points go through
+``MultiPoly.float_evaluator``, the one scalar float evaluator, which
+``MultiPoly.eval`` calls.  Newton refinement holds three generated
+functions, built once per polynomial and cached on it: the value, the
+rounding bound, and ``polynomial.joint_evaluator`` of the gradient and
+Hessian, which returns a whole Newton step's data from one table of
+powers.  One refinement iteration, for one or two variables, runs on float
+locals and builds no list: the gradient, Hessian, direction and trial
+point are named floats, combined in the order of float operations of sums
+over the coordinates.  Multistart ranks its starts with the value
 function, so the value it reports is the one refinement saw.
 
 Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
@@ -36,6 +36,7 @@ comes from it, mostly through ``Lcg.uniform_rows``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NotConverged, RootIsolationFailure
+from .errors import DimensionMismatch, NotConverged
 from .polynomial import MultiPoly, joint_evaluator
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -63,7 +64,6 @@ _SHIFT_FLOOR = 1e-8  # relative floor on the shifted Hessian's eigenvalues
 _MIN_STEP = 2.0**-60
 _DECREMENT = 4.0 * _EPS  # predicted decreases below 4 ulps of |p| are noise
 _REFINE_TOL = 1e-10  # gradient norm at which multistart's refinements stop
-_N_SCAN = 10_000  # cells of univariate_global's first node scan
 
 
 class Lcg:
@@ -337,9 +337,63 @@ def multistart(
     )
 
 
-def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = _N_SCAN) -> list[float]:
-    """All real roots of p' in [lo, hi] via sign-change scan, bisection to
-    width 1e-13, and Newton polish.  Ascending, deduplicated."""
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with |lead b|^k a = q b + r, deg r < deg b, highest power first."""
+    scale, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    q: list[int] = []
+    while len(a) >= len(b):
+        t = sign * a[0]
+        q = [scale * c for c in q] + [t]
+        a = [scale * x - t * y for x, y in itertools.zip_longest(a, b, fillvalue=0)][1:]
+    return q, a
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f without leading zeros over the gcd of its coefficients; [] for 0."""
+    f = f[next((i for i, c in enumerate(f) if c), len(f)):]
+    content = math.gcd(*f)
+    return [c // content for c in f] if content else []
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """f, f', then minus each remainder, scaled by positive factors (Basu,
+    Pollack and Roy, ch. 2); the last member is gcd(f, f') up to a constant."""
+    chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
+    while chain[-1]:
+        chain.append([-c for c in _primitive(_divide(chain[-2], chain[-1])[1])])
+    return chain[:-1]
+
+
+def _sign(f: list[int], num: int, shift: int) -> int:
+    """The sign of f(num / 2^shift), by Horner's rule on integers."""
+    acc = 0
+    for k, c in enumerate(f):
+        acc = acc * num + (c << (shift * k))
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], num: int, shift: int) -> int:
+    signs = [s for s in (_sign(f, num, shift) for f in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _refine(f: list[int], a: int, b: int, shift: int) -> float:
+    """The float nearest the one root of the squarefree f in (a, b] / 2^shift:
+    bisect on the sign of f until both ends round to one float."""
+    sign_b = _sign(f, b, shift)
+    while sign_b and a / (1 << shift) != b / (1 << shift):
+        a, m, b, shift = 2 * a, a + b, 2 * b, shift + 1
+        sign_m = _sign(f, m, shift)
+        a, b = (a, m) if sign_m == sign_b else (m, b) if sign_m else (m, m)
+    return b / (1 << shift)
+
+
+def derivative_roots(p: MultiPoly, interval: tuple[float, float]) -> list[float]:
+    """Every distinct real root of p' in [lo, hi], correctly rounded,
+    ascending.  p' on integers, over gcd(p', p'') if that is not constant,
+    is a squarefree f with the same roots.  The drop in the sign changes of
+    its Sturm chain from a to b counts them in (a, b]: [lo, hi] is bisected
+    at dyadic points until each part holds one, which _refine rounds."""
     if p.arity != 1:
         raise DimensionMismatch("derivative root isolation requires a univariate polynomial")
     lo, hi = float(interval[0]), float(interval[1])
@@ -348,84 +402,35 @@ def derivative_roots(p: MultiPoly, interval: tuple[float, float], n_scan: int = 
     dp = p.partial_derivative(0)
     if dp.is_zero():
         return []
-    d2p = dp.partial_derivative(0)
-
-    xs = np.linspace(lo, hi, n_scan + 1)
-    dvals = kernels.eval_lattice(*dp.as_arrays(), [xs])
-
-    zero = dvals == 0.0
-    negative = np.signbit(dvals)
-    roots: list[float] = [float(x) for x in xs[zero]]
-    brackets = np.flatnonzero(~zero[:-1] & ~zero[1:] & (negative[:-1] != negative[1:]))
-    for i in brackets:
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(dvals[i])
-        while b - a > 1e-13:
-            mid = 0.5 * (a + b)
-            fm = dp.eval([mid])
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        root = 0.5 * (a + b)
-        for _ in range(4):  # Newton polish inside the bracket
-            slope = d2p.eval([root])
-            if slope == 0.0:
-                break
-            candidate = root - dp.eval([root]) / slope
-            if not (a - 1e-10 <= candidate <= b + 1e-10):
-                break
-            root = candidate
-        roots.append(root)
-
-    roots.sort()
-    merged: list[float] = []
-    gap = 1e-10 * max(1.0, hi - lo)
-    for r in roots:
-        if not merged or r - merged[-1] > gap:
-            merged.append(r)
-    return merged
+    den = math.lcm(*(c.denominator for c in dp.terms.values()))
+    chain = _sturm_chain(_primitive([int(dp.coefficient((e,)) * den) for e in range(dp.degree_in(0), -1, -1)]))
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_primitive(_divide(chain[0], chain[-1])[0]))
+    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()  # da, db powers of 2
+    shift = max(da, db).bit_length() - 1
+    a, b = a * ((1 << shift) // da), b * ((1 << shift) // db)
+    roots = [lo] if _sign(chain[0], a, shift) == 0 else []
+    parts = [(a, b, shift, _variations(chain, a, shift), _variations(chain, b, shift))]
+    while parts:
+        a, b, shift, va, vb = parts.pop()
+        if va - vb == 1:
+            roots.append(_refine(chain[0], a, b, shift))
+        elif va > vb:
+            a, m, b, shift = 2 * a, a + b, 2 * b, shift + 1
+            vm = _variations(chain, m, shift)
+            parts += [(a, m, shift, va, vm), (m, b, shift, vm, vb)]
+    return sorted(set(roots))
 
 
 def univariate_global(p: MultiPoly, interval: tuple[float, float]) -> OracleResult:
-    """Global minimum of a univariate polynomial on [lo, hi].
-
-    Evaluates p at every isolated critical point and both endpoints.  As a
-    defensive guard, the scan-node minimum of p must not undercut the
-    returned minimum: local minima always put a sign change of p' between
-    nodes, so an undercut means a bracket was missed.  The scan is then
-    refined once at 10x resolution before RootIsolationFailure is raised.
-    """
+    """Global minimum of a univariate polynomial on [lo, hi]: the least value
+    of p at lo, at hi and at the roots of p' there (derivative_roots)."""
     if p.arity != 1:
         raise DimensionMismatch("univariate minimization requires arity 1")
     lo, hi = float(interval[0]), float(interval[1])
-
-    def attempt(resolution: int) -> tuple[OracleResult, float]:
-        roots = derivative_roots(p, (lo, hi), resolution)
-        candidates = [lo, hi] + roots
-        values = [p.eval([x]) for x in candidates]
-        best_value, best_x = min(zip(values, candidates))
-        xs = np.linspace(lo, hi, resolution + 1)
-        node_min = float(np.min(kernels.eval_lattice(*p.as_arrays(), [xs])))
-        result = OracleResult(
-            x_best=(best_x,),
-            value=best_value,
-            n_evaluations=2 * (resolution + 1) + len(candidates),
-            refined=True,
-        )
-        return result, node_min
-
-    result, node_min = attempt(_N_SCAN)
-    if node_min < result.value - 1e-9 * (1.0 + abs(result.value)):
-        result, node_min = attempt(10 * _N_SCAN)
-        if node_min < result.value - 1e-9 * (1.0 + abs(result.value)):
-            raise RootIsolationFailure(
-                f"lattice value {node_min} undercuts isolated minimum {result.value}"
-            )
-    return result
+    candidates = [lo, hi] + derivative_roots(p, (lo, hi))
+    best_value, best_x = min((p.eval([x]), x) for x in candidates)
+    return OracleResult(x_best=(best_x,), value=best_value, n_evaluations=len(candidates), refined=True)
 
 
 def cauchy_root_bound(p: MultiPoly) -> float:

@@ -638,6 +638,25 @@ def test_primal_value_is_bit_identical_to_the_object_form(case, data):
     assert canonical.primal_value(pr, list(x)) == pr.V.value(xi) - u
 
 
+
+@given(interior_canonical_points(), st.data())
+def test_primal_samples_are_primal_value_bit_for_bit(case, data):
+    pr, _ = case
+    rows = data.draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=pr.n, max_size=pr.n),
+                              min_size=1, max_size=20))
+    columns = tuple(np.array(rows).T)
+    assert [v.hex() for v in canonical.primal_samples(pr, columns).tolist()] == [
+        canonical.primal_value(pr, row).hex() for row in rows]
+
+
+def test_primal_samples_of_verify_gp_are_its_scalar_values(gp):
+    # verify gp's weak-duality draw: 100 primal samples of g(t) on [-10, 10].
+    rng = Lcg(104)
+    rng.units(100)
+    ts = -10.0 + (10.0 - -10.0) * rng.units(100)
+    assert [v.hex() for v in canonical.primal_samples(gp, (ts,)).tolist()] == [
+        canonical.primal_value(gp, (t,)).hex() for t in ts.tolist()]
+
 def _primal_polynomial_term_by_term(pr):
     """P(x) accumulated one Fraction term at a time on one {exponents:
     Fraction} map: each Lambda_k's terms, then a_k Lambda_k^2 + beta_k

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from canondual import kernels, oracle, polynomial, verify
 from canondual.benchmarks import GP_BOX, THC_BOX, gp_g, gp_h, gp_objective, thc_objective
-from canondual.errors import DimensionMismatch, NotConverged, RootIsolationFailure
+from canondual.errors import DimensionMismatch, NotConverged
 from canondual.oracle import (
     Box,
     Lcg,
@@ -370,8 +370,7 @@ class TestCompiledOnce:
     def test_second_derivative_roots_call_compiles_nothing(self, compiled):
         p = poly1({(4,): 1, (2,): -3, (1,): 1})  # fresh, irrational critical points
         first = derivative_roots(p, (-10.0, 10.0))
-        assert compiled
-        compiled.clear()
+        assert compiled == []  # isolation is exact integer arithmetic
         assert derivative_roots(p, (-10.0, 10.0)) == first
         assert compiled == []
 
@@ -529,24 +528,12 @@ class TestUnivariateGlobal:
         assert univariate_global(gp_g(), (-10.0, 10.0)).value == pytest.approx(3.0, abs=1e-8)
         assert univariate_global(gp_h(), (-10.0, 10.0)).value == pytest.approx(1.0, abs=1e-8)
 
-    def test_isolation_guard_raises_when_roots_are_missed(self, monkeypatch):
-        # Force the scan to miss every root: the lattice then undercuts the
-        # endpoint-only minimum and the guard must fire after one retry.
-        monkeypatch.setattr(oracle, "derivative_roots", lambda p, interval, n_scan=10_000: [])
-        p = poly1({(2,): 1, (1,): -2, (0,): 1})  # (x - 1)^2, interior minimum 0
-        with pytest.raises(RootIsolationFailure):
-            univariate_global(p, (0.0, 3.0))
-
     def test_arity_guard(self):
         with pytest.raises(DimensionMismatch):
             univariate_global(gp_objective(), (-1.0, 1.0))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the node scan misses a pair of roots in one cell")
     def test_close_pair_of_derivative_roots(self):
-        # p' = (x - 1)(x - 1 - 1e-5)(x + 2): the roots 1 and 1 + 1e-5 share
-        # one scan cell of width 2e-3, so p' has no sign change between its
-        # nodes there and only -2.0 is returned.  univariate_global does not
-        # raise: the global minimum is at -2, and no node undercuts it.
+        # p' = (x - 1)(x - 1 - 1e-5)(x + 2): two roots 1e-5 apart.
         x = MultiPoly.variable(1, 0)
         dp = (x - 1) * (x - Fraction(100001, 100000)) * (x + 2)
         p = MultiPoly(1, {(e + 1,): c / (e + 1) for (e,), c in dp.terms.items()})  # p' = dp
@@ -564,68 +551,45 @@ class TestCauchyBound:
             assert all(abs(r) <= bound for r in roots)
 
 
-def derivative_roots_with_loops(p, interval, n_scan):
-    """derivative_roots with its node scan written as two Python loops over
-    the nodes, the reference for the vectorised scan."""
-    lo, hi = float(interval[0]), float(interval[1])
-    dp = p.partial_derivative(0)
-    if dp.is_zero():
-        return []
-    d2p = dp.partial_derivative(0)
-    xs = np.linspace(lo, hi, n_scan + 1)
-    dvals = kernels.eval_lattice(*dp.as_arrays(), [xs])
-    roots = []
-    for x, val in zip(xs, dvals):
-        if val == 0.0:
-            roots.append(float(x))
-    for i in range(len(xs) - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(dvals[i]), float(dvals[i + 1])
-        if fa == 0.0 or fb == 0.0 or (fa < 0) == (fb < 0):
-            continue
-        while b - a > 1e-13:
-            mid = 0.5 * (a + b)
-            fm = dp.eval([mid])
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        root = 0.5 * (a + b)
-        for _ in range(4):
-            slope = d2p.eval([root])
-            if slope == 0.0:
-                break
-            candidate = root - dp.eval([root]) / slope
-            if not (a - 1e-10 <= candidate <= b + 1e-10):
-                break
-            root = candidate
-        roots.append(root)
-    roots.sort()
-    merged = []
-    gap = 1e-10 * max(1.0, hi - lo)
-    for r in roots:
-        if not merged or r - merged[-1] > gap:
-            merged.append(r)
-    return merged
-
-
-# On [-4, 4] with 64 cells the nodes are the multiples of 1/8, exact floats.
-node_roots = st.integers(-32, 32).map(lambda k: Fraction(k, 8))
-cell_roots = st.fractions(min_value=-4, max_value=4, max_denominator=50)
-root_lists = st.lists(st.one_of(node_roots, cell_roots), min_size=1, max_size=5)
-scales = st.sampled_from([Fraction(1), Fraction(-3), Fraction(5, 7), Fraction(-1, 16)])
-
-
-@given(root_lists, scales)
-def test_vectorised_scan_matches_the_loops(roots, scale):
-    s = MultiPoly.variable(1, 0)
-    dp = MultiPoly.constant(1, scale)
-    for r in roots:
-        dp = dp * (s - r)
+def poly_with_derivative(dp):
+    """The p with p(0) = 0 and p' = dp."""
     p = MultiPoly.from_terms(1, {(e + 1,): c / (e + 1) for (e,), c in dp.terms.items()})
     assert p.partial_derivative(0) == dp
-    expected = derivative_roots_with_loops(p, (-4.0, 4.0), 64)
-    assert derivative_roots(p, (-4.0, 4.0), 64) == expected
+    return p
+
+
+# Roots on the dyadic grid of step 1/8, which bisection can hit exactly,
+# rationals of small denominators and close ones of large denominators.
+node_roots = st.integers(-32, 32).map(lambda k: Fraction(k, 8))
+cell_roots = st.fractions(min_value=-4, max_value=4, max_denominator=50)
+close_roots = st.fractions(min_value=-4, max_value=4, max_denominator=100_000)
+root_lists = st.lists(st.one_of(node_roots, cell_roots, close_roots), min_size=1, max_size=5)
+scales = st.sampled_from([Fraction(1), Fraction(-3), Fraction(5, 7), Fraction(-1, 16)])
+multiplicities = st.lists(st.integers(1, 3), min_size=5, max_size=5)
+radicands = st.lists(st.sampled_from([2, 3, 5, 6, 7, 8]), max_size=2)  # sqrt(k) < 3
+
+
+@given(root_lists, multiplicities, radicands, scales)
+@example([Fraction(-3), Fraction(7, 2)], [1, 1, 1, 1, 1], [], Fraction(1))  # roots at lo and hi
+@example([Fraction(-3), Fraction(7, 2)], [2, 3, 1, 1, 1], [], Fraction(-3))  # multiple, at lo and hi
+@example([Fraction(1), Fraction(100001, 100000), Fraction(-2)], [1, 1, 1, 1, 1], [], Fraction(1))
+@example([Fraction(1, 3), Fraction(-4)], [2, 1, 1, 1, 1], [2, 2], Fraction(5, 7))
+def test_derivative_roots_are_the_correctly_rounded_roots(roots, mults, ks, scale):
+    # p' = scale * prod (x - r)^mult * prod (x^2 - k) on [-3, 3.5]: the
+    # distinct roots there, each rounded once: float(Fraction) and
+    # math.sqrt round correctly.
+    s = MultiPoly.variable(1, 0)
+    dp = MultiPoly.constant(1, scale)
+    for r, mult in zip(roots, mults):
+        dp = dp * (s - r) ** mult
+    for k in ks:
+        dp = dp * (s * s - k)
+    expected = {float(r) for r in roots if -3 <= r <= Fraction(7, 2)}
+    expected |= {sign * math.sqrt(k) for k in ks for sign in (-1, 1)}
+    assert derivative_roots(poly_with_derivative(dp), (-3.0, 3.5)) == sorted(expected)
+
+
+@pytest.mark.parametrize("p", [poly1({(1,): 1, (0,): 2}), poly1({(1,): Fraction(-5, 3)}), poly1({(0,): 7})],
+                         ids=["p'=1", "p'=-5/3", "p'=0"])
+def test_constant_derivative_has_no_roots(p):
+    assert derivative_roots(p, (-4.0, 4.0)) == []
