@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import canonical, dual_solver, oracle
 from .dual_solver import CriticalReport, SolverConfig
@@ -85,7 +85,7 @@ class SolveReport:
 # Objectives
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cache
 def gp_objective() -> MultiPoly:
     """Goldstein-Price, expanded exactly from its factored form."""
     x = MultiPoly.variable(2, 0)
@@ -97,7 +97,7 @@ def gp_objective() -> MultiPoly:
     return first * second
 
 
-@lru_cache(maxsize=None)
+@cache
 def thc_objective() -> MultiPoly:
     """Three Hump Camel Back: 2x^2 - (21/20)x^4 + (1/6)x^6 + xy + y^2."""
     x = MultiPoly.variable(2, 0)
@@ -119,12 +119,12 @@ def _g(t: MultiPoly) -> MultiPoly:
     return 30 + t**2 * (3 * t**2 - 16 * t + 18)
 
 
-@lru_cache(maxsize=None)
+@cache
 def gp_h() -> MultiPoly:
     return _h(MultiPoly.variable(1, 0))
 
 
-@lru_cache(maxsize=None)
+@cache
 def gp_g() -> MultiPoly:
     return _g(MultiPoly.variable(1, 0))
 
@@ -140,9 +140,11 @@ _GP_T_INV = (
 )
 
 
-@lru_cache(maxsize=None)
+@cache
 def gp_decompose() -> GpDecomposition:
-    """The decoupling change of variables, verified exactly at build time."""
+    """The decoupling change of variables, verified exactly at build time,
+    with both factors' minima checked positive: h's through gp_solve_h, so
+    one process isolates h' once, and g's by oracle.univariate_global."""
     h, g = gp_h(), gp_g()
     product_st = _h(MultiPoly.variable(2, 0)) * _g(MultiPoly.variable(2, 1))
     # Substitute s = x + y, t = 2x - 3y and compare with the expansion.
@@ -157,15 +159,15 @@ def gp_decompose() -> GpDecomposition:
                 raise IdentityViolation("T_inv is not the exact inverse of T")
     # Positivity of both factor minima is what licenses
     # min (h*g) = (min h)(min g); h, g alone being bounded below is not enough.
-    for name, poly in (("h", h), ("g", g)):
-        bound = max(10.0, 1.1 * oracle.cauchy_root_bound(poly.partial_derivative(0)))
-        result = oracle.univariate_global(poly, (-bound, bound))
-        if result.value <= 0:
-            raise IdentityViolation(f"global minimum of {name} is not strictly positive")
+    # gp_solve_h raises unless every critical value of h, so its minimum, is positive.
+    gp_solve_h()
+    bound = max(10.0, 1.1 * oracle.cauchy_root_bound(g.partial_derivative(0)))
+    if oracle.univariate_global(g, (-bound, bound)).value <= 0:
+        raise IdentityViolation("global minimum of g is not strictly positive")
     return GpDecomposition(T=_GP_T, T_inv=_GP_T_INV, h=h, g=g)
 
 
-@lru_cache(maxsize=None)
+@cache
 def gp_solve_h() -> tuple[float, float, tuple[tuple[float, float], ...]]:
     """Global minimum of h by enumerating every critical point, isolated
     exactly by oracle.derivative_roots: (s_star, h(s_star), ((root, h(root)), ...)).
@@ -186,7 +188,7 @@ def gp_solve_h() -> tuple[float, float, tuple[tuple[float, float], ...]]:
     return s_star, h_star, criticals
 
 
-@lru_cache(maxsize=None)
+@cache
 def gp_canonical_g() -> canonical.CanonicalProblem:
     """g(t) as a canonical problem: A = 106/3, f = 56, measure
     t^2 - (8/3) t - 2, V(xi) = 3 xi^2 - 9 xi.
@@ -235,7 +237,7 @@ def gp_solve(
     t_star = report.x_bar[0]
     x_star = (3.0 * s_star + t_star) / 5.0
     y_star = (2.0 * s_star - t_star) / 5.0
-    value = dec.h.eval([s_star]) * dec.g.eval([t_star])
+    value = h_star * dec.g.eval([t_star])
     solved = SolveReport("gp", (s_star, t_star), (x_star, y_star), value, report)
     return _cross_checked(solved, gp_objective() if with_oracle else None, GP_BOX, oracle_starts, oracle_seed)
 
@@ -280,7 +282,7 @@ def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
     return 10 * staged, measure**2 - u2
 
 
-@lru_cache(maxsize=None)
+@cache
 def thc_level1_identity() -> bool:
     """6 * f(x, y) == (x^3 - 16x/5)^2 - U1(x, y), exactly (checked once per
     process: the sides are fixed polynomials)."""
@@ -288,7 +290,7 @@ def thc_level1_identity() -> bool:
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
+@cache
 def thc_level2_identity() -> bool:
     """60 * staged complementary == (x^2 + 5wx)^2 - U2(x, y, w), exactly
     (checked once per process)."""
@@ -327,7 +329,7 @@ def _thc_table_sides(terms: tuple[canonical.DualTerm, ...]) -> tuple[MultiPoly, 
     return 60 * table_xi, measure * s2 - Fraction(1, 4) * s2**2 - u2
 
 
-@lru_cache(maxsize=None)
+@cache
 def thc_problem() -> canonical.TableProblem:
     """Three Hump Camel as its dual table, whose terms hold _THC_TABLE's
     rationals, and its objective.  The terms are checked exactly against

@@ -27,7 +27,7 @@ from . import benchmarks, canonical, dual_solver, kernels, oracle, verify
 from .benchmarks import SolveReport
 from .dual_solver import Certificate, SolverConfig
 from .errors import CanondualError, ProblemFileError
-from .polynomial import MultiPoly, rat
+from .polynomial import MAX_ARITY, MultiPoly, rat
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -93,8 +93,8 @@ def parse_problem_dict(data: dict, where: str = "problem") -> canonical.Canonica
             raise ProblemFileError(f"{where}: missing required key {key!r}")
     n, m = data["n"], data["m"]
     for name, value in (("n", n), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 4:
-            raise ProblemFileError(f"{where}: {name} must be an integer in 1..4")
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_ARITY:
+            raise ProblemFileError(f"{where}: {name} must be an integer in 1..{MAX_ARITY}")
     A = _parse_matrix(data["A"], n, f"{where}.A")
     f = _parse_vector(data["f"], n, f"{where}.f")
     if not isinstance(data["operators"], list) or len(data["operators"]) != m:
@@ -320,14 +320,11 @@ def _objective_and_box(args) -> tuple[MultiPoly, oracle.Box]:
             raise CanondualError("oracle search supports problems with n <= 2")
         poly = pr.objective
         default_box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
-    if args.box is not None:
-        if poly.arity == 1:
-            box = oracle.Box((args.box[0],), (args.box[1],))
-        else:
-            box = oracle.Box((args.box[0], args.box[2]), (args.box[1], args.box[3]))
-    else:
-        box = default_box
-    return poly, box
+    if args.box is None:
+        return poly, default_box
+    if len(args.box) != 2 * poly.arity:
+        raise ValueError(f"--box takes {2 * poly.arity} values (LO HI per variable), got {len(args.box)}")
+    return poly, oracle.Box(tuple(args.box[::2]), tuple(args.box[1::2]))
 
 
 def _cmd_oracle(args) -> int:
@@ -429,20 +426,20 @@ def build_parser() -> _Parser:
 
     orc = sub.add_parser("oracle", help="brute-force search only")
     _add_problem_argument(orc)
-    orc.add_argument("--box", type=float, nargs=4, metavar=("X0", "X1", "Y0", "Y1"), default=None)
+    orc.add_argument("--box", type=float, nargs="+", metavar="LO HI", default=None)
     orc.add_argument("--grid", type=int, default=401)
     orc.add_argument("--format", choices=["text", "json"], default="text")
     _add_oracle_flags(orc)
 
     grid = sub.add_parser("grid", help="export a CSV surface for plotting")
     _add_problem_argument(grid, with_file=False)
-    grid.add_argument("--box", type=float, nargs=4, metavar=("X0", "X1", "Y0", "Y1"), default=None)
+    grid.add_argument("--box", type=float, nargs="+", metavar="LO HI", default=None)
     grid.add_argument("--n", type=int, required=True)
     grid.add_argument("--out", required=True)
     return parser
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _shared_parser() -> _Parser:
     """build_parser(), once per process: parsing fills a fresh namespace on
     every call and leaves the parser unchanged, so one parser serves all."""

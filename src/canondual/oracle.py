@@ -7,13 +7,13 @@ exactly, by Sturm chains on integers.  Grid scans are evaluated in one
 pass by ``kernels.eval_lattice``.  Single points go through
 ``MultiPoly.float_evaluator``, the one scalar float evaluator, which
 ``MultiPoly.eval`` calls.  Newton refinement holds three generated
-functions, built once per polynomial and cached on it: the value, the
-rounding bound, and ``polynomial.joint_evaluator`` of the gradient and
-Hessian, which returns a whole Newton step's data from one table of
-powers.  One refinement iteration, for one or two variables, runs on float
-locals and builds no list: the gradient, Hessian, direction and trial
-point are named floats, combined in the order of float operations of sums
-over the coordinates.  Multistart ranks its starts with the value
+functions, ``MultiPoly.newton_evaluators``, a cached property built once
+per polynomial: the value, the rounding bound, and
+``polynomial.joint_evaluator`` of the gradient and Hessian, which returns
+a whole Newton step's data from one table of powers.  One refinement
+iteration, for one or two variables, runs on float locals and builds no
+list: the gradient, Hessian, direction and trial point are named floats,
+combined in the order of float operations of sums over the coordinates.  Multistart ranks its starts with the value
 function, so the value it reports is the one refinement saw.
 
 Results are bit-reproducible: the pseudo-random stream is a fixed 64-bit
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, NotConverged
-from .polynomial import MultiPoly, joint_evaluator
+from .polynomial import MultiPoly
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -171,22 +171,6 @@ def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
     )
 
 
-def _newton_evaluators(p: MultiPoly):
-    """Single-point evaluators of p, of its rounding-bound polynomial
-    sum_t |c_t| x^e_t (called at |x|), and of its Newton-step data: one
-    generated function returning the gradient and the upper triangle of the
-    Hessian, row by row, from one table of powers.  Built once per
-    polynomial and cached on it, like ``MultiPoly.float_evaluator``."""
-    cached = getattr(p, "_newton_cache", None)
-    if cached is None:
-        grads = p.gradient()
-        hessian = [grads[i].partial_derivative(j) for i in range(p.arity) for j in range(i, p.arity)]
-        magnitude = MultiPoly._of(p.arity, {exps: abs(coeff) for exps, coeff in p.terms.items()})
-        cached = (p.float_evaluator(), magnitude.float_evaluator(), joint_evaluator([*grads, *hessian]))
-        object.__setattr__(p, "_newton_cache", cached)
-    return cached
-
-
 def _refine_counted(
     p: MultiPoly, start: Sequence[float], tol: float, max_iter: int, evaluators=None
 ) -> tuple[tuple[float, ...], float, int]:
@@ -217,7 +201,7 @@ def _refine_counted(
     count, when ``max_iter`` iterations do not suffice or the step length
     underflows.  Returns (point, p at point, number of objective
     evaluations); the value is the one the last accepted step computed.
-    ``evaluators`` is ``_newton_evaluators(p)``, built here when not given.
+    ``evaluators`` is ``p.newton_evaluators`` when not given.
     An iteration makes one call for the gradient and Hessian together, one
     value call per trial step, and evaluates the rounding bound only when
     backtracking first halves the step, the one place it is read.
@@ -230,7 +214,7 @@ def _refine_counted(
     n <= 2 is handled; a larger arity needs a loop of its own.
     """
     one = p.arity == 1
-    value_at, bound_at, derivatives_at = evaluators or _newton_evaluators(p)
+    value_at, bound_at, derivatives_at = evaluators or p.newton_evaluators
     x0 = float(start[0])
     x1 = 0.0 if one else float(start[1])
     value = value_at((x0,) if one else (x0, x1))
@@ -311,14 +295,13 @@ def multistart(
         raise ValueError(f"need at least 1 start, got {k_starts}")
     starts = Lcg(seed).uniform_rows(box.lower, box.upper, k_starts)
 
-    evaluators = _newton_evaluators(p)  # generated once, shared by every start
     best_x: tuple[float, ...] | None = None
     best_value = math.inf
     total_evals = 0
     failed = 0
     for start in starts:  # index order: deterministic reduction
         try:
-            point, value, evals = _refine_counted(p, start, _REFINE_TOL, 500, evaluators)
+            point, value, evals = _refine_counted(p, start, _REFINE_TOL, 500)
         except NotConverged as failure:
             failed += 1
             total_evals += failure.evaluations

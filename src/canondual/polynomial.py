@@ -28,10 +28,12 @@ the arity and each polynomial's graded-lex exponent list, and process
 (``_shape_code``, cached by shape); the coefficients are the code's
 constants, bound per polynomial (``_bind``), so a polynomial and its
 rounding-bound polynomial share one compile, and so do problems that
-differ only in their coefficients.  Partial derivatives are cached on
-their polynomial, so their evaluators are bound once.  Module
-``canonical`` hands the same generator a dual table's slots, polynomials
-in sigma, in the table's term order.  ``as_arrays`` hands the same float
+differ only in their coefficients.  Every value derived from one
+polynomial alone, its float terms, evaluator, term arrays, partial
+derivatives and Newton evaluators, is a ``functools.cached_property``,
+built at first use and kept with the polynomial, so each evaluator is
+bound once.  Module ``canonical`` hands the same generator a dual
+table's slots, polynomials in sigma, in the table's term order.  ``as_arrays`` hands the same float
 terms to the lattice kernel of module ``kernels``, and ``eval_exact`` is
 the exact rational reference.
 """
@@ -48,6 +50,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# The one cap on a polynomial's arity and on a problem's n and m; it is
+# smallmat.MAX_DIM too, since a dual table's n x n and m x m systems are
+# solved there.
 MAX_ARITY = 4
 
 Exponents = tuple[int, ...]
@@ -176,7 +181,7 @@ def joint_evaluator(polys: Sequence["MultiPoly"]) -> Callable[[Sequence[float]],
     polynomials of one arity at a point, from one shared table of powers.
     Output k is bit for bit ``polys[k].float_evaluator()`` at the point.
     Compiled once per shape; the coefficients are the code's constants."""
-    return _compile_evaluator(polys[0].arity, [p._float_terms() for p in polys])
+    return _compile_evaluator(polys[0].arity, [p._float_terms for p in polys])
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,27 +302,27 @@ class MultiPoly:
 
     # -- calculus -----------------------------------------------------------
 
+    @functools.cached_property
+    def _partials(self) -> tuple["MultiPoly", ...]:
+        """Every formal partial derivative, in variable order."""
+        partials = []
+        for var in range(self.arity):
+            out: dict[Exponents, Fraction] = {}
+            for exps, coeff in self.terms.items():
+                if exps[var]:
+                    out[exps[:var] + (exps[var] - 1,) + exps[var + 1:]] = coeff * exps[var]
+            partials.append(MultiPoly._of(self.arity, out))
+        return tuple(partials)
+
     def partial_derivative(self, var: int) -> "MultiPoly":
-        """Formal partial derivative with respect to variable ``var``.
-        Built once per variable and cached, with its compiled evaluator."""
+        """Formal partial derivative with respect to variable ``var``: one
+        of ``gradient()``, so each is built once, with its evaluator."""
         if not 0 <= var < self.arity:
             raise DimensionMismatch(f"variable index {var} out of range for arity {self.arity}")
-        cache = self.__dict__.setdefault("_derivative_cache", {})
-        if var in cache:
-            return cache[var]
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[var] = e - 1
-            out[tuple(lowered)] = coeff * e
-        cache[var] = MultiPoly._of(self.arity, out)
-        return cache[var]
+        return self._partials[var]
 
     def gradient(self) -> tuple["MultiPoly", ...]:
-        return tuple(self.partial_derivative(v) for v in range(self.arity))
+        return self._partials
 
     # -- substitution -------------------------------------------------------
 
@@ -391,15 +396,15 @@ class MultiPoly:
             total += term
         return total
 
+    @functools.cached_property
     def _float_terms(self) -> tuple[list[Exponents], list[float]]:
-        cached = getattr(self, "_float_cache", None)
-        if cached is None:
-            exps_list = self.sorted_exponents()
-            # float() of a Fraction, numerator / denominator, without its generic dispatch
-            coeffs = [c.numerator / c.denominator for c in map(self.terms.__getitem__, exps_list)]
-            cached = (exps_list, coeffs)
-            object.__setattr__(self, "_float_cache", cached)
-        return cached
+        exps_list = self.sorted_exponents()
+        # float() of a Fraction, numerator / denominator, without its generic dispatch
+        return exps_list, [c.numerator / c.denominator for c in map(self.terms.__getitem__, exps_list)]
+
+    @functools.cached_property
+    def _evaluator(self) -> Callable[[Sequence[float]], float]:
+        return _compile_evaluator(self.arity, [self._float_terms])
 
     def float_evaluator(self) -> Callable[[Sequence[float]], float]:
         """Straight-line float evaluator generated from the float terms.
@@ -410,31 +415,37 @@ class MultiPoly:
         is compiled once per shape; the float coefficients are the code's
         constants, put in with ``code.replace(co_consts=...)``, so a call
         runs as with the coefficients written in as literals.  It is the
-        one scalar float evaluator: ``eval`` calls it, and so do Newton
-        refinement and root polishing, at a few microseconds per call.
-        Bound once and cached on the polynomial.
+        one scalar float evaluator: ``eval`` calls it, and so does Newton
+        refinement, at a few microseconds per call.  Bound once per
+        polynomial, a cached property.
         """
-        cached = getattr(self, "_evaluator_cache", None)
-        if cached is None:
-            cached = _compile_evaluator(self.arity, [self._float_terms()])
-            object.__setattr__(self, "_evaluator_cache", cached)
-        return cached
+        return self._evaluator
+
+    @functools.cached_property
+    def newton_evaluators(self) -> tuple[Callable[[Sequence[float]], float], ...]:
+        """Single-point evaluators of the polynomial, of its rounding-bound
+        polynomial sum_t |c_t| x^e_t (called at |x|), and of its Newton-step
+        data: one generated function returning the gradient and the upper
+        triangle of the Hessian, row by row, from one table of powers
+        (``joint_evaluator``).  Built once per polynomial, for
+        ``oracle``'s Newton refinement."""
+        grads = self.gradient()
+        hessian = [grads[i].partial_derivative(j) for i in range(self.arity) for j in range(i, self.arity)]
+        magnitude = MultiPoly._of(self.arity, {exps: abs(coeff) for exps, coeff in self.terms.items()})
+        return self.float_evaluator(), magnitude.float_evaluator(), joint_evaluator([*grads, *hessian])
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        exps_list, coeffs = self._float_terms
+        if not exps_list:
+            return np.zeros(0, dtype=np.float64), np.zeros((0, self.arity), dtype=np.int64)
+        return np.array(coeffs, dtype=np.float64), np.array(exps_list, dtype=np.int64)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Term data as (coeffs float64 [T], exponents int64 [T, arity]) for
-        the batch-evaluation kernels, in graded-lex order."""
-        cached = getattr(self, "_array_cache", None)
-        if cached is None:
-            exps_list, coeffs = self._float_terms()
-            if exps_list:
-                exps = np.array(exps_list, dtype=np.int64)
-                cfs = np.array(coeffs, dtype=np.float64)
-            else:
-                exps = np.zeros((0, self.arity), dtype=np.int64)
-                cfs = np.zeros(0, dtype=np.float64)
-            cached = (cfs, exps)
-            object.__setattr__(self, "_array_cache", cached)
-        return cached
+        the batch-evaluation kernels, in graded-lex order; built once per
+        polynomial."""
+        return self._arrays
 
     # -- queries and display --------------------------------------------------
 

@@ -50,8 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
-
-MAX_DIM = 4
+from .polynomial import MAX_ARITY as MAX_DIM
 
 # A factor of kernels(n): the pivot (n = 1), the determinant (n = 2) or the
 # rows of a lower Cholesky factor (n >= 3).

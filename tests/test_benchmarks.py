@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from canondual import benchmarks, canonical, oracle
+from canondual import benchmarks, canonical, cli, oracle
 from canondual.dual_solver import Certificate, _fd_gradient
 from canondual.errors import DomainViolation, IdentityViolation, SingularMatrixError
 from canondual.oracle import Lcg
@@ -98,6 +98,18 @@ class TestGpSolveH:
         dh = benchmarks.gp_h().partial_derivative(0)
         for root, _ in benchmarks.gp_solve_h()[2]:
             assert abs(dh.eval((root,))) <= 1e-10
+
+    def test_each_factor_is_isolated_once_per_process(self, monkeypatch, capsys):
+        # The decoupling guard takes h's minimum from gp_solve_h, so solve,
+        # verify and solve again isolate h' once and g' once.
+        isolated = []
+        real = oracle.derivative_roots
+        monkeypatch.setattr(oracle, "derivative_roots", lambda p, interval: isolated.append(p) or real(p, interval))
+        benchmarks.gp_decompose.cache_clear()
+        benchmarks.gp_solve_h.cache_clear()
+        for argv in (["solve", "gp"], ["verify", "gp"], ["solve", "gp"]):
+            assert cli.run(argv) == 0
+        assert isolated == [benchmarks.gp_h(), benchmarks.gp_g()]
 
 
 class TestGpCanonical:

@@ -201,6 +201,26 @@ class TestOracleCommand:
         assert (code, err) == (0, "")
         assert out == run_cli(*argv, "--box", "-1", "1", "-1", "1")[1]
 
+    def test_one_variable_problem_takes_a_two_value_box(self):
+        code, out, err = run_cli("oracle", "file", str(PROBLEMS / "gp_g.json"), "--box", "0", "6", "--grid", "11",
+                                 "--starts", "4", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["box"] == {"lower": [0.0], "upper": [6.0]}
+
+    @pytest.mark.parametrize("argv, box, expected", [
+        (["oracle", "file", str(PROBLEMS / "gp_g.json")], ["0", "6", "2", "3"], 2),
+        (["oracle", "file", str(PROBLEMS / "gp_g.json")], ["0"], 2),
+        (["oracle", "gp"], ["-1", "1"], 4),
+        (["oracle", "thc"], ["-1", "1", "-1", "1", "0", "1"], 4),
+        (["grid", "gp", "--n", "11"], ["-1", "1", "-1"], 4),
+    ])
+    def test_box_of_any_other_count_is_a_usage_error(self, tmp_path, argv, box, expected):
+        extra = ["--out", str(tmp_path / "grid.csv")] if argv[0] == "grid" else []
+        code, out, err = run_cli(*argv, "--box", *box, *extra)
+        assert code == 1 and out == ""
+        assert not (tmp_path / "grid.csv").exists()
+        assert err == f"error: --box takes {expected} values (LO HI per variable), got {len(box)}\n"
+
     def test_oracle_box_override(self):
         code, out, _ = run_cli(
             "oracle", "thc", "--box", "-1", "1", "-1", "1", "--grid", "41",

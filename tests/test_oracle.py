@@ -342,7 +342,7 @@ class TestNewtonStepEvaluator:
         # iterations, no step halving, so the rounding bound is never read.
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         p = (x - 1) ** 2 + 2 * (y + Fraction(1, 2)) ** 2
-        value_at, bound_at, derivatives_at = oracle._newton_evaluators(p)
+        value_at, bound_at, derivatives_at = p.newton_evaluators
         calls = {"derivatives": 0, "bound": 0}
 
         def counted(key, fn):
@@ -455,9 +455,9 @@ class TestMultistart:
     def test_newton_evaluators_are_built_once_per_polynomial(self):
         p = MultiPoly.from_terms(2, gp_objective().terms)  # fresh, nothing cached
         first = multistart(p, GP_BOX, 16, seed=42)
-        evaluators = oracle._newton_evaluators(p)
+        evaluators = p.newton_evaluators
         second = multistart(p, GP_BOX, 16, seed=42)
-        assert oracle._newton_evaluators(p) is evaluators
+        assert p.newton_evaluators is evaluators
         assert second == first
         assert multistart(MultiPoly.from_terms(2, p.terms), GP_BOX, 16, seed=42) == first
 
@@ -471,7 +471,7 @@ class TestMultistart:
     def test_refinement_uses_the_generated_evaluator(self):
         # Single points never go through the batch kernels.
         p = gp_objective()
-        assert oracle._newton_evaluators(p)[0] is p.float_evaluator()
+        assert p.newton_evaluators[0] is p.float_evaluator()
 
     @pytest.mark.parametrize("k_starts", [0, -3])
     def test_fewer_than_one_start_is_a_value_error(self, k_starts):

@@ -150,8 +150,12 @@ class TestDerivatives:
 
     def test_built_once_per_polynomial(self, f2):
         assert f2.partial_derivative(0) is f2.partial_derivative(0)
-        assert f2.gradient()[1] is f2.partial_derivative(1)
+        assert all(f2.partial_derivative(k) is f2.gradient()[k] for k in range(f2.arity))
+        assert f2.gradient() is f2.gradient()
         assert f2.partial_derivative(0).float_evaluator() is f2.partial_derivative(0).float_evaluator()
+        assert f2.newton_evaluators is f2.newton_evaluators
+        first, second = f2.as_arrays(), f2.as_arrays()
+        assert all(a is b for a, b in zip(first, second))
 
 
 class TestSubstituteLinear:
@@ -360,7 +364,7 @@ def test_joint_evaluator_outputs_are_each_float_evaluator(case):
 def test_float_evaluator_is_the_single_polynomial_generator(case):
     polys, point = case
     for poly in polys:
-        reference = _single_polynomial_generator(poly.arity, *poly._float_terms())
+        reference = _single_polynomial_generator(poly.arity, *poly._float_terms)
         evaluate = poly.float_evaluator()
         # The same locals and float operations in the same order: the sum is
         # one expression where the reference adds term by term (and the
@@ -379,7 +383,7 @@ def test_float_evaluator_splits_sums_the_compiler_cannot_take_whole():
     polys = [MultiPoly(2, {e: rng.randint(-9, 9) or 1 for e in exponents}) for _ in range(2)]
     assert polys[0].float_evaluator().__code__.co_code == polys[1].float_evaluator().__code__.co_code
     for poly in polys:
-        reference = _single_polynomial_generator(2, *poly._float_terms())
+        reference = _single_polynomial_generator(2, *poly._float_terms)
         for _ in range(50):
             point = (rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
             assert _bits(poly.eval(point)) == _bits(reference(point))
@@ -407,7 +411,7 @@ def polynomials_of_one_shape(draw):
 def test_one_shape_binds_each_polynomials_own_coefficients(case):
     polys, point = case
     for poly in polys:
-        reference = _single_polynomial_generator(poly.arity, *poly._float_terms())
+        reference = _single_polynomial_generator(poly.arity, *poly._float_terms)
         assert _bits(poly.float_evaluator()(point)) == _bits(reference(point))
     codes = {poly.float_evaluator().__code__.co_code for poly in polys}
     assert len(codes) == 1
@@ -418,16 +422,16 @@ def test_evaluators_are_compiled_once_per_shape():
     # objectives of two problems that differ only in their coefficients.
     polynomial._shape_code.cache_clear()
     p = MultiPoly.from_terms(2, {(4, 0): 1, (2, 1): -3, (0, 2): Fraction(1, 3), (1, 0): -1, (0, 0): 2})
-    value, bound, _ = oracle._newton_evaluators(p)
+    value, bound, _ = p.newton_evaluators
     assert polynomial._shape_code.cache_info().currsize == 2  # P and |P|; the gradient and Hessian
     assert value.__code__.co_code == bound.__code__.co_code
     q = MultiPoly.from_terms(2, {e: 2 * c + 1 for e, c in p.terms.items()})
-    oracle._newton_evaluators(q)
+    q.newton_evaluators  # builds q's value, bound and Newton-step evaluators
     assert polynomial._shape_code.cache_info().currsize == 2
     point = (0.75, -1.25)
-    assert _bits(q.eval(point)) == _bits(_single_polynomial_generator(2, *q._float_terms())(point))
+    assert _bits(q.eval(point)) == _bits(_single_polynomial_generator(2, *q._float_terms)(point))
     magnitude = MultiPoly(2, {e: abs(c) for e, c in p.terms.items()})
-    assert _bits(bound(point)) == _bits(_single_polynomial_generator(2, *magnitude._float_terms())(point))
+    assert _bits(bound(point)) == _bits(_single_polynomial_generator(2, *magnitude._float_terms)(point))
 
 
 def test_pool_problems_of_one_shape_compile_once(pool_paths):
@@ -438,6 +442,6 @@ def test_pool_problems_of_one_shape_compile_once(pool_paths):
     point = (0.375, -1.5)
     for name in ("planted_01.json", "planted_21.json", "planted_25.json", "planted_29.json", "planted_33.json"):
         objective = cli.load_problem_file(next(p for p in pool_paths if p.name == name)).objective
-        value, _, _ = oracle._newton_evaluators(objective)
-        assert _bits(value(point)) == _bits(_single_polynomial_generator(2, *objective._float_terms())(point))
+        value, _, _ = objective.newton_evaluators
+        assert _bits(value(point)) == _bits(_single_polynomial_generator(2, *objective._float_terms)(point))
         assert polynomial._shape_code.cache_info().currsize == 2
