@@ -18,17 +18,16 @@ construction time.
 
 Three Hump Camel (2x^2 - 1.05x^4 + x^6/6 + xy + y^2) needs two staged
 measures, xi1 = x^3 - (16/5) x then xi2 = x^2 + 5 sigma1 x, because the
-sextic cannot be reached by a single quadratic measure.  The staging makes
-G depend on sigma1^2, so THC is a canonical.TableProblem: its dual table,
+sextic cannot be reached by a single quadratic measure.  THC is data: its
+objective and two canonical.Stage records, run by canonical.staged, which
+gives both staging identities, checked exactly, and the dual table,
 
     G = [[44/75 - (5/6) s1^2 + s2/30, 1], [1, 2]],
-    F = ((8/15) s1 - s1 s2 / 12, 0),  c = -s1^2/24 - s2^2/240,
+    F = ((8/15) s1 - s1 s2 / 12, 0),  c = -s1^2/24 - s2^2/240.
 
-goes through solve_canonical like every other problem.  Both staging
-identities, and the table against the level-2 complementary function, are
-verified exactly in rational arithmetic (sigma1 a polynomial variable).
-The closed forms thc_dual, thc_equilibrium and thc_complementary remain
-as float references for verify and the tests.
+G depends on sigma1^2, so THC is a canonical.TableProblem.  The closed
+forms thc_dual, thc_equilibrium and thc_complementary remain as float
+references for verify and the tests.
 
 gp_solve and solve_problem (thc and problem files) build their SolveReport
 the same way: _cross_checked adds the brute-force oracle's multistart
@@ -246,99 +245,45 @@ def gp_solve(
 # Three Hump Camel pipeline
 # ---------------------------------------------------------------------------
 
-def _thc_level1_sides() -> tuple[MultiPoly, MultiPoly]:
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    lhs = 6 * thc_objective()
-    v1 = (x**3 - Fraction(16, 5) * x) ** 2
-    minus_u1 = Fraction(1, 10) * x**4 + Fraction(44, 25) * x**2 + 6 * x * y + 6 * y**2
-    return lhs, v1 + minus_u1
+def _thc_stages() -> tuple[canonical.Stage, canonical.Stage]:
+    """THC's two levels in (x, y, s1, s2): Lambda_k = xi_k / a_k, V_k(xi) =
+    a_k xi^2 with a1 = 6 and a2 = 60, and U1, U2 as the paper gives them."""
+    x, y, s1, _ = (MultiPoly.variable(4, i) for i in range(4))
+    sixth, sixtieth = Fraction(1, 6), Fraction(1, 60)
+    u1 = -sixth * (Fraction(1, 10) * x**4 + Fraction(44, 25) * x**2 + 6 * x * y + 6 * y**2)
+    u2 = sixtieth * (25 * s1**2 * x**2 - Fraction(88, 5) * x**2 + 32 * s1 * x - 60 * x * y - 60 * y**2
+                     + Fraction(5, 2) * s1**2)
+    return (canonical.Stage(sixth * (x**3 - Fraction(16, 5) * x), 6, 0, u1),
+            canonical.Stage(sixtieth * (x**2 + 5 * s1 * x), 60, 0, u2))
 
 
-def _thc_level2_parts(x: MultiPoly, y: MultiPoly, w: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Six times the level-1 complementary function, the level-2 measure and
-    U2, with w standing for the first dual component."""
-    staged = (
-        (x**3 - Fraction(16, 5) * x) * w
-        - Fraction(1, 4) * w**2
-        + Fraction(1, 10) * x**4
-        + Fraction(44, 25) * x**2
-        + 6 * x * y
-        + 6 * y**2
-    )
-    u2 = (
-        25 * w**2 * x**2
-        - Fraction(88, 5) * x**2
-        + 32 * w * x
-        - 60 * x * y
-        - 60 * y**2
-        + Fraction(5, 2) * w**2
-    )
-    return staged, x**2 + 5 * w * x, u2
-
-
-def _thc_level2_sides() -> tuple[MultiPoly, MultiPoly]:
-    staged, measure, u2 = _thc_level2_parts(*(MultiPoly.variable(3, i) for i in range(3)))
-    return 10 * staged, measure**2 - u2
+@cache
+def _thc_staging() -> tuple[tuple[canonical.Sides, ...], canonical.DualTable]:
+    """canonical.staged of THC's objective and stages, once per process."""
+    return canonical.staged(thc_objective(), 2, _thc_stages())
 
 
 @cache
 def thc_level1_identity() -> bool:
-    """6 * f(x, y) == (x^3 - 16x/5)^2 - U1(x, y), exactly (checked once per
-    process: the sides are fixed polynomials)."""
-    lhs, rhs = _thc_level1_sides()
-    return lhs == rhs
+    """f(x, y) == V1(Lambda1) - U1, exactly (checked once per process)."""
+    return thc_identity_mismatch(1) is None
 
 
 @cache
 def thc_level2_identity() -> bool:
-    """60 * staged complementary == (x^2 + 5wx)^2 - U2(x, y, w), exactly
-    (checked once per process)."""
-    lhs, rhs = _thc_level2_sides()
-    return lhs == rhs
+    """Xi1 == V2(Lambda2) - U2, exactly (checked once per process)."""
+    return thc_identity_mismatch(2) is None
 
 
 def thc_identity_mismatch(level: int):
-    """First offending monomial of the requested staging identity, or None."""
-    lhs, rhs = _thc_level1_sides() if level == 1 else _thc_level2_sides()
-    return first_diff_term(lhs, rhs)
-
-
-# The THC dual table, exact: s1^a1 s2^a2 -> (upper triangle of G, F, c).
-_THC_TABLE = {
-    (0, 0): ((Fraction(44, 75), 1, 2), (0, 0), 0),
-    (2, 0): ((Fraction(-5, 6), 0, 0), (0, 0), Fraction(-1, 24)),
-    (0, 1): ((Fraction(1, 30), 0, 0), (0, 0), 0),
-    (1, 0): ((0, 0, 0), (Fraction(8, 15), 0), 0),
-    (1, 1): ((0, 0, 0), (Fraction(-1, 12), 0), 0),
-    (0, 2): ((0, 0, 0), (0, 0), Fraction(-1, 240)),
-}
-
-
-def _thc_table_sides(terms: tuple[canonical.DualTerm, ...]) -> tuple[MultiPoly, MultiPoly]:
-    """60 * sum_a sigma^a xi_a(x, y) from the table's terms, and the
-    complementary function of the level-2 staging, xi2 s2 - V2*(s2) - U2
-    with V2*(s2) = s2^2 / 4, both in (x, y, s1, s2)."""
-    x, y, s1, s2 = (MultiPoly.variable(4, i) for i in range(4))
-    table_xi = MultiPoly.zero(4)
-    for t in terms:
-        (a1, a2), (g11, g12, g22), (f1, f2) = t.exps, t.G, t.F
-        xi = Fraction(g11, 2) * x**2 + g12 * x * y + Fraction(g22, 2) * y**2 - f1 * x - f2 * y + t.c
-        table_xi = table_xi + s1**a1 * s2**a2 * xi
-    _, measure, u2 = _thc_level2_parts(x, y, s1)
-    return 60 * table_xi, measure * s2 - Fraction(1, 4) * s2**2 - u2
+    """First offending monomial (x, y, s1, s2) of a staging identity, or None."""
+    return first_diff_term(*_thc_staging()[0][level - 1])
 
 
 @cache
 def thc_problem() -> canonical.TableProblem:
-    """Three Hump Camel as its dual table, whose terms hold _THC_TABLE's
-    rationals, and its objective.  The terms are checked exactly against
-    the level-2 staging (once per process)."""
-    terms = tuple(canonical.DualTerm(exps, G, F, c) for exps, (G, F, c) in _THC_TABLE.items())
-    lhs, rhs = _thc_table_sides(terms)
-    if lhs != rhs:
-        raise IdentityViolation(f"THC dual table differs from the staging at {first_diff_term(lhs, rhs)}")
-    return canonical.TableProblem(canonical.DualTable(2, 2, terms), thc_objective())
+    """Three Hump Camel as the dual table of its staging and its objective."""
+    return canonical.TableProblem(_thc_staging()[1], thc_objective())
 
 
 def thc_dual(s1: float, s2: float) -> float:

@@ -15,8 +15,9 @@ A CanonicalProblem, min P(x) = V(Lambda(x)) - U(x) with U(x) = -1/2 x^T A x
 V(xi) = sum_k a_k xi_k^2 + beta_k xi_k, has its table on 1, sigma_k and
 sigma_k^2: G = A + sum_k sigma_k C_k, F = f - sum_k sigma_k b_k and
 c = sum_k sigma_k c_k - V*(sigma), V*(sigma) = sum_k (sigma_k - beta_k)^2 / (4 a_k).
-A staging whose G is not affine in sigma (Three Hump Camel) is a
-TableProblem: its table and exact objective, given directly.
+A staging given as data, one Stage per level, whose G is not affine in
+sigma (Three Hump Camel) is a TableProblem: the table staged reads off its
+last level, and its exact objective.
 
 The problem types hold the exact rationals they are built from (ints,
 "p/q" strings and floats convert exactly, through polynomial.rat), and
@@ -74,7 +75,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation
+from .errors import ColumnSpaceViolation, DimensionMismatch, DomainViolation, IdentityViolation
 from .polynomial import MAX_ARITY, Compiled, Exponents, MultiPoly, RationalLike, _bind, _shape_code, rat
 # solve_sym is not called here.  It stays bound because perfbench's tracer
 # wraps it in every namespace that holds it, and the benchmark's tests and
@@ -471,6 +472,59 @@ class TableProblem:
 
 
 Problem = CanonicalProblem | TableProblem
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One level k of a generalized canonical staging: the measure Lambda_k
+    and U_k, exact polynomials in (x_1..x_n, sigma_1..sigma_m), and
+    V_k(xi) = a xi^2 + beta xi with a > 0."""
+
+    measure: MultiPoly
+    a: RationalLike
+    beta: RationalLike
+    U: MultiPoly
+
+
+Sides = tuple[MultiPoly, MultiPoly]
+
+
+def staged(objective: MultiPoly, n: int, stages: Sequence[Stage]) -> tuple[tuple[Sides, ...], DualTable]:
+    """(Each level's identity sides, for an exact check, and the dual table
+    read off the last level) of a staging of an objective in n variables.
+    Xi_0 is the objective lifted to (x, sigma), n + m <= MAX_ARITY; level k
+    has the sides (Xi_{k-1}, V_k(Lambda_k) - U_k) and makes
+    Xi_k = Lambda_k sigma_k - (sigma_k - beta_k)^2 / (4 a_k) - U_k.  The last
+    Xi must be quadratic in x (else IdentityViolation names its first such
+    monomial, graded-lex).  Per sigma-monomial in colex order, its x_i x_j
+    coefficients are G's upper triangle (doubled on the diagonal), minus its
+    x_i coefficients F, and its constant c."""
+    m = len(stages)
+    xi = MultiPoly(n + m, {exps + (0,) * m: c for exps, c in objective.terms.items()})
+    sides = []
+    for k, stage in enumerate(stages):
+        a, beta, measure = rat(stage.a), rat(stage.beta), stage.measure
+        if a <= 0:
+            raise ValueError(f"stage {k}: a must be > 0 for strict convexity, got {a}")
+        sigma = MultiPoly.variable(n + m, n + k)
+        sides.append((xi, a * measure**2 + beta * measure - stage.U))
+        xi = measure * sigma - (sigma - beta) ** 2 * (1 / (4 * a)) - stage.U
+    tri = n * (n + 1) // 2
+    rows: dict[Exponents, list[RationalLike]] = {}
+    for exps, coeff in xi.sorted_terms():
+        at = [i for i in range(n) for _ in range(exps[i])]
+        if len(at) > 2:
+            raise IdentityViolation(f"the last level is not quadratic in x at monomial {exps}")
+        row = rows.setdefault(exps[n:], [0] * (tri + n + 1))
+        if not at:
+            row[-1] = coeff
+        elif len(at) == 1:
+            row[tri + at[0]] = -coeff
+        else:
+            row[_triu_index(n, *at)] = coeff * (2 if at[0] == at[1] else 1)
+    terms = [DualTerm(exps, tuple(row[:tri]), tuple(row[tri:-1]), row[-1])
+             for exps, row in sorted(rows.items(), key=lambda item: item[0][::-1])]
+    return tuple(sides), DualTable(n, m, tuple(terms))
 
 
 def _point(pr: Problem, x: Sequence[float]) -> tuple[float, ...]:

@@ -26,7 +26,7 @@ from typing import Sequence
 from . import benchmarks, canonical, dual_solver, kernels, oracle, verify
 from .benchmarks import SolveReport
 from .dual_solver import Certificate, SolverConfig
-from .errors import CanondualError, ProblemFileError
+from .errors import CanondualError, DimensionMismatch, ProblemFileError
 from .polynomial import MAX_ARITY, MultiPoly, rat
 
 _EXIT_OK = 0
@@ -317,7 +317,7 @@ def _objective_and_box(args) -> tuple[MultiPoly, oracle.Box]:
     else:
         pr = load_problem_file(args.path)
         if pr.n > 2:
-            raise CanondualError("oracle search supports problems with n <= 2")
+            raise DimensionMismatch("oracle search supports problems with n <= 2")
         poly = pr.objective
         default_box = oracle.Box((-10.0,) * pr.n, (10.0,) * pr.n)
     if args.box is None:

@@ -8,9 +8,9 @@ Each suite is a list of named checks mixing three kinds of evidence:
   * certificate triage facts (known spurious critical points rejected).
 
 Sampling uses the package's seeded generator, so suites are deterministic;
-every sample is drawn through oracle.Lcg.units, most as uniform_rows or
-uniform_columns.  Each suite evaluates each sample set of the dual in one
-numpy pass over columns, bit for bit the DualPoint at each sample:
+every sample is drawn through oracle.Lcg.units, most as uniform_columns.
+Each suite evaluates each sample set of the dual in one numpy pass over
+columns, bit for bit the DualPoint at each sample:
 canonical.dual_samples, dual_columns and dual_gradient_columns (the
 finite-difference gradient check, _fd_gradient_matches) and
 domain_exceeds (verify_problem's interior samples and thc's region
@@ -250,7 +250,7 @@ def verify_thc(cfg: SolverConfig | None = None) -> list[CheckResult]:
 
     # Feasibility region is exactly {s2 >= 25 s1^2 - 13/5}: compare the PSD
     # threshold test with the algebraic inequality on a sample sweep.
-    s1, s2 = np.array(oracle.Lcg(201).uniform_rows((-1.5, -5.0), (1.5, 10.0), 400)).T
+    s1, s2 = oracle.Lcg(201).uniform_columns((-1.5, -5.0), (1.5, 10.0), 400)
     inside = canonical.domain_exceeds(thc, (s1, s2), -canonical.PSD_TOL)
     floor = 25.0 * s1 * s1 - 13.0 / 5.0
     region_ok = not np.any((inside != (s2 >= floor - 1e-7)) & (np.abs(s2 - floor) > 1e-6))

@@ -1,5 +1,7 @@
 """Both benchmark pipelines end to end, plus their exact staging identities."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +190,7 @@ class TestGpSolve:
         assert abs(result.x_best[0]) <= cell and abs(result.x_best[1] + 1.0) <= cell
 
 
+@pytest.mark.usefixtures("fresh_thc_caches")
 class TestThcIdentities:
     def test_level1_exact(self):
         assert benchmarks.thc_level1_identity()
@@ -198,57 +201,121 @@ class TestThcIdentities:
         assert benchmarks.thc_identity_mismatch(2) is None
 
     def test_checked_once_per_process(self, monkeypatch):
-        built = []
-        for name in ("_thc_level1_sides", "_thc_level2_sides"):
-            real = getattr(benchmarks, name)
-            monkeypatch.setattr(benchmarks, name, lambda real=real: built.append(1) or real())
-        benchmarks.thc_level1_identity.cache_clear()
-        benchmarks.thc_level2_identity.cache_clear()
+        # Three solves build the staging, both identities' sides and the
+        # table, once.
+        built = _count_stagings(monkeypatch)
         for _ in range(3):
             benchmarks.thc_solve(with_oracle=False)
         assert benchmarks.thc_level1_identity() and benchmarks.thc_level2_identity()
-        assert len(built) == 2
+        assert len(built) == 1
 
-    def test_small_perturbation_breaks_equality(self):
-        lhs, rhs = benchmarks._thc_level1_sides()
-        assert lhs == rhs
-        nudged = rhs + MultiPoly.from_terms(2, {(4, 0): Fraction(1, 1000)})
-        assert lhs != nudged
-        lhs3, rhs3 = benchmarks._thc_level2_sides()
-        nudged3 = rhs3 + MultiPoly.from_terms(3, {(2, 0, 1): Fraction(1, 1000)})
-        assert lhs3 != nudged3
+    def test_small_perturbation_breaks_equality(self, monkeypatch):
+        # A nudge to U1 breaks level 1 and one to U2 level 2; the mismatch
+        # names the nudged monomial, and the solve refuses to start.
+        identities = {1: benchmarks.thc_level1_identity, 2: benchmarks.thc_level2_identity}
+        nudges = {1: MultiPoly.from_terms(4, {(4, 0, 0, 0): Fraction(1, 1000)}),
+                  2: MultiPoly.from_terms(4, {(2, 0, 1, 0): Fraction(1, 1000)})}
+        for level, nudge in nudges.items():
+            [monomial] = nudge.terms
+            _nudge_stage(monkeypatch, level, nudge)
+            assert not identities[level]()
+            assert benchmarks.thc_identity_mismatch(level) == monomial
+            with pytest.raises(IdentityViolation, match=re.escape(f"level-{level} staging failed at {monomial}")):
+                benchmarks.thc_solve(with_oracle=False)
+        # U2 is no part of level 1.
+        assert benchmarks.thc_level1_identity() and benchmarks.thc_identity_mismatch(1) is None
 
     def test_dual_table_matches_level2_staging(self):
-        lhs, rhs = benchmarks._thc_table_sides(benchmarks.thc_problem().table.terms)
-        assert lhs == rhs
+        # The table expanded back into sum_a sigma^a xi_a(x, y) is the last
+        # level's complementary function, Lambda2 s2 - V2*(s2) - U2.
+        x, y, s1, s2 = (MultiPoly.variable(4, i) for i in range(4))
+        table_xi = MultiPoly.zero(4)
+        for t in benchmarks.thc_problem().table.terms:
+            (a1, a2), (g11, g12, g22), (f1, f2) = t.exps, t.G, t.F
+            xi = Fraction(g11, 2) * x**2 + g12 * x * y + Fraction(g22, 2) * y**2 - f1 * x - f2 * y + t.c
+            table_xi = table_xi + s1**a1 * s2**a2 * xi
+        level2 = benchmarks._thc_stages()[1]
+        conjugate = (s2 - level2.beta) ** 2 * Fraction(1, 4 * level2.a)
+        assert table_xi == level2.measure * s2 - conjugate - level2.U
 
     def test_solved_table_holds_the_exact_rationals(self):
-        # The terms the solver reads are the ones checked against the
-        # staging: _THC_TABLE's rationals, not float copies of them.
+        # The terms the solver reads are the exact rationals read off the
+        # staging, not float copies of them, in colex order of sigma^a.
         terms = benchmarks.thc_problem().table.terms
-        assert {t.exps: (t.G, t.F, t.c) for t in terms} == benchmarks._THC_TABLE
+        assert [(t.exps, t.G, t.F, t.c) for t in terms] == [
+            ((0, 0), (Fraction(44, 75), 1, 2), (0, 0), 0),
+            ((1, 0), (0, 0, 0), (Fraction(8, 15), 0), 0),
+            ((2, 0), (Fraction(-5, 6), 0, 0), (0, 0), Fraction(-1, 24)),
+            ((0, 1), (Fraction(1, 30), 0, 0), (0, 0), 0),
+            ((1, 1), (0, 0, 0), (Fraction(-1, 12), 0), 0),
+            ((0, 2), (0, 0, 0), (0, 0), Fraction(-1, 240)),
+        ]
+        assert all(type(v) in (int, Fraction) for t in terms for v in (*t.G, *t.F, t.c))
         assert terms[0].G[0] == Fraction(44, 75) and terms[0].G[0] != 44 / 75
 
     def test_perturbed_dual_table_is_rejected(self, monkeypatch):
-        table = dict(benchmarks._THC_TABLE)
-        table[(1, 1)] = ((0, 0, 0), (Fraction(-1, 13), 0), 0)
-        monkeypatch.setattr(benchmarks, "_THC_TABLE", table)
-        benchmarks.thc_problem.cache_clear()
-        try:
-            with pytest.raises(IdentityViolation):
-                benchmarks.thc_problem()
-        finally:
-            monkeypatch.undo()
-            benchmarks.thc_problem.cache_clear()
+        # A staging whose last level keeps a term of degree 3 in x has no
+        # table: THC staged with its first level only, and with x^3 in U2.
+        level1 = benchmarks._thc_stages()[0]
+
+        def drop_s2(p):
+            return MultiPoly(3, {exps[:3]: c for exps, c in p.terms.items()})
+
+        first_only = [replace(level1, measure=drop_s2(level1.measure), U=drop_s2(level1.U))]
+        with pytest.raises(IdentityViolation, match=r"not quadratic in x at monomial \(4, 0, 0\)"):
+            canonical.staged(benchmarks.thc_objective(), 2, first_only)
+        _nudge_stage(monkeypatch, 2, MultiPoly.from_terms(4, {(3, 0, 0, 0): Fraction(1, 1000)}))
+        with pytest.raises(IdentityViolation, match=r"not quadratic in x at monomial \(3, 0, 0, 0\)"):
+            benchmarks.thc_problem()
 
     def test_dual_table_checked_once_per_process(self, monkeypatch):
-        built = []
-        real = benchmarks._thc_table_sides
-        monkeypatch.setattr(benchmarks, "_thc_table_sides", lambda terms: built.append(1) or real(terms))
-        benchmarks.thc_problem.cache_clear()
+        # The table the solver climbs is the staging's own, read once,
+        # whichever of the problem and the identities comes first.
+        built = _count_stagings(monkeypatch)
         for _ in range(3):
-            benchmarks.thc_solve(with_oracle=False)
+            thc = benchmarks.thc_problem()
+        assert benchmarks.thc_level2_identity()
+        assert thc.table is benchmarks._thc_staging()[1]
         assert len(built) == 1
+
+
+_THC_STAGES = benchmarks._thc_stages
+
+
+def _clear_thc_caches() -> None:
+    """Empty every cache that holds THC's staging."""
+    for cached in (benchmarks._thc_staging, benchmarks.thc_level1_identity, benchmarks.thc_level2_identity,
+                   benchmarks.thc_problem):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_thc_caches():
+    _clear_thc_caches()
+    yield
+    _clear_thc_caches()
+
+
+def _count_stagings(monkeypatch) -> list:
+    """The calls of canonical.staged from here on, THC's caches emptied."""
+    built = []
+    real = canonical.staged
+    monkeypatch.setattr(canonical, "staged", lambda *args: built.append(args) or real(*args))
+    _clear_thc_caches()
+    return built
+
+
+def _nudge_stage(monkeypatch, level: int, nudge: MultiPoly) -> None:
+    """THC staged with nudge added to the given level's U from here on,
+    THC's caches emptied."""
+
+    def stages():
+        out = list(_THC_STAGES())
+        out[level - 1] = replace(out[level - 1], U=out[level - 1].U + nudge)
+        return tuple(out)
+
+    monkeypatch.setattr(benchmarks, "_thc_stages", stages)
+    _clear_thc_caches()
 
 
 class TestThcDual:

@@ -1203,6 +1203,50 @@ def test_table_rejects_a_repeated_monomial():
         canonical.DualTable(1, 1, (term, term))
 
 
+def _quadratic(arity, n, upper, linear, constant=0):
+    """1/2 x^T S x + x^T b + c as a polynomial in the first n of arity
+    variables, S given by its upper triangle."""
+    xs = [MultiPoly.variable(arity, i) for i in range(n)]
+    poly = MultiPoly.constant(arity, constant)
+    for i in range(n):
+        poly = poly + linear[i] * xs[i]
+        for j in range(i, n):
+            s = upper[_triu_index(n, i, j)]
+            poly = poly + (s / 2 if i == j else s) * xs[i] * xs[j]
+    return poly
+
+
+def test_staged_table_is_the_canonical_table(pool_paths):
+    # One Stage of a canonical problem's measure, (a, beta) and
+    # U = -1/2 x^T A x + f^T x reads off the table CanonicalProblem.table
+    # builds: GP's g and each m = 1 pool problem with n <= 3.
+    pool = [cli.load_problem_file(path) for path in pool_paths]
+    problems = [gp_canonical_g(), *(pr for pr in pool if pr.m == 1 and pr.n <= 3)]
+    assert len(problems) == 10
+    rng = Lcg(30)
+    for pr in problems:
+        n, [op], [(a, beta)] = pr.n, pr.ops, pr.V.pairs
+        stage = canonical.Stage(_quadratic(n + 1, n, op.C, op.b, op.c), a, beta,
+                                -_quadratic(n + 1, n, pr.A, [-f for f in pr.f]))
+        [(lhs, rhs)], table = canonical.staged(pr.objective, n, [stage])
+        assert lhs == rhs
+        expected = pr.table
+        assert [t.exps for t in table.terms] == [t.exps for t in expected.terms]
+        for got, want in zip(table.terms, expected.terms):
+            assert [float(v) for v in (*got.G, *got.F, got.c)] == [float(v) for v in (*want.G, *want.F, want.c)]
+        for sig in [(0.0,), (-1.0,)] + [(rng.uniform(-60.0, 60.0),) for _ in range(5)]:
+            assert packed(table.accumulate(sig)) == packed(expected.accumulate(sig)), (pr, sig)
+
+
+def test_staged_needs_a_convex_level_and_at_most_four_variables():
+    t = MultiPoly.variable(2, 0)
+    for a in (0, -1):
+        with pytest.raises(ValueError, match="a must be > 0"):
+            canonical.staged(MultiPoly.variable(1, 0) ** 4, 1, [canonical.Stage(t**2, a, 0, MultiPoly.zero(2))])
+    with pytest.raises(DimensionMismatch, match="got 5"):
+        canonical.staged(MultiPoly.zero(4), 4, [canonical.Stage(MultiPoly.zero(4), 1, 0, MultiPoly.zero(4))])
+
+
 @pytest.mark.parametrize("problem, sigma", [
     (gp_canonical_g, (math.inf,)),
     (gp_canonical_g, (-math.inf,)),

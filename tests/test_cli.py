@@ -231,6 +231,13 @@ class TestOracleCommand:
         assert data["box"] == {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
         assert abs(data["multistart"]["value"]) <= 1e-8
 
+    def test_problem_of_more_than_two_variables_is_a_usage_error(self):
+        # Exit 2 would read "solved but not certified"; an n = 4 problem is
+        # an input the search does not take.
+        code, out, err = run_cli("oracle", "file", str(DATA / "survey_4_3_0.json"), "--grid", "11")
+        assert (code, out) == (1, "")
+        assert err == "error: oracle search supports problems with n <= 2\n"
+
 
 class TestGridCommand:
     def test_export_small_grid(self, tmp_path):

@@ -57,8 +57,8 @@ def test_each_differing_stdout_and_exit_code_is_printed():
 def test_main_runs_every_invocation_on_both_sides(capsys):
     # gp, thc, the three shipped problems, the two survey problems, the 36
     # pool problems and the 4 survey draws, four invocations each; a capped
-    # solve and an oracle run each of gp, thc and the shipped problems; and
-    # 20 seeds each of solve gp|thc.
+    # solve each of gp, thc and the shipped problems; an oracle run each of
+    # those and the two survey problems; and 20 seeds each of solve gp|thc.
     seen_pool, drawn = [], set()
 
     def run(checkout, argv):
@@ -71,7 +71,7 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     assert compare_outputs.main(["/parent", "/change"], run) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "DIFFERS: canondual solve thc --seed 7"
-    assert out[-1] == "1 of 238 invocations differ"
+    assert out[-1] == "1 of 240 invocations differ"
     assert len(seen_pool) == 2 * 4 * (36 + 4) and all(seen_pool)
     assert {Path(argv).name for argv in drawn} == {"survey_2_4_14.json", "survey_3_4_4.json",
                                                    "survey_4_4_3.json", "survey_4_4_15.json"}
@@ -79,9 +79,10 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     run, calls = runner()
     assert compare_outputs.main(["/parent", "/change"], run) == 0
     argvs = {argv for _, argv in calls}
-    assert len(calls) == 2 * len(argvs) == 2 * 238
+    assert len(calls) == 2 * len(argvs) == 2 * 240
     assert ("verify", "file", "problems/gp_g.json") in argvs
     assert ("solve", "file", "tests/data/survey_4_4_13.json", "--no-oracle", "--format", "json") in argvs
     assert ("oracle", "thc", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("oracle", "file", "problems/convex_1d.json", "--grid", "201", "--starts", "16", "--format", "json") in argvs
+    assert ("oracle", "file", "tests/data/survey_4_3_0.json", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("solve", "file", "problems/boundary_1d.json", "--max-iter", "2", "--format", "json") in argvs

@@ -22,8 +22,9 @@ against the boundary of the PSD region, so the most sensitive to the
 Newton step's bits);
 ``solve --max-iter 2 --format json`` on gp, thc and each ``problems/*.json``,
 which ends the ascent at its iteration cap; ``oracle --grid 201 --starts 16
---format json`` on gp, thc and each ``problems/*.json``; and
-``solve gp|thc --seed 0..19``: 238 invocations with the 3 shipped problems,
+--format json`` on gp, thc, each ``problems/*.json`` and the two survey
+problems, whose n = 4 the oracle rejects; and
+``solve gp|thc --seed 0..19``: 240 invocations with the 3 shipped problems,
 the 36 of the pool and the 4 draws.  The pool is written once, by
 ``perfbench/workloads.write_pool``, to a temporary directory that both
 sides read by absolute path, and the draws beside it by
@@ -92,7 +93,8 @@ def invocations(pool: Sequence[Path], shipped: Sequence[str]) -> list[list[str]]
             ["verify", *problem],
         ]
     found += [["solve", *problem, "--max-iter", "2", "--format", "json"] for problem in own]
-    found += [["oracle", *problem, "--grid", "201", "--starts", "16", "--format", "json"] for problem in own]
+    found += [["oracle", *problem, "--grid", "201", "--starts", "16", "--format", "json"]
+              for problem in own + [["file", path] for path in SURVEY]]
     found += [["solve", name, "--seed", str(seed)] for name in ("gp", "thc") for seed in range(20)]
     return found
 
