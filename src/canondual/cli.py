@@ -143,19 +143,18 @@ def load_problem_file(path: str | Path) -> canonical.CanonicalProblem:
 
 def write_grid_csv(p: MultiPoly, box: oracle.Box, n: int, path: str | Path) -> None:
     """CSV surface export: header x,y,f then the row-major lattice, floats
-    printed with 17 significant digits."""
-    if p.arity > 2 or p.arity != box.dim:
-        raise ValueError("grid export supports polynomials in at most 2 variables matching the box")
-    if n < 2:
-        raise ValueError("need at least 2 nodes per axis")
+    printed with 17 significant digits, written a block of rows at a time."""
+    oracle.check_lattice(p, box, n)
     axes = oracle.lattice_axes(box, n)
-    values = kernels.eval_lattice(*p.as_arrays(), axes)
+    nodes = itertools.product(*axes)
     with open(path, "w") as handle:
         handle.write("x,y,f\n")
-        for node, value in zip(itertools.product(*axes), values):
-            x = node[0]
-            y = node[1] if p.arity == 2 else 0.0
-            handle.write(f"{x:.17g},{y:.17g},{value:.17g}\n")
+        for block in kernels.lattice_blocks(*p.as_arrays(), axes):
+            # The block's values first: zip stops on them without taking a node.
+            for value, node in zip(block.flat, nodes):
+                x = node[0]
+                y = node[1] if p.arity == 2 else 0.0
+                handle.write(f"{x:.17g},{y:.17g},{value:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

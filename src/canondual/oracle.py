@@ -3,8 +3,11 @@
 Nothing here shares code with the dual pipeline it checks: grid scans and
 multistart Newton refinement attack bivariate objectives directly, and
 univariate global minimization isolates every real root of the derivative
-exactly, by Sturm chains on integers.  Grid scans are evaluated in one
-pass by ``kernels.eval_lattice``.  Single points go through
+exactly, by Sturm chains on integers.  A grid scan takes the lattice from
+``kernels.lattice_blocks`` a block of whole rows at a time and keeps the
+first minimum in lattice order across the blocks, the node ``np.argmin``
+over the whole lattice would take, so its memory grows with one block
+and the power tables, not with the lattice.  Single points go through
 ``MultiPoly.float_evaluator``, the one scalar float evaluator, which
 ``MultiPoly.eval`` calls.  Newton refinement holds three generated
 functions, ``MultiPoly.newton_evaluators``, a cached property built once
@@ -145,28 +148,44 @@ class OracleResult:
 
 def lattice_axes(box: Box, n_per_axis: int) -> list[np.ndarray]:
     """Node coordinates of the lattice on box, endpoints included, one
-    array per axis.  ``kernels.eval_lattice`` orders the nodes row-major,
+    array per axis.  ``kernels.lattice_blocks`` orders the nodes row-major,
     first axis slowest, which is lexicographic in the node coordinates."""
     return [np.linspace(lo, hi, n_per_axis) for lo, hi in zip(box.lower, box.upper)]
 
 
-def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
-    """Exhaustive lattice evaluation; ties resolve to the lexicographically
-    smallest node because argmin takes the first minimum in lattice order."""
+def check_lattice(p: MultiPoly, box: Box, n_per_axis: int) -> None:
+    """The checks of every lattice of p over box, grid scans and CSV export
+    alike: p has as many variables as box, at most 2, and each axis at
+    least 2 nodes."""
     if p.arity != box.dim:
         raise DimensionMismatch(f"polynomial arity {p.arity} vs box dim {box.dim}")
     if p.arity > 2:
         raise DimensionMismatch("grid scan supports at most 2 variables")
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
+
+
+def grid_scan(p: MultiPoly, box: Box, n_per_axis: int) -> OracleResult:
+    """Exhaustive lattice evaluation, block by block.  The minimum is the
+    first in lattice order, the node ``np.argmin`` over the whole lattice
+    would take: ties resolve to the lexicographically smallest node, and
+    the first NaN, if a value is NaN."""
+    check_lattice(p, box, n_per_axis)
     axes = lattice_axes(box, n_per_axis)
-    values = kernels.eval_lattice(*p.as_arrays(), axes)
-    best = int(np.argmin(values))
-    node = np.unravel_index(best, [n_per_axis] * p.arity)
+    best, best_index, offset = math.inf, 0, 0
+    for block in kernels.lattice_blocks(*p.as_arrays(), axes):
+        i = int(np.argmin(block))
+        value = float(block.flat[i])
+        # A later block wins only with a lower value, or with the first NaN;
+        # a lattice of +inf keeps its first node.
+        if value < best or (math.isnan(value) and not math.isnan(best)):
+            best, best_index = value, offset + i
+        offset += block.size
+    node = np.unravel_index(best_index, [n_per_axis] * p.arity)
     return OracleResult(
         x_best=tuple(float(axis[i]) for axis, i in zip(axes, node)),
-        value=float(values[best]),
-        n_evaluations=len(values),
+        value=best,
+        n_evaluations=offset,
         refined=False,
     )
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, problem files, CSV export, exit codes."""
 
 import io
+import itertools
 import json
 import os
 import struct
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canondual import cli
-from canondual.benchmarks import thc_objective
+from canondual import cli, kernels, oracle
+from canondual.benchmarks import THC_BOX, gp_objective, thc_objective
 from canondual.errors import ProblemFileError
 from canondual.oracle import Box
 from canondual.polynomial import rat
 from canondual.smallmat import _triu_index
+from tests.test_kernels import unblocked
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -268,12 +270,34 @@ class TestGridCommand:
         assert "2 nodes" in err
 
 
+def whole_lattice_csv(p, box, n):
+    """The CSV of the writer that evaluated the whole lattice at once
+    (tests/test_kernels.py's unblocked product) and then wrote it."""
+    axes = oracle.lattice_axes(box, n)
+    lines = ["x,y,f\n"]
+    for node, value in zip(itertools.product(*axes), unblocked(*p.as_arrays(), axes)):
+        y = node[1] if p.arity == 2 else 0.0
+        lines.append(f"{node[0]:.17g},{y:.17g},{value:.17g}\n")
+    return "".join(lines)
+
+
 class TestWriteGridCsv:
     def test_values_have_17_significant_digits(self, tmp_path):
         out_path = tmp_path / "pi.csv"
         cli.write_grid_csv(thc_objective(), Box((-1.0, -1.0), (1.0, 1.0)), 2, out_path)
         rows = out_path.read_text().splitlines()[1:]
         assert rows[0].split(",")[2] == f"{thc_objective().eval((-1.0, -1.0)):.17g}"
+
+    @pytest.mark.parametrize("block_values", [1 << 16, 4096])
+    def test_blocks_write_the_whole_lattice_bytes(self, tmp_path, monkeypatch, block_values):
+        # 301 nodes a row: two blocks of 217 and 84 rows, or 23 of 13 and a
+        # last of 2.  BLAS rounds every node here alike in a block and in
+        # the whole product; it need not in the last column of every
+        # Goldstein-Price lattice (README, "Float evaluation").
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
+        for p, box in ((gp_objective(), Box((-2.0, -1.5), (1.0, 2.5))), (thc_objective(), THC_BOX)):
+            cli.write_grid_csv(p, box, 301, tmp_path / "grid.csv")
+            assert (tmp_path / "grid.csv").read_text() == whole_lattice_csv(p, box, 301)
 
 
 class TestProblemFiles:

@@ -58,7 +58,9 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     # gp, thc, the three shipped problems, the two survey problems, the 36
     # pool problems and the 4 survey draws, four invocations each; a capped
     # solve each of gp, thc and the shipped problems; an oracle run each of
-    # those and the two survey problems; and 20 seeds each of solve gp|thc.
+    # those and the two survey problems; a 1001-node oracle run each of gp
+    # and thc and a 301-node grid export of gp, all of several blocks; and
+    # 20 seeds each of solve gp|thc.
     seen_pool, drawn = [], set()
 
     def run(checkout, argv):
@@ -71,7 +73,7 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     assert compare_outputs.main(["/parent", "/change"], run) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "DIFFERS: canondual solve thc --seed 7"
-    assert out[-1] == "1 of 240 invocations differ"
+    assert out[-1] == "1 of 243 invocations differ"
     assert len(seen_pool) == 2 * 4 * (36 + 4) and all(seen_pool)
     assert {Path(argv).name for argv in drawn} == {"survey_2_4_14.json", "survey_3_4_4.json",
                                                    "survey_4_4_3.json", "survey_4_4_15.json"}
@@ -79,10 +81,13 @@ def test_main_runs_every_invocation_on_both_sides(capsys):
     run, calls = runner()
     assert compare_outputs.main(["/parent", "/change"], run) == 0
     argvs = {argv for _, argv in calls}
-    assert len(calls) == 2 * len(argvs) == 2 * 240
+    assert len(calls) == 2 * len(argvs) == 2 * 243
     assert ("verify", "file", "problems/gp_g.json") in argvs
     assert ("solve", "file", "tests/data/survey_4_4_13.json", "--no-oracle", "--format", "json") in argvs
     assert ("oracle", "thc", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("oracle", "file", "problems/convex_1d.json", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("oracle", "file", "tests/data/survey_4_3_0.json", "--grid", "201", "--starts", "16", "--format", "json") in argvs
     assert ("solve", "file", "problems/boundary_1d.json", "--max-iter", "2", "--format", "json") in argvs
+    assert ("oracle", "gp", "--grid", "1001", "--starts", "16", "--box", "-2", "1", "-1.5", "2.5",
+            "--format", "json") in argvs
+    assert ("grid", "gp", "--n", "301", "--out", "/dev/stdout") in argvs

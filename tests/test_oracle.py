@@ -3,7 +3,9 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +26,28 @@ from canondual.oracle import (
     univariate_global,
 )
 from canondual.polynomial import MultiPoly
+from tests.test_kernels import lattice, polys_of, unblocked
 
 
 def poly1(terms):
     return MultiPoly.from_terms(1, terms)
+
+
+def assert_scan_is_argmin(p, box, n, values):
+    """grid_scan's node and value are np.argmin's over the flat lattice
+    values, bit for bit, NaN included."""
+    result = grid_scan(p, box, n)
+    best = int(np.argmin(values))
+    node = np.unravel_index(best, [n] * p.arity)
+    assert result.x_best == tuple(float(axis[i]) for axis, i in zip(oracle.lattice_axes(box, n), node))
+    assert np.float64(result.value).tobytes() == values[best].tobytes()
+    assert result.n_evaluations == values.size == n**p.arity
+
+
+ASYMMETRIC_BOX = Box((-2.0, -1.5), (1.0, 2.5))
+# BLOCK_VALUES for: one block of a 201-node lattice, three blocks of 67
+# rows, blocks of 65 rows and a short last one at 1001 nodes, two rows.
+SCAN_BLOCKS = [(201, 1 << 16), (201, 201 * 67), (1001, 1 << 16), (41, 2)]
 
 
 class TestLcg:
@@ -140,6 +160,72 @@ class TestGridScan:
             grid_scan(poly1({(2,): 1}), Box((-1.0,), (1.0,)), 1)
         with pytest.raises(DimensionMismatch):
             grid_scan(gp_objective(), Box((-1.0,), (1.0,)), 3)
+
+    @pytest.mark.parametrize("n, block_values", SCAN_BLOCKS)
+    def test_paper_minima_are_argmin_of_the_unblocked_product(self, monkeypatch, n, block_values):
+        # A block and the whole product may round a node differently where
+        # BLAS's edge code computes it (tests/test_kernels.py); these
+        # minima lie inside their boxes, where both round it alike.
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
+        for p, box in ((gp_objective(), GP_BOX), (thc_objective(), THC_BOX)):
+            assert_scan_is_argmin(p, box, n, unblocked(*p.as_arrays(), oracle.lattice_axes(box, n)))
+
+    @given(polys_of(2), st.integers(2, 40), st.sampled_from([2, 7, 64, 1 << 16]))
+    def test_bivariate_first_minimum_across_blocks(self, p, n, block_values):
+        with mock.patch.object(kernels, "BLOCK_VALUES", block_values):
+            values = lattice(*p.as_arrays(), oracle.lattice_axes(ASYMMETRIC_BOX, n))
+            assert_scan_is_argmin(p, ASYMMETRIC_BOX, n, values)
+
+    @given(polys_of(1), st.integers(2, 60), st.sampled_from([2, 5, 1 << 16]))
+    def test_univariate_first_minimum_across_blocks(self, p, n, block_values):
+        box = Box((-1.5,), (2.0,))
+        with mock.patch.object(kernels, "BLOCK_VALUES", block_values):
+            assert_scan_is_argmin(p, box, n, unblocked(*p.as_arrays(), oracle.lattice_axes(box, n)))
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_constant_across_blocks_keeps_the_first_node(self, monkeypatch, arity):
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", 4)
+        box = Box((-1.0,) * arity, (3.0,) * arity)
+        result = grid_scan(MultiPoly.constant(arity, 7), box, 9)
+        assert result.x_best == box.lower and result.value == 7.0
+
+    def test_lattice_of_infinities_keeps_the_first_node(self, monkeypatch):
+        # x^4 overflows to +inf at every node past 1.3e77.
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", 4)
+        box = Box((1e100,), (2e100,))
+        with np.errstate(over="ignore"):
+            result = grid_scan(poly1({(4,): 1}), box, 11)
+        assert result.x_best == (1e100,) and result.value == math.inf
+
+    def test_first_nan_wins_across_blocks(self, monkeypatch):
+        # -x^4 - y overflows to -inf at x > 1.3e77, where the zero
+        # coefficients of x^4 in y's column make 0 * inf = NaN: rows 0 to 7
+        # are finite, their least value in the second block of four rows,
+        # and rows 8 to 15 NaN, in the third and fourth blocks.
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", 4 * 16)
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p, box = -(x**4) - y, Box((0.0, -1.0), (2.2e77, 1.0))
+        axes = oracle.lattice_axes(box, 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert [len(block) for block in kernels.lattice_blocks(*p.as_arrays(), axes)] == [4] * 4
+            values = unblocked(*p.as_arrays(), axes)
+            assert np.isfinite(values[: 8 * 16]).all() and np.isnan(values[8 * 16 :]).all()
+            result = grid_scan(p, box, 16)
+            assert math.isnan(result.value)
+            assert result.x_best == (float(axes[0][8]), -1.0)
+            assert_scan_is_argmin(p, box, 16, values)
+
+    def test_memory_grows_with_one_block_not_the_lattice(self):
+        # The whole 2001 x 2001 lattice would be 32 MB of float64.
+        p = gp_objective()
+        grid_scan(p, GP_BOX, 3)
+        tracemalloc.start()
+        try:
+            grid_scan(p, GP_BOX, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestLocalRefine:

@@ -23,8 +23,12 @@ Newton step's bits);
 ``solve --max-iter 2 --format json`` on gp, thc and each ``problems/*.json``,
 which ends the ascent at its iteration cap; ``oracle --grid 201 --starts 16
 --format json`` on gp, thc, each ``problems/*.json`` and the two survey
-problems, whose n = 4 the oracle rejects; and
-``solve gp|thc --seed 0..19``: 240 invocations with the 3 shipped problems,
+problems, whose n = 4 the oracle rejects; the same at ``--grid 1001`` on gp
+and thc over the asymmetric box ``ASYMMETRIC_BOX``, and ``grid gp --n 301
+--out /dev/stdout``, which reach more than one block of the lattice
+(``kernels.lattice_blocks``: 65 rows of 1001 nodes a block, and 217 rows
+of 301; a 201-node lattice is one block); and
+``solve gp|thc --seed 0..19``: 243 invocations with the 3 shipped problems,
 the 36 of the pool and the 4 draws.  The pool is written once, by
 ``perfbench/workloads.write_pool``, to a temporary directory that both
 sides read by absolute path, and the draws beside it by
@@ -52,6 +56,7 @@ SURVEY = ("tests/data/survey_4_3_0.json", "tests/data/survey_4_4_13.json")
 # the draws of ROADMAP item 2 that tests/data does not ship.
 SURVEY_DRAWS = ((2, 4, 14), (3, 4, 4), (4, 4, 3), (4, 4, 15))
 JOBS = 2  # invocations run at once; each is mostly waiting on its process
+ASYMMETRIC_BOX = ("-2", "1", "-1.5", "2.5")  # LO HI of x, then of y
 
 # (checkout, argv) -> (exit code, stdout)
 Runner = Callable[[Path, Sequence[str]], tuple[int, str]]
@@ -95,6 +100,9 @@ def invocations(pool: Sequence[Path], shipped: Sequence[str]) -> list[list[str]]
     found += [["solve", *problem, "--max-iter", "2", "--format", "json"] for problem in own]
     found += [["oracle", *problem, "--grid", "201", "--starts", "16", "--format", "json"]
               for problem in own + [["file", path] for path in SURVEY]]
+    found += [["oracle", name, "--grid", "1001", "--starts", "16", "--box", *ASYMMETRIC_BOX, "--format", "json"]
+              for name in ("gp", "thc")]
+    found += [["grid", "gp", "--n", "301", "--out", "/dev/stdout"]]
     found += [["solve", name, "--seed", str(seed)] for name in ("gp", "thc") for seed in range(20)]
     return found
 
